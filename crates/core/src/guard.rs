@@ -2,10 +2,9 @@
 //!
 //! BlockMaestro's correctness rests on the launch-time analysis producing
 //! *over-approximate* per-TB access sets. The guard removes that trust:
-//! after every guarded run it functionally replays the produced schedule,
-//! checks each thread block's observed global accesses against its
-//! declared read/write sets, and compares the final memory image against
-//! serialized execution. A violation (or any typed engine failure —
+//! every guarded run checks each thread block's observed global accesses
+//! against its declared read/write sets, and the schedule's final memory
+//! against serialized execution. A violation (or any typed engine failure —
 //! deadlock, counter underflow) triggers *quarantine*: the implicated
 //! kernels are marked `non_static`, their dependency graphs degrade to the
 //! fully-connected (whole-kernel barrier) encoding, skip gates are
@@ -14,6 +13,17 @@
 //! immune to the metadata faults that broke the optimistic run — the
 //! recovery loop converges within [`MAX_ROUNDS`] rounds or reports
 //! [`BmError::Unrecoverable`].
+//!
+//! The guard interprets the application once. The serialized reference
+//! pass logs every thread block's global reads and writes, and each
+//! block's containment verdict is computed from that log. A schedule is
+//! then accepted without replay when every *conflicting* pair of blocks
+//! (two blocks touching a common byte, at least one writing it) replays in
+//! serialized order. By induction over replay order, every block then
+//! reads the values it read in the serialized pass, so its accesses, its
+//! verdict and the final memory are exactly what a replay would observe.
+//! A schedule the check cannot decide falls back to [`verify_soundness`],
+//! the full replay.
 
 use crate::degrade::{AnalysisBudget, AnalysisCache, DegradationReason, DegradationRung};
 use crate::engine::{
@@ -29,9 +39,9 @@ use crate::modes::ExecMode;
 use crate::snapshot::{
     app_fingerprint, CheckpointPolicy, GuardSnapshot, RunSnapshot, SnapshotError, SnapshotStore,
 };
-use bm_cmdq::Application;
+use bm_cmdq::{Application, CmdqError};
 use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
-use bm_ptx::access::RangeSet;
+use bm_ptx::access::{RangeSet, TbAccess};
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::{execute_block, ExecObserver, ThreadId};
 use bm_ptx::isa::Op;
@@ -39,7 +49,7 @@ use bm_ptx::kernel::Launch;
 use bm_ptx::par::ParallelConfig;
 use bm_simt::des::TbKey;
 use bm_trace::{NullTracer, TraceEvent, Tracer};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Guarded re-runs attempted before giving up.
@@ -82,7 +92,7 @@ pub struct GuardReport {
 }
 
 /// Result of one soundness verification pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoundnessOutcome {
     /// Containment violations, at most one per thread block.
     pub violations: Vec<SoundnessViolation>,
@@ -108,19 +118,379 @@ impl ExecObserver for AccessLog {
     fn on_inst(&mut self, _t: ThreadId, _i: usize, _op: &Op) {}
     fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
         if store {
-            self.writes.insert(addr, addr + 4);
+            self.writes.insert(addr, addr.saturating_add(4));
         } else {
-            self.reads.insert(addr, addr + 4);
+            self.reads.insert(addr, addr.saturating_add(4));
         }
     }
 }
 
-fn first_escapee(observed: &RangeSet, declared: &RangeSet) -> Option<u64> {
+/// The first 4-byte word of `observed` (canonical ranges) outside
+/// `declared`. The per-word scan runs only when the `O(ranges)` subset
+/// test finds an escape.
+fn first_escapee(observed: &[(u64, u64)], declared: &RangeSet) -> Option<u64> {
+    if declared.covers(observed) {
+        return None;
+    }
     observed
-        .ranges()
         .iter()
         .flat_map(|&(s, e)| (s..e).step_by(4))
         .find(|&a| !declared.contains(a))
+}
+
+/// The containment verdict of one thread block: its first escaping
+/// address, writes checked before reads.
+fn escape(reads: &[(u64, u64)], writes: &[(u64, u64)], declared: &TbAccess) -> Option<u64> {
+    first_escapee(writes, &declared.writes).or_else(|| first_escapee(reads, &declared.reads))
+}
+
+/// An empty open run.
+const NO_RUN: (u64, u64, bool) = (0, 0, false);
+
+/// Observer that logs a thread block's global accesses cheaply: one open
+/// byte run per instruction, which absorbs repeated and adjacent addresses.
+/// Any other address closes the run and opens a new one.
+#[derive(Default)]
+struct RunLog {
+    /// `[start, end)` and store flag of each instruction's open run.
+    open: Vec<(u64, u64, bool)>,
+    /// Closed read runs of the current block, unsorted.
+    reads: Vec<(u64, u64)>,
+    /// Closed write runs of the current block, unsorted.
+    writes: Vec<(u64, u64)>,
+}
+
+/// Moves `run`, when non-empty, to the closed runs of its kind.
+fn close(run: (u64, u64, bool), reads: &mut Vec<(u64, u64)>, writes: &mut Vec<(u64, u64)>) {
+    if run.0 < run.1 {
+        let closed = if run.2 { writes } else { reads };
+        closed.push((run.0, run.1));
+    }
+}
+
+impl ExecObserver for RunLog {
+    fn on_global_access(&mut self, _t: ThreadId, i: usize, addr: u64, store: bool) {
+        let end = addr.saturating_add(4);
+        let run = &mut self.open[i];
+        if run.0 < run.1 && addr <= run.1 && run.0 <= end {
+            run.0 = run.0.min(addr);
+            run.1 = run.1.max(end);
+            return;
+        }
+        close(*run, &mut self.reads, &mut self.writes);
+        *run = (addr, end, store);
+    }
+}
+
+impl RunLog {
+    /// Closes every open run, then appends the block's canonical reads
+    /// and writes to `ranges` and their ends to `bounds`.
+    fn finish_block(&mut self, ranges: &mut Vec<(u64, u64)>, bounds: &mut Vec<usize>) {
+        for run in &mut self.open {
+            close(*run, &mut self.reads, &mut self.writes);
+            *run = NO_RUN;
+        }
+        for runs in [&mut self.reads, &mut self.writes] {
+            runs.sort_unstable();
+            let first = ranges.len();
+            for &(s, e) in runs.iter() {
+                match ranges[first..].last_mut() {
+                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                    _ => ranges.push((s, e)),
+                }
+            }
+            runs.clear();
+            bounds.push(ranges.len());
+        }
+    }
+}
+
+/// What the serialized pass observed, shared by the rounds of one guarded
+/// call (and only those: [`app_fingerprint`] does not hash host data, so
+/// an observation cannot be keyed across inputs).
+///
+/// Blocks are numbered in serialized order, kernel by kernel. Their access
+/// sets live in one flat vector: keeping one small allocation per block
+/// alive through the pass slowed GAUSSIAN's serialized pass by about a
+/// third, through the interpreter's own per-block allocations.
+struct Observation {
+    /// Fingerprint of the serialized final memory.
+    fingerprint: u64,
+    /// Number of the first block of each kernel, then the total.
+    first_block: Vec<usize>,
+    /// Every block's canonical reads, then its canonical writes.
+    ranges: Vec<(u64, u64)>,
+    /// Block `b`'s reads are `ranges[bounds[2b]..bounds[2b + 1]]` and its
+    /// writes `ranges[bounds[2b + 1]..bounds[2b + 2]]`.
+    bounds: Vec<usize>,
+}
+
+impl Observation {
+    /// The number of block `tb` of kernel `k`, if both exist.
+    fn block(&self, k: usize, tb: usize) -> Option<usize> {
+        let first = *self.first_block.get(k)?;
+        let next = *self.first_block.get(k + 1)?;
+        (tb < next - first).then_some(first + tb)
+    }
+
+    /// Blocks across all kernels.
+    fn n_blocks(&self) -> usize {
+        self.first_block.last().copied().unwrap_or(0)
+    }
+
+    /// Block `b`'s observed reads.
+    fn reads(&self, b: usize) -> &[(u64, u64)] {
+        &self.ranges[self.bounds[2 * b]..self.bounds[2 * b + 1]]
+    }
+
+    /// Block `b`'s observed writes.
+    fn writes(&self, b: usize) -> &[(u64, u64)] {
+        &self.ranges[self.bounds[2 * b + 1]..self.bounds[2 * b + 2]]
+    }
+}
+
+/// The serialized reference pass of [`Application::try_run_serialized`],
+/// logging every thread block's global accesses on the way.
+///
+/// # Errors
+///
+/// As [`Application::try_run_serialized`].
+fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
+    app.validate()?;
+    let mut mem = app.initial_memory();
+    let mut log = RunLog::default();
+    let mut first_block = vec![0];
+    let mut ranges = Vec::new();
+    let mut bounds = vec![0];
+    for launch in app.launches() {
+        log.open.clear();
+        log.open.resize(launch.kernel.body.len(), NO_RUN);
+        for tb in 0..launch.num_blocks() {
+            execute_block(launch, tb, &mut mem, &mut log).map_err(CmdqError::Exec)?;
+            log.finish_block(&mut ranges, &mut bounds);
+        }
+        first_block.push(bounds.len() / 2);
+    }
+    ranges.shrink_to_fit();
+    Ok(Observation {
+        fingerprint: mem.fingerprint(),
+        first_block,
+        ranges,
+        bounds,
+    })
+}
+
+/// Every block's containment verdict for the kernels static in `jit`,
+/// `verdicts[kernel][tb]`. A kernel without a verdict per block (non-static,
+/// or fewer declared sets than blocks) gets an empty list.
+fn containment_verdicts(observed: &Observation, jit: &[JitKernel]) -> Vec<Vec<Option<u64>>> {
+    observed
+        .first_block
+        .windows(2)
+        .zip(jit)
+        .map(|(blocks, kernel)| {
+            let declared = &kernel.access.per_tb;
+            if kernel.access.non_static || declared.len() < blocks[1] - blocks[0] {
+                return Vec::new();
+            }
+            (blocks[0]..blocks[1])
+                .zip(declared)
+                .map(|(b, d)| escape(observed.reads(b), observed.writes(b), d))
+                .collect()
+        })
+        .collect()
+}
+
+/// Recorded accesses of one byte segment: the highest replay rank among
+/// its recorded writers and among its recorded readers (0 = none).
+#[derive(Clone, Copy)]
+struct Seg {
+    end: u64,
+    writer: u32,
+    reader: u32,
+}
+
+/// Recorded accesses over disjoint byte segments keyed by start address,
+/// so its size follows the recorded ranges rather than device memory.
+#[derive(Default)]
+struct ConflictMap {
+    segs: BTreeMap<u64, Seg>,
+    /// Scratch: the spans of a record no segment covers yet.
+    gaps: Vec<(u64, u64)>,
+}
+
+impl ConflictMap {
+    /// Splits the segment straddling `at`, so a segment boundary falls there.
+    fn cut(&mut self, at: u64) {
+        if let Some((_, seg)) = self.segs.range_mut(..at).next_back() {
+            if seg.end > at {
+                let tail = Seg {
+                    end: seg.end,
+                    ..*seg
+                };
+                seg.end = at;
+                self.segs.insert(at, tail);
+            }
+        }
+    }
+
+    /// The highest recorded rank over the bytes of `[s, e)`: of writers,
+    /// and of readers too when `readers` is set.
+    fn max_rank(&self, s: u64, e: u64, readers: bool) -> u32 {
+        let straddling = self.segs.range(..s).next_back().filter(|(_, g)| g.end > s);
+        straddling
+            .into_iter()
+            .chain(self.segs.range(s..e))
+            .map(|(_, g)| {
+                if readers {
+                    g.writer.max(g.reader)
+                } else {
+                    g.writer
+                }
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Records an access of `[s, e)` by the block of replay rank `r`.
+    fn record(&mut self, s: u64, e: u64, r: u32, write: bool) {
+        self.cut(s);
+        self.cut(e);
+        self.gaps.clear();
+        let mut at = s;
+        for (&start, seg) in self.segs.range_mut(s..e) {
+            let rank = if write {
+                &mut seg.writer
+            } else {
+                &mut seg.reader
+            };
+            *rank = (*rank).max(r);
+            if start > at {
+                self.gaps.push((at, start));
+            }
+            at = seg.end;
+        }
+        if at < e {
+            self.gaps.push((at, e));
+        }
+        for &(gs, ge) in &self.gaps {
+            let (writer, reader) = if write { (r, 0) } else { (0, r) };
+            self.segs.insert(
+                gs,
+                Seg {
+                    end: ge,
+                    writer,
+                    reader,
+                },
+            );
+        }
+    }
+}
+
+/// Decides [`verify_soundness`]'s outcome without replay: when `schedule`
+/// runs every thread block exactly once and every conflicting pair of
+/// blocks replays in serialized order, the replay reproduces the
+/// serialized pass block for block. `None` when the check cannot decide.
+fn check_conflict_order(
+    observed: &Observation,
+    verdicts: &[Vec<Option<u64>>],
+    jit: &[JitKernel],
+    schedule: &[(TbKey, u64, u64)],
+) -> Option<SoundnessOutcome> {
+    // Replay order, as verify_soundness sorts it: start cycle, then index.
+    let mut order: Vec<(u64, usize)> = schedule
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, start, _))| (start, i))
+        .collect();
+    order.sort_unstable();
+    // Each block's 1-based replay rank; 0 marks one not yet scheduled.
+    let mut rank = vec![0u32; observed.n_blocks()];
+    for (pos, &(_, i)) in order.iter().enumerate() {
+        let key = schedule[i].0;
+        let b = observed.block(key.kernel_seq as usize, key.tb as usize)?;
+        if rank[b] != 0 {
+            return None;
+        }
+        rank[b] = pos as u32 + 1;
+    }
+    if schedule.len() != rank.len() {
+        return None;
+    }
+    // A pair runs out of order when a block replays after one serialized
+    // behind it. Only a block replayed after the lowest rank behind it can
+    // be the earlier member of such a pair, so only those are recorded;
+    // only a block replayed before the highest rank ahead of it can be the
+    // later member, so only those are checked.
+    let mut lowest_behind = vec![u32::MAX; rank.len() + 1];
+    for b in (0..rank.len()).rev() {
+        lowest_behind[b] = lowest_behind[b + 1].min(rank[b]);
+    }
+    let mut highest_ahead = 0;
+    let mut recorded = ConflictMap::default();
+    for (b, &r) in rank.iter().enumerate() {
+        if r < highest_ahead {
+            // Reads conflict with recorded writers; writes with both.
+            let replayed_later = |ranges: &[(u64, u64)], readers: bool| {
+                ranges
+                    .iter()
+                    .any(|&(s, e)| recorded.max_rank(s, e, readers) > r)
+            };
+            if replayed_later(observed.reads(b), false) || replayed_later(observed.writes(b), true)
+            {
+                return None;
+            }
+        }
+        if r > lowest_behind[b + 1] {
+            for &(s, e) in observed.reads(b) {
+                recorded.record(s, e, r, false);
+            }
+            for &(s, e) in observed.writes(b) {
+                recorded.record(s, e, r, true);
+            }
+        }
+        highest_ahead = highest_ahead.max(r);
+    }
+    let mut violations = Vec::new();
+    for &(_, i) in &order {
+        let key = schedule[i].0;
+        if jit.get(key.kernel_seq as usize)?.access.non_static {
+            continue;
+        }
+        let verdict = verdicts
+            .get(key.kernel_seq as usize)?
+            .get(key.tb as usize)?;
+        if let Some(addr) = *verdict {
+            violations.push(SoundnessViolation {
+                kernel: key.kernel_seq,
+                tb: key.tb,
+                addr,
+            });
+        }
+    }
+    Some(SoundnessOutcome {
+        violations,
+        equivalent: true,
+    })
+}
+
+/// The guard's replay-free verification on its own: the logged serialized
+/// pass, then the conflict-order check of `schedule`. `Ok(None)` when the
+/// check cannot decide, where the guard falls back to [`verify_soundness`];
+/// otherwise exactly the outcome `verify_soundness` returns against the
+/// serialized fingerprint.
+///
+/// # Errors
+///
+/// As [`Application::try_run_serialized`].
+pub fn verify_by_conflict_order(
+    app: &Application,
+    jit: &[JitKernel],
+    schedule: &[(TbKey, u64, u64)],
+) -> Result<Option<SoundnessOutcome>, CmdqError> {
+    let observed = observe_serialized(app)?;
+    let verdicts = containment_verdicts(&observed, jit);
+    Ok(check_conflict_order(&observed, &verdicts, jit, schedule))
 }
 
 /// Replays `schedule` in start order, checking every static kernel's
@@ -129,6 +499,10 @@ fn first_escapee(observed: &RangeSet, declared: &RangeSet) -> Option<u64> {
 ///
 /// `non_static` kernels are exempt from containment — their sets are known
 /// to be incomplete — but still contribute to the final-memory check.
+///
+/// The guarded pipeline replays only schedules its conflict-order check
+/// cannot decide; this function is that fallback and the reference the
+/// check is tested against.
 ///
 /// # Errors
 ///
@@ -161,9 +535,7 @@ pub fn verify_soundness(
             continue;
         }
         let declared = &kernel.access.per_tb[key.tb as usize];
-        let escape = first_escapee(&log.writes, &declared.writes)
-            .or_else(|| first_escapee(&log.reads, &declared.reads));
-        if let Some(addr) = escape {
+        if let Some(addr) = escape(log.reads.ranges(), log.writes.ranges(), declared) {
             violations.push(SoundnessViolation {
                 kernel: key.kernel_seq,
                 tb: key.tb,
@@ -308,73 +680,129 @@ pub fn try_run_app_faulty(
 pub fn try_run_app_faulty_traced<T: Tracer>(
     cfg: &bm_simt::config::GpuConfig,
     app: &Application,
-    mut jit: Vec<JitKernel>,
+    jit: Vec<JitKernel>,
     mode: ExecMode,
     hazard: HazardMode,
     fault: &FaultPlan,
     tracer: &T,
 ) -> Result<RunReport, BmError> {
-    let expected_fp = app.try_run_serialized()?.fingerprint();
-    let mut guard = GuardReport::default();
+    guarded_rounds(
+        app,
+        jit,
+        hazard,
+        GuardSnapshot::default(),
+        tracer,
+        |jit, _| try_run_analyzed_faulty_traced(cfg, app, jit, mode, fault, tracer),
+    )
+}
+
+/// The quarantine loop behind every guarded entry point. It starts from
+/// `start` (a checkpoint's round, guard report and quarantines, or round 0)
+/// and runs the engine once per round through `run_round`, which receives
+/// the round's guard state for its snapshots. The first sound schedule is
+/// returned; otherwise the implicated kernels are quarantined and the next
+/// round runs.
+///
+/// # Errors
+///
+/// As [`try_run_app_faulty`]; a failing serialized pass returns what
+/// [`Application::try_run_serialized`] returns.
+fn guarded_rounds<T: Tracer>(
+    app: &Application,
+    mut jit: Vec<JitKernel>,
+    hazard: HazardMode,
+    start: GuardSnapshot,
+    tracer: &T,
+    mut run_round: impl FnMut(&[JitKernel], GuardSnapshot) -> Result<RunReport, EngineError>,
+) -> Result<RunReport, BmError> {
     let mut quarantined: HashSet<usize> = HashSet::new();
+    // A snapshot taken mid-round had these kernels already degraded to
+    // barriers: re-apply the quarantines so the restored engine state
+    // matches the jit configuration it was built from.
+    for &k in &start.quarantined {
+        let k = k as usize;
+        if k < jit.len() && quarantined.insert(k) {
+            quarantine_kernel(&mut jit, k);
+        }
+    }
+    if !quarantined.is_empty() {
+        recompute_skip_gates(&mut jit, hazard);
+    }
+    let observed = observe_serialized(app)?;
+    // Quarantine only ever exempts kernels, so verdicts computed now serve
+    // every round.
+    let verdicts = containment_verdicts(&observed, &jit);
+    let mut guard = start.report;
     let mut last_err: Option<EngineError> = None;
-    for round in 0..MAX_ROUNDS {
+    for round in start.round..MAX_ROUNDS {
         guard.recovery_rounds = round;
+        let mut sorted: Vec<u32> = quarantined.iter().map(|&k| k as u32).collect();
+        sorted.sort_unstable();
+        let state = GuardSnapshot {
+            round,
+            report: guard,
+            quarantined: sorted,
+        };
         // Cycle stamp for quarantine instants: how far the discarded run
         // got before the guard rejected it.
         let failed_at: u64;
-        let targets: Vec<usize> =
-            match try_run_analyzed_faulty_traced(cfg, app, &jit, mode, fault, tracer) {
-                Ok(mut report) => {
-                    let outcome = verify_soundness(app, &jit, &report.schedule, expected_fp)?;
-                    if outcome.is_sound() {
-                        report.guard = guard;
-                        return Ok(report);
-                    }
-                    guard.cycles_lost_to_fallback += report.kernel_region_cycles;
-                    guard.violations_detected += (outcome.violations.len() as u64).max(1);
-                    last_err = None;
-                    failed_at = report.kernel_region_cycles;
-                    if outcome.violations.is_empty() {
-                        // Wrong result with no attributable containment
-                        // violation (e.g. a corrupted dependency pattern):
-                        // distrust everything.
-                        (0..jit.len()).collect()
-                    } else {
-                        outcome
-                            .violations
-                            .iter()
-                            .map(|v| v.kernel as usize)
-                            .collect()
-                    }
-                }
-                // A kill or cancellation is a simulated crash / external
-                // stop, not a soundness failure: never quarantine for it —
-                // resume from the checkpoint.
-                Err(e @ (EngineError::Killed { .. } | EngineError::Cancelled { .. })) => {
-                    return Err(e.into())
-                }
-                Err(e) => {
-                    guard.cycles_lost_to_fallback += e.cycles_wasted();
-                    guard.violations_detected += 1;
-                    failed_at = e.cycles_wasted();
-                    let targets = match &e {
-                        // A counter fault names the child kernel whose graph
-                        // metadata is inconsistent.
-                        EngineError::Hw { err, .. } => {
-                            let key = match err {
-                                crate::hw::HwError::CounterNotResident { key }
-                                | crate::hw::HwError::CounterUnderflow { key } => *key,
-                            };
-                            vec![key.kernel_seq as usize]
+        let targets: Vec<usize> = match run_round(&jit, state) {
+            Ok(mut report) => {
+                let outcome =
+                    match check_conflict_order(&observed, &verdicts, &jit, &report.schedule) {
+                        Some(outcome) => outcome,
+                        None => {
+                            verify_soundness(app, &jit, &report.schedule, observed.fingerprint)?
                         }
-                        // Deadlocks are unattributable: degrade everything.
-                        _ => (0..jit.len()).collect(),
                     };
-                    last_err = Some(e);
-                    targets
+                if outcome.is_sound() {
+                    report.guard = guard;
+                    return Ok(report);
                 }
-            };
+                guard.cycles_lost_to_fallback += report.kernel_region_cycles;
+                guard.violations_detected += (outcome.violations.len() as u64).max(1);
+                last_err = None;
+                failed_at = report.kernel_region_cycles;
+                if outcome.violations.is_empty() {
+                    // Wrong result with no attributable containment
+                    // violation (e.g. a corrupted dependency pattern):
+                    // distrust everything.
+                    (0..jit.len()).collect()
+                } else {
+                    outcome
+                        .violations
+                        .iter()
+                        .map(|v| v.kernel as usize)
+                        .collect()
+                }
+            }
+            // A kill or cancellation is a simulated crash / external
+            // stop, not a soundness failure: never quarantine for it —
+            // surface it so the caller can resume from the checkpoint.
+            Err(e @ (EngineError::Killed { .. } | EngineError::Cancelled { .. })) => {
+                return Err(e.into())
+            }
+            Err(e) => {
+                guard.cycles_lost_to_fallback += e.cycles_wasted();
+                guard.violations_detected += 1;
+                failed_at = e.cycles_wasted();
+                let targets = match &e {
+                    // A counter fault names the child kernel whose graph
+                    // metadata is inconsistent.
+                    EngineError::Hw { err, .. } => {
+                        let key = match err {
+                            crate::hw::HwError::CounterNotResident { key }
+                            | crate::hw::HwError::CounterUnderflow { key } => *key,
+                        };
+                        vec![key.kernel_seq as usize]
+                    }
+                    // Deadlocks are unattributable: degrade everything.
+                    _ => (0..jit.len()).collect(),
+                };
+                last_err = Some(e);
+                targets
+            }
+        };
         for k in targets {
             if k < jit.len() && quarantined.insert(k) {
                 quarantine_kernel(&mut jit, k);
@@ -559,8 +987,7 @@ pub fn try_run_app_checkpointed_ctl<T: Tracer>(
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
     let par = ctl.analysis_par();
-    let mut jit =
-        try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &par, tracer)?;
+    let jit = try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &par, tracer)?;
     let app_fp = app_fingerprint(app);
     let hazard_str = format!("{hazard:?}");
     let mut resumed: Option<RunSnapshot> = None;
@@ -579,117 +1006,23 @@ pub fn try_run_app_checkpointed_ctl<T: Tracer>(
             }
         }
     }
-    let expected_fp = app.try_run_serialized()?.fingerprint();
-    let mut guard = GuardReport::default();
-    let mut quarantined: HashSet<usize> = HashSet::new();
-    let mut start_round = 0;
-    if let Some(snap) = &resumed {
-        // The snapshot was taken mid-round with these kernels already
-        // degraded to barriers: re-apply the quarantines so the restored
-        // engine state matches the jit configuration it was built from.
-        for &k in &snap.guard.quarantined {
-            let k = k as usize;
-            if k < jit.len() && quarantined.insert(k) {
-                quarantine_kernel(&mut jit, k);
-            }
-        }
-        if !quarantined.is_empty() {
-            recompute_skip_gates(&mut jit, hazard);
-        }
-        guard = snap.guard.report;
-        start_round = snap.guard.round;
-    }
-    let mut last_err: Option<EngineError> = None;
-    for round in start_round..MAX_ROUNDS {
-        guard.recovery_rounds = round;
-        let mut sorted: Vec<u32> = quarantined.iter().map(|&k| k as u32).collect();
-        sorted.sort_unstable();
+    let start = resumed
+        .as_ref()
+        .map(|snap| snap.guard.clone())
+        .unwrap_or_default();
+    guarded_rounds(app, jit, hazard, start, tracer, |jit, guard| {
         let mut session = CheckpointSession {
             policy,
             store: Some(&mut *store),
             app_fp,
             hazard: hazard_str.clone(),
-            guard: GuardSnapshot {
-                round,
-                report: guard,
-                quarantined: sorted,
-            },
+            guard,
             resume: resumed.take(),
             save_failures: Vec::new(),
             saves: 0,
             cancel: ctl.cancel.clone(),
         };
-        let failed_at: u64;
-        let targets: Vec<usize> = match try_run_analyzed_checkpointed(
-            cfg,
-            app,
-            &jit,
-            mode,
-            fault,
-            tracer,
-            &mut session,
-        ) {
-            Ok(mut report) => {
-                let outcome = verify_soundness(app, &jit, &report.schedule, expected_fp)?;
-                if outcome.is_sound() {
-                    report.guard = guard;
-                    return Ok(report);
-                }
-                guard.cycles_lost_to_fallback += report.kernel_region_cycles;
-                guard.violations_detected += (outcome.violations.len() as u64).max(1);
-                last_err = None;
-                failed_at = report.kernel_region_cycles;
-                if outcome.violations.is_empty() {
-                    (0..jit.len()).collect()
-                } else {
-                    outcome
-                        .violations
-                        .iter()
-                        .map(|v| v.kernel as usize)
-                        .collect()
-                }
-            }
-            // A kill or cancellation is not a soundness failure: never
-            // quarantine for it — surface it so the caller can resume.
-            Err(e @ (EngineError::Killed { .. } | EngineError::Cancelled { .. })) => {
-                return Err(e.into())
-            }
-            Err(e) => {
-                guard.cycles_lost_to_fallback += e.cycles_wasted();
-                guard.violations_detected += 1;
-                failed_at = e.cycles_wasted();
-                let targets = match &e {
-                    EngineError::Hw { err, .. } => {
-                        let key = match err {
-                            crate::hw::HwError::CounterNotResident { key }
-                            | crate::hw::HwError::CounterUnderflow { key } => *key,
-                        };
-                        vec![key.kernel_seq as usize]
-                    }
-                    _ => (0..jit.len()).collect(),
-                };
-                last_err = Some(e);
-                targets
-            }
-        };
-        for k in targets {
-            if k < jit.len() && quarantined.insert(k) {
-                quarantine_kernel(&mut jit, k);
-                guard.kernels_quarantined += 1;
-                if T::ENABLED {
-                    tracer.emit(TraceEvent::Quarantine {
-                        cycle: failed_at,
-                        kernel: k as u32,
-                        round,
-                    });
-                }
-            }
-        }
-        recompute_skip_gates(&mut jit, hazard);
-    }
-    Err(BmError::Unrecoverable {
-        rounds: MAX_ROUNDS,
-        last: last_err,
+        try_run_analyzed_checkpointed(cfg, app, jit, mode, fault, tracer, &mut session)
     })
 }
 

@@ -89,8 +89,8 @@ pub use faults::{
 pub use guard::{
     try_run_app, try_run_app_budgeted, try_run_app_checkpointed, try_run_app_checkpointed_ctl,
     try_run_app_checkpointed_traced, try_run_app_faulty, try_run_app_faulty_traced,
-    try_run_app_with, try_run_app_with_tracer, verify_soundness, GuardReport, RunCtl,
-    SoundnessOutcome, SoundnessViolation, MAX_ROUNDS,
+    try_run_app_with, try_run_app_with_tracer, verify_by_conflict_order, verify_soundness,
+    GuardReport, RunCtl, SoundnessOutcome, SoundnessViolation, MAX_ROUNDS,
 };
 pub use hw::HwError;
 pub use jit::{

@@ -151,16 +151,22 @@ impl RangeSet {
         false
     }
 
-    /// Whether every byte of `self` is also in `other`. Because both sets
-    /// are canonical (sorted, disjoint, coalesced), each range of `self`
-    /// must lie inside a *single* range of `other`.
+    /// Whether every byte of `self` is also in `other`.
     pub fn is_subset_of(&self, other: &RangeSet) -> bool {
+        other.covers(&self.ranges)
+    }
+
+    /// Whether every byte of `ranges` — sorted, disjoint and coalesced, as
+    /// [`RangeSet::ranges`] returns them — is in the set. Because both
+    /// sides are canonical, each range must lie inside a *single* range of
+    /// the set, so one merge pass decides it.
+    pub fn covers(&self, ranges: &[(u64, u64)]) -> bool {
         let mut j = 0usize;
-        for &(s, e) in &self.ranges {
-            while j < other.ranges.len() && other.ranges[j].1 < e {
+        for &(s, e) in ranges {
+            while j < self.ranges.len() && self.ranges[j].1 < e {
                 j += 1;
             }
-            match other.ranges.get(j) {
+            match self.ranges.get(j) {
                 Some(&(os, oe)) if os <= s && e <= oe => {}
                 _ => return false,
             }
@@ -385,6 +391,9 @@ mod tests {
         assert!(!RangeSet::single(39, 41).is_subset_of(&a));
         let exact: RangeSet = [(10u64, 20u64)].into_iter().collect();
         assert!(exact.is_subset_of(&a));
+        assert!(a.covers(&[(12, 18), (30, 40)]));
+        assert!(a.covers(&[]));
+        assert!(!a.covers(&[(18, 22)]));
     }
 
     #[test]

@@ -32,6 +32,13 @@ pub enum ExecError {
         /// Linear block id.
         tb: u32,
     },
+    /// A global load or store touched a word outside every allocation.
+    Unmapped {
+        /// Linear block id.
+        tb: u32,
+        /// Byte address of the offending word.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -48,6 +55,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::BarrierDivergence { tb } => {
                 write!(f, "barrier divergence in block {tb}")
+            }
+            ExecError::Unmapped { tb, addr } => {
+                write!(f, "block {tb} accessed unmapped device address {addr:#x}")
             }
         }
     }
@@ -145,13 +155,8 @@ fn reg_file_sizes(launch: &Launch) -> (usize, usize, usize, usize) {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on runaway loops, shared-memory overflow, or
-/// barrier divergence.
-///
-/// # Panics
-///
-/// Panics if a global access touches an unmapped device address (see
-/// [`GlobalMem::read_u32`]).
+/// Returns [`ExecError`] on runaway loops, shared-memory overflow, barrier
+/// divergence, or a global access to an unmapped device address.
 pub fn execute_block<O: ExecObserver>(
     launch: &Launch,
     tb: u32,
@@ -554,9 +559,12 @@ fn run_thread<O: ExecObserver>(
                     let a = th.r64[addr.base.idx as usize].wrapping_add(addr.offset as u64);
                     stats.global_loads += 1;
                     obs.on_global_access(id, th.pc, a, false);
+                    let v = mem
+                        .try_read_u32(a)
+                        .ok_or(ExecError::Unmapped { tb: id.tb, addr: a })?;
                     match ty {
-                        MemTy::U32 => th.r32[dst.idx as usize] = mem.read_u32(a),
-                        MemTy::F32 => th.f32[dst.idx as usize] = mem.read_f32(a),
+                        MemTy::U32 => th.r32[dst.idx as usize] = v,
+                        MemTy::F32 => th.f32[dst.idx as usize] = f32::from_bits(v),
                     }
                 }
                 MemSpace::Shared => {
@@ -591,7 +599,8 @@ fn run_thread<O: ExecObserver>(
                         let a = th.r64[addr.base.idx as usize].wrapping_add(addr.offset as u64);
                         stats.global_stores += 1;
                         obs.on_global_access(id, th.pc, a, true);
-                        mem.write_u32(a, v);
+                        mem.try_write_u32(a, v)
+                            .ok_or(ExecError::Unmapped { tb: id.tb, addr: a })?;
                     }
                     MemSpace::Shared => {
                         let a = (th.r32[addr.base.idx as usize] as i64 + addr.offset) as u64;
@@ -922,6 +931,43 @@ $TOP:
         for (i, v) in bv.iter().enumerate().take(64) {
             assert_eq!(*v, (63 - i) as f32);
         }
+    }
+
+    #[test]
+    fn wild_global_access_is_a_typed_error() {
+        // Each block reads and writes A[ctaid * 64]; only block 0 stays
+        // inside A's 64 bytes.
+        let src = r#"
+.entry wild(.param .u64 A)
+{
+  ld.param.u64 %rd1, [A];
+  mov.u32 %r1, %ctaid.x;
+  mul.wide.u32 %rd2, %r1, 256;
+  add.u64 %rd3, %rd1, %rd2;
+  ld.global.f32 %f1, [%rd3];
+  st.global.f32 [%rd3], %f1;
+  ret;
+}
+"#;
+        let k = Arc::new(parse_kernel(src).unwrap());
+        let mut sp = AddressSpace::new();
+        let a = sp.alloc(64);
+        let mut mem = GlobalMem::for_space(&sp);
+        let launch = Launch::new(k, Dim3::x(3), Dim3::x(1), vec![ArgValue::Ptr(a.base)]);
+        assert!(execute_block(&launch, 0, &mut mem, &mut NullObserver).is_ok());
+        let err = execute_block(&launch, 1, &mut mem, &mut NullObserver).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::Unmapped {
+                tb: 1,
+                addr: a.base + 256
+            }
+        );
+        assert!(err.to_string().contains("unmapped"));
+        assert!(matches!(
+            execute_launch(&launch, &mut mem),
+            Err(ExecError::Unmapped { tb: 1, .. })
+        ));
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl GlobalMem {
             return None;
         }
         let (base, size) = self.bases[i - 1];
-        (addr + len <= base + size).then(|| (base, (addr - base) as usize))
+        (addr.checked_add(len)? <= base + size).then(|| (base, (addr - base) as usize))
     }
 
     /// Bytes duplicated by copy-on-write across all clones sharing this
@@ -195,19 +195,13 @@ impl GlobalMem {
         self.copied.load(Ordering::Relaxed)
     }
 
-    /// Reads a 32-bit little-endian word.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds device address (a functional-model bug in
-    /// the kernel under test — surfaced loudly on purpose).
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        let (base, off) = self
-            .locate(addr, 4)
-            .unwrap_or_else(|| panic!("device read of unmapped address {addr:#x}"));
+    /// Reads a 32-bit little-endian word, or `None` when any of its bytes
+    /// falls outside every backing region.
+    pub fn try_read_u32(&self, addr: u64) -> Option<u32> {
+        let (base, off) = self.locate(addr, 4)?;
         let chunks = &self.pages[&base];
         let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
-        if co + 4 <= chunks[ci].len() {
+        Some(if co + 4 <= chunks[ci].len() {
             u32::from_le_bytes(chunks[ci][co..co + 4].try_into().unwrap())
         } else {
             // The word straddles a chunk boundary: gather byte-wise.
@@ -217,18 +211,26 @@ impl GlobalMem {
                 *b = chunks[o / COW_CHUNK_BYTES][o % COW_CHUNK_BYTES];
             }
             u32::from_le_bytes(bytes)
-        }
+        })
     }
 
-    /// Writes a 32-bit little-endian word.
+    /// Reads a 32-bit little-endian word.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-bounds device address.
-    pub fn write_u32(&mut self, addr: u64, value: u32) {
-        let (base, off) = self
-            .locate(addr, 4)
-            .unwrap_or_else(|| panic!("device write of unmapped address {addr:#x}"));
+    /// Panics on an out-of-bounds device address (a functional-model bug in
+    /// the kernel under test — surfaced loudly on purpose). The interpreter
+    /// uses [`GlobalMem::try_read_u32`] and reports a typed error instead.
+    pub fn read_u32(&self, addr: u64) -> u32 {
+        self.try_read_u32(addr)
+            .unwrap_or_else(|| panic!("device read of unmapped address {addr:#x}"))
+    }
+
+    /// Writes a 32-bit little-endian word; `None` (and no write) when any
+    /// of its bytes falls outside every backing region.
+    #[must_use]
+    pub fn try_write_u32(&mut self, addr: u64, value: u32) -> Option<()> {
+        let (base, off) = self.locate(addr, 4)?;
         let chunks = self.pages.get_mut(&base).unwrap();
         let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
         if co + 4 <= chunks[ci].len() {
@@ -241,6 +243,17 @@ impl GlobalMem {
                 c[o % COW_CHUNK_BYTES] = b;
             }
         }
+        Some(())
+    }
+
+    /// Writes a 32-bit little-endian word.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds device address.
+    pub fn write_u32(&mut self, addr: u64, value: u32) {
+        self.try_write_u32(addr, value)
+            .unwrap_or_else(|| panic!("device write of unmapped address {addr:#x}"));
     }
 
     /// Reads an `f32`.
@@ -362,6 +375,23 @@ mod tests {
         let a = sp.alloc(8);
         let m = GlobalMem::for_space(&sp);
         m.read_u32(a.base + 6); // crosses the end
+    }
+
+    #[test]
+    fn fallible_accessors_reject_unmapped_words() {
+        let mut sp = AddressSpace::new();
+        let a = sp.alloc(8);
+        let mut m = GlobalMem::for_space(&sp);
+        assert_eq!(m.try_write_u32(a.base + 4, 7), Some(()));
+        assert_eq!(m.try_read_u32(a.base + 4), Some(7));
+        assert_eq!(m.try_read_u32(a.base + 6), None); // crosses the end
+        assert_eq!(m.try_write_u32(a.base - 4, 1), None);
+        assert_eq!(m.try_read_u32(u64::MAX - 1), None);
+        assert_eq!(
+            m.read_u32(a.base),
+            0,
+            "a rejected write leaves memory alone"
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! kernel-free applications, and extreme windows must not panic or
 //! deadlock anywhere in the pipeline.
 
-use blockmaestro::{check_schedule, run_app, ExecMode};
-use bm_cmdq::{ApiCall, Application};
+use blockmaestro::{check_schedule, run_app, try_run_app, BmError, ExecMode};
+use bm_cmdq::{ApiCall, Application, CmdqError};
 use bm_ptx::absint::analyze_launch;
+use bm_ptx::interp::ExecError;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
@@ -392,4 +393,55 @@ fn block_larger_than_data_guards_out_cleanly() {
     let mut mem = bm_ptx::mem::GlobalMem::for_space(&space);
     bm_ptx::interp::execute_launch(&launch, &mut mem).unwrap();
     assert_eq!(mem.read_f32(a.base + 4 * 1023), 1.0);
+}
+
+#[test]
+fn wild_global_address_is_a_typed_error_not_a_panic() {
+    // Y[i] = X[i + 64] over a 64-element X, the last allocation: every
+    // read lands past it, where nothing is mapped. The guard's serialized
+    // pass must surface that as a typed execution error.
+    let wild = Arc::new(
+        parse_kernel(
+            r#".entry wild(.param .u64 X, .param .u64 Y) {
+                 ld.param.u64 %rd1, [X];
+                 ld.param.u64 %rd2, [Y];
+                 mov.u32 %r1, %ctaid.x;
+                 mov.u32 %r2, %ntid.x;
+                 mov.u32 %r3, %tid.x;
+                 mad.lo.u32 %r4, %r1, %r2, %r3;
+                 add.u32 %r5, %r4, 64;
+                 mul.wide.u32 %rd3, %r5, 4;
+                 add.u64 %rd4, %rd1, %rd3;
+                 ld.global.f32 %f1, [%rd4];
+                 mul.wide.u32 %rd5, %r4, 4;
+                 add.u64 %rd6, %rd2, %rd5;
+                 st.global.f32 [%rd6], %f1;
+                 ret;
+               }"#,
+        )
+        .unwrap(),
+    );
+    let mut space = AddressSpace::new();
+    let y = space.alloc(4 * 128);
+    let x = space.alloc(4 * 64);
+    let app = Application {
+        name: "wild".into(),
+        space,
+        calls: vec![ApiCall::KernelLaunch(Launch::new(
+            wild,
+            Dim3::x(2),
+            Dim3::x(64),
+            vec![ArgValue::Ptr(x.base), ArgValue::Ptr(y.base)],
+        ))],
+        host_data: HashMap::new(),
+    };
+    let cfg = GpuConfig::small();
+    let err = try_run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 3 }).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            BmError::Cmdq(CmdqError::Exec(ExecError::Unmapped { tb: 0, .. }))
+        ),
+        "{err}"
+    );
 }
