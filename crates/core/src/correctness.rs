@@ -7,7 +7,7 @@
 //! memory image against the serialized reference.
 
 use bm_cmdq::Application;
-use bm_ptx::interp::{execute_block, ExecError, NullObserver};
+use bm_ptx::interp::{ExecError, NullObserver, Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
 use bm_ptx::mem::GlobalMem;
 use bm_simt::des::TbKey;
@@ -62,6 +62,7 @@ pub fn check_schedule(
     schedule: &[(TbKey, u64, u64)],
 ) -> Result<Equivalence, ExecError> {
     let launches: Vec<&Launch> = app.launches();
+    let programs: Vec<Program> = launches.iter().map(|l| Program::new(l)).collect();
     // Reference: serialized kernel order.
     let reference = app.run_serialized()?;
     // Replay in start order.
@@ -74,10 +75,10 @@ pub fn check_schedule(
     let mut mem = app.initial_memory();
     let mut executed = 0u64;
     for (_, key, _) in order {
-        let launch = launches
+        let program = programs
             .get(key.kernel_seq as usize)
             .unwrap_or_else(|| panic!("schedule references unknown kernel {}", key.kernel_seq));
-        execute_block(launch, key.tb, &mut mem, &mut NullObserver)?;
+        program.execute_block(key.tb, &mut mem, &mut NullObserver, MAX_STEPS_PER_THREAD)?;
         executed += 1;
     }
     let total_tbs: u64 = launches.iter().map(|l| l.num_blocks() as u64).sum();
@@ -138,6 +139,7 @@ pub fn check_no_races(
     }
 
     let launches: Vec<&Launch> = app.launches();
+    let programs: Vec<Program> = launches.iter().map(|l| Program::new(l)).collect();
     // Collect actual access sets by replaying in start order (any order
     // yields the same *addresses* for data-independent control flow).
     let mut order: Vec<(TbKey, u64, u64)> = schedule.to_vec();
@@ -146,11 +148,11 @@ pub fn check_no_races(
     let mut sets: Vec<(TbKey, u64, u64, Sets)> = Vec::with_capacity(order.len());
     for (key, start, finish) in order {
         let mut s = Sets::default();
-        execute_block(
-            launches[key.kernel_seq as usize],
+        programs[key.kernel_seq as usize].execute_block(
             key.tb,
             &mut mem,
             &mut Collect(&mut s),
+            MAX_STEPS_PER_THREAD,
         )?;
         sets.push((key, start, finish, s));
     }

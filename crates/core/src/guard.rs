@@ -43,8 +43,7 @@ use bm_cmdq::{Application, CmdqError};
 use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
 use bm_ptx::access::{RangeSet, TbAccess};
 use bm_ptx::error::PtxError;
-use bm_ptx::interp::{execute_block, ExecObserver, ThreadId};
-use bm_ptx::isa::Op;
+use bm_ptx::interp::{ExecObserver, Program, ThreadId, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
 use bm_ptx::par::ParallelConfig;
 use bm_simt::des::TbKey;
@@ -107,24 +106,6 @@ impl SoundnessOutcome {
     }
 }
 
-/// Observer that records the global accesses of one thread block.
-#[derive(Default)]
-struct AccessLog {
-    reads: RangeSet,
-    writes: RangeSet,
-}
-
-impl ExecObserver for AccessLog {
-    fn on_inst(&mut self, _t: ThreadId, _i: usize, _op: &Op) {}
-    fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
-        if store {
-            self.writes.insert(addr, addr.saturating_add(4));
-        } else {
-            self.reads.insert(addr, addr.saturating_add(4));
-        }
-    }
-}
-
 /// The first 4-byte word of `observed` (canonical ranges) outside
 /// `declared`. The per-word scan runs only when the `O(ranges)` subset
 /// test finds an escape.
@@ -150,7 +131,6 @@ const NO_RUN: (u64, u64, bool) = (0, 0, false);
 /// Observer that logs a thread block's global accesses cheaply: one open
 /// byte run per instruction, which absorbs repeated and adjacent addresses.
 /// Any other address closes the run and opens a new one.
-#[derive(Default)]
 struct RunLog {
     /// `[start, end)` and store flag of each instruction's open run.
     open: Vec<(u64, u64, bool)>,
@@ -183,6 +163,17 @@ impl ExecObserver for RunLog {
 }
 
 impl RunLog {
+    /// A log for blocks of any of `launches`, with an open run per
+    /// instruction of the longest kernel.
+    fn new(launches: &[&Launch]) -> Self {
+        let insts = launches.iter().map(|l| l.kernel.body.len()).max();
+        RunLog {
+            open: vec![NO_RUN; insts.unwrap_or(0)],
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
+    }
+
     /// Closes every open run, then appends the block's canonical reads
     /// and writes to `ranges` and their ends to `bounds`.
     fn finish_block(&mut self, ranges: &mut Vec<(u64, u64)>, bounds: &mut Vec<usize>) {
@@ -258,15 +249,17 @@ impl Observation {
 fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
     app.validate()?;
     let mut mem = app.initial_memory();
-    let mut log = RunLog::default();
+    let launches = app.launches();
+    let mut log = RunLog::new(&launches);
     let mut first_block = vec![0];
     let mut ranges = Vec::new();
     let mut bounds = vec![0];
-    for launch in app.launches() {
-        log.open.clear();
-        log.open.resize(launch.kernel.body.len(), NO_RUN);
+    for launch in launches {
+        let program = Program::new(launch);
         for tb in 0..launch.num_blocks() {
-            execute_block(launch, tb, &mut mem, &mut log).map_err(CmdqError::Exec)?;
+            program
+                .execute_block(tb, &mut mem, &mut log, MAX_STEPS_PER_THREAD)
+                .map_err(CmdqError::Exec)?;
             log.finish_block(&mut ranges, &mut bounds);
         }
         first_block.push(bounds.len() / 2);
@@ -513,7 +506,9 @@ pub fn verify_soundness(
     schedule: &[(TbKey, u64, u64)],
     expected_fp: u64,
 ) -> Result<SoundnessOutcome, PtxError> {
-    let launches: Vec<&Launch> = app.launches();
+    let launches = app.launches();
+    let mut log = RunLog::new(&launches);
+    let programs: Vec<Program> = launches.into_iter().map(Program::new).collect();
     let mut order: Vec<(usize, TbKey, u64)> = schedule
         .iter()
         .enumerate()
@@ -522,20 +517,26 @@ pub fn verify_soundness(
     order.sort_by_key(|&(i, _, s)| (s, i));
     let mut mem = app.initial_memory();
     let mut violations = Vec::new();
+    let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
     for (_, key, _) in order {
         let k = key.kernel_seq as usize;
-        let launch = launches.get(k).copied().ok_or(PtxError::BadLaunch {
+        let program = programs.get(k).ok_or(PtxError::BadLaunch {
             kernel: format!("#{k}"),
             reason: "schedule references unknown kernel".into(),
         })?;
-        let mut log = AccessLog::default();
-        execute_block(launch, key.tb, &mut mem, &mut log).map_err(PtxError::Exec)?;
+        program
+            .execute_block(key.tb, &mut mem, &mut log, MAX_STEPS_PER_THREAD)
+            .map_err(PtxError::Exec)?;
+        ranges.clear();
+        bounds.clear();
+        log.finish_block(&mut ranges, &mut bounds);
         let kernel = &jit[k];
         if kernel.access.non_static {
             continue;
         }
         let declared = &kernel.access.per_tb[key.tb as usize];
-        if let Some(addr) = escape(log.reads.ranges(), log.writes.ranges(), declared) {
+        let (reads, writes) = ranges.split_at(bounds[0]);
+        if let Some(addr) = escape(reads, writes, declared) {
             violations.push(SoundnessViolation {
                 kernel: key.kernel_seq,
                 tb: key.tb,
@@ -1315,5 +1316,155 @@ mod tests {
             equivalent: false,
         };
         assert!(!diverged.is_sound());
+    }
+
+    /// Every block's reads and writes in serialized order, as canonical
+    /// ranges built from a set of every byte accessed.
+    fn brute_force_accesses(app: &Application) -> Vec<[Vec<(u64, u64)>; 2]> {
+        use bm_ptx::interp::execute_block;
+        use std::collections::BTreeSet;
+
+        #[derive(Default)]
+        struct Bytes([BTreeSet<u64>; 2]);
+        impl ExecObserver for Bytes {
+            fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
+                self.0[usize::from(store)].extend(addr..addr.saturating_add(4));
+            }
+        }
+        let canonical = |bytes: &BTreeSet<u64>| {
+            let mut out: Vec<(u64, u64)> = Vec::new();
+            for &b in bytes {
+                match out.last_mut() {
+                    Some(last) if last.1 == b => last.1 = b + 1,
+                    _ => out.push((b, b + 1)),
+                }
+            }
+            out
+        };
+        let mut mem = app.initial_memory();
+        let mut blocks = Vec::new();
+        for launch in app.launches() {
+            for tb in 0..launch.num_blocks() {
+                let mut log = Bytes::default();
+                execute_block(launch, tb, &mut mem, &mut log).unwrap();
+                blocks.push([canonical(&log.0[0]), canonical(&log.0[1])]);
+            }
+        }
+        blocks
+    }
+
+    /// The serialized pass's log equals the brute-force access sets.
+    fn assert_log_exact(app: &Application) {
+        let observed = observe_serialized(app).unwrap();
+        let brute = brute_force_accesses(app);
+        assert_eq!(observed.n_blocks(), brute.len(), "{}", app.name);
+        for (b, [reads, writes]) in brute.iter().enumerate() {
+            assert_eq!(
+                observed.reads(b),
+                &reads[..],
+                "{} block {b} reads",
+                app.name
+            );
+            assert_eq!(
+                observed.writes(b),
+                &writes[..],
+                "{} block {b} writes",
+                app.name
+            );
+        }
+    }
+
+    #[test]
+    fn run_log_is_exact_on_every_small_app() {
+        for b in bm_workloads::suite() {
+            assert_log_exact(&(b.build)(bm_workloads::Scale::Small));
+        }
+    }
+
+    /// Each thread `t` of a two-block launch of 32 threads each reads,
+    /// accumulates into and rewrites `A[t * rs + k * ks]` for `k < n`, then
+    /// stores its sum to `B[t]`.
+    fn walk_app(rs: u32, ks: u32, n: u32) -> Application {
+        let k = Arc::new(
+            parse_kernel(
+                r#".entry walk(.param .u64 A, .param .u64 B, .param .u32 rs,
+                               .param .u32 ks, .param .u32 n) {
+                     ld.param.u64 %rd1, [A];
+                     ld.param.u64 %rd2, [B];
+                     ld.param.u32 %r10, [rs];
+                     ld.param.u32 %r11, [ks];
+                     ld.param.u32 %r12, [n];
+                     mov.u32 %r1, %ctaid.x;
+                     mov.u32 %r2, %ntid.x;
+                     mov.u32 %r3, %tid.x;
+                     mad.lo.u32 %r4, %r1, %r2, %r3;
+                     mul.lo.u32 %r5, %r4, %r10;
+                     mov.u32 %r6, 0;
+                     mov.f32 %f1, 0f00000000;
+                   $TOP:
+                     setp.ge.u32 %p1, %r6, %r12;
+                     @%p1 bra $OUT;
+                     mad.lo.u32 %r7, %r6, %r11, %r5;
+                     mul.wide.u32 %rd3, %r7, 4;
+                     add.u64 %rd4, %rd1, %rd3;
+                     ld.global.f32 %f2, [%rd4];
+                     add.f32 %f1, %f1, %f2;
+                     st.global.f32 [%rd4], %f1;
+                     add.u32 %r6, %r6, 1;
+                     bra $TOP;
+                   $OUT:
+                     mul.wide.u32 %rd5, %r4, 4;
+                     add.u64 %rd6, %rd2, %rd5;
+                     st.global.f32 [%rd6], %f1;
+                     ret;
+                   }"#,
+            )
+            .unwrap(),
+        );
+        let threads = 64;
+        let words = (threads - 1) * u64::from(rs) + u64::from(n.max(1) - 1) * u64::from(ks) + 1;
+        let mut space = AddressSpace::new();
+        let a = space.alloc(4 * words);
+        let b = space.alloc(4 * threads);
+        let mut host_data = HashMap::new();
+        host_data.insert(a.id, (0..words).map(|i| (i % 13) as f32).collect());
+        Application {
+            name: format!("walk rs={rs} ks={ks} n={n}"),
+            space,
+            calls: vec![
+                ApiCall::MemcpyH2D {
+                    alloc: a.id,
+                    bytes: 4 * words,
+                },
+                ApiCall::KernelLaunch(Launch::new(
+                    k,
+                    Dim3::x(2),
+                    Dim3::x(32),
+                    vec![
+                        ArgValue::Ptr(a.base),
+                        ArgValue::Ptr(b.base),
+                        ArgValue::U32(rs),
+                        ArgValue::U32(ks),
+                        ArgValue::U32(n),
+                    ],
+                )),
+            ],
+            host_data,
+        }
+    }
+
+    #[test]
+    fn run_log_is_exact_on_row_column_and_strided_walks() {
+        for n in [1, 10, 135] {
+            // Rows: each thread walks its own contiguous row.
+            assert_log_exact(&walk_app(n, 1, n));
+            // Columns: consecutive threads walk adjacent columns.
+            assert_log_exact(&walk_app(1, 64, n));
+            // Strided: gaps between columns, and within rows.
+            assert_log_exact(&walk_app(1, 3 * 64, n));
+            assert_log_exact(&walk_app(2 * n, 2, n));
+            // Overlapping rows: each row starts inside the previous one.
+            assert_log_exact(&walk_app(3, 1, n));
+        }
     }
 }

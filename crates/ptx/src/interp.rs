@@ -4,10 +4,22 @@
 //! traces for the timing model (via [`ExecObserver`]), and the end-to-end
 //! correctness check that BlockMaestro's overlapped schedules compute the
 //! same memory state as serialized execution.
+//!
+//! A launch is decoded once into a [`Program`] of register-indexed
+//! micro-ops, which then executes any number of its blocks. Every operand
+//! resolves at decode time to a slot of one flat per-thread register row
+//! of `u64`s: the register files (one section per view an operand can
+//! take: 32-bit, 64-bit, float, predicate), the thread and block indices,
+//! and constant slots holding the launch dimensions, parameters and
+//! immediates already converted to the view that reads them. Blocks run
+//! thread-serially, each thread until it exits or reaches a barrier, in the
+//! same order, with the same observer callbacks, statistics, step limit
+//! and error points as a direct walk over the [`Op`] tree.
 
 use crate::isa::*;
 use crate::kernel::Launch;
 use crate::mem::GlobalMem;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Error produced during functional execution.
@@ -126,32 +138,11 @@ impl ExecStats {
 /// still catching accidental infinite loops quickly.
 pub const MAX_STEPS_PER_THREAD: u64 = 4_000_000;
 
-#[derive(Clone)]
-struct Thread {
-    r32: Vec<u32>,
-    r64: Vec<u64>,
-    f32: Vec<f32>,
-    pred: Vec<bool>,
-    pc: usize,
-    steps: u64,
-    status: Status,
-    tid_x: u32,
-    tid_y: u32,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Running,
-    AtBarrier,
-    Done,
-}
-
-fn reg_file_sizes(launch: &Launch) -> (usize, usize, usize, usize) {
-    let [a, b, c, d] = max_reg_counts(&launch.kernel.body);
-    (a, b, c, d)
-}
-
 /// Executes a single thread block functionally.
+///
+/// Decodes the launch for this one block; callers running many blocks of
+/// a launch, or wanting another step budget than
+/// [`MAX_STEPS_PER_THREAD`], decode it once with [`Program::new`].
 ///
 /// # Errors
 ///
@@ -163,168 +154,7 @@ pub fn execute_block<O: ExecObserver>(
     mem: &mut GlobalMem,
     obs: &mut O,
 ) -> Result<ExecStats, ExecError> {
-    execute_block_limited(launch, tb, mem, obs, MAX_STEPS_PER_THREAD)
-}
-
-/// [`execute_block`] with an explicit per-thread step budget instead of the
-/// default [`MAX_STEPS_PER_THREAD`] — the representative-TB trace of the
-/// degradation ladder uses this to bound how long launch-time profiling may
-/// run before falling back to an estimated profile.
-///
-/// # Errors
-///
-/// As [`execute_block`]; exceeding `max_steps` surfaces as
-/// [`ExecError::StepLimit`].
-pub fn execute_block_limited<O: ExecObserver>(
-    launch: &Launch,
-    tb: u32,
-    mem: &mut GlobalMem,
-    obs: &mut O,
-    max_steps: u64,
-) -> Result<ExecStats, ExecError> {
-    let kernel = &launch.kernel;
-    let (bx, by) = launch.block_coords(tb);
-    let nthreads = launch.threads_per_block();
-    let (n32, n64, nf, np) = reg_file_sizes(launch);
-    let mut shared = vec![0u8; kernel.shared_bytes as usize];
-    let mut threads: Vec<Thread> = (0..nthreads)
-        .map(|t| Thread {
-            r32: vec![0; n32],
-            r64: vec![0; n64],
-            f32: vec![0.0; nf],
-            pred: vec![false; np],
-            pc: 0,
-            steps: 0,
-            status: Status::Running,
-            tid_x: t % launch.block.x,
-            tid_y: t / launch.block.x,
-        })
-        .collect();
-    let mut stats = ExecStats::default();
-    loop {
-        let mut any_running = false;
-        for (t_idx, th) in threads.iter_mut().enumerate() {
-            if th.status != Status::Running {
-                continue;
-            }
-            any_running = true;
-            let id = ThreadId {
-                tb,
-                tid: t_idx as u32,
-            };
-            run_thread(
-                launch,
-                bx,
-                by,
-                th,
-                id,
-                mem,
-                &mut shared,
-                obs,
-                &mut stats,
-                max_steps,
-            )?;
-        }
-        if !any_running {
-            // Everyone is Done or AtBarrier.
-            let waiting = threads
-                .iter()
-                .filter(|t| t.status == Status::AtBarrier)
-                .count();
-            if waiting == 0 {
-                return Ok(stats);
-            }
-            // Release the barrier for all waiters.
-            for th in &mut threads {
-                if th.status == Status::AtBarrier {
-                    th.status = Status::Running;
-                }
-            }
-        }
-    }
-}
-
-/// [`execute_block_limited`] restricted to an explicit ascending list of
-/// thread ids — the lane-law trace fast path executes only a block's anchor
-/// and validation lanes and synthesizes the rest (see `crate::trace`).
-///
-/// The scheduling discipline is identical to the full executor (round-robin
-/// over the listed threads, block-wide barrier release among them), so for
-/// any subset the listed threads run in the same relative order as in a
-/// full execution; only the memory/shared-state writes of unlisted threads
-/// are absent.
-///
-/// # Errors
-///
-/// As [`execute_block_limited`].
-pub fn execute_block_subset<O: ExecObserver>(
-    launch: &Launch,
-    tb: u32,
-    mem: &mut GlobalMem,
-    obs: &mut O,
-    max_steps: u64,
-    tids: &[u32],
-) -> Result<ExecStats, ExecError> {
-    let kernel = &launch.kernel;
-    let (bx, by) = launch.block_coords(tb);
-    let (n32, n64, nf, np) = reg_file_sizes(launch);
-    let mut shared = vec![0u8; kernel.shared_bytes as usize];
-    let mut threads: Vec<(u32, Thread)> = tids
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                Thread {
-                    r32: vec![0; n32],
-                    r64: vec![0; n64],
-                    f32: vec![0.0; nf],
-                    pred: vec![false; np],
-                    pc: 0,
-                    steps: 0,
-                    status: Status::Running,
-                    tid_x: t % launch.block.x,
-                    tid_y: t / launch.block.x,
-                },
-            )
-        })
-        .collect();
-    let mut stats = ExecStats::default();
-    loop {
-        let mut any_running = false;
-        for (tid, th) in threads.iter_mut() {
-            if th.status != Status::Running {
-                continue;
-            }
-            any_running = true;
-            let id = ThreadId { tb, tid: *tid };
-            run_thread(
-                launch,
-                bx,
-                by,
-                th,
-                id,
-                mem,
-                &mut shared,
-                obs,
-                &mut stats,
-                max_steps,
-            )?;
-        }
-        if !any_running {
-            let waiting = threads
-                .iter()
-                .filter(|(_, t)| t.status == Status::AtBarrier)
-                .count();
-            if waiting == 0 {
-                return Ok(stats);
-            }
-            for (_, th) in &mut threads {
-                if th.status == Status::AtBarrier {
-                    th.status = Status::Running;
-                }
-            }
-        }
-    }
+    Program::new(launch).execute_block(tb, mem, obs, MAX_STEPS_PER_THREAD)
 }
 
 /// Fallible pipeline entry point: validates the launch structure, then
@@ -349,106 +179,240 @@ pub fn try_execute_launch(
 ///
 /// Propagates the first [`ExecError`] from any block.
 pub fn execute_launch(launch: &Launch, mem: &mut GlobalMem) -> Result<ExecStats, ExecError> {
+    let program = Program::new(launch);
     let mut stats = ExecStats::default();
     for tb in 0..launch.num_blocks() {
-        stats.merge(&execute_block(launch, tb, mem, &mut NullObserver)?);
+        stats.merge(&program.execute_block(tb, mem, &mut NullObserver, MAX_STEPS_PER_THREAD)?);
     }
     Ok(stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_thread<O: ExecObserver>(
-    launch: &Launch,
-    bx: u32,
-    by: u32,
-    th: &mut Thread,
-    id: ThreadId,
-    mem: &mut GlobalMem,
-    shared: &mut [u8],
-    obs: &mut O,
-    stats: &mut ExecStats,
-    max_steps: u64,
-) -> Result<(), ExecError> {
-    let body = &launch.kernel.body;
-    loop {
-        if th.pc >= body.len() {
-            th.status = Status::Done;
-            return Ok(());
+/// Index of a slot in a thread's register row.
+type Slot = u32;
+
+/// Always 0: the 64-bit view of float and predicate registers.
+const ZERO: Slot = 0;
+/// Always 1: the guard slot of an unguarded instruction.
+const ONE: Slot = 1;
+/// `%tid.x` / `%tid.y` as integers, then as floats.
+const TID: [Slot; 4] = [2, 3, 4, 5];
+/// `%ctaid.x` / `%ctaid.y` as integers, then as floats.
+const CTAID: [Slot; 4] = [6, 7, 8, 9];
+/// Slots before the first constant.
+const FIXED: usize = 10;
+
+/// Register-file sections of a row, one per operand view.
+#[derive(Clone, Copy)]
+enum Sec {
+    R32 = 0,
+    R64 = 1,
+    F32 = 2,
+    Pred = 3,
+}
+
+/// Decoded operations, on the slots of their [`MicroInst`]: `d` is
+/// written, `a`, `b` and `c` are read. Integer slots hold zero-extended
+/// values, float slots `f32` bits and predicate slots 0 or 1, so a 32-bit
+/// value read through its 64-bit view needs no conversion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UOp {
+    /// Changes nothing: a write through a view with no predicate form.
+    Nop,
+    Copy,
+    /// Low 32 bits of a 64-bit value.
+    Trunc32,
+    /// Float to 32-bit integer (`as` conversion).
+    F2U,
+    /// 64-bit integer to float.
+    U2F,
+    IntU32(IntOp),
+    IntS32(IntOp),
+    IntU64(IntOp),
+    /// Low bits of `a * b + c`.
+    Mad32,
+    Mad64,
+    /// `a * b` of zero-extended 32-bit values, plus `c` for `MadWide`.
+    MulWide,
+    MadWide,
+    Float(FloatOp),
+    Fma,
+    Sqrt,
+    /// Unsigned compare of two zero-extended integer views.
+    SetpU(CmpOp),
+    SetpS32(CmpOp),
+    SetpF(CmpOp),
+    /// `c != 0 ? a : b`.
+    Selp,
+    /// Global load of `[a + imm]` into `d`, store of `a` to `[b + imm]`.
+    LdG,
+    StG,
+    /// Shared load and store, as the global ones with a 32-bit base and a
+    /// signed offset.
+    LdS,
+    StS,
+    /// Jump to instruction `imm`.
+    Bra,
+    Bar,
+    Ret,
+}
+
+/// A decoded instruction: it executes unless `row[guard] == skip`.
+#[derive(Debug, Clone, Copy)]
+struct MicroInst {
+    op: UOp,
+    d: Slot,
+    a: Slot,
+    b: Slot,
+    c: Slot,
+    /// Memory offset (bits of an `i64`) or branch target.
+    imm: u64,
+    guard: Slot,
+    skip: u64,
+}
+
+/// An unguarded micro-op.
+fn mi(op: UOp, d: Slot, a: Slot, b: Slot, c: Slot) -> MicroInst {
+    MicroInst {
+        op,
+        d,
+        a,
+        b,
+        c,
+        imm: 0,
+        guard: ONE,
+        skip: 0,
+    }
+}
+
+/// Builds a [`Program`]'s slots. Register sections follow the constants,
+/// so decoding runs twice: the first pass sizes every section by the
+/// highest index any operand view touches, the second lays them out.
+struct Decoder<'l> {
+    launch: &'l Launch,
+    /// Constant slot values; the fixed slots come first.
+    consts: Vec<u64>,
+    const_slot: HashMap<u64, Slot>,
+    /// Registers per section, and each section's first slot.
+    size: [u32; 4],
+    base: [u32; 4],
+}
+
+impl<'l> Decoder<'l> {
+    fn new(launch: &'l Launch) -> Self {
+        let mut consts = vec![0; FIXED];
+        consts[ONE as usize] = 1;
+        Decoder {
+            launch,
+            consts,
+            const_slot: HashMap::from([(0, ZERO), (1, ONE)]),
+            size: [0; 4],
+            base: [0; 4],
         }
-        th.steps += 1;
-        if th.steps > max_steps {
-            return Err(ExecError::StepLimit {
-                tb: id.tb,
-                tid: id.tid,
-            });
-        }
-        let inst = &body[th.pc];
-        if let Some(g) = inst.guard {
-            let p = th.pred[g.pred.idx as usize];
-            if p == g.negated {
-                th.pc += 1;
-                continue;
-            }
-        }
-        stats.instructions += 1;
-        obs.on_inst(id, th.pc, &inst.op);
-        let special = |s: Special| -> u32 {
-            match s {
-                Special::TidX => th.tid_x,
-                Special::TidY => th.tid_y,
-                Special::NtidX => launch.block.x,
-                Special::NtidY => launch.block.y,
-                Special::CtaidX => bx,
-                Special::CtaidY => by,
-                Special::NctaidX => launch.grid.x,
-                Special::NctaidY => launch.grid.y,
-            }
+    }
+
+    fn konst(&mut self, v: u64) -> Slot {
+        *self.const_slot.entry(v).or_insert_with(|| {
+            self.consts.push(v);
+            (self.consts.len() - 1) as Slot
+        })
+    }
+
+    fn reg(&mut self, sec: Sec, idx: u16) -> Slot {
+        let s = sec as usize;
+        self.size[s] = self.size[s].max(u32::from(idx) + 1);
+        self.base[s] + u32::from(idx)
+    }
+
+    /// Slot of a special register read as an integer (`float` false) or as
+    /// a float.
+    fn special(&mut self, s: Special, float: bool) -> Slot {
+        let f = 2 * usize::from(float);
+        let l = self.launch;
+        let v = match s {
+            Special::TidX => return TID[f],
+            Special::TidY => return TID[f + 1],
+            Special::CtaidX => return CTAID[f],
+            Special::CtaidY => return CTAID[f + 1],
+            Special::NtidX => l.block.x,
+            Special::NtidY => l.block.y,
+            Special::NctaidX => l.grid.x,
+            Special::NctaidY => l.grid.y,
         };
-        macro_rules! val32 {
-            ($o:expr) => {
-                match $o {
-                    Operand::Reg(r) => th.r32[r.idx as usize],
-                    Operand::ImmI(v) => v as u32,
-                    Operand::ImmF(v) => v.to_bits(),
-                    Operand::Special(s) => special(s),
-                }
-            };
+        self.konst(if float {
+            u64::from((v as f32).to_bits())
+        } else {
+            u64::from(v)
+        })
+    }
+
+    /// The 32-bit integer view of an operand.
+    fn v32(&mut self, o: Operand) -> Slot {
+        match o {
+            Operand::Reg(r) => self.reg(Sec::R32, r.idx),
+            Operand::ImmI(v) => self.konst(u64::from(v as u32)),
+            Operand::ImmF(v) => self.konst(u64::from(v.to_bits())),
+            Operand::Special(s) => self.special(s, false),
         }
-        macro_rules! val64 {
-            ($o:expr) => {
-                match $o {
-                    Operand::Reg(r) => match r.class {
-                        RegClass::R64 => th.r64[r.idx as usize],
-                        RegClass::R32 => th.r32[r.idx as usize] as u64,
-                        _ => 0,
-                    },
-                    Operand::ImmI(v) => v as u64,
-                    Operand::ImmF(v) => v.to_bits() as u64,
-                    Operand::Special(s) => special(s) as u64,
-                }
-            };
+    }
+
+    /// The 64-bit integer view of an operand.
+    fn v64(&mut self, o: Operand) -> Slot {
+        match o {
+            Operand::Reg(r) => match r.class {
+                RegClass::R64 => self.reg(Sec::R64, r.idx),
+                RegClass::R32 => self.reg(Sec::R32, r.idx),
+                RegClass::F32 | RegClass::Pred => ZERO,
+            },
+            Operand::ImmI(v) => self.konst(v as u64),
+            Operand::ImmF(v) => self.konst(u64::from(v.to_bits())),
+            Operand::Special(s) => self.special(s, false),
         }
-        macro_rules! valf {
-            ($o:expr) => {
-                match $o {
-                    Operand::Reg(r) => th.f32[r.idx as usize],
-                    Operand::ImmF(v) => v,
-                    Operand::ImmI(v) => v as f32,
-                    Operand::Special(s) => special(s) as f32,
-                }
-            };
+    }
+
+    /// The float view of an operand.
+    fn vf(&mut self, o: Operand) -> Slot {
+        match o {
+            Operand::Reg(r) => self.reg(Sec::F32, r.idx),
+            Operand::ImmF(v) => self.konst(u64::from(v.to_bits())),
+            Operand::ImmI(v) => self.konst(u64::from((v as f32).to_bits())),
+            Operand::Special(s) => self.special(s, true),
         }
-        let mut next_pc = th.pc + 1;
-        match &inst.op {
-            Op::Mov { dst, src } => match dst.class {
-                RegClass::R32 => th.r32[dst.idx as usize] = val32!(*src),
-                RegClass::R64 => th.r64[dst.idx as usize] = val64!(*src),
-                RegClass::F32 => th.f32[dst.idx as usize] = valf!(*src),
-                RegClass::Pred => {
-                    if let Operand::Reg(r) = src {
-                        th.pred[dst.idx as usize] = th.pred[r.idx as usize];
-                    }
+    }
+
+    /// The view of `o` that a register of `class` is written from (a
+    /// predicate destination is decoded apart; it takes the float view).
+    fn view(&mut self, class: RegClass, o: Operand) -> Slot {
+        match class {
+            RegClass::R32 => self.v32(o),
+            RegClass::R64 => self.v64(o),
+            RegClass::F32 | RegClass::Pred => self.vf(o),
+        }
+    }
+
+    /// The slot of `dst` in the section of its own class.
+    fn dst(&mut self, dst: Reg) -> Slot {
+        let sec = match dst.class {
+            RegClass::R32 => Sec::R32,
+            RegClass::R64 => Sec::R64,
+            RegClass::F32 => Sec::F32,
+            RegClass::Pred => Sec::Pred,
+        };
+        self.reg(sec, dst.idx)
+    }
+
+    fn pred(&mut self, r: Reg) -> Slot {
+        self.reg(Sec::Pred, r.idx)
+    }
+
+    fn op(&mut self, op: &Op) -> MicroInst {
+        const Z: Slot = ZERO;
+        match *op {
+            Op::Mov { dst, src } => match (dst.class, src) {
+                (RegClass::Pred, Operand::Reg(r)) => {
+                    mi(UOp::Copy, self.pred(dst), self.pred(r), Z, Z)
                 }
+                (RegClass::Pred, _) => mi(UOp::Nop, Z, Z, Z, Z),
+                (class, src) => mi(UOp::Copy, self.dst(dst), self.view(class, src), Z, Z),
             },
             Op::Cvt { dst, src } => {
                 let src_class = match src {
@@ -456,188 +420,503 @@ fn run_thread<O: ExecObserver>(
                     Operand::ImmF(_) => RegClass::F32,
                     _ => RegClass::R32,
                 };
-                match (dst.class, src_class) {
-                    (RegClass::R64, _) => th.r64[dst.idx as usize] = val64!(*src),
-                    (RegClass::R32, RegClass::F32) => th.r32[dst.idx as usize] = valf!(*src) as u32,
-                    (RegClass::R32, _) => th.r32[dst.idx as usize] = val64!(*src) as u32,
-                    (RegClass::F32, RegClass::F32) => th.f32[dst.idx as usize] = valf!(*src),
-                    (RegClass::F32, _) => th.f32[dst.idx as usize] = val64!(*src) as f32,
-                    (RegClass::Pred, _) => {}
-                }
+                let (op, a) = match (dst.class, src_class) {
+                    (RegClass::R64, _) => (UOp::Copy, self.v64(src)),
+                    (RegClass::R32, RegClass::F32) => (UOp::F2U, self.vf(src)),
+                    (RegClass::R32, _) => (UOp::Trunc32, self.v64(src)),
+                    (RegClass::F32, RegClass::F32) => (UOp::Copy, self.vf(src)),
+                    (RegClass::F32, _) => (UOp::U2F, self.v64(src)),
+                    (RegClass::Pred, _) => (UOp::Nop, Z),
+                };
+                mi(op, self.dst(dst), a, Z, Z)
             }
-            Op::Int { op, ty, dst, a, b } => match ty {
-                IntTy::U32 => {
-                    let (x, y) = (val32!(*a), val32!(*b));
-                    th.r32[dst.idx as usize] = int_op_u32(*op, x, y);
-                }
-                IntTy::S32 => {
-                    let (x, y) = (val32!(*a) as i32, val32!(*b) as i32);
-                    th.r32[dst.idx as usize] = int_op_s32(*op, x, y) as u32;
-                }
-                IntTy::U64 => {
-                    let (x, y) = (val64!(*a), val64!(*b));
-                    th.r64[dst.idx as usize] = int_op_u64(*op, x, y);
-                }
-            },
+            Op::Int { op, ty, dst, a, b } => {
+                let (op, a, b, d) = match ty {
+                    IntTy::U32 => (
+                        UOp::IntU32(op),
+                        self.v32(a),
+                        self.v32(b),
+                        self.reg(Sec::R32, dst.idx),
+                    ),
+                    IntTy::S32 => (
+                        UOp::IntS32(op),
+                        self.v32(a),
+                        self.v32(b),
+                        self.reg(Sec::R32, dst.idx),
+                    ),
+                    IntTy::U64 => (
+                        UOp::IntU64(op),
+                        self.v64(a),
+                        self.v64(b),
+                        self.reg(Sec::R64, dst.idx),
+                    ),
+                };
+                mi(op, d, a, b, Z)
+            }
             Op::Mad { ty, dst, a, b, c } => match ty {
                 IntTy::U32 | IntTy::S32 => {
-                    let v = val32!(*a).wrapping_mul(val32!(*b)).wrapping_add(val32!(*c));
-                    th.r32[dst.idx as usize] = v;
+                    let (a, b, c) = (self.v32(a), self.v32(b), self.v32(c));
+                    mi(UOp::Mad32, self.reg(Sec::R32, dst.idx), a, b, c)
                 }
                 IntTy::U64 => {
-                    let v = val64!(*a).wrapping_mul(val64!(*b)).wrapping_add(val64!(*c));
-                    th.r64[dst.idx as usize] = v;
+                    let (a, b, c) = (self.v64(a), self.v64(b), self.v64(c));
+                    mi(UOp::Mad64, self.reg(Sec::R64, dst.idx), a, b, c)
                 }
             },
             Op::MulWide { dst, a, b } => {
-                th.r64[dst.idx as usize] = val32!(*a) as u64 * val32!(*b) as u64;
+                let (a, b) = (self.v32(a), self.v32(b));
+                mi(UOp::MulWide, self.reg(Sec::R64, dst.idx), a, b, Z)
             }
             Op::MadWide { dst, a, b, c } => {
-                th.r64[dst.idx as usize] =
-                    (val32!(*a) as u64 * val32!(*b) as u64).wrapping_add(val64!(*c));
+                let (a, b, c) = (self.v32(a), self.v32(b), self.v64(c));
+                mi(UOp::MadWide, self.reg(Sec::R64, dst.idx), a, b, c)
             }
             Op::Float { op, dst, a, b } => {
-                let (x, y) = (valf!(*a), valf!(*b));
-                th.f32[dst.idx as usize] = match op {
-                    FloatOp::Add => x + y,
-                    FloatOp::Sub => x - y,
-                    FloatOp::Mul => x * y,
-                    FloatOp::Div => x / y,
-                    FloatOp::Min => x.min(y),
-                    FloatOp::Max => x.max(y),
-                };
+                let (a, b) = (self.vf(a), self.vf(b));
+                mi(UOp::Float(op), self.reg(Sec::F32, dst.idx), a, b, Z)
             }
             Op::Fma { dst, a, b, c } => {
-                th.f32[dst.idx as usize] = valf!(*a).mul_add(valf!(*b), valf!(*c));
+                let (a, b, c) = (self.vf(a), self.vf(b), self.vf(c));
+                mi(UOp::Fma, self.reg(Sec::F32, dst.idx), a, b, c)
             }
-            Op::Sqrt { dst, a } => {
-                th.f32[dst.idx as usize] = valf!(*a).sqrt();
-            }
+            Op::Sqrt { dst, a } => mi(UOp::Sqrt, self.reg(Sec::F32, dst.idx), self.vf(a), Z, Z),
             Op::Setp { cmp, ty, dst, a, b } => {
-                let r = match ty {
-                    IntTy::U32 => cmp_int(*cmp, val32!(*a) as u64, val32!(*b) as u64),
-                    IntTy::S32 => {
-                        cmp_sint(*cmp, val32!(*a) as i32 as i64, val32!(*b) as i32 as i64)
-                    }
-                    IntTy::U64 => cmp_int(*cmp, val64!(*a), val64!(*b)),
+                let (a, b) = match ty {
+                    IntTy::U32 | IntTy::S32 => (self.v32(a), self.v32(b)),
+                    IntTy::U64 => (self.v64(a), self.v64(b)),
                 };
-                th.pred[dst.idx as usize] = r;
+                let op = match ty {
+                    IntTy::S32 => UOp::SetpS32(cmp),
+                    IntTy::U32 | IntTy::U64 => UOp::SetpU(cmp),
+                };
+                mi(op, self.pred(dst), a, b, Z)
             }
             Op::SetpF { cmp, dst, a, b } => {
-                let (x, y) = (valf!(*a), valf!(*b));
-                th.pred[dst.idx as usize] = match cmp {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
+                let (a, b) = (self.vf(a), self.vf(b));
+                mi(UOp::SetpF(cmp), self.pred(dst), a, b, Z)
             }
             Op::Selp { dst, a, b, p } => {
-                let take_a = th.pred[p.idx as usize];
-                match dst.class {
-                    RegClass::R32 => {
-                        th.r32[dst.idx as usize] = if take_a { val32!(*a) } else { val32!(*b) }
-                    }
-                    RegClass::R64 => {
-                        th.r64[dst.idx as usize] = if take_a { val64!(*a) } else { val64!(*b) }
-                    }
-                    RegClass::F32 => {
-                        th.f32[dst.idx as usize] = if take_a { valf!(*a) } else { valf!(*b) }
-                    }
-                    RegClass::Pred => {}
+                let p = self.pred(p);
+                if dst.class == RegClass::Pred {
+                    return mi(UOp::Nop, Z, Z, Z, Z);
                 }
+                let (a, b) = (self.view(dst.class, a), self.view(dst.class, b));
+                mi(UOp::Selp, self.dst(dst), a, b, p)
             }
             Op::Ld {
                 space,
                 ty,
                 dst,
                 addr,
-            } => match space {
-                MemSpace::Global => {
-                    let a = th.r64[addr.base.idx as usize].wrapping_add(addr.offset as u64);
-                    stats.global_loads += 1;
-                    obs.on_global_access(id, th.pc, a, false);
-                    let v = mem
-                        .try_read_u32(a)
-                        .ok_or(ExecError::Unmapped { tb: id.tb, addr: a })?;
-                    match ty {
-                        MemTy::U32 => th.r32[dst.idx as usize] = v,
-                        MemTy::F32 => th.f32[dst.idx as usize] = f32::from_bits(v),
-                    }
+            } => {
+                let d = match ty {
+                    MemTy::U32 => self.reg(Sec::R32, dst.idx),
+                    MemTy::F32 => self.reg(Sec::F32, dst.idx),
+                };
+                let m = match space {
+                    MemSpace::Global => mi(UOp::LdG, d, self.reg(Sec::R64, addr.base.idx), Z, Z),
+                    MemSpace::Shared => mi(UOp::LdS, d, self.reg(Sec::R32, addr.base.idx), Z, Z),
+                };
+                MicroInst {
+                    imm: addr.offset as u64,
+                    ..m
                 }
-                MemSpace::Shared => {
-                    let a = (th.r32[addr.base.idx as usize] as i64 + addr.offset) as u64;
-                    let end = a + 4;
-                    if end > shared.len() as u64 {
-                        return Err(ExecError::SharedOutOfBounds {
-                            addr: a,
-                            size: launch.kernel.shared_bytes,
-                        });
-                    }
-                    let bytes: [u8; 4] = shared[a as usize..a as usize + 4].try_into().unwrap();
-                    let v = u32::from_le_bytes(bytes);
-                    match ty {
-                        MemTy::U32 => th.r32[dst.idx as usize] = v,
-                        MemTy::F32 => th.f32[dst.idx as usize] = f32::from_bits(v),
-                    }
-                }
-            },
+            }
             Op::St {
                 space,
                 ty,
                 src,
                 addr,
             } => {
-                let v = match ty {
-                    MemTy::U32 => val32!(*src),
-                    MemTy::F32 => valf!(*src).to_bits(),
+                let a = match ty {
+                    MemTy::U32 => self.v32(src),
+                    MemTy::F32 => self.vf(src),
                 };
-                match space {
-                    MemSpace::Global => {
-                        let a = th.r64[addr.base.idx as usize].wrapping_add(addr.offset as u64);
-                        stats.global_stores += 1;
-                        obs.on_global_access(id, th.pc, a, true);
-                        mem.try_write_u32(a, v)
-                            .ok_or(ExecError::Unmapped { tb: id.tb, addr: a })?;
-                    }
-                    MemSpace::Shared => {
-                        let a = (th.r32[addr.base.idx as usize] as i64 + addr.offset) as u64;
-                        let end = a + 4;
-                        if end > shared.len() as u64 {
-                            return Err(ExecError::SharedOutOfBounds {
-                                addr: a,
-                                size: launch.kernel.shared_bytes,
-                            });
-                        }
-                        shared[a as usize..a as usize + 4].copy_from_slice(&v.to_le_bytes());
-                    }
+                let m = match space {
+                    MemSpace::Global => mi(UOp::StG, Z, a, self.reg(Sec::R64, addr.base.idx), Z),
+                    MemSpace::Shared => mi(UOp::StS, Z, a, self.reg(Sec::R32, addr.base.idx), Z),
+                };
+                MicroInst {
+                    imm: addr.offset as u64,
+                    ..m
                 }
             }
             Op::LdParam { dst, param } => {
-                let raw = launch.args[*param as usize].as_u64();
-                match dst.class {
-                    RegClass::R64 => th.r64[dst.idx as usize] = raw,
-                    RegClass::R32 => th.r32[dst.idx as usize] = raw as u32,
-                    RegClass::F32 => th.f32[dst.idx as usize] = f32::from_bits(raw as u32),
-                    RegClass::Pred => {}
+                // A parameter without an argument cannot pass
+                // `validate_launch`; it reads as zero.
+                let raw = self
+                    .launch
+                    .args
+                    .get(usize::from(param))
+                    .map_or(0, |a| a.as_u64());
+                let v = match dst.class {
+                    RegClass::R64 => raw,
+                    RegClass::R32 | RegClass::F32 => u64::from(raw as u32),
+                    RegClass::Pred => return mi(UOp::Nop, Z, Z, Z, Z),
+                };
+                mi(UOp::Copy, self.dst(dst), self.konst(v), Z, Z)
+            }
+            Op::Bra { target } => MicroInst {
+                // Every target past the body exits the thread.
+                imm: target.min(self.launch.kernel.body.len()) as u64,
+                ..mi(UOp::Bra, Z, Z, Z, Z)
+            },
+            Op::Bar => mi(UOp::Bar, Z, Z, Z, Z),
+            Op::Ret => mi(UOp::Ret, Z, Z, Z, Z),
+        }
+    }
+
+    fn inst(&mut self, inst: &Inst) -> MicroInst {
+        let mut m = self.op(&inst.op);
+        if let Some(g) = inst.guard {
+            m.guard = self.pred(g.pred);
+            m.skip = u64::from(g.negated);
+        }
+        m
+    }
+
+    fn body(&mut self) -> Vec<MicroInst> {
+        self.launch
+            .kernel
+            .body
+            .iter()
+            .map(|inst| self.inst(inst))
+            .collect()
+    }
+}
+
+/// A launch decoded for execution: its micro-ops and the register row
+/// every thread starts from. Decoding is linear in the kernel body, so
+/// callers decode once per launch and run any number of blocks (or lane
+/// subsets of one block) from the same program, concurrently if they like.
+#[derive(Debug, Clone)]
+pub struct Program<'l> {
+    launch: &'l Launch,
+    ops: Vec<MicroInst>,
+    /// Fixed and constant slots; the register sections after them are zero.
+    row: Vec<u64>,
+    /// First register slot: everything from here on is reset per thread.
+    regs: usize,
+    /// Whether any thread can stop at a barrier. Without one, every thread
+    /// runs to completion in turn, so one row serves them all.
+    barrier: bool,
+}
+
+/// Scheduling state of a thread between its runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Running,
+    AtBarrier,
+    Done,
+}
+
+/// Where a thread stands when it stops running.
+#[derive(Clone, Copy)]
+struct Resume {
+    pc: usize,
+    steps: u64,
+    status: Status,
+}
+
+impl Resume {
+    const START: Resume = Resume {
+        pc: 0,
+        steps: 0,
+        status: Status::Running,
+    };
+}
+
+/// Per-block state shared by the block's threads.
+struct Block<'a, O> {
+    tb: u32,
+    mem: &'a mut GlobalMem,
+    obs: &'a mut O,
+    shared: Vec<u8>,
+    stats: ExecStats,
+    max_steps: u64,
+}
+
+impl<'l> Program<'l> {
+    /// Decodes `launch`.
+    pub fn new(launch: &'l Launch) -> Self {
+        let mut dec = Decoder::new(launch);
+        dec.body(); // sizes the register sections
+        let mut next = dec.consts.len() as u32;
+        for s in 0..4 {
+            dec.base[s] = next;
+            next += dec.size[s];
+        }
+        let ops = dec.body();
+        let regs = dec.consts.len();
+        let mut row = dec.consts;
+        row.resize(next as usize, 0);
+        Program {
+            launch,
+            barrier: ops.iter().any(|i| matches!(i.op, UOp::Bar)),
+            ops,
+            row,
+            regs,
+        }
+    }
+
+    /// The decoded launch.
+    pub fn launch(&self) -> &'l Launch {
+        self.launch
+    }
+
+    /// Executes block `tb`: every thread, round-robin in thread-id order,
+    /// each until it exits or reaches a barrier, which releases once no
+    /// thread can run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] on runaway loops (more than `max_steps`
+    /// instructions fetched by one thread), shared-memory overflow, or a
+    /// global access to an unmapped device address. Memory keeps the
+    /// writes made before the failing instruction.
+    pub fn execute_block<O: ExecObserver>(
+        &self,
+        tb: u32,
+        mem: &mut GlobalMem,
+        obs: &mut O,
+        max_steps: u64,
+    ) -> Result<ExecStats, ExecError> {
+        let n = self.launch.threads_per_block();
+        self.run(tb, mem, obs, max_steps, n as usize, |i| i as u32)
+    }
+
+    /// [`Program::execute_block`] restricted to an explicit ascending list
+    /// of thread ids — the lane-law trace fast path executes only a block's
+    /// anchor and validation lanes and synthesizes the rest (see
+    /// `crate::trace`).
+    ///
+    /// The scheduling discipline is identical to the full block
+    /// (round-robin over the listed threads, block-wide barrier release
+    /// among them), so for any subset the listed threads run in the same
+    /// relative order as in a full execution; only the memory/shared-state
+    /// writes of unlisted threads are absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::execute_block`].
+    pub fn execute_subset<O: ExecObserver>(
+        &self,
+        tb: u32,
+        mem: &mut GlobalMem,
+        obs: &mut O,
+        max_steps: u64,
+        tids: &[u32],
+    ) -> Result<ExecStats, ExecError> {
+        self.run(tb, mem, obs, max_steps, tids.len(), |i| tids[i])
+    }
+
+    fn run<O: ExecObserver>(
+        &self,
+        tb: u32,
+        mem: &mut GlobalMem,
+        obs: &mut O,
+        max_steps: u64,
+        n: usize,
+        tid: impl Fn(usize) -> u32,
+    ) -> Result<ExecStats, ExecError> {
+        let (bx, by) = self.launch.block_coords(tb);
+        let mut row = self.row.clone();
+        for (s, v) in CTAID.iter().zip([bx, by]) {
+            row[*s as usize] = u64::from(v);
+            row[*s as usize + 2] = u64::from((v as f32).to_bits());
+        }
+        let mut blk = Block {
+            tb,
+            mem,
+            obs,
+            shared: vec![0; self.launch.kernel.shared_bytes as usize],
+            stats: ExecStats::default(),
+            max_steps,
+        };
+        let start = |row: &mut [u64], t: u32| {
+            let (x, y) = (t % self.launch.block.x, t / self.launch.block.x);
+            for (s, v) in TID.iter().zip([x, y]) {
+                row[*s as usize] = u64::from(v);
+                row[*s as usize + 2] = u64::from((v as f32).to_bits());
+            }
+        };
+        if !self.barrier {
+            for i in 0..n {
+                let t = tid(i);
+                row[self.regs..].fill(0);
+                start(&mut row, t);
+                self.run_thread(&mut blk, &mut row, t, Resume::START)?;
+            }
+            return Ok(blk.stats);
+        }
+        let len = row.len();
+        let mut rows = Vec::with_capacity(n * len);
+        for i in 0..n {
+            rows.extend_from_slice(&row);
+            start(&mut rows[i * len..], tid(i));
+        }
+        let mut threads = vec![Resume::START; n];
+        loop {
+            let mut any_running = false;
+            for (i, th) in threads.iter_mut().enumerate() {
+                if th.status != Status::Running {
+                    continue;
+                }
+                any_running = true;
+                *th = self.run_thread(&mut blk, &mut rows[i * len..(i + 1) * len], tid(i), *th)?;
+            }
+            if !any_running {
+                let mut waiting = false;
+                for th in &mut threads {
+                    if th.status == Status::AtBarrier {
+                        th.status = Status::Running;
+                        waiting = true;
+                    }
+                }
+                if !waiting {
+                    return Ok(blk.stats);
                 }
             }
-            Op::Bra { target } => {
-                next_pc = *target;
-            }
-            Op::Bar => {
-                th.pc += 1;
-                th.status = Status::AtBarrier;
-                return Ok(());
-            }
-            Op::Ret => {
-                th.status = Status::Done;
-                return Ok(());
-            }
         }
-        th.pc = next_pc;
+    }
+
+    /// Runs one thread from `at` until it exits or stops at a barrier.
+    fn run_thread<O: ExecObserver>(
+        &self,
+        blk: &mut Block<'_, O>,
+        row: &mut [u64],
+        tid: u32,
+        at: Resume,
+    ) -> Result<Resume, ExecError> {
+        let body = &self.launch.kernel.body;
+        let id = ThreadId { tb: blk.tb, tid };
+        let Resume {
+            mut pc, mut steps, ..
+        } = at;
+        let mut stats = blk.stats;
+        let status = loop {
+            let Some(&i) = self.ops.get(pc) else {
+                break Status::Done;
+            };
+            steps += 1;
+            if steps > blk.max_steps {
+                return Err(ExecError::StepLimit { tb: blk.tb, tid });
+            }
+            if row[i.guard as usize] == i.skip {
+                pc += 1;
+                continue;
+            }
+            stats.instructions += 1;
+            blk.obs.on_inst(id, pc, &body[pc].op);
+            // The slot `d` is written; `a`, `b` and `c` are read as raw
+            // values (`r!`) or as floats (`f!`).
+            macro_rules! r {
+                ($s:ident) => {
+                    row[i.$s as usize]
+                };
+            }
+            macro_rules! f {
+                ($s:ident) => {
+                    f32::from_bits(row[i.$s as usize] as u32)
+                };
+            }
+            let x32 = |s: Slot, row: &[u64]| row[s as usize] as u32;
+            match i.op {
+                UOp::Nop => {}
+                UOp::Copy => r!(d) = r!(a),
+                UOp::Trunc32 => r!(d) = u64::from(x32(i.a, row)),
+                UOp::F2U => r!(d) = u64::from(f!(a) as u32),
+                UOp::U2F => r!(d) = u64::from((r!(a) as f32).to_bits()),
+                UOp::IntU32(op) => r!(d) = u64::from(int_op_u32(op, x32(i.a, row), x32(i.b, row))),
+                UOp::IntS32(op) => {
+                    let v = int_op_s32(op, x32(i.a, row) as i32, x32(i.b, row) as i32);
+                    r!(d) = u64::from(v as u32);
+                }
+                UOp::IntU64(op) => r!(d) = int_op_u64(op, r!(a), r!(b)),
+                UOp::Mad32 => {
+                    let v = x32(i.a, row)
+                        .wrapping_mul(x32(i.b, row))
+                        .wrapping_add(x32(i.c, row));
+                    r!(d) = u64::from(v);
+                }
+                UOp::Mad64 => r!(d) = r!(a).wrapping_mul(r!(b)).wrapping_add(r!(c)),
+                UOp::MulWide => r!(d) = r!(a) * r!(b),
+                UOp::MadWide => r!(d) = (r!(a) * r!(b)).wrapping_add(r!(c)),
+                UOp::Float(op) => {
+                    let (x, y) = (f!(a), f!(b));
+                    let v = match op {
+                        FloatOp::Add => x + y,
+                        FloatOp::Sub => x - y,
+                        FloatOp::Mul => x * y,
+                        FloatOp::Div => x / y,
+                        FloatOp::Min => x.min(y),
+                        FloatOp::Max => x.max(y),
+                    };
+                    r!(d) = u64::from(v.to_bits());
+                }
+                UOp::Fma => r!(d) = u64::from(f!(a).mul_add(f!(b), f!(c)).to_bits()),
+                UOp::Sqrt => r!(d) = u64::from(f!(a).sqrt().to_bits()),
+                UOp::SetpU(cmp) => r!(d) = u64::from(compare(cmp, r!(a), r!(b))),
+                UOp::SetpS32(cmp) => {
+                    let (x, y) = (x32(i.a, row) as i32, x32(i.b, row) as i32);
+                    r!(d) = u64::from(compare(cmp, x, y));
+                }
+                UOp::SetpF(cmp) => r!(d) = u64::from(compare(cmp, f!(a), f!(b))),
+                UOp::Selp => r!(d) = if r!(c) != 0 { r!(a) } else { r!(b) },
+                UOp::LdG => {
+                    let addr = r!(a).wrapping_add(i.imm);
+                    stats.global_loads += 1;
+                    blk.obs.on_global_access(id, pc, addr, false);
+                    let v = blk
+                        .mem
+                        .try_read_u32(addr)
+                        .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
+                    r!(d) = u64::from(v);
+                }
+                UOp::StG => {
+                    let addr = r!(b).wrapping_add(i.imm);
+                    stats.global_stores += 1;
+                    blk.obs.on_global_access(id, pc, addr, true);
+                    blk.mem
+                        .try_write_u32(addr, x32(i.a, row))
+                        .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
+                }
+                UOp::LdS => {
+                    let at = self.shared_at(&blk.shared, r!(a), i.imm)?;
+                    let bytes: [u8; 4] = blk.shared[at..at + 4].try_into().unwrap();
+                    r!(d) = u64::from(u32::from_le_bytes(bytes));
+                }
+                UOp::StS => {
+                    let at = self.shared_at(&blk.shared, r!(b), i.imm)?;
+                    blk.shared[at..at + 4].copy_from_slice(&x32(i.a, row).to_le_bytes());
+                }
+                UOp::Bra => {
+                    pc = i.imm as usize;
+                    continue;
+                }
+                UOp::Bar => {
+                    pc += 1;
+                    break Status::AtBarrier;
+                }
+                UOp::Ret => break Status::Done,
+            }
+            pc += 1;
+        };
+        blk.stats = stats;
+        Ok(Resume { pc, steps, status })
+    }
+
+    /// The in-bounds start of the shared word at `base + off`, where `base`
+    /// is a 32-bit register value and `off` the bits of an `i64`.
+    fn shared_at(&self, shared: &[u8], base: u64, off: u64) -> Result<usize, ExecError> {
+        let addr = (base as u32 as i64).wrapping_add(off as i64) as u64;
+        match addr.checked_add(4) {
+            Some(end) if end <= shared.len() as u64 => Ok(addr as usize),
+            _ => Err(ExecError::SharedOutOfBounds {
+                addr,
+                size: self.launch.kernel.shared_bytes,
+            }),
+        }
     }
 }
 
@@ -716,18 +995,7 @@ fn int_op_u64(op: IntOp, x: u64, y: u64) -> u64 {
     }
 }
 
-fn cmp_int(cmp: CmpOp, x: u64, y: u64) -> bool {
-    match cmp {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-    }
-}
-
-fn cmp_sint(cmp: CmpOp, x: i64, y: i64) -> bool {
+fn compare<T: PartialOrd>(cmp: CmpOp, x: T, y: T) -> bool {
     match cmp {
         CmpOp::Eq => x == y,
         CmpOp::Ne => x != y,

@@ -4,7 +4,6 @@
 //! address space with generous alignment, so launch-time analysis can work
 //! with plain byte intervals and map any address back to its allocation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,8 +118,10 @@ pub const COW_CHUNK_BYTES: usize = 1 << 12;
 
 /// Byte-addressable functional device memory backing the interpreter.
 ///
-/// Backed by per-allocation chunk lists created lazily; reads of
-/// never-written memory return zeroes (deterministic, like `cudaMemset` 0).
+/// Backed by one sorted list of regions, each a list of chunks created
+/// lazily; reads of never-written memory return zeroes (deterministic,
+/// like `cudaMemset` 0). Each chunk is one `Arc<[u8]>`, so a byte is one
+/// pointer hop from its region's chunk list.
 ///
 /// Chunks are reference-counted and shared between clones, so `clone()` is
 /// a pointer copy per chunk rather than a deep copy of device memory: the
@@ -130,17 +131,25 @@ pub const COW_CHUNK_BYTES: usize = 1 << 12;
 /// observable via [`GlobalMem::cow_copied_bytes`].
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMem {
-    pages: BTreeMap<u64, Vec<Arc<Vec<u8>>>>, // keyed by allocation base
-    bases: Vec<(u64, u64)>,                  // (base, size) sorted by base
-    copied: Arc<AtomicU64>,                  // CoW bytes, shared by all clones
+    regions: Vec<Region>,   // sorted by base
+    copied: Arc<AtomicU64>, // CoW bytes, shared by all clones
+}
+
+/// One backing region.
+#[derive(Debug, Clone)]
+struct Region {
+    base: u64,
+    /// One past the last byte.
+    end: u64,
+    chunks: Vec<Arc<[u8]>>,
 }
 
 /// Unique access to one chunk, duplicating it first when it is shared with
 /// another clone (and charging the duplication to the family counter).
-fn chunk_mut<'c>(copied: &AtomicU64, chunk: &'c mut Arc<Vec<u8>>) -> &'c mut Vec<u8> {
+fn chunk_mut<'c>(copied: &AtomicU64, chunk: &'c mut Arc<[u8]>) -> &'c mut [u8] {
     if Arc::get_mut(chunk).is_none() {
         copied.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        *chunk = Arc::new(chunk.as_ref().clone());
+        *chunk = Arc::from(&chunk[..]);
     }
     Arc::get_mut(chunk).expect("chunk just made unique")
 }
@@ -148,16 +157,16 @@ fn chunk_mut<'c>(copied: &AtomicU64, chunk: &'c mut Arc<Vec<u8>>) -> &'c mut Vec
 /// The chunk list backing a `size`-byte region: full chunks share one
 /// zeroed block (copied lazily on first write), the tail is exact-length so
 /// concatenating chunk bytes reproduces the region byte-for-byte.
-fn zero_chunks(size: u64) -> Vec<Arc<Vec<u8>>> {
+fn zero_chunks(size: u64) -> Vec<Arc<[u8]>> {
     let full = size as usize / COW_CHUNK_BYTES;
     let tail = size as usize % COW_CHUNK_BYTES;
     let mut chunks = Vec::with_capacity(full + usize::from(tail > 0));
     if full > 0 {
-        let zero = Arc::new(vec![0u8; COW_CHUNK_BYTES]);
+        let zero: Arc<[u8]> = Arc::from(vec![0u8; COW_CHUNK_BYTES]);
         chunks.extend(std::iter::repeat_with(|| zero.clone()).take(full));
     }
     if tail > 0 {
-        chunks.push(Arc::new(vec![0u8; tail]));
+        chunks.push(Arc::from(vec![0u8; tail]));
     }
     chunks
 }
@@ -174,19 +183,29 @@ impl GlobalMem {
 
     /// Registers a backing region (idempotent for the same base).
     pub fn add_region(&mut self, base: u64, size: u64) {
-        self.pages.entry(base).or_insert_with(|| zero_chunks(size));
-        if let Err(i) = self.bases.binary_search_by_key(&base, |&(b, _)| b) {
-            self.bases.insert(i, (base, size));
-        }
+        let Err(i) = self.regions.binary_search_by_key(&base, |r| r.base) else {
+            return;
+        };
+        self.regions.insert(
+            i,
+            Region {
+                base,
+                end: base + size,
+                chunks: zero_chunks(size),
+            },
+        );
     }
 
-    fn locate(&self, addr: u64, len: u64) -> Option<(u64, usize)> {
-        let i = self.bases.partition_point(|&(b, _)| b <= addr);
-        if i == 0 {
-            return None;
-        }
-        let (base, size) = self.bases[i - 1];
-        (addr.checked_add(len)? <= base + size).then(|| (base, (addr - base) as usize))
+    /// The region holding the `len` bytes at `addr` (the last region
+    /// starting at or below `addr`, if they fit in it) and `addr`'s offset
+    /// in it.
+    fn locate(&self, addr: u64, len: u64) -> Option<(usize, usize)> {
+        let i = self
+            .regions
+            .partition_point(|r| r.base <= addr)
+            .checked_sub(1)?;
+        let r = &self.regions[i];
+        (addr.checked_add(len)? <= r.end).then(|| (i, (addr - r.base) as usize))
     }
 
     /// Bytes duplicated by copy-on-write across all clones sharing this
@@ -198,8 +217,8 @@ impl GlobalMem {
     /// Reads a 32-bit little-endian word, or `None` when any of its bytes
     /// falls outside every backing region.
     pub fn try_read_u32(&self, addr: u64) -> Option<u32> {
-        let (base, off) = self.locate(addr, 4)?;
-        let chunks = &self.pages[&base];
+        let (r, off) = self.locate(addr, 4)?;
+        let chunks = &self.regions[r].chunks;
         let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
         Some(if co + 4 <= chunks[ci].len() {
             u32::from_le_bytes(chunks[ci][co..co + 4].try_into().unwrap())
@@ -230,8 +249,8 @@ impl GlobalMem {
     /// of its bytes falls outside every backing region.
     #[must_use]
     pub fn try_write_u32(&mut self, addr: u64, value: u32) -> Option<()> {
-        let (base, off) = self.locate(addr, 4)?;
-        let chunks = self.pages.get_mut(&base).unwrap();
+        let (r, off) = self.locate(addr, 4)?;
+        let chunks = &mut self.regions[r].chunks;
         let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
         if co + 4 <= chunks[ci].len() {
             let c = chunk_mut(&self.copied, &mut chunks[ci]);
@@ -275,10 +294,10 @@ impl GlobalMem {
         if data.is_empty() {
             return;
         }
-        let (base, start) = self
+        let (r, start) = self
             .locate(addr, 4 * data.len() as u64)
             .unwrap_or_else(|| panic!("device write of unmapped address {addr:#x}"));
-        let chunks = self.pages.get_mut(&base).unwrap();
+        let chunks = &mut self.regions[r].chunks;
         let mut off = start;
         let mut words = data.iter();
         'outer: while let Some(first) = words.next() {
@@ -323,11 +342,12 @@ impl GlobalMem {
         // FNV-1a over all regions in address order; chunk boundaries are
         // invisible (the hashed byte stream is base bytes then region bytes).
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (base, chunks) in &self.pages {
-            let bytes = base
+        for r in &self.regions {
+            let bytes = r
+                .base
                 .to_le_bytes()
                 .into_iter()
-                .chain(chunks.iter().flat_map(|c| c.iter().copied()));
+                .chain(r.chunks.iter().flat_map(|c| c.iter().copied()));
             for b in bytes {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x1000_0000_01b3);

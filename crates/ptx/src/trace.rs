@@ -6,10 +6,7 @@
 //! The SM timing model in `bm-simt` replays these streams under GTO warp
 //! scheduling to derive thread-block durations and memory-request counts.
 
-use crate::interp::{
-    execute_block_limited, execute_block_subset, ExecError, ExecObserver, ThreadId,
-    MAX_STEPS_PER_THREAD,
-};
+use crate::interp::{ExecError, ExecObserver, Program, ThreadId, MAX_STEPS_PER_THREAD};
 use crate::isa::{MemSpace, Op};
 use crate::kernel::Launch;
 use crate::mem::GlobalMem;
@@ -160,7 +157,7 @@ pub fn trace_block_limited(
     max_steps: u64,
 ) -> Result<TbTrace, ExecError> {
     let mut obs = TraceObserver::default();
-    let stats = execute_block_limited(launch, tb, mem, &mut obs, max_steps)?;
+    let stats = Program::new(launch).execute_block(tb, mem, &mut obs, max_steps)?;
     let nthreads = launch.threads_per_block();
     let nwarps = launch.warps_per_block();
     let body = &launch.kernel.body;
@@ -393,12 +390,13 @@ fn rebuild_warp(
 /// not depend on which other warps or launches ran before it. That purity
 /// is what makes the law path bit-identical at any worker count.
 fn trace_warp_law(
-    launch: &Launch,
+    program: &Program<'_>,
     tb: u32,
     base: &GlobalMem,
     max_steps: u64,
     w: u32,
 ) -> Result<(WarpTrace, u64, ExecStatsLite, TraceLawStats), ExecError> {
+    let launch = program.launch();
     let nthreads = launch.threads_per_block();
     let lo = w * 32;
     let hi = (lo + 32).min(nthreads);
@@ -416,7 +414,7 @@ fn trace_warp_law(
     };
     let mut mem = base.clone();
     let mut obs = LaneObs::new(lo, width);
-    execute_block_subset(launch, tb, &mut mem, &mut obs, max_steps, &tids)?;
+    program.execute_subset(tb, &mut mem, &mut obs, max_steps, &tids)?;
 
     if full {
         let anchor = &obs.streams[0];
@@ -485,7 +483,7 @@ fn trace_warp_law(
             .collect();
         let mut mem2 = base.clone();
         let mut obs2 = LaneObs::new(lo, width);
-        execute_block_subset(launch, tb, &mut mem2, &mut obs2, max_steps, &rest)?;
+        program.execute_subset(tb, &mut mem2, &mut obs2, max_steps, &rest)?;
         for l in 0..32u32 {
             if !LAW_LANES.contains(&l) {
                 obs.streams[l as usize] = std::mem::take(&mut obs2.streams[l as usize]);
@@ -603,10 +601,12 @@ pub fn trace_block_law(
         return Ok((trace, TraceLawStats::default()));
     }
     let mem = &*mem;
+    // Decoded once: every warp's lane subsets run from this program.
+    let program = Program::new(launch);
     let nwarps = launch.warps_per_block() as usize;
     let results = par_chunks(warp_threads, nwarps, |range| {
         range
-            .map(|w| trace_warp_law(launch, tb, mem, max_steps, w as u32))
+            .map(|w| trace_warp_law(&program, tb, mem, max_steps, w as u32))
             .collect()
     });
     let mut warps = Vec::with_capacity(nwarps);

@@ -445,3 +445,79 @@ fn wild_global_address_is_a_typed_error_not_a_panic() {
         "{err}"
     );
 }
+
+/// A one-launch application of `src` over a 256-byte buffer.
+fn single_kernel_app(name: &str, src: &str) -> Application {
+    let kernel = Arc::new(parse_kernel(src).unwrap());
+    let mut space = AddressSpace::new();
+    let a = space.alloc(4 * 64);
+    Application {
+        name: name.into(),
+        space,
+        calls: vec![ApiCall::KernelLaunch(Launch::new(
+            kernel,
+            Dim3::x(2),
+            Dim3::x(32),
+            vec![ArgValue::Ptr(a.base)],
+        ))],
+        host_data: HashMap::new(),
+    }
+}
+
+#[test]
+fn shared_address_below_zero_is_a_typed_error_not_a_panic() {
+    // `%r1 - 2` with `%r1 = 0` lies before shared memory.
+    for access in ["ld.shared.f32 %f1, [%r1-2];", "st.shared.f32 [%r1-2], %f1;"] {
+        let src = format!(
+            r#".entry neg(.param .u64 A) {{
+                 .shared 64;
+                 mov.u32 %r1, 0;
+                 {access}
+                 ret;
+               }}"#
+        );
+        let app = single_kernel_app("negative-shared", &src);
+        let err = try_run_app(&GpuConfig::small(), &app, ExecMode::Baseline).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BmError::Cmdq(CmdqError::Exec(ExecError::SharedOutOfBounds { addr, size: 64 }))
+                    if addr == u64::MAX - 1
+            ),
+            "{access}: {err}"
+        );
+    }
+}
+
+#[test]
+fn cross_class_register_views_run_without_a_panic() {
+    // A float register read through a 32-bit integer view reads the `%r`
+    // file at the same index, past the highest `%r` the kernel names.
+    for body in [
+        "add.u32 %r2, %f7, 1;
+         mul.wide.u32 %rd2, %r2, 4;
+         add.u64 %rd3, %rd1, %rd2;
+         st.global.u32 [%rd3], %r2;",
+        "mov.u32 %r1, %tid.x;
+         mul.wide.u32 %rd2, %r1, 4;
+         add.u64 %rd3, %rd1, %rd2;
+         st.global.u32 [%rd3], %f9;",
+    ] {
+        let src = format!(
+            r#".entry views(.param .u64 A) {{
+                 ld.param.u64 %rd1, [A];
+                 {body}
+                 ret;
+               }}"#
+        );
+        let app = single_kernel_app("cross-class", &src);
+        let r = try_run_app(&GpuConfig::small(), &app, ExecMode::Baseline)
+            .unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
+        // Unwritten registers read as zero through every view.
+        let mem = app.try_run_serialized().unwrap();
+        let base = app.space.allocs()[0].base;
+        let expect = if body.contains("%f7") { 1 } else { 0 };
+        assert_eq!(mem.read_u32(base + 4), expect, "{body}");
+    }
+}
