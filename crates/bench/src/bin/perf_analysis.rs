@@ -3,12 +3,11 @@
 //! Times the pipeline phase by phase — per-launch access-set analysis
 //! (absint), representative-TB tracing, dependency-graph construction,
 //! the full cold JIT pipeline, and the warm-cache replay — for every
-//! Table II workload plus a 512-TB VectorAdd, under three configurations:
+//! Table II workload plus a 512-TB VectorAdd, under two configurations:
 //!
-//! * `reference`  — 1 thread, every fast path off (the pre-parallel
-//!   pipeline, the correctness baseline);
-//! * `affine`     — 1 thread, affine memoization + lane law + trace memo;
-//! * `parallel8`  — 8 threads, all fast paths on, work-based admission.
+//! * `reference`  — every fast path off (the correctness baseline);
+//! * `affine`     — affine memoization + lane law + trace memo, the
+//!   configuration every user path runs.
 //!
 //! Each configuration also reports the copy-on-write bytes its trace
 //! phase actually duplicates — the real cost of scratch cloning.
@@ -32,8 +31,8 @@ use std::time::Instant;
 
 use blockmaestro::jit::try_profile_launch_limited;
 use blockmaestro::{
-    jit_analyze_app_par, run_analyzed, scratch_memory, try_profile_launch_law, AnalysisBudget,
-    AnalysisCache, ExecMode, JitKernel, ParallelConfig,
+    jit_analyze_app_par_stats, run_analyzed, scratch_memory, try_profile_launch_law,
+    AnalysisBudget, AnalysisCache, ExecMode, JitKernel, ParallelConfig,
 };
 use bm_bench::{geomean, scale_from_args};
 use bm_cmdq::Application;
@@ -47,7 +46,6 @@ fn configs() -> Vec<(&'static str, ParallelConfig)> {
     vec![
         ("reference", ParallelConfig::reference()),
         ("affine", ParallelConfig::serial()),
-        ("parallel8", ParallelConfig::with_threads(8)),
     ]
 }
 
@@ -84,7 +82,7 @@ fn phase_once(
         2 => graph_pass(jit, budget, par),
         3 => {
             let mut cache = AnalysisCache::for_budget(budget);
-            black_box(jit_analyze_app_par(
+            black_box(jit_analyze_app_par_stats(
                 gpu,
                 black_box(app),
                 HazardMode::Raw,
@@ -94,7 +92,7 @@ fn phase_once(
             ));
         }
         _ => {
-            black_box(jit_analyze_app_par(
+            black_box(jit_analyze_app_par_stats(
                 gpu,
                 black_box(app),
                 HazardMode::Raw,
@@ -161,12 +159,10 @@ fn trace_pass(
 ) -> u64 {
     let base = scratch_memory(app);
     let before = base.cow_copied_bytes();
-    if par.trace_memo {
+    if par.fast_paths {
         let mut scratch = base.clone();
         for launch in app.launches() {
-            black_box(
-                try_profile_launch_law(gpu, launch, &mut scratch, budget.trace_steps, par).ok(),
-            );
+            black_box(try_profile_launch_law(gpu, launch, &mut scratch, budget.trace_steps).ok());
         }
     } else {
         let mut scratch = base.clone();
@@ -210,10 +206,9 @@ struct WorkloadRow {
 
 fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
     let budget = AnalysisBudget::default();
-    // Access sets for the graph phase, shared across configs (the graph
-    // builder itself is what varies).
+    // Access sets for the graph phase, shared across configs.
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_par(
+    let (jit, _) = jit_analyze_app_par_stats(
         gpu,
         app,
         HazardMode::Raw,
@@ -227,7 +222,7 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
         .iter()
         .map(|(_, par)| {
             let mut c = AnalysisCache::for_budget(&budget);
-            jit_analyze_app_par(gpu, app, HazardMode::Raw, &budget, &mut c, par);
+            jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut c, par);
             c
         })
         .collect();
@@ -287,11 +282,12 @@ fn recheck_ratio(
     let budget = AnalysisBudget::default();
     let par_ref = ParallelConfig::reference();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_par(gpu, app, HazardMode::Raw, &budget, &mut cache, &par_ref);
+    let (jit, _) =
+        jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut cache, &par_ref);
     let mut warm_ref = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_par(gpu, app, HazardMode::Raw, &budget, &mut warm_ref, &par_ref);
+    jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut warm_ref, &par_ref);
     let mut warm_cfg = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_par(gpu, app, HazardMode::Raw, &budget, &mut warm_cfg, par_cfg);
+    jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut warm_cfg, par_cfg);
     let deadline = Instant::now() + std::time::Duration::from_secs(3);
     let (mut best_ref, mut best_cfg) = (u128::MAX, u128::MAX);
     let mut rounds = 0u32;
@@ -398,10 +394,8 @@ fn main() {
     let mut geo: Vec<(String, f64)> = Vec::new();
     for (p, phase) in PHASES.iter().enumerate() {
         let affine = speedup_of(p, 1);
-        let par8 = speedup_of(p, 2);
-        println!("  {phase:<8} affine {affine:.2}x, parallel8 {par8:.2}x");
+        println!("  {phase:<8} affine {affine:.2}x");
         geo.push((format!("{phase}_affine"), affine));
-        geo.push((format!("{phase}_parallel8"), par8));
     }
 
     let mut json = String::new();

@@ -132,7 +132,7 @@ pub enum DegradationReason {
     /// The runtime soundness guard quarantined the kernel after detecting
     /// a violation or hardware fault.
     Quarantined,
-    /// The parallel analysis worker for this kernel panicked; the panic was
+    /// The launch-time analysis of this kernel panicked; the panic was
     /// contained and the kernel carries an opaque barrier instead.
     AnalysisPanicked,
     /// A cross-device transfer was dropped or corrupted; the multi-device
@@ -407,38 +407,6 @@ impl AnalysisCache {
         }
     }
 
-    /// Simulates the exact miss sequence the serial pipeline would observe
-    /// when looking up `keys` in order, *without* mutating the cache: each
-    /// miss is assumed to be followed by the serial `insert` (with its LRU
-    /// eviction), each hit by the serial LRU refresh. This is stronger than
-    /// a plain membership sweep — a key can be evicted and
-    /// re-missed within one batch — and it is what lets the parallel
-    /// pipeline assign per-key occurrence indices that match the serial
-    /// replay exactly.
-    pub(crate) fn plan_misses(&self, keys: &[CacheKey]) -> Vec<bool> {
-        let mut present: std::collections::HashSet<CacheKey> = self.map.keys().cloned().collect();
-        let mut order = self.order.clone();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            if present.contains(key) {
-                if let Some(pos) = order.iter().position(|k| k == key) {
-                    let k = order.remove(pos);
-                    order.push(k);
-                }
-                out.push(false);
-            } else {
-                present.insert(key.clone());
-                order.push(key.clone());
-                while present.len() > self.capacity {
-                    let victim = order.remove(0);
-                    present.remove(&victim);
-                }
-                out.push(true);
-            }
-        }
-        out
-    }
-
     /// Looks up the dependency graph for a kernel pair, refreshing its LRU
     /// position.
     pub(crate) fn lookup_graph(&mut self, key: &GraphKey) -> Option<CachedGraph> {
@@ -590,27 +558,6 @@ mod tests {
             key_of(&launch(0x2000, 4)),
             "analysis keys keep pointer identity"
         );
-    }
-
-    #[test]
-    fn plan_misses_replays_serial_lru_protocol() {
-        let mut cache = AnalysisCache::new(2);
-        cache.insert(&launch(0x1000, 4), dummy(Degradation::none()));
-        let keys: Vec<CacheKey> = [
-            launch(0x1000, 4), // hit, refreshes LRU
-            launch(0x2000, 4), // miss, fills cache
-            launch(0x3000, 4), // miss, evicts 0x1000
-            launch(0x1000, 4), // miss again: evicted above
-            launch(0x3000, 4), // hit
-        ]
-        .iter()
-        .map(key_of)
-        .collect();
-        let plan = cache.plan_misses(&keys);
-        assert_eq!(plan, vec![false, true, true, true, false]);
-        // Planning must not disturb the live cache.
-        assert_eq!(cache.stats(), CacheStats::default() /* no lookups */);
-        assert!(cache.map.contains_key(&keys[0]));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::guard::GuardReport;
 use crate::hw::{
     DepListBuffer, HwError, HwTraffic, ParentCounterBuffer, BUFFER_ENTRIES, MAX_COUNTER,
 };
-use crate::jit::{jit_analyze_app, jit_analyze_app_traced, JitKernel};
+use crate::jit::{analyze_app, jit_analyze_app, JitKernel, OnError};
 use crate::modes::ExecMode;
 use crate::snapshot::{
     CheckpointPolicy, EngineSnapshot, GuardSnapshot, KernelSnapshot, RunSnapshot, SnapshotError,
@@ -26,6 +26,7 @@ use crate::snapshot::{
 };
 use bm_cmdq::{build_call_dag, reorder_for_prelaunch_traced, ApiCall, Application, Reordering};
 use bm_depgraph::{GraphKind, HazardMode, Pattern};
+use bm_ptx::par::ParallelConfig;
 use bm_simt::config::GpuConfig;
 use bm_simt::des::{DesEngine, DesError, DesStats, StepOutcome, TbDescriptor, TbKey, TbSource};
 use bm_trace::json::Json;
@@ -383,7 +384,17 @@ pub fn run_app_with_tracer<T: Tracer>(
 ) -> RunReport {
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_traced(cfg, app, hazard, &budget, &mut cache, tracer);
+    let (jit, _) = analyze_app(
+        cfg,
+        app,
+        hazard,
+        &budget,
+        &mut cache,
+        &ParallelConfig::serial(),
+        tracer,
+        OnError::Stub,
+    )
+    .expect("the stubbing driver returns no error");
     try_run_analyzed_traced(cfg, app, &jit, mode, tracer).unwrap_or_else(|e| panic!("{e}"))
 }
 

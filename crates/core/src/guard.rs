@@ -32,8 +32,7 @@ use crate::engine::{
 use crate::error::{BmError, EngineError};
 use crate::faults::FaultPlan;
 use crate::jit::{
-    recompute_skip_gates, try_jit_analyze_app, try_jit_analyze_app_budgeted,
-    try_jit_analyze_app_par_traced, try_jit_analyze_app_traced, JitKernel,
+    recompute_skip_gates, try_jit_analyze_app, try_jit_analyze_app_par_traced, JitKernel,
 };
 use crate::modes::ExecMode;
 use crate::snapshot::{
@@ -623,7 +622,9 @@ pub fn try_run_app_with_tracer<T: Tracer>(
     app.validate()?;
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = try_jit_analyze_app_traced(cfg, app, hazard, &budget, &mut cache, tracer)?;
+    let serial = ParallelConfig::serial();
+    let jit =
+        try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &serial, tracer)?;
     try_run_app_faulty_traced(cfg, app, jit, mode, hazard, &FaultPlan::default(), tracer)
 }
 
@@ -644,7 +645,9 @@ pub fn try_run_app_budgeted(
 ) -> Result<RunReport, BmError> {
     app.validate()?;
     let mut cache = AnalysisCache::for_budget(budget);
-    let jit = try_jit_analyze_app_budgeted(cfg, app, hazard, budget, &mut cache)?;
+    let serial = ParallelConfig::serial();
+    let jit =
+        try_jit_analyze_app_par_traced(cfg, app, hazard, budget, &mut cache, &serial, &NullTracer)?;
     try_run_app_faulty(cfg, app, jit, mode, hazard, &FaultPlan::default())
 }
 
@@ -935,28 +938,16 @@ pub fn try_run_app_checkpointed_traced<T: Tracer>(
     )
 }
 
-/// Caller controls a serving layer threads into one checkpointed run:
-/// the analysis [`ParallelConfig`] and a cooperative cancellation token.
+/// Caller controls a serving layer threads into one checkpointed run: a
+/// cooperative cancellation token.
 ///
-/// [`RunCtl::default`] — reference analysis config, no token — reproduces
+/// [`RunCtl::default`] — no token — reproduces
 /// [`try_run_app_checkpointed_traced`] bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct RunCtl {
-    /// Parallelism for the launch-time analysis pipeline; `None` uses
-    /// [`ParallelConfig::reference`], the traced pipeline's baseline.
-    pub par: Option<ParallelConfig>,
     /// Cooperative cancellation observed at analysis phase boundaries and
     /// kernel-retirement boundaries. `None` never fires a check.
     pub cancel: Option<bm_ptx::cancel::CancelToken>,
-}
-
-impl RunCtl {
-    /// The analysis configuration to use, with the cancel token installed.
-    fn analysis_par(&self) -> ParallelConfig {
-        let mut par = self.par.clone().unwrap_or_else(ParallelConfig::reference);
-        par.cancel = self.cancel.clone();
-        par
-    }
 }
 
 /// [`try_run_app_checkpointed_traced`] under an explicit [`RunCtl`]: the
@@ -987,7 +978,10 @@ pub fn try_run_app_checkpointed_ctl<T: Tracer>(
     app.validate()?;
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let par = ctl.analysis_par();
+    let par = ParallelConfig {
+        cancel: ctl.cancel.clone(),
+        ..ParallelConfig::serial()
+    };
     let jit = try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &par, tracer)?;
     let app_fp = app_fingerprint(app);
     let hazard_str = format!("{hazard:?}");

@@ -16,7 +16,7 @@ use bm_ptx::error::PtxError;
 use bm_ptx::interp::{ExecError, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
 use bm_ptx::mem::GlobalMem;
-use bm_ptx::par::{chunk_ranges, ParallelConfig};
+use bm_ptx::par::ParallelConfig;
 use bm_ptx::trace::{trace_block_law, trace_block_limited, TbTrace, TraceLawStats};
 use bm_simt::config::GpuConfig;
 use bm_simt::timing::simulate_sm;
@@ -27,10 +27,10 @@ use crate::degrade::{
 };
 use crate::hw::MAX_COUNTER;
 use bm_trace::{AnalysisPhase, NullTracer, TraceEvent, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Timing and resource profile of one kernel launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchProfile {
     /// Number of thread blocks.
     pub n_tbs: u32,
@@ -45,7 +45,7 @@ pub struct LaunchProfile {
 }
 
 /// Everything BlockMaestro's scheduler knows about one launched kernel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JitKernel {
     /// Position in the application's kernel sequence.
     pub seq: u32,
@@ -88,7 +88,7 @@ struct Analyzed {
 
 /// Trace-phase counters from one analysis run under the memoized fast
 /// path. Reported separately from [`crate::degrade::CacheStats`], which
-/// must stay bit-identical across parallel configurations.
+/// must stay bit-identical across analysis configurations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceMemoStats {
     /// Representative-TB traces functionally interpreted (anchors,
@@ -113,11 +113,11 @@ pub struct TraceMemoStats {
 /// and re-comparing at every power-of-two occurrence. Any mismatch or
 /// trace failure pins the key to interpretation for the rest of the run.
 ///
-/// Residual gap (same class the parallel workers already accept): a trace
-/// that depends on buffer *contents* between validated occurrences is
-/// served from the anchor without being re-checked. Content can only
-/// reach a trace through loaded values steering control flow, which the
-/// confirmation and sampling interpretations are designed to catch.
+/// Residual gap: a trace that depends on buffer *contents* between
+/// validated occurrences is served from the anchor without being
+/// re-checked. Content can only reach a trace through loaded values
+/// steering control flow, which the confirmation and sampling
+/// interpretations are designed to catch.
 #[derive(Debug, Default)]
 pub struct TraceMemo {
     entries: HashMap<CacheKey, MemoEntry>,
@@ -275,16 +275,6 @@ impl TraceMemo {
     }
 }
 
-/// The trace action the phase-1 plan predicts for occurrence `n` of a
-/// trace-memo key, optimistically assuming the law is accepted: the
-/// anchor and both confirmations interpret, then every power-of-two
-/// occurrence re-validates. Mirrors [`TraceMemo::should_interpret`];
-/// runtime rejections only ever interpret *more*, and the replay repairs
-/// those inline.
-fn plan_interprets(n: u64) -> bool {
-    n < 3 || n.is_power_of_two()
-}
-
 /// Scratch functional memory built on first use, so warm runs — every
 /// launch served from the analysis cache — never pay for the host-data
 /// copy-in.
@@ -304,6 +294,11 @@ impl<'a> LazyScratch<'a> {
         }
         self.mem.as_mut().expect("just built")
     }
+
+    /// Drops the memory so the next use rebuilds the initial image.
+    fn reset(&mut self) {
+        self.mem = None;
+    }
 }
 
 /// Analyzes every kernel of `app` in launch order.
@@ -311,63 +306,32 @@ impl<'a> LazyScratch<'a> {
 /// This is the work the paper performs during PTX→SASS just-in-time
 /// compilation, masked by kernel pre-launching; here it runs up front,
 /// producing the inputs for the execution engine. Runs under the default
-/// [`AnalysisBudget`] with a fresh cache; never panics — launches the
-/// analysis cannot handle degrade down the ladder instead.
+/// [`AnalysisBudget`] with a fresh cache and [`ParallelConfig::serial`];
+/// never panics — launches the analysis cannot handle degrade down the
+/// ladder instead, and a structurally invalid launch is carried as an
+/// opaque [`DegradationRung::PrelaunchOff`] barrier kernel rather than an
+/// error, so one bad launch cannot take down the whole application.
 pub fn jit_analyze_app(cfg: &GpuConfig, app: &Application, hazard: HazardMode) -> Vec<JitKernel> {
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_budgeted(cfg, app, hazard, &budget, &mut cache)
-}
-
-/// [`jit_analyze_app`] under an explicit [`AnalysisBudget`] and a caller-
-/// owned [`AnalysisCache`] (so the cache can persist across applications).
-///
-/// Total: a structurally invalid launch is carried as an opaque
-/// [`DegradationRung::PrelaunchOff`] barrier kernel rather than an error,
-/// so one bad launch cannot take down the whole application.
-pub fn jit_analyze_app_budgeted(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-) -> Vec<JitKernel> {
-    jit_analyze_app_par(
+    jit_analyze_app_par_stats(
         cfg,
         app,
         hazard,
-        budget,
-        cache,
-        &ParallelConfig::reference(),
+        &budget,
+        &mut cache,
+        &ParallelConfig::serial(),
     )
+    .0
 }
 
-/// [`jit_analyze_app_budgeted`] under an explicit [`ParallelConfig`].
-///
-/// With more than one thread, the per-launch analysis phase fans out
-/// across workers: the cache is probed up front (without mutating it),
-/// distinct uncached launches are analyzed concurrently on private scratch
-/// memories, and a sequential replay then applies the exact serial cache
-/// protocol — same lookup/insert order, same LRU evolution, same stats —
-/// so the resulting kernels and cache state are identical to the
-/// one-thread run. `ParallelConfig::reference()` is the pre-parallel
-/// pipeline bit for bit.
-pub fn jit_analyze_app_par(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-    par: &ParallelConfig,
-) -> Vec<JitKernel> {
-    jit_analyze_app_par_stats(cfg, app, hazard, budget, cache, par).0
-}
-
-/// [`jit_analyze_app_par`] that also reports the run's [`TraceMemoStats`]
-/// — how much of the trace phase was synthesized from the representative-
-/// TB trace law rather than interpreted. The counters live outside
-/// [`crate::degrade::CacheStats`] so cache accounting stays bit-identical
-/// across parallel configurations.
+/// [`jit_analyze_app`] under an explicit [`AnalysisBudget`], a caller-
+/// owned [`AnalysisCache`] (so the cache can persist across applications)
+/// and an explicit [`ParallelConfig`]. Also reports the run's
+/// [`TraceMemoStats`] — how much of the trace phase was synthesized from
+/// the representative-TB trace law rather than interpreted. The counters
+/// live outside [`crate::degrade::CacheStats`] so cache accounting stays
+/// bit-identical across configurations.
 pub fn jit_analyze_app_par_stats(
     cfg: &GpuConfig,
     app: &Application,
@@ -376,32 +340,48 @@ pub fn jit_analyze_app_par_stats(
     cache: &mut AnalysisCache,
     par: &ParallelConfig,
 ) -> (Vec<JitKernel>, TraceMemoStats) {
-    let mut memo = TraceMemo::new();
-    let launches: Vec<&Launch> = app.launches();
-    let analyzed = analyze_all(cfg, app, &launches, budget, cache, par, &mut memo);
-    let mut out: Vec<JitKernel> = Vec::with_capacity(launches.len());
-    let mut prev: Option<&Launch> = None;
-    for ((seq, launch), result) in launches.iter().enumerate().zip(analyzed) {
-        let analyzed = result.unwrap_or_else(|_| invalid_launch_stub(launch));
-        push_kernel(
-            &mut out,
-            seq as u32,
-            prev,
-            launch,
-            analyzed,
-            hazard,
-            budget,
-            cache,
-            par,
-            &NullTracer,
-            &mut 0,
-        );
-        prev = Some(launch);
-    }
-    (out, memo.stats())
+    analyze_app(
+        cfg,
+        app,
+        hazard,
+        budget,
+        cache,
+        par,
+        &NullTracer,
+        OnError::Stub,
+    )
+    .expect("the stubbing driver returns no error")
 }
 
-/// [`jit_analyze_app_budgeted`] with a trace sink.
+/// Fallible counterpart of [`jit_analyze_app`].
+///
+/// # Errors
+///
+/// [`PtxError`] when a launch is structurally invalid (bad argument
+/// binding). Analysis and tracing problems no longer error: they degrade
+/// down the ladder and are reported per kernel via
+/// [`JitKernel::degradation`].
+pub fn try_jit_analyze_app(
+    cfg: &GpuConfig,
+    app: &Application,
+    hazard: HazardMode,
+) -> Result<Vec<JitKernel>, PtxError> {
+    let budget = AnalysisBudget::default();
+    let mut cache = AnalysisCache::for_budget(&budget);
+    try_jit_analyze_app_par_traced(
+        cfg,
+        app,
+        hazard,
+        &budget,
+        &mut cache,
+        &ParallelConfig::serial(),
+        &NullTracer,
+    )
+}
+
+/// [`try_jit_analyze_app`] under an explicit [`AnalysisBudget`], a
+/// caller-owned [`AnalysisCache`], an explicit [`ParallelConfig`] and a
+/// trace sink. `par.cancel` is honored at every analysis phase boundary.
 ///
 /// Emits, on a deterministic virtual *tick* clock (1 tick per unit of
 /// analysis fuel consumed; analysis runs before simulated time exists):
@@ -409,90 +389,14 @@ pub fn jit_analyze_app_par_stats(
 /// [`TraceEvent::CacheProbe`] per analysis- and graph-cache probe, an
 /// [`TraceEvent::AffineFastPath`] verdict per fresh precise analysis, and
 /// a [`TraceEvent::RungTransition`] whenever a kernel moves down the
-/// ladder. Always runs the serial reference pipeline (a shared sink
-/// cannot cross worker threads) — which is bit-identical to the parallel
-/// one by the replay protocol, so traced and untraced analyses agree
+/// ladder. Traced and untraced analyses run the same driver, so they agree
 /// exactly.
-pub fn jit_analyze_app_traced<T: Tracer>(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-    tracer: &T,
-) -> Vec<JitKernel> {
-    let launches: Vec<&Launch> = app.launches();
-    let par = ParallelConfig::reference();
-    let mut scratch = LazyScratch::new(app);
-    let mut memo = TraceMemo::new();
-    let mut clock = 0u64;
-    let analyzed: Vec<Result<Analyzed, PtxError>> = launches
-        .iter()
-        .enumerate()
-        .map(|(seq, launch)| {
-            analyze_launch_ladder(
-                cfg,
-                launch,
-                &mut scratch,
-                budget,
-                cache,
-                &par,
-                tracer,
-                &mut clock,
-                seq as u32,
-                &mut memo,
-            )
-        })
-        .collect();
-    let mut out: Vec<JitKernel> = Vec::with_capacity(launches.len());
-    let mut prev: Option<&Launch> = None;
-    for ((seq, launch), result) in launches.iter().enumerate().zip(analyzed) {
-        let analyzed = result.unwrap_or_else(|_| invalid_launch_stub(launch));
-        push_kernel(
-            &mut out, seq as u32, prev, launch, analyzed, hazard, budget, cache, &par, tracer,
-            &mut clock,
-        );
-        prev = Some(launch);
-    }
-    out
-}
-
-/// Fallible counterpart of [`jit_analyze_app_traced`]: same serial traced
-/// pipeline, same tick clock and event stream, but the first structurally
-/// invalid launch surfaces as an error instead of a barrier stub — matching
-/// [`try_jit_analyze_app`] exactly.
 ///
 /// # Errors
 ///
-/// As [`try_jit_analyze_app`].
-pub fn try_jit_analyze_app_traced<T: Tracer>(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-    tracer: &T,
-) -> Result<Vec<JitKernel>, PtxError> {
-    try_jit_analyze_app_par_traced(
-        cfg,
-        app,
-        hazard,
-        budget,
-        cache,
-        &ParallelConfig::reference(),
-        tracer,
-    )
-}
-
-/// [`try_jit_analyze_app_traced`] under an explicit [`ParallelConfig`]:
-/// the serial traced ladder, but each launch's per-TB interpretation may
-/// fan out per `par` (safe with a shared sink — absint workers never
-/// trace) and `par.cancel` is honored at every analysis phase boundary.
-///
-/// # Errors
-///
-/// As [`try_jit_analyze_app`], plus [`PtxError::Cancelled`] when
-/// `par.cancel` fires between phases.
+/// As [`try_jit_analyze_app`]: the first structurally invalid launch in
+/// launch order, plus [`PtxError::Cancelled`] when `par.cancel` fires
+/// between phases.
 pub fn try_jit_analyze_app_par_traced<T: Tracer>(
     cfg: &GpuConfig,
     app: &Application,
@@ -502,6 +406,39 @@ pub fn try_jit_analyze_app_par_traced<T: Tracer>(
     par: &ParallelConfig,
     tracer: &T,
 ) -> Result<Vec<JitKernel>, PtxError> {
+    analyze_app(cfg, app, hazard, budget, cache, par, tracer, OnError::Fail).map(|(jit, _)| jit)
+}
+
+/// What [`analyze_app`] makes of a launch whose analysis returns an error:
+/// a structurally invalid launch, or a cancellation token that fired.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OnError {
+    /// Carry the launch as an opaque barrier kernel
+    /// ([`DegradationReason::InvalidLaunch`]).
+    Stub,
+    /// Return the first error in launch order.
+    Fail,
+}
+
+/// The analysis driver behind every entry point. First every launch walks
+/// the degradation ladder in launch order on one evolving scratch memory,
+/// then every kernel gets its dependency graph against its predecessor.
+///
+/// # Errors
+///
+/// With [`OnError::Fail`], the first launch in launch order whose analysis
+/// returned an error; never with [`OnError::Stub`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn analyze_app<T: Tracer>(
+    cfg: &GpuConfig,
+    app: &Application,
+    hazard: HazardMode,
+    budget: &AnalysisBudget,
+    cache: &mut AnalysisCache,
+    par: &ParallelConfig,
+    tracer: &T,
+    on_error: OnError,
+) -> Result<(Vec<JitKernel>, TraceMemoStats), PtxError> {
     let launches: Vec<&Launch> = app.launches();
     let mut scratch = LazyScratch::new(app);
     let mut memo = TraceMemo::new();
@@ -527,387 +464,18 @@ pub fn try_jit_analyze_app_par_traced<T: Tracer>(
     let mut out: Vec<JitKernel> = Vec::with_capacity(launches.len());
     let mut prev: Option<&Launch> = None;
     for ((seq, launch), result) in launches.iter().enumerate().zip(analyzed) {
+        let analyzed = match (result, on_error) {
+            (Ok(analyzed), _) => analyzed,
+            (Err(_), OnError::Stub) => invalid_launch_stub(launch),
+            (Err(e), OnError::Fail) => return Err(e),
+        };
         push_kernel(
-            &mut out, seq as u32, prev, launch, result?, hazard, budget, cache, par, tracer,
+            &mut out, seq as u32, prev, launch, analyzed, hazard, budget, cache, par, tracer,
             &mut clock,
         );
         prev = Some(launch);
     }
-    Ok(out)
-}
-
-/// Fallible counterpart of [`jit_analyze_app`].
-///
-/// # Errors
-///
-/// [`PtxError`] when a launch is structurally invalid (bad argument
-/// binding). Analysis and tracing problems no longer error: they degrade
-/// down the ladder and are reported per kernel via
-/// [`JitKernel::degradation`].
-pub fn try_jit_analyze_app(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-) -> Result<Vec<JitKernel>, PtxError> {
-    let budget = AnalysisBudget::default();
-    let mut cache = AnalysisCache::for_budget(&budget);
-    try_jit_analyze_app_budgeted(cfg, app, hazard, &budget, &mut cache)
-}
-
-/// [`try_jit_analyze_app`] under an explicit [`AnalysisBudget`] and a
-/// caller-owned [`AnalysisCache`].
-///
-/// # Errors
-///
-/// As [`try_jit_analyze_app`].
-pub fn try_jit_analyze_app_budgeted(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-) -> Result<Vec<JitKernel>, PtxError> {
-    try_jit_analyze_app_par(
-        cfg,
-        app,
-        hazard,
-        budget,
-        cache,
-        &ParallelConfig::reference(),
-    )
-}
-
-/// Fallible counterpart of [`jit_analyze_app_par`].
-///
-/// # Errors
-///
-/// As [`try_jit_analyze_app`]: the first structurally invalid launch in
-/// launch order.
-pub fn try_jit_analyze_app_par(
-    cfg: &GpuConfig,
-    app: &Application,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-    par: &ParallelConfig,
-) -> Result<Vec<JitKernel>, PtxError> {
-    let mut memo = TraceMemo::new();
-    let launches: Vec<&Launch> = app.launches();
-    let analyzed = analyze_all(cfg, app, &launches, budget, cache, par, &mut memo);
-    let mut out: Vec<JitKernel> = Vec::with_capacity(launches.len());
-    let mut prev: Option<&Launch> = None;
-    for ((seq, launch), result) in launches.iter().enumerate().zip(analyzed) {
-        push_kernel(
-            &mut out,
-            seq as u32,
-            prev,
-            launch,
-            result?,
-            hazard,
-            budget,
-            cache,
-            par,
-            &NullTracer,
-            &mut 0,
-        );
-        prev = Some(launch);
-    }
-    Ok(out)
-}
-
-/// Analysis phase for a whole launch sequence, in launch order.
-///
-/// One thread: the sequential per-launch ladder on one evolving scratch
-/// memory. More threads: probe → parallel analyze → sequential replay (see
-/// [`jit_analyze_app_par`]). Workers trace on private clones of the
-/// initial scratch; control flow in this IR cannot depend on float data,
-/// so the traces — and every scheduling decision — match the evolving-
-/// scratch run (the same argument that already lets cache hits skip trace
-/// side effects).
-fn analyze_all(
-    cfg: &GpuConfig,
-    app: &Application,
-    launches: &[&Launch],
-    budget: &AnalysisBudget,
-    cache: &mut AnalysisCache,
-    par: &ParallelConfig,
-    memo: &mut TraceMemo,
-) -> Vec<Result<Analyzed, PtxError>> {
-    let keys: Vec<_> = launches.iter().map(|l| key_of(l)).collect();
-    // The exact miss sequence the sequential replay will observe —
-    // evictions included — without touching stats or LRU state.
-    let plan = cache.plan_misses(&keys);
-    let mut scratch = LazyScratch::new(app);
-    // Warm short-circuit: every launch is a cache hit. Replay the lookups
-    // directly — no scratch memory, no worker pool.
-    if !plan.iter().any(|&m| m) {
-        return launches
-            .iter()
-            .map(|launch| {
-                let hit = cache.lookup(launch).expect("warm plan promised a hit");
-                Ok(Analyzed {
-                    access: hit.access,
-                    profile: hit.profile,
-                    degradation: hit.degradation,
-                    cache_hit: true,
-                })
-            })
-            .collect();
-    }
-    // Adaptive admission: fan out only when the missing launches carry
-    // enough interpretation work (TBs x body length) to pay for worker
-    // setup and scratch clones.
-    let n_miss = plan.iter().filter(|&&m| m).count();
-    let miss_work: u64 = launches
-        .iter()
-        .zip(&plan)
-        .filter(|&(_, &m)| m)
-        .map(|(l, _)| u64::from(l.num_blocks()).saturating_mul(l.kernel.body.len() as u64))
-        .sum();
-    let threads = if par.serial_work_threshold > 0 && miss_work < par.serial_work_threshold {
-        1
-    } else {
-        par.effective_threads(n_miss)
-    };
-    if threads <= 1 {
-        return launches
-            .iter()
-            .enumerate()
-            .map(|(seq, launch)| {
-                analyze_launch_ladder(
-                    cfg,
-                    launch,
-                    &mut scratch,
-                    budget,
-                    cache,
-                    par,
-                    &NullTracer,
-                    &mut 0,
-                    seq as u32,
-                    memo,
-                )
-            })
-            .collect();
-    }
-    // Phase 1 — from the planned miss sequence, assign per-trace-key
-    // occurrence indices exactly as the serial memo automaton would see
-    // them, and send the first miss of every distinct key to a worker
-    // together with its planned trace action (interpret vs synthesize,
-    // optimistically assuming law acceptance — runtime rejections only
-    // ever interpret *more*, and the replay repairs those inline).
-    let mut trace_occ: HashMap<CacheKey, u64> = HashMap::new();
-    let mut seen: HashSet<&CacheKey> = HashSet::new();
-    let mut missing: Vec<(usize, bool)> = Vec::new();
-    for (i, (key, &miss)) in keys.iter().zip(&plan).enumerate() {
-        if !miss {
-            continue;
-        }
-        let interpret = if par.trace_memo {
-            let occ = trace_occ.entry(trace_key_of(launches[i])).or_insert(0);
-            let n = *occ;
-            *occ += 1;
-            plan_interprets(n)
-        } else {
-            true
-        };
-        if seen.insert(key) {
-            missing.push((i, interpret));
-        }
-    }
-    // Phase 2 — analyze the distinct misses concurrently. Each worker owns
-    // a copy-on-write clone of the initial scratch memory. A panicking
-    // analysis is contained to its launch: the worker catches it, the
-    // launch degrades to an opaque barrier
-    // ([`DegradationReason::AnalysisPanicked`]), and every other launch
-    // proceeds normally.
-    let base_scratch = scratch_memory(app);
-    let chunks = chunk_ranges(missing.len(), threads.min(missing.len().max(1)));
-    let missing_ref = &missing;
-    let scratch_ref = &base_scratch;
-    #[allow(clippy::type_complexity)]
-    let mut computed: Vec<
-        Vec<(
-            usize,
-            Option<Result<(CachedAnalysis, WorkerTrace), PtxError>>,
-        )>,
-    > = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut local_scratch = scratch_ref.clone();
-                    r.map(|j| {
-                        let (i, interpret) = missing_ref[j];
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                compute_analysis_planned(
-                                    cfg,
-                                    launches[i],
-                                    &mut local_scratch,
-                                    budget,
-                                    par,
-                                    interpret,
-                                )
-                            }));
-                        let out = match outcome {
-                            Ok(result) => Some(result),
-                            Err(_) => {
-                                // The panic may have unwound mid-write:
-                                // rebuild the scratch before the next
-                                // launch so later analyses stay exact.
-                                local_scratch = scratch_ref.clone();
-                                None
-                            }
-                        };
-                        (i, out)
-                    })
-                    .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            computed.push(h.join().expect("jit analysis worker panicked"));
-        }
-    });
-    let mut precomputed: HashMap<CacheKey, (CachedAnalysis, WorkerTrace)> = HashMap::new();
-    let mut panicked: HashSet<CacheKey> = HashSet::new();
-    for (i, result) in computed.into_iter().flatten() {
-        match result {
-            Some(Ok(pair)) => {
-                precomputed.insert(keys[i].clone(), pair);
-            }
-            // Errors are not stored: the replay recomputes them inline,
-            // which is cheap (validation fails before any analysis work).
-            Some(Err(_)) => {}
-            // Panics must NOT be recomputed inline — they would take down
-            // the replay thread. Remember the key and stub it below.
-            None => {
-                panicked.insert(keys[i].clone());
-            }
-        }
-    }
-    // Phase 3 — sequential replay of the serial cache protocol. The run
-    // memo is authoritative here: worker traces feed it in launch order,
-    // planned syntheses take the anchor profile, and mispredictions are
-    // interpreted inline.
-    launches
-        .iter()
-        .zip(&keys)
-        .map(|(launch, key)| {
-            if let Some(hit) = cache.lookup(launch) {
-                return Ok(Analyzed {
-                    access: hit.access,
-                    profile: hit.profile,
-                    degradation: hit.degradation,
-                    cache_hit: true,
-                });
-            }
-            if panicked.contains(key) {
-                let ca = panicked_stub(launch);
-                cache.insert(launch, ca.clone());
-                return Ok(Analyzed {
-                    access: ca.access,
-                    profile: ca.profile,
-                    degradation: ca.degradation,
-                    cache_hit: false,
-                });
-            }
-            let ca = match precomputed.get(key) {
-                Some((ca, wtrace)) => {
-                    let mut ca = ca.clone();
-                    if par.trace_memo {
-                        memo_apply(
-                            cfg,
-                            launch,
-                            &mut ca,
-                            wtrace,
-                            &mut scratch,
-                            budget,
-                            par,
-                            memo,
-                        );
-                    }
-                    ca
-                }
-                // A launch that failed validation in phase 2: recompute
-                // inline, exactly as serial would.
-                None => compute_analysis(
-                    cfg,
-                    launch,
-                    &mut scratch,
-                    budget,
-                    par,
-                    &NullTracer,
-                    &mut 0,
-                    0,
-                    memo,
-                )?,
-            };
-            cache.insert(launch, ca.clone());
-            Ok(Analyzed {
-                access: ca.access,
-                profile: ca.profile,
-                degradation: ca.degradation,
-                cache_hit: false,
-            })
-        })
-        .collect()
-}
-
-/// Replays one worker result through the authoritative run memo: feeds
-/// interpreted traces to the automaton, substitutes the anchor profile
-/// for planned syntheses, and repairs plan mispredictions (a key rejected
-/// at runtime whose later occurrences the optimistic plan skipped) by
-/// interpreting inline — output-identical to the serial run, merely
-/// slower.
-#[allow(clippy::too_many_arguments)]
-fn memo_apply(
-    cfg: &GpuConfig,
-    launch: &Launch,
-    ca: &mut CachedAnalysis,
-    wtrace: &WorkerTrace,
-    scratch: &mut LazyScratch,
-    budget: &AnalysisBudget,
-    par: &ParallelConfig,
-    memo: &mut TraceMemo,
-) {
-    if matches!(wtrace, WorkerTrace::Legacy) || launch.num_blocks() == 0 {
-        return;
-    }
-    let key = trace_key_of(launch);
-    if memo.should_interpret(&key) {
-        match wtrace {
-            WorkerTrace::Interpreted(trace, law) => {
-                memo.stats.law.merge(law);
-                memo.observe(&key, trace.clone(), ca.profile.clone());
-            }
-            WorkerTrace::Failed => memo.reject(&key),
-            WorkerTrace::Skipped => {
-                match try_profile_launch_law(cfg, launch, scratch.get(), budget.trace_steps, par) {
-                    Ok((profile, trace, law)) => {
-                        memo.stats.law.merge(&law);
-                        ca.profile = profile.clone();
-                        memo.observe(&key, trace, profile);
-                    }
-                    Err(e) => {
-                        let reason = match e {
-                            PtxError::Exec(ExecError::StepLimit { .. }) => {
-                                DegradationReason::TraceOverBudget
-                            }
-                            _ => DegradationReason::TraceFailed,
-                        };
-                        ca.degradation.worsen(DegradationRung::PrelaunchOff, reason);
-                        ca.profile = fallback_profile(launch);
-                        memo.reject(&key);
-                    }
-                }
-            }
-            WorkerTrace::Legacy => unreachable!("filtered above"),
-        }
-    } else {
-        ca.profile = memo.synthesize(&key);
-    }
+    Ok((out, memo.stats()))
 }
 
 /// Scratch functional memory for trace collection. Traces only shape
@@ -931,6 +499,11 @@ pub fn scratch_memory(app: &Application) -> GlobalMem {
 /// precise fueled analysis → coarse grouped analysis → whole-kernel
 /// barrier; representative trace → estimated profile with pre-launch
 /// disabled. Results are served from / inserted into `cache`.
+///
+/// A panicking analysis is contained to its launch: the launch degrades to
+/// an opaque barrier ([`DegradationReason::AnalysisPanicked`]), cached like
+/// any result so its repeats do not panic again, and every other launch
+/// proceeds normally.
 ///
 /// # Errors
 ///
@@ -972,7 +545,18 @@ fn analyze_launch_ladder<T: Tracer>(
             hit: false,
         });
     }
-    let ca = compute_analysis(cfg, launch, scratch, budget, par, tracer, clock, seq, memo)?;
+    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        compute_analysis(cfg, launch, scratch, budget, par, tracer, clock, seq, memo)
+    }));
+    let ca = match computed {
+        Ok(result) => result?,
+        Err(_) => {
+            // The panic may have unwound mid-write: later launches trace
+            // on a fresh initial image, not a half-written one.
+            scratch.reset();
+            panicked_stub(launch)
+        }
+    };
     cache.insert(launch, ca.clone());
     Ok(Analyzed {
         access: ca.access,
@@ -1004,9 +588,9 @@ fn worsen_traced<T: Tracer>(
     }
 }
 
-/// The cache-free core of the ladder: per-TB analysis (possibly affine /
-/// multi-threaded per `par`) with coarse and barrier fallbacks, plus the
-/// representative-TB trace profile.
+/// The cache-free core of the ladder: per-TB analysis (possibly affine
+/// per `par`) with coarse and barrier fallbacks, plus the representative-TB
+/// trace profile.
 ///
 /// # Errors
 ///
@@ -1032,10 +616,10 @@ fn compute_analysis<T: Tracer>(
     let trace_start = *clock;
     let attempt: Result<LaunchProfile, PtxError> = if launch.num_blocks() == 0 {
         Ok(unit_profile(launch))
-    } else if par.trace_memo {
+    } else if par.fast_paths {
         let key = trace_key_of(launch);
         if memo.should_interpret(&key) {
-            match try_profile_launch_law(cfg, launch, scratch.get(), budget.trace_steps, par) {
+            match try_profile_launch_law(cfg, launch, scratch.get(), budget.trace_steps) {
                 Ok((profile, trace, law)) => {
                     memo.stats.law.merge(&law);
                     memo.observe(&key, trace, profile.clone());
@@ -1088,17 +672,6 @@ fn compute_analysis<T: Tracer>(
             start_tick: trace_start,
             end_tick: *clock,
         });
-        // Trace-phase parallel-admission verdict, mirroring the absint
-        // one: whether the per-warp fan-out ran and at what width.
-        let n_warps = launch.warps_per_block() as usize;
-        let wt = par.trace_warp_threads(n_warps, launch.kernel.body.len());
-        tracer.emit(TraceEvent::ParallelDecision {
-            tick: *clock,
-            seq,
-            tbs: launch.num_blocks(),
-            threads: wt as u32,
-            fallback: wt == 1 && par.effective_threads(n_warps) > 1,
-        });
     }
     Ok(CachedAnalysis {
         access,
@@ -1108,8 +681,7 @@ fn compute_analysis<T: Tracer>(
 }
 
 /// Access-set phase of the degradation ladder: precise fueled analysis
-/// with coarse and whole-kernel-barrier fallbacks, shared by the serial
-/// ladder and the parallel workers.
+/// with coarse and whole-kernel-barrier fallbacks.
 ///
 /// # Errors
 ///
@@ -1148,13 +720,6 @@ fn analyze_access<T: Tracer>(
                 accepted: stats.affine_accepted,
                 interpreted: stats.tbs_interpreted,
                 synthesized: stats.tbs_synthesized,
-            });
-            tracer.emit(TraceEvent::ParallelDecision {
-                tick: *clock,
-                seq,
-                tbs: launch.num_blocks(),
-                threads: stats.threads_used,
-                fallback: stats.serial_fallback,
             });
         }
     }
@@ -1215,121 +780,6 @@ fn analyze_access<T: Tracer>(
         );
     }
     Ok(access)
-}
-
-/// What a parallel analysis worker did about one launch's trace phase.
-enum WorkerTrace {
-    /// Trace interpreted through the lane law; the replay feeds it into
-    /// the run's trace memo.
-    Interpreted(TbTrace, TraceLawStats),
-    /// Trace attempted and failed: the degradation is already in the
-    /// worker's result and the replay pins the memo key to
-    /// interpretation.
-    Failed,
-    /// The plan said synthesize, so no trace ran and the profile is a
-    /// placeholder — the replay substitutes the anchor profile (or
-    /// interprets inline when the law was rejected at runtime).
-    Skipped,
-    /// Legacy (non-memoized) trace path; nothing for the replay to do.
-    Legacy,
-}
-
-/// Worker-side [`compute_analysis`]: the same access phase, but the
-/// trace phase follows the phase-1 plan (`interpret`) instead of the
-/// run's memo automaton, which cannot cross worker threads.
-fn compute_analysis_planned(
-    cfg: &GpuConfig,
-    launch: &Launch,
-    scratch: &mut GlobalMem,
-    budget: &AnalysisBudget,
-    par: &ParallelConfig,
-    interpret: bool,
-) -> Result<(CachedAnalysis, WorkerTrace), PtxError> {
-    let mut degradation = Degradation::none();
-    let access = analyze_access(
-        launch,
-        budget,
-        par,
-        &NullTracer,
-        &mut 0,
-        0,
-        &mut degradation,
-    )?;
-    if let Some(cause) = par.cancel_fired() {
-        return Err(PtxError::Cancelled(cause));
-    }
-    if launch.num_blocks() == 0 {
-        return Ok((
-            CachedAnalysis {
-                access,
-                profile: unit_profile(launch),
-                degradation,
-            },
-            WorkerTrace::Legacy,
-        ));
-    }
-    if !par.trace_memo {
-        let profile = match try_profile_launch_limited(cfg, launch, scratch, budget.trace_steps) {
-            Ok(profile) => profile,
-            Err(PtxError::Exec(ExecError::StepLimit { .. })) => {
-                degradation.worsen(
-                    DegradationRung::PrelaunchOff,
-                    DegradationReason::TraceOverBudget,
-                );
-                fallback_profile(launch)
-            }
-            Err(_) => {
-                degradation.worsen(
-                    DegradationRung::PrelaunchOff,
-                    DegradationReason::TraceFailed,
-                );
-                fallback_profile(launch)
-            }
-        };
-        return Ok((
-            CachedAnalysis {
-                access,
-                profile,
-                degradation,
-            },
-            WorkerTrace::Legacy,
-        ));
-    }
-    if !interpret {
-        return Ok((
-            CachedAnalysis {
-                access,
-                profile: fallback_profile(launch),
-                degradation,
-            },
-            WorkerTrace::Skipped,
-        ));
-    }
-    match try_profile_launch_law(cfg, launch, scratch, budget.trace_steps, par) {
-        Ok((profile, trace, law)) => Ok((
-            CachedAnalysis {
-                access,
-                profile,
-                degradation,
-            },
-            WorkerTrace::Interpreted(trace, law),
-        )),
-        Err(e) => {
-            let reason = match e {
-                PtxError::Exec(ExecError::StepLimit { .. }) => DegradationReason::TraceOverBudget,
-                _ => DegradationReason::TraceFailed,
-            };
-            degradation.worsen(DegradationRung::PrelaunchOff, reason);
-            Ok((
-                CachedAnalysis {
-                    access,
-                    profile: fallback_profile(launch),
-                    degradation,
-                },
-                WorkerTrace::Failed,
-            ))
-        }
-    }
 }
 
 /// Graph phase: builds the dependency graph against the predecessor under
@@ -1482,8 +932,8 @@ fn fallback_profile(launch: &Launch) -> LaunchProfile {
 #[doc(hidden)]
 pub const PANIC_KERNEL_SENTINEL: &str = "__bm_panic_in_analysis";
 
-/// The ladder stand-in for a launch whose analysis worker panicked: the
-/// same opaque barrier as an invalid launch, attributed to the panic.
+/// The ladder stand-in for a launch whose analysis panicked: the same
+/// opaque barrier as an invalid launch, attributed to the panic.
 fn panicked_stub(launch: &Launch) -> CachedAnalysis {
     CachedAnalysis {
         access: barrier_access(launch.num_blocks()),
@@ -1603,7 +1053,6 @@ pub fn try_profile_launch_law(
     launch: &Launch,
     scratch: &mut GlobalMem,
     max_steps: u64,
-    par: &ParallelConfig,
 ) -> Result<(LaunchProfile, TbTrace, TraceLawStats), PtxError> {
     let n_tbs = launch.num_blocks();
     if n_tbs == 0 {
@@ -1614,10 +1063,7 @@ pub fn try_profile_launch_law(
         ));
     }
     let rep = n_tbs / 2;
-    let warp_threads =
-        par.trace_warp_threads(launch.warps_per_block() as usize, launch.kernel.body.len());
-    let (trace, law) =
-        trace_block_law(launch, rep, scratch, max_steps, warp_threads).map_err(PtxError::Exec)?;
+    let (trace, law) = trace_block_law(launch, rep, scratch, max_steps).map_err(PtxError::Exec)?;
     Ok((profile_from_trace(cfg, launch, &trace), trace, law))
 }
 
@@ -1810,11 +1256,14 @@ mod tests {
         let app = pipeline_app();
         let budget = AnalysisBudget::default();
         let mut cache = AnalysisCache::for_budget(&budget);
-        let first = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+        let serial = ParallelConfig::serial();
+        let (first, _) =
+            jit_analyze_app_par_stats(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &serial);
         let after_first = cache.stats();
         assert_eq!(after_first.graph_hits, 0);
         assert_eq!(after_first.graph_misses, 2, "two consecutive pairs built");
-        let second = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+        let (second, _) =
+            jit_analyze_app_par_stats(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &serial);
         let after_second = cache.stats();
         assert_eq!(after_second.graph_hits, 2, "same pairs served from cache");
         assert_eq!(after_second.graph_misses, 2);
@@ -1826,12 +1275,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pipeline_matches_reference() {
+    fn serial_pipeline_matches_reference() {
         let cfg = GpuConfig::titan_x_pascal();
         let app = pipeline_app();
         let budget = AnalysisBudget::default();
         let mut ref_cache = AnalysisCache::for_budget(&budget);
-        let reference = jit_analyze_app_par(
+        let (reference, _) = jit_analyze_app_par_stats(
             &cfg,
             &app,
             HazardMode::Raw,
@@ -1839,32 +1288,26 @@ mod tests {
             &mut ref_cache,
             &ParallelConfig::reference(),
         );
-        for threads in [1usize, 4] {
-            let mut cache = AnalysisCache::for_budget(&budget);
-            let par = jit_analyze_app_par(
-                &cfg,
-                &app,
-                HazardMode::Raw,
-                &budget,
-                &mut cache,
-                &ParallelConfig::with_threads(threads).oversubscribed(),
-            );
-            assert_eq!(par.len(), reference.len());
-            for (a, b) in reference.iter().zip(&par) {
-                assert_eq!(a.access, b.access, "threads={threads}");
-                assert_eq!(a.graph, b.graph, "threads={threads}");
-                assert_eq!(a.skip_gates, b.skip_gates);
-                assert_eq!(a.cache_hit, b.cache_hit);
-                assert_eq!(a.degradation, b.degradation);
-                assert_eq!(a.profile.duration, b.profile.duration);
-                assert_eq!(a.profile.txns_per_tb, b.profile.txns_per_tb);
-            }
-            assert_eq!(
-                cache.stats(),
-                ref_cache.stats(),
-                "cache protocol must replay identically at threads={threads}"
-            );
+        let mut cache = AnalysisCache::for_budget(&budget);
+        let (serial, _) = jit_analyze_app_par_stats(
+            &cfg,
+            &app,
+            HazardMode::Raw,
+            &budget,
+            &mut cache,
+            &ParallelConfig::serial(),
+        );
+        assert_eq!(serial.len(), reference.len());
+        for (a, b) in reference.iter().zip(&serial) {
+            assert_eq!(a.access, b.access);
+            assert_eq!(a.graph, b.graph);
+            assert_eq!(a.skip_gates, b.skip_gates);
+            assert_eq!(a.cache_hit, b.cache_hit);
+            assert_eq!(a.degradation, b.degradation);
+            assert_eq!(a.profile.duration, b.profile.duration);
+            assert_eq!(a.profile.txns_per_tb, b.profile.txns_per_tb);
         }
+        assert_eq!(cache.stats(), ref_cache.stats());
     }
 
     #[test]
@@ -1923,23 +1366,53 @@ mod tests {
             host_data: HashMap::new(),
         };
         let cfg = GpuConfig::titan_x_pascal();
+        let check = |ks: &[JitKernel]| {
+            assert_eq!(ks.len(), 3);
+            assert_eq!(ks[1].degradation.rung, DegradationRung::PrelaunchOff);
+            assert_eq!(
+                ks[1].degradation.reason,
+                DegradationReason::AnalysisPanicked
+            );
+            assert!(ks[1].access.non_static, "panicked kernel is opaque");
+            assert_eq!(ks[0].degradation.rung, DegradationRung::Precise);
+            assert_eq!(ks[2].degradation.rung, DegradationRung::Precise);
+            assert!(ks[0].profile.duration > 0 && ks[2].profile.duration > 0);
+        };
+        let untraced = jit_analyze_app(&cfg, &app, HazardMode::Raw);
+        check(&untraced);
+
+        // The traced driver contains the panic the same way.
         let budget = AnalysisBudget::default();
         let mut cache = AnalysisCache::for_budget(&budget);
-        // Zero the work threshold: this app is far too small to fan out
-        // on its own, and the point here is exercising worker containment.
-        let mut par = ParallelConfig::with_threads(4).oversubscribed();
-        par.serial_work_threshold = 0;
-        let ks = jit_analyze_app_par(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &par);
-        assert_eq!(ks.len(), 3);
-        assert_eq!(ks[1].degradation.rung, DegradationRung::PrelaunchOff);
+        let tracer = bm_trace::RecordingTracer::new();
+        let traced = try_jit_analyze_app_par_traced(
+            &cfg,
+            &app,
+            HazardMode::Raw,
+            &budget,
+            &mut cache,
+            &ParallelConfig::serial(),
+            &tracer,
+        )
+        .expect("a contained panic is not an error");
+        check(&traced);
+
+        // So does the guarded pipeline, and the schedule it accepts is
+        // equivalent to the serialized run.
+        let report = crate::guard::try_run_app(
+            &GpuConfig::small(),
+            &app,
+            crate::modes::ExecMode::ConsumerPriority { window: 3 },
+        )
+        .expect("a contained panic is not an error");
+        assert_eq!(report.degradation[1].1.rung, DegradationRung::PrelaunchOff);
         assert_eq!(
-            ks[1].degradation.reason,
+            report.degradation[1].1.reason,
             DegradationReason::AnalysisPanicked
         );
-        assert!(ks[1].access.non_static, "panicked kernel is opaque");
-        assert_eq!(ks[0].degradation.rung, DegradationRung::Precise);
-        assert_eq!(ks[2].degradation.rung, DegradationRung::Precise);
-        assert!(ks[0].profile.duration > 0 && ks[2].profile.duration > 0);
+        assert!(crate::correctness::check_schedule(&app, &report.schedule)
+            .expect("the schedule replays")
+            .is_match());
     }
 
     #[test]

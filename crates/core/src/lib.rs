@@ -94,10 +94,9 @@ pub use guard::{
 };
 pub use hw::HwError;
 pub use jit::{
-    jit_analyze_app, jit_analyze_app_budgeted, jit_analyze_app_par, jit_analyze_app_par_stats,
-    jit_analyze_app_traced, scratch_memory, try_jit_analyze_app, try_jit_analyze_app_budgeted,
-    try_jit_analyze_app_par, try_jit_analyze_app_par_traced, try_jit_analyze_app_traced,
-    try_profile_launch_law, JitKernel, LaunchProfile, TraceMemoStats,
+    jit_analyze_app, jit_analyze_app_par_stats, scratch_memory, try_jit_analyze_app,
+    try_jit_analyze_app_par_traced, try_profile_launch_law, JitKernel, LaunchProfile,
+    TraceMemoStats,
 };
 pub use modes::ExecMode;
 pub use snapshot::{

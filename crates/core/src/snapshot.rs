@@ -942,20 +942,6 @@ fn encode_event(e: &mut Enc, ev: &TraceEvent) {
             e.str(from);
             e.str(to);
         }
-        TraceEvent::ParallelDecision {
-            tick,
-            seq,
-            tbs,
-            threads,
-            fallback,
-        } => {
-            e.u8(28);
-            e.u64(*tick);
-            e.u32(*seq);
-            e.u32(*tbs);
-            e.u32(*threads);
-            e.bool(*fallback);
-        }
         TraceEvent::MultiTopology {
             devices,
             sms_per_device,
@@ -1166,13 +1152,9 @@ fn decode_event(d: &mut Dec) -> DecResult<TraceEvent> {
             from: d.str()?,
             to: d.str()?,
         },
-        28 => TraceEvent::ParallelDecision {
-            tick: d.u64()?,
-            seq: d.u32()?,
-            tbs: d.u32()?,
-            threads: d.u32()?,
-            fallback: d.bool()?,
-        },
+        // 28 was the removed analysis thread-count verdict; it stays
+        // unassigned so a snapshot carrying it decodes to an error, never
+        // to another event.
         29 => TraceEvent::MultiTopology {
             devices: d.u32()?,
             sms_per_device: d.u32()?,
@@ -2007,6 +1989,35 @@ mod tests {
         let payload = enc_trace(&events);
         let back = dec_trace(&mut Dec::new(&payload)).unwrap();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn unassigned_trace_tag_28_is_a_typed_error() {
+        // Tag 28 carried the thread-count verdict of the removed
+        // multi-threaded analysis and stays unassigned: a trace section
+        // that still carries it is rejected with a typed error.
+        let snap = RunSnapshot {
+            trace: vec![TraceEvent::CheckpointReject {
+                reason: String::new(),
+            }],
+            ..RunSnapshot::default()
+        };
+        let mut bytes = snap.encode();
+        let table_at = 8 + 4 + 4;
+        let entry = (0..6)
+            .map(|i| table_at + i * 24)
+            .find(|&at| bytes[at..at + 4] == TAG_TRACE.to_le_bytes())
+            .unwrap();
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (offset, len) = (field(entry + 4), field(entry + 12));
+        // The payload is the event count, then the first event's tag.
+        bytes[offset + 4] = 28;
+        let crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            RunSnapshot::decode(&bytes).unwrap_err(),
+            SnapshotError::Malformed("unknown trace-event tag")
+        );
     }
 
     #[test]

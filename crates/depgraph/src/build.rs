@@ -4,7 +4,7 @@
 use crate::graph::BipartiteGraph;
 use crate::interval_index::IntervalIndex;
 use bm_ptx::access::KernelAccess;
-use bm_ptx::par::{chunk_ranges, ParallelConfig};
+use bm_ptx::par::ParallelConfig;
 
 /// Which inter-kernel hazards create dependency edges.
 ///
@@ -84,128 +84,24 @@ pub fn build_graph(
     BipartiteGraph::from_children(np, nc, children)
 }
 
-/// [`build_graph`] with the per-child-TB query loop fanned out across
-/// `par.threads` workers over contiguous child-TB chunks.
-///
-/// Each worker owns a private `seen` array and per-parent adjacency
-/// fragment; fragments are concatenated in chunk order, and since a
-/// chunk's child ids are all larger than the previous chunk's, the merged
-/// adjacency lists are identical to the sequential builder's for every
-/// thread count. `threads = 1` calls [`build_graph`] directly.
-pub fn build_graph_par(
-    parent: &KernelAccess,
-    child: &KernelAccess,
-    mode: HazardMode,
-    par: &ParallelConfig,
-) -> BipartiteGraph {
-    let np = parent.num_blocks() as u32;
-    let nc = child.num_blocks();
-    let threads = par.tb_threads_work(nc, np as usize);
-    if threads <= 1 {
-        return build_graph(parent, child, mode);
-    }
-    if parent.non_static || child.non_static {
-        return BipartiteGraph::fully_connected(np, nc as u32);
-    }
-    let raw = child.kernel_reads.intersects(&parent.kernel_writes);
-    let (war, waw) = match mode {
-        HazardMode::Raw => (false, false),
-        HazardMode::All => (
-            child.kernel_writes.intersects(&parent.kernel_reads),
-            child.kernel_writes.intersects(&parent.kernel_writes),
-        ),
-    };
-    if !raw && !war && !waw {
-        return BipartiteGraph::independent(np, nc as u32);
-    }
-    let mut write_items = Vec::new();
-    let mut read_items = Vec::new();
-    for (p, acc) in parent.per_tb.iter().enumerate() {
-        for &(s, e) in acc.writes.ranges() {
-            write_items.push((s, e, p as u32));
-        }
-        if mode == HazardMode::All {
-            for &(s, e) in acc.reads.ranges() {
-                read_items.push((s, e, p as u32));
-            }
-        }
-    }
-    let writes_idx = IntervalIndex::build(write_items);
-    let reads_idx = IntervalIndex::build(read_items);
-    let chunks = chunk_ranges(nc, threads);
-    let writes_idx = &writes_idx;
-    let reads_idx = &reads_idx;
-    let mut fragments: Vec<Vec<Vec<u32>>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut children: Vec<Vec<u32>> = vec![Vec::new(); np as usize];
-                    let mut seen = vec![u32::MAX; np as usize];
-                    for c in r {
-                        let acc = &child.per_tb[c];
-                        let c = c as u32;
-                        let mut hit = |p: u32| {
-                            if seen[p as usize] != c {
-                                seen[p as usize] = c;
-                                children[p as usize].push(c);
-                            }
-                        };
-                        for &(s, e) in acc.reads.ranges() {
-                            writes_idx.query(s, e, &mut hit);
-                        }
-                        if mode == HazardMode::All {
-                            for &(s, e) in acc.writes.ranges() {
-                                writes_idx.query(s, e, &mut hit);
-                                reads_idx.query(s, e, &mut hit);
-                            }
-                        }
-                    }
-                    children
-                })
-            })
-            .collect();
-        for h in handles {
-            fragments.push(h.join().expect("graph worker panicked"));
-        }
-    });
-    let mut fragments = fragments.into_iter();
-    let mut children: Vec<Vec<u32>> = fragments.next().expect("at least one chunk");
-    for frag in fragments {
-        for (dst, src) in children.iter_mut().zip(frag) {
-            dst.extend(src);
-        }
-    }
-    BipartiteGraph::from_children(np, nc as u32, children)
-}
-
 /// [`build_graph`] under an explicit edge budget: graphs whose explicit
 /// edge count exceeds `max_edges` degrade to the fully-connected barrier
 /// encoding. This bounds both the dependency-list storage the hardware
 /// would have to stream and the worst-case graph-construction cost on the
 /// launch path — the graph-layer rung of the degradation ladder. Returns
 /// the (possibly degraded) graph and whether degradation fired.
-pub fn build_graph_bounded(
-    parent: &KernelAccess,
-    child: &KernelAccess,
-    mode: HazardMode,
-    max_edges: u64,
-) -> (BipartiteGraph, bool) {
-    build_graph_bounded_par(parent, child, mode, max_edges, &ParallelConfig::reference())
-}
-
-/// [`build_graph_bounded`] under an explicit [`ParallelConfig`] (see
-/// [`build_graph_par`]); the edge-budget check runs on the merged graph,
-/// so degradation decisions are thread-count-invariant too.
+///
+/// The graph does not depend on `_par`: the builder has no fast path to
+/// switch. The argument stays for callers that pass one configuration to
+/// every analysis phase.
 pub fn build_graph_bounded_par(
     parent: &KernelAccess,
     child: &KernelAccess,
     mode: HazardMode,
     max_edges: u64,
-    par: &ParallelConfig,
+    _par: &ParallelConfig,
 ) -> (BipartiteGraph, bool) {
-    let mut g = build_graph_par(parent, child, mode, par);
+    let mut g = build_graph(parent, child, mode);
     let over =
         matches!(g.kind(), crate::graph::GraphKind::Explicit(_)) && g.num_edges() > max_edges;
     if over {
@@ -372,18 +268,6 @@ mod tests {
                 fast == naive,
                 "fast {fast:?} != naive {naive:?} for p={pranges:?} c={cranges:?} {mode:?}"
             );
-            for threads in [2usize, 3, 8] {
-                let par = build_graph_par(
-                    &parent,
-                    &child,
-                    mode,
-                    &ParallelConfig::with_threads(threads).oversubscribed(),
-                );
-                bm_testkit::prop_ensure!(
-                    par == naive,
-                    "par(t={threads}) {par:?} != naive {naive:?} for p={pranges:?} c={cranges:?} {mode:?}"
-                );
-            }
             Ok(())
         });
     }

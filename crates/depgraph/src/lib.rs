@@ -33,10 +33,7 @@ pub mod graph;
 pub mod interval_index;
 pub mod pattern;
 
-pub use build::{
-    build_graph, build_graph_bounded, build_graph_bounded_par, build_graph_naive, build_graph_par,
-    HazardMode,
-};
+pub use build::{build_graph, build_graph_bounded_par, build_graph_naive, HazardMode};
 pub use encoding::{encoded_bytes, plain_bytes, storage, GraphStorage};
 pub use graph::{BipartiteGraph, GraphKind};
 pub use pattern::{classify, Pattern};

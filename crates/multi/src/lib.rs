@@ -168,8 +168,7 @@ pub fn try_run_app_multi_faulty<T: Tracer>(
 }
 
 /// Multi-device execution of a pre-analyzed application — the entry the
-/// determinism suites use to hold the analysis fixed while varying host
-/// parallelism.
+/// determinism suites use to hold or vary the analysis configuration.
 ///
 /// # Errors
 ///

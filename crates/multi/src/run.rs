@@ -23,8 +23,7 @@
 //! *Determinism*: the coordinator is single-threaded and drains devices
 //! in id order, message delivery order is fixed by per-inbox sequence
 //! numbers assigned in routing order, and same-arrival messages order by
-//! that sequence. Host-side thread counts only affect the (already
-//! deterministic) JIT analysis, never this loop.
+//! that sequence. The JIT analysis runs before this loop, on one thread.
 
 use blockmaestro::{
     host_plan_traced, EngineError, ExecMode, GuardReport, JitKernel, MultiStats, RunReport,

@@ -17,7 +17,7 @@ use crate::error::PtxError;
 use crate::interval::Interval;
 use crate::isa::*;
 use crate::kernel::{ArgValue, Launch};
-use crate::par::{chunk_ranges, ParallelConfig};
+use crate::par::ParallelConfig;
 use std::collections::BTreeMap;
 
 /// Joins applied to a block's in-state before widening kicks in.
@@ -462,12 +462,6 @@ pub struct AbsintStats {
     /// certificate; `attempted && !accepted` means the launch fell back to
     /// full per-TB interpretation.
     pub affine_accepted: bool,
-    /// Worker threads the per-TB interpretation loop actually used
-    /// (0 when the affine path answered without reaching the loop).
-    pub threads_used: u32,
-    /// Whether the adaptive heuristic forced the loop serial because the
-    /// grid fell below `ParallelConfig::serial_tb_threshold`.
-    pub serial_fallback: bool,
 }
 
 /// The affine per-TB hypothesis: thread block `i`'s access ranges are the
@@ -758,18 +752,15 @@ pub fn try_analyze_launch_fueled(
 }
 
 /// [`try_analyze_launch_fueled`] under an explicit [`ParallelConfig`]:
-/// the per-TB interpretation loop fans out across `par.threads` workers
-/// (fuel split evenly between them, results collected in thread-block
-/// order) and, when `par.affine_fastpath` is set, the affine memoization
-/// fast path may synthesize most per-TB sets from a verified model instead
-/// of interpreting every block.
+/// when `par.fast_paths` is set, the affine memoization fast path may
+/// synthesize most per-TB sets from a verified model instead of
+/// interpreting every block.
 ///
-/// `ParallelConfig::reference()` runs the exact sequential code path of
-/// [`try_analyze_launch_fueled`], bit for bit. Other configurations
-/// produce identical `KernelAccess` values for launches that complete
-/// within budget; the only behavioral difference under *fuel pressure* is
-/// which degradation outcome is reached, because each worker owns only its
-/// share of the budget.
+/// `ParallelConfig::reference()` interprets every block. Both
+/// configurations produce identical `KernelAccess` values for launches that
+/// complete within budget; under *fuel pressure* they may reach different
+/// degradation outcomes, because the fast path spends a different amount
+/// of fuel.
 ///
 /// # Errors
 ///
@@ -817,9 +808,9 @@ pub fn try_analyze_launch_grouped(
 
 fn analyze_launch_unchecked(launch: &Launch) -> KernelAccess {
     let mut fuel = u64::MAX;
-    // One thread, affine fast path on: `analyze_launch` is the convenience
-    // entry point, so it gets the memoized pipeline (and the soundness
-    // suite exercises the affine path through it).
+    // Fast paths on: `analyze_launch` is the convenience entry point, so
+    // it gets the memoized pipeline (and the soundness suite exercises the
+    // affine path through it).
     match analyze_launch_fueled_par_unchecked(launch, &mut fuel, &ParallelConfig::serial()) {
         Some((acc, _)) => acc,
         // Unreachable with unbounded fuel; fall back conservatively.
@@ -834,8 +825,7 @@ fn conservative_access(n_tbs: u32) -> KernelAccess {
 }
 
 fn analyze_launch_fueled_unchecked(launch: &Launch, fuel: &mut u64) -> Option<KernelAccess> {
-    analyze_launch_fueled_par_unchecked(launch, fuel, &ParallelConfig::reference())
-        .map(|(acc, _)| acc)
+    analyze_launch_fueled_par_unchecked(launch, fuel, &ParallelConfig::serial()).map(|(acc, _)| acc)
 }
 
 fn analyze_launch_fueled_par_unchecked(
@@ -851,7 +841,7 @@ fn analyze_launch_fueled_par_unchecked(
     // the fallback does not pay for them twice.
     let mut memo: BTreeMap<u32, TbAccess> = BTreeMap::new();
 
-    if par.affine_fastpath && launch.grid.y == 1 && n >= AFFINE_MIN_TBS {
+    if par.fast_paths && launch.grid.y == 1 && n >= AFFINE_MIN_TBS {
         stats.affine_attempted = true;
         match try_affine(launch, &cfg, counts, n, fuel, &mut memo) {
             AffineOutcome::Accepted(per_tb) => {
@@ -870,94 +860,26 @@ fn analyze_launch_fueled_par_unchecked(
     }
 
     stats.tbs_interpreted = n;
-    let threads = par.tb_threads_work(n as usize, launch.kernel.body.len());
-    stats.threads_used = threads as u32;
-    stats.serial_fallback = threads == 1 && par.effective_threads(n as usize) > 1;
-    if threads <= 1 {
-        // The sequential loop — with an empty memo and the fast path off,
-        // this is the pre-parallel pipeline bit for bit.
-        let mut per_tb = Vec::with_capacity(n as usize);
-        for tb in 0..n {
-            if let Some(acc) = memo.get(&tb) {
-                per_tb.push(acc.clone());
-                continue;
-            }
-            let (bx, by) = launch.block_coords(tb);
-            let env = Env {
-                launch,
-                bx: Interval::point(bx as i128),
-                by: Interval::point(by as i128),
-            };
-            match analyze_span(&env, &cfg, counts, fuel) {
-                Ok(acc) => per_tb.push(acc),
-                Err(AnalysisCut::OutOfFuel) => return None,
-                Err(AnalysisCut::NonStatic(_)) => {
-                    // Conservative: the kernel is fully dependent on its
-                    // predecessor; access sets are unusable.
-                    return Some((conservative_access(n), stats));
-                }
-            }
-        }
-        return Some((KernelAccess::from_per_tb(per_tb, false), stats));
-    }
-
-    // Fan out across workers: contiguous TB chunks, each owning an even
-    // share of the fuel. Workers stop at their chunk's first cut; the
-    // merge takes the first cut in thread-block order, so the outcome is a
-    // pure function of the launch, the budget, and the thread count.
-    let chunks = chunk_ranges(n as usize, threads);
-    let base_share = *fuel / chunks.len() as u64;
-    let extra = *fuel % chunks.len() as u64;
-    let memo_ref = &memo;
-    let cfg_ref = &cfg;
-    let mut outs: Vec<(Vec<TbAccess>, Option<AnalysisCut>, u64)> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let r = r.clone();
-                let share = base_share + u64::from((i as u64) < extra);
-                scope.spawn(move || {
-                    let mut local_fuel = share;
-                    let mut done = Vec::with_capacity(r.len());
-                    let mut cut = None;
-                    for tb in r {
-                        let tb = tb as u32;
-                        if let Some(acc) = memo_ref.get(&tb) {
-                            done.push(acc.clone());
-                            continue;
-                        }
-                        let (bx, by) = launch.block_coords(tb);
-                        let env = Env {
-                            launch,
-                            bx: Interval::point(bx as i128),
-                            by: Interval::point(by as i128),
-                        };
-                        match analyze_span(&env, cfg_ref, counts, &mut local_fuel) {
-                            Ok(acc) => done.push(acc),
-                            Err(c) => {
-                                cut = Some(c);
-                                break;
-                            }
-                        }
-                    }
-                    (done, cut, local_fuel)
-                })
-            })
-            .collect();
-        for h in handles {
-            outs.push(h.join().expect("absint worker panicked"));
-        }
-    });
-    *fuel = outs.iter().map(|(_, _, left)| *left).sum();
     let mut per_tb = Vec::with_capacity(n as usize);
-    for (done, cut, _) in outs {
-        per_tb.extend(done);
-        match cut {
-            None => {}
-            Some(AnalysisCut::OutOfFuel) => return None,
-            Some(AnalysisCut::NonStatic(_)) => return Some((conservative_access(n), stats)),
+    for tb in 0..n {
+        if let Some(acc) = memo.get(&tb) {
+            per_tb.push(acc.clone());
+            continue;
+        }
+        let (bx, by) = launch.block_coords(tb);
+        let env = Env {
+            launch,
+            bx: Interval::point(bx as i128),
+            by: Interval::point(by as i128),
+        };
+        match analyze_span(&env, &cfg, counts, fuel) {
+            Ok(acc) => per_tb.push(acc),
+            Err(AnalysisCut::OutOfFuel) => return None,
+            Err(AnalysisCut::NonStatic(_)) => {
+                // Conservative: the kernel is fully dependent on its
+                // predecessor; access sets are unusable.
+                return Some((conservative_access(n), stats));
+            }
         }
     }
     Some((KernelAccess::from_per_tb(per_tb, false), stats))

@@ -13,8 +13,8 @@
 //! * [`absint`]: per-thread-block value-range analysis producing the
 //!   read/write sets that inter-kernel dependency graphs are built from;
 //! * [`trace`]: dynamic warp traces feeding the `bm-simt` timing model;
-//! * [`par`]: the [`ParallelConfig`] knob and deterministic fork/join
-//!   helper the whole analysis pipeline shares.
+//! * [`par`]: the [`ParallelConfig`] the whole analysis pipeline shares:
+//!   memoized fast paths on or off, and a cancellation token.
 //!
 //! ## Example: extract per-TB write sets at launch time
 //!

@@ -125,8 +125,8 @@ pub const COW_CHUNK_BYTES: usize = 1 << 12;
 ///
 /// Chunks are reference-counted and shared between clones, so `clone()` is
 /// a pointer copy per chunk rather than a deep copy of device memory: the
-/// parallel analysis pipeline hands every worker a private scratch clone,
-/// and only chunks a worker actually writes are duplicated (copy-on-write).
+/// trace lane law runs every warp on a private scratch clone, and only
+/// chunks a clone actually writes are duplicated (copy-on-write).
 /// All clones of one memory share a byte counter of those duplications,
 /// observable via [`GlobalMem::cow_copied_bytes`].
 #[derive(Debug, Clone, Default)]

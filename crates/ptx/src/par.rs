@@ -1,77 +1,30 @@
-//! Deterministic parallelism for the launch-time analysis pipeline.
+//! Configuration of the launch-time analysis pipeline.
 //!
 //! BlockMaestro's premise is that TB-level dependency analysis is cheap
-//! enough to run at kernel-launch time; the work is embarrassingly parallel
-//! across thread blocks, child-TB queries, and kernels. This module holds
-//! the knob every stage shares — [`ParallelConfig`] — and a scoped-thread
-//! fork/join helper with *deterministic output ordering*: results are
-//! always collected in item order, so the only thing the thread count
-//! changes is wall-clock time, never bytes of output.
+//! enough to run at kernel-launch time. The pipeline runs on the calling
+//! thread; what [`ParallelConfig`] selects is whether its memoized fast
+//! paths may answer in place of full interpretation.
 //!
-//! `ParallelConfig::reference()` (one thread, affine fast path off)
-//! reproduces the pre-parallel pipeline bit-for-bit and is the baseline
-//! every other configuration is property-tested against.
+//! `ParallelConfig::serial()` (fast paths on) is the configuration every
+//! user path runs. `ParallelConfig::reference()` (fast paths off) interprets
+//! every thread block and every representative trace; it is the oracle the
+//! fast paths are property-tested against, and the two produce identical
+//! analyses.
 
 use crate::cancel::{CancelCause, CancelToken};
-use std::ops::Range;
 
-/// Below this many thread blocks per kernel, multi-threaded per-TB
-/// interpretation is a net loss: fork/join overhead dominates the work
-/// (BENCH_analysis.json: `parallel8` vs `reference` is 0.75x on AlexNet
-/// and 0.50x on BICG, whose kernels have few TBs). [`ParallelConfig`]
-/// constructors meant for production use seed this as the default
-/// serial-fallback threshold.
-pub const DEFAULT_SERIAL_TB_THRESHOLD: u32 = 64;
-
-/// Work-based serial-admission floor: a fan-out is only admitted when the
-/// kernel's approximate work (items × body length) clears this bar, so a
-/// *large grid of trivial kernels* — the FFT pattern, where `parallel8`
-/// absint ran at 0.23x of reference in BENCH v1 — stays serial even though
-/// its TB count clears [`DEFAULT_SERIAL_TB_THRESHOLD`]. Like the TB
-/// threshold this is purely a wall-clock knob: outputs are identical
-/// whichever way the decision goes.
-pub const DEFAULT_SERIAL_WORK_THRESHOLD: u64 = 4096;
-
-/// Configuration of the launch-time analysis pipeline: worker threads and
-/// the affine per-TB memoization fast path.
+/// Configuration of the launch-time analysis pipeline: the memoized fast
+/// paths and a cooperative cancellation token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads for per-TB interpretation, per-child-TB graph
-    /// queries, and per-kernel analysis. `1` runs every stage on the
-    /// calling thread over the exact sequential code path.
-    pub threads: usize,
-    /// Whether the affine-access fast path may synthesize per-TB access
-    /// sets by translation instead of interpreting every thread block
-    /// (see `bm_ptx::absint`). Verified per launch; rejection falls back
-    /// to full interpretation, so disabling this only costs time.
-    pub affine_fastpath: bool,
-    /// Per-TB interpretation falls back to one thread for kernels with
-    /// fewer than this many thread blocks — small grids lose more to
-    /// fork/join than they gain from concurrency. `0` disables the
-    /// heuristic. Outputs are thread-count invariant either way (the
-    /// fork/join helper collects in item order), so this is purely a
-    /// wall-clock knob.
-    pub serial_tb_threshold: u32,
-    /// Work-based serial admission: fan-outs whose items × kernel-body
-    /// length fall below this stay serial even past the TB threshold, so
-    /// many-TB kernels with near-empty bodies never pay fork/join. `0`
-    /// disables the heuristic. Purely a wall-clock knob, like
-    /// [`ParallelConfig::serial_tb_threshold`].
-    pub serial_work_threshold: u64,
-    /// Whether the launch-time trace phase may use the representative-TB
-    /// trace law: per-warp lane subsets with affine address synthesis
+    /// Whether the memoized fast paths may answer instead of full
+    /// interpretation: the affine per-TB access law in `bm_ptx::absint`,
+    /// the representative-TB warp lane law
     /// (`bm_ptx::trace::trace_block_law`) and cross-launch trace
-    /// memoization in `bm-core`. Validated per warp and per launch;
-    /// rejection falls back to full interpretation, so disabling this only
-    /// costs time.
-    pub trace_memo: bool,
-    /// Allow more workers than the machine has cores. Analysis fan-outs
-    /// are CPU-bound, so oversubscription is pure spawn/switch overhead
-    /// and [`ParallelConfig::effective_threads`] normally clamps to
-    /// [`hardware_threads`]; tests of the parallel machinery set this to
-    /// exercise multi-worker code paths on small machines. Like every
-    /// thread knob, purely wall-clock: outputs are identical either way.
-    pub oversubscribe: bool,
+    /// memoization in `bm-core`. Each is validated per launch or per warp,
+    /// and a rejection falls back to full interpretation, so disabling them
+    /// only costs time.
+    pub fast_paths: bool,
     /// Cooperative cancellation observed at analysis phase boundaries.
     /// `None` (the default everywhere outside `bm-serve`) means no check
     /// ever fires. Only the `try_*` analysis entry points honor the
@@ -79,69 +32,21 @@ pub struct ParallelConfig {
     pub cancel: Option<CancelToken>,
 }
 
-/// The machine's available hardware parallelism, sampled once.
-pub fn hardware_threads() -> usize {
-    use std::sync::OnceLock;
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 impl ParallelConfig {
-    /// All available cores plus the affine fast path — the production
-    /// configuration.
-    pub fn max_parallel() -> Self {
-        ParallelConfig {
-            threads: hardware_threads(),
-            affine_fastpath: true,
-            serial_tb_threshold: DEFAULT_SERIAL_TB_THRESHOLD,
-            serial_work_threshold: DEFAULT_SERIAL_WORK_THRESHOLD,
-            trace_memo: true,
-            oversubscribe: false,
-            cancel: None,
-        }
-    }
-
-    /// One thread, affine fast path on: sequential but memoized.
+    /// Fast paths on: the configuration of every non-test path.
     pub fn serial() -> Self {
         ParallelConfig {
-            threads: 1,
-            affine_fastpath: true,
-            serial_tb_threshold: 0,
-            serial_work_threshold: 0,
-            trace_memo: true,
-            oversubscribe: false,
+            fast_paths: true,
             cancel: None,
         }
     }
 
-    /// The bit-for-bit pre-parallel pipeline: one thread, every TB fully
-    /// interpreted. This is the behavior all other configurations are
-    /// checked against.
+    /// Fast paths off: every TB and every representative trace fully
+    /// interpreted. The oracle [`ParallelConfig::serial`] is checked
+    /// against.
     pub fn reference() -> Self {
         ParallelConfig {
-            threads: 1,
-            affine_fastpath: false,
-            serial_tb_threshold: 0,
-            serial_work_threshold: 0,
-            trace_memo: false,
-            oversubscribe: false,
-            cancel: None,
-        }
-    }
-
-    /// `threads` workers with the affine fast path enabled.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads: threads.max(1),
-            affine_fastpath: true,
-            serial_tb_threshold: DEFAULT_SERIAL_TB_THRESHOLD,
-            serial_work_threshold: DEFAULT_SERIAL_WORK_THRESHOLD,
-            trace_memo: true,
-            oversubscribe: false,
+            fast_paths: false,
             cancel: None,
         }
     }
@@ -152,130 +57,11 @@ impl ParallelConfig {
         self
     }
 
-    /// The same configuration with the hardware-core clamp lifted — used
-    /// by tests that must exercise multi-worker code paths regardless of
-    /// the machine they run on.
-    pub fn oversubscribed(mut self) -> Self {
-        self.oversubscribe = true;
-        self
-    }
-
     /// The cause of a fired cancellation token, if one is installed and
     /// has fired. Analysis stages call this at phase boundaries.
     pub fn cancel_fired(&self) -> Option<CancelCause> {
         self.cancel.as_ref().and_then(|t| t.fired())
     }
-
-    /// Worker count actually used for `items` work items: the requested
-    /// count, clamped to the item count and — unless
-    /// [`ParallelConfig::oversubscribe`] is set — to the machine's cores,
-    /// since a CPU-bound fan-out wider than the hardware only adds spawn
-    /// and context-switch overhead (the BENCH v1 `parallel8` regressions).
-    pub fn effective_threads(&self, items: usize) -> usize {
-        let cap = if self.oversubscribe {
-            usize::MAX
-        } else {
-            hardware_threads()
-        };
-        self.threads.max(1).min(cap).min(items.max(1))
-    }
-
-    /// Worker count for per-TB interpretation of an `n_tbs`-block kernel:
-    /// [`ParallelConfig::effective_threads`], except grids below
-    /// [`ParallelConfig::serial_tb_threshold`] run serial. Stages that
-    /// fan out across *kernels* rather than TBs keep using
-    /// `effective_threads` — the threshold is a per-grid heuristic.
-    pub fn tb_threads(&self, n_tbs: usize) -> usize {
-        if self.serial_tb_threshold > 0 && n_tbs < self.serial_tb_threshold as usize {
-            1
-        } else {
-            self.effective_threads(n_tbs)
-        }
-    }
-
-    /// [`ParallelConfig::tb_threads`] with the work-based admission bar on
-    /// top: `n_tbs × body_len` must clear
-    /// [`ParallelConfig::serial_work_threshold`] for the fan-out to be
-    /// admitted, so trivial-body kernels stay serial however many TBs they
-    /// launch.
-    pub fn tb_threads_work(&self, n_tbs: usize, body_len: usize) -> usize {
-        if self.serial_work_threshold > 0
-            && (n_tbs as u64).saturating_mul(body_len as u64) < self.serial_work_threshold
-        {
-            1
-        } else {
-            self.tb_threads(n_tbs)
-        }
-    }
-
-    /// Worker count for the trace phase's per-warp fan-out over the
-    /// representative thread block: admitted only when the block's
-    /// approximate work (`n_warps × body_len`) clears the work threshold.
-    /// Outputs are warp-thread invariant (each warp is traced as a pure
-    /// function of the incoming memory), so this too is wall-clock only.
-    pub fn trace_warp_threads(&self, n_warps: usize, body_len: usize) -> usize {
-        if self.threads <= 1 {
-            return 1;
-        }
-        if self.serial_work_threshold > 0
-            && (n_warps as u64).saturating_mul(body_len as u64) < self.serial_work_threshold
-        {
-            1
-        } else {
-            self.effective_threads(n_warps)
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    /// Defaults to [`ParallelConfig::max_parallel`].
-    fn default() -> Self {
-        ParallelConfig::max_parallel()
-    }
-}
-
-/// Splits `0..n` into at most `threads` contiguous chunks (sizes differing
-/// by at most one), runs `work` on each chunk — concurrently when
-/// `threads > 1` — and concatenates the per-chunk outputs *in chunk
-/// order*. The output is therefore identical for every thread count as
-/// long as `work` is a pure function of its range.
-pub fn par_chunks<T, F>(threads: usize, n: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n == 0 {
-        return work(0..n);
-    }
-    let ranges = chunk_ranges(n, threads);
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(|| work(r)))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("analysis worker panicked"));
-        }
-    });
-    out.into_iter().flatten().collect()
-}
-
-/// The contiguous chunk decomposition used by [`par_chunks`]: `threads`
-/// ranges covering `0..n` in order.
-pub fn chunk_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
-    let threads = threads.max(1).min(n.max(1));
-    let base = n / threads;
-    let rem = n % threads;
-    let mut ranges = Vec::with_capacity(threads);
-    let mut lo = 0usize;
-    for i in 0..threads {
-        let len = base + usize::from(i < rem);
-        ranges.push(lo..lo + len);
-        lo += len;
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -283,98 +69,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunks_cover_exactly_once() {
-        for n in [0usize, 1, 2, 7, 8, 9, 100] {
-            for t in [1usize, 2, 3, 8, 64] {
-                let ranges = chunk_ranges(n, t);
-                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} t={t}");
-                // Balanced: sizes differ by at most one.
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                if let (Some(&mx), Some(&mn)) = (sizes.iter().max(), sizes.iter().min()) {
-                    assert!(mx - mn <= 1, "n={n} t={t} sizes {sizes:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_order_is_thread_count_invariant() {
-        let work = |r: Range<usize>| r.map(|i| i * i).collect::<Vec<_>>();
-        let serial = par_chunks(1, 37, work);
-        for t in [2usize, 3, 8, 16] {
-            assert_eq!(par_chunks(t, 37, work), serial, "threads={t}");
-        }
-        assert_eq!(serial.len(), 37);
-        assert_eq!(serial[6], 36);
-    }
-
-    #[test]
     fn config_constructors() {
-        assert_eq!(ParallelConfig::reference().threads, 1);
-        assert!(!ParallelConfig::reference().affine_fastpath);
-        assert!(!ParallelConfig::reference().trace_memo);
-        assert!(ParallelConfig::serial().affine_fastpath);
-        assert!(ParallelConfig::serial().trace_memo);
-        assert!(ParallelConfig::max_parallel().threads >= 1);
-        assert!(ParallelConfig::with_threads(8).trace_memo);
-        assert_eq!(ParallelConfig::with_threads(0).threads, 1);
-        let p8 = ParallelConfig::with_threads(8).oversubscribed();
-        assert_eq!(p8.effective_threads(3), 3);
-        let p2 = ParallelConfig::with_threads(2).oversubscribed();
-        assert_eq!(p2.effective_threads(100), 2);
-    }
-
-    #[test]
-    fn effective_threads_clamps_to_hardware_unless_oversubscribed() {
-        let requested = hardware_threads() + 4;
-        let par = ParallelConfig::with_threads(requested);
-        assert_eq!(par.effective_threads(1000), hardware_threads());
-        assert_eq!(
-            par.clone().oversubscribed().effective_threads(1000),
-            requested
-        );
-        // The item clamp still applies either way.
-        assert_eq!(par.oversubscribed().effective_threads(1), 1);
-    }
-
-    #[test]
-    fn work_threshold_keeps_trivial_kernels_serial() {
-        let par = ParallelConfig::with_threads(8).oversubscribed();
-        assert_eq!(par.serial_work_threshold, DEFAULT_SERIAL_WORK_THRESHOLD);
-        // 128 TBs clears the TB threshold, but a 10-instruction body does
-        // not clear the work bar (128 × 10 < 4096).
-        assert_eq!(par.tb_threads(128), 8);
-        assert_eq!(par.tb_threads_work(128, 10), 1);
-        assert_eq!(par.tb_threads_work(128, 40), 8);
-        // Trace-phase warp fan-out obeys the same bar.
-        assert_eq!(par.trace_warp_threads(8, 10), 1);
-        assert_eq!(par.trace_warp_threads(8, 600), 8);
-        // A single-threaded config never fans out, thresholds or not.
-        assert_eq!(ParallelConfig::serial().trace_warp_threads(64, 600), 1);
-        // Disabled heuristic (threshold 0) admits everything.
-        let mut open = ParallelConfig::with_threads(4).oversubscribed();
-        open.serial_work_threshold = 0;
-        open.serial_tb_threshold = 0;
-        assert_eq!(open.tb_threads_work(2, 1), 2);
-        assert_eq!(open.trace_warp_threads(2, 1), 2);
-    }
-
-    #[test]
-    fn tb_threads_falls_back_to_serial_below_threshold() {
-        let par = ParallelConfig::with_threads(8).oversubscribed();
-        assert_eq!(par.serial_tb_threshold, DEFAULT_SERIAL_TB_THRESHOLD);
-        // Small grids run serial; at or above the threshold they fan out.
-        assert_eq!(par.tb_threads(8), 1);
-        assert_eq!(par.tb_threads(63), 1);
-        assert_eq!(par.tb_threads(64), 8);
-        assert_eq!(par.tb_threads(1000), 8);
-        // Reference/serial configs disable the heuristic entirely.
-        assert_eq!(ParallelConfig::reference().serial_tb_threshold, 0);
-        assert_eq!(ParallelConfig::serial().serial_tb_threshold, 0);
-        let mut custom = ParallelConfig::with_threads(4).oversubscribed();
-        custom.serial_tb_threshold = 0;
-        assert_eq!(custom.tb_threads(2), 2);
+        assert!(!ParallelConfig::reference().fast_paths);
+        assert!(ParallelConfig::serial().fast_paths);
+        assert_eq!(ParallelConfig::serial().cancel_fired(), None);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::interp::{ExecError, ExecObserver, Program, ThreadId, MAX_STEPS_PER_TH
 use crate::isa::{MemSpace, Op};
 use crate::kernel::Launch;
 use crate::mem::GlobalMem;
-use crate::par::par_chunks;
 use std::collections::HashMap;
 
 /// Size of a coalesced memory transaction in bytes (one cache sector line).
@@ -387,8 +386,7 @@ fn rebuild_warp(
 /// Traces one warp of `tb` as a pure function of the incoming memory: the
 /// warp's lanes (a 7-lane law subset for full warps, every lane otherwise)
 /// execute on a private copy-on-write clone of `base`, so the result does
-/// not depend on which other warps or launches ran before it. That purity
-/// is what makes the law path bit-identical at any worker count.
+/// not depend on which other warps or launches ran before it.
 fn trace_warp_law(
     program: &Program<'_>,
     tb: u32,
@@ -566,15 +564,12 @@ fn affine_segment_count(a0: u64, s: u64) -> u32 {
 /// are always fully interpreted.
 ///
 /// For admissible launches each warp is traced as a pure function of the
-/// *incoming* `mem` (on a private copy-on-write clone): `mem` is not
-/// mutated, and the result is bit-identical for every `warp_threads`
-/// value, which is what lets the trace phase fan out across warps safely.
-/// This differs from [`trace_block_limited`], whose lanes observe earlier
-/// lanes' global stores while tracing — a visibility difference that can
-/// only reach the trace through loaded *values* steering control flow or
-/// addressing, the same residual gap the parallel analysis pipeline
-/// already accepts for workers tracing on scratch clones (see `bm-core`'s
-/// jit module).
+/// *incoming* `mem` (on a private copy-on-write clone), and `mem` is not
+/// mutated. This differs from [`trace_block_limited`], whose lanes observe
+/// earlier lanes' global stores while tracing — a visibility difference
+/// that can only reach the trace through loaded *values* steering control
+/// flow or addressing, the same residual gap cross-launch trace
+/// memoization accepts (see `bm-core`'s jit module).
 ///
 /// Law-*inadmissible* launches (barriers / shared memory) take the exact
 /// [`trace_block_limited`] path directly on `mem`, mutating it like the
@@ -591,7 +586,6 @@ pub fn trace_block_law(
     tb: u32,
     mem: &mut GlobalMem,
     max_steps: u64,
-    warp_threads: usize,
 ) -> Result<(TbTrace, TraceLawStats), ExecError> {
     if !law_admissible(launch) {
         // Threads may communicate through barriers/shared memory: the lane
@@ -603,19 +597,14 @@ pub fn trace_block_law(
     let mem = &*mem;
     // Decoded once: every warp's lane subsets run from this program.
     let program = Program::new(launch);
-    let nwarps = launch.warps_per_block() as usize;
-    let results = par_chunks(warp_threads, nwarps, |range| {
-        range
-            .map(|w| trace_warp_law(&program, tb, mem, max_steps, w as u32))
-            .collect()
-    });
-    let mut warps = Vec::with_capacity(nwarps);
+    let nwarps = launch.warps_per_block();
+    let mut warps = Vec::with_capacity(nwarps as usize);
     let mut stats = TraceLawStats::default();
     let mut dyn_instrs = 0u64;
     let mut total_segments = 0u64;
     let mut accesses = 0u64;
-    for r in results {
-        let (wt, segments, lite, law) = r?;
+    for w in 0..nwarps {
+        let (wt, segments, lite, law) = trace_warp_law(&program, tb, mem, max_steps, w)?;
         warps.push(wt);
         total_segments += segments;
         dyn_instrs += lite.instructions;
@@ -765,7 +754,7 @@ mod tests {
             let want = trace_block(&launch, tb, &mut mem).unwrap();
             let mut base = GlobalMem::for_space(&sp);
             let (got, stats) =
-                trace_block_law(&launch, tb, &mut base, MAX_STEPS_PER_THREAD, 1).unwrap();
+                trace_block_law(&launch, tb, &mut base, MAX_STEPS_PER_THREAD).unwrap();
             assert_eq!(got, want, "tb {tb}");
             assert_eq!(stats.law_warps, 2);
             assert_eq!(stats.rejected_warps, 0);
@@ -775,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_law_is_warp_thread_invariant() {
+    fn lane_law_leaves_the_callers_memory_untouched() {
         let mut sp = AddressSpace::new();
         let a = sp.alloc(4 * 512);
         let b = sp.alloc(4 * 512);
@@ -785,12 +774,11 @@ mod tests {
             Dim3::x(256),
             vec![ArgValue::Ptr(a.base), ArgValue::Ptr(b.base)],
         );
+        let mut mem = GlobalMem::for_space(&sp);
+        let want = trace_block(&launch, 1, &mut mem).unwrap();
         let mut base = GlobalMem::for_space(&sp);
-        let (serial, _) = trace_block_law(&launch, 1, &mut base, MAX_STEPS_PER_THREAD, 1).unwrap();
-        for t in [2usize, 4, 8] {
-            let (par, _) = trace_block_law(&launch, 1, &mut base, MAX_STEPS_PER_THREAD, t).unwrap();
-            assert_eq!(par, serial, "warp_threads={t}");
-        }
+        let (got, _) = trace_block_law(&launch, 1, &mut base, MAX_STEPS_PER_THREAD).unwrap();
+        assert_eq!(got, want);
         // The caller's memory is never mutated by the law path.
         assert_eq!(base.fingerprint(), GlobalMem::for_space(&sp).fingerprint());
     }
@@ -818,7 +806,7 @@ mod tests {
         let mut mem = GlobalMem::for_space(&sp);
         let want = trace_block(&launch, 0, &mut mem).unwrap();
         let mut base = GlobalMem::for_space(&sp);
-        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD, 1).unwrap();
+        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD).unwrap();
         assert_eq!(got, want);
         assert_eq!(stats.law_warps, 0);
         assert_eq!(stats.rejected_warps, 2);
@@ -850,7 +838,7 @@ mod tests {
         let mut mem = GlobalMem::for_space(&sp);
         let want = trace_block(&launch, 0, &mut mem).unwrap();
         let mut base = GlobalMem::for_space(&sp);
-        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD, 4).unwrap();
+        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD).unwrap();
         assert_eq!(got, want);
         assert_eq!(stats, TraceLawStats::default());
     }
@@ -885,7 +873,7 @@ $DONE:
         let mut mem = GlobalMem::for_space(&sp);
         let want = trace_block(&launch, 0, &mut mem).unwrap();
         let mut base = GlobalMem::for_space(&sp);
-        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD, 1).unwrap();
+        let (got, stats) = trace_block_law(&launch, 0, &mut base, MAX_STEPS_PER_THREAD).unwrap();
         assert_eq!(got, want);
         // Warp 0 is uniform (all lanes pass the guard); warp 1 diverges.
         assert_eq!(stats.law_warps, 1);

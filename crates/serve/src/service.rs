@@ -42,7 +42,6 @@ use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
 use bm_multi::{try_run_app_multi_faulty, MultiGpuConfig};
 use bm_ptx::cancel::{CancelCause, CancelToken};
-use bm_ptx::par::ParallelConfig;
 use bm_ptx::PtxError;
 use bm_simt::GpuConfig;
 use bm_trace::{CounterRegistry, NullTracer, TraceEvent};
@@ -72,9 +71,6 @@ pub struct ServeConfig {
     /// Kernel-retirement boundaries between checkpoints (resume granularity
     /// for retries).
     pub checkpoint_every: u32,
-    /// Analysis parallelism for served runs; `None` uses the reference
-    /// (serial) configuration.
-    pub analysis: Option<ParallelConfig>,
     /// Simulated devices the service owns. A request's
     /// [`RunRequest::devices`] group is placed onto this pool: the
     /// worker blocks until the whole group is free, and a request
@@ -96,7 +92,6 @@ impl Default for ServeConfig {
             breaker: BreakerConfig::default(),
             shed_to_barrier: true,
             checkpoint_every: 1,
-            analysis: None,
             total_devices: 4,
             multi: MultiGpuConfig::default(),
         }
@@ -540,7 +535,6 @@ fn process(shared: &Shared, worker: u32, job: &Job) -> RunOutcome {
 
     let policy = CheckpointPolicy::every_kernels(shared.scfg.checkpoint_every.max(1));
     let ctl = RunCtl {
-        par: shared.scfg.analysis.clone(),
         cancel: Some(job.token.clone()),
     };
     let max_attempts = 1 + req.max_retries.unwrap_or(shared.scfg.retry.max_retries);

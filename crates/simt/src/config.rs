@@ -6,9 +6,7 @@
 //! latencies below are in cycles.
 
 /// Re-export of the launch-time analysis pipeline configuration so
-/// simulator users configure GPU and toolchain parallelism from one place
-/// (`threads = 1` with the affine fast path off reproduces the sequential
-/// pipeline bit-for-bit).
+/// simulator users configure the GPU and the toolchain from one place.
 pub use bm_ptx::par::ParallelConfig;
 
 /// Configuration of the simulated GPU.

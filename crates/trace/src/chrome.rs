@@ -751,33 +751,6 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
                     Json::obj([("app_fp", Json::int(*app_fp))]),
                 ));
             }
-            TraceEvent::ParallelDecision {
-                tick,
-                seq,
-                tbs,
-                threads,
-                fallback,
-            } => {
-                process_names.insert(PID_ANALYSIS, "analysis".to_string());
-                thread_names
-                    .entry((PID_ANALYSIS, TID_INSTANTS))
-                    .or_insert_with(|| "events".to_string());
-                out.push(instant_event(
-                    PID_ANALYSIS,
-                    TID_INSTANTS,
-                    *tick,
-                    if *fallback {
-                        "parallel-serial-fallback"
-                    } else {
-                        "parallel-fanout"
-                    },
-                    Json::obj([
-                        ("seq", Json::int(*seq as u64)),
-                        ("tbs", Json::int(*tbs as u64)),
-                        ("threads", Json::int(*threads as u64)),
-                    ]),
-                ));
-            }
             TraceEvent::XferStart {
                 cycle,
                 src,

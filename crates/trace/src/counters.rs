@@ -148,9 +148,6 @@ impl CounterRegistry {
             TraceEvent::BreakerTransition { to, .. } => {
                 self.bump(&format!("breaker_to_{to}"));
             }
-            TraceEvent::ParallelDecision { fallback: true, .. } => {
-                self.bump("parallel_serial_fallback");
-            }
             _ => {}
         }
     }

@@ -445,22 +445,6 @@ pub enum TraceEvent {
         /// Payload size in bytes.
         bytes: u64,
     },
-
-    /// The adaptive thread-count heuristic's verdict for one kernel's
-    /// per-TB interpretation.
-    ParallelDecision {
-        /// Analysis-clock tick.
-        tick: u64,
-        /// Kernel sequence number.
-        seq: u32,
-        /// Thread blocks in the kernel's grid.
-        tbs: u32,
-        /// Worker threads the loop used.
-        threads: u32,
-        /// Whether the heuristic forced serial despite a multi-thread
-        /// configuration.
-        fallback: bool,
-    },
 }
 
 impl TraceEvent {
@@ -496,8 +480,7 @@ impl TraceEvent {
             | TraceEvent::ServeRetry { tick, .. }
             | TraceEvent::ServeCancel { tick, .. }
             | TraceEvent::ServeComplete { tick, .. }
-            | TraceEvent::BreakerTransition { tick, .. }
-            | TraceEvent::ParallelDecision { tick, .. } => *tick,
+            | TraceEvent::BreakerTransition { tick, .. } => *tick,
             TraceEvent::CmdqSubmit { pos, .. } => *pos as u64,
         }
     }
@@ -533,7 +516,6 @@ impl TraceEvent {
             TraceEvent::ServeCancel { .. } => "serve_cancel",
             TraceEvent::ServeComplete { .. } => "serve_complete",
             TraceEvent::BreakerTransition { .. } => "breaker_transition",
-            TraceEvent::ParallelDecision { .. } => "parallel_decision",
             TraceEvent::MultiTopology { .. } => "multi_topology",
             TraceEvent::XferStart { .. } => "xfer_start",
             TraceEvent::XferDone { .. } => "xfer_done",

@@ -1,6 +1,6 @@
 //! Kill-and-resume equivalence across pipeline flavors.
 //!
-//! For every flavor of the execution pipeline (serial analysis, parallel
+//! For every flavor of the execution pipeline (serial analysis, reference
 //! analysis, budgeted, guarded, traced, degraded) and several seeded
 //! configurations, the run is checkpointed at every kernel-retirement
 //! boundary, killed at each interior boundary in turn, and resumed from
@@ -9,7 +9,7 @@
 //! same event stream (modulo the checkpoint instants themselves).
 
 use blockmaestro::{
-    app_fingerprint, try_jit_analyze_app, try_jit_analyze_app_budgeted, try_jit_analyze_app_par,
+    app_fingerprint, try_jit_analyze_app, try_jit_analyze_app_par_traced,
     try_run_analyzed_checkpointed, try_run_app_checkpointed, try_run_app_checkpointed_traced,
     AnalysisBudget, AnalysisCache, BmError, CheckpointPolicy, CheckpointSession, EngineError,
     ExecMode, FaultPlan, JitKernel, MemStore, ParallelConfig, RunReport, RunSnapshot,
@@ -171,30 +171,47 @@ fn serial_pipeline_resumes_exactly() {
     });
 }
 
+/// One analysis of `app` under `budget` and `par` with a fresh cache.
+fn analyze_with(
+    cfg: &GpuConfig,
+    app: &Application,
+    budget: &AnalysisBudget,
+    par: &ParallelConfig,
+) -> Vec<JitKernel> {
+    let mut cache = AnalysisCache::for_budget(budget);
+    try_jit_analyze_app_par_traced(
+        cfg,
+        app,
+        HazardMode::Raw,
+        budget,
+        &mut cache,
+        par,
+        &NullTracer,
+    )
+    .expect("analysis")
+}
+
 #[test]
-fn parallel_pipeline_resumes_exactly() {
-    check_engine_flavor("parallel", |cfg, app| {
-        let budget = AnalysisBudget::default();
-        let mut cache = AnalysisCache::for_budget(&budget);
-        try_jit_analyze_app_par(
+fn reference_pipeline_resumes_exactly() {
+    check_engine_flavor("reference", |cfg, app| {
+        analyze_with(
             cfg,
             app,
-            HazardMode::Raw,
-            &budget,
-            &mut cache,
-            &ParallelConfig::with_threads(4).oversubscribed(),
+            &AnalysisBudget::default(),
+            &ParallelConfig::reference(),
         )
-        .expect("analysis")
     });
 }
 
 #[test]
 fn budgeted_pipeline_resumes_exactly() {
     check_engine_flavor("budgeted", |cfg, app| {
-        let budget = AnalysisBudget::default();
-        let mut cache = AnalysisCache::for_budget(&budget);
-        try_jit_analyze_app_budgeted(cfg, app, HazardMode::Raw, &budget, &mut cache)
-            .expect("analysis")
+        analyze_with(
+            cfg,
+            app,
+            &AnalysisBudget::default(),
+            &ParallelConfig::serial(),
+        )
     });
 }
 
@@ -203,10 +220,12 @@ fn degraded_pipeline_resumes_exactly() {
     // An exhausted budget pushes every kernel down the ladder; checkpoint
     // state must capture the degraded engine exactly the same way.
     check_engine_flavor("degraded", |cfg, app| {
-        let budget = AnalysisBudget::exhausted();
-        let mut cache = AnalysisCache::for_budget(&budget);
-        let jit = try_jit_analyze_app_budgeted(cfg, app, HazardMode::Raw, &budget, &mut cache)
-            .expect("analysis");
+        let jit = analyze_with(
+            cfg,
+            app,
+            &AnalysisBudget::exhausted(),
+            &ParallelConfig::serial(),
+        );
         assert!(
             jit.iter().any(|k| k.degradation.is_degraded()),
             "exhausted budget must degrade"

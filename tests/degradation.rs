@@ -8,9 +8,10 @@
 mod common;
 
 use blockmaestro::{
-    check_schedule, corrupt_access_set, corrupt_pattern, jit_analyze_app, jit_analyze_app_budgeted,
-    random_plan, run_analyzed, try_run_analyzed_faulty, try_run_app_budgeted, AnalysisBudget,
-    AnalysisCache, DegradationReason, DegradationRung, ExecMode, FaultClass, FaultPlan, FaultRng,
+    check_schedule, corrupt_access_set, corrupt_pattern, jit_analyze_app,
+    jit_analyze_app_par_stats, random_plan, run_analyzed, try_run_analyzed_faulty,
+    try_run_app_budgeted, AnalysisBudget, AnalysisCache, DegradationReason, DegradationRung,
+    ExecMode, FaultClass, FaultPlan, FaultRng, JitKernel, ParallelConfig,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -59,6 +60,18 @@ fn precise_cost(launch: &Launch) -> u64 {
     let r = try_analyze_launch_fueled(launch, &mut fuel).expect("valid launch");
     assert!(r.is_some(), "calibration must not run out of fuel");
     (1 << 20) - fuel
+}
+
+/// One analysis of `app` under `budget` into `cache`, on the default
+/// configuration.
+fn analyze_budgeted(
+    cfg: &GpuConfig,
+    app: &Application,
+    budget: &AnalysisBudget,
+    cache: &mut AnalysisCache,
+) -> Vec<JitKernel> {
+    let serial = ParallelConfig::serial();
+    jit_analyze_app_par_stats(cfg, app, HazardMode::Raw, budget, cache, &serial).0
 }
 
 fn first_launch(app: &Application) -> Launch {
@@ -164,7 +177,7 @@ fn starved_precise_fuel_forces_the_coarse_rung() {
         ..AnalysisBudget::default()
     };
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+    let jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
     for k in &jit {
         assert_eq!(k.degradation.rung, DegradationRung::Coarse, "{}", k.name);
         assert_eq!(k.degradation.reason, DegradationReason::AnalysisOverBudget);
@@ -187,7 +200,7 @@ fn exhausted_budgets_force_the_barrier_rung() {
     let app = chain_app(3, 8);
     let budget = AnalysisBudget::exhausted();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+    let jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
     for k in &jit {
         assert_eq!(k.degradation.rung, DegradationRung::Barrier, "{}", k.name);
         assert_eq!(k.degradation.reason, DegradationReason::CoarseOverBudget);
@@ -276,7 +289,7 @@ fn trace_budget_exhaustion_disables_prelaunch() {
         ..AnalysisBudget::default()
     };
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+    let jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
     for k in &jit {
         assert_eq!(
             k.degradation.rung,
@@ -309,7 +322,7 @@ fn repeated_launches_hit_the_analysis_cache() {
     let app = repeated_app(4, 8);
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+    let jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
     assert!(!jit[0].cache_hit, "first launch must be analyzed");
     assert!(
         jit[1..].iter().all(|k| k.cache_hit),
@@ -347,7 +360,7 @@ fn capacity_one_cache_evicts_deterministically() {
         ..AnalysisBudget::default()
     };
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+    let jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
     assert!(jit.iter().all(|k| !k.cache_hit), "capacity 1 thrashes");
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.evictions), (0, 4, 3));
@@ -489,8 +502,7 @@ fn fault_injection_composes_with_budget_exhaustion() {
                 }
             };
             let mut cache = AnalysisCache::for_budget(&budget);
-            let mut jit =
-                jit_analyze_app_budgeted(&cfg, &app, HazardMode::Raw, &budget, &mut cache);
+            let mut jit = analyze_budgeted(&cfg, &app, &budget, &mut cache);
             let mut frng = FaultRng::new(rng.next_u64());
             let plan = if class.is_static() {
                 let k = 1 + frng.below(jit.len() as u64 - 1) as usize;

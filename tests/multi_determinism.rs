@@ -4,14 +4,13 @@
 //!   single-device engine — the `RunReport` **and** the recorded trace
 //!   stream — in every execution mode;
 //! * `devices = N` must be bit-reproducible across repeated runs and
-//!   across host-side analysis thread counts (the coordinator is
-//!   single-threaded; host parallelism only touches the JIT pipeline,
-//!   which is itself deterministic).
+//!   across launch-time analysis configurations (the reference oracle and
+//!   the memoized fast paths).
 
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par, try_run_analyzed_traced, AnalysisBudget, AnalysisCache, ExecMode,
+    jit_analyze_app_par_stats, try_run_analyzed_traced, AnalysisBudget, AnalysisCache, ExecMode,
     JitKernel, ParallelConfig,
 };
 use bm_cmdq::Application;
@@ -49,7 +48,7 @@ fn gen_spec(rng: &mut Rng, n_buffers: usize) -> KernelSpec {
 fn reference_jit(cfg: &GpuConfig, app: &Application) -> Vec<JitKernel> {
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_par(
+    jit_analyze_app_par_stats(
         cfg,
         app,
         HazardMode::Raw,
@@ -57,6 +56,7 @@ fn reference_jit(cfg: &GpuConfig, app: &Application) -> Vec<JitKernel> {
         &mut cache,
         &ParallelConfig::reference(),
     )
+    .0
 }
 
 #[test]
@@ -123,29 +123,29 @@ fn n_devices_is_reproducible_across_runs_and_thread_counts() {
             "devices={devices} trace not reproducible under {mode} for specs {specs:?}"
         );
 
-        // Bit-identical when the JIT pipeline ran with different host
-        // thread counts / fast-path configurations.
+        // Bit-identical when the JIT pipeline ran with its fast paths on.
         let budget = AnalysisBudget::default();
-        for par in [
-            ParallelConfig::serial(),
-            ParallelConfig::with_threads(8).oversubscribed(),
-        ] {
-            let mut cache = AnalysisCache::for_budget(&budget);
-            let jit_par =
-                jit_analyze_app_par(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &par);
-            let par_tracer = RecordingTracer::new();
-            let report =
-                try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit_par, mode, &par_tracer)
-                    .map_err(|e| format!("{par:?} {mode}: {e}"))?;
-            prop_ensure!(
-                report == reference,
-                "devices={devices} report diverged under {par:?}, {mode}, specs {specs:?}"
-            );
-            prop_ensure!(
-                par_tracer.events() == ref_tracer.events(),
-                "devices={devices} trace diverged under {par:?}, {mode}, specs {specs:?}"
-            );
-        }
+        let mut cache = AnalysisCache::for_budget(&budget);
+        let (jit_serial, _) = jit_analyze_app_par_stats(
+            &cfg,
+            &app,
+            HazardMode::Raw,
+            &budget,
+            &mut cache,
+            &ParallelConfig::serial(),
+        );
+        let serial_tracer = RecordingTracer::new();
+        let report =
+            try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit_serial, mode, &serial_tracer)
+                .map_err(|e| format!("serial {mode}: {e}"))?;
+        prop_ensure!(
+            report == reference,
+            "devices={devices} report diverged under serial(), {mode}, specs {specs:?}"
+        );
+        prop_ensure!(
+            serial_tracer.events() == ref_tracer.events(),
+            "devices={devices} trace diverged under serial(), {mode}, specs {specs:?}"
+        );
         Ok(())
     });
 }

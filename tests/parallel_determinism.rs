@@ -1,20 +1,25 @@
-//! The parallel analysis pipeline must be an *optimization*, not a
-//! behavior change: for any application, `ParallelConfig::serial()`
-//! (affine fast path on) and `ParallelConfig::with_threads(8)` must
-//! produce bit-identical JIT results — access sets, dependency graphs,
-//! skip gates, degradation ladders, cache hits — and identical simulated
-//! schedules, compared against `ParallelConfig::reference()` (one thread,
-//! affine off: the pre-parallel pipeline).
+//! The memoized analysis pipeline must be an *optimization*, not a
+//! behavior change: for any application, `ParallelConfig::serial()` (the
+//! fast paths every user path runs) must produce the same JIT results as
+//! `ParallelConfig::reference()` (every thread block and representative
+//! trace fully interpreted) — access sets, dependency graphs, skip gates,
+//! degradation ladders, profiles, cache hits and cache statistics — and
+//! so the same simulated runs.
 
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par, run_analyzed, AnalysisBudget, AnalysisCache, ExecMode, ParallelConfig,
+    jit_analyze_app_par_stats, run_analyzed, AnalysisBudget, AnalysisCache, CacheStats, ExecMode,
+    JitKernel, ParallelConfig,
 };
+use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure, Rng};
+use bm_workloads::{suite, Scale};
 use common::{build_random_app, KernelSpec};
+
+const MODE: ExecMode = ExecMode::ConsumerPriority { window: 3 };
 
 /// Draws a spec with grids large enough (40..100 TBs) to clear the affine
 /// fast path's minimum-grid threshold, unlike the default generator.
@@ -31,6 +36,33 @@ fn gen_large_spec(rng: &mut Rng, n_buffers: usize) -> KernelSpec {
     s
 }
 
+/// The kernels and cache statistics of one cold analysis under `par`.
+fn analyze(
+    cfg: &GpuConfig,
+    app: &Application,
+    hazard: HazardMode,
+    par: &ParallelConfig,
+) -> (Vec<JitKernel>, CacheStats) {
+    let budget = AnalysisBudget::default();
+    let mut cache = AnalysisCache::for_budget(&budget);
+    let (jit, _) = jit_analyze_app_par_stats(cfg, app, hazard, &budget, &mut cache, par);
+    (jit, cache.stats())
+}
+
+/// Panics naming the first kernel whose serial analysis differs from the
+/// reference.
+fn assert_same_analysis(label: &str, serial: &[JitKernel], reference: &[JitKernel]) {
+    assert_eq!(serial.len(), reference.len(), "{label}: kernel count");
+    for (got, want) in serial.iter().zip(reference) {
+        assert!(
+            got == want,
+            "{label}: kernel {} ({}) diverged",
+            got.seq,
+            got.name
+        );
+    }
+}
+
 #[test]
 fn parallel_and_affine_match_reference() {
     check_cases(0xD373, 32, |rng| {
@@ -41,81 +73,69 @@ fn parallel_and_affine_match_reference() {
             .collect();
         let app = build_random_app(n_buffers, &specs);
         let cfg = GpuConfig::small();
-        let budget = AnalysisBudget::default();
 
-        let mut ref_cache = AnalysisCache::for_budget(&budget);
-        let reference = jit_analyze_app_par(
-            &cfg,
-            &app,
-            HazardMode::Raw,
-            &budget,
-            &mut ref_cache,
-            &ParallelConfig::reference(),
+        let (reference, ref_stats) =
+            analyze(&cfg, &app, HazardMode::Raw, &ParallelConfig::reference());
+        let ref_report = run_analyzed(&cfg, &app, &reference, MODE);
+        let (jit, stats) = analyze(&cfg, &app, HazardMode::Raw, &ParallelConfig::serial());
+        prop_ensure!(
+            jit.len() == reference.len(),
+            "kernel count diverged for specs {specs:?}"
         );
-        let ref_report = run_analyzed(
-            &cfg,
-            &app,
-            &reference,
-            ExecMode::ConsumerPriority { window: 3 },
-        );
-
-        for par in [
-            ParallelConfig::serial(),
-            // Oversubscribed so the multi-worker code paths run even on
-            // machines with fewer than 8 cores.
-            ParallelConfig::with_threads(8).oversubscribed(),
-        ] {
-            let mut cache = AnalysisCache::for_budget(&budget);
-            let jit = jit_analyze_app_par(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &par);
+        for (got, want) in jit.iter().zip(&reference) {
             prop_ensure!(
-                jit.len() == reference.len(),
-                "kernel count diverged under {par:?} for specs {specs:?}"
-            );
-            for (got, want) in jit.iter().zip(&reference) {
-                prop_ensure!(
-                    got.access == want.access,
-                    "access sets diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-                prop_ensure!(
-                    got.graph == want.graph,
-                    "graph diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-                prop_ensure!(
-                    got.skip_gates == want.skip_gates,
-                    "skip gates diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-                prop_ensure!(
-                    got.degradation == want.degradation,
-                    "degradation diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-                prop_ensure!(
-                    got.cache_hit == want.cache_hit,
-                    "cache hit diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-                prop_ensure!(
-                    got.profile.duration == want.profile.duration
-                        && got.profile.txns_per_tb == want.profile.txns_per_tb
-                        && got.profile.n_tbs == want.profile.n_tbs,
-                    "profile diverged for kernel {} under {par:?}, specs {specs:?}",
-                    got.seq
-                );
-            }
-            prop_ensure!(
-                cache.stats() == ref_cache.stats(),
-                "cache stats diverged under {par:?} for specs {specs:?}"
-            );
-            let report = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 3 });
-            prop_ensure!(
-                report.total_cycles == ref_report.total_cycles
-                    && report.kernel_region_cycles == ref_report.kernel_region_cycles,
-                "simulated schedule diverged under {par:?} for specs {specs:?}"
+                got == want,
+                "kernel {} diverged for specs {specs:?}",
+                got.seq
             );
         }
+        prop_ensure!(
+            stats == ref_stats,
+            "cache stats diverged for specs {specs:?}"
+        );
+        let report = run_analyzed(&cfg, &app, &jit, MODE);
+        prop_ensure!(
+            report == ref_report,
+            "simulated run diverged for specs {specs:?}"
+        );
         Ok(())
     });
+}
+
+#[test]
+fn serial_matches_reference_on_every_small_app() {
+    let cfg = GpuConfig::small();
+    for b in suite() {
+        let app = (b.build)(Scale::Small);
+        for hazard in [HazardMode::Raw, HazardMode::All] {
+            let label = format!("{} {hazard:?}", b.name);
+            let (reference, ref_stats) = analyze(&cfg, &app, hazard, &ParallelConfig::reference());
+            let (serial, stats) = analyze(&cfg, &app, hazard, &ParallelConfig::serial());
+            assert_same_analysis(&label, &serial, &reference);
+            assert_eq!(stats, ref_stats, "{label}: cache stats");
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "Scale::Full: run with --release")]
+fn serial_matches_reference_on_every_full_app() {
+    let cfg = GpuConfig::titan_x_pascal();
+    for b in suite() {
+        let app = (b.build)(Scale::Full);
+        for hazard in [HazardMode::Raw, HazardMode::All] {
+            let label = format!("{} {hazard:?}", b.name);
+            let (reference, ref_stats) = analyze(&cfg, &app, hazard, &ParallelConfig::reference());
+            let (serial, stats) = analyze(&cfg, &app, hazard, &ParallelConfig::serial());
+            assert_same_analysis(&label, &serial, &reference);
+            assert_eq!(stats, ref_stats, "{label}: cache stats");
+            if hazard == HazardMode::Raw {
+                assert!(
+                    run_analyzed(&cfg, &app, &serial, MODE)
+                        == run_analyzed(&cfg, &app, &reference, MODE),
+                    "{label}: consumer(w=3) report diverged"
+                );
+            }
+        }
+    }
 }

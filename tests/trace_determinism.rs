@@ -140,8 +140,8 @@ fn degradation_stamps_carry_issue_cycles() {
     // analysis budget) must be stamped with its issue cycle — nonzero for
     // every kernel after the first — and the stamp must agree between the
     // report and the trace instants.
-    use blockmaestro::{try_jit_analyze_app_traced, try_run_analyzed_traced};
-    use blockmaestro::{AnalysisBudget, AnalysisCache};
+    use blockmaestro::{try_jit_analyze_app_par_traced, try_run_analyzed_traced};
+    use blockmaestro::{AnalysisBudget, AnalysisCache, ParallelConfig};
 
     let cfg = GpuConfig::small();
     let app = random_app(9);
@@ -152,8 +152,17 @@ fn degradation_stamps_carry_issue_cycles() {
     };
     let mut cache = AnalysisCache::for_budget(&budget);
     let tracer = RecordingTracer::new();
-    let jit = try_jit_analyze_app_traced(&cfg, &app, HazardMode::Raw, &budget, &mut cache, &tracer)
-        .expect("analysis");
+    let serial = ParallelConfig::serial();
+    let jit = try_jit_analyze_app_par_traced(
+        &cfg,
+        &app,
+        HazardMode::Raw,
+        &budget,
+        &mut cache,
+        &serial,
+        &tracer,
+    )
+    .expect("analysis");
     assert!(jit.iter().all(|k| k.degradation.is_degraded()));
     let mode = ExecMode::ConsumerPriority { window: 3 };
     let report = try_run_analyzed_traced(&cfg, &app, &jit, mode, &tracer).expect("run");

@@ -1,16 +1,16 @@
 //! Cross-launch trace-memoization determinism: traces synthesized from a
 //! validated representative-TB anchor must be bit-identical to interpreted
 //! traces — same `JitKernel` outputs, same cache stats — across
-//! `ParallelConfig::reference()` (memo off), `ParallelConfig::serial()`,
-//! and `ParallelConfig::with_threads(8)`, including seeds that force the
-//! warp lane law to reject and seeds whose traces genuinely depend on
-//! buffer contents (which must pin the memo key to interpretation).
+//! `ParallelConfig::reference()` (memo off) and `ParallelConfig::serial()`,
+//! including seeds that force the warp lane law to reject and seeds whose
+//! traces genuinely depend on buffer contents (which must pin the memo key
+//! to interpretation).
 
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par, jit_analyze_app_par_stats, AnalysisBudget, AnalysisCache, JitKernel,
-    ParallelConfig, TraceMemoStats,
+    jit_analyze_app_par_stats, AnalysisBudget, AnalysisCache, JitKernel, ParallelConfig,
+    TraceMemoStats,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -23,7 +23,7 @@ use common::{build_random_app, KernelSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Runs `app` under the reference config and both fast-path configs,
+/// Runs `app` under the reference config and the fast-path config,
 /// requiring bit-identical `JitKernel` outputs and cache stats; returns
 /// the `serial()` run's memo counters for the caller to assert on.
 fn check_configs(
@@ -33,7 +33,7 @@ fn check_configs(
 ) -> Result<TraceMemoStats, String> {
     let budget = AnalysisBudget::default();
     let mut ref_cache = AnalysisCache::for_budget(&budget);
-    let reference = jit_analyze_app_par(
+    let (reference, _) = jit_analyze_app_par_stats(
         cfg,
         app,
         HazardMode::Raw,
@@ -41,43 +41,38 @@ fn check_configs(
         &mut ref_cache,
         &ParallelConfig::reference(),
     );
-    let mut serial_stats = TraceMemoStats::default();
-    for par in [
-        ParallelConfig::serial(),
-        // Oversubscribed so the plan/replay parallel path runs even on
-        // machines with fewer than 8 cores.
-        ParallelConfig::with_threads(8).oversubscribed(),
-    ] {
-        let mut cache = AnalysisCache::for_budget(&budget);
-        let (jit, stats) =
-            jit_analyze_app_par_stats(cfg, app, HazardMode::Raw, &budget, &mut cache, &par);
-        if par.threads <= 1 {
-            serial_stats = stats;
-        }
+    let mut cache = AnalysisCache::for_budget(&budget);
+    let (jit, stats) = jit_analyze_app_par_stats(
+        cfg,
+        app,
+        HazardMode::Raw,
+        &budget,
+        &mut cache,
+        &ParallelConfig::serial(),
+    );
+    prop_ensure!(
+        jit.len() == reference.len(),
+        "kernel count diverged ({label})"
+    );
+    for (got, want) in jit.iter().zip(&reference) {
         prop_ensure!(
-            jit.len() == reference.len(),
-            "kernel count diverged under {par:?} ({label})"
+            kernel_bits(got) == kernel_bits(want),
+            "kernel {} diverged ({label}): got {:?} want {:?}",
+            got.seq,
+            kernel_bits(got),
+            kernel_bits(want)
         );
-        for (got, want) in jit.iter().zip(&reference) {
-            prop_ensure!(
-                kernel_bits(got) == kernel_bits(want),
-                "kernel {} diverged under {par:?} ({label}): got {:?} want {:?}",
-                got.seq,
-                kernel_bits(got),
-                kernel_bits(want)
-            );
-            prop_ensure!(
-                got.access == want.access && got.graph == want.graph,
-                "access/graph diverged for kernel {} under {par:?} ({label})",
-                got.seq
-            );
-        }
         prop_ensure!(
-            cache.stats() == ref_cache.stats(),
-            "cache stats diverged under {par:?} ({label})"
+            got.access == want.access && got.graph == want.graph,
+            "access/graph diverged for kernel {} ({label})",
+            got.seq
         );
     }
-    Ok(serial_stats)
+    prop_ensure!(
+        cache.stats() == ref_cache.stats(),
+        "cache stats diverged ({label})"
+    );
+    Ok(stats)
 }
 
 /// The scalar fields a synthesized trace could corrupt, in one
@@ -311,7 +306,7 @@ fn content_dependent_traces_reject_the_memo() {
     // divergence the memo must not paper over.
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let jit = jit_analyze_app_par(
+    let (jit, _) = jit_analyze_app_par_stats(
         &cfg,
         &app,
         HazardMode::Raw,

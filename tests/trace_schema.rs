@@ -172,79 +172,3 @@ fn export_schema_valid_for_real_workload() {
     }
     assert!(pids.iter().any(|&p| p >= PID_SM_BASE), "missing SM tracks");
 }
-
-#[test]
-fn adaptive_thread_decision_is_recorded_in_the_trace() {
-    use blockmaestro::{
-        try_run_app_checkpointed_ctl, CheckpointPolicy, FaultPlan, MemStore, ParallelConfig, RunCtl,
-    };
-    use bm_trace::{CounterRegistry, TraceEvent};
-
-    let cfg = GpuConfig::small();
-    let tracer = RecordingTracer::new();
-    let mut rng = Rng::new(77);
-    let n_buffers = 3;
-    // The default generator draws small grids — every kernel lands under
-    // `serial_tb_threshold`, so an 8-thread config must fall back.
-    let specs: Vec<_> = (0..4).map(|_| gen_spec(&mut rng, n_buffers)).collect();
-    let app = build_random_app(n_buffers, &specs);
-    let ctl = RunCtl {
-        // Oversubscribed so the hardware-thread clamp (this may run on a
-        // single-core box) cannot itself explain the serial fallback the
-        // assertions below attribute to the small grids.
-        par: Some(ParallelConfig::with_threads(8).oversubscribed()),
-        cancel: None,
-    };
-    let mut store = MemStore::default();
-    try_run_app_checkpointed_ctl(
-        &cfg,
-        &app,
-        ExecMode::ConsumerPriority { window: 3 },
-        HazardMode::Raw,
-        &FaultPlan::default(),
-        CheckpointPolicy::disabled(),
-        &mut store,
-        false,
-        &tracer,
-        &ctl,
-    )
-    .expect("clean run");
-
-    let events = tracer.events();
-    let decisions: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::ParallelDecision {
-                tbs,
-                threads,
-                fallback,
-                ..
-            } => Some((*tbs, *threads, *fallback)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        decisions.len(),
-        2 * specs.len(),
-        "two decisions per analyzed kernel: absint fan-out and trace fan-out"
-    );
-    let threshold = ParallelConfig::default().serial_tb_threshold;
-    for (tbs, threads, fallback) in &decisions {
-        assert!(*tbs < threshold, "generator drew an over-threshold grid");
-        assert!(*fallback, "small grid must force the serial fallback");
-        assert_eq!(*threads, 1, "fallback runs single-threaded");
-    }
-
-    // The decisions also land in the counter registry.
-    let mut counters = CounterRegistry::new();
-    for e in &events {
-        counters.fold(e);
-    }
-    assert_eq!(
-        counters.counter("parallel_serial_fallback"),
-        2 * specs.len() as u64
-    );
-
-    // And the export stays schema-valid with the new event present.
-    check_document(&export_chrome_trace(&events), "adaptive decision trace");
-}
