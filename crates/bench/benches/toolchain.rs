@@ -9,7 +9,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode};
+use blockmaestro::{jit_analyze_app, run, ExecMode, RunSpec};
 use bm_depgraph::interval_index::IntervalIndex;
 use bm_depgraph::{build_graph, build_graph_naive, HazardMode};
 use bm_ptx::absint::{analyze_launch, try_analyze_launch_fueled_par};
@@ -17,6 +17,7 @@ use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::par::ParallelConfig;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{hotspot, vectoradd, Scale};
 use std::sync::Arc;
 
@@ -190,12 +191,11 @@ fn bench_engine() {
         jit_analyze_app(black_box(&cfg), black_box(&app), HazardMode::Raw)
     });
     bench("engine_run/hotspot_small", || {
-        run_analyzed(
-            black_box(&cfg),
-            black_box(&app),
-            black_box(&jit),
-            ExecMode::ConsumerPriority { window: 3 },
-        )
+        let mut spec = RunSpec {
+            kernels: Some(black_box(&jit)),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+        };
+        run(black_box(&cfg), black_box(&app), &mut spec, &NullTracer)
     });
 }
 
@@ -213,7 +213,11 @@ fn bench_ablation_policies() {
         ExecMode::ConsumerPriority { window: 4 },
     ] {
         bench(&format!("ablation_policies/{mode}"), || {
-            run_analyzed(black_box(&cfg), black_box(&app), black_box(&jit), mode)
+            let mut spec = RunSpec {
+                kernels: Some(black_box(&jit)),
+                ..RunSpec::new(mode)
+            };
+            run(black_box(&cfg), black_box(&app), &mut spec, &NullTracer)
         });
     }
 }

@@ -51,15 +51,15 @@
 //! Example: `cargo run --release -p bm-bench --bin bmrun -- GAUSSIAN --mode consumer --window 4 --trace out.json`
 
 use blockmaestro::{
-    atomic_write, check_no_races, check_schedule, run_app_with, run_app_with_tracer,
-    try_run_app_checkpointed, try_run_app_checkpointed_traced, BmError, CheckpointPolicy, DirStore,
-    EngineError, ExecMode, FaultPlan, RunSnapshot, SnapshotStore,
+    atomic_write, check_no_races, check_schedule, run, BmError, CheckpointPolicy,
+    CheckpointSession, DirStore, EngineError, ExecMode, FaultPlan, RunSnapshot, RunSpec,
+    SnapshotStore,
 };
 use bm_depgraph::HazardMode;
-use bm_multi::{try_run_app_multi, try_run_app_multi_traced, MultiGpuConfig};
+use bm_multi::MultiGpuConfig;
 use bm_simt::GpuConfig;
 use bm_trace::json::Json;
-use bm_trace::{export_chrome_trace, summarize, RecordingTracer};
+use bm_trace::{export_chrome_trace, summarize, NullTracer, RecordingTracer};
 use bm_workloads::{suite, Scale};
 use std::path::Path;
 use std::process::ExitCode;
@@ -150,86 +150,87 @@ fn main() -> ExitCode {
     let mut failed = false;
     for bench in benches {
         let app = (bench.build)(scale);
-        let base = run_app_with(&cfg, &app, ExecMode::Baseline, hazard);
-        let (report, recorded) = if checkpointing {
-            let policy = match ckpt_every {
-                Some(n) => CheckpointPolicy::every_kernels(n),
-                None => CheckpointPolicy::disabled(),
-            };
-            let mut store = match &resume_path {
-                Some(p) => DirStore::at_file(p.clone()),
-                None => DirStore::new(ckpt_dir.clone().unwrap_or_else(|| ".bmckpt".into())),
-            };
-            let resume = resume_path.is_some();
-            if resume {
-                // Pre-probe the snapshot so rejection is visible even
-                // without a tracer; the run itself degrades to fresh.
-                match store.load() {
-                    Ok(Some(bytes)) => {
-                        if let Err(e) = RunSnapshot::decode(&bytes) {
-                            eprintln!("bmrun: snapshot rejected ({e}); starting fresh");
-                        }
-                    }
-                    Ok(None) => eprintln!(
-                        "bmrun: no snapshot at `{}`; starting fresh",
-                        store.path().display()
-                    ),
-                    Err(e) => eprintln!("bmrun: snapshot rejected ({e}); starting fresh"),
-                }
+        let mut base_spec = RunSpec {
+            hazard,
+            ..RunSpec::new(ExecMode::Baseline)
+        };
+        let base = match run(&cfg, &app, &mut base_spec, &NullTracer) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("bmrun: {e}");
+                return ExitCode::FAILURE;
             }
-            let fault = FaultPlan {
+        };
+        let mut store = checkpointing.then(|| match &resume_path {
+            Some(p) => DirStore::at_file(p.clone()),
+            None => DirStore::new(ckpt_dir.clone().unwrap_or_else(|| ".bmckpt".into())),
+        });
+        let snapshot_path = store.as_ref().map(|s| s.path().display().to_string());
+        if let (Some(store), true) = (store.as_mut(), resume_path.is_some()) {
+            // Pre-probe the snapshot so rejection is visible even
+            // without a tracer; the run itself degrades to fresh.
+            match store.load() {
+                Ok(Some(bytes)) => {
+                    if let Err(e) = RunSnapshot::decode(&bytes) {
+                        eprintln!("bmrun: snapshot rejected ({e}); starting fresh");
+                    }
+                }
+                Ok(None) => eprintln!(
+                    "bmrun: no snapshot at `{}`; starting fresh",
+                    store.path().display()
+                ),
+                Err(e) => eprintln!("bmrun: snapshot rejected ({e}); starting fresh"),
+            }
+        }
+        // Checkpointed runs are guarded, so a resumed run re-applies the
+        // guard's quarantines from its snapshot.
+        let mut spec = RunSpec {
+            hazard,
+            guard: checkpointing,
+            fault: FaultPlan {
                 kill_at_kernel: kill_at,
                 ..FaultPlan::default()
-            };
-            let run = if tracing {
-                let tracer = RecordingTracer::new();
-                try_run_app_checkpointed_traced(
-                    &cfg, &app, mode, hazard, &fault, policy, &mut store, resume, &tracer,
-                )
-                .map(|report| (report, Some(tracer.events())))
-            } else {
-                try_run_app_checkpointed(
-                    &cfg, &app, mode, hazard, &fault, policy, &mut store, resume,
-                )
-                .map(|report| (report, None))
-            };
-            match run {
-                Ok(pair) => pair,
-                Err(BmError::Engine(EngineError::Killed { cycle, retired })) => {
-                    eprintln!(
-                        "bmrun: killed at cycle {cycle} after {retired} kernels retired \
-                         (snapshot at `{}`)",
-                        store.path().display()
-                    );
-                    return ExitCode::from(3);
-                }
-                Err(e) => {
-                    eprintln!("bmrun: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if devices > 1 {
-            let run = if tracing {
-                let tracer = RecordingTracer::new();
-                try_run_app_multi_traced(&cfg, &mcfg, &app, mode, hazard, &tracer)
-                    .map(|report| (report, Some(tracer.events())))
-            } else {
-                try_run_app_multi(&cfg, &mcfg, &app, mode, hazard).map(|report| (report, None))
-            };
-            match run {
-                Ok(pair) => pair,
-                Err(e) => {
-                    eprintln!("bmrun: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if tracing {
-            let tracer = RecordingTracer::new();
-            let report = run_app_with_tracer(&cfg, &app, mode, hazard, &tracer);
-            (report, Some(tracer.events()))
-        } else {
-            (run_app_with(&cfg, &app, mode, hazard), None)
+            },
+            ..RunSpec::new(mode)
         };
+        if let Some(store) = store.as_mut() {
+            spec.checkpoint = CheckpointSession {
+                policy: match ckpt_every {
+                    Some(n) => CheckpointPolicy::every_kernels(n),
+                    None => CheckpointPolicy::disabled(),
+                },
+                store: Some(store),
+                resume_latest: resume_path.is_some(),
+                ..CheckpointSession::disabled()
+            };
+        }
+        let tracer = RecordingTracer::new();
+        let result = if tracing {
+            bm_multi::run(&cfg, &mcfg, &app, &mut spec, &tracer)
+        } else {
+            bm_multi::run(&cfg, &mcfg, &app, &mut spec, &NullTracer)
+        };
+        for e in &spec.checkpoint.save_failures {
+            eprintln!("bmrun: checkpoint save failed: {e}");
+        }
+        let report = match result {
+            Ok(report) => report,
+            Err(BmError::Engine(EngineError::Killed { cycle, retired })) => {
+                let snapshot = match snapshot_path {
+                    Some(path) if spec.checkpoint.saves > 0 => format!("snapshot at `{path}`"),
+                    _ => "no snapshot written".to_string(),
+                };
+                eprintln!(
+                    "bmrun: killed at cycle {cycle} after {retired} kernels retired ({snapshot})"
+                );
+                return ExitCode::from(3);
+            }
+            Err(e) => {
+                eprintln!("bmrun: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let recorded = tracing.then(|| tracer.events());
         if let (Some(path), Some(events)) = (trace_path.as_deref(), recorded.as_deref()) {
             // `bmrun all --trace out.json` writes out.GAUSSIAN.json etc.
             let path = if multi {

@@ -5,10 +5,11 @@
 //!
 //! Usage: `cargo run --release -p bm-bench --bin ext_sensitivity [-- --small]`
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode};
+use blockmaestro::{jit_analyze_app, run, ExecMode, RunSpec};
 use bm_bench::{geomean, print_row, scale_from_args};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::suite;
 
 fn geomean_speedup(cfg: &GpuConfig, scale: bm_workloads::Scale) -> f64 {
@@ -16,8 +17,15 @@ fn geomean_speedup(cfg: &GpuConfig, scale: bm_workloads::Scale) -> f64 {
     for b in suite() {
         let app = (b.build)(scale);
         let jit = jit_analyze_app(cfg, &app, HazardMode::Raw);
-        let base = run_analyzed(cfg, &app, &jit, ExecMode::Baseline);
-        let bm = run_analyzed(cfg, &app, &jit, ExecMode::ConsumerPriority { window: 4 });
+        let run_mode = |mode| {
+            let mut spec = RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            };
+            run(cfg, &app, &mut spec, &NullTracer).unwrap_or_else(|e| panic!("{}: {e}", app.name))
+        };
+        let base = run_mode(ExecMode::Baseline);
+        let bm = run_mode(ExecMode::ConsumerPriority { window: 4 });
         speedups.push(base.total_cycles as f64 / bm.total_cycles as f64);
     }
     geomean(&speedups)

@@ -8,10 +8,11 @@
 //!
 //! Usage: `cargo run --release -p bm-bench --bin ext_streams [-- --small]`
 
-use blockmaestro::{jit_analyze_app, run_analyzed, run_streams, ExecMode, StreamAssignment};
+use blockmaestro::{jit_analyze_app, run, run_streams, ExecMode, RunSpec, StreamAssignment};
 use bm_bench::{geomean, print_row, scale_from_args};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::suite;
 
 fn main() {
@@ -37,8 +38,15 @@ fn main() {
         // so host prologue costs cancel out.
         let single = run_streams(&cfg, &jit, &StreamAssignment::single(jit.len()));
         let streams = run_streams(&cfg, &jit, &assignment);
-        let base = run_analyzed(&cfg, &app, &jit, ExecMode::Baseline);
-        let bm = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 4 });
+        let run_mode = |mode| {
+            let mut spec = RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            };
+            run(&cfg, &app, &mut spec, &NullTracer).unwrap_or_else(|e| panic!("{}: {e}", app.name))
+        };
+        let base = run_mode(ExecMode::Baseline);
+        let bm = run_mode(ExecMode::ConsumerPriority { window: 4 });
         let ss = single.total_cycles as f64 / streams.total_cycles as f64;
         let bs = base.kernel_region_cycles as f64 / bm.kernel_region_cycles as f64;
         stream_s.push(ss);

@@ -6,10 +6,11 @@
 //!
 //! Usage: `cargo run --release -p bm-bench --bin fig12_interconnectivity`
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode};
+use blockmaestro::{jit_analyze_app, run, ExecMode, RunSpec};
 use bm_bench::print_row;
 use bm_depgraph::{storage, HazardMode, Pattern};
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::vectoradd;
 
 /// Hardware counter fallback threshold (6-bit counters, §IV-C).
@@ -41,8 +42,16 @@ fn main() {
             jit[1].encoded = !matches!(st.pattern, Pattern::Irregular);
             jit[1].graph = graph;
             jit[1].storage = st;
-            let base = run_analyzed(&cfg, &app, &jit, ExecMode::Baseline);
-            let bm = run_analyzed(&cfg, &app, &jit, ExecMode::ProducerPriority { window: 2 });
+            let run_mode = |mode| {
+                let mut spec = RunSpec {
+                    kernels: Some(&jit),
+                    ..RunSpec::new(mode)
+                };
+                run(&cfg, &app, &mut spec, &NullTracer)
+                    .unwrap_or_else(|e| panic!("{}: {e}", app.name))
+            };
+            let base = run_mode(ExecMode::Baseline);
+            let bm = run_mode(ExecMode::ProducerPriority { window: 2 });
             row.push(format!(
                 "{:.3}",
                 bm_simt::stats::speedup(base.total_cycles, bm.total_cycles)

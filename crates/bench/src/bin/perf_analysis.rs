@@ -31,14 +31,15 @@ use std::time::Instant;
 
 use blockmaestro::jit::try_profile_launch_limited;
 use blockmaestro::{
-    jit_analyze_app_par_stats, run_analyzed, scratch_memory, try_profile_launch_law,
-    AnalysisBudget, AnalysisCache, ExecMode, JitKernel, ParallelConfig,
+    jit_analyze_app_par_stats, run, scratch_memory, try_profile_launch_law, AnalysisBudget,
+    AnalysisCache, ExecMode, JitKernel, ParallelConfig, RunSpec,
 };
 use bm_bench::{geomean, scale_from_args};
 use bm_cmdq::Application;
 use bm_depgraph::{build_graph_bounded_par, HazardMode};
 use bm_ptx::absint::try_analyze_launch_fueled_par;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{suite, vectoradd, Scale};
 
 /// The measured configurations, reference first.
@@ -250,7 +251,11 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
         .map(|(_, par)| trace_pass(gpu, app, &budget, par))
         .collect();
     let t0 = Instant::now();
-    let report = run_analyzed(gpu, app, &jit, ExecMode::ConsumerPriority { window: 3 });
+    let mut spec = RunSpec {
+        kernels: Some(&jit),
+        ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+    };
+    let report = run(gpu, app, &mut spec, &NullTracer).expect("suite runs succeed");
     let run_ns = t0.elapsed().as_nanos() as f64;
     WorkloadRow {
         name: app.name.clone(),

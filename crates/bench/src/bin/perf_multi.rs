@@ -24,12 +24,13 @@
 //! quantities are simulated cycle counts, fully deterministic, so there
 //! is no noise floor or re-measure protocol here.
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode, JitKernel, RunReport};
+use blockmaestro::{jit_analyze_app, BmError, ExecMode, JitKernel, RunReport, RunSpec};
 use bm_bench::scale_from_args;
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
-use bm_multi::{try_run_analyzed_multi, MultiGpuConfig};
+use bm_multi::MultiGpuConfig;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::suite;
 
 /// Wavefront-heavy workloads whose TB-grain dependency structure gives a
@@ -79,12 +80,26 @@ fn point(report: &RunReport, devices: u32) -> DevicePoint {
     }
 }
 
+/// A [`MODE`] run of `jit` on `devices` devices.
+fn run_on(
+    cfg: &GpuConfig,
+    app: &Application,
+    jit: &[JitKernel],
+    devices: u32,
+) -> Result<RunReport, BmError> {
+    let mut spec = RunSpec {
+        kernels: Some(jit),
+        ..RunSpec::new(MODE)
+    };
+    let mcfg = MultiGpuConfig::devices(devices);
+    bm_multi::run(cfg, &mcfg, app, &mut spec, &NullTracer)
+}
+
 fn measure(cfg: &GpuConfig, app: &Application, jit: &[JitKernel]) -> Row {
     let points = DEVICE_COUNTS
         .iter()
         .map(|&d| {
-            let mcfg = MultiGpuConfig::devices(d);
-            let report = try_run_analyzed_multi(cfg, &mcfg, app, jit, MODE)
+            let report = run_on(cfg, app, jit, d)
                 .unwrap_or_else(|e| panic!("{}: devices={d}: {e}", app.name));
             point(&report, d)
         })
@@ -114,9 +129,13 @@ fn main() {
 
         if gate {
             // devices=1 must be the single-device engine, bit for bit.
-            let single = run_analyzed(&cfg, &app, &jit, MODE);
-            let one = try_run_analyzed_multi(&cfg, &MultiGpuConfig::devices(1), &app, &jit, MODE)
-                .expect("devices=1 rerun");
+            let mut spec = RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(MODE)
+            };
+            let single =
+                blockmaestro::run(&cfg, &app, &mut spec, &NullTracer).expect("single-device run");
+            let one = run_on(&cfg, &app, &jit, 1).expect("devices=1 rerun");
             if one != single {
                 violations.push(format!(
                     "{}: devices=1 diverges from the single-device engine",
@@ -125,9 +144,8 @@ fn main() {
             }
             // Multi runs must be reproducible.
             for &d in &DEVICE_COUNTS[1..] {
-                let mcfg = MultiGpuConfig::devices(d);
-                let a = try_run_analyzed_multi(&cfg, &mcfg, &app, &jit, MODE).expect("rerun a");
-                let b = try_run_analyzed_multi(&cfg, &mcfg, &app, &jit, MODE).expect("rerun b");
+                let a = run_on(&cfg, &app, &jit, d).expect("rerun a");
+                let b = run_on(&cfg, &app, &jit, d).expect("rerun b");
                 if a != b {
                     violations.push(format!("{}: devices={d} is not reproducible", row.name));
                 }

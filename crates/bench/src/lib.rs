@@ -17,10 +17,11 @@
 //! | `table3_storage` | Table III normalized graph storage |
 //! | `table_area` | §IV-C hardware area |
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode, JitKernel, RunReport};
+use blockmaestro::{jit_analyze_app, run, ExecMode, JitKernel, RunReport, RunSpec};
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
 
 /// Results of running one application under the baseline plus all Fig. 9
@@ -66,16 +67,25 @@ impl AppResults {
     }
 }
 
-/// Runs one application under baseline + all Fig. 9 variants.
+/// Runs one application under baseline + all Fig. 9 variants, sharing
+/// one analysis.
+///
+/// # Panics
+///
+/// If a run fails; no suite application does.
 pub fn run_all_modes(cfg: &GpuConfig, app: &Application) -> AppResults {
     let jit = jit_analyze_app(cfg, app, HazardMode::Raw);
-    let baseline = run_analyzed(cfg, app, &jit, ExecMode::Baseline);
+    let run_mode = |mode| {
+        let mut spec = RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        };
+        run(cfg, app, &mut spec, &NullTracer).unwrap_or_else(|e| panic!("{}: {e}", app.name))
+    };
+    let baseline = run_mode(ExecMode::Baseline);
     let variants = ExecMode::figure9_variants()
         .into_iter()
-        .map(|m| {
-            let r = run_analyzed(cfg, app, &jit, m);
-            (m, r)
-        })
+        .map(|m| (m, run_mode(m)))
         .collect();
     AppResults {
         name: app.name.clone(),

@@ -10,7 +10,6 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::degrade::{AnalysisBudget, AnalysisCache};
 use crate::degrade::{Degradation, DegradationReason, DegradationRung, PressureEvent};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
@@ -18,19 +17,19 @@ use crate::guard::GuardReport;
 use crate::hw::{
     DepListBuffer, HwError, HwTraffic, ParentCounterBuffer, BUFFER_ENTRIES, MAX_COUNTER,
 };
-use crate::jit::{analyze_app, jit_analyze_app, JitKernel, OnError};
+use crate::jit::JitKernel;
 use crate::modes::ExecMode;
 use crate::snapshot::{
     CheckpointPolicy, EngineSnapshot, GuardSnapshot, KernelSnapshot, RunSnapshot, SnapshotError,
     SnapshotMeta, SnapshotStore,
 };
 use bm_cmdq::{build_call_dag, reorder_for_prelaunch_traced, ApiCall, Application, Reordering};
-use bm_depgraph::{GraphKind, HazardMode, Pattern};
-use bm_ptx::par::ParallelConfig;
+use bm_depgraph::{GraphKind, Pattern};
+use bm_ptx::cancel::CancelToken;
 use bm_simt::config::GpuConfig;
 use bm_simt::des::{DesEngine, DesError, DesStats, StepOutcome, TbDescriptor, TbKey, TbSource};
 use bm_trace::json::Json;
-use bm_trace::{NullTracer, StallReason, TbId, TraceEvent, Tracer};
+use bm_trace::{StallReason, TbId, TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -346,153 +345,10 @@ impl RunReport {
     }
 }
 
-/// Runs `app` under `mode` with the paper's default RAW-only hazard
-/// tracking.
-pub fn run_app(cfg: &GpuConfig, app: &Application, mode: ExecMode) -> RunReport {
-    run_app_with(cfg, app, mode, HazardMode::Raw)
-}
-
-/// Runs `app` under `mode` with an explicit hazard-tracking mode.
-pub fn run_app_with(
-    cfg: &GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-) -> RunReport {
-    let jit = jit_analyze_app(cfg, app, hazard);
-    run_analyzed(cfg, app, &jit, mode)
-}
-
-/// [`run_app_with`] with a trace sink observing the whole pipeline:
-/// launch-time analysis (tick clock), command-queue reordering (position
-/// clock), and the DES execution itself (cycle clock).
-///
-/// Tracing is provably inert: this function with [`NullTracer`] is
-/// [`run_app_with`] exactly, and with any recording sink the returned
-/// [`RunReport`] is still bit-identical — the determinism suite enforces
-/// it per [`ExecMode`].
-///
-/// # Panics
-///
-/// As [`run_analyzed`]; use [`try_run_analyzed_traced`] for typed errors.
-pub fn run_app_with_tracer<T: Tracer>(
-    cfg: &GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    tracer: &T,
-) -> RunReport {
-    let budget = AnalysisBudget::default();
-    let mut cache = AnalysisCache::for_budget(&budget);
-    let (jit, _) = analyze_app(
-        cfg,
-        app,
-        hazard,
-        &budget,
-        &mut cache,
-        &ParallelConfig::serial(),
-        tracer,
-        OnError::Stub,
-    )
-    .expect("the stubbing driver returns no error");
-    try_run_analyzed_traced(cfg, app, &jit, mode, tracer).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs an already-analyzed application (lets callers share the JIT pass
-/// across the six Fig. 9 variants).
-///
-/// # Panics
-///
-/// Panics if the simulation deadlocks or a hardware fault surfaces; use
-/// [`try_run_analyzed`] to get a typed [`EngineError`] instead.
-pub fn run_analyzed(
-    cfg: &GpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-) -> RunReport {
-    try_run_analyzed(cfg, app, jit, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible counterpart of [`run_analyzed`].
-///
-/// # Errors
-///
-/// [`EngineError::Deadlock`] when the simulation wedges with unfinished
-/// TBs, [`EngineError::Hw`] when the scheduler buffers detect inconsistent
-/// dependency metadata.
-pub fn try_run_analyzed(
-    cfg: &GpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-) -> Result<RunReport, EngineError> {
-    try_run_analyzed_faulty(cfg, app, jit, mode, &FaultPlan::default())
-}
-
-/// [`try_run_analyzed`] with a trace sink (fault-free plan).
-///
-/// # Errors
-///
-/// As [`try_run_analyzed`].
-pub fn try_run_analyzed_traced<T: Tracer>(
-    cfg: &GpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-    tracer: &T,
-) -> Result<RunReport, EngineError> {
-    try_run_analyzed_faulty_traced(cfg, app, jit, mode, &FaultPlan::default(), tracer)
-}
-
-/// Fallible run with a [`FaultPlan`] injected into the dependency
-/// hardware. The entry point of the fault-injection harness; a default
-/// (empty) plan makes it identical to [`try_run_analyzed`].
-///
-/// # Errors
-///
-/// As [`try_run_analyzed`]; injected faults surface through the same
-/// typed variants.
-pub fn try_run_analyzed_faulty(
-    cfg: &GpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-    fault: &FaultPlan,
-) -> Result<RunReport, EngineError> {
-    try_run_analyzed_faulty_traced(cfg, app, jit, mode, fault, &NullTracer)
-}
-
-/// [`try_run_analyzed_faulty`] with a trace sink: the single execution
-/// path every engine entry point funnels through. With [`NullTracer`]
-/// every emission site compiles out; with a recording sink the run emits
-/// kernel lifecycle, TB readiness/stall, scheduler-buffer, backpressure
-/// and command-queue events — without perturbing the simulation.
-///
-/// # Errors
-///
-/// As [`try_run_analyzed_faulty`].
-pub fn try_run_analyzed_faulty_traced<T: Tracer>(
-    cfg: &GpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-    fault: &FaultPlan,
-    tracer: &T,
-) -> Result<RunReport, EngineError> {
-    try_run_analyzed_checkpointed(
-        cfg,
-        app,
-        jit,
-        mode,
-        fault,
-        tracer,
-        &mut CheckpointSession::disabled(),
-    )
-}
-
 /// One engine run's checkpoint context: when to save, where to, what to
-/// resume from, and the guard state that snapshots must carry.
+/// resume from, and the guard state that snapshots must carry. Save
+/// counts and failures accumulate here across every run that shares the
+/// session (each round of a guarded [`crate::run`]).
 #[derive(Default)]
 pub struct CheckpointSession<'s> {
     /// When to capture (evaluated at kernel-retirement boundaries only).
@@ -506,6 +362,11 @@ pub struct CheckpointSession<'s> {
     /// Soundness-guard context carried into snapshots, so a resumed run
     /// re-applies the same quarantines and recovery round.
     pub guard: GuardSnapshot,
+    /// Resume from the latest snapshot in `store`: [`crate::run`] loads and
+    /// validates it into `resume` before the first round, and a snapshot
+    /// that fails validation is rejected on the trace (the run starts
+    /// fresh). The engine driver itself reads only `resume`.
+    pub resume_latest: bool,
     /// A decoded snapshot to resume from; consumed (and cross-validated)
     /// by the run. Invalid resumes degrade to a fresh run.
     pub resume: Option<RunSnapshot>,
@@ -514,13 +375,6 @@ pub struct CheckpointSession<'s> {
     pub save_failures: Vec<SnapshotError>,
     /// Snapshots successfully captured during this run.
     pub saves: u32,
-    /// Cooperative cancellation: installed into the DES engine (observed
-    /// between steps) and checked at every kernel-retirement boundary,
-    /// where a firing forces a final checkpoint before the typed
-    /// [`EngineError::Cancelled`] surfaces. `None` — the default — means
-    /// no check ever fires and the run is bit-identical to a session
-    /// without the field.
-    pub cancel: Option<bm_ptx::cancel::CancelToken>,
 }
 
 impl CheckpointSession<'_> {
@@ -531,8 +385,56 @@ impl CheckpointSession<'_> {
     }
 }
 
-/// The single execution path every engine entry point funnels through:
-/// [`try_run_analyzed_faulty_traced`] plus crash-safe checkpointing.
+/// An unguarded run of already-analyzed kernels (lets callers share the
+/// analysis across the six Fig. 9 variants).
+///
+/// # Errors
+///
+/// As [`try_run_analyzed_checkpointed`].
+pub fn try_run_analyzed(
+    cfg: &GpuConfig,
+    app: &Application,
+    jit: &[JitKernel],
+    mode: ExecMode,
+) -> Result<RunReport, EngineError> {
+    try_run_analyzed_checkpointed(
+        cfg,
+        app,
+        jit,
+        mode,
+        &FaultPlan::default(),
+        &bm_trace::NullTracer,
+        &mut CheckpointSession::disabled(),
+    )
+}
+
+/// Runs already-analyzed kernels on one device, without the guard or a
+/// cancellation token: the engine driver behind [`crate::run`].
+///
+/// # Errors
+///
+/// [`EngineError::Deadlock`] when the simulation wedges with unfinished
+/// TBs, [`EngineError::Hw`] when the scheduler buffers detect inconsistent
+/// dependency metadata (injected faults surface through the same
+/// variants), and [`EngineError::Killed`] / [`EngineError::Cancelled`]
+/// when the fault plan's kill or cancel point fires.
+pub fn try_run_analyzed_checkpointed<T: Tracer>(
+    cfg: &GpuConfig,
+    app: &Application,
+    jit: &[JitKernel],
+    mode: ExecMode,
+    fault: &FaultPlan,
+    tracer: &T,
+    session: &mut CheckpointSession<'_>,
+) -> Result<RunReport, EngineError> {
+    drive(cfg, app, jit, mode, fault, None, tracer, session)
+}
+
+/// The single-device engine driver: every run on one device goes through
+/// here. With [`bm_trace::NullTracer`] every emission site
+/// compiles out; with a recording sink the run emits kernel lifecycle, TB
+/// readiness/stall, scheduler-buffer, backpressure and command-queue
+/// events without perturbing the simulation.
 ///
 /// At each kernel-retirement boundary the driver may capture a
 /// [`RunSnapshot`] (per `session.policy`), and a
@@ -542,16 +444,22 @@ impl CheckpointSession<'_> {
 /// [`RunReport`] (and trace stream) is bit-identical with checkpointing
 /// on or off, and a resumed run is bit-identical to an uninterrupted one.
 ///
+/// `cancel` is installed into the DES engine (observed between steps) and
+/// checked at every kernel-retirement boundary, where a firing forces a
+/// final checkpoint before the typed [`EngineError::Cancelled`] surfaces.
+///
 /// # Errors
 ///
-/// As [`try_run_analyzed_faulty`], plus [`EngineError::Killed`] when the
-/// fault plan's kill point fires.
-pub fn try_run_analyzed_checkpointed<T: Tracer>(
+/// As [`try_run_analyzed_checkpointed`], plus [`EngineError::Cancelled`]
+/// when `cancel` fires.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<T: Tracer>(
     cfg: &GpuConfig,
     app: &Application,
     jit: &[JitKernel],
     mode: ExecMode,
     fault: &FaultPlan,
+    cancel: Option<&CancelToken>,
     tracer: &T,
     session: &mut CheckpointSession<'_>,
 ) -> Result<RunReport, EngineError> {
@@ -604,7 +512,7 @@ pub fn try_run_analyzed_checkpointed<T: Tracer>(
     let (mut source, mut engine, mut prev_retired, mut last_saved) = match restored {
         Some((source, snap)) => {
             let mut engine = DesEngine::from_checkpoint(&snap.des);
-            if let Some(tok) = &session.cancel {
+            if let Some(tok) = cancel {
                 engine.set_cancel(tok.clone());
             }
             if T::ENABLED {
@@ -626,7 +534,7 @@ pub fn try_run_analyzed_checkpointed<T: Tracer>(
         None => {
             let mut source = EngineSource::new(cfg, jit, mode, host_ready, fault, tracer);
             let mut engine = DesEngine::new(cfg);
-            if let Some(tok) = &session.cancel {
+            if let Some(tok) = cancel {
                 engine.set_cancel(tok.clone());
             }
             source.on_time_advance(0);
@@ -692,7 +600,7 @@ pub fn try_run_analyzed_checkpointed<T: Tracer>(
                 // force a final checkpoint for the freshest resume point
                 // (deadlines rarely align with the periodic policy), then
                 // surface the typed error.
-                if let Some(cause) = session.cancel.as_ref().and_then(|t| t.fired()) {
+                if let Some(cause) = cancel.and_then(CancelToken::fired) {
                     if session.store.is_some()
                         && (retired as usize) < jit.len()
                         && last_saved != (retired, now)
@@ -789,7 +697,6 @@ fn capture_snapshot<T: Tracer>(
         guard: session.guard.clone(),
         order: order.to_vec(),
         trace,
-        multi: Vec::new(),
     };
     let bytes = snap.encode().len() as u64;
     if let Some(TraceEvent::CheckpointSave { bytes: b, .. }) = snap.trace.last_mut() {
@@ -978,7 +885,7 @@ struct EngineSource<'a, T: Tracer> {
     /// cannot starve the retirement-critical producer when thread-block
     /// demand exceeds the GPU's resident-TB slots.
     consumer_toggle: bool,
-    /// Trace sink; [`NullTracer`] for untraced runs.
+    /// Trace sink; [`bm_trace::NullTracer`] for untraced runs.
     tracer: &'a T,
     /// Per-kernel issue cycle, always recorded (traced or not) so
     /// degradation records are stamped identically at report assembly.
@@ -1759,11 +1666,24 @@ fn assemble_report<T: Tracer>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::jit::jit_analyze_app;
+    use bm_depgraph::HazardMode;
     use bm_ptx::kernel::{ArgValue, Dim3, Launch};
     use bm_ptx::mem::AddressSpace;
     use bm_ptx::parser::parse_kernel;
     use std::collections::HashMap;
     use std::sync::Arc;
+
+    /// An unguarded run with a fresh analysis.
+    fn run_mode(cfg: &GpuConfig, app: &Application, mode: ExecMode) -> RunReport {
+        crate::run(
+            cfg,
+            app,
+            &mut crate::RunSpec::new(mode),
+            &bm_trace::NullTracer,
+        )
+        .unwrap()
+    }
 
     /// `Y[i] = X[i] + 1` — the canonical 1-to-1 kernel.
     fn map_kernel() -> Arc<bm_ptx::kernel::Kernel> {
@@ -1837,7 +1757,7 @@ mod tests {
         let cfg = GpuConfig::titan_x_pascal();
         // A -> B -> C chain.
         let app = chain_app(&[(0, 1), (1, 2)], 3, 4);
-        let r = run_app(&cfg, &app, ExecMode::Baseline);
+        let r = run_mode(&cfg, &app, ExecMode::Baseline);
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
         assert!(
@@ -1850,7 +1770,7 @@ mod tests {
     fn prelaunch_masks_launch_but_keeps_barrier() {
         let cfg = GpuConfig::titan_x_pascal();
         let app = chain_app(&[(0, 1), (1, 2)], 3, 4);
-        let r = run_app(&cfg, &app, ExecMode::PreLaunch { window: 2 });
+        let r = run_mode(&cfg, &app, ExecMode::PreLaunch { window: 2 });
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
         // Dependent kernel still waits for full producer completion...
@@ -1869,7 +1789,7 @@ mod tests {
         // the producer is still executing.
         let cfg = GpuConfig::small();
         let app = chain_app(&[(0, 1), (1, 2)], 3, 120);
-        let r = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+        let r = run_mode(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
         assert!(
@@ -1884,7 +1804,7 @@ mod tests {
         // Two kernels on disjoint buffers, each using half the TB slots so
         // both fit on the machine simultaneously.
         let app = chain_app(&[(0, 1), (2, 3)], 4, 8);
-        let r = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+        let r = run_mode(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
         let k1_start = *starts_of(&r, 0).iter().min().unwrap();
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
@@ -1905,7 +1825,8 @@ mod tests {
         let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
         assert_eq!(jit[2].skip_gates, vec![0]);
         assert!(jit[2].graph.is_independent());
-        let r = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 3 });
+        let r =
+            try_run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 3 }).unwrap();
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k3_start = *starts_of(&r, 2).iter().min().unwrap();
         assert!(
@@ -1923,7 +1844,7 @@ mod tests {
         // Four mutually independent kernels; window 2 must keep kernel 2
         // from starting until kernel 0 retires.
         let app = chain_app(&[(0, 1), (2, 3), (4, 5), (6, 7)], 8, 128);
-        let r = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 2 });
+        let r = run_mode(&cfg, &app, ExecMode::ConsumerPriority { window: 2 });
         let k0_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 2).iter().min().unwrap();
         assert!(
@@ -1931,7 +1852,7 @@ mod tests {
             "window 2 admits kernel 2 only after kernel 0 retires"
         );
         // With window 4 all four can be in flight together.
-        let r4 = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 4 });
+        let r4 = run_mode(&cfg, &app, ExecMode::ConsumerPriority { window: 4 });
         let k0_done4 = *finishes_of(&r4, 0).iter().max().unwrap();
         let k3_start4 = *starts_of(&r4, 3).iter().min().unwrap();
         assert!(k3_start4 < k0_done4 + cfg.kernel_launch_cycles * 4);
@@ -1942,7 +1863,7 @@ mod tests {
     fn report_accounts_storage_and_patterns() {
         let cfg = GpuConfig::titan_x_pascal();
         let app = chain_app(&[(0, 1), (1, 2)], 3, 8);
-        let r = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+        let r = run_mode(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
         assert_eq!(r.num_kernels, 2);
         assert_eq!(r.patterns.len(), 2);
         assert!(matches!(r.patterns[1].1, Pattern::OneToOne));
@@ -1958,9 +1879,9 @@ mod tests {
     fn cuda_graph_launch_pays_exactly_one_launch() {
         let cfg = GpuConfig::titan_x_pascal();
         let app = chain_app(&[(0, 1), (1, 2), (2, 3)], 4, 4);
-        let base = run_app(&cfg, &app, ExecMode::Baseline);
-        let graph = run_app(&cfg, &app, ExecMode::GraphLaunch);
-        let ideal = run_app(&cfg, &app, ExecMode::IdealBaseline);
+        let base = run_mode(&cfg, &app, ExecMode::Baseline);
+        let graph = run_mode(&cfg, &app, ExecMode::GraphLaunch);
+        let ideal = run_mode(&cfg, &app, ExecMode::IdealBaseline);
         // Graph launch sits between baseline and ideal...
         assert!(graph.total_cycles < base.total_cycles);
         assert!(graph.total_cycles >= ideal.total_cycles);
@@ -1980,8 +1901,8 @@ mod tests {
         // "does not address under-utilization during dependent kernels".
         let scfg = GpuConfig::small();
         let sapp = chain_app(&[(0, 1), (1, 2), (2, 3)], 4, 120);
-        let sgraph = run_app(&scfg, &sapp, ExecMode::GraphLaunch);
-        let sbm = run_app(&scfg, &sapp, ExecMode::ProducerPriority { window: 2 });
+        let sgraph = run_mode(&scfg, &sapp, ExecMode::GraphLaunch);
+        let sbm = run_mode(&scfg, &sapp, ExecMode::ProducerPriority { window: 2 });
         assert!(
             sbm.kernel_region_cycles < sgraph.kernel_region_cycles,
             "bm {} vs graph {}",
@@ -2082,7 +2003,7 @@ mod tests {
     fn ideal_baseline_has_no_launch_gap() {
         let cfg = GpuConfig::titan_x_pascal();
         let app = chain_app(&[(0, 1), (1, 2)], 3, 4);
-        let r = run_app(&cfg, &app, ExecMode::IdealBaseline);
+        let r = run_mode(&cfg, &app, ExecMode::IdealBaseline);
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
         assert_eq!(k2_start, k1_done);

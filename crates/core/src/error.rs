@@ -135,6 +135,9 @@ pub enum BmError {
         /// `None` when the last round completed but stayed unsound.
         last: Option<EngineError>,
     },
+    /// The run asked for something this execution path cannot do, such as
+    /// a checkpoint store on a multi-device run. Raised before any work.
+    Unsupported(&'static str),
 }
 
 impl fmt::Display for BmError {
@@ -150,6 +153,7 @@ impl fmt::Display for BmError {
                 }
                 Ok(())
             }
+            BmError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }

@@ -24,29 +24,24 @@
 //! verdict and the final memory are exactly what a replay would observe.
 //! A schedule the check cannot decide falls back to [`verify_soundness`],
 //! the full replay.
+//!
+//! A [`crate::run`] with [`crate::RunSpec::guard`] set runs inside
+//! [`guarded_rounds`], and so does a guarded multi-device run in `bm-multi`:
+//! one quarantine loop for 1..N devices.
 
-use crate::degrade::{AnalysisBudget, AnalysisCache, DegradationReason, DegradationRung};
-use crate::engine::{
-    try_run_analyzed_checkpointed, try_run_analyzed_faulty_traced, CheckpointSession, RunReport,
-};
+use crate::degrade::{DegradationReason, DegradationRung};
+use crate::engine::RunReport;
 use crate::error::{BmError, EngineError};
-use crate::faults::FaultPlan;
-use crate::jit::{
-    recompute_skip_gates, try_jit_analyze_app, try_jit_analyze_app_par_traced, JitKernel,
-};
-use crate::modes::ExecMode;
-use crate::snapshot::{
-    app_fingerprint, CheckpointPolicy, GuardSnapshot, RunSnapshot, SnapshotError, SnapshotStore,
-};
+use crate::jit::{recompute_skip_gates, JitKernel};
+use crate::snapshot::GuardSnapshot;
 use bm_cmdq::{Application, CmdqError};
 use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
 use bm_ptx::access::{RangeSet, TbAccess};
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::{ExecObserver, Program, ThreadId, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
-use bm_ptx::par::ParallelConfig;
 use bm_simt::des::TbKey;
-use bm_trace::{NullTracer, TraceEvent, Tracer};
+use bm_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -570,154 +565,30 @@ fn quarantine_kernel(jit: &mut [JitKernel], k: usize) {
     degrade(jit, k + 1);
 }
 
-/// Runs `app` under `mode` with the soundness guard, RAW hazard tracking,
-/// and no injected faults.
+/// The soundness guard's quarantine loop, behind every guarded run on 1..N
+/// devices. It starts from `start` (a checkpoint's round, guard report and
+/// quarantines, or round 0) and runs the application once per round
+/// through `run_round`, which receives the round's kernels and guard state
+/// (for its snapshots). The first sound schedule is returned; otherwise
+/// the implicated kernels are quarantined and the next round runs.
+///
+/// A round that fails with an engine error other than a kill or a
+/// cancellation is discarded and quarantined like an unsound one; any
+/// other error ends the loop.
 ///
 /// # Errors
 ///
-/// Any [`BmError`]: invalid application, toolchain failure, or an
-/// unrecoverable execution.
-pub fn try_run_app(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-) -> Result<RunReport, BmError> {
-    try_run_app_with(cfg, app, mode, HazardMode::Raw)
-}
-
-/// Guarded run with an explicit hazard-tracking mode.
-///
-/// # Errors
-///
-/// As [`try_run_app`].
-pub fn try_run_app_with(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-) -> Result<RunReport, BmError> {
-    app.validate()?;
-    let jit = try_jit_analyze_app(cfg, app, hazard)?;
-    try_run_app_faulty(cfg, app, jit, mode, hazard, &FaultPlan::default())
-}
-
-/// Guarded run with a trace sink observing analysis, execution, and the
-/// guard's own recovery decisions (one [`TraceEvent::Quarantine`] instant
-/// per kernel quarantined, stamped with the cycle count of the discarded
-/// run that implicated it).
-///
-/// Tracing is inert: the returned [`RunReport`] is bit-identical to
-/// [`try_run_app_with`] under the default [`AnalysisBudget`].
-///
-/// # Errors
-///
-/// As [`try_run_app`].
-pub fn try_run_app_with_tracer<T: Tracer>(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    tracer: &T,
-) -> Result<RunReport, BmError> {
-    app.validate()?;
-    let budget = AnalysisBudget::default();
-    let mut cache = AnalysisCache::for_budget(&budget);
-    let serial = ParallelConfig::serial();
-    let jit =
-        try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &serial, tracer)?;
-    try_run_app_faulty_traced(cfg, app, jit, mode, hazard, &FaultPlan::default(), tracer)
-}
-
-/// Guarded run under an explicit [`AnalysisBudget`]: the launch-time
-/// analysis walks the graceful-degradation ladder with the given fuel and
-/// the soundness guard verifies the resulting schedule exactly as it does
-/// at full precision — replay-equivalence is asserted at *every* rung.
-///
-/// # Errors
-///
-/// As [`try_run_app`].
-pub fn try_run_app_budgeted(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    budget: &AnalysisBudget,
-) -> Result<RunReport, BmError> {
-    app.validate()?;
-    let mut cache = AnalysisCache::for_budget(budget);
-    let serial = ParallelConfig::serial();
-    let jit =
-        try_jit_analyze_app_par_traced(cfg, app, hazard, budget, &mut cache, &serial, &NullTracer)?;
-    try_run_app_faulty(cfg, app, jit, mode, hazard, &FaultPlan::default())
-}
-
-/// The guarded execution pipeline, taking pre-analyzed (and possibly
-/// deliberately corrupted) kernels plus a dynamic [`FaultPlan`] — the
-/// entry point of the fault-injection harness.
-///
-/// Every accepted run satisfies: schedule replay equals serialized
-/// execution, and every static kernel stayed within its declared access
-/// sets. Faulty runs are discarded, implicated kernels quarantined, and
-/// the region re-executed, up to [`MAX_ROUNDS`] times.
-///
-/// # Errors
-///
-/// [`BmError::Unrecoverable`] when the rounds are exhausted; other
-/// variants for structural/toolchain failures.
-pub fn try_run_app_faulty(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    jit: Vec<JitKernel>,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-) -> Result<RunReport, BmError> {
-    try_run_app_faulty_traced(cfg, app, jit, mode, hazard, fault, &NullTracer)
-}
-
-/// [`try_run_app_faulty`] with a trace sink (see
-/// [`try_run_app_with_tracer`]).
-///
-/// # Errors
-///
-/// As [`try_run_app_faulty`].
-pub fn try_run_app_faulty_traced<T: Tracer>(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    jit: Vec<JitKernel>,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-    tracer: &T,
-) -> Result<RunReport, BmError> {
-    guarded_rounds(
-        app,
-        jit,
-        hazard,
-        GuardSnapshot::default(),
-        tracer,
-        |jit, _| try_run_analyzed_faulty_traced(cfg, app, jit, mode, fault, tracer),
-    )
-}
-
-/// The quarantine loop behind every guarded entry point. It starts from
-/// `start` (a checkpoint's round, guard report and quarantines, or round 0)
-/// and runs the engine once per round through `run_round`, which receives
-/// the round's guard state for its snapshots. The first sound schedule is
-/// returned; otherwise the implicated kernels are quarantined and the next
-/// round runs.
-///
-/// # Errors
-///
-/// As [`try_run_app_faulty`]; a failing serialized pass returns what
-/// [`Application::try_run_serialized`] returns.
-fn guarded_rounds<T: Tracer>(
+/// [`BmError::Unrecoverable`] when [`MAX_ROUNDS`] rounds pass without a
+/// sound schedule; a kill, a cancellation or a non-engine error from
+/// `run_round`; and what [`Application::try_run_serialized`] returns when
+/// the serialized pass fails.
+pub fn guarded_rounds<T: Tracer>(
     app: &Application,
     mut jit: Vec<JitKernel>,
     hazard: HazardMode,
     start: GuardSnapshot,
     tracer: &T,
-    mut run_round: impl FnMut(&[JitKernel], GuardSnapshot) -> Result<RunReport, EngineError>,
+    mut run_round: impl FnMut(&[JitKernel], GuardSnapshot) -> Result<RunReport, BmError>,
 ) -> Result<RunReport, BmError> {
     let mut quarantined: HashSet<usize> = HashSet::new();
     // A snapshot taken mid-round had these kernels already degraded to
@@ -780,13 +651,12 @@ fn guarded_rounds<T: Tracer>(
                         .collect()
                 }
             }
-            // A kill or cancellation is a simulated crash / external
-            // stop, not a soundness failure: never quarantine for it —
-            // surface it so the caller can resume from the checkpoint.
-            Err(e @ (EngineError::Killed { .. } | EngineError::Cancelled { .. })) => {
-                return Err(e.into())
-            }
-            Err(e) => {
+            Err(BmError::Engine(e))
+                if !matches!(
+                    e,
+                    EngineError::Killed { .. } | EngineError::Cancelled { .. }
+                ) =>
+            {
                 guard.cycles_lost_to_fallback += e.cycles_wasted();
                 guard.violations_detected += 1;
                 failed_at = e.cycles_wasted();
@@ -806,6 +676,11 @@ fn guarded_rounds<T: Tracer>(
                 last_err = Some(e);
                 targets
             }
+            // A kill or cancellation is a simulated crash / external
+            // stop, not a soundness failure: never quarantine for it —
+            // surface it so the caller can resume from the checkpoint.
+            // Any other error is not the schedule's fault either.
+            Err(e) => return Err(e),
         };
         for k in targets {
             if k < jit.len() && quarantined.insert(k) {
@@ -828,211 +703,23 @@ fn guarded_rounds<T: Tracer>(
     })
 }
 
-/// Loads the latest snapshot from `store` and checks that it belongs to
-/// this exact run configuration. Returns `Ok(None)` when the store is
-/// empty (nothing to resume from).
-fn load_resume(
-    store: &mut dyn SnapshotStore,
-    app_fp: u64,
-    mode: &str,
-    hazard: &str,
-    n_kernels: usize,
-) -> Result<Option<RunSnapshot>, SnapshotError> {
-    let Some(bytes) = store.load()? else {
-        return Ok(None);
-    };
-    let snap = RunSnapshot::decode(&bytes)?;
-    if snap.meta.app_fp != app_fp {
-        return Err(SnapshotError::AppMismatch(
-            "application fingerprint differs",
-        ));
-    }
-    if snap.meta.mode != mode {
-        return Err(SnapshotError::AppMismatch("execution mode differs"));
-    }
-    if snap.meta.hazard != hazard {
-        return Err(SnapshotError::AppMismatch("hazard mode differs"));
-    }
-    if snap.meta.n_kernels as usize != n_kernels {
-        return Err(SnapshotError::AppMismatch("kernel count differs"));
-    }
-    Ok(Some(snap))
-}
-
-/// Guarded run with crash-safe checkpointing: snapshots of the complete
-/// run state are written to `store` at kernel-retirement boundaries
-/// according to `policy`, and (when `resume` is set) the run restarts
-/// from the latest stored snapshot instead of cycle 0.
-///
-/// The resumed run is *bit-identical* to an uninterrupted one: the same
-/// [`RunReport`] (including every counter and the schedule) and, under a
-/// recording tracer, the same event stream. A snapshot that fails
-/// validation — wrong magic, version, checksum, or a mismatched
-/// application/mode — is rejected with a [`TraceEvent::CheckpointReject`]
-/// and the run degrades to a fresh start; it never panics.
-///
-/// A [`crate::faults::FaultPlan::kill_at_kernel`] plan makes the run die
-/// with [`EngineError::Killed`] at that retirement boundary, *after* the
-/// boundary's checkpoint is saved — the crash-recovery story the
-/// fault-injection harness exercises end to end.
-///
-/// # Errors
-///
-/// As [`try_run_app_faulty`], plus [`BmError::Engine`] wrapping
-/// [`EngineError::Killed`] when a kill-point fires.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_app_checkpointed(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-    policy: CheckpointPolicy,
-    store: &mut dyn SnapshotStore,
-    resume: bool,
-) -> Result<RunReport, BmError> {
-    try_run_app_checkpointed_traced(
-        cfg,
-        app,
-        mode,
-        hazard,
-        fault,
-        policy,
-        store,
-        resume,
-        &NullTracer,
-    )
-}
-
-/// [`try_run_app_checkpointed`] with a trace sink (see
-/// [`try_run_app_with_tracer`]). Checkpoint saves, loads, and rejections
-/// appear as [`TraceEvent::CheckpointSave`] / [`TraceEvent::CheckpointLoad`]
-/// / [`TraceEvent::CheckpointReject`] instants.
-///
-/// # Errors
-///
-/// As [`try_run_app_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_app_checkpointed_traced<T: Tracer>(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-    policy: CheckpointPolicy,
-    store: &mut dyn SnapshotStore,
-    resume: bool,
-    tracer: &T,
-) -> Result<RunReport, BmError> {
-    try_run_app_checkpointed_ctl(
-        cfg,
-        app,
-        mode,
-        hazard,
-        fault,
-        policy,
-        store,
-        resume,
-        tracer,
-        &RunCtl::default(),
-    )
-}
-
-/// Caller controls a serving layer threads into one checkpointed run: a
-/// cooperative cancellation token.
-///
-/// [`RunCtl::default`] — no token — reproduces
-/// [`try_run_app_checkpointed_traced`] bit for bit.
-#[derive(Debug, Clone, Default)]
-pub struct RunCtl {
-    /// Cooperative cancellation observed at analysis phase boundaries and
-    /// kernel-retirement boundaries. `None` never fires a check.
-    pub cancel: Option<bm_ptx::cancel::CancelToken>,
-}
-
-/// [`try_run_app_checkpointed_traced`] under an explicit [`RunCtl`]: the
-/// serving layer's entry point. A fired token surfaces as
-/// [`EngineError::Cancelled`] with a final checkpoint in `store` (when a
-/// boundary was reached), so a retried request resumes instead of
-/// restarting; a token that never fires leaves the run bit-identical to
-/// [`try_run_app_checkpointed_traced`].
-///
-/// # Errors
-///
-/// As [`try_run_app_checkpointed`], plus [`BmError::Engine`] wrapping
-/// [`EngineError::Cancelled`] (run phase) or [`BmError::Ptx`] wrapping
-/// [`bm_ptx::PtxError::Cancelled`] (analysis phase) when the token fires.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_app_checkpointed_ctl<T: Tracer>(
-    cfg: &bm_simt::config::GpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-    policy: CheckpointPolicy,
-    store: &mut dyn SnapshotStore,
-    resume: bool,
-    tracer: &T,
-    ctl: &RunCtl,
-) -> Result<RunReport, BmError> {
-    app.validate()?;
-    let budget = AnalysisBudget::default();
-    let mut cache = AnalysisCache::for_budget(&budget);
-    let par = ParallelConfig {
-        cancel: ctl.cancel.clone(),
-        ..ParallelConfig::serial()
-    };
-    let jit = try_jit_analyze_app_par_traced(cfg, app, hazard, &budget, &mut cache, &par, tracer)?;
-    let app_fp = app_fingerprint(app);
-    let hazard_str = format!("{hazard:?}");
-    let mut resumed: Option<RunSnapshot> = None;
-    if resume {
-        match load_resume(store, app_fp, &format!("{mode:?}"), &hazard_str, jit.len()) {
-            Ok(snap) => resumed = snap,
-            Err(e) => {
-                // A corrupt or mismatched snapshot degrades to a fresh
-                // run — the failure is surfaced on the trace, never a
-                // panic.
-                if T::ENABLED {
-                    tracer.emit(TraceEvent::CheckpointReject {
-                        reason: e.to_string(),
-                    });
-                }
-            }
-        }
-    }
-    let start = resumed
-        .as_ref()
-        .map(|snap| snap.guard.clone())
-        .unwrap_or_default();
-    guarded_rounds(app, jit, hazard, start, tracer, |jit, guard| {
-        let mut session = CheckpointSession {
-            policy,
-            store: Some(&mut *store),
-            app_fp,
-            hazard: hazard_str.clone(),
-            guard,
-            resume: resumed.take(),
-            save_failures: Vec::new(),
-            saves: 0,
-            cancel: ctl.cancel.clone(),
-        };
-        try_run_analyzed_checkpointed(cfg, app, jit, mode, fault, tracer, &mut session)
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::correctness::check_schedule;
-    use crate::engine::try_run_analyzed_faulty;
-    use crate::faults::corrupt_access_set;
+    use crate::engine::{try_run_analyzed_checkpointed, CheckpointSession};
+    use crate::faults::{corrupt_access_set, FaultPlan};
+    use crate::jit::try_jit_analyze_app;
+    use crate::modes::ExecMode;
+    use crate::snapshot::CheckpointPolicy;
+    use crate::{run, try_run_app, RunSpec};
     use bm_cmdq::ApiCall;
     use bm_ptx::kernel::{ArgValue, Dim3};
     use bm_ptx::mem::AddressSpace;
     use bm_ptx::parser::parse_kernel;
     use bm_simt::config::GpuConfig;
+    use bm_trace::NullTracer;
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -1101,13 +788,16 @@ mod tests {
         // Hand-corrupt kernel 1's declared write set (as if the analysis
         // were unsound) and rebuild the downstream graph from it.
         assert!(corrupt_access_set(&mut jit, 1, hazard));
-        let r = try_run_app_faulty(
+        let r = run(
             &cfg,
             &app,
-            jit,
-            ExecMode::ProducerPriority { window: 2 },
-            hazard,
-            &FaultPlan::default(),
+            &mut RunSpec {
+                hazard,
+                guard: true,
+                kernels: Some(&jit),
+                ..RunSpec::new(ExecMode::ProducerPriority { window: 2 })
+            },
+            &NullTracer,
         )
         .unwrap();
         assert!(
@@ -1138,13 +828,17 @@ mod tests {
             )],
             ..FaultPlan::default()
         };
-        let r = try_run_app_faulty(
+        let r = run(
             &cfg,
             &app,
-            jit,
-            ExecMode::ConsumerPriority { window: 2 },
-            hazard,
-            &fault,
+            &mut RunSpec {
+                hazard,
+                guard: true,
+                fault,
+                kernels: Some(&jit),
+                ..RunSpec::new(ExecMode::ConsumerPriority { window: 2 })
+            },
+            &NullTracer,
         )
         .unwrap();
         assert!(r.guard.recovery_rounds >= 1, "deadlock must force a re-run");
@@ -1168,13 +862,17 @@ mod tests {
             )],
             ..FaultPlan::default()
         };
-        let r = try_run_app_faulty(
+        let r = run(
             &cfg,
             &app,
-            jit,
-            ExecMode::ProducerPriority { window: 2 },
-            hazard,
-            &fault,
+            &mut RunSpec {
+                hazard,
+                guard: true,
+                fault,
+                kernels: Some(&jit),
+                ..RunSpec::new(ExecMode::ProducerPriority { window: 2 })
+            },
+            &NullTracer,
         )
         .unwrap();
         assert!(r.guard.recovery_rounds >= 1);
@@ -1196,12 +894,14 @@ mod tests {
             )],
             ..FaultPlan::default()
         };
-        let err = try_run_analyzed_faulty(
+        let err = try_run_analyzed_checkpointed(
             &cfg,
             &app,
             &jit,
             ExecMode::ProducerPriority { window: 2 },
             &fault,
+            &NullTracer,
+            &mut CheckpointSession::disabled(),
         )
         .unwrap_err();
         match err {
@@ -1225,39 +925,41 @@ mod tests {
         let app = chain_app(&[(0, 1), (1, 2), (2, 3)], 4, 8);
         let mode = ExecMode::ProducerPriority { window: 2 };
         let hazard = HazardMode::Raw;
-        let reference = try_run_app_with(&cfg, &app, mode, hazard).unwrap();
+        let reference = try_run_app(&cfg, &app, mode).unwrap();
         let mut store = crate::snapshot::MemStore::default();
         let kill = FaultPlan {
             kill_at_kernel: Some(2),
             ..FaultPlan::default()
         };
-        let err = try_run_app_checkpointed(
-            &cfg,
-            &app,
-            mode,
+        let mut spec = RunSpec {
             hazard,
-            &kill,
-            CheckpointPolicy::every_kernels(1),
-            &mut store,
-            false,
-        )
-        .unwrap_err();
+            guard: true,
+            fault: kill,
+            checkpoint: CheckpointSession {
+                policy: CheckpointPolicy::every_kernels(1),
+                store: Some(&mut store),
+                ..CheckpointSession::disabled()
+            },
+            ..RunSpec::new(mode)
+        };
+        let err = run(&cfg, &app, &mut spec, &NullTracer).unwrap_err();
         assert!(
             matches!(err, BmError::Engine(EngineError::Killed { .. })),
             "got {err}"
         );
         assert!(!store.snaps.is_empty(), "kill must land after a save");
-        let resumed = try_run_app_checkpointed(
-            &cfg,
-            &app,
-            mode,
+        let mut spec = RunSpec {
             hazard,
-            &FaultPlan::default(),
-            CheckpointPolicy::every_kernels(1),
-            &mut store,
-            true,
-        )
-        .unwrap();
+            guard: true,
+            checkpoint: CheckpointSession {
+                policy: CheckpointPolicy::every_kernels(1),
+                store: Some(&mut store),
+                resume_latest: true,
+                ..CheckpointSession::disabled()
+            },
+            ..RunSpec::new(mode)
+        };
+        let resumed = run(&cfg, &app, &mut spec, &NullTracer).unwrap();
         assert_eq!(resumed, reference);
         assert_eq!(
             resumed.to_json().to_string(),
@@ -1270,20 +972,19 @@ mod tests {
         let cfg = GpuConfig::small();
         let app = chain_app(&[(0, 1), (1, 2)], 3, 8);
         let mode = ExecMode::ProducerPriority { window: 2 };
-        let reference = try_run_app_with(&cfg, &app, mode, HazardMode::Raw).unwrap();
+        let reference = try_run_app(&cfg, &app, mode).unwrap();
         let mut store = crate::snapshot::MemStore::default();
         store.snaps.push(vec![0xAB; 64]); // garbage snapshot
-        let r = try_run_app_checkpointed(
-            &cfg,
-            &app,
-            mode,
-            HazardMode::Raw,
-            &FaultPlan::default(),
-            CheckpointPolicy::disabled(),
-            &mut store,
-            true,
-        )
-        .unwrap();
+        let mut spec = RunSpec {
+            guard: true,
+            checkpoint: CheckpointSession {
+                store: Some(&mut store),
+                resume_latest: true,
+                ..CheckpointSession::disabled()
+            },
+            ..RunSpec::new(mode)
+        };
+        let r = run(&cfg, &app, &mut spec, &NullTracer).unwrap();
         assert_eq!(r, reference);
     }
 

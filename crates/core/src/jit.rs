@@ -1399,7 +1399,7 @@ mod tests {
 
         // So does the guarded pipeline, and the schedule it accepts is
         // equivalent to the serialized run.
-        let report = crate::guard::try_run_app(
+        let report = crate::try_run_app(
             &GpuConfig::small(),
             &app,
             crate::modes::ExecMode::ConsumerPriority { window: 3 },

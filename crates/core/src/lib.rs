@@ -23,9 +23,14 @@
 //! and [`compare`] models the CUDA Dynamic Parallelism and Wireframe
 //! comparison points of Fig. 14.
 //!
+//! Every run goes through [`run`]: a [`RunSpec`] picks the mode, hazard
+//! tracking, the soundness [`guard`], the analysis budget, injected
+//! faults, kernels analyzed elsewhere, checkpointing and cancellation.
+//!
 //! ```
-//! use blockmaestro::{run_app, ExecMode};
+//! use blockmaestro::{run, ExecMode, RunSpec};
 //! use bm_simt::GpuConfig;
+//! use bm_trace::NullTracer;
 //! # use bm_cmdq::{ApiCall, Application};
 //! # use bm_ptx::{parser::parse_kernel, kernel::{ArgValue, Dim3, Launch}};
 //! # use bm_ptx::mem::AddressSpace;
@@ -53,9 +58,15 @@
 //! #   host_data: HashMap::new(),
 //! # };
 //! let cfg = GpuConfig::titan_x_pascal();
-//! let baseline = run_app(&cfg, &app, ExecMode::Baseline);
-//! let bm = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 2 });
+//! let baseline = run(&cfg, &app, &mut RunSpec::new(ExecMode::Baseline), &NullTracer)?;
+//! // The soundness guard checks the schedule against serialized execution.
+//! let mut spec = RunSpec {
+//!     guard: true,
+//!     ..RunSpec::new(ExecMode::ConsumerPriority { window: 2 })
+//! };
+//! let bm = run(&cfg, &app, &mut spec, &NullTracer)?;
 //! assert!(bm.kernel_region_cycles < baseline.kernel_region_cycles);
+//! # Ok::<(), blockmaestro::BmError>(())
 //! ```
 
 pub mod compare;
@@ -68,9 +79,11 @@ pub mod guard;
 pub mod hw;
 pub mod jit;
 pub mod modes;
+mod run;
 pub mod snapshot;
 pub mod streams;
 
+pub use bm_ptx::cancel::CancelToken;
 pub use bm_ptx::par::ParallelConfig;
 pub use correctness::{check_no_races, check_schedule, Equivalence, Race};
 pub use degrade::{
@@ -78,19 +91,16 @@ pub use degrade::{
     DegradationRung, PressureEvent,
 };
 pub use engine::{
-    host_plan_traced, run_analyzed, run_app, run_app_with, run_app_with_tracer, try_run_analyzed,
-    try_run_analyzed_checkpointed, try_run_analyzed_faulty, try_run_analyzed_faulty_traced,
-    try_run_analyzed_traced, CheckpointSession, DeviceStats, MultiStats, RunReport,
+    host_plan_traced, try_run_analyzed, try_run_analyzed_checkpointed, CheckpointSession,
+    DeviceStats, MultiStats, RunReport,
 };
 pub use error::{BmError, EngineError};
 pub use faults::{
     corrupt_access_set, corrupt_pattern, random_plan, FaultClass, FaultPlan, FaultRng,
 };
 pub use guard::{
-    try_run_app, try_run_app_budgeted, try_run_app_checkpointed, try_run_app_checkpointed_ctl,
-    try_run_app_checkpointed_traced, try_run_app_faulty, try_run_app_faulty_traced,
-    try_run_app_with, try_run_app_with_tracer, verify_by_conflict_order, verify_soundness,
-    GuardReport, RunCtl, SoundnessOutcome, SoundnessViolation, MAX_ROUNDS,
+    verify_by_conflict_order, verify_soundness, GuardReport, SoundnessOutcome, SoundnessViolation,
+    MAX_ROUNDS,
 };
 pub use hw::HwError;
 pub use jit::{
@@ -99,6 +109,7 @@ pub use jit::{
     TraceMemoStats,
 };
 pub use modes::ExecMode;
+pub use run::{run, try_run_app, RunSpec};
 pub use snapshot::{
     app_fingerprint, atomic_write, atomic_write_counted, manifest, CheckpointPolicy, DirStore,
     FsyncStats, MemStore, RunSnapshot, SnapshotError, SnapshotStore, FORMAT_VERSION, SNAPSHOT_FILE,

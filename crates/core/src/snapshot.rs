@@ -33,7 +33,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Snapshot file magic: format name + major format generation.
-/// Generation 2 adds the optional multi-device section ([`TAG_MULTI`]).
 pub const MAGIC: &[u8; 8] = b"BMSNAP02";
 /// Current format version. Snapshots with any other version are rejected
 /// with [`SnapshotError::UnsupportedVersion`]: the format carries live
@@ -46,7 +45,6 @@ const TAG_ENGINE: u32 = 3;
 const TAG_GUARD: u32 = 4;
 const TAG_ORDER: u32 = 5;
 const TAG_TRACE: u32 = 6;
-const TAG_MULTI: u32 = 7;
 
 /// Why a snapshot failed to save, load, or validate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,11 +377,6 @@ pub struct RunSnapshot {
     /// Run-phase slice of the trace stream (empty for untraced runs),
     /// ending with this snapshot's own `CheckpointSave` event.
     pub trace: Vec<TraceEvent>,
-    /// Opaque multi-device coordinator state (`bm-multi` owns the codec).
-    /// Empty for single-device runs, in which case the section is omitted
-    /// from the encoded container entirely — single-device snapshots are
-    /// byte-for-byte unaffected by the field's existence.
-    pub multi: Vec<u8>,
 }
 
 /// Fingerprint of an application's identity: name, call count, and every
@@ -1538,7 +1531,7 @@ fn dec_trace(d: &mut Dec) -> DecResult<Vec<TraceEvent>> {
 impl RunSnapshot {
     /// Serializes to the versioned, checksummed container format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
+        let sections: [(u32, Vec<u8>); 6] = [
             (TAG_META, enc_meta(&self.meta)),
             (TAG_DES, enc_des(&self.des)),
             (TAG_ENGINE, enc_engine(&self.engine)),
@@ -1546,10 +1539,6 @@ impl RunSnapshot {
             (TAG_ORDER, enc_order(&self.order)),
             (TAG_TRACE, enc_trace(&self.trace)),
         ];
-        // Single-device snapshots omit the multi section entirely.
-        if !self.multi.is_empty() {
-            sections.push((TAG_MULTI, self.multi.clone()));
-        }
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -1588,7 +1577,6 @@ impl RunSnapshot {
         let mut guard = None;
         let mut order = None;
         let mut trace = None;
-        let mut multi = Vec::new();
         for (tag, payload) in sections {
             let mut d = Dec::new(payload);
             match tag {
@@ -1598,11 +1586,6 @@ impl RunSnapshot {
                 TAG_GUARD => guard = Some(dec_guard(&mut d)?),
                 TAG_ORDER => order = Some(dec_order(&mut d)?),
                 TAG_TRACE => trace = Some(dec_trace(&mut d)?),
-                TAG_MULTI => {
-                    // Opaque to this layer: bm-multi validates the contents.
-                    multi = payload.to_vec();
-                    continue;
-                }
                 // Unknown sections within a supported version are not
                 // possible today; reject rather than silently ignore.
                 _ => return Err(SnapshotError::Malformed("unknown section tag")),
@@ -1618,7 +1601,6 @@ impl RunSnapshot {
             guard: guard.ok_or(SnapshotError::Malformed("missing guard section"))?,
             order: order.ok_or(SnapshotError::Malformed("missing order section"))?,
             trace: trace.ok_or(SnapshotError::Malformed("missing trace section"))?,
-            multi,
         })
     }
 }
@@ -1690,7 +1672,6 @@ pub fn manifest(bytes: &[u8]) -> Result<Json, SnapshotError> {
         TAG_GUARD => "guard",
         TAG_ORDER => "order",
         TAG_TRACE => "trace",
-        TAG_MULTI => "multi",
         _ => "unknown",
     };
     let section_docs: Vec<Json> = sections
@@ -1840,7 +1821,6 @@ mod tests {
                     bytes: 0,
                 },
             ],
-            multi: Vec::new(),
         }
     }
 
@@ -2017,6 +1997,23 @@ mod tests {
         assert_eq!(
             RunSnapshot::decode(&bytes).unwrap_err(),
             SnapshotError::Malformed("unknown trace-event tag")
+        );
+    }
+
+    #[test]
+    fn retired_multi_section_tag_7_is_malformed() {
+        // Tag 7 carried a multi-device coordinator section that nothing
+        // resumed from; a container that still has one is rejected.
+        let mut bytes = sample_snapshot().encode();
+        let table_at = 8 + 4 + 4;
+        let entry = (0..6)
+            .map(|i| table_at + i * 24)
+            .find(|&at| bytes[at..at + 4] == TAG_TRACE.to_le_bytes())
+            .unwrap();
+        bytes[entry..entry + 4].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(
+            RunSnapshot::decode(&bytes).unwrap_err(),
+            SnapshotError::Malformed("unknown section tag")
         );
     }
 

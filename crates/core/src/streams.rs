@@ -267,13 +267,14 @@ mod tests {
 
     #[test]
     fn blockmaestro_dominates_streams_on_dependent_chains() {
-        use crate::engine::run_analyzed;
+        use crate::engine::try_run_analyzed;
         use crate::modes::ExecMode;
         let cfg = GpuConfig::titan_x_pascal();
         let app = hotspot::build(Scale::Small);
         let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
         let streams = run_streams(&cfg, &jit, &StreamAssignment::auto(&jit, 4));
-        let bm = run_analyzed(&cfg, &app, &jit, ExecMode::ProducerPriority { window: 2 });
+        let bm =
+            try_run_analyzed(&cfg, &app, &jit, ExecMode::ProducerPriority { window: 2 }).unwrap();
         assert!(
             bm.kernel_region_cycles < streams.total_cycles,
             "TB-level resolution must beat stream-level overlap on chains: {} vs {}",

@@ -122,11 +122,6 @@ impl Interconnect {
     pub fn send_control(&self, send_t: u64) -> u64 {
         send_t + self.eff_latency
     }
-
-    /// Flattened link-busy matrix, for checkpointing.
-    pub fn busy_matrix(&self) -> &[u64] {
-        &self.busy
-    }
 }
 
 #[cfg(test)]

@@ -14,15 +14,16 @@
 //! * [`interconnect`] charges those messages with configurable link
 //!   latency and bandwidth, serializing per directed link pair — and
 //!   injects the [`blockmaestro::FaultClass::LinkFault`] plans.
-//! * [`run`] advances the device engines in conservative bounded-lag
-//!   rounds; the effective link latency is the lookahead that makes the
-//!   rounds both causally safe and bit-reproducible.
-//! * [`snapshot`] captures coordinator state into the `BMSNAP02`
-//!   container's multi section.
+//! * the coordinator advances the device engines in conservative
+//!   bounded-lag rounds; the effective link latency is the lookahead that
+//!   makes the rounds both causally safe and bit-reproducible.
 //!
-//! `devices = 1` never enters any of this machinery: the entry points
-//! delegate verbatim to the single-device engine, so single-GPU reports
-//! and traces are bit-identical to `blockmaestro`'s own.
+//! [`run`] takes the same [`RunSpec`] as [`blockmaestro::run`]. With
+//! `devices = 1` it *is* that call, so single-GPU reports and traces are
+//! bit-identical to `blockmaestro`'s own. With more devices a guarded spec
+//! runs each sharded attempt inside the core's quarantine loop
+//! ([`blockmaestro::guard::guarded_rounds`]), so one soundness guard
+//! covers 1..N devices.
 //!
 //! ## Cross-device pre-launch semantics
 //!
@@ -38,20 +39,18 @@ pub mod interconnect;
 pub mod partition;
 mod run;
 pub mod shard;
-pub mod snapshot;
 pub mod tracer;
 
+use blockmaestro::guard::guarded_rounds;
+use blockmaestro::snapshot::GuardSnapshot;
 use blockmaestro::{
-    try_jit_analyze_app, BmError, DegradationReason, ExecMode, FaultPlan, JitKernel, MultiStats,
-    RunReport, RunSnapshot, SnapshotError,
+    BmError, DegradationReason, ExecMode, JitKernel, MultiStats, RunReport, RunSpec,
 };
 use bm_cmdq::Application;
-use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
 use bm_trace::{NullTracer, Tracer};
 
 pub use partition::Partition;
-pub use snapshot::MultiCheckpoint;
 pub use tracer::DeviceTracer;
 
 use run::MultiAbort;
@@ -94,85 +93,62 @@ impl MultiGpuConfig {
     }
 }
 
-/// Runs `app` across `mcfg.devices` simulated GPUs (RAW hazard tracking,
-/// no faults, untraced).
+/// Runs `app` across `mcfg.devices` simulated GPUs as `spec` says,
+/// observed by `tracer`.
+///
+/// `devices ≤ 1` is [`blockmaestro::run`] with the same spec. On 2 or
+/// more devices:
+///
+/// * `guard` runs each sharded attempt inside the core's quarantine loop;
+/// * `cancel` is observed by the analysis and by every device engine;
+/// * of `fault`, only `link_drop_nth` / `link_corrupt_nth` apply — the
+///   other fault classes perturb single-device scheduler hardware the
+///   shards do not model. A link fault abandons the attempt and re-runs
+///   the same kernels on one device; the report then carries
+///   [`MultiStats::fallback`] with [`DegradationReason::LinkFault`] and
+///   the detection cycle;
+/// * a checkpoint store is rejected before any work: multi-device runs
+///   have no resumable form.
 ///
 /// # Errors
 ///
-/// Any [`BmError`], exactly as the single-device entry points. A link
-/// fault is *not* an error: it degrades to single-device execution.
-pub fn try_run_app_multi(
+/// As [`blockmaestro::run`], plus [`BmError::Unsupported`] for a
+/// checkpoint store on 2 or more devices. A link fault is *not* an error.
+pub fn run<T: Tracer>(
     cfg: &GpuConfig,
     mcfg: &MultiGpuConfig,
     app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-) -> Result<RunReport, BmError> {
-    try_run_app_multi_faulty(
-        cfg,
-        mcfg,
-        app,
-        mode,
-        hazard,
-        &FaultPlan::default(),
-        &NullTracer,
-    )
-}
-
-/// [`try_run_app_multi`] with a trace sink. With `devices = 1` the
-/// emitted stream is bit-identical to
-/// [`blockmaestro::try_run_app_with_tracer`]; with more devices each
-/// device's SM lanes are offset into its own block and cross-device
-/// transfers appear as `XferStart`/`XferDone` events.
-///
-/// # Errors
-///
-/// As [`try_run_app_multi`].
-pub fn try_run_app_multi_traced<T: Tracer>(
-    cfg: &GpuConfig,
-    mcfg: &MultiGpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    tracer: &T,
-) -> Result<RunReport, BmError> {
-    try_run_app_multi_faulty(cfg, mcfg, app, mode, hazard, &FaultPlan::default(), tracer)
-}
-
-/// The full multi-device pipeline with an injected [`FaultPlan`]. Only
-/// the plan's `link_drop_nth` / `link_corrupt_nth` fields are consumed —
-/// the other fault classes perturb single-device scheduler hardware this
-/// crate does not model. On a link fault the multi attempt is abandoned
-/// and the app re-runs on one device; the returned report carries
-/// [`MultiStats::fallback`] with [`DegradationReason::LinkFault`] and the
-/// detection cycle.
-///
-/// # Errors
-///
-/// As [`try_run_app_multi`].
-pub fn try_run_app_multi_faulty<T: Tracer>(
-    cfg: &GpuConfig,
-    mcfg: &MultiGpuConfig,
-    app: &Application,
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
+    spec: &mut RunSpec<'_>,
     tracer: &T,
 ) -> Result<RunReport, BmError> {
     if mcfg.devices <= 1 {
-        return blockmaestro::try_run_app_with_tracer(cfg, app, mode, hazard, tracer);
+        return blockmaestro::run(cfg, app, spec, tracer);
     }
-    app.validate()?;
-    let jit = try_jit_analyze_app(cfg, app, hazard)?;
-    run_analyzed(cfg, mcfg, app, &jit, mode, hazard, fault, tracer)
+    if spec.checkpoint.store.is_some() {
+        return Err(BmError::Unsupported(
+            "checkpoints of a multi-device run (it has no resumable form)",
+        ));
+    }
+    let jit = spec.analyze(cfg, app, tracer)?;
+    let spec = &*spec;
+    if !spec.guard {
+        return sharded_attempt(cfg, mcfg, app, &jit, spec, tracer);
+    }
+    guarded_rounds(
+        app,
+        jit.into_owned(),
+        spec.hazard,
+        GuardSnapshot::default(),
+        tracer,
+        |jit, _| sharded_attempt(cfg, mcfg, app, jit, spec, tracer),
+    )
 }
 
-/// Multi-device execution of a pre-analyzed application — the entry the
-/// determinism suites use to hold or vary the analysis configuration.
+/// Unguarded multi-device execution of a pre-analyzed application.
 ///
 /// # Errors
 ///
-/// As [`try_run_app_multi`].
+/// As [`run`].
 pub fn try_run_analyzed_multi(
     cfg: &GpuConfig,
     mcfg: &MultiGpuConfig,
@@ -180,104 +156,36 @@ pub fn try_run_analyzed_multi(
     jit: &[JitKernel],
     mode: ExecMode,
 ) -> Result<RunReport, BmError> {
-    try_run_analyzed_multi_traced(cfg, mcfg, app, jit, mode, &NullTracer)
+    let mut spec = RunSpec {
+        kernels: Some(jit),
+        ..RunSpec::new(mode)
+    };
+    run(cfg, mcfg, app, &mut spec, &NullTracer)
 }
 
-/// [`try_run_analyzed_multi`] with a trace sink.
-///
-/// # Errors
-///
-/// As [`try_run_app_multi`].
-pub fn try_run_analyzed_multi_traced<T: Tracer>(
+/// One sharded attempt. On a link fault the damaged attempt is discarded
+/// wholesale and `jit` re-runs on one device, stamped with the
+/// degradation.
+fn sharded_attempt<T: Tracer>(
     cfg: &GpuConfig,
     mcfg: &MultiGpuConfig,
     app: &Application,
     jit: &[JitKernel],
-    mode: ExecMode,
+    spec: &RunSpec<'_>,
     tracer: &T,
 ) -> Result<RunReport, BmError> {
-    if mcfg.devices <= 1 {
-        return blockmaestro::try_run_analyzed_traced(cfg, app, jit, mode, tracer)
-            .map_err(BmError::from);
-    }
-    run_analyzed(
-        cfg,
-        mcfg,
-        app,
-        jit,
-        mode,
-        HazardMode::Raw,
-        &FaultPlan::default(),
-        tracer,
-    )
-}
-
-/// [`try_run_analyzed_multi_traced`] that also returns the coordinator
-/// state at the final round boundary, ready to embed into a `BMSNAP02`
-/// container via [`embed_multi`]. Only meaningful for `devices ≥ 2`;
-/// `devices = 1` has no coordinator and returns `None`.
-///
-/// # Errors
-///
-/// As [`try_run_app_multi`].
-pub fn try_run_analyzed_multi_snapshotted<T: Tracer>(
-    cfg: &GpuConfig,
-    mcfg: &MultiGpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-    tracer: &T,
-) -> Result<(RunReport, Option<MultiCheckpoint>), BmError> {
-    if mcfg.devices <= 1 {
-        let report = blockmaestro::try_run_analyzed_traced(cfg, app, jit, mode, tracer)?;
-        return Ok((report, None));
-    }
-    match run::run_sharded(cfg, mcfg, app, jit, mode, None, None, tracer) {
-        Ok(out) => Ok((out.report, Some(out.final_checkpoint))),
-        Err(MultiAbort::Engine(e)) => Err(BmError::from(e)),
-        Err(MultiAbort::LinkFault { .. }) => {
-            unreachable!("no fault plan was supplied")
-        }
-    }
-}
-
-/// Shared `devices ≥ 2` path: shard, run, and on a link fault fall back
-/// to a clean single-device execution stamped with the degradation.
-#[allow(clippy::too_many_arguments)]
-fn run_analyzed<T: Tracer>(
-    cfg: &GpuConfig,
-    mcfg: &MultiGpuConfig,
-    app: &Application,
-    jit: &[JitKernel],
-    mode: ExecMode,
-    hazard: HazardMode,
-    fault: &FaultPlan,
-    tracer: &T,
-) -> Result<RunReport, BmError> {
-    match run::run_sharded(
-        cfg,
-        mcfg,
-        app,
-        jit,
-        mode,
-        fault.link_drop_nth,
-        fault.link_corrupt_nth,
-        tracer,
-    ) {
-        Ok(out) => Ok(out.report),
+    let cancel = spec.cancel.as_ref();
+    match run::run_sharded(cfg, mcfg, app, jit, spec.mode, &spec.fault, cancel, tracer) {
+        Ok(report) => Ok(report),
         Err(MultiAbort::Engine(e)) => Err(BmError::from(e)),
         Err(MultiAbort::LinkFault { cycle, stats }) => {
-            // The damaged attempt is discarded wholesale; the app re-runs
-            // on one device through the guarded single-device pipeline.
-            let mut report = blockmaestro::try_run_app_faulty_traced(
-                cfg,
-                app,
-                jit.to_vec(),
-                mode,
-                hazard,
-                &FaultPlan::default(),
-                tracer,
-            )?;
+            let mut fallback = RunSpec {
+                hazard: spec.hazard,
+                kernels: Some(jit),
+                cancel: spec.cancel.clone(),
+                ..RunSpec::new(spec.mode)
+            };
+            let mut report = blockmaestro::run(cfg, app, &mut fallback, tracer)?;
             report.multi = Some(MultiStats {
                 devices: mcfg.devices,
                 link_latency_cycles: mcfg.link_latency_cycles,
@@ -293,21 +201,4 @@ fn run_analyzed<T: Tracer>(
             Ok(report)
         }
     }
-}
-
-/// Embeds a multi-device checkpoint into a `BMSNAP02` container.
-pub fn embed_multi(snap: &mut RunSnapshot, ckpt: &MultiCheckpoint) {
-    snap.multi = ckpt.encode();
-}
-
-/// Extracts the multi-device section of a container, if present.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when the section exists but is corrupt.
-pub fn extract_multi(snap: &RunSnapshot) -> Result<Option<MultiCheckpoint>, SnapshotError> {
-    if snap.multi.is_empty() {
-        return Ok(None);
-    }
-    MultiCheckpoint::decode(&snap.multi).map(Some)
 }

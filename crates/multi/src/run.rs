@@ -26,7 +26,8 @@
 //! that sequence. The JIT analysis runs before this loop, on one thread.
 
 use blockmaestro::{
-    host_plan_traced, EngineError, ExecMode, GuardReport, JitKernel, MultiStats, RunReport,
+    host_plan_traced, CancelToken, EngineError, ExecMode, FaultPlan, GuardReport, JitKernel,
+    MultiStats, RunReport,
 };
 use bm_simt::{BoundedOutcome, DesEngine, DesError, DesStats, GpuConfig, TbSource};
 use bm_trace::{TraceEvent, Tracer};
@@ -34,7 +35,6 @@ use bm_trace::{TraceEvent, Tracer};
 use crate::interconnect::Interconnect;
 use crate::partition::Partition;
 use crate::shard::{Msg, ShardSource};
-use crate::snapshot::MultiCheckpoint;
 use crate::tracer::DeviceTracer;
 use crate::MultiGpuConfig;
 
@@ -63,15 +63,9 @@ pub(crate) struct AbandonedStats {
     pub transfer_cycles: u64,
 }
 
-/// Everything the caller needs besides the report itself.
-pub(crate) struct MultiRunOutput {
-    pub report: RunReport,
-    /// Coordinator state at the final round boundary (complete run).
-    pub final_checkpoint: MultiCheckpoint,
-}
-
 /// Runs `jit` across `mcfg.devices` shards and assembles the merged
-/// report. `fault_drop`/`fault_corrupt` are the link-fault plan entries.
+/// report. Of `fault` only the link-fault entries apply; `cancel` is
+/// installed into every device engine.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded<T: Tracer>(
     cfg: &GpuConfig,
@@ -79,10 +73,10 @@ pub(crate) fn run_sharded<T: Tracer>(
     app: &bm_cmdq::Application,
     jit: &[JitKernel],
     mode: ExecMode,
-    fault_drop: Option<u64>,
-    fault_corrupt: Option<u64>,
+    fault: &FaultPlan,
+    cancel: Option<&CancelToken>,
     tracer: &T,
-) -> Result<MultiRunOutput, MultiAbort> {
+) -> Result<RunReport, MultiAbort> {
     let n = mcfg.devices.max(1) as usize;
     let part = Partition::build(jit, mcfg.devices);
     let (host_ready, epilogue) = host_plan_traced(cfg, app, mode, tracer);
@@ -92,7 +86,7 @@ pub(crate) fn run_sharded<T: Tracer>(
             sms_per_device: cfg.num_sms,
         });
     }
-    let mut ic = Interconnect::new(mcfg, fault_drop, fault_corrupt);
+    let mut ic = Interconnect::new(mcfg, fault.link_drop_nth, fault.link_corrupt_nth);
     let tracers: Vec<DeviceTracer<'_, T>> = (0..n as u32)
         .map(|d| DeviceTracer::new(tracer, d, cfg.num_sms))
         .collect();
@@ -109,7 +103,15 @@ pub(crate) fn run_sharded<T: Tracer>(
             )
         })
         .collect();
-    let mut engines: Vec<DesEngine> = (0..n).map(|_| DesEngine::new(cfg)).collect();
+    let mut engines: Vec<DesEngine> = (0..n)
+        .map(|_| {
+            let mut engine = DesEngine::new(cfg);
+            if let Some(tok) = cancel {
+                engine.set_cancel(tok.clone());
+            }
+            engine
+        })
+        .collect();
     let mut finished = vec![false; n];
     // The boot may already have produced messages (trivially-complete
     // kernels broadcasting), and the engine kickoff mirrors the
@@ -178,8 +180,12 @@ pub(crate) fn run_sharded<T: Tracer>(
                         // Unreachable under a horizon; typed for safety.
                         return Err(MultiAbort::Engine(EngineError::Deadlock(snap)));
                     }
-                    Err(DesError::Cancelled { cycle, .. }) => {
-                        return Err(MultiAbort::Engine(EngineError::Aborted { cycle }));
+                    Err(DesError::Cancelled { cycle, cause }) => {
+                        return Err(MultiAbort::Engine(EngineError::Cancelled {
+                            cycle,
+                            retired: sources[d].retired(),
+                            cause,
+                        }));
                     }
                 }
             }
@@ -189,15 +195,10 @@ pub(crate) fn run_sharded<T: Tracer>(
         }
     }
 
-    let final_checkpoint = capture(&engines, &sources, &ic, round, n as u32);
     let stats: Vec<DesStats> = engines.into_iter().map(DesEngine::finish).collect();
-    let report = assemble_multi_report(
+    Ok(assemble_multi_report(
         mcfg, jit, mode, &part, &sources, &ic, stats, epilogue, tracer,
-    );
-    Ok(MultiRunOutput {
-        report,
-        final_checkpoint,
-    })
+    ))
 }
 
 fn link_fault(cycle: u64, part: &Partition, ic: &Interconnect) -> MultiAbort {
@@ -250,27 +251,6 @@ fn route_round<T: Tracer>(
         }
     }
     Ok(())
-}
-
-/// Captures the coordinator state at a round boundary.
-fn capture<T: Tracer>(
-    engines: &[DesEngine],
-    sources: &[ShardSource<'_, DeviceTracer<'_, T>>],
-    ic: &Interconnect,
-    round: u64,
-    devices: u32,
-) -> MultiCheckpoint {
-    MultiCheckpoint {
-        devices,
-        round,
-        clocks: engines.iter().map(|e| e.now()).collect(),
-        des: engines.iter().map(|e| e.checkpoint()).collect(),
-        progress: sources.iter().map(|s| s.progress()).collect(),
-        link_busy: ic.busy_matrix().to_vec(),
-        transfers: ic.transfers,
-        transfer_bytes: ic.transfer_bytes,
-        transfer_cycles: ic.transfer_cycles,
-    }
 }
 
 /// Builds the merged [`RunReport`] from per-device results.

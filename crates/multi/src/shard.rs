@@ -274,12 +274,9 @@ impl<'a, T: Tracer> ShardSource<'a, T> {
             .flatten()
     }
 
-    /// Per-kernel `(completed, owned)` TB counts, for checkpoints.
-    pub fn progress(&self) -> Vec<(u32, u32)> {
-        self.kernels
-            .iter()
-            .map(|k| (k.completed, k.len()))
-            .collect()
+    /// Kernels this device has retired.
+    pub fn retired(&self) -> u32 {
+        self.retired as u32
     }
 
     /// The typed error behind an [`TbSource::aborted`] return.

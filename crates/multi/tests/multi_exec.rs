@@ -1,16 +1,12 @@
 //! End-to-end behaviour of the multi-GPU path on real workloads:
 //! delegation at `devices = 1`, architectural invisibility of the sharded
-//! schedule, reproducibility, link-fault fallback, and the coordinator
-//! checkpoint's round trip through a real `BMSNAP02` container.
+//! schedule, reproducibility and link-fault fallback.
 
 use blockmaestro::{
-    check_schedule, jit_analyze_app, DegradationReason, ExecMode, FaultPlan, RunSnapshot,
+    check_schedule, jit_analyze_app, random_plan, BmError, DegradationReason, EngineError,
+    ExecMode, FaultClass, FaultPlan, FaultRng, RunReport, RunSpec,
 };
-use bm_depgraph::HazardMode;
-use bm_multi::{
-    embed_multi, extract_multi, try_run_analyzed_multi_snapshotted, try_run_app_multi,
-    try_run_app_multi_faulty, MultiGpuConfig,
-};
+use bm_multi::{run, MultiGpuConfig};
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
@@ -25,36 +21,68 @@ fn build(name: &str) -> bm_cmdq::Application {
 
 const MODE: ExecMode = ExecMode::ConsumerPriority { window: 4 };
 
+/// `spec` on `devices` devices, untraced.
+fn run_on(
+    devices: u32,
+    app: &bm_cmdq::Application,
+    spec: &mut RunSpec<'_>,
+) -> Result<RunReport, BmError> {
+    run(
+        &GpuConfig::small(),
+        &MultiGpuConfig::devices(devices),
+        app,
+        spec,
+        &NullTracer,
+    )
+}
+
+/// A guarded spec under [`MODE`] with `fault` injected.
+fn guarded(fault: FaultPlan) -> RunSpec<'static> {
+    RunSpec {
+        guard: true,
+        fault,
+        ..RunSpec::new(MODE)
+    }
+}
+
 #[test]
 fn one_device_delegates_to_the_single_device_engine() {
     let cfg = GpuConfig::small();
     let app = build("PATH");
-    let single = blockmaestro::try_run_app_with(&cfg, &app, MODE, HazardMode::Raw).unwrap();
-    let multi = try_run_app_multi(
-        &cfg,
-        &MultiGpuConfig::devices(1),
-        &app,
-        MODE,
-        HazardMode::Raw,
-    )
-    .unwrap();
+    let single =
+        blockmaestro::run(&cfg, &app, &mut guarded(FaultPlan::default()), &NullTracer).unwrap();
+    let multi = run_on(1, &app, &mut guarded(FaultPlan::default())).unwrap();
     assert_eq!(multi, single, "devices=1 must be bit-identical");
     assert!(multi.multi.is_none(), "no multi section on a 1-device run");
+
+    // The whole spec is delegated, fault plan included.
+    let jit = jit_analyze_app(&cfg, &app, bm_depgraph::HazardMode::Raw);
+    let kill = FaultPlan {
+        kill_at_kernel: Some(1),
+        ..FaultPlan::default()
+    };
+    let drop = random_plan(FaultClass::DropChild, &jit, &mut FaultRng::new(7))
+        .expect("PATH has explicit edges to drop");
+    for fault in [kill, drop] {
+        let single = blockmaestro::run(&cfg, &app, &mut guarded(fault.clone()), &NullTracer);
+        match &single {
+            Err(BmError::Engine(EngineError::Killed { .. })) => {}
+            Ok(r) => assert!(r.guard.recovery_rounds >= 1, "the dropped edge must bite"),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+        let multi = run_on(1, &app, &mut guarded(fault.clone()));
+        assert_eq!(
+            multi, single,
+            "devices=1 must honor the fault plan {fault:?}"
+        );
+    }
 }
 
 #[test]
 fn two_devices_execute_every_tb_and_stay_architecturally_invisible() {
-    let cfg = GpuConfig::small();
     for name in ["PATH", "HS", "NW"] {
         let app = build(name);
-        let report = try_run_app_multi(
-            &cfg,
-            &MultiGpuConfig::devices(2),
-            &app,
-            MODE,
-            HazardMode::Raw,
-        )
-        .unwrap();
+        let report = run_on(2, &app, &mut RunSpec::new(MODE)).unwrap();
         let multi = report.multi.as_ref().expect("multi stats present");
         assert_eq!(multi.devices, 2);
         assert_eq!(multi.per_device.len(), 2);
@@ -74,19 +102,15 @@ fn two_devices_execute_every_tb_and_stay_architecturally_invisible() {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
-    let cfg = GpuConfig::small();
     let app = build("PATH");
-    let mcfg = MultiGpuConfig::devices(2);
-    let a = try_run_app_multi(&cfg, &mcfg, &app, MODE, HazardMode::Raw).unwrap();
-    let b = try_run_app_multi(&cfg, &mcfg, &app, MODE, HazardMode::Raw).unwrap();
+    let a = run_on(2, &app, &mut RunSpec::new(MODE)).unwrap();
+    let b = run_on(2, &app, &mut RunSpec::new(MODE)).unwrap();
     assert_eq!(a, b);
 }
 
 #[test]
 fn four_devices_handle_all_modes() {
-    let cfg = GpuConfig::small();
     let app = build("HS");
-    let mcfg = MultiGpuConfig::devices(4);
     for mode in [
         ExecMode::Baseline,
         ExecMode::IdealBaseline,
@@ -95,91 +119,69 @@ fn four_devices_handle_all_modes() {
         ExecMode::ProducerPriority { window: 4 },
         ExecMode::ConsumerPriority { window: 4 },
     ] {
-        let report = try_run_app_multi(&cfg, &mcfg, &app, mode, HazardMode::Raw)
-            .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        let report =
+            run_on(4, &app, &mut RunSpec::new(mode)).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
         check_schedule(&app, &report.schedule)
             .unwrap_or_else(|e| panic!("{mode:?}: not invisible: {e:?}"));
     }
 }
 
 #[test]
-fn coordinator_checkpoint_round_trips_through_a_container() {
-    let cfg = GpuConfig::small();
-    let app = build("HS");
-    let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
-
-    // devices=1 has no coordinator, so no section to embed.
-    let (_, none) = try_run_analyzed_multi_snapshotted(
-        &cfg,
-        &MultiGpuConfig::devices(1),
-        &app,
-        &jit,
-        MODE,
-        &NullTracer,
-    )
-    .unwrap();
-    assert!(none.is_none(), "devices=1 yields no coordinator checkpoint");
-
-    let (report, ckpt) = try_run_analyzed_multi_snapshotted(
-        &cfg,
-        &MultiGpuConfig::devices(2),
-        &app,
-        &jit,
-        MODE,
-        &NullTracer,
-    )
-    .unwrap();
-    let ckpt = ckpt.expect("devices=2 yields the final coordinator checkpoint");
-    assert_eq!(ckpt.devices, 2);
-    assert_eq!(ckpt.clocks.len(), 2);
-    assert!(ckpt.round > 0, "the coordinator advanced");
-    let executed: u64 = ckpt.des.iter().map(|d| d.stats.tbs_executed).sum();
-    assert_eq!(executed as usize, report.schedule.len());
-
-    // Embed into a real BMSNAP02 container, encode, decode, extract:
-    // the TAG_MULTI section must survive bit-exactly, and a container
-    // without it must extract as None.
-    let mut snap = RunSnapshot::default();
-    assert_eq!(extract_multi(&snap).unwrap(), None);
-    embed_multi(&mut snap, &ckpt);
-    let bytes = snap.encode();
-    let back = RunSnapshot::decode(&bytes).unwrap();
-    let extracted = extract_multi(&back).unwrap().expect("section present");
-    assert_eq!(extracted, ckpt);
-
-    // Corruption inside the section surfaces as a typed decode error,
-    // never a silent partial checkpoint.
-    let mut torn = back.clone();
-    torn.multi.truncate(torn.multi.len() / 2);
-    assert!(extract_multi(&torn).is_err());
-}
-
-#[test]
 fn dropped_transfer_falls_back_to_single_device() {
-    let cfg = GpuConfig::small();
     let app = build("PATH");
     let plan = FaultPlan {
         link_drop_nth: Some(0),
         ..FaultPlan::default()
     };
-    let report = try_run_app_multi_faulty(
-        &cfg,
-        &MultiGpuConfig::devices(2),
-        &app,
-        MODE,
-        HazardMode::Raw,
-        &plan,
-        &NullTracer,
-    )
-    .unwrap();
+    let mut spec = RunSpec {
+        fault: plan,
+        ..RunSpec::new(MODE)
+    };
+    let report = run_on(2, &app, &mut spec).unwrap();
     let multi = report.multi.as_ref().expect("fallback keeps multi stats");
     let (reason, cycle) = multi.fallback.expect("fallback recorded");
     assert_eq!(reason, DegradationReason::LinkFault);
     assert!(cycle > 0);
     assert!(multi.per_device.is_empty(), "no per-device stats survive");
     // The fallback result is a clean single-device run.
-    let clean = blockmaestro::try_run_app_with(&cfg, &app, MODE, HazardMode::Raw).unwrap();
+    let clean = blockmaestro::try_run_app(&GpuConfig::small(), &app, MODE).unwrap();
     let mut downgraded = report.clone();
     downgraded.multi = None;
     assert_eq!(downgraded, clean);
+}
+
+#[test]
+fn a_fired_token_cancels_every_device_engine() {
+    let cfg = GpuConfig::small();
+    let app = build("NW");
+    let jit = jit_analyze_app(&cfg, &app, bm_depgraph::HazardMode::Raw);
+    let token = blockmaestro::CancelToken::new();
+    token.cancel();
+    let mut spec = RunSpec {
+        kernels: Some(&jit),
+        cancel: Some(token),
+        ..RunSpec::new(MODE)
+    };
+    let err = run_on(2, &app, &mut spec).unwrap_err();
+    assert!(
+        matches!(err, BmError::Engine(EngineError::Cancelled { .. })),
+        "got {err}"
+    );
+}
+
+#[test]
+fn a_checkpoint_store_on_two_devices_is_a_typed_error() {
+    let app = build("NW");
+    let mut store = blockmaestro::MemStore::default();
+    let mut spec = RunSpec {
+        checkpoint: blockmaestro::CheckpointSession {
+            policy: blockmaestro::CheckpointPolicy::every_kernels(1),
+            store: Some(&mut store),
+            ..blockmaestro::CheckpointSession::disabled()
+        },
+        ..RunSpec::new(MODE)
+    };
+    let err = run_on(2, &app, &mut spec).unwrap_err();
+    assert!(matches!(err, BmError::Unsupported(_)), "got {err}");
+    assert!(store.snaps.is_empty());
 }

@@ -3,10 +3,10 @@
 //!
 //! One [`RunService`] owns N worker threads. [`RunService::submit`]
 //! admits a request into a bounded queue (or rejects it with
-//! [`ServeError::Overloaded`]); a worker pops it and drives the existing
-//! checkpointed pipeline ([`blockmaestro::try_run_app_checkpointed_ctl`])
-//! with a per-request [`CancelToken`] threaded into both the analysis
-//! ladder and the DES engine.
+//! [`ServeError::Overloaded`]); a worker pops it and drives one guarded
+//! [`bm_multi::run`] on the request's device group, checkpointed when the
+//! group is one device, with a per-request [`CancelToken`] threaded into
+//! both the analysis ladder and every DES engine.
 //!
 //! Failure handling per attempt:
 //!
@@ -35,12 +35,12 @@ use crate::error::ServeError;
 use crate::retry::RetryPolicy;
 use blockmaestro::ExecMode;
 use blockmaestro::{
-    app_fingerprint, try_run_app_budgeted, try_run_app_checkpointed_ctl, AnalysisBudget, BmError,
-    CheckpointPolicy, EngineError, FaultPlan, MemStore, RunCtl, RunReport,
+    app_fingerprint, AnalysisBudget, BmError, CheckpointPolicy, CheckpointSession, EngineError,
+    FaultPlan, MemStore, RunReport, RunSpec,
 };
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
-use bm_multi::{try_run_app_multi_faulty, MultiGpuConfig};
+use bm_multi::MultiGpuConfig;
 use bm_ptx::cancel::{CancelCause, CancelToken};
 use bm_ptx::PtxError;
 use bm_simt::GpuConfig;
@@ -433,7 +433,7 @@ fn classify(err: &BmError) -> AttemptFailure {
         // replaying from scratch.
         BmError::Unrecoverable { .. } => AttemptFailure::Transient(err.to_string()),
         // Structural and toolchain failures are facts about the request.
-        BmError::Ptx(_) | BmError::Cmdq(_) | BmError::Engine(_) => {
+        BmError::Ptx(_) | BmError::Cmdq(_) | BmError::Engine(_) | BmError::Unsupported(_) => {
             AttemptFailure::Permanent(err.to_string())
         }
     }
@@ -509,17 +509,19 @@ fn process(shared: &Shared, worker: u32, job: &Job) -> RunOutcome {
             worker,
             attempt: 1,
         });
-        let result = try_run_app_budgeted(
-            &shared.cfg,
-            &req.app,
-            req.mode,
-            req.hazard,
-            &AnalysisBudget::exhausted(),
-        )
-        .map_err(|e| ServeError::Failed {
-            attempts: 1,
-            error: e.to_string(),
-        });
+        let mut spec = RunSpec {
+            hazard: req.hazard,
+            guard: true,
+            budget: AnalysisBudget::exhausted(),
+            ..RunSpec::new(req.mode)
+        };
+        let result =
+            blockmaestro::run(&shared.cfg, &req.app, &mut spec, &NullTracer).map_err(|e| {
+                ServeError::Failed {
+                    attempts: 1,
+                    error: e.to_string(),
+                }
+            });
         return RunOutcome {
             id: req.id,
             attempts: 1,
@@ -534,8 +536,9 @@ fn process(shared: &Shared, worker: u32, job: &Job) -> RunOutcome {
     }
 
     let policy = CheckpointPolicy::every_kernels(shared.scfg.checkpoint_every.max(1));
-    let ctl = RunCtl {
-        cancel: Some(job.token.clone()),
+    let mcfg = MultiGpuConfig {
+        devices: group,
+        ..shared.scfg.multi.clone()
     };
     let max_attempts = 1 + req.max_retries.unwrap_or(shared.scfg.retry.max_retries);
     // Request-scoped: dropped with the request, so nothing leaks into the
@@ -558,45 +561,29 @@ fn process(shared: &Shared, worker: u32, job: &Job) -> RunOutcome {
         } else {
             FaultPlan::default()
         };
-        let resume = attempt > 1;
+        let mut spec = RunSpec {
+            hazard: req.hazard,
+            guard: true,
+            fault,
+            cancel: Some(job.token.clone()),
+            ..RunSpec::new(req.mode)
+        };
+        // Multi-device placements run through bm-multi's TB-grain
+        // sharding, which has no resumable checkpoint form: a retried
+        // attempt replays from scratch (still bit-identical — the
+        // pipeline is deterministic). Of the fault plan only the link
+        // fields apply; a link fault degrades inside the run to a single
+        // device rather than failing the attempt.
+        if group == 1 {
+            spec.checkpoint = CheckpointSession {
+                policy,
+                store: Some(&mut store),
+                resume_latest: attempt > 1,
+                ..CheckpointSession::disabled()
+            };
+        }
         let run = catch_unwind(AssertUnwindSafe(|| {
-            if group > 1 {
-                // Multi-device placements run through bm-multi's
-                // TB-grain sharding. The coordinator has no resumable
-                // checkpoint form, so a retried attempt replays from
-                // scratch (still bit-identical — the pipeline is
-                // deterministic), and cancellation is observed between
-                // attempts rather than at kernel boundaries. Of the
-                // fault plan only the link fields apply; a link fault
-                // degrades inside the run to a single device rather
-                // than failing the attempt.
-                let mcfg = MultiGpuConfig {
-                    devices: group,
-                    ..shared.scfg.multi.clone()
-                };
-                try_run_app_multi_faulty(
-                    &shared.cfg,
-                    &mcfg,
-                    &req.app,
-                    req.mode,
-                    req.hazard,
-                    &fault,
-                    &NullTracer,
-                )
-            } else {
-                try_run_app_checkpointed_ctl(
-                    &shared.cfg,
-                    &req.app,
-                    req.mode,
-                    req.hazard,
-                    &fault,
-                    policy,
-                    &mut store,
-                    resume,
-                    &NullTracer,
-                    &ctl,
-                )
-            }
+            bm_multi::run(&shared.cfg, &mcfg, &req.app, &mut spec, &NullTracer)
         }));
         let failure = match run {
             Ok(Ok(report)) => {

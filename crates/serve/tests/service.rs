@@ -2,9 +2,8 @@
 //! below — retries, backoffs, deadlines, breaker trips — is a
 //! deterministic function of the submitted request stream.
 
-use blockmaestro::{try_run_app_with, ExecMode, FaultPlan, RunReport};
+use blockmaestro::{try_run_app, ExecMode, FaultPlan, RunReport};
 use bm_cmdq::{ApiCall, Application};
-use bm_depgraph::HazardMode;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
@@ -73,11 +72,10 @@ fn chain_app() -> Application {
 }
 
 fn reference() -> RunReport {
-    try_run_app_with(
+    try_run_app(
         &GpuConfig::small(),
         &chain_app(),
         ExecMode::ConsumerPriority { window: 3 },
-        HazardMode::Raw,
     )
     .unwrap()
 }

@@ -8,8 +8,8 @@
 //! ```
 
 use blockmaestro::{
-    check_schedule, corrupt_access_set, jit_analyze_app, random_plan, try_run_app,
-    try_run_app_faulty, ExecMode, FaultClass, FaultPlan, FaultRng,
+    check_schedule, corrupt_access_set, jit_analyze_app, random_plan, run, ExecMode, FaultClass,
+    FaultRng, RunSpec,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -17,6 +17,7 @@ use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -80,7 +81,11 @@ fn main() {
 
     // 1. Clean guarded run: the guard verifies and stays silent.
     println!("== clean run ==");
-    let report = try_run_app(&cfg, &app, mode).expect("clean run");
+    let mut spec = RunSpec {
+        guard: true,
+        ..RunSpec::new(mode)
+    };
+    let report = run(&cfg, &app, &mut spec, &NullTracer).expect("clean run");
     println!(
         "cycles {}  violations {}  quarantined {}  rounds {}",
         report.kernel_region_cycles,
@@ -95,15 +100,12 @@ fn main() {
     println!("\n== corrupted access set ==");
     let mut jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
     assert!(corrupt_access_set(&mut jit, 1, HazardMode::Raw));
-    let report = try_run_app_faulty(
-        &cfg,
-        &app,
-        jit,
-        mode,
-        HazardMode::Raw,
-        &FaultPlan::default(),
-    )
-    .expect("guard must recover");
+    let mut spec = RunSpec {
+        guard: true,
+        kernels: Some(&jit),
+        ..RunSpec::new(mode)
+    };
+    let report = run(&cfg, &app, &mut spec, &NullTracer).expect("guard must recover");
     println!(
         "violations {}  quarantined {}  rounds {}  cycles lost {}",
         report.guard.violations_detected,
@@ -120,8 +122,14 @@ fn main() {
     println!("\n== dropped dependency edge ==");
     let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
     let plan = random_plan(FaultClass::DropChild, &jit, &mut FaultRng::new(7)).unwrap();
-    let report = try_run_app_faulty(&cfg, &app, jit, mode, HazardMode::Raw, &plan)
-        .expect("guard must recover from the deadlock");
+    let mut spec = RunSpec {
+        guard: true,
+        fault: plan,
+        kernels: Some(&jit),
+        ..RunSpec::new(mode)
+    };
+    let report =
+        run(&cfg, &app, &mut spec, &NullTracer).expect("guard must recover from the deadlock");
     println!(
         "violations {}  quarantined {}  rounds {}  cycles lost {}",
         report.guard.violations_detected,

@@ -6,12 +6,13 @@
 //!
 //! Run with: `cargo run --release --example ml_pipeline`
 
-use blockmaestro::{jit_analyze_app, run_analyzed, ExecMode};
+use blockmaestro::{jit_analyze_app, run, BmError, ExecMode, RunSpec};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{alexnet, Scale};
 
-fn main() {
+fn main() -> Result<(), BmError> {
     let cfg = GpuConfig::titan_x_pascal();
     let app = alexnet::build(Scale::Full);
     println!("AlexNet: {} kernels", app.num_kernels());
@@ -31,14 +32,21 @@ fn main() {
         );
     }
 
-    let baseline = run_analyzed(&cfg, &app, &jit, ExecMode::Baseline);
+    let run_mode = |mode| {
+        let mut spec = RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        };
+        run(&cfg, &app, &mut spec, &NullTracer)
+    };
+    let baseline = run_mode(ExecMode::Baseline)?;
     println!("\nmode                    cycles    speedup  avg TB concurrency");
     println!(
         "{:<22} {:>9} {:>9} {:>12.1}",
         "baseline", baseline.total_cycles, "1.000x", baseline.avg_concurrency
     );
     for mode in ExecMode::figure9_variants() {
-        let r = run_analyzed(&cfg, &app, &jit, mode);
+        let r = run_mode(mode)?;
         println!(
             "{:<22} {:>9} {:>8.3}x {:>12.1}",
             mode.to_string(),
@@ -52,4 +60,5 @@ fn main() {
          speedup (launch overhead is a small fraction of layer time) but\n\
          fine-grain dependency resolution raises TB concurrency."
     );
+    Ok(())
 }

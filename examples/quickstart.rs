@@ -4,16 +4,17 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use blockmaestro::{check_schedule, run_app, ExecMode};
+use blockmaestro::{check_schedule, run, BmError, ExecMode, RunSpec};
 use bm_cmdq::{ApiCall, Application};
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), BmError> {
     // A SAXPY-style kernel: Y[i] = 2*X[i] + 1.
     let kernel = Arc::new(
         parse_kernel(
@@ -79,8 +80,14 @@ fn main() {
     };
 
     let cfg = GpuConfig::titan_x_pascal();
-    let baseline = run_app(&cfg, &app, ExecMode::Baseline);
-    let bm = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 2 });
+    let baseline = run(
+        &cfg,
+        &app,
+        &mut RunSpec::new(ExecMode::Baseline),
+        &NullTracer,
+    )?;
+    let mode = ExecMode::ConsumerPriority { window: 2 };
+    let bm = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer)?;
 
     println!("kernels               : {}", bm.num_kernels);
     println!(
@@ -110,4 +117,5 @@ fn main() {
     let eq = check_schedule(&app, &bm.schedule).expect("schedule replays");
     println!("correctness           : {eq}");
     assert!(eq.is_match());
+    Ok(())
 }

@@ -6,11 +6,12 @@
 //! Run with: `cargo run --release --example stencil_wavefront`
 
 use blockmaestro::compare::{run_task_graph, CompareModel, TaskGraph};
-use blockmaestro::{check_schedule, run_app, ExecMode};
+use blockmaestro::{check_schedule, run, BmError, ExecMode, RunSpec};
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{hotspot, Scale};
 
-fn main() {
+fn main() -> Result<(), BmError> {
     let cfg = GpuConfig::titan_x_pascal();
 
     // --- Part 1: Hotspot, an overlapped-pattern stencil -----------------
@@ -19,9 +20,10 @@ fn main() {
         "Hotspot: {} ping-pong stencil kernels, overlapped halos",
         app.num_kernels()
     );
-    let baseline = run_app(&cfg, &app, ExecMode::Baseline);
-    let coarse = run_app(&cfg, &app, ExecMode::PreLaunch { window: 2 });
-    let fine = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+    let run_mode = |mode| run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer);
+    let baseline = run_mode(ExecMode::Baseline)?;
+    let coarse = run_mode(ExecMode::PreLaunch { window: 2 })?;
+    let fine = run_mode(ExecMode::ProducerPriority { window: 2 })?;
     println!(
         "  baseline            : {:>9} cycles",
         baseline.total_cycles
@@ -63,4 +65,5 @@ fn main() {
          without any task-graph programming — the dependency graphs come\n\
          from launch-time PTX analysis alone."
     );
+    Ok(())
 }

@@ -3,11 +3,12 @@
 //! independent kernels, window monotonicity, stall reduction, overhead
 //! bounds, reordering validity).
 
-use blockmaestro::{jit_analyze_app, run_analyzed, run_app, run_app_with, ExecMode};
+use blockmaestro::{jit_analyze_app, run, ExecMode, RunSpec};
 use bm_cmdq::{is_valid_order, reorder_for_prelaunch};
 use bm_depgraph::HazardMode;
 use bm_simt::stats::percentile;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{bicg, pathfinder, suite, Scale};
 
 #[test]
@@ -16,8 +17,9 @@ fn baseline_pays_one_launch_per_kernel() {
     // exceed the ideal baseline's by ~5 launch overheads.
     let cfg = GpuConfig::titan_x_pascal();
     let app = pathfinder::build(Scale::Small);
-    let base = run_app(&cfg, &app, ExecMode::Baseline);
-    let ideal = run_app(&cfg, &app, ExecMode::IdealBaseline);
+    let run_mode = |mode| run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
+    let base = run_mode(ExecMode::Baseline);
+    let ideal = run_mode(ExecMode::IdealBaseline);
     let diff = base.kernel_region_cycles - ideal.kernel_region_cycles;
     let k = app.num_kernels() as u64;
     let expect = k * cfg.kernel_launch_cycles;
@@ -36,8 +38,15 @@ fn independent_kernels_overlap_under_blockmaestro() {
     let app = bicg::build(Scale::Full);
     let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
     assert!(jit[1].graph.is_independent());
-    let base = run_analyzed(&cfg, &app, &jit, ExecMode::Baseline);
-    let bm = run_analyzed(&cfg, &app, &jit, ExecMode::ProducerPriority { window: 2 });
+    let run_mode = |mode| {
+        let mut spec = RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        };
+        run(&cfg, &app, &mut spec, &NullTracer).unwrap()
+    };
+    let base = run_mode(ExecMode::Baseline);
+    let bm = run_mode(ExecMode::ProducerPriority { window: 2 });
     // The kernels are imbalanced (the row-dot kernel is uncoalesced, the
     // column kernel is not), so overlap saves roughly the shorter kernel's
     // duration: the BlockMaestro region must be at most the longer
@@ -83,10 +92,15 @@ fn deeper_windows_never_hurt_much() {
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
         let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
-        let t2 = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 2 })
-            .total_cycles as f64;
-        let t4 = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 4 })
-            .total_cycles as f64;
+        let run_mode = |mode| {
+            let mut spec = RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            };
+            run(&cfg, &app, &mut spec, &NullTracer).unwrap()
+        };
+        let t2 = run_mode(ExecMode::ConsumerPriority { window: 2 }).total_cycles as f64;
+        let t4 = run_mode(ExecMode::ConsumerPriority { window: 4 }).total_cycles as f64;
         assert!(
             t4 <= t2 * 1.10,
             "{}: window 4 ({t4}) much slower than window 2 ({t2})",
@@ -101,13 +115,20 @@ fn blockmaestro_never_slower_than_baseline() {
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
         let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
-        let base = run_analyzed(&cfg, &app, &jit, ExecMode::Baseline).total_cycles as f64;
+        let run_mode = |mode| {
+            let mut spec = RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            };
+            run(&cfg, &app, &mut spec, &NullTracer).unwrap()
+        };
+        let base = run_mode(ExecMode::Baseline).total_cycles as f64;
         for mode in [
             ExecMode::PreLaunch { window: 2 },
             ExecMode::ProducerPriority { window: 2 },
             ExecMode::ConsumerPriority { window: 3 },
         ] {
-            let t = run_analyzed(&cfg, &app, &jit, mode).total_cycles as f64;
+            let t = run_mode(mode).total_cycles as f64;
             assert!(
                 t <= base * 1.02,
                 "{} under {mode}: {t} vs baseline {base}",
@@ -124,8 +145,9 @@ fn stalls_shrink_under_fine_grain_resolution() {
     let mut total = 0;
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
-        let base = run_app(&cfg, &app, ExecMode::Baseline);
-        let bm = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+        let run_mode = |mode| run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
+        let base = run_mode(ExecMode::Baseline);
+        let bm = run_mode(ExecMode::ProducerPriority { window: 2 });
         let med = |v: &[f64]| {
             let mut s = v.to_vec();
             s.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -147,7 +169,13 @@ fn hardware_overhead_stays_small() {
     let cfg = GpuConfig::titan_x_pascal();
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
-        let r = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 4 });
+        let r = run(
+            &cfg,
+            &app,
+            &mut RunSpec::new(ExecMode::ConsumerPriority { window: 4 }),
+            &NullTracer,
+        )
+        .unwrap();
         assert!(
             r.mem_overhead_fraction() < 0.08,
             "{}: overhead {:.2}% too large",
@@ -195,18 +223,23 @@ fn hazard_all_is_never_less_conservative() {
     let cfg = GpuConfig::titan_x_pascal();
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
-        let raw = run_app_with(
+        let raw = run(
             &cfg,
             &app,
-            ExecMode::ConsumerPriority { window: 3 },
-            HazardMode::Raw,
-        );
-        let all = run_app_with(
+            &mut RunSpec::new(ExecMode::ConsumerPriority { window: 3 }),
+            &NullTracer,
+        )
+        .unwrap();
+        let all = run(
             &cfg,
             &app,
-            ExecMode::ConsumerPriority { window: 3 },
-            HazardMode::All,
-        );
+            &mut RunSpec {
+                hazard: HazardMode::All,
+                ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+            },
+            &NullTracer,
+        )
+        .unwrap();
         assert!(
             all.kernel_region_cycles as f64 >= raw.kernel_region_cycles as f64 * 0.999,
             "{}: HazardMode::All faster than Raw ({} vs {})",

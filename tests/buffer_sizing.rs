@@ -4,8 +4,9 @@
 //! executing TBs and released at completion.
 
 use blockmaestro::hw::BUFFER_ENTRIES;
-use blockmaestro::{run_app, ExecMode};
+use blockmaestro::{run, ExecMode, RunSpec};
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
 
 #[test]
@@ -17,7 +18,7 @@ fn dependency_list_buffer_never_exceeds_paper_sizing() {
             ExecMode::ProducerPriority { window: 2 },
             ExecMode::ConsumerPriority { window: 4 },
         ] {
-            let r = run_app(&cfg, &app, mode);
+            let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
             assert!(
                 r.dlb_high_water <= BUFFER_ENTRIES,
                 "{} under {mode}: {} dependency-list entries > {BUFFER_ENTRIES}",
@@ -34,7 +35,13 @@ fn dlb_occupancy_tracks_resident_tbs() {
     // number of resident TBs, never the full grid.
     let cfg = GpuConfig::small();
     let app = bm_workloads::hotspot::build(Scale::Small);
-    let r = run_app(&cfg, &app, ExecMode::ProducerPriority { window: 2 });
+    let r = run(
+        &cfg,
+        &app,
+        &mut RunSpec::new(ExecMode::ProducerPriority { window: 2 }),
+        &NullTracer,
+    )
+    .unwrap();
     let slots = (cfg.num_sms * cfg.occupancy(64, 0).min(cfg.max_tbs_per_sm)) as usize;
     assert!(
         r.dlb_high_water <= slots,
@@ -50,6 +57,12 @@ fn full_scale_gaussian_respects_buffer_limits() {
     // The stress case: 510 kernels with up to 255 TBs each.
     let cfg = GpuConfig::titan_x_pascal();
     let app = bm_workloads::gaussian::build(Scale::Full);
-    let r = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 4 });
+    let r = run(
+        &cfg,
+        &app,
+        &mut RunSpec::new(ExecMode::ConsumerPriority { window: 4 }),
+        &NullTracer,
+    )
+    .unwrap();
     assert!(r.dlb_high_water <= BUFFER_ENTRIES);
 }

@@ -9,10 +9,10 @@
 //! same event stream (modulo the checkpoint instants themselves).
 
 use blockmaestro::{
-    app_fingerprint, try_jit_analyze_app, try_jit_analyze_app_par_traced,
-    try_run_analyzed_checkpointed, try_run_app_checkpointed, try_run_app_checkpointed_traced,
-    AnalysisBudget, AnalysisCache, BmError, CheckpointPolicy, CheckpointSession, EngineError,
-    ExecMode, FaultPlan, JitKernel, MemStore, ParallelConfig, RunReport, RunSnapshot,
+    app_fingerprint, run, try_jit_analyze_app, try_jit_analyze_app_par_traced,
+    try_run_analyzed_checkpointed, AnalysisBudget, AnalysisCache, BmError, CheckpointPolicy,
+    CheckpointSession, EngineError, ExecMode, FaultPlan, JitKernel, MemStore, ParallelConfig,
+    RunReport, RunSnapshot, RunSpec, SnapshotError, SnapshotStore,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -20,7 +20,7 @@ use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
-use bm_trace::{NullTracer, RecordingTracer, TraceEvent};
+use bm_trace::{NullTracer, RecordingTracer, TraceEvent, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -108,6 +108,33 @@ fn engine_run(
         ..FaultPlan::default()
     };
     try_run_analyzed_checkpointed(cfg, app, jit, mode, &fault, &NullTracer, &mut session)
+}
+
+/// A guarded run that checkpoints into `store` under `policy`, resuming
+/// from the store's latest snapshot when `resume` is set.
+#[allow(clippy::too_many_arguments)]
+fn guarded_run<T: Tracer>(
+    cfg: &GpuConfig,
+    app: &Application,
+    mode: ExecMode,
+    fault: &FaultPlan,
+    policy: CheckpointPolicy,
+    store: &mut dyn SnapshotStore,
+    resume: bool,
+    tracer: &T,
+) -> Result<RunReport, BmError> {
+    let mut spec = RunSpec {
+        guard: true,
+        fault: fault.clone(),
+        checkpoint: CheckpointSession {
+            policy,
+            store: Some(store),
+            resume_latest: resume,
+            ..CheckpointSession::disabled()
+        },
+        ..RunSpec::new(mode)
+    };
+    run(cfg, app, &mut spec, tracer)
 }
 
 /// Kills at every interior boundary and resumes; every resumed report
@@ -241,15 +268,15 @@ fn guarded_pipeline_resumes_exactly() {
     for (n_kernels, tbs, mode) in cases() {
         let app = chain_app(n_kernels, tbs);
         let mut ref_store = MemStore::default();
-        let reference = try_run_app_checkpointed(
+        let reference = guarded_run(
             &cfg,
             &app,
             mode,
-            HazardMode::Raw,
             &FaultPlan::default(),
             policy,
             &mut ref_store,
             false,
+            &NullTracer,
         )
         .expect("uninterrupted guarded run");
         for q in 1..n_kernels as u32 {
@@ -258,30 +285,30 @@ fn guarded_pipeline_resumes_exactly() {
                 kill_at_kernel: Some(q),
                 ..FaultPlan::default()
             };
-            let err = try_run_app_checkpointed(
+            let err = guarded_run(
                 &cfg,
                 &app,
                 mode,
-                HazardMode::Raw,
                 &kill,
                 policy,
                 &mut store,
                 false,
+                &NullTracer,
             )
             .unwrap_err();
             assert!(
                 matches!(err, BmError::Engine(EngineError::Killed { .. })),
                 "guarded: kill at {q} produced {err}"
             );
-            let resumed = try_run_app_checkpointed(
+            let resumed = guarded_run(
                 &cfg,
                 &app,
                 mode,
-                HazardMode::Raw,
                 &FaultPlan::default(),
                 policy,
                 &mut store,
                 true,
+                &NullTracer,
             )
             .unwrap_or_else(|e| panic!("guarded: resume from {q} failed: {e}"));
             assert_eq!(resumed, reference, "guarded: resume from {q} diverged");
@@ -297,11 +324,10 @@ fn traced_pipeline_resumes_with_an_identical_event_stream() {
         // Reference: traced, checkpointing machinery off — a pure stream.
         let ref_tracer = RecordingTracer::new();
         let mut null_store = MemStore::default();
-        let reference = try_run_app_checkpointed_traced(
+        let reference = guarded_run(
             &cfg,
             &app,
             mode,
-            HazardMode::Raw,
             &FaultPlan::default(),
             CheckpointPolicy::disabled(),
             &mut null_store,
@@ -323,11 +349,10 @@ fn traced_pipeline_resumes_with_an_identical_event_stream() {
                 ..FaultPlan::default()
             };
             let kill_tracer = RecordingTracer::new();
-            let err = try_run_app_checkpointed_traced(
+            let err = guarded_run(
                 &cfg,
                 &app,
                 mode,
-                HazardMode::Raw,
                 &kill,
                 CheckpointPolicy::every_kernels(1),
                 &mut store,
@@ -337,11 +362,10 @@ fn traced_pipeline_resumes_with_an_identical_event_stream() {
             .unwrap_err();
             assert!(matches!(err, BmError::Engine(EngineError::Killed { .. })));
             let resume_tracer = RecordingTracer::new();
-            let resumed = try_run_app_checkpointed_traced(
+            let resumed = guarded_run(
                 &cfg,
                 &app,
                 mode,
-                HazardMode::Raw,
                 &FaultPlan::default(),
                 CheckpointPolicy::every_kernels(1),
                 &mut store,
@@ -380,36 +404,35 @@ fn mode_mismatch_is_rejected_and_run_starts_fresh() {
     };
     let producer = ExecMode::ProducerPriority { window: 2 };
     let consumer = ExecMode::ConsumerPriority { window: 2 };
-    try_run_app_checkpointed(
+    guarded_run(
         &cfg,
         &app,
         producer,
-        HazardMode::Raw,
         &kill,
         policy,
         &mut store,
         false,
+        &NullTracer,
     )
     .unwrap_err();
     // ...then resume under consumer priority: the snapshot must be
     // rejected (typed, traced) and the run must match a fresh one.
-    let reference = try_run_app_checkpointed(
+    let reference = guarded_run(
         &cfg,
         &app,
         consumer,
-        HazardMode::Raw,
         &FaultPlan::default(),
         policy,
         &mut MemStore::default(),
         false,
+        &NullTracer,
     )
     .unwrap();
     let tracer = RecordingTracer::new();
-    let crossed = try_run_app_checkpointed_traced(
+    let crossed = guarded_run(
         &cfg,
         &app,
         consumer,
-        HazardMode::Raw,
         &FaultPlan::default(),
         policy,
         &mut store,
@@ -425,4 +448,54 @@ fn mode_mismatch_is_rejected_and_run_starts_fresh() {
             .any(|e| e.kind() == "checkpoint_reject"),
         "mode mismatch must surface as a checkpoint_reject instant"
     );
+}
+
+/// A store whose every save fails.
+struct FailingStore;
+
+impl SnapshotStore for FailingStore {
+    fn save(&mut self, _bytes: &[u8]) -> Result<(), SnapshotError> {
+        Err(SnapshotError::Io("disk full".into()))
+    }
+
+    fn load(&mut self) -> Result<Option<Vec<u8>>, SnapshotError> {
+        Ok(None)
+    }
+}
+
+#[test]
+fn save_failures_reach_the_caller() {
+    let cfg = GpuConfig::small();
+    for (n_kernels, tbs, mode) in cases() {
+        let app = chain_app(n_kernels, tbs);
+        let reference = guarded_run(
+            &cfg,
+            &app,
+            mode,
+            &FaultPlan::default(),
+            CheckpointPolicy::disabled(),
+            &mut MemStore::default(),
+            false,
+            &NullTracer,
+        )
+        .unwrap();
+        let mut store = FailingStore;
+        let mut spec = RunSpec {
+            guard: true,
+            checkpoint: CheckpointSession {
+                policy: CheckpointPolicy::every_kernels(1),
+                store: Some(&mut store),
+                ..CheckpointSession::disabled()
+            },
+            ..RunSpec::new(mode)
+        };
+        let report = run(&cfg, &app, &mut spec, &NullTracer).unwrap();
+        assert_eq!(report, reference, "failed saves must not change the run");
+        assert_eq!(spec.checkpoint.saves, 0);
+        // One failure per interior boundary: every one is due.
+        assert_eq!(
+            spec.checkpoint.save_failures,
+            vec![SnapshotError::Io("disk full".into()); n_kernels - 1]
+        );
+    }
 }

@@ -2,9 +2,10 @@
 //! every execution mode, the thread-block schedule BlockMaestro produces
 //! must compute exactly the same memory image as serialized execution.
 
-use blockmaestro::{check_no_races, check_schedule, run_app, run_app_with, ExecMode};
+use blockmaestro::{check_no_races, check_schedule, run, ExecMode, RunSpec};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
 
 fn all_modes() -> Vec<ExecMode> {
@@ -19,7 +20,7 @@ fn every_app_every_mode_is_architecturally_invisible() {
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
         for mode in all_modes() {
-            let report = run_app(&cfg, &app, mode);
+            let report = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
             let eq = check_schedule(&app, &report.schedule)
                 .unwrap_or_else(|e| panic!("{} {mode}: exec error {e}", bench.name));
             assert!(
@@ -36,12 +37,16 @@ fn hazard_mode_all_is_also_invisible() {
     let cfg = GpuConfig::titan_x_pascal();
     for bench in suite() {
         let app = (bench.build)(Scale::Small);
-        let report = run_app_with(
+        let report = run(
             &cfg,
             &app,
-            ExecMode::ConsumerPriority { window: 4 },
-            HazardMode::All,
-        );
+            &mut RunSpec {
+                hazard: HazardMode::All,
+                ..RunSpec::new(ExecMode::ConsumerPriority { window: 4 })
+            },
+            &NullTracer,
+        )
+        .unwrap();
         let eq = check_schedule(&app, &report.schedule).unwrap();
         assert!(eq.is_match(), "{} (HazardMode::All) diverged", bench.name);
     }
@@ -60,7 +65,7 @@ fn schedules_are_race_free() {
             ExecMode::ProducerPriority { window: 2 },
             ExecMode::ConsumerPriority { window: 4 },
         ] {
-            let report = run_app(&cfg, &app, mode);
+            let report = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
             let races = check_no_races(&app, &report.schedule).unwrap();
             assert!(
                 races.is_empty(),
@@ -80,7 +85,7 @@ fn schedules_cover_every_thread_block_exactly_once() {
         let app = (bench.build)(Scale::Small);
         let total: u64 = app.launches().iter().map(|l| l.num_blocks() as u64).sum();
         for mode in [ExecMode::Baseline, ExecMode::ConsumerPriority { window: 3 }] {
-            let report = run_app(&cfg, &app, mode);
+            let report = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
             assert_eq!(
                 report.schedule.len() as u64,
                 total,

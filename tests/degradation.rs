@@ -9,9 +9,8 @@ mod common;
 
 use blockmaestro::{
     check_schedule, corrupt_access_set, corrupt_pattern, jit_analyze_app,
-    jit_analyze_app_par_stats, random_plan, run_analyzed, try_run_analyzed_faulty,
-    try_run_app_budgeted, AnalysisBudget, AnalysisCache, DegradationReason, DegradationRung,
-    ExecMode, FaultClass, FaultPlan, FaultRng, JitKernel, ParallelConfig,
+    jit_analyze_app_par_stats, random_plan, run, AnalysisBudget, AnalysisCache, DegradationReason,
+    DegradationRung, ExecMode, FaultClass, FaultPlan, FaultRng, JitKernel, ParallelConfig, RunSpec,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -22,6 +21,7 @@ use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure};
+use bm_trace::NullTracer;
 use common::{build_random_app, gen_spec, has_war_hazard, shift_kernel, KernelSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,12 +117,16 @@ fn every_rung_preserves_architectural_invisibility() {
             },
         };
         let cfg = GpuConfig::small();
-        let report = try_run_app_budgeted(
+        let report = run(
             &cfg,
             &app,
-            ExecMode::ConsumerPriority { window },
-            hazard,
-            &budget,
+            &mut RunSpec {
+                hazard,
+                guard: true,
+                budget: budget.clone(),
+                ..RunSpec::new(ExecMode::ConsumerPriority { window })
+            },
+            &NullTracer,
         )
         .map_err(|e| format!("budgeted run must not fail on a valid app: {e}"))?;
         let eq = check_schedule(&app, &report.schedule).expect("replay");
@@ -148,12 +152,14 @@ fn every_rung_preserves_architectural_invisibility() {
 fn precise_rung_is_the_default() {
     let cfg = GpuConfig::small();
     let app = chain_app(3, 8);
-    let r = try_run_app_budgeted(
+    let r = run(
         &cfg,
         &app,
-        ExecMode::ProducerPriority { window: 2 },
-        HazardMode::Raw,
-        &AnalysisBudget::default(),
+        &mut RunSpec {
+            guard: true,
+            ..RunSpec::new(ExecMode::ProducerPriority { window: 2 })
+        },
+        &NullTracer,
     )
     .unwrap();
     for (name, d) in &r.degradation {
@@ -183,12 +189,15 @@ fn starved_precise_fuel_forces_the_coarse_rung() {
         assert_eq!(k.degradation.reason, DegradationReason::AnalysisOverBudget);
         assert!(!k.access.non_static, "coarse is still a static analysis");
     }
-    let r = try_run_app_budgeted(
+    let r = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 2 },
-        HazardMode::Raw,
-        &budget,
+        &mut RunSpec {
+            guard: true,
+            budget: budget.clone(),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 2 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
@@ -210,12 +219,15 @@ fn exhausted_budgets_force_the_barrier_rung() {
     for k in &jit[1..] {
         assert!(k.graph.is_fully_connected());
     }
-    let r = try_run_app_budgeted(
+    let r = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 3 },
-        HazardMode::Raw,
-        &budget,
+        &mut RunSpec {
+            guard: true,
+            budget: budget.clone(),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
@@ -301,12 +313,15 @@ fn trace_budget_exhaustion_disables_prelaunch() {
         assert!(k.profile.duration > 0, "fallback profile must be usable");
     }
     // Pre-launch-off kernels still execute — just without run-ahead.
-    let r = try_run_app_budgeted(
+    let r = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 3 },
-        HazardMode::Raw,
-        &budget,
+        &mut RunSpec {
+            guard: true,
+            budget: budget.clone(),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
@@ -336,7 +351,16 @@ fn repeated_launches_hit_the_analysis_cache() {
         .all(|k| k.degradation.rung == DegradationRung::Precise));
     // The cached analysis drives the same schedule decisions, and the
     // report carries the hit/miss split.
-    let r = run_analyzed(&cfg, &app, &jit, ExecMode::ConsumerPriority { window: 2 });
+    let r = run(
+        &cfg,
+        &app,
+        &mut RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 2 })
+        },
+        &NullTracer,
+    )
+    .unwrap();
     assert_eq!(r.cache_hits, 3);
     assert_eq!(r.cache_misses, 1);
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
@@ -435,12 +459,15 @@ fn spill_pressure_shrinks_the_window_and_is_recorded() {
         pcb_capacity: Some(1),
         ..FaultPlan::default()
     };
-    let r = try_run_analyzed_faulty(
+    let r = run(
         &cfg,
         &app,
-        &jit,
-        ExecMode::ConsumerPriority { window: 4 },
-        &fault,
+        &mut RunSpec {
+            fault: fault.clone(),
+            kernels: Some(&jit),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 4 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert!(
@@ -457,12 +484,15 @@ fn spill_pressure_shrinks_the_window_and_is_recorded() {
     }
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
     // Determinism: the same run shrinks at the same cycles.
-    let r2 = try_run_analyzed_faulty(
+    let r2 = run(
         &cfg,
         &app,
-        &jit,
-        ExecMode::ConsumerPriority { window: 4 },
-        &fault,
+        &mut RunSpec {
+            fault: fault.clone(),
+            kernels: Some(&jit),
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 4 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert_eq!(r.pressure_events, r2.pressure_events);
@@ -472,12 +502,14 @@ fn spill_pressure_shrinks_the_window_and_is_recorded() {
 fn pressure_never_fires_without_spills() {
     let cfg = GpuConfig::small();
     let app = chain_app(4, 8);
-    let r = try_run_app_budgeted(
+    let r = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 3 },
-        HazardMode::Raw,
-        &AnalysisBudget::default(),
+        &mut RunSpec {
+            guard: true,
+            ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+        },
+        &NullTracer,
     )
     .unwrap();
     assert!(r.pressure_events.is_empty());
@@ -528,25 +560,31 @@ fn fault_injection_composes_with_budget_exhaustion() {
                 // Panic injection is *supposed* to unwind — the serve layer
                 // contains it with `catch_unwind`. Assert exactly that.
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    blockmaestro::try_run_app_faulty(
+                    run(
                         &cfg,
                         &app,
-                        jit,
-                        ExecMode::ConsumerPriority { window: 3 },
-                        HazardMode::Raw,
-                        &plan,
+                        &mut RunSpec {
+                            guard: true,
+                            fault: plan.clone(),
+                            kernels: Some(&jit),
+                            ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+                        },
+                        &NullTracer,
                     )
                 }));
                 prop_ensure!(res.is_err(), "WorkerPanic plan did not unwind");
                 return Ok(());
             }
-            match blockmaestro::try_run_app_faulty(
+            match run(
                 &cfg,
                 &app,
-                jit,
-                ExecMode::ConsumerPriority { window: 3 },
-                HazardMode::Raw,
-                &plan,
+                &mut RunSpec {
+                    guard: true,
+                    fault: plan.clone(),
+                    kernels: Some(&jit),
+                    ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+                },
+                &NullTracer,
             ) {
                 Ok(report) => {
                     let eq = check_schedule(&app, &report.schedule)

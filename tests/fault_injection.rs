@@ -16,13 +16,13 @@
 //!    by `catch_unwind`, leaving a resumable checkpoint behind).
 
 use blockmaestro::{
-    check_schedule, corrupt_access_set, corrupt_pattern, random_plan, try_jit_analyze_app,
-    try_run_app_checkpointed, try_run_app_faulty, try_run_app_with, BmError, CheckpointPolicy,
-    DegradationReason, EngineError, ExecMode, FaultClass, FaultPlan, FaultRng, JitKernel, MemStore,
+    check_schedule, corrupt_access_set, corrupt_pattern, random_plan, run, try_jit_analyze_app,
+    BmError, CheckpointPolicy, CheckpointSession, DegradationReason, EngineError, ExecMode,
+    FaultClass, FaultPlan, FaultRng, JitKernel, MemStore, RunReport, RunSpec,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
-use bm_multi::{try_run_app_multi_faulty, MultiGpuConfig};
+use bm_multi::MultiGpuConfig;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
@@ -167,6 +167,37 @@ fn fine_grain_mode(rng: &mut Rng) -> ExecMode {
     }
 }
 
+/// A guarded spec under `mode` (RAW hazards, no faults).
+fn guarded(mode: ExecMode) -> RunSpec<'static> {
+    RunSpec {
+        guard: true,
+        ..RunSpec::new(mode)
+    }
+}
+
+/// A guarded run under `plan` that checkpoints every kernel into `store`,
+/// resuming from its latest snapshot when `resume` is set.
+fn checkpointed_run(
+    cfg: &GpuConfig,
+    app: &Application,
+    mode: ExecMode,
+    plan: &FaultPlan,
+    store: &mut MemStore,
+    resume: bool,
+) -> Result<RunReport, BmError> {
+    let mut spec = RunSpec {
+        fault: plan.clone(),
+        checkpoint: CheckpointSession {
+            policy: CheckpointPolicy::every_kernels(1),
+            store: Some(store),
+            resume_latest: resume,
+            ..CheckpointSession::disabled()
+        },
+        ..guarded(mode)
+    };
+    run(cfg, app, &mut spec, &NullTracer)
+}
+
 /// Runs one seeded case of `class`; returns `Ok(true)` if the run
 /// recovered to a correct schedule, `Ok(false)` if it ended in a typed
 /// error, and an error string on any property violation.
@@ -175,7 +206,6 @@ fn fine_grain_mode(rng: &mut Rng) -> ExecMode {
 /// then resumed — and the resumed report must be bit-identical to an
 /// uninterrupted run.
 fn run_kill_case(app: &Application, base_jit: &[JitKernel], rng: &mut Rng) -> Result<bool, String> {
-    let hazard = HazardMode::Raw;
     let mode = fine_grain_mode(rng);
     let cfg = GpuConfig::small();
     let mut frng = FaultRng::new(rng.next_u64());
@@ -183,11 +213,10 @@ fn run_kill_case(app: &Application, base_jit: &[JitKernel], rng: &mut Rng) -> Re
         Some(p) => p,
         None => return Err("no kill site".into()),
     };
-    let reference =
-        try_run_app_with(&cfg, app, mode, hazard).map_err(|e| format!("reference run: {e}"))?;
+    let reference = run(&cfg, app, &mut guarded(mode), &NullTracer)
+        .map_err(|e| format!("reference run: {e}"))?;
     let mut store = MemStore::default();
-    let policy = CheckpointPolicy::every_kernels(1);
-    match try_run_app_checkpointed(&cfg, app, mode, hazard, &plan, policy, &mut store, false) {
+    match checkpointed_run(&cfg, app, mode, &plan, &mut store, false) {
         Err(BmError::Engine(EngineError::Killed { .. })) => {}
         Err(e) => return Err(format!("kill run failed with the wrong error: {e}")),
         Ok(_) => return Err("kill plan did not fire".into()),
@@ -196,17 +225,8 @@ fn run_kill_case(app: &Application, base_jit: &[JitKernel], rng: &mut Rng) -> Re
         !store.snaps.is_empty(),
         "the kill must land after its boundary's checkpoint"
     );
-    let resumed = try_run_app_checkpointed(
-        &cfg,
-        app,
-        mode,
-        hazard,
-        &FaultPlan::default(),
-        policy,
-        &mut store,
-        true,
-    )
-    .map_err(|e| format!("resume failed: {e}"))?;
+    let resumed = checkpointed_run(&cfg, app, mode, &FaultPlan::default(), &mut store, true)
+        .map_err(|e| format!("resume failed: {e}"))?;
     bm_testkit::prop_ensure!(
         resumed == reference,
         "under {mode}: resumed report diverges from the uninterrupted run"
@@ -229,7 +249,6 @@ fn run_cancel_case(
     base_jit: &[JitKernel],
     rng: &mut Rng,
 ) -> Result<bool, String> {
-    let hazard = HazardMode::Raw;
     let mode = fine_grain_mode(rng);
     let cfg = GpuConfig::small();
     let mut frng = FaultRng::new(rng.next_u64());
@@ -237,11 +256,10 @@ fn run_cancel_case(
         Some(p) => p,
         None => return Err("no cancel site".into()),
     };
-    let reference =
-        try_run_app_with(&cfg, app, mode, hazard).map_err(|e| format!("reference run: {e}"))?;
+    let reference = run(&cfg, app, &mut guarded(mode), &NullTracer)
+        .map_err(|e| format!("reference run: {e}"))?;
     let mut store = MemStore::default();
-    let policy = CheckpointPolicy::every_kernels(1);
-    match try_run_app_checkpointed(&cfg, app, mode, hazard, &plan, policy, &mut store, false) {
+    match checkpointed_run(&cfg, app, mode, &plan, &mut store, false) {
         Err(BmError::Engine(EngineError::Cancelled { .. })) => {}
         Err(e) => return Err(format!("cancel run failed with the wrong error: {e}")),
         Ok(_) => return Err("cancel plan did not fire".into()),
@@ -250,17 +268,8 @@ fn run_cancel_case(
         !store.snaps.is_empty(),
         "the cancel must land after its boundary's checkpoint"
     );
-    let resumed = try_run_app_checkpointed(
-        &cfg,
-        app,
-        mode,
-        hazard,
-        &FaultPlan::default(),
-        policy,
-        &mut store,
-        true,
-    )
-    .map_err(|e| format!("resume after cancel failed: {e}"))?;
+    let resumed = checkpointed_run(&cfg, app, mode, &FaultPlan::default(), &mut store, true)
+        .map_err(|e| format!("resume after cancel failed: {e}"))?;
     bm_testkit::prop_ensure!(
         resumed == reference,
         "under {mode}: report resumed after cancel diverges from the uninterrupted run"
@@ -284,7 +293,6 @@ fn run_panic_case(
     base_jit: &[JitKernel],
     rng: &mut Rng,
 ) -> Result<bool, String> {
-    let hazard = HazardMode::Raw;
     let mode = fine_grain_mode(rng);
     let cfg = GpuConfig::small();
     let mut frng = FaultRng::new(rng.next_u64());
@@ -292,12 +300,11 @@ fn run_panic_case(
         Some(p) => p,
         None => return Err("no panic site".into()),
     };
-    let reference =
-        try_run_app_with(&cfg, app, mode, hazard).map_err(|e| format!("reference run: {e}"))?;
+    let reference = run(&cfg, app, &mut guarded(mode), &NullTracer)
+        .map_err(|e| format!("reference run: {e}"))?;
     let mut store = MemStore::default();
-    let policy = CheckpointPolicy::every_kernels(1);
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        try_run_app_checkpointed(&cfg, app, mode, hazard, &plan, policy, &mut store, false)
+        checkpointed_run(&cfg, app, mode, &plan, &mut store, false)
     }));
     bm_testkit::prop_ensure!(res.is_err(), "panic plan did not unwind");
     bm_testkit::prop_ensure!(
@@ -305,25 +312,16 @@ fn run_panic_case(
         "the panic must land after its boundary's checkpoint"
     );
     // The panicked worker's engine state is gone; only the store survives.
-    let resumed = try_run_app_checkpointed(
-        &cfg,
-        app,
-        mode,
-        hazard,
-        &FaultPlan::default(),
-        policy,
-        &mut store,
-        true,
-    )
-    .map_err(|e| format!("resume after panic failed: {e}"))?;
+    let resumed = checkpointed_run(&cfg, app, mode, &FaultPlan::default(), &mut store, true)
+        .map_err(|e| format!("resume after panic failed: {e}"))?;
     bm_testkit::prop_ensure!(
         resumed == reference,
         "under {mode}: report resumed after panic diverges from the uninterrupted run"
     );
     // Containment: a clean run in the same process after the unwind must
     // match the reference exactly — the panic left nothing behind.
-    let clean =
-        try_run_app_with(&cfg, app, mode, hazard).map_err(|e| format!("post-panic run: {e}"))?;
+    let clean = run(&cfg, app, &mut guarded(mode), &NullTracer)
+        .map_err(|e| format!("post-panic run: {e}"))?;
     bm_testkit::prop_ensure!(
         clean == reference,
         "under {mode}: a clean run after a contained panic diverges — state leaked"
@@ -347,10 +345,14 @@ fn run_link_case(app: &Application, base_jit: &[JitKernel], rng: &mut Rng) -> Re
     };
     let devices = 2 + frng.below(3) as u32;
     let mcfg = MultiGpuConfig::devices(devices);
-    let report = try_run_app_multi_faulty(&cfg, &mcfg, app, mode, hazard, &plan, &NullTracer)
-        .map_err(|e| {
-            format!("link fault under {mode}, {devices} devices, must degrade, not fail: {e}")
-        })?;
+    let mut spec = RunSpec {
+        hazard,
+        fault: plan,
+        ..RunSpec::new(mode)
+    };
+    let report = bm_multi::run(&cfg, &mcfg, app, &mut spec, &NullTracer).map_err(|e| {
+        format!("link fault under {mode}, {devices} devices, must degrade, not fail: {e}")
+    })?;
     let multi = report
         .multi
         .as_ref()
@@ -369,7 +371,8 @@ fn run_link_case(app: &Application, base_jit: &[JitKernel], rng: &mut Rng) -> Re
         "under {mode}: degraded schedule diverges from serialized ({eq})"
     );
     // The fallback is a clean single-device run, bit for bit.
-    let clean = try_run_app_with(&cfg, app, mode, hazard).map_err(|e| format!("clean run: {e}"))?;
+    let clean =
+        run(&cfg, app, &mut guarded(mode), &NullTracer).map_err(|e| format!("clean run: {e}"))?;
     let mut stripped = report.clone();
     stripped.multi = None;
     bm_testkit::prop_ensure!(
@@ -418,7 +421,18 @@ fn run_case(
             None => return Err(format!("no injection site for {class:?}")),
         }
     };
-    match try_run_app_faulty(&GpuConfig::small(), app, jit, mode, hazard, &plan) {
+    match run(
+        &GpuConfig::small(),
+        app,
+        &mut RunSpec {
+            hazard,
+            guard: true,
+            fault: plan.clone(),
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        },
+        &NullTracer,
+    ) {
         Ok(report) => {
             // An accepted run must be architecturally invisible.
             let eq =

@@ -12,10 +12,9 @@
 mod common;
 
 use blockmaestro::{
-    check_schedule, corrupt_access_set, corrupt_pattern, random_plan, try_jit_analyze_app,
-    try_run_analyzed_faulty, try_run_app, try_run_app_with, verify_by_conflict_order,
-    verify_soundness, ExecMode, FaultClass, FaultPlan, FaultRng, GuardReport, JitKernel,
-    SoundnessOutcome,
+    check_schedule, corrupt_access_set, corrupt_pattern, random_plan, run, try_jit_analyze_app,
+    try_run_app, verify_by_conflict_order, verify_soundness, ExecMode, FaultClass, FaultPlan,
+    FaultRng, GuardReport, JitKernel, RunSpec, SoundnessOutcome,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
@@ -26,6 +25,7 @@ use bm_ptx::parser::parse_kernel;
 use bm_simt::des::TbKey;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure};
+use bm_trace::NullTracer;
 use bm_workloads::Scale;
 use common::{build_random_app, gen_spec, has_war_hazard, KernelSpec};
 use std::collections::HashMap;
@@ -176,8 +176,16 @@ fn clean_schedules_match_the_step_by_step_replay_guard() {
         app.validate().unwrap();
         let jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).unwrap();
         let fp = app.try_run_serialized().unwrap().fingerprint();
-        let mut report =
-            try_run_analyzed_faulty(&cfg, &app, &jit, GUARDED, &FaultPlan::default()).unwrap();
+        let mut report = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(GUARDED)
+            },
+            &NullTracer,
+        )
+        .unwrap();
         let replay = verify_soundness(&app, &jit, &report.schedule, fp).unwrap();
         assert!(replay.is_sound(), "{}: {replay:?}", bench.name);
         let fast = verify_by_conflict_order(&app, &jit, &report.schedule).unwrap();
@@ -202,8 +210,16 @@ fn every_figure_mode_is_accepted_without_replay() {
         let app = (bench.build)(Scale::Small);
         let jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).unwrap();
         for &mode in &modes {
-            let report =
-                try_run_analyzed_faulty(&cfg, &app, &jit, mode, &FaultPlan::default()).unwrap();
+            let report = run(
+                &cfg,
+                &app,
+                &mut RunSpec {
+                    kernels: Some(&jit),
+                    ..RunSpec::new(mode)
+                },
+                &NullTracer,
+            )
+            .unwrap();
             let fast = verify_by_conflict_order(&app, &jit, &report.schedule).unwrap();
             assert!(
                 fast.as_ref().is_some_and(SoundnessOutcome::is_sound),
@@ -265,7 +281,16 @@ fn fault_injected_schedules_agree_with_replay() {
                     window: 2 + (seed as u32 % 3),
                 };
                 // Engine failures never reach verification.
-                let Ok(report) = try_run_analyzed_faulty(&cfg, app, &jit, mode, &plan) else {
+                let Ok(report) = run(
+                    &cfg,
+                    app,
+                    &mut RunSpec {
+                        fault: plan.clone(),
+                        kernels: Some(&jit),
+                        ..RunSpec::new(mode)
+                    },
+                    &NullTracer,
+                ) else {
                     continue;
                 };
                 let fast = verify_by_conflict_order(app, &jit, &report.schedule).unwrap();
@@ -443,9 +468,17 @@ fn racy_random_apps_agree_with_replay() {
         };
         let mode = ExecMode::ConsumerPriority { window };
         let jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).unwrap();
-        let schedule = try_run_analyzed_faulty(&cfg, &app, &jit, mode, &FaultPlan::default())
-            .map_err(|e| e.to_string())?
-            .schedule;
+        let schedule = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            },
+            &NullTracer,
+        )
+        .map_err(|e| e.to_string())?
+        .schedule;
         if agrees(&app, &jit, &schedule)? {
             decided += 1;
         } else {
@@ -453,8 +486,16 @@ fn racy_random_apps_agree_with_replay() {
         }
         // The guarded pipeline, whichever way it decides, accepts only a
         // schedule that replays to serialized memory.
-        let report = try_run_app_with(&cfg, &app, mode, HazardMode::Raw)
-            .map_err(|e| format!("guarded run of {specs:?}: {e}"))?;
+        let report = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                guard: true,
+                ..RunSpec::new(mode)
+            },
+            &NullTracer,
+        )
+        .map_err(|e| format!("guarded run of {specs:?}: {e}"))?;
         let eq = check_schedule(&app, &report.schedule).map_err(|e| e.to_string())?;
         prop_ensure!(eq.is_match(), "guarded schedule diverged for {specs:?}");
         Ok(())

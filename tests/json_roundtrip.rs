@@ -6,7 +6,7 @@
 //! values (`u64::MAX` counters, above the f64-lossless 2^53 boundary)
 //! and degenerate shapes (empty sections, zero kernels).
 
-use blockmaestro::{manifest, run_app_with, ExecMode, MemStore, RunSnapshot, SnapshotStore};
+use blockmaestro::{manifest, run, ExecMode, MemStore, RunSnapshot, RunSpec, SnapshotStore};
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
@@ -14,6 +14,7 @@ use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
 use bm_trace::json::{parse, Json};
+use bm_trace::NullTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -84,12 +85,13 @@ fn assert_roundtrip(doc: &Json, what: &str) {
 fn run_report_roundtrips() {
     let cfg = GpuConfig::small();
     let app = two_kernel_app();
-    let report = run_app_with(
+    let report = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 2 },
-        HazardMode::Raw,
-    );
+        &mut RunSpec::new(ExecMode::ConsumerPriority { window: 2 }),
+        &NullTracer,
+    )
+    .unwrap();
     assert_roundtrip(&report.to_json(), "RunReport");
 }
 
@@ -97,12 +99,13 @@ fn run_report_roundtrips() {
 fn run_report_with_umax_counters_roundtrips_losslessly() {
     let cfg = GpuConfig::small();
     let app = two_kernel_app();
-    let mut report = run_app_with(
+    let mut report = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 2 },
-        HazardMode::Raw,
-    );
+        &mut RunSpec::new(ExecMode::ConsumerPriority { window: 2 }),
+        &NullTracer,
+    )
+    .unwrap();
     // Counters above 2^53 cannot survive an f64 JSON number; they must be
     // carried as decimal strings, exactly.
     report.total_cycles = u64::MAX;
@@ -135,12 +138,13 @@ fn small_u64_counters_stay_plain_numbers() {
     // keep seeing numbers.
     let cfg = GpuConfig::small();
     let app = two_kernel_app();
-    let report = run_app_with(
+    let report = run(
         &cfg,
         &app,
-        ExecMode::ConsumerPriority { window: 2 },
-        HazardMode::Raw,
-    );
+        &mut RunSpec::new(ExecMode::ConsumerPriority { window: 2 }),
+        &NullTracer,
+    )
+    .unwrap();
     let text = report.to_json().to_string();
     assert!(
         text.contains(&format!("\"total_cycles\":{}", report.total_cycles)),

@@ -5,20 +5,24 @@
 //!   stream — in every execution mode;
 //! * `devices = N` must be bit-reproducible across repeated runs and
 //!   across launch-time analysis configurations (the reference oracle and
-//!   the memoized fast paths).
+//!   the memoized fast paths);
+//! * the soundness guard covers `devices = N`: it changes no clean report
+//!   and quarantines an unsound kernel as it does on one device.
 
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par_stats, try_run_analyzed_traced, AnalysisBudget, AnalysisCache, ExecMode,
-    JitKernel, ParallelConfig,
+    check_schedule, corrupt_access_set, jit_analyze_app_par_stats, run, try_jit_analyze_app,
+    verify_soundness, AnalysisBudget, AnalysisCache, DegradationReason, ExecMode, FaultPlan,
+    GuardReport, JitKernel, ParallelConfig, RunSpec,
 };
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
-use bm_multi::{try_run_analyzed_multi_traced, MultiGpuConfig};
+use bm_multi::MultiGpuConfig;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure, Rng};
-use bm_trace::RecordingTracer;
+use bm_trace::{NullTracer, RecordingTracer};
+use bm_workloads::{suite, Scale};
 use common::{build_random_app, KernelSpec};
 
 const ALL_MODES: [ExecMode; 6] = [
@@ -71,11 +75,28 @@ fn one_device_is_bit_identical_to_the_single_engine() {
         let mcfg = MultiGpuConfig::devices(1);
         for mode in ALL_MODES {
             let single_tracer = RecordingTracer::new();
-            let single = try_run_analyzed_traced(&cfg, &app, &jit, mode, &single_tracer)
-                .map_err(|e| format!("single {mode}: {e}"))?;
+            let single = run(
+                &cfg,
+                &app,
+                &mut RunSpec {
+                    kernels: Some(&jit),
+                    ..RunSpec::new(mode)
+                },
+                &single_tracer,
+            )
+            .map_err(|e| format!("single {mode}: {e}"))?;
             let multi_tracer = RecordingTracer::new();
-            let multi = try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit, mode, &multi_tracer)
-                .map_err(|e| format!("multi {mode}: {e}"))?;
+            let multi = bm_multi::run(
+                &cfg,
+                &mcfg,
+                &app,
+                &mut RunSpec {
+                    kernels: Some(&jit),
+                    ..RunSpec::new(mode)
+                },
+                &multi_tracer,
+            )
+            .map_err(|e| format!("multi {mode}: {e}"))?;
             prop_ensure!(
                 multi == single,
                 "devices=1 report diverged under {mode} for specs {specs:?}"
@@ -107,13 +128,31 @@ fn n_devices_is_reproducible_across_runs_and_thread_counts() {
 
         let jit = reference_jit(&cfg, &app);
         let ref_tracer = RecordingTracer::new();
-        let reference = try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit, mode, &ref_tracer)
-            .map_err(|e| format!("reference {mode}: {e}"))?;
+        let reference = bm_multi::run(
+            &cfg,
+            &mcfg,
+            &app,
+            &mut RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            },
+            &ref_tracer,
+        )
+        .map_err(|e| format!("reference {mode}: {e}"))?;
 
         // Bit-identical on a plain re-run (report and trace stream).
         let re_tracer = RecordingTracer::new();
-        let rerun = try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit, mode, &re_tracer)
-            .map_err(|e| format!("rerun {mode}: {e}"))?;
+        let rerun = bm_multi::run(
+            &cfg,
+            &mcfg,
+            &app,
+            &mut RunSpec {
+                kernels: Some(&jit),
+                ..RunSpec::new(mode)
+            },
+            &re_tracer,
+        )
+        .map_err(|e| format!("rerun {mode}: {e}"))?;
         prop_ensure!(
             rerun == reference,
             "devices={devices} report not reproducible under {mode} for specs {specs:?}"
@@ -135,9 +174,17 @@ fn n_devices_is_reproducible_across_runs_and_thread_counts() {
             &ParallelConfig::serial(),
         );
         let serial_tracer = RecordingTracer::new();
-        let report =
-            try_run_analyzed_multi_traced(&cfg, &mcfg, &app, &jit_serial, mode, &serial_tracer)
-                .map_err(|e| format!("serial {mode}: {e}"))?;
+        let report = bm_multi::run(
+            &cfg,
+            &mcfg,
+            &app,
+            &mut RunSpec {
+                kernels: Some(&jit_serial),
+                ..RunSpec::new(mode)
+            },
+            &serial_tracer,
+        )
+        .map_err(|e| format!("serial {mode}: {e}"))?;
         prop_ensure!(
             report == reference,
             "devices={devices} report diverged under serial(), {mode}, specs {specs:?}"
@@ -148,4 +195,112 @@ fn n_devices_is_reproducible_across_runs_and_thread_counts() {
         );
         Ok(())
     });
+}
+
+/// A small-scale Table II application.
+fn small_app(name: &str) -> Application {
+    let bench = suite()
+        .into_iter()
+        .find(|b| b.name == name)
+        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    (bench.build)(Scale::Small)
+}
+
+/// `spec` on `devices` devices of the small GPU, untraced.
+fn run_on(devices: u32, app: &Application, mut spec: RunSpec<'_>) -> blockmaestro::RunReport {
+    let cfg = GpuConfig::small();
+    bm_multi::run(
+        &cfg,
+        &MultiGpuConfig::devices(devices),
+        app,
+        &mut spec,
+        &NullTracer,
+    )
+    .unwrap_or_else(|e| panic!("{} on {devices} devices: {e}", app.name))
+}
+
+#[test]
+fn guard_changes_no_clean_multi_device_report() {
+    let mode = ExecMode::ConsumerPriority { window: 3 };
+    for bench in suite() {
+        let app = (bench.build)(Scale::Small);
+        for devices in [2, 4] {
+            let plain = run_on(devices, &app, RunSpec::new(mode));
+            let guarded = run_on(
+                devices,
+                &app,
+                RunSpec {
+                    guard: true,
+                    ..RunSpec::new(mode)
+                },
+            );
+            assert_eq!(guarded, plain, "{} on {devices} devices", bench.name);
+            assert_eq!(guarded.guard, GuardReport::default(), "{}", bench.name);
+        }
+    }
+}
+
+#[test]
+fn guard_quarantines_a_corrupted_kernel_on_two_devices() {
+    let cfg = GpuConfig::small();
+    let app = small_app("HS");
+    let mode = ExecMode::ConsumerPriority { window: 3 };
+    let mut jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).unwrap();
+    assert!(corrupt_access_set(&mut jit, 1, HazardMode::Raw));
+    // Unguarded, the corrupted kernel's blocks escape their declared sets.
+    let unguarded = run_on(
+        2,
+        &app,
+        RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        },
+    );
+    let fp = app.try_run_serialized().unwrap().fingerprint();
+    let outcome = verify_soundness(&app, &jit, &unguarded.schedule, fp).unwrap();
+    assert!(!outcome.is_sound(), "the corrupted run must be unsound");
+    let guarded = run_on(
+        2,
+        &app,
+        RunSpec {
+            guard: true,
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        },
+    );
+    assert!(guarded.guard.violations_detected > 0);
+    assert!(guarded.guard.kernels_quarantined >= 1);
+    assert!(guarded.guard.recovery_rounds >= 1);
+    assert_eq!(guarded.multi.as_ref().map(|m| m.devices), Some(2));
+    assert!(check_schedule(&app, &guarded.schedule).unwrap().is_match());
+}
+
+#[test]
+fn guarded_link_fault_keeps_the_single_device_fallback() {
+    let app = small_app("PATH");
+    let mode = ExecMode::ConsumerPriority { window: 4 };
+    let fault = FaultPlan {
+        link_drop_nth: Some(0),
+        ..FaultPlan::default()
+    };
+    let plain = run_on(
+        2,
+        &app,
+        RunSpec {
+            fault: fault.clone(),
+            ..RunSpec::new(mode)
+        },
+    );
+    let fallback = plain.multi.as_ref().and_then(|m| m.fallback);
+    assert!(matches!(fallback, Some((DegradationReason::LinkFault, _))));
+    let guarded = run_on(
+        2,
+        &app,
+        RunSpec {
+            guard: true,
+            fault,
+            ..RunSpec::new(mode)
+        },
+    );
+    assert_eq!(guarded, plain);
 }

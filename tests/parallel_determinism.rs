@@ -9,17 +9,27 @@
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par_stats, run_analyzed, AnalysisBudget, AnalysisCache, CacheStats, ExecMode,
-    JitKernel, ParallelConfig,
+    jit_analyze_app_par_stats, run, AnalysisBudget, AnalysisCache, CacheStats, ExecMode, JitKernel,
+    ParallelConfig, RunReport, RunSpec,
 };
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure, Rng};
+use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
 use common::{build_random_app, KernelSpec};
 
 const MODE: ExecMode = ExecMode::ConsumerPriority { window: 3 };
+
+/// An unguarded [`MODE`] run of `jit`.
+fn run_mode(cfg: &GpuConfig, app: &Application, jit: &[JitKernel]) -> RunReport {
+    let mut spec = RunSpec {
+        kernels: Some(jit),
+        ..RunSpec::new(MODE)
+    };
+    run(cfg, app, &mut spec, &NullTracer).unwrap()
+}
 
 /// Draws a spec with grids large enough (40..100 TBs) to clear the affine
 /// fast path's minimum-grid threshold, unlike the default generator.
@@ -76,7 +86,7 @@ fn parallel_and_affine_match_reference() {
 
         let (reference, ref_stats) =
             analyze(&cfg, &app, HazardMode::Raw, &ParallelConfig::reference());
-        let ref_report = run_analyzed(&cfg, &app, &reference, MODE);
+        let ref_report = run_mode(&cfg, &app, &reference);
         let (jit, stats) = analyze(&cfg, &app, HazardMode::Raw, &ParallelConfig::serial());
         prop_ensure!(
             jit.len() == reference.len(),
@@ -93,7 +103,7 @@ fn parallel_and_affine_match_reference() {
             stats == ref_stats,
             "cache stats diverged for specs {specs:?}"
         );
-        let report = run_analyzed(&cfg, &app, &jit, MODE);
+        let report = run_mode(&cfg, &app, &jit);
         prop_ensure!(
             report == ref_report,
             "simulated run diverged for specs {specs:?}"
@@ -131,8 +141,7 @@ fn serial_matches_reference_on_every_full_app() {
             assert_eq!(stats, ref_stats, "{label}: cache stats");
             if hazard == HazardMode::Raw {
                 assert!(
-                    run_analyzed(&cfg, &app, &serial, MODE)
-                        == run_analyzed(&cfg, &app, &reference, MODE),
+                    run_mode(&cfg, &app, &serial) == run_mode(&cfg, &app, &reference),
                     "{label}: consumer(w=3) report diverged"
                 );
             }

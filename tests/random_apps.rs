@@ -4,10 +4,11 @@
 
 mod common;
 
-use blockmaestro::{check_schedule, run_app_with, ExecMode};
+use blockmaestro::{check_schedule, run, ExecMode, RunSpec};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure};
+use bm_trace::NullTracer;
 use common::{build_random_app, gen_spec, has_war_hazard, KernelSpec};
 
 #[test]
@@ -35,7 +36,16 @@ fn random_apps_stay_architecturally_invisible() {
             return Ok(());
         }
         let cfg = GpuConfig::small();
-        let report = run_app_with(&cfg, &app, ExecMode::ConsumerPriority { window }, hazard);
+        let report = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                hazard,
+                ..RunSpec::new(ExecMode::ConsumerPriority { window })
+            },
+            &NullTracer,
+        )
+        .unwrap();
         let eq = check_schedule(&app, &report.schedule).expect("replay");
         prop_ensure!(eq.is_match(), "schedule diverged for specs {specs:?}");
         Ok(())

@@ -2,7 +2,7 @@
 //! kernel-free applications, and extreme windows must not panic or
 //! deadlock anywhere in the pipeline.
 
-use blockmaestro::{check_schedule, run_app, try_run_app, BmError, ExecMode};
+use blockmaestro::{check_schedule, run, try_run_app, BmError, ExecMode, RunSpec};
 use bm_cmdq::{ApiCall, Application, CmdqError};
 use bm_ptx::absint::analyze_launch;
 use bm_ptx::interp::ExecError;
@@ -10,6 +10,7 @@ use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ fn single_thread_single_block_launch() {
     };
     let cfg = GpuConfig::titan_x_pascal();
     for mode in [ExecMode::Baseline, ExecMode::ConsumerPriority { window: 4 }] {
-        let r = run_app(&cfg, &app, mode);
+        let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
         assert_eq!(r.schedule.len(), 1);
         assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
     }
@@ -78,7 +79,13 @@ fn application_without_kernels() {
         host_data: HashMap::new(),
     };
     let cfg = GpuConfig::titan_x_pascal();
-    let r = run_app(&cfg, &app, ExecMode::Baseline);
+    let r = run(
+        &cfg,
+        &app,
+        &mut RunSpec::new(ExecMode::Baseline),
+        &NullTracer,
+    )
+    .unwrap();
     assert_eq!(r.num_kernels, 0);
     assert!(r.schedule.is_empty());
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
@@ -109,7 +116,13 @@ fn window_larger_than_kernel_count() {
         host_data: HashMap::new(),
     };
     let cfg = GpuConfig::titan_x_pascal();
-    let r = run_app(&cfg, &app, ExecMode::ConsumerPriority { window: 64 });
+    let r = run(
+        &cfg,
+        &app,
+        &mut RunSpec::new(ExecMode::ConsumerPriority { window: 64 }),
+        &NullTracer,
+    )
+    .unwrap();
     assert_eq!(r.schedule.len(), 2);
     assert!(check_schedule(&app, &r.schedule).unwrap().is_match());
 }
@@ -165,7 +178,7 @@ fn zero_tb_grid_between_real_kernels() {
     };
     let cfg = GpuConfig::titan_x_pascal();
     for mode in all_modes() {
-        let r = run_app(&cfg, &app, mode);
+        let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
         assert_eq!(r.schedule.len(), 2, "{mode}: only the real TBs execute");
         let eq = check_schedule(&app, &r.schedule).unwrap();
         assert!(eq.is_match(), "{mode}: {eq}");
@@ -199,8 +212,8 @@ fn window_zero_behaves_as_window_one() {
         |w| ExecMode::ConsumerPriority { window: w },
     ];
     for make in makes {
-        let zero = run_app(&cfg, &app, make(0));
-        let one = run_app(&cfg, &app, make(1));
+        let zero = run(&cfg, &app, &mut RunSpec::new(make(0)), &NullTracer).unwrap();
+        let one = run(&cfg, &app, &mut RunSpec::new(make(1)), &NullTracer).unwrap();
         assert!(check_schedule(&app, &zero.schedule).unwrap().is_match());
         assert_eq!(
             zero.kernel_region_cycles, one.kernel_region_cycles,
@@ -282,7 +295,7 @@ fn all_non_static_kernels_fall_back_and_stay_correct() {
     assert!(jit.iter().all(|k| k.access.non_static));
     let cfg = GpuConfig::titan_x_pascal();
     for mode in all_modes() {
-        let r = run_app(&cfg, &app, mode);
+        let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
         let eq = check_schedule(&app, &r.schedule).unwrap();
         assert!(eq.is_match(), "{mode}: {eq}");
     }
@@ -369,7 +382,7 @@ fn parent_degree_above_counter_max_degrades_and_stays_correct() {
     };
     let cfg = GpuConfig::titan_x_pascal();
     for mode in all_modes() {
-        let r = run_app(&cfg, &app, mode);
+        let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
         assert_eq!(r.schedule.len(), 2 * tbs as usize, "{mode}");
         let eq = check_schedule(&app, &r.schedule).unwrap();
         assert!(eq.is_match(), "{mode}: {eq}");

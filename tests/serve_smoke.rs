@@ -5,11 +5,11 @@
 //! `serve-smoke` job, which drives the same scenario through the
 //! `bmserve` binary's NDJSON interface.
 
-use blockmaestro::{try_run_app_with, ExecMode, FaultPlan};
-use bm_depgraph::HazardMode;
-use bm_multi::{try_run_app_multi, MultiGpuConfig};
+use blockmaestro::{run, ExecMode, FaultPlan, RunSpec};
+use bm_multi::MultiGpuConfig;
 use bm_serve::{RunRequest, RunService, ServeConfig, ServeError, VirtualClock};
 use bm_simt::GpuConfig;
+use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
 
 #[test]
@@ -20,7 +20,16 @@ fn eight_concurrent_gaussians_with_a_crash_and_a_deadline_miss() {
         .expect("GAUSSIAN in the Table II suite");
     let app = || (bench.build)(Scale::Small);
     let mode = ExecMode::ConsumerPriority { window: 3 };
-    let reference = try_run_app_with(&GpuConfig::small(), &app(), mode, HazardMode::Raw).unwrap();
+    let reference = run(
+        &GpuConfig::small(),
+        &app(),
+        &mut RunSpec {
+            guard: true,
+            ..RunSpec::new(mode)
+        },
+        &NullTracer,
+    )
+    .unwrap();
 
     let clock = VirtualClock::new();
     let scfg = ServeConfig {
@@ -110,16 +119,28 @@ fn device_groups_are_placed_leased_and_bounded() {
         total_devices: 4,
         ..ServeConfig::default()
     };
-    let single = try_run_app_with(&cfg, &app(), mode, HazardMode::Raw).unwrap();
-    let multi = try_run_app_multi(
+    let single = run(
+        &cfg,
+        &app(),
+        &mut RunSpec {
+            guard: true,
+            ..RunSpec::new(mode)
+        },
+        &NullTracer,
+    )
+    .unwrap();
+    let multi = bm_multi::run(
         &cfg,
         &MultiGpuConfig {
             devices: 2,
             ..scfg.multi.clone()
         },
         &app(),
-        mode,
-        HazardMode::Raw,
+        &mut RunSpec {
+            guard: true,
+            ..RunSpec::new(mode)
+        },
+        &NullTracer,
     )
     .unwrap();
 

@@ -13,12 +13,11 @@
 
 mod common;
 
-use blockmaestro::{run_app_with, run_app_with_tracer, try_run_app_with, try_run_app_with_tracer};
-use blockmaestro::{ExecMode, RunReport};
+use blockmaestro::{run, ExecMode, RunReport, RunSpec};
 use bm_depgraph::HazardMode;
 use bm_simt::GpuConfig;
 use bm_testkit::Rng;
-use bm_trace::{export_chrome_trace, RecordingTracer, TraceEvent};
+use bm_trace::{export_chrome_trace, NullTracer, RecordingTracer, TraceEvent};
 use common::{build_random_app, gen_spec};
 
 fn all_modes() -> Vec<ExecMode> {
@@ -48,7 +47,7 @@ fn traced_run(
     mode: ExecMode,
 ) -> (RunReport, Vec<TraceEvent>) {
     let tracer = RecordingTracer::new();
-    let report = run_app_with_tracer(cfg, app, mode, HazardMode::Raw, &tracer);
+    let report = run(cfg, app, &mut RunSpec::new(mode), &tracer).unwrap();
     (report, tracer.events())
 }
 
@@ -58,7 +57,7 @@ fn traced_and_untraced_reports_bit_identical_all_modes() {
     for seed in [7, 1234, 998877] {
         let app = random_app(seed);
         for mode in all_modes() {
-            let untraced = run_app_with(&cfg, &app, mode, HazardMode::Raw);
+            let untraced = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
             let (traced, events) = traced_run(&cfg, &app, mode);
             assert_eq!(
                 untraced, traced,
@@ -78,11 +77,27 @@ fn guarded_traced_and_untraced_reports_bit_identical() {
     for seed in [3, 42] {
         let app = random_app(seed);
         for mode in [ExecMode::Baseline, ExecMode::ConsumerPriority { window: 3 }] {
-            let untraced =
-                try_run_app_with(&cfg, &app, mode, HazardMode::Raw).expect("guarded run");
+            let untraced = run(
+                &cfg,
+                &app,
+                &mut RunSpec {
+                    guard: true,
+                    ..RunSpec::new(mode)
+                },
+                &NullTracer,
+            )
+            .expect("guarded run");
             let tracer = RecordingTracer::new();
-            let traced = try_run_app_with_tracer(&cfg, &app, mode, HazardMode::Raw, &tracer)
-                .expect("guarded traced run");
+            let traced = run(
+                &cfg,
+                &app,
+                &mut RunSpec {
+                    guard: true,
+                    ..RunSpec::new(mode)
+                },
+                &tracer,
+            )
+            .expect("guarded traced run");
             assert_eq!(untraced, traced, "seed {seed}, mode {mode}");
         }
     }
@@ -140,7 +155,7 @@ fn degradation_stamps_carry_issue_cycles() {
     // analysis budget) must be stamped with its issue cycle — nonzero for
     // every kernel after the first — and the stamp must agree between the
     // report and the trace instants.
-    use blockmaestro::{try_jit_analyze_app_par_traced, try_run_analyzed_traced};
+    use blockmaestro::try_jit_analyze_app_par_traced;
     use blockmaestro::{AnalysisBudget, AnalysisCache, ParallelConfig};
 
     let cfg = GpuConfig::small();
@@ -165,7 +180,16 @@ fn degradation_stamps_carry_issue_cycles() {
     .expect("analysis");
     assert!(jit.iter().all(|k| k.degradation.is_degraded()));
     let mode = ExecMode::ConsumerPriority { window: 3 };
-    let report = try_run_analyzed_traced(&cfg, &app, &jit, mode, &tracer).expect("run");
+    let report = run(
+        &cfg,
+        &app,
+        &mut RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        },
+        &tracer,
+    )
+    .expect("run");
     let stamped: Vec<_> = report
         .degradation
         .iter()
@@ -196,7 +220,7 @@ fn pressure_events_surface_as_stamped_instants() {
     // Force admission backpressure with a tiny spill threshold, then check
     // the report's PressureEvents and the trace's Pressure instants agree
     // cycle for cycle.
-    use blockmaestro::{jit_analyze_app, try_run_analyzed_faulty_traced, FaultPlan};
+    use blockmaestro::jit_analyze_app;
 
     let mut cfg = GpuConfig::small();
     cfg.spill_pressure_threshold = 1;
@@ -209,9 +233,16 @@ fn pressure_events_surface_as_stamped_instants() {
     let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
     let tracer = RecordingTracer::new();
     let mode = ExecMode::ConsumerPriority { window: 4 };
-    let report =
-        try_run_analyzed_faulty_traced(&cfg, &app, &jit, mode, &FaultPlan::default(), &tracer)
-            .expect("run");
+    let report = run(
+        &cfg,
+        &app,
+        &mut RunSpec {
+            kernels: Some(&jit),
+            ..RunSpec::new(mode)
+        },
+        &tracer,
+    )
+    .expect("run");
     let instants: Vec<(u64, u32, u32)> = tracer
         .events()
         .iter()

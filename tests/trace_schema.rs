@@ -8,8 +8,7 @@
 
 mod common;
 
-use blockmaestro::ExecMode;
-use bm_depgraph::HazardMode;
+use blockmaestro::{run, ExecMode, RunSpec};
 use bm_simt::GpuConfig;
 use bm_testkit::Rng;
 use bm_trace::json::{self, Json};
@@ -32,7 +31,7 @@ fn all_modes() -> Vec<ExecMode> {
 fn export_for(app: &bm_cmdq::Application, mode: ExecMode) -> String {
     let cfg = GpuConfig::small();
     let tracer = RecordingTracer::new();
-    blockmaestro::run_app_with_tracer(&cfg, app, mode, HazardMode::Raw, &tracer);
+    run(&cfg, app, &mut RunSpec::new(mode), &tracer).unwrap();
     export_chrome_trace(&tracer.events())
 }
 
