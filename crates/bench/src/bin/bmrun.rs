@@ -35,7 +35,7 @@
 //! * `--trace-summary` — print a compact text digest of the recorded
 //!   trace (implies recording; no file is needed).
 //! * `--checkpoint-every N` — snapshot the full run state every N retired
-//!   kernels (atomic overwrite of the snapshot file).
+//!   kernels (each save appends what changed to the snapshot log).
 //! * `--checkpoint-dir D` — directory for the snapshot file (default
 //!   `.bmckpt`).
 //! * `--resume PATH` — resume from the snapshot at PATH; a corrupt or

@@ -20,8 +20,8 @@ use crate::hw::{
 use crate::jit::JitKernel;
 use crate::modes::ExecMode;
 use crate::snapshot::{
-    CheckpointPolicy, EngineSnapshot, GuardSnapshot, KernelSnapshot, RunSnapshot, SnapshotError,
-    SnapshotMeta, SnapshotStore,
+    CheckpointPolicy, EngineSnapshot, EngineView, GuardSnapshot, KernelImage, KernelView,
+    RunSnapshot, SnapshotError, SnapshotMeta, SnapshotStore, SnapshotWriter, StateView,
 };
 use bm_cmdq::{build_call_dag, reorder_for_prelaunch_traced, ApiCall, Application, Reordering};
 use bm_depgraph::{GraphKind, Pattern};
@@ -509,6 +509,10 @@ pub(crate) fn drive<T: Tracer>(
             }
         }
     });
+    // One writer per run: each save appends the history records of kernels
+    // retired since the previous one and re-encodes only the live part.
+    // After a resume the first save writes the whole history once.
+    let mut writer = SnapshotWriter::new();
     let (mut source, mut engine, mut prev_retired, mut last_saved) = match restored {
         Some((source, snap)) => {
             let mut engine = DesEngine::from_checkpoint(&snap.des);
@@ -558,14 +562,18 @@ pub(crate) fn drive<T: Tracer>(
                         .policy
                         .due(retired - last_saved.0, now.saturating_sub(last_saved.1))
                 {
-                    let snap = capture_snapshot(
-                        &source, &engine, mode, session, &order_ids, retired, now, run_base, tracer,
+                    save_snapshot(
+                        &mut writer,
+                        &source,
+                        &engine,
+                        mode,
+                        session,
+                        &order_ids,
+                        retired,
+                        now,
+                        run_base,
+                        tracer,
                     );
-                    let store = session.store.as_deref_mut().expect("checked above");
-                    match store.save(&snap) {
-                        Ok(()) => session.saves += 1,
-                        Err(e) => session.save_failures.push(e),
-                    }
                     last_saved = (retired, now);
                 }
                 if let Some(q) = fault.kill_at_kernel {
@@ -605,15 +613,18 @@ pub(crate) fn drive<T: Tracer>(
                         && (retired as usize) < jit.len()
                         && last_saved != (retired, now)
                     {
-                        let snap = capture_snapshot(
-                            &source, &engine, mode, session, &order_ids, retired, now, run_base,
+                        save_snapshot(
+                            &mut writer,
+                            &source,
+                            &engine,
+                            mode,
+                            session,
+                            &order_ids,
+                            retired,
+                            now,
+                            run_base,
                             tracer,
                         );
-                        let store = session.store.as_deref_mut().expect("checked above");
-                        match store.save(&snap) {
-                            Ok(()) => session.saves += 1,
-                            Err(e) => session.save_failures.push(e),
-                        }
                     }
                     return Err(EngineError::Cancelled {
                         cycle: now,
@@ -653,23 +664,25 @@ pub(crate) fn drive<T: Tracer>(
     }
 }
 
-/// Builds and encodes the boundary snapshot, embedding the run-phase trace
-/// slice terminated by this snapshot's own `CheckpointSave` event (emitted
-/// to the live stream too, so later snapshots and the final trace agree).
-/// The event's `bytes` field is the encoded size; all integer fields are
-/// fixed-width, so stamping the size does not change it.
+/// Encodes the boundary snapshot through the run's writer and saves it to
+/// the session's store, which must be set. The snapshot embeds the
+/// run-phase trace slice terminated by this snapshot's own `CheckpointSave`
+/// event (emitted to the live stream too, so later snapshots and the final
+/// trace agree); the writer stamps the event's fixed-width `bytes` field
+/// with the encoded size.
 #[allow(clippy::too_many_arguments)]
-fn capture_snapshot<T: Tracer>(
+fn save_snapshot<T: Tracer>(
+    writer: &mut SnapshotWriter,
     source: &EngineSource<'_, T>,
     engine: &DesEngine,
     mode: ExecMode,
-    session: &CheckpointSession<'_>,
+    session: &mut CheckpointSession<'_>,
     order: &[u32],
     retired: u32,
     now: u64,
     run_base: usize,
     tracer: &T,
-) -> Vec<u8> {
+) {
     let mut trace = Vec::new();
     if T::ENABLED {
         // `checkpoint_load` seams are resume-local: a snapshot taken after
@@ -683,33 +696,54 @@ fn capture_snapshot<T: Tracer>(
             bytes: 0,
         });
     }
-    let mut snap = RunSnapshot {
-        meta: SnapshotMeta {
-            app_fp: session.app_fp,
-            mode: format!("{mode:?}"),
-            hazard: session.hazard.clone(),
-            n_kernels: source.jit.len() as u32,
-            retired,
-            cycle: now,
-        },
-        des: engine.checkpoint(),
-        engine: source.snapshot(),
-        guard: session.guard.clone(),
-        order: order.to_vec(),
-        trace,
+    let meta = SnapshotMeta {
+        app_fp: session.app_fp,
+        mode: format!("{mode:?}"),
+        hazard: session.hazard.clone(),
+        n_kernels: source.jit.len() as u32,
+        retired,
+        cycle: now,
     };
-    let bytes = snap.encode().len() as u64;
-    if let Some(TraceEvent::CheckpointSave { bytes: b, .. }) = snap.trace.last_mut() {
-        *b = bytes;
+    let bytes = writer.write(&StateView {
+        meta: &meta,
+        des: engine.view(),
+        engine: source.view(),
+        guard: &session.guard,
+        order,
+        trace: &trace,
+        stamp_size: T::ENABLED,
+    });
+    #[cfg(test)]
+    {
+        // Unit tests hold every save to the clone-based capture.
+        if let Some(TraceEvent::CheckpointSave { bytes: b, .. }) = trace.last_mut() {
+            *b = bytes.len() as u64;
+        }
+        let oracle = RunSnapshot {
+            meta: meta.clone(),
+            des: engine.checkpoint(),
+            engine: source.snapshot(),
+            guard: session.guard.clone(),
+            order: order.to_vec(),
+            trace: trace.clone(),
+        };
+        assert!(
+            oracle.encode() == bytes,
+            "snapshot at retired={retired} differs from the clone-based capture"
+        );
     }
     if T::ENABLED {
         tracer.emit(TraceEvent::CheckpointSave {
             cycle: now,
             retired,
-            bytes,
+            bytes: bytes.len() as u64,
         });
     }
-    snap.encode()
+    let store = session.store.as_deref_mut().expect("saves need a store");
+    match store.save(bytes) {
+        Ok(()) => session.saves += 1,
+        Err(e) => session.save_failures.push(e),
+    }
 }
 
 /// Host-side issue times for each kernel plus the post-kernel epilogue
@@ -849,6 +883,22 @@ struct KernelState {
     arrival: Option<u64>,
     issued: bool,
     complete: bool,
+}
+
+impl KernelImage for KernelState {
+    fn image(&self) -> KernelView<'_> {
+        KernelView {
+            counts: &self.counts,
+            data_ready: &self.data_ready,
+            done: &self.done,
+            ready: self.ready.as_slices(),
+            pushed: &self.pushed,
+            completed: self.completed,
+            arrival: self.arrival,
+            issued: self.issued,
+            complete: self.complete,
+        }
+    }
 }
 
 struct EngineSource<'a, T: Tracer> {
@@ -1014,45 +1064,29 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         }
     }
 
-    /// Captures the complete mutable state of the source. Pure
-    /// observation: `HashMap`-backed buffers are exported in sorted order
-    /// (FIFO order preserved verbatim) so equal states produce equal
-    /// snapshots.
-    fn snapshot(&self) -> EngineSnapshot {
+    /// Borrowed image of the complete mutable state, for the snapshot
+    /// writer. Pure observation: `HashMap`-backed buffers are exported in
+    /// sorted order (FIFO order preserved verbatim) so equal states produce
+    /// equal snapshots.
+    fn view(&self) -> EngineView<'_, KernelState> {
         let mut arrivals: Vec<(u64, u32)> = self
             .arrivals
             .iter()
             .map(|Reverse((t, k))| (*t, *k as u32))
             .collect();
         arrivals.sort_unstable();
-        let kernels = self
-            .kernels
-            .iter()
-            .map(|st| KernelSnapshot {
-                counts: st.counts.clone(),
-                data_ready: st.data_ready.clone(),
-                done: st.done.clone(),
-                ready: st.ready.iter().copied().collect(),
-                pushed: st.pushed.clone(),
-                completed: st.completed,
-                arrival: st.arrival,
-                issued: st.issued,
-                complete: st.complete,
-            })
-            .collect();
-        let (dlb_entries, dlb_traffic, dlb_high_water) = self.dlb.snapshot();
-        let (pcb_counters, pcb_fifo, pcb_capacity, pcb_traffic, pcb_high_water) =
-            self.pcb.snapshot();
-        EngineSnapshot {
+        let (dlb_entries, dlb_traffic, dlb_high_water) = self.dlb.view();
+        let (pcb_counters, pcb_fifo, pcb_capacity, pcb_traffic, pcb_high_water) = self.pcb.view();
+        EngineView {
             window: self.window as u32,
             retired: self.retired as u32,
             issued_count: self.issued_count as u32,
             next_issue_floor: self.next_issue_floor,
             consumer_toggle: self.consumer_toggle,
-            issue_cycles: self.issue_cycles.clone(),
+            issue_cycles: &self.issue_cycles,
             arrivals,
-            kernels,
-            pressure: self.pressure_events.clone(),
+            kernels: &self.kernels,
+            pressure: &self.pressure_events,
             dlb_entries,
             dlb_traffic,
             dlb_high_water: dlb_high_water as u32,
@@ -1061,6 +1095,51 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
             pcb_capacity: pcb_capacity as u32,
             pcb_traffic,
             pcb_high_water: pcb_high_water as u32,
+        }
+    }
+
+    /// The same state copied out: the clone-based capture that unit tests
+    /// hold the snapshot writer to.
+    #[cfg(test)]
+    fn snapshot(&self) -> EngineSnapshot {
+        let v = self.view();
+        let pcb_fifo = v.pcb_fifo.0.iter().chain(v.pcb_fifo.1).copied().collect();
+        EngineSnapshot {
+            window: v.window,
+            retired: v.retired,
+            issued_count: v.issued_count,
+            next_issue_floor: v.next_issue_floor,
+            consumer_toggle: v.consumer_toggle,
+            issue_cycles: self.issue_cycles.clone(),
+            arrivals: v.arrivals,
+            kernels: self
+                .kernels
+                .iter()
+                .map(|st| crate::snapshot::KernelSnapshot {
+                    counts: st.counts.clone(),
+                    data_ready: st.data_ready.clone(),
+                    done: st.done.clone(),
+                    ready: st.ready.iter().copied().collect(),
+                    pushed: st.pushed.clone(),
+                    completed: st.completed,
+                    arrival: st.arrival,
+                    issued: st.issued,
+                    complete: st.complete,
+                })
+                .collect(),
+            pressure: self.pressure_events.clone(),
+            dlb_entries: v
+                .dlb_entries
+                .into_iter()
+                .map(|(k, c)| (k, c.to_vec()))
+                .collect(),
+            dlb_traffic: v.dlb_traffic,
+            dlb_high_water: v.dlb_high_water,
+            pcb_counters: v.pcb_counters,
+            pcb_fifo,
+            pcb_capacity: v.pcb_capacity,
+            pcb_traffic: v.pcb_traffic,
+            pcb_high_water: v.pcb_high_water,
         }
     }
 
@@ -2007,5 +2086,71 @@ mod tests {
         let k1_done = *finishes_of(&r, 0).iter().max().unwrap();
         let k2_start = *starts_of(&r, 1).iter().min().unwrap();
         assert_eq!(k2_start, k1_done);
+    }
+
+    /// Every snapshot that checkpointed runs of the twelve small-scale apps
+    /// save — untraced under three modes, traced under one: the writer's
+    /// bytes equal the clone-based capture's encoding (checked inside every
+    /// save under test), they decode and re-encode to themselves, and each
+    /// save's history part is a byte prefix of the next save.
+    #[test]
+    fn every_saved_snapshot_is_canonical_and_extends_the_previous() {
+        let cfg = GpuConfig::small();
+        let modes = [
+            ExecMode::ConsumerPriority { window: 3 },
+            ExecMode::ProducerPriority { window: 2 },
+            ExecMode::PreLaunch { window: 2 },
+        ];
+        let tracer = bm_trace::RecordingTracer::new();
+        let mut saves = 0;
+        for bench in bm_workloads::suite() {
+            let app = (bench.build)(bm_workloads::Scale::Small);
+            let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
+            for (mode, traced) in modes
+                .into_iter()
+                .map(|m| (m, false))
+                .chain([(modes[0], true)])
+            {
+                let mut store = crate::snapshot::MemStore::default();
+                let mut session = CheckpointSession {
+                    policy: CheckpointPolicy::every_kernels(1),
+                    store: Some(&mut store),
+                    ..CheckpointSession::disabled()
+                };
+                let fault = FaultPlan::default();
+                if traced {
+                    drive(&cfg, &app, &jit, mode, &fault, None, &tracer, &mut session)
+                } else {
+                    drive(
+                        &cfg,
+                        &app,
+                        &jit,
+                        mode,
+                        &fault,
+                        None,
+                        &bm_trace::NullTracer,
+                        &mut session,
+                    )
+                }
+                .unwrap();
+                let label = format!("{} {mode} traced={traced}", bench.name);
+                saves += store.snaps.len();
+                let mut history: &[u8] = &[];
+                for (i, bytes) in store.snaps.iter().enumerate() {
+                    let snap = RunSnapshot::decode(bytes)
+                        .unwrap_or_else(|e| panic!("{label}: save {i} does not decode: {e}"));
+                    assert!(
+                        snap.encode() == *bytes,
+                        "{label}: save {i} re-encodes differently"
+                    );
+                    assert!(
+                        bytes.starts_with(history),
+                        "{label}: save {i} does not extend the previous history part"
+                    );
+                    history = &bytes[..crate::snapshot::history_end(bytes)];
+                }
+            }
+        }
+        assert!(saves > 100, "only {saves} snapshots saved");
     }
 }

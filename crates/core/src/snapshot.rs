@@ -11,13 +11,18 @@
 //! ([`crate::faults::FaultClass::KillPoint`]) proves across the seed
 //! matrix.
 //!
-//! The on-disk format (`DESIGN.md` §10) is versioned and checksummed:
-//! an 8-byte magic (`BMSNAP02`), a format version, a section table with
-//! per-section CRC32s, then little-endian payloads. Every load validates
-//! magic, version, table bounds, and checksums before decoding; any damage
-//! surfaces as a typed [`SnapshotError`], never a panic. Writes go through
-//! [`atomic_write`] (temp file + rename) so a crash mid-save never leaves a
-//! half-written snapshot behind.
+//! The byte format (`DESIGN.md` §10) is append-only: a header (magic
+//! `BMSNAP03` and the format version), one self-checksummed *history
+//! record* per retired kernel in retirement order, one checksummed *live
+//! part* holding everything that can still change, and a fixed-size
+//! trailer that locates the live part. Kernels retire in order and a
+//! retired kernel's state never changes again, so the history part of
+//! every snapshot of a run is a byte prefix of every later one: the engine
+//! appends records and re-encodes only the live part per save, and
+//! [`DirStore`] persists only the bytes that changed. Every load validates
+//! magic, version and every checksum before decoding, and accepts only the
+//! canonical layout that [`RunSnapshot::encode`] produces; any damage
+//! surfaces as a typed [`SnapshotError`], never a panic.
 
 #![deny(clippy::unwrap_used)]
 
@@ -25,33 +30,52 @@ use crate::degrade::PressureEvent;
 use crate::guard::GuardReport;
 use crate::hw::HwTraffic;
 use bm_cmdq::Application;
-use bm_simt::des::{DesCheckpoint, DesStats, TbDescriptor, TbKey};
+use bm_simt::des::{DesCheckpoint, DesStats, DesView, TbDescriptor, TbKey};
 use bm_trace::json::Json;
 use bm_trace::{AnalysisPhase, CmdKind, StallReason, TbId, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Snapshot file magic: format name + major format generation.
-pub const MAGIC: &[u8; 8] = b"BMSNAP02";
+/// Snapshot magic: format name + major format generation.
+pub const MAGIC: &[u8; 8] = b"BMSNAP03";
 /// Current format version. Snapshots with any other version are rejected
 /// with [`SnapshotError::UnsupportedVersion`]: the format carries live
 /// scheduler state, so cross-version resume is never attempted.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
+/// Magic, then the format version.
+const HEADER_LEN: usize = 8 + 4;
+/// Live-part offset, live-part CRC32, then the CRC32 of those 12 bytes.
+const TRAILER_LEN: usize = 8 + 4 + 4;
+
+// Live-part section tags, in the order the live part must hold them. Tag 7
+// carried a multi-device coordinator section that nothing resumed from; it
+// stays unassigned.
 const TAG_META: u32 = 1;
 const TAG_DES: u32 = 2;
 const TAG_ENGINE: u32 = 3;
 const TAG_GUARD: u32 = 4;
 const TAG_ORDER: u32 = 5;
 const TAG_TRACE: u32 = 6;
+const LIVE_TAGS: [u32; 6] = [
+    TAG_META, TAG_DES, TAG_ENGINE, TAG_GUARD, TAG_ORDER, TAG_TRACE,
+];
+
+// Checksum scopes reported by `SnapshotError::ChecksumMismatch`.
+const CRC_HISTORY: u32 = 1;
+const CRC_LIVE: u32 = 2;
+const CRC_TRAILER: u32 = 3;
+const CRC_LOG_HEADER: u32 = 4;
+const CRC_LOG_PAYLOAD: u32 = 5;
 
 /// Why a snapshot failed to save, load, or validate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// Filesystem failure (message of the underlying `io::Error`).
     Io(String),
-    /// The file does not start with [`MAGIC`].
+    /// The bytes do not start with [`MAGIC`] (or a [`DirStore`] file with
+    /// its log magic).
     BadMagic,
     /// The header declares a format version this build cannot decode.
     UnsupportedVersion {
@@ -60,9 +84,11 @@ pub enum SnapshotError {
     },
     /// The buffer ends before the declared content does.
     Truncated,
-    /// A section's payload does not match its recorded CRC32.
+    /// A checksum does not match the bytes it covers.
     ChecksumMismatch {
-        /// Tag of the damaged section.
+        /// Which checksum failed: 1 a history record, 2 the live part,
+        /// 3 the trailer, 4 a [`DirStore`] log record's header, 5 a log
+        /// record's payload.
         section: u32,
     },
     /// The bytes decode to structurally invalid content.
@@ -81,9 +107,14 @@ impl fmt::Display for SnapshotError {
                 write!(f, "unsupported snapshot version {found}")
             }
             SnapshotError::Truncated => f.write_str("snapshot truncated"),
-            SnapshotError::ChecksumMismatch { section } => {
-                write!(f, "checksum mismatch in section {section}")
-            }
+            SnapshotError::ChecksumMismatch { section } => match *section {
+                CRC_HISTORY => f.write_str("checksum mismatch in a history record"),
+                CRC_LIVE => f.write_str("checksum mismatch in the live part"),
+                CRC_TRAILER => f.write_str("checksum mismatch in the trailer"),
+                CRC_LOG_HEADER => f.write_str("checksum mismatch in a log record header"),
+                CRC_LOG_PAYLOAD => f.write_str("checksum mismatch in a log record payload"),
+                other => write!(f, "checksum mismatch in section {other}"),
+            },
             SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
             SnapshotError::AppMismatch(what) => {
                 write!(f, "snapshot does not match this run: {what}")
@@ -95,12 +126,13 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — hand-rolled so the workspace stays
-// dependency-free.
+// CRC32 (IEEE, reflected), slicing-by-8 — hand-rolled so the workspace
+// stays dependency-free. Every save checksums its live part, and the log
+// checksums the appended bytes again, so this runs over every byte saved.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -113,19 +145,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    // t[s][i]: the CRC of byte i followed by s zero bytes.
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE 802.3) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = (c >> 8) ^ CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xFF) as usize];
     }
     !c
 }
@@ -177,7 +233,52 @@ impl Enc {
         self.u64(t.counter_fetches);
         self.u64(t.counter_writebacks);
     }
+    /// A length-prefixed `u32` sequence.
+    fn u32s<'a>(&mut self, n: usize, v: impl IntoIterator<Item = &'a u32>) {
+        self.u32(n as u32);
+        for &x in v {
+            self.u32(x);
+        }
+    }
+    /// A length-prefixed flag sequence.
+    fn bools(&mut self, v: &[bool]) {
+        self.u32(v.len() as u32);
+        self.buf.extend(v.iter().map(|&b| b as u8));
+    }
+    /// The schedule entries at `positions`, each with its position.
+    fn entries(&mut self, schedule: &[(TbKey, u64, u64)], positions: &[u32]) {
+        self.u32(positions.len() as u32);
+        for &pos in positions {
+            let (key, start, finish) = schedule[pos as usize];
+            self.u32(pos);
+            self.key(key);
+            self.u64(start);
+            self.u64(finish);
+        }
+    }
+    /// A history record: payload length, payload, then the CRC32 of both.
+    fn record(&mut self, body: impl FnOnce(&mut Enc)) {
+        let at = self.buf.len();
+        self.u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&self.buf[at..]);
+        self.u32(crc);
+    }
+    /// A live-part section: tag, payload length, payload.
+    fn section(&mut self, tag: u32, body: impl FnOnce(&mut Enc)) {
+        self.u32(tag);
+        let at = self.buf.len();
+        self.u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
 }
+
+/// One schedule entry `(key, start, finish)` at its schedule position.
+type Positioned = (u32, (TbKey, u64, u64));
 
 struct Dec<'a> {
     data: &'a [u8],
@@ -261,6 +362,27 @@ impl<'a> Dec<'a> {
             counter_fetches: self.u64()?,
             counter_writebacks: self.u64()?,
         })
+    }
+    fn u32s(&mut self) -> DecResult<Vec<u32>> {
+        (0..self.len()?).map(|_| self.u32()).collect()
+    }
+    fn u64s(&mut self) -> DecResult<Vec<u64>> {
+        (0..self.len()?).map(|_| self.u64()).collect()
+    }
+    fn bools(&mut self) -> DecResult<Vec<bool>> {
+        (0..self.len()?).map(|_| self.bool()).collect()
+    }
+    /// Schedule entries with their positions, which must ascend.
+    fn entries(&mut self) -> DecResult<Vec<Positioned>> {
+        let mut out: Vec<Positioned> = Vec::new();
+        for _ in 0..self.len()? {
+            let pos = self.u32()?;
+            if out.last().is_some_and(|&(prev, _)| pos <= prev) {
+                return Err(SnapshotError::Malformed("schedule positions out of order"));
+            }
+            out.push((pos, (self.key()?, self.u64()?, self.u64()?)));
+        }
+        Ok(out)
     }
 }
 
@@ -457,9 +579,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// Where snapshots are kept. One store holds the *latest* snapshot; saves
-/// overwrite atomically, so a crash mid-save leaves the previous snapshot
-/// intact.
+/// Where snapshots are kept. Each [`save`](SnapshotStore::save) receives
+/// one complete snapshot and [`load`](SnapshotStore::load) returns the
+/// latest complete one; a crash mid-save leaves the previous snapshot
+/// loadable.
 pub trait SnapshotStore {
     /// Persist `bytes` as the latest snapshot.
     ///
@@ -472,17 +595,66 @@ pub trait SnapshotStore {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Io`] on filesystem failure.
+    /// [`SnapshotError::Io`] on filesystem failure; a store that keeps its
+    /// own framing ([`DirStore`]) also reports damage to it.
     fn load(&mut self) -> Result<Option<Vec<u8>>, SnapshotError>;
 }
 
-/// Filesystem-backed store: one snapshot file, written via [`atomic_write`].
+/// Magic of a [`DirStore`] log file.
+const LOG_MAGIC: &[u8; 8] = b"BMSLOG01";
+/// Kept-prefix length, suffix length, suffix CRC32, then the CRC32 of
+/// those 20 bytes.
+const LOG_RECORD_HEADER: usize = 8 + 8 + 4 + 4;
+/// A save that would grow the log past this multiple of the snapshot it
+/// saves rewrites the log as one full record instead.
+const LOG_COMPACT_FACTOR: u64 = 4;
+
+/// Filesystem-backed store: one log file holding the latest snapshot.
+///
+/// The file is a magic followed by records of (kept-prefix length, suffix,
+/// suffix CRC32, header CRC32); replaying them — keep that many bytes of
+/// the previous snapshot, append the suffix — yields each saved snapshot
+/// in turn. A save whose snapshot shares a prefix with the previous one
+/// (the engine's snapshots share their history part) appends one record
+/// and fsyncs the file. The first save of a store, a save once the log
+/// would outgrow a fixed multiple of the snapshot, and any save to a file
+/// this store did not last write or load rewrite the log as one full
+/// record through [`atomic_write_counted`].
+///
+/// [`load`](SnapshotStore::load) checks every record. A final record cut
+/// short (a torn append) yields the previous snapshot; a checksum failure
+/// anywhere is a typed [`SnapshotError`], so a damaged length never passes
+/// as a torn tail.
 #[derive(Debug, Clone)]
 pub struct DirStore {
     path: PathBuf,
     /// Accumulated fsync counts across every [`SnapshotStore::save`] on
     /// this store — durability tests assert these advance.
     pub syncs: FsyncStats,
+    /// The log as this store last wrote or loaded it; `None` forces the
+    /// next save to rewrite.
+    tail: Option<LogTail>,
+}
+
+/// What a [`DirStore`] knows about its log file.
+#[derive(Clone)]
+struct LogTail {
+    /// The snapshot the log replays to.
+    latest: Vec<u8>,
+    /// Identity of the log file (device, inode).
+    file: (u64, u64),
+    /// Length of the log's complete records.
+    len: u64,
+}
+
+impl fmt::Debug for LogTail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogTail")
+            .field("latest_bytes", &self.latest.len())
+            .field("file", &self.file)
+            .field("len", &self.len)
+            .finish()
+    }
 }
 
 /// Default snapshot file name inside a `--checkpoint-dir`.
@@ -492,10 +664,7 @@ impl DirStore {
     /// Store under `dir/`[`SNAPSHOT_FILE`]. The directory is created on
     /// first save.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DirStore {
-            path: dir.into().join(SNAPSHOT_FILE),
-            syncs: FsyncStats::default(),
-        }
+        DirStore::at_file(dir.into().join(SNAPSHOT_FILE))
     }
 
     /// Store at an exact file path.
@@ -503,6 +672,7 @@ impl DirStore {
         DirStore {
             path: path.into(),
             syncs: FsyncStats::default(),
+            tail: None,
         }
     }
 
@@ -510,29 +680,202 @@ impl DirStore {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Appends the record that turns `tail.latest` into `bytes`, if the log
+    /// is still the file `tail` describes and stays within the compaction
+    /// bound. Returns whether it appended.
+    fn append(&mut self, tail: &mut LogTail, bytes: &[u8]) -> std::io::Result<bool> {
+        use std::io::Write;
+        let keep = common_prefix(&tail.latest, bytes);
+        let suffix = &bytes[keep..];
+        let grown = tail.len + (LOG_RECORD_HEADER + suffix.len()) as u64;
+        if grown > LOG_COMPACT_FACTOR * bytes.len() as u64 {
+            return Ok(false);
+        }
+        let mut f = match std::fs::OpenOptions::new().append(true).open(&self.path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        let meta = f.metadata()?;
+        if file_id(&meta) != Some(tail.file) || meta.len() != tail.len {
+            return Ok(false);
+        }
+        let mut record = Vec::with_capacity(LOG_RECORD_HEADER + suffix.len());
+        record.extend_from_slice(&log_header(keep, suffix));
+        record.extend_from_slice(suffix);
+        f.write_all(&record)?;
+        f.sync_data()?;
+        self.syncs.file_syncs += 1;
+        tail.latest.truncate(keep);
+        tail.latest.extend_from_slice(suffix);
+        tail.len = grown;
+        Ok(true)
+    }
+
+    /// Replaces the log with one full record of `bytes`.
+    fn rewrite(&mut self, bytes: &[u8], reuse: Option<LogTail>) -> std::io::Result<()> {
+        if let Some(dir) = self.path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        let mut log = Vec::with_capacity(LOG_MAGIC.len() + LOG_RECORD_HEADER + bytes.len());
+        log.extend_from_slice(LOG_MAGIC);
+        log.extend_from_slice(&log_header(0, bytes));
+        log.extend_from_slice(bytes);
+        let stats = atomic_write_counted(&self.path, &log)?;
+        self.syncs.file_syncs += stats.file_syncs;
+        self.syncs.dir_syncs += stats.dir_syncs;
+        // Appends need the new file's identity; without it the next save
+        // rewrites again.
+        let id = std::fs::metadata(&self.path)
+            .ok()
+            .filter(|meta| meta.len() == log.len() as u64)
+            .and_then(|meta| file_id(&meta));
+        if let Some(file) = id {
+            let mut latest = reuse.map(|t| t.latest).unwrap_or_default();
+            latest.clear();
+            latest.extend_from_slice(bytes);
+            self.tail = Some(LogTail {
+                latest,
+                file,
+                len: log.len() as u64,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl SnapshotStore for DirStore {
     fn save(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        // Any failure leaves `tail` empty, so the next save rewrites.
+        if let Some(mut tail) = self.tail.take() {
+            if self.append(&mut tail, bytes).map_err(io)? {
+                self.tail = Some(tail);
+                return Ok(());
             }
+            return self.rewrite(bytes, Some(tail)).map_err(io);
         }
-        let stats = atomic_write_counted(&self.path, bytes)
-            .map_err(|e| SnapshotError::Io(e.to_string()))?;
-        self.syncs.file_syncs += stats.file_syncs;
-        self.syncs.dir_syncs += stats.dir_syncs;
-        Ok(())
+        self.rewrite(bytes, None).map_err(io)
     }
 
     fn load(&mut self) -> Result<Option<Vec<u8>>, SnapshotError> {
-        match std::fs::read(&self.path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(SnapshotError::Io(e.to_string())),
+        use std::io::Read;
+        self.tail = None;
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        let mut f = match std::fs::File::open(&self.path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io(e)),
+        };
+        let meta = f.metadata().map_err(io)?;
+        let mut log = Vec::new();
+        f.read_to_end(&mut log).map_err(io)?;
+        let (latest, len) = replay_log(&log)?;
+        if let Some(file) = file_id(&meta) {
+            self.tail = Some(LogTail {
+                latest: latest.clone(),
+                file,
+                len: len as u64,
+            });
         }
+        Ok(Some(latest))
     }
+}
+
+/// Identity of a file for [`DirStore`]'s append check: `None` where the
+/// platform offers none, which makes every save a rewrite.
+fn file_id(meta: &std::fs::Metadata) -> Option<(u64, u64)> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        Some((meta.dev(), meta.ino()))
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = meta;
+        None
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const BLOCK: usize = 4096;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + BLOCK <= n && a[i..i + BLOCK] == b[i..i + BLOCK] {
+        i += BLOCK;
+    }
+    i + a[i..n]
+        .iter()
+        .zip(&b[i..n])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Header of the log record that keeps `keep` bytes of the previous
+/// snapshot, then appends `suffix`.
+fn log_header(keep: usize, suffix: &[u8]) -> [u8; LOG_RECORD_HEADER] {
+    let mut h = [0u8; LOG_RECORD_HEADER];
+    h[..8].copy_from_slice(&(keep as u64).to_le_bytes());
+    h[8..16].copy_from_slice(&(suffix.len() as u64).to_le_bytes());
+    h[16..20].copy_from_slice(&crc32(suffix).to_le_bytes());
+    let header_crc = crc32(&h[..20]);
+    h[20..].copy_from_slice(&header_crc.to_le_bytes());
+    h
+}
+
+/// Replays a [`DirStore`] log: the latest snapshot, and the length of the
+/// log's complete records (less than `log.len()` after a torn append).
+fn replay_log(log: &[u8]) -> Result<(Vec<u8>, usize), SnapshotError> {
+    if log.len() < LOG_MAGIC.len() {
+        return Err(SnapshotError::Truncated);
+    }
+    if &log[..LOG_MAGIC.len()] != LOG_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let mut latest: Vec<u8> = Vec::new();
+    let mut records = 0usize;
+    let mut pos = LOG_MAGIC.len();
+    while log.len() - pos >= LOG_RECORD_HEADER {
+        let mut d = Dec::new(&log[pos..pos + LOG_RECORD_HEADER]);
+        let (keep, len, crc, header_crc) = (d.u64()?, d.u64()?, d.u32()?, d.u32()?);
+        if crc32(&log[pos..pos + LOG_RECORD_HEADER - 4]) != header_crc {
+            return Err(SnapshotError::ChecksumMismatch {
+                section: CRC_LOG_HEADER,
+            });
+        }
+        let start = pos + LOG_RECORD_HEADER;
+        let Some(end) = usize::try_from(len)
+            .ok()
+            .and_then(|n| start.checked_add(n))
+            .filter(|&end| end <= log.len())
+        else {
+            break; // torn append: the previous record is the latest
+        };
+        let suffix = &log[start..end];
+        if crc32(suffix) != crc {
+            return Err(SnapshotError::ChecksumMismatch {
+                section: CRC_LOG_PAYLOAD,
+            });
+        }
+        let keep = usize::try_from(keep)
+            .ok()
+            .filter(|&k| k <= latest.len() && (records > 0 || k == 0))
+            .ok_or(SnapshotError::Malformed(
+                "log record keeps more than the previous snapshot",
+            ))?;
+        latest.truncate(keep);
+        latest.extend_from_slice(suffix);
+        records += 1;
+        pos = end;
+    }
+    if records == 0 {
+        return Err(SnapshotError::Truncated);
+    }
+    Ok((latest, pos))
 }
 
 /// In-memory store for tests and the fault-injection harness. Keeps every
@@ -554,12 +897,13 @@ impl SnapshotStore for MemStore {
     }
 }
 
-/// Sync operations performed by one [`atomic_write`] call. Exposed so
-/// durability tests can assert that fsync actually ran rather than trusting
-/// the happy path.
+/// Sync operations performed by [`atomic_write`] or a [`DirStore`].
+/// Exposed so durability tests can assert that fsync actually ran rather
+/// than trusting the happy path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsyncStats {
-    /// `sync_all` calls that completed on the temp file before rename.
+    /// File fsyncs that completed: the temp file before each rename, and
+    /// the log file after each [`DirStore`] append.
     pub file_syncs: u32,
     /// `sync_all` calls that completed on the containing directory after
     /// rename (persists the directory entry itself).
@@ -571,7 +915,7 @@ pub struct FsyncStats {
 /// directory is fsynced so the rename itself survives a crash. Readers
 /// never observe a partial file; a crash mid-write leaves the previous
 /// content (or nothing) behind. All bmrun file outputs (traces, JSON
-/// reports, snapshots) route through here.
+/// reports) and every [`DirStore`] rewrite route through here.
 ///
 /// # Errors
 ///
@@ -1172,18 +1516,164 @@ fn decode_event(d: &mut Dec) -> DecResult<TraceEvent> {
 }
 
 // ---------------------------------------------------------------------------
-// Section codecs.
+// Borrowed run state: what the encoder reads.
 // ---------------------------------------------------------------------------
 
-fn enc_meta(m: &SnapshotMeta) -> Vec<u8> {
-    let mut e = Enc::default();
+/// One kernel's lifecycle state, borrowed from a [`KernelSnapshot`] or from
+/// the running engine.
+pub(crate) struct KernelView<'a> {
+    pub counts: &'a [u32],
+    pub data_ready: &'a [Option<u64>],
+    pub done: &'a [bool],
+    /// The ready queue as a ring buffer's two halves, in queue order.
+    pub ready: (&'a [u32], &'a [u32]),
+    pub pushed: &'a [bool],
+    pub completed: u32,
+    pub arrival: Option<u64>,
+    pub issued: bool,
+    pub complete: bool,
+}
+
+/// Per-kernel state the encoder can borrow: a decoded [`KernelSnapshot`]
+/// or the engine's own record of a kernel.
+pub(crate) trait KernelImage {
+    fn image(&self) -> KernelView<'_>;
+}
+
+impl KernelImage for KernelSnapshot {
+    fn image(&self) -> KernelView<'_> {
+        KernelView {
+            counts: &self.counts,
+            data_ready: &self.data_ready,
+            done: &self.done,
+            ready: (&self.ready, &[]),
+            pushed: &self.pushed,
+            completed: self.completed,
+            arrival: self.arrival,
+            issued: self.issued,
+            complete: self.complete,
+        }
+    }
+}
+
+/// The engine source's state as [`EngineSnapshot`] holds it, with the
+/// per-kernel records, issue cycles, pressure events and PCB FIFO borrowed.
+/// The small collections a capture must sort are owned.
+pub(crate) struct EngineView<'a, K> {
+    pub window: u32,
+    pub retired: u32,
+    pub issued_count: u32,
+    pub next_issue_floor: u64,
+    pub consumer_toggle: bool,
+    pub issue_cycles: &'a [u64],
+    /// Sorted.
+    pub arrivals: Vec<(u64, u32)>,
+    pub kernels: &'a [K],
+    pub pressure: &'a [PressureEvent],
+    /// Sorted by key.
+    pub dlb_entries: Vec<(TbKey, &'a [u32])>,
+    pub dlb_traffic: HwTraffic,
+    pub dlb_high_water: u32,
+    /// Sorted by key.
+    pub pcb_counters: Vec<(TbKey, u32)>,
+    /// The FIFO as a ring buffer's two halves, in eviction order.
+    pub pcb_fifo: (&'a [TbKey], &'a [TbKey]),
+    pub pcb_capacity: u32,
+    pub pcb_traffic: HwTraffic,
+    pub pcb_high_water: u32,
+}
+
+/// Everything one snapshot encodes, borrowed.
+pub(crate) struct StateView<'a, K> {
+    pub meta: &'a SnapshotMeta,
+    pub des: DesView<'a>,
+    pub engine: EngineView<'a, K>,
+    pub guard: &'a GuardSnapshot,
+    pub order: &'a [u32],
+    pub trace: &'a [TraceEvent],
+    /// Whether `trace` ends with this snapshot's own `CheckpointSave`,
+    /// whose `bytes` field the encoder stamps with the encoded size.
+    pub stamp_size: bool,
+}
+
+impl RunSnapshot {
+    fn view(&self) -> StateView<'_, KernelSnapshot> {
+        let e = &self.engine;
+        StateView {
+            meta: &self.meta,
+            des: self.des.view(),
+            engine: EngineView {
+                window: e.window,
+                retired: e.retired,
+                issued_count: e.issued_count,
+                next_issue_floor: e.next_issue_floor,
+                consumer_toggle: e.consumer_toggle,
+                issue_cycles: &e.issue_cycles,
+                arrivals: e.arrivals.clone(),
+                kernels: &e.kernels,
+                pressure: &e.pressure,
+                dlb_entries: e.dlb_entries.iter().map(|(k, c)| (*k, &c[..])).collect(),
+                dlb_traffic: e.dlb_traffic,
+                dlb_high_water: e.dlb_high_water,
+                pcb_counters: e.pcb_counters.clone(),
+                pcb_fifo: (&e.pcb_fifo, &[]),
+                pcb_capacity: e.pcb_capacity,
+                pcb_traffic: e.pcb_traffic,
+                pcb_high_water: e.pcb_high_water,
+            },
+            guard: &self.guard,
+            order: &self.order,
+            trace: &self.trace,
+            stamp_size: false,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Part codecs.
+// ---------------------------------------------------------------------------
+
+fn enc_kernel(e: &mut Enc, k: &KernelView<'_>) {
+    e.u32s(k.counts.len(), k.counts);
+    e.u32(k.data_ready.len() as u32);
+    for &r in k.data_ready {
+        e.opt_u64(r);
+    }
+    e.bools(k.done);
+    e.u32s(
+        k.ready.0.len() + k.ready.1.len(),
+        k.ready.0.iter().chain(k.ready.1),
+    );
+    e.bools(k.pushed);
+    e.u32(k.completed);
+    e.opt_u64(k.arrival);
+    e.bool(k.issued);
+    e.bool(k.complete);
+}
+
+fn dec_kernel(d: &mut Dec) -> DecResult<KernelSnapshot> {
+    Ok(KernelSnapshot {
+        counts: d.u32s()?,
+        data_ready: (0..d.len()?)
+            .map(|_| d.opt_u64())
+            .collect::<DecResult<_>>()?,
+        done: d.bools()?,
+        ready: d.u32s()?,
+        pushed: d.bools()?,
+        completed: d.u32()?,
+        arrival: d.opt_u64()?,
+        issued: d.bool()?,
+        complete: d.bool()?,
+    })
+}
+
+fn enc_meta(e: &mut Enc, m: &SnapshotMeta) {
     e.u64(m.app_fp);
     e.str(&m.mode);
     e.str(&m.hazard);
     e.u32(m.n_kernels);
     e.u32(m.retired);
     e.u64(m.cycle);
-    e.buf
 }
 
 fn dec_meta(d: &mut Dec) -> DecResult<SnapshotMeta> {
@@ -1197,8 +1687,9 @@ fn dec_meta(d: &mut Dec) -> DecResult<SnapshotMeta> {
     })
 }
 
-fn enc_des(c: &DesCheckpoint) -> Vec<u8> {
-    let mut e = Enc::default();
+/// The DES state; of the schedule only its length and the entries at
+/// `live` (the unretired kernels'), which the history records leave out.
+fn enc_des(e: &mut Enc, c: &DesView<'_>, live: &[u32]) {
     e.u32(c.sms.len() as u32);
     for &(tbs, threads, shared) in &c.sms {
         e.u32(tbs);
@@ -1219,23 +1710,19 @@ fn enc_des(c: &DesCheckpoint) -> Vec<u8> {
     e.u64(c.now);
     e.u32(c.running);
     e.u64(c.last_t);
-    e.u32(c.resident.len() as u32);
-    for &r in &c.resident {
-        e.u32(r);
-    }
+    e.u32s(c.resident.len(), c.resident);
     e.u64(c.stats.total_cycles);
     e.u128(c.stats.concurrency_integral);
     e.u64(c.stats.tbs_executed);
     e.u32(c.stats.schedule.len() as u32);
-    for &(key, start, finish) in &c.stats.schedule {
-        e.key(key);
-        e.u64(start);
-        e.u64(finish);
-    }
-    e.buf
+    e.entries(&c.stats.schedule, live);
 }
 
-fn dec_des(d: &mut Dec) -> DecResult<DesCheckpoint> {
+/// The DES state with an empty schedule, the schedule's length, and the
+/// live part's schedule entries.
+type DesLive = (DesCheckpoint, usize, Vec<Positioned>);
+
+fn dec_des(d: &mut Dec) -> DecResult<DesLive> {
     let mut sms = Vec::new();
     for _ in 0..d.len()? {
         sms.push((d.u32()?, d.u32()?, d.u32()?));
@@ -1257,18 +1744,16 @@ fn dec_des(d: &mut Dec) -> DecResult<DesCheckpoint> {
     let now = d.u64()?;
     let running = d.u32()?;
     let last_t = d.u64()?;
-    let mut resident = Vec::new();
-    for _ in 0..d.len()? {
-        resident.push(d.u32()?);
-    }
-    let total_cycles = d.u64()?;
-    let concurrency_integral = d.u128()?;
-    let tbs_executed = d.u64()?;
-    let mut schedule = Vec::new();
-    for _ in 0..d.len()? {
-        schedule.push((d.key()?, d.u64()?, d.u64()?));
-    }
-    Ok(DesCheckpoint {
+    let resident = d.u32s()?;
+    let stats = DesStats {
+        total_cycles: d.u64()?,
+        concurrency_integral: d.u128()?,
+        tbs_executed: d.u64()?,
+        schedule: Vec::new(),
+    };
+    let schedule_len = d.u32()? as usize;
+    let live = d.entries()?;
+    let ckpt = DesCheckpoint {
         sms,
         events,
         seq,
@@ -1276,72 +1761,44 @@ fn dec_des(d: &mut Dec) -> DecResult<DesCheckpoint> {
         running,
         last_t,
         resident,
-        stats: DesStats {
-            total_cycles,
-            concurrency_integral,
-            tbs_executed,
-            schedule,
-        },
-    })
+        stats,
+    };
+    Ok((ckpt, schedule_len, live))
 }
 
-fn enc_engine(s: &EngineSnapshot) -> Vec<u8> {
-    let mut e = Enc::default();
+/// The engine state of the kernels from `first` on: earlier kernels live
+/// in history records.
+fn enc_engine<K: KernelImage>(e: &mut Enc, s: &EngineView<'_, K>, first: usize) {
     e.u32(s.window);
     e.u32(s.retired);
     e.u32(s.issued_count);
     e.u64(s.next_issue_floor);
     e.bool(s.consumer_toggle);
-    e.u32(s.issue_cycles.len() as u32);
-    for &c in &s.issue_cycles {
+    let issue_cycles = &s.issue_cycles[first..];
+    e.u32(issue_cycles.len() as u32);
+    for &c in issue_cycles {
         e.u64(c);
+    }
+    e.u32((s.kernels.len() - first) as u32);
+    for k in &s.kernels[first..] {
+        enc_kernel(e, &k.image());
     }
     e.u32(s.arrivals.len() as u32);
     for &(t, k) in &s.arrivals {
         e.u64(t);
         e.u32(k);
     }
-    e.u32(s.kernels.len() as u32);
-    for k in &s.kernels {
-        e.u32(k.counts.len() as u32);
-        for &c in &k.counts {
-            e.u32(c);
-        }
-        e.u32(k.data_ready.len() as u32);
-        for &r in &k.data_ready {
-            e.opt_u64(r);
-        }
-        e.u32(k.done.len() as u32);
-        for &b in &k.done {
-            e.bool(b);
-        }
-        e.u32(k.ready.len() as u32);
-        for &t in &k.ready {
-            e.u32(t);
-        }
-        e.u32(k.pushed.len() as u32);
-        for &b in &k.pushed {
-            e.bool(b);
-        }
-        e.u32(k.completed);
-        e.opt_u64(k.arrival);
-        e.bool(k.issued);
-        e.bool(k.complete);
-    }
     e.u32(s.pressure.len() as u32);
-    for p in &s.pressure {
+    for p in s.pressure {
         e.u64(p.cycle);
         e.u64(p.spill_traffic);
         e.u32(p.window_before);
         e.u32(p.window_after);
     }
     e.u32(s.dlb_entries.len() as u32);
-    for (key, children) in &s.dlb_entries {
-        e.key(*key);
-        e.u32(children.len() as u32);
-        for &c in children {
-            e.u32(c);
-        }
+    for &(key, children) in &s.dlb_entries {
+        e.key(key);
+        e.u32s(children.len(), children);
     }
     e.traffic(s.dlb_traffic);
     e.u32(s.dlb_high_water);
@@ -1350,63 +1807,30 @@ fn enc_engine(s: &EngineSnapshot) -> Vec<u8> {
         e.key(key);
         e.u32(count);
     }
-    e.u32(s.pcb_fifo.len() as u32);
-    for &key in &s.pcb_fifo {
+    e.u32((s.pcb_fifo.0.len() + s.pcb_fifo.1.len()) as u32);
+    for &key in s.pcb_fifo.0.iter().chain(s.pcb_fifo.1) {
         e.key(key);
     }
     e.u32(s.pcb_capacity);
     e.traffic(s.pcb_traffic);
     e.u32(s.pcb_high_water);
-    e.buf
 }
 
+/// The engine state with only the unretired kernels' issue cycles and
+/// records.
 fn dec_engine(d: &mut Dec) -> DecResult<EngineSnapshot> {
     let window = d.u32()?;
     let retired = d.u32()?;
     let issued_count = d.u32()?;
     let next_issue_floor = d.u64()?;
     let consumer_toggle = d.bool()?;
-    let mut issue_cycles = Vec::new();
-    for _ in 0..d.len()? {
-        issue_cycles.push(d.u64()?);
-    }
+    let issue_cycles = d.u64s()?;
+    let kernels = (0..d.len()?)
+        .map(|_| dec_kernel(d))
+        .collect::<DecResult<_>>()?;
     let mut arrivals = Vec::new();
     for _ in 0..d.len()? {
         arrivals.push((d.u64()?, d.u32()?));
-    }
-    let mut kernels = Vec::new();
-    for _ in 0..d.len()? {
-        let mut counts = Vec::new();
-        for _ in 0..d.len()? {
-            counts.push(d.u32()?);
-        }
-        let mut data_ready = Vec::new();
-        for _ in 0..d.len()? {
-            data_ready.push(d.opt_u64()?);
-        }
-        let mut done = Vec::new();
-        for _ in 0..d.len()? {
-            done.push(d.bool()?);
-        }
-        let mut ready = Vec::new();
-        for _ in 0..d.len()? {
-            ready.push(d.u32()?);
-        }
-        let mut pushed = Vec::new();
-        for _ in 0..d.len()? {
-            pushed.push(d.bool()?);
-        }
-        kernels.push(KernelSnapshot {
-            counts,
-            data_ready,
-            done,
-            ready,
-            pushed,
-            completed: d.u32()?,
-            arrival: d.opt_u64()?,
-            issued: d.bool()?,
-            complete: d.bool()?,
-        });
     }
     let mut pressure = Vec::new();
     for _ in 0..d.len()? {
@@ -1419,12 +1843,7 @@ fn dec_engine(d: &mut Dec) -> DecResult<EngineSnapshot> {
     }
     let mut dlb_entries = Vec::new();
     for _ in 0..d.len()? {
-        let key = d.key()?;
-        let mut children = Vec::new();
-        for _ in 0..d.len()? {
-            children.push(d.u32()?);
-        }
-        dlb_entries.push((key, children));
+        dlb_entries.push((d.key()?, d.u32s()?));
     }
     let dlb_traffic = d.traffic()?;
     let dlb_high_water = d.u32()?;
@@ -1432,10 +1851,7 @@ fn dec_engine(d: &mut Dec) -> DecResult<EngineSnapshot> {
     for _ in 0..d.len()? {
         pcb_counters.push((d.key()?, d.u32()?));
     }
-    let mut pcb_fifo = Vec::new();
-    for _ in 0..d.len()? {
-        pcb_fifo.push(d.key()?);
-    }
+    let pcb_fifo = (0..d.len()?).map(|_| d.key()).collect::<DecResult<_>>()?;
     Ok(EngineSnapshot {
         window,
         retired,
@@ -1457,18 +1873,13 @@ fn dec_engine(d: &mut Dec) -> DecResult<EngineSnapshot> {
     })
 }
 
-fn enc_guard(g: &GuardSnapshot) -> Vec<u8> {
-    let mut e = Enc::default();
+fn enc_guard(e: &mut Enc, g: &GuardSnapshot) {
     e.u32(g.round);
     e.u64(g.report.violations_detected);
     e.u64(g.report.kernels_quarantined);
     e.u64(g.report.cycles_lost_to_fallback);
     e.u32(g.report.recovery_rounds);
-    e.u32(g.quarantined.len() as u32);
-    for &k in &g.quarantined {
-        e.u32(k);
-    }
-    e.buf
+    e.u32s(g.quarantined.len(), &g.quarantined);
 }
 
 fn dec_guard(d: &mut Dec) -> DecResult<GuardSnapshot> {
@@ -1479,184 +1890,385 @@ fn dec_guard(d: &mut Dec) -> DecResult<GuardSnapshot> {
         cycles_lost_to_fallback: d.u64()?,
         recovery_rounds: d.u32()?,
     };
-    let mut quarantined = Vec::new();
-    for _ in 0..d.len()? {
-        quarantined.push(d.u32()?);
-    }
     Ok(GuardSnapshot {
         round,
         report,
-        quarantined,
+        quarantined: d.u32s()?,
     })
 }
 
-fn enc_order(order: &[u32]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u32(order.len() as u32);
-    for &i in order {
-        e.u32(i);
-    }
-    e.buf
-}
-
-fn dec_order(d: &mut Dec) -> DecResult<Vec<u32>> {
-    let mut order = Vec::new();
-    for _ in 0..d.len()? {
-        order.push(d.u32()?);
-    }
-    Ok(order)
-}
-
-fn enc_trace(events: &[TraceEvent]) -> Vec<u8> {
-    let mut e = Enc::default();
+fn enc_trace(e: &mut Enc, events: &[TraceEvent]) {
     e.u32(events.len() as u32);
     for ev in events {
-        encode_event(&mut e, ev);
+        encode_event(e, ev);
     }
-    e.buf
 }
 
 fn dec_trace(d: &mut Dec) -> DecResult<Vec<TraceEvent>> {
-    let mut events = Vec::new();
-    for _ in 0..d.len()? {
-        events.push(decode_event(d)?);
-    }
-    Ok(events)
+    (0..d.len()?).map(|_| decode_event(d)).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Container encode/decode.
 // ---------------------------------------------------------------------------
 
-impl RunSnapshot {
-    /// Serializes to the versioned, checksummed container format.
-    pub fn encode(&self) -> Vec<u8> {
-        let sections: [(u32, Vec<u8>); 6] = [
-            (TAG_META, enc_meta(&self.meta)),
-            (TAG_DES, enc_des(&self.des)),
-            (TAG_ENGINE, enc_engine(&self.engine)),
-            (TAG_GUARD, enc_guard(&self.guard)),
-            (TAG_ORDER, enc_order(&self.order)),
-            (TAG_TRACE, enc_trace(&self.trace)),
-        ];
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        // Section table: tag, offset, len, crc32 — offsets relative to the
-        // start of the file.
-        let table_at = out.len();
-        let entry_bytes = 4 + 8 + 8 + 4;
-        out.resize(table_at + sections.len() * entry_bytes, 0);
-        let mut offset = out.len() as u64;
-        for (i, (tag, payload)) in sections.iter().enumerate() {
-            let at = table_at + i * entry_bytes;
-            out[at..at + 4].copy_from_slice(&tag.to_le_bytes());
-            out[at + 4..at + 12].copy_from_slice(&offset.to_le_bytes());
-            out[at + 12..at + 20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            out[at + 20..at + 24].copy_from_slice(&crc32(payload).to_le_bytes());
-            offset += payload.len() as u64;
+/// Encodes one run's snapshots, each save costing what changed since the
+/// previous one. The buffer holds the header and one history record per
+/// kernel already retired; a write appends the records of kernels retired
+/// since the previous write, then replaces the live part and trailer. So
+/// the history part of every output is a byte prefix of the next, and a
+/// fresh writer's first output is [`RunSnapshot::encode`]'s canonical
+/// layout.
+///
+/// Everything is derived from positions at write time — the retired count
+/// and the schedule's length — so the engine's step loop does no extra
+/// work. A writer serves one run: its retired count never decreases.
+pub(crate) struct SnapshotWriter {
+    enc: Enc,
+    /// End of the last history record.
+    history_end: usize,
+    /// Kernels with a history record.
+    records: usize,
+    /// Schedule positions below this all belong to recorded kernels.
+    frontier: usize,
+    /// Scratch: schedule positions of unretired kernels' entries.
+    live: Vec<u32>,
+}
+
+impl SnapshotWriter {
+    pub(crate) fn new() -> Self {
+        let mut enc = Enc::default();
+        enc.buf.extend_from_slice(MAGIC);
+        enc.u32(FORMAT_VERSION);
+        SnapshotWriter {
+            history_end: enc.buf.len(),
+            enc,
+            records: 0,
+            frontier: 0,
+            live: Vec::new(),
         }
-        for (_, payload) in &sections {
-            out.extend_from_slice(payload);
-        }
-        out
     }
 
-    /// Decodes and fully validates a snapshot: magic, version, section
-    /// table bounds, and every section's CRC32.
-    ///
-    /// # Errors
-    ///
-    /// The precise [`SnapshotError`] for the first damage found.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let sections = section_table(bytes)?;
-        let mut meta = None;
-        let mut des = None;
-        let mut engine = None;
-        let mut guard = None;
-        let mut order = None;
-        let mut trace = None;
-        for (tag, payload) in sections {
-            let mut d = Dec::new(payload);
-            match tag {
-                TAG_META => meta = Some(dec_meta(&mut d)?),
-                TAG_DES => des = Some(dec_des(&mut d)?),
-                TAG_ENGINE => engine = Some(dec_engine(&mut d)?),
-                TAG_GUARD => guard = Some(dec_guard(&mut d)?),
-                TAG_ORDER => order = Some(dec_order(&mut d)?),
-                TAG_TRACE => trace = Some(dec_trace(&mut d)?),
-                // Unknown sections within a supported version are not
-                // possible today; reject rather than silently ignore.
-                _ => return Err(SnapshotError::Malformed("unknown section tag")),
-            }
-            if !d.done() {
-                return Err(SnapshotError::Malformed("trailing bytes in section"));
+    /// The complete snapshot of `v`.
+    pub(crate) fn write<K: KernelImage>(&mut self, v: &StateView<'_, K>) -> &[u8] {
+        let schedule = &v.des.stats.schedule;
+        let eng = &v.engine;
+        let retired = (eng.retired as usize)
+            .min(eng.kernels.len())
+            .min(eng.issue_cycles.len())
+            .max(self.records);
+        let first = self.records;
+        // Schedule entries from the frontier on: the newly retired
+        // kernels' go to their records, the unretired kernels' to the live
+        // part, and recorded kernels' stragglers are skipped.
+        let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); retired - first];
+        self.live.clear();
+        for (pos, (key, ..)) in schedule.iter().enumerate().skip(self.frontier) {
+            let k = key.kernel_seq as usize;
+            if k >= retired {
+                self.live.push(pos as u32);
+            } else if k >= first {
+                fresh[k - first].push(pos as u32);
             }
         }
-        Ok(RunSnapshot {
-            meta: meta.ok_or(SnapshotError::Malformed("missing meta section"))?,
-            des: des.ok_or(SnapshotError::Malformed("missing des section"))?,
-            engine: engine.ok_or(SnapshotError::Malformed("missing engine section"))?,
-            guard: guard.ok_or(SnapshotError::Malformed("missing guard section"))?,
-            order: order.ok_or(SnapshotError::Malformed("missing order section"))?,
-            trace: trace.ok_or(SnapshotError::Malformed("missing trace section"))?,
-        })
+        let e = &mut self.enc;
+        e.buf.truncate(self.history_end);
+        for (k, positions) in (first..).zip(&fresh) {
+            e.record(|e| {
+                e.u64(eng.issue_cycles[k]);
+                enc_kernel(e, &eng.kernels[k].image());
+                e.entries(schedule, positions);
+            });
+        }
+        self.records = retired;
+        self.history_end = e.buf.len();
+        while schedule
+            .get(self.frontier)
+            .is_some_and(|(key, ..)| (key.kernel_seq as usize) < retired)
+        {
+            self.frontier += 1;
+        }
+        let live = &self.live;
+        e.section(TAG_META, |e| enc_meta(e, v.meta));
+        e.section(TAG_DES, |e| enc_des(e, &v.des, live));
+        e.section(TAG_ENGINE, |e| enc_engine(e, eng, retired));
+        e.section(TAG_GUARD, |e| enc_guard(e, v.guard));
+        e.section(TAG_ORDER, |e| e.u32s(v.order.len(), v.order));
+        e.section(TAG_TRACE, |e| enc_trace(e, v.trace));
+        if v.stamp_size {
+            // The closing `CheckpointSave` ends the live part with its
+            // fixed-width `bytes` field.
+            let total = (e.buf.len() + TRAILER_LEN) as u64;
+            let at = e.buf.len() - 8;
+            e.buf[at..].copy_from_slice(&total.to_le_bytes());
+        }
+        let live_crc = crc32(&e.buf[self.history_end..]);
+        let trailer = e.buf.len();
+        e.u64(self.history_end as u64);
+        e.u32(live_crc);
+        let trailer_crc = crc32(&e.buf[trailer..]);
+        e.u32(trailer_crc);
+        &e.buf
     }
 }
 
-/// Parses and validates the container header, returning `(tag, payload)`
-/// per section with checksums verified.
-fn section_table(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
+/// A snapshot whose every checksum verified: its history records and the
+/// sections of its live part.
+struct Layout<'a> {
+    /// History record payloads, in retirement order.
+    records: Vec<&'a [u8]>,
+    /// Bytes of the history part, header excluded.
+    history_bytes: usize,
+    /// The live part.
+    live: &'a [u8],
+    /// The live part's section payloads, in [`LIVE_TAGS`] order.
+    sections: [&'a [u8]; 6],
+}
+
+/// Checks magic, version and every checksum, and locates the parts.
+fn layout(bytes: &[u8]) -> Result<Layout<'_>, SnapshotError> {
     let mut d = Dec::new(bytes);
-    if d.take(8)? != MAGIC {
+    if d.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = d.u32()?;
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let count = d.u32()? as usize;
-    if count > 64 {
-        return Err(SnapshotError::Malformed("implausible section count"));
+    let trailer_at = bytes
+        .len()
+        .checked_sub(TRAILER_LEN)
+        .filter(|&at| at >= HEADER_LEN)
+        .ok_or(SnapshotError::Truncated)?;
+    let mut t = Dec::new(&bytes[trailer_at..]);
+    let (live_at, live_crc, trailer_crc) = (t.u64()?, t.u32()?, t.u32()?);
+    if crc32(&bytes[trailer_at..trailer_at + TRAILER_LEN - 4]) != trailer_crc {
+        return Err(SnapshotError::ChecksumMismatch {
+            section: CRC_TRAILER,
+        });
     }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = d.u32()?;
-        let offset = d.u64()? as usize;
-        let len = d.u64()? as usize;
-        let crc = d.u32()?;
-        let end = offset.checked_add(len).ok_or(SnapshotError::Truncated)?;
-        if end > bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let payload = &bytes[offset..end];
-        if crc32(payload) != crc {
-            return Err(SnapshotError::ChecksumMismatch { section: tag });
-        }
-        out.push((tag, payload));
+    let live_at = usize::try_from(live_at)
+        .ok()
+        .filter(|at| (HEADER_LEN..=trailer_at).contains(at))
+        .ok_or(SnapshotError::Malformed(
+            "trailer places the live part out of bounds",
+        ))?;
+    let live = &bytes[live_at..trailer_at];
+    if crc32(live) != live_crc {
+        return Err(SnapshotError::ChecksumMismatch { section: CRC_LIVE });
     }
-    Ok(out)
+    // History records: a length, the payload, a CRC32 of both. A length
+    // that overruns the history part fails the record's checksum, since
+    // the record cannot be verified.
+    let damaged = SnapshotError::ChecksumMismatch {
+        section: CRC_HISTORY,
+    };
+    let mut records = Vec::new();
+    let mut rest = &bytes[HEADER_LEN..live_at];
+    while !rest.is_empty() {
+        let mut r = Dec::new(rest);
+        let end = r
+            .u64()
+            .ok()
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| n.checked_add(8))
+            .filter(|&end| end.checked_add(4).is_some_and(|e| e <= rest.len()))
+            .ok_or_else(|| damaged.clone())?;
+        let crc = u32::from_le_bytes([rest[end], rest[end + 1], rest[end + 2], rest[end + 3]]);
+        if crc32(&rest[..end]) != crc {
+            return Err(damaged);
+        }
+        records.push(&rest[8..end]);
+        rest = &rest[end + 4..];
+    }
+    let mut sections = [&[][..]; 6];
+    let mut s = Dec::new(live);
+    for (slot, want) in sections.iter_mut().zip(LIVE_TAGS) {
+        if s.done() {
+            return Err(SnapshotError::Malformed("live part is missing a section"));
+        }
+        let tag = s.u32()?;
+        if tag != want {
+            return Err(SnapshotError::Malformed(if LIVE_TAGS.contains(&tag) {
+                "live sections out of order"
+            } else {
+                "unknown section tag"
+            }));
+        }
+        let len = usize::try_from(s.u64()?).map_err(|_| SnapshotError::Truncated)?;
+        *slot = s.take(len)?;
+    }
+    if !s.done() {
+        return Err(SnapshotError::Malformed(
+            "trailing bytes after the live part",
+        ));
+    }
+    Ok(Layout {
+        records,
+        history_bytes: live_at - HEADER_LEN,
+        live,
+        sections,
+    })
 }
 
-/// Human/machine-readable manifest of an encoded snapshot: header fields
-/// plus one entry per section (tag, length, CRC32). Round-trips through the
-/// strict JSON parser byte-identically.
+/// Decodes one payload that `dec` must consume exactly.
+fn whole<T>(payload: &[u8], dec: impl FnOnce(&mut Dec) -> DecResult<T>) -> DecResult<T> {
+    let mut d = Dec::new(payload);
+    let value = dec(&mut d)?;
+    if !d.done() {
+        return Err(SnapshotError::Malformed("trailing bytes in section"));
+    }
+    Ok(value)
+}
+
+/// Places each schedule entry at its position, each position exactly once.
+struct ScheduleSlots {
+    slots: Vec<Option<(TbKey, u64, u64)>>,
+    placed: usize,
+}
+
+impl ScheduleSlots {
+    fn place(&mut self, pos: u32, entry: (TbKey, u64, u64)) -> DecResult<()> {
+        match self.slots.get_mut(pos as usize) {
+            Some(slot @ None) => {
+                *slot = Some(entry);
+                self.placed += 1;
+                Ok(())
+            }
+            Some(Some(_)) => Err(SnapshotError::Malformed("schedule position repeated")),
+            None => Err(SnapshotError::Malformed("schedule position out of range")),
+        }
+    }
+
+    fn finish(self) -> DecResult<Vec<(TbKey, u64, u64)>> {
+        if self.placed != self.slots.len() {
+            return Err(SnapshotError::Malformed("schedule positions left unfilled"));
+        }
+        Ok(self.slots.into_iter().flatten().collect())
+    }
+}
+
+impl RunSnapshot {
+    /// Serializes to the canonical v3 layout: header, one history record
+    /// per retired kernel, the live part, the trailer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut writer = SnapshotWriter::new();
+        writer.write(&self.view());
+        writer.enc.buf
+    }
+
+    /// Decodes and fully validates a snapshot: magic, version, every
+    /// checksum, and the canonical layout — one history record per retired
+    /// kernel holding exactly that kernel's schedule entries, positions
+    /// ascending within each record and together covering the schedule
+    /// once. Every accepted `bytes` re-encodes to itself.
+    ///
+    /// # Errors
+    ///
+    /// The precise [`SnapshotError`] for the first damage found.
+    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let layout = layout(bytes)?;
+        let [meta, des, engine, guard, order, trace] = layout.sections;
+        let meta = whole(meta, dec_meta)?;
+        let (mut des, schedule_len, live_entries) = whole(des, dec_des)?;
+        let mut engine = whole(engine, dec_engine)?;
+        let guard = whole(guard, dec_guard)?;
+        let order = whole(order, |d| d.u32s())?;
+        let trace = whole(trace, dec_trace)?;
+        let retired = engine.retired as usize;
+        if layout.records.len() != retired {
+            return Err(SnapshotError::Malformed(
+                "history record count differs from the retired count",
+            ));
+        }
+        // Every entry is encoded in at least 28 bytes, which bounds the
+        // allocation a damaged length could ask for.
+        if schedule_len > bytes.len() / 28 {
+            return Err(SnapshotError::Malformed(
+                "schedule length exceeds the snapshot",
+            ));
+        }
+        let mut schedule = ScheduleSlots {
+            slots: vec![None; schedule_len],
+            placed: 0,
+        };
+        let mut issue_cycles = Vec::with_capacity(retired + engine.issue_cycles.len());
+        let mut kernels = Vec::with_capacity(retired + engine.kernels.len());
+        for (k, payload) in layout.records.iter().enumerate() {
+            let entries = whole(payload, |d| {
+                issue_cycles.push(d.u64()?);
+                kernels.push(dec_kernel(d)?);
+                d.entries()
+            })?;
+            for (pos, entry) in entries {
+                if entry.0.kernel_seq as usize != k {
+                    return Err(SnapshotError::Malformed(
+                        "schedule entry filed under the wrong kernel",
+                    ));
+                }
+                schedule.place(pos, entry)?;
+            }
+        }
+        for (pos, entry) in live_entries {
+            if (entry.0.kernel_seq as usize) < retired {
+                return Err(SnapshotError::Malformed(
+                    "schedule entry filed under the wrong kernel",
+                ));
+            }
+            schedule.place(pos, entry)?;
+        }
+        des.stats.schedule = schedule.finish()?;
+        issue_cycles.append(&mut engine.issue_cycles);
+        kernels.append(&mut engine.kernels);
+        engine.issue_cycles = issue_cycles;
+        engine.kernels = kernels;
+        Ok(RunSnapshot {
+            meta,
+            des,
+            engine,
+            guard,
+            order,
+            trace,
+        })
+    }
+}
+
+/// End of the history part of a valid snapshot.
+#[cfg(test)]
+pub(crate) fn history_end(bytes: &[u8]) -> usize {
+    layout(bytes).map_or(0, |l| HEADER_LEN + l.history_bytes)
+}
+
+/// Human/machine-readable manifest of an encoded snapshot: header fields,
+/// the history part (record count, bytes), the live part (bytes, CRC32)
+/// and one entry per live section (tag, name, bytes). Round-trips through
+/// the strict JSON parser byte-identically.
 ///
 /// # Errors
 ///
-/// Any header/table/checksum damage, as [`RunSnapshot::decode`] would
-/// report it.
+/// Any header or checksum damage, as [`RunSnapshot::decode`] would report
+/// it.
 pub fn manifest(bytes: &[u8]) -> Result<Json, SnapshotError> {
-    let sections = section_table(bytes)?;
-    let meta_payload = sections
+    let layout = layout(bytes)?;
+    let meta = whole(layout.sections[0], dec_meta)?;
+    let names = ["meta", "des", "engine", "guard", "order", "trace"];
+    let sections = LIVE_TAGS
         .iter()
-        .find(|(tag, _)| *tag == TAG_META)
-        .map(|(_, p)| *p)
-        .ok_or(SnapshotError::Malformed("missing meta section"))?;
-    let meta = dec_meta(&mut Dec::new(meta_payload))?;
+        .zip(names)
+        .zip(layout.sections)
+        .map(|((&tag, name), payload)| {
+            Json::obj([
+                ("tag", Json::u64(u64::from(tag))),
+                ("name", Json::Str(name.to_string())),
+                ("bytes", Json::u64(payload.len() as u64)),
+            ])
+        })
+        .collect();
     let mut doc = BTreeMap::new();
-    doc.insert("magic".to_string(), Json::Str("BMSNAP02".to_string()));
+    doc.insert(
+        "magic".to_string(),
+        Json::Str(String::from_utf8_lossy(MAGIC).into_owned()),
+    );
     doc.insert("version".to_string(), Json::u64(FORMAT_VERSION as u64));
     doc.insert("total_bytes".to_string(), Json::u64(bytes.len() as u64));
     doc.insert("app_fingerprint".to_string(), Json::u64(meta.app_fp));
@@ -1665,27 +2277,21 @@ pub fn manifest(bytes: &[u8]) -> Result<Json, SnapshotError> {
     doc.insert("n_kernels".to_string(), Json::u64(meta.n_kernels as u64));
     doc.insert("retired".to_string(), Json::u64(meta.retired as u64));
     doc.insert("cycle".to_string(), Json::u64(meta.cycle));
-    let names = |tag: u32| match tag {
-        TAG_META => "meta",
-        TAG_DES => "des",
-        TAG_ENGINE => "engine",
-        TAG_GUARD => "guard",
-        TAG_ORDER => "order",
-        TAG_TRACE => "trace",
-        _ => "unknown",
-    };
-    let section_docs: Vec<Json> = sections
-        .iter()
-        .map(|(tag, payload)| {
-            let mut s = BTreeMap::new();
-            s.insert("tag".to_string(), Json::u64(*tag as u64));
-            s.insert("name".to_string(), Json::Str(names(*tag).to_string()));
-            s.insert("bytes".to_string(), Json::u64(payload.len() as u64));
-            s.insert("crc32".to_string(), Json::u64(crc32(payload) as u64));
-            Json::Obj(s)
-        })
-        .collect();
-    doc.insert("sections".to_string(), Json::Arr(section_docs));
+    doc.insert(
+        "history".to_string(),
+        Json::obj([
+            ("records", Json::u64(layout.records.len() as u64)),
+            ("bytes", Json::u64(layout.history_bytes as u64)),
+        ]),
+    );
+    doc.insert(
+        "live".to_string(),
+        Json::obj([
+            ("bytes", Json::u64(layout.live.len() as u64)),
+            ("crc32", Json::u64(u64::from(crc32(layout.live)))),
+        ]),
+    );
+    doc.insert("sections".to_string(), Json::Arr(sections));
     Ok(Json::Obj(doc))
 }
 
@@ -1698,6 +2304,16 @@ mod tests {
     fn crc32_known_answer() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // The sliced loop agrees with the bytewise definition at every
+        // length and alignment of the 8-byte blocks.
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..data.len() {
+            let mut c = !0u32;
+            for &b in &data[..n] {
+                c = (c >> 8) ^ CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize];
+            }
+            assert_eq!(crc32(&data[..n]), !c, "length {n}");
+        }
     }
 
     fn sample_snapshot() -> RunSnapshot {
@@ -1733,7 +2349,14 @@ mod tests {
                     total_cycles: 0,
                     concurrency_integral: u128::from(u64::MAX) + 17,
                     tbs_executed: 16,
-                    schedule: vec![(key(0, 0), 10, 20), (key(1, 1), 20, 40)],
+                    // Kernel 0's entries straddle kernel 1's; kernel 2's
+                    // belong to the live part.
+                    schedule: vec![
+                        (key(0, 0), 10, 20),
+                        (key(1, 1), 20, 40),
+                        (key(0, 1), 12, 25),
+                        (key(2, 3), 40, 100),
+                    ],
                 },
             },
             engine: EngineSnapshot {
@@ -1764,6 +2387,17 @@ mod tests {
                         pushed: vec![true, false],
                         completed: 0,
                         arrival: Some(700),
+                        issued: true,
+                        complete: false,
+                    },
+                    KernelSnapshot {
+                        counts: vec![],
+                        data_ready: vec![None; 4],
+                        done: vec![false; 4],
+                        ready: vec![],
+                        pushed: vec![true, false, false, false],
+                        completed: 0,
+                        arrival: Some(900),
                         issued: true,
                         complete: false,
                     },
@@ -1824,6 +2458,45 @@ mod tests {
         }
     }
 
+    /// History record payloads and live part of an encoded snapshot.
+    fn split(bytes: &[u8]) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let l = layout(bytes).unwrap();
+        (
+            l.records.iter().map(|r| r.to_vec()).collect(),
+            l.live.to_vec(),
+        )
+    }
+
+    /// Seals record payloads and a live part into a snapshot with valid
+    /// checksums, whatever the payloads hold.
+    fn assemble(records: &[Vec<u8>], live: &[u8]) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(MAGIC);
+        e.u32(FORMAT_VERSION);
+        for r in records {
+            e.record(|e| e.buf.extend_from_slice(r));
+        }
+        let live_at = e.buf.len();
+        e.buf.extend_from_slice(live);
+        let trailer = e.buf.len();
+        e.u64(live_at as u64);
+        e.u32(crc32(live));
+        let crc = crc32(&e.buf[trailer..]);
+        e.u32(crc);
+        e.buf
+    }
+
+    /// Offset in `live` of the trace section's tag.
+    fn trace_tag_at(live: &[u8]) -> usize {
+        let mut d = Dec::new(live);
+        for _ in 0..5 {
+            d.u32().unwrap();
+            let len = d.u64().unwrap() as usize;
+            d.take(len).unwrap();
+        }
+        d.pos
+    }
+
     #[test]
     fn round_trips_bit_identically() {
         let snap = sample_snapshot();
@@ -1831,6 +2504,29 @@ mod tests {
         let back = RunSnapshot::decode(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.encode(), bytes);
+        let (records, live) = split(&bytes);
+        assert_eq!(records.len(), 2, "one record per retired kernel");
+        assert_eq!(assemble(&records, &live), bytes);
+    }
+
+    #[test]
+    fn history_part_is_a_prefix_of_every_later_snapshot() {
+        // Retiring kernel 2 appends its record and leaves the first two
+        // records' bytes untouched.
+        let before = sample_snapshot();
+        let mut after = before.clone();
+        after.engine.retired = 3;
+        after.meta.retired = 3;
+        after.engine.kernels[2].complete = true;
+        let (a, b) = (before.encode(), after.encode());
+        let history = layout(&a).unwrap().history_bytes + HEADER_LEN;
+        assert_eq!(a[..history], b[..history]);
+        assert_eq!(layout(&b).unwrap().records.len(), 3);
+        // A writer carried across both saves produces the same bytes as
+        // two fresh encodes.
+        let mut w = SnapshotWriter::new();
+        assert_eq!(w.write(&before.view()), &a[..]);
+        assert_eq!(w.write(&after.view()), &b[..]);
     }
 
     #[test]
@@ -1966,8 +2662,9 @@ mod tests {
                 bytes: 256,
             },
         ];
-        let payload = enc_trace(&events);
-        let back = dec_trace(&mut Dec::new(&payload)).unwrap();
+        let mut e = Enc::default();
+        enc_trace(&mut e, &events);
+        let back = dec_trace(&mut Dec::new(&e.buf)).unwrap();
         assert_eq!(back, events);
     }
 
@@ -1982,20 +2679,12 @@ mod tests {
             }],
             ..RunSnapshot::default()
         };
-        let mut bytes = snap.encode();
-        let table_at = 8 + 4 + 4;
-        let entry = (0..6)
-            .map(|i| table_at + i * 24)
-            .find(|&at| bytes[at..at + 4] == TAG_TRACE.to_le_bytes())
-            .unwrap();
-        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        let (offset, len) = (field(entry + 4), field(entry + 12));
-        // The payload is the event count, then the first event's tag.
-        bytes[offset + 4] = 28;
-        let crc = crc32(&bytes[offset..offset + len]);
-        bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        let (records, mut live) = split(&snap.encode());
+        // The trace payload is the event count, then the first event's tag.
+        let at = trace_tag_at(&live) + 4 + 8 + 4;
+        live[at] = 28;
         assert_eq!(
-            RunSnapshot::decode(&bytes).unwrap_err(),
+            RunSnapshot::decode(&assemble(&records, &live)).unwrap_err(),
             SnapshotError::Malformed("unknown trace-event tag")
         );
     }
@@ -2003,16 +2692,12 @@ mod tests {
     #[test]
     fn retired_multi_section_tag_7_is_malformed() {
         // Tag 7 carried a multi-device coordinator section that nothing
-        // resumed from; a container that still has one is rejected.
-        let mut bytes = sample_snapshot().encode();
-        let table_at = 8 + 4 + 4;
-        let entry = (0..6)
-            .map(|i| table_at + i * 24)
-            .find(|&at| bytes[at..at + 4] == TAG_TRACE.to_le_bytes())
-            .unwrap();
-        bytes[entry..entry + 4].copy_from_slice(&7u32.to_le_bytes());
+        // resumed from; a live part that still has one is rejected.
+        let (records, mut live) = split(&sample_snapshot().encode());
+        let at = trace_tag_at(&live);
+        live[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
         assert_eq!(
-            RunSnapshot::decode(&bytes).unwrap_err(),
+            RunSnapshot::decode(&assemble(&records, &live)).unwrap_err(),
             SnapshotError::Malformed("unknown section tag")
         );
     }
@@ -2035,19 +2720,21 @@ mod tests {
             SnapshotError::UnsupportedVersion { found: 99 }
         );
 
-        for cut in [3, 11, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             let err = RunSnapshot::decode(&bytes[..cut]).unwrap_err();
             assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
+                matches!(
+                    err,
+                    SnapshotError::Truncated | SnapshotError::ChecksumMismatch { .. }
+                ),
                 "cut at {cut}: {err:?}"
             );
         }
 
-        // Flip one bit in every payload byte position: decode must fail
-        // with a typed error (checksum catches payload damage) and must
-        // never panic.
-        let payload_start = 8 + 4 + 4 + 6 * 24;
-        for pos in payload_start..bytes.len() {
+        // Flip one bit at every position after the header — records,
+        // live part and trailer, lengths included: a checksum catches
+        // each, and decode never panics.
+        for pos in HEADER_LEN..bytes.len() {
             let mut dam = bytes.clone();
             dam[pos] ^= 0x01;
             let err = RunSnapshot::decode(&dam).unwrap_err();
@@ -2057,6 +2744,75 @@ mod tests {
             );
         }
         assert!(RunSnapshot::decode(&bytes).is_ok(), "pristine still loads");
+    }
+
+    #[test]
+    fn non_canonical_layouts_are_typed_errors() {
+        let bytes = sample_snapshot().encode();
+        let (records, live) = split(&bytes);
+        let reject = |records: &[Vec<u8>], live: &[u8]| {
+            RunSnapshot::decode(&assemble(records, live)).unwrap_err()
+        };
+        // Record 0 ends with its two entries: (position, key, start,
+        // finish), 28 bytes each.
+        let entry = |record: &[u8], i: usize| record.len() - (2 - i) * 28;
+
+        let mut swapped = records.clone();
+        let (a, b) = (entry(&swapped[0], 0), entry(&swapped[0], 1));
+        let (pa, pb) = (swapped[0][a], swapped[0][b]);
+        swapped[0][a] = pb;
+        swapped[0][b] = pa;
+        assert_eq!(
+            reject(&swapped, &live),
+            SnapshotError::Malformed("schedule positions out of order")
+        );
+
+        let mut misfiled = records.clone();
+        let at = entry(&misfiled[0], 1) + 4;
+        misfiled[0][at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            reject(&misfiled, &live),
+            SnapshotError::Malformed("schedule entry filed under the wrong kernel")
+        );
+
+        let mut repeated = records.clone();
+        let at = entry(&repeated[0], 1);
+        repeated[0][at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            reject(&repeated, &live),
+            SnapshotError::Malformed("schedule position repeated")
+        );
+
+        assert_eq!(
+            reject(&records[..1], &live),
+            SnapshotError::Malformed("history record count differs from the retired count")
+        );
+
+        let mut padded = records.clone();
+        padded[1].push(0);
+        assert_eq!(
+            reject(&padded, &live),
+            SnapshotError::Malformed("trailing bytes in section")
+        );
+
+        let mut long_live = live.clone();
+        long_live.push(0);
+        assert_eq!(
+            reject(&records, &long_live),
+            SnapshotError::Malformed("trailing bytes after the live part")
+        );
+
+        // Bytes after the trailer move where the trailer is read from.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(matches!(
+            RunSnapshot::decode(&trailing).unwrap_err(),
+            SnapshotError::ChecksumMismatch { .. }
+        ));
+
+        assert_eq!(RunSnapshot::decode(&assemble(&records, &live)).unwrap(), {
+            RunSnapshot::decode(&bytes).unwrap()
+        });
     }
 
     #[test]
@@ -2217,13 +2973,183 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Three snapshots that share prefixes the way a run's do, so the
+    /// second and third saves append. Appends need the file identity that
+    /// `file_id` reads only on Unix, so tests that count them run there.
+    fn growing_snapshots() -> [Vec<u8>; 3] {
+        let first: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let mut second = first[..900].to_vec();
+        second.extend((0..200u32).map(|i| (i % 13) as u8));
+        let mut third = second[..1000].to_vec();
+        third.extend((0..150u32).map(|i| (i % 7) as u8));
+        [first, second, third]
+    }
+
+    /// A store in a fresh temp directory for test `name`.
+    fn temp_store(name: &str) -> (PathBuf, DirStore) {
+        let dir = std::env::temp_dir().join(format!("bmlog-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DirStore::new(&dir);
+        (dir, store)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dir_store_appends_with_one_file_fsync_and_rewrites_with_two() {
+        let (dir, mut store) = temp_store("syncs");
+        let [a, b, c] = growing_snapshots();
+        store.save(&a).unwrap();
+        assert_eq!(
+            store.syncs,
+            FsyncStats {
+                file_syncs: 1,
+                dir_syncs: 1
+            }
+        );
+        store.save(&b).unwrap();
+        store.save(&c).unwrap();
+        assert_eq!(
+            store.syncs,
+            FsyncStats {
+                file_syncs: 3,
+                dir_syncs: 1
+            },
+            "appends fsync the file only"
+        );
+        let log_len = std::fs::metadata(store.path()).unwrap().len() as usize;
+        let full = LOG_MAGIC.len() + LOG_RECORD_HEADER;
+        assert_eq!(
+            log_len,
+            full + a.len() + 2 * LOG_RECORD_HEADER + (b.len() - 900) + (c.len() - 1000),
+            "each append writes only the changed suffix"
+        );
+        assert_eq!(store.load().unwrap().unwrap(), c);
+        // A fresh store (or a fresh process) reads the same log.
+        assert_eq!(DirStore::new(&dir).load().unwrap().unwrap(), c);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dir_store_torn_final_record_loads_the_previous_snapshot() {
+        let (dir, mut store) = temp_store("torn");
+        let [a, b, c] = growing_snapshots();
+        for s in [&a, &b, &c] {
+            store.save(s).unwrap();
+        }
+        let log = std::fs::read(store.path()).unwrap();
+        let last = log.len() - (LOG_RECORD_HEADER + c.len() - 1000);
+        for cut in last..log.len() {
+            std::fs::write(store.path(), &log[..cut]).unwrap();
+            let mut reader = DirStore::new(&dir);
+            assert_eq!(reader.load().unwrap().unwrap(), b, "cut at {cut}");
+            // Torn bytes are never appended to: the next save rewrites
+            // unless the cut fell exactly on the record boundary.
+            reader.save(&c).unwrap();
+            assert_eq!(
+                reader.syncs.dir_syncs,
+                u32::from(cut > last),
+                "cut at {cut}"
+            );
+            assert_eq!(DirStore::new(&dir).load().unwrap().unwrap(), c);
+        }
+        // A log cut inside its only record has nothing to resume from.
+        std::fs::write(store.path(), &log[..LOG_MAGIC.len() + 10]).unwrap();
+        assert_eq!(
+            DirStore::new(&dir).load().unwrap_err(),
+            SnapshotError::Truncated
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_store_any_flipped_byte_is_a_typed_error() {
+        let (dir, mut store) = temp_store("flip");
+        let [a, b, c] = growing_snapshots();
+        for s in [&a, &b, &c] {
+            store.save(s).unwrap();
+        }
+        let log = std::fs::read(store.path()).unwrap();
+        for pos in 0..log.len() {
+            let mut dam = log.clone();
+            dam[pos] ^= 0x01;
+            std::fs::write(store.path(), &dam).unwrap();
+            let err = DirStore::new(&dir).load().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::BadMagic | SnapshotError::ChecksumMismatch { .. }
+                ),
+                "flip at {pos}: {err:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dir_store_compaction_keeps_load_identical() {
+        let (dir, mut store) = temp_store("compact");
+        let [a, b, _] = growing_snapshots();
+        // Alternating saves append until the log outgrows the bound, then
+        // one save rewrites it.
+        let mut saves = 0;
+        while store.syncs.dir_syncs < 2 {
+            let s = if saves % 2 == 0 { &a } else { &b };
+            store.save(s).unwrap();
+            saves += 1;
+            assert_eq!(store.load().unwrap().unwrap(), *s, "save {saves}");
+        }
+        let log_len = std::fs::metadata(store.path()).unwrap().len();
+        let latest = if saves % 2 == 1 { &a } else { &b };
+        assert_eq!(
+            log_len as usize,
+            LOG_MAGIC.len() + LOG_RECORD_HEADER + latest.len(),
+            "a compaction leaves one full record"
+        );
+        assert!(saves > 3, "appends ran before the compaction");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dir_store_rewrites_a_file_replaced_behind_its_back() {
+        let (dir, mut store) = temp_store("replaced");
+        let [a, b, c] = growing_snapshots();
+        store.save(&a).unwrap();
+        store.save(&b).unwrap();
+        assert_eq!(store.syncs.dir_syncs, 1);
+        // Another writer replaces the log with its own copy of it.
+        let copy = std::fs::read(store.path()).unwrap();
+        atomic_write(store.path(), &copy).unwrap();
+        store.save(&c).unwrap();
+        assert_eq!(store.syncs.dir_syncs, 2, "a replaced file is rewritten");
+        assert_eq!(DirStore::new(&dir).load().unwrap().unwrap(), c);
+        // So is one that grew.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(store.path())
+            .unwrap();
+        std::io::Write::write_all(&mut f, b"x").unwrap();
+        store.save(&b).unwrap();
+        assert_eq!(
+            store.syncs.dir_syncs, 3,
+            "a file of another length is rewritten"
+        );
+        assert_eq!(DirStore::new(&dir).load().unwrap().unwrap(), b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn manifest_reports_sections_and_round_trips() {
         let bytes = sample_snapshot().encode();
         let doc = manifest(&bytes).unwrap();
         let text = doc.to_string();
-        assert!(text.contains("\"magic\":\"BMSNAP02\""));
+        let magic = String::from_utf8_lossy(MAGIC);
+        assert!(text.contains(&format!("\"magic\":\"{magic}\"")));
         assert!(text.contains("\"name\":\"engine\""));
+        assert!(text.contains("\"history\":{\"bytes\":"));
+        assert!(text.contains("\"records\":2"));
         let reparsed = bm_trace::json::parse(&text).unwrap();
         assert_eq!(reparsed.to_string(), text);
         let mut dam = bytes;

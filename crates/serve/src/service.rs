@@ -24,7 +24,7 @@
 //!
 //! Worker panics are contained with `catch_unwind`: the panicked
 //! attempt's engine state unwinds and is disposed; only the checkpoint
-//! store (whole snapshots, saved atomically at boundaries) survives into
+//! store (the latest whole snapshot, saved at a boundary) survives into
 //! the retry, so a crashed-then-retried request is bit-identical to an
 //! uninterrupted one. Nothing request-scoped outlives the request, so a
 //! reused worker cannot leak state across requests.
@@ -36,7 +36,7 @@ use crate::retry::RetryPolicy;
 use blockmaestro::ExecMode;
 use blockmaestro::{
     app_fingerprint, AnalysisBudget, BmError, CheckpointPolicy, CheckpointSession, EngineError,
-    FaultPlan, MemStore, RunReport, RunSpec,
+    FaultPlan, RunReport, RunSpec, SnapshotError, SnapshotStore,
 };
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
@@ -50,6 +50,24 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// A request's checkpoint store: retries resume from the latest snapshot
+/// and nothing older is ever loaded, so only the latest is kept.
+#[derive(Default)]
+struct LatestStore(Option<Vec<u8>>);
+
+impl SnapshotStore for LatestStore {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let latest = self.0.get_or_insert_with(Vec::new);
+        latest.clear();
+        latest.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn load(&mut self) -> Result<Option<Vec<u8>>, SnapshotError> {
+        Ok(self.0.clone())
+    }
+}
 
 /// Service-level tuning.
 #[derive(Debug, Clone)]
@@ -543,7 +561,7 @@ fn process(shared: &Shared, worker: u32, job: &Job) -> RunOutcome {
     let max_attempts = 1 + req.max_retries.unwrap_or(shared.scfg.retry.max_retries);
     // Request-scoped: dropped with the request, so nothing leaks into the
     // worker's next job.
-    let mut store = MemStore::default();
+    let mut store = LatestStore::default();
     let mut attempt = 0u32;
     let outcome = loop {
         attempt += 1;

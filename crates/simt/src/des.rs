@@ -208,6 +208,48 @@ pub struct DesCheckpoint {
     pub stats: DesStats,
 }
 
+impl DesCheckpoint {
+    /// The image as a [`DesView`] that borrows its per-SM counts and
+    /// statistics.
+    pub fn view(&self) -> DesView<'_> {
+        DesView {
+            sms: self.sms.clone(),
+            events: self.events.clone(),
+            seq: self.seq,
+            now: self.now,
+            running: self.running,
+            last_t: self.last_t,
+            resident: &self.resident,
+            stats: &self.stats,
+        }
+    }
+}
+
+/// Borrowed image of a [`DesEngine`] between steps: the content of a
+/// [`DesCheckpoint`] without copying the resident counts or the schedule,
+/// which grows with the run. The per-SM resources and the in-flight events
+/// are bounded by the GPU's resident-TB slots and are copied, the events
+/// in sorted order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DesView<'a> {
+    /// Per-SM `(free_tbs, free_threads, free_shared)`.
+    pub sms: Vec<(u32, u32, u32)>,
+    /// Pending completion events `(finish, seq, sm, descriptor)`, sorted.
+    pub events: Vec<(u64, u64, u32, TbDescriptor)>,
+    /// Next placement sequence number (heap tie-breaker).
+    pub seq: u64,
+    /// Current simulation time.
+    pub now: u64,
+    /// Thread blocks currently running.
+    pub running: u32,
+    /// Last time the concurrency integral was folded.
+    pub last_t: u64,
+    /// Per-SM resident thread-block counts.
+    pub resident: &'a [u32],
+    /// Statistics accumulated so far (schedule included).
+    pub stats: &'a DesStats,
+}
+
 /// Result of one [`DesEngine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -306,13 +348,30 @@ impl DesEngine {
 
     /// Captures the complete between-steps state.
     pub fn checkpoint(&self) -> DesCheckpoint {
+        let view = self.view();
+        DesCheckpoint {
+            sms: view.sms,
+            events: view.events,
+            seq: view.seq,
+            now: view.now,
+            running: view.running,
+            last_t: view.last_t,
+            resident: view.resident.to_vec(),
+            stats: view.stats.clone(),
+        }
+    }
+
+    /// The between-steps state as a [`DesView`]: what
+    /// [`checkpoint`](DesEngine::checkpoint) copies, with the schedule
+    /// borrowed.
+    pub fn view(&self) -> DesView<'_> {
         let mut events: Vec<(u64, u64, u32, TbDescriptor)> = self
             .heap
             .iter()
             .map(|Reverse((t, s, si, d))| (*t, *s, *si as u32, *d))
             .collect();
         events.sort_unstable();
-        DesCheckpoint {
+        DesView {
             sms: self
                 .sms
                 .iter()
@@ -323,8 +382,8 @@ impl DesEngine {
             now: self.now,
             running: self.running,
             last_t: self.last_t,
-            resident: self.resident.clone(),
-            stats: self.stats.clone(),
+            resident: &self.resident,
+            stats: &self.stats,
         }
     }
 

@@ -24,6 +24,6 @@ pub mod timing;
 pub use config::{GpuConfig, ParallelConfig};
 pub use des::{
     try_run_traced, BoundedOutcome, DeadlockSnapshot, DesCheckpoint, DesEngine, DesError, DesStats,
-    StepOutcome, TbDescriptor, TbKey, TbSource,
+    DesView, StepOutcome, TbDescriptor, TbKey, TbSource,
 };
 pub use timing::{simulate_sm, SmTiming};
