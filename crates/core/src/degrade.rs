@@ -28,9 +28,10 @@
 
 use crate::jit::LaunchProfile;
 use bm_ptx::access::KernelAccess;
-use bm_ptx::kernel::{ArgValue, Launch};
+use bm_ptx::kernel::{ArgValue, Kernel, Launch};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Fuel and size budgets for one launch-time analysis pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,10 +292,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a of the kernel's canonical `Display` form, which round-trips
+/// through the parser, so two kernels printing identically are
+/// semantically identical.
+fn body_hash(kernel: &Kernel) -> u64 {
+    fnv1a(kernel.to_string().as_bytes())
+}
+
 pub(crate) fn key_of(launch: &Launch) -> CacheKey {
-    // The canonical `Display` form round-trips through the parser, so two
-    // kernels printing identically are semantically identical.
-    let body_hash = fnv1a(launch.kernel.to_string().as_bytes());
+    key_with_body(launch, body_hash(&launch.kernel))
+}
+
+/// [`key_of`] for every launch of one analysis run, printing and hashing
+/// each kernel body once: launches of one kernel share its `Arc`.
+pub(crate) fn keys_of(launches: &[&Launch]) -> Vec<CacheKey> {
+    let mut bodies: HashMap<*const Kernel, u64> = HashMap::new();
+    launches
+        .iter()
+        .map(|launch| {
+            let hash = *bodies
+                .entry(Arc::as_ptr(&launch.kernel))
+                .or_insert_with(|| body_hash(&launch.kernel));
+            key_with_body(launch, hash)
+        })
+        .collect()
+}
+
+fn key_with_body(launch: &Launch, body_hash: u64) -> CacheKey {
     let args = launch
         .args
         .iter()
@@ -313,21 +337,25 @@ pub(crate) fn key_of(launch: &Launch) -> CacheKey {
     }
 }
 
-/// [`key_of`] with pointer argument *values* replaced by their argument
-/// position. Launches that differ only in which buffers they address then
-/// share one trace-memo key, which is what lets the representative-TB trace
-/// law amortize across a kernel's repeated launches. Synthesized traces are
-/// still validated bit-for-bit before the key is trusted, so collapsing
-/// pointer identity is safe: a launch whose trace genuinely depends on the
-/// buffer contents fails validation and pins the key to interpretation.
-pub(crate) fn trace_key_of(launch: &Launch) -> CacheKey {
-    let mut key = key_of(launch);
-    for (i, slot) in key.args.iter_mut().enumerate() {
-        if slot.0 == 3 {
-            slot.1 = i as u64;
+impl CacheKey {
+    /// The trace-memo key: this key with pointer argument *values* replaced
+    /// by their argument position. Launches that differ only in which
+    /// buffers they address then share one trace-memo key, which is what
+    /// lets the representative-TB trace law amortize across a kernel's
+    /// repeated launches. Synthesized traces are still validated
+    /// bit-for-bit before the key is trusted, so collapsing pointer
+    /// identity is safe: a launch whose trace genuinely depends on the
+    /// buffer contents fails validation and pins the key to
+    /// interpretation.
+    pub(crate) fn for_trace(&self) -> CacheKey {
+        let mut key = self.clone();
+        for (i, slot) in key.args.iter_mut().enumerate() {
+            if slot.0 == 3 {
+                slot.1 = i as u64;
+            }
         }
+        key
     }
-    key
 }
 
 /// Bounded LRU cache over launch-time analysis results.
@@ -369,11 +397,15 @@ impl AnalysisCache {
 
     /// Looks up the analysis for `launch`, refreshing its LRU position.
     pub fn lookup(&mut self, launch: &Launch) -> Option<CachedAnalysis> {
-        let key = key_of(launch);
-        match self.map.get(&key) {
+        self.lookup_key(&key_of(launch))
+    }
+
+    /// [`AnalysisCache::lookup`] by a precomputed [`key_of`].
+    pub(crate) fn lookup_key(&mut self, key: &CacheKey) -> Option<CachedAnalysis> {
+        match self.map.get(key) {
             Some(hit) => {
                 let hit = hit.clone();
-                self.touch(&key);
+                self.touch(key);
                 self.stats.hits += 1;
                 Some(hit)
             }
@@ -387,7 +419,11 @@ impl AnalysisCache {
     /// Inserts the analysis result for `launch`, evicting the
     /// least-recently-used entry if the cache is full.
     pub fn insert(&mut self, launch: &Launch, value: CachedAnalysis) {
-        let key = key_of(launch);
+        self.insert_key(key_of(launch), value);
+    }
+
+    /// [`AnalysisCache::insert`] under a precomputed [`key_of`].
+    pub(crate) fn insert_key(&mut self, key: CacheKey, value: CachedAnalysis) {
         if self.map.insert(key.clone(), value).is_none() {
             self.order.push(key);
             while self.map.len() > self.capacity {
@@ -545,6 +581,7 @@ mod tests {
 
     #[test]
     fn trace_key_masks_pointer_values_only() {
+        let trace_key_of = |l: &Launch| key_of(l).for_trace();
         let a = trace_key_of(&launch(0x1000, 4));
         let b = trace_key_of(&launch(0x2000, 4));
         assert_eq!(a, b, "pointer value must not split trace-memo keys");
@@ -558,6 +595,30 @@ mod tests {
             key_of(&launch(0x2000, 4)),
             "analysis keys keep pointer identity"
         );
+    }
+
+    #[test]
+    fn run_keys_equal_per_launch_keys() {
+        // Two launches share one kernel `Arc`, a third has its own copy of
+        // the same body, a fourth another body.
+        let other = Arc::new(
+            parse_kernel(".entry k(.param .u64 A) { ld.param.u64 %rd1, [A]; ret; }").unwrap(),
+        );
+        let (a, c) = (launch(0x1000, 4), launch(0x1000, 4));
+        let b = Launch::new(
+            Arc::clone(&a.kernel),
+            Dim3::x(8),
+            Dim3::x(32),
+            vec![ArgValue::Ptr(0x2000)],
+        );
+        let d = Launch::new(other, Dim3::x(4), Dim3::x(32), vec![ArgValue::Ptr(0x1000)]);
+        let launches = [&a, &b, &c, &d];
+        let keys = keys_of(&launches);
+        for (launch, key) in launches.iter().zip(&keys) {
+            assert_eq!(*key, key_of(launch));
+        }
+        assert_eq!(keys[0], keys[2], "equal bodies hash equally");
+        assert_ne!(keys[0].body_hash, keys[3].body_hash);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use bm_simt::config::GpuConfig;
 use bm_simt::timing::simulate_sm;
 
 use crate::degrade::{
-    key_of, trace_key_of, AnalysisBudget, AnalysisCache, CacheKey, CachedAnalysis, CachedGraph,
-    Degradation, DegradationReason, DegradationRung, GraphKey,
+    keys_of, AnalysisBudget, AnalysisCache, CacheKey, CachedAnalysis, CachedGraph, Degradation,
+    DegradationReason, DegradationRung, GraphKey,
 };
 use crate::hw::MAX_COUNTER;
 use bm_trace::{AnalysisPhase, NullTracer, TraceEvent, Tracer};
@@ -98,13 +98,16 @@ pub struct TraceMemoStats {
     pub traces_synthesized: u64,
     /// Trace-memo keys pinned to interpretation by a mismatch or failure.
     pub keys_rejected: u64,
+    /// Interpreted traces timed on the SM model: each distinct
+    /// (representative trace, occupancy) pair once per run.
+    pub traces_timed: u64,
     /// Aggregated lane-law counters across every interpreted trace.
     pub law: TraceLawStats,
 }
 
 /// Cross-launch trace-memoization state for one analysis run.
 ///
-/// Keyed by [`trace_key_of`] — the launch signature with pointer argument
+/// Keyed by [`CacheKey::for_trace`] — the launch signature with pointer argument
 /// *values* collapsed to their positions — so repeated launches of one
 /// kernel over different buffers share an entry. Per key the automaton
 /// interprets the first occurrence (the anchor) and the next two as
@@ -275,6 +278,43 @@ impl TraceMemo {
     }
 }
 
+/// Timing memo for one analysis run. `simulate_sm` is a pure function of
+/// the config and the traces, so under the fast paths each distinct
+/// (representative trace, occupancy) pair is timed once and every later
+/// interpreted launch with that pair reuses its duration. `reference()`
+/// does not consult it and re-times every launch, as the oracle.
+#[derive(Debug, Default)]
+struct TimingMemo {
+    /// Per distinct trace: the `(occupancy, per-TB duration)` pairs timed.
+    durations: HashMap<TbTrace, Vec<(u32, u64)>>,
+    /// Pairs timed so far.
+    timed: u64,
+}
+
+impl TimingMemo {
+    /// [`profile_from_trace`], timing `trace` only on its pair's first use.
+    fn profile(&mut self, cfg: &GpuConfig, launch: &Launch, trace: &TbTrace) -> LaunchProfile {
+        let occ = occupancy(cfg, launch);
+        let known = self
+            .durations
+            .get(trace)
+            .and_then(|ds| ds.iter().find(|&&(o, _)| o == occ));
+        let duration = match known {
+            Some(&(_, d)) => d,
+            None => {
+                let d = sm_duration(cfg, trace, occ);
+                self.timed += 1;
+                self.durations
+                    .entry(trace.clone())
+                    .or_default()
+                    .push((occ, d));
+                d
+            }
+        };
+        launch_profile(launch, trace, duration)
+    }
+}
+
 /// Scratch functional memory built on first use, so warm runs — every
 /// launch served from the analysis cache — never pay for the host-data
 /// copy-in.
@@ -440,16 +480,20 @@ pub(crate) fn analyze_app<T: Tracer>(
     on_error: OnError,
 ) -> Result<(Vec<JitKernel>, TraceMemoStats), PtxError> {
     let launches: Vec<&Launch> = app.launches();
+    let keys = keys_of(&launches);
     let mut scratch = LazyScratch::new(app);
     let mut memo = TraceMemo::new();
+    let mut timings = TimingMemo::default();
     let mut clock = 0u64;
     let analyzed: Vec<Result<Analyzed, PtxError>> = launches
         .iter()
+        .zip(&keys)
         .enumerate()
-        .map(|(seq, launch)| {
+        .map(|(seq, (launch, key))| {
             analyze_launch_ladder(
                 cfg,
                 launch,
+                key,
                 &mut scratch,
                 budget,
                 cache,
@@ -457,25 +501,38 @@ pub(crate) fn analyze_app<T: Tracer>(
                 tracer,
                 &mut clock,
                 seq as u32,
-                &mut memo,
+                (&mut memo, &mut timings),
             )
         })
         .collect();
     let mut out: Vec<JitKernel> = Vec::with_capacity(launches.len());
-    let mut prev: Option<&Launch> = None;
-    for ((seq, launch), result) in launches.iter().enumerate().zip(analyzed) {
+    for (seq, result) in analyzed.into_iter().enumerate() {
         let analyzed = match (result, on_error) {
             (Ok(analyzed), _) => analyzed,
-            (Err(_), OnError::Stub) => invalid_launch_stub(launch),
+            (Err(_), OnError::Stub) => invalid_launch_stub(launches[seq]),
             (Err(e), OnError::Fail) => return Err(e),
         };
+        let prev_key = seq.checked_sub(1).map(|p| &keys[p]);
         push_kernel(
-            &mut out, seq as u32, prev, launch, analyzed, hazard, budget, cache, par, tracer,
+            &mut out,
+            seq as u32,
+            prev_key,
+            launches[seq],
+            &keys[seq],
+            analyzed,
+            hazard,
+            budget,
+            cache,
+            par,
+            tracer,
             &mut clock,
         );
-        prev = Some(launch);
     }
-    Ok((out, memo.stats()))
+    let stats = TraceMemoStats {
+        traces_timed: timings.timed,
+        ..memo.stats()
+    };
+    Ok((out, stats))
 }
 
 /// Scratch functional memory for trace collection. Traces only shape
@@ -512,6 +569,7 @@ pub fn scratch_memory(app: &Application) -> GlobalMem {
 fn analyze_launch_ladder<T: Tracer>(
     cfg: &GpuConfig,
     launch: &Launch,
+    key: &CacheKey,
     scratch: &mut LazyScratch,
     budget: &AnalysisBudget,
     cache: &mut AnalysisCache,
@@ -519,9 +577,9 @@ fn analyze_launch_ladder<T: Tracer>(
     tracer: &T,
     clock: &mut u64,
     seq: u32,
-    memo: &mut TraceMemo,
+    memos: (&mut TraceMemo, &mut TimingMemo),
 ) -> Result<Analyzed, PtxError> {
-    if let Some(hit) = cache.lookup(launch) {
+    if let Some(hit) = cache.lookup_key(key) {
         if T::ENABLED {
             tracer.emit(TraceEvent::CacheProbe {
                 tick: *clock,
@@ -546,7 +604,9 @@ fn analyze_launch_ladder<T: Tracer>(
         });
     }
     let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        compute_analysis(cfg, launch, scratch, budget, par, tracer, clock, seq, memo)
+        compute_analysis(
+            cfg, launch, key, scratch, budget, par, tracer, clock, seq, memos,
+        )
     }));
     let ca = match computed {
         Ok(result) => result?,
@@ -557,7 +617,7 @@ fn analyze_launch_ladder<T: Tracer>(
             panicked_stub(launch)
         }
     };
-    cache.insert(launch, ca.clone());
+    cache.insert_key(key.clone(), ca.clone());
     Ok(Analyzed {
         access: ca.access,
         profile: ca.profile,
@@ -599,13 +659,14 @@ fn worsen_traced<T: Tracer>(
 fn compute_analysis<T: Tracer>(
     cfg: &GpuConfig,
     launch: &Launch,
+    key: &CacheKey,
     scratch: &mut LazyScratch,
     budget: &AnalysisBudget,
     par: &ParallelConfig,
     tracer: &T,
     clock: &mut u64,
     seq: u32,
-    memo: &mut TraceMemo,
+    (memo, timings): (&mut TraceMemo, &mut TimingMemo),
 ) -> Result<CachedAnalysis, PtxError> {
     let mut degradation = Degradation::none();
     let access = analyze_access(launch, budget, par, tracer, clock, seq, &mut degradation)?;
@@ -617,17 +678,19 @@ fn compute_analysis<T: Tracer>(
     let attempt: Result<LaunchProfile, PtxError> = if launch.num_blocks() == 0 {
         Ok(unit_profile(launch))
     } else if par.fast_paths {
-        let key = trace_key_of(launch);
+        let key = key.for_trace();
         if memo.should_interpret(&key) {
-            match try_profile_launch_law(cfg, launch, scratch.get(), budget.trace_steps) {
-                Ok((profile, trace, law)) => {
+            let rep = launch.num_blocks() / 2;
+            match trace_block_law(launch, rep, scratch.get(), budget.trace_steps) {
+                Ok((trace, law)) => {
+                    let profile = timings.profile(cfg, launch, &trace);
                     memo.stats.law.merge(&law);
                     memo.observe(&key, trace, profile.clone());
                     Ok(profile)
                 }
                 Err(e) => {
                     memo.reject(&key);
-                    Err(e)
+                    Err(PtxError::Exec(e))
                 }
             }
         } else {
@@ -791,8 +854,9 @@ fn analyze_access<T: Tracer>(
 fn push_kernel<T: Tracer>(
     out: &mut Vec<JitKernel>,
     seq: u32,
-    prev_launch: Option<&Launch>,
+    prev_key: Option<&CacheKey>,
     launch: &Launch,
+    key: &CacheKey,
     analyzed: Analyzed,
     hazard: HazardMode,
     budget: &AnalysisBudget,
@@ -807,11 +871,11 @@ fn push_kernel<T: Tracer>(
         mut degradation,
         cache_hit,
     } = analyzed;
-    let (graph, over, degree_over) = match (out.last(), prev_launch) {
-        (Some(prev), Some(pl)) => {
+    let (graph, over, degree_over) = match (out.last(), prev_key) {
+        (Some(prev), Some(prev_key)) => {
             let gkey = GraphKey {
-                parent: key_of(pl),
-                child: key_of(launch),
+                parent: prev_key.clone(),
+                child: key.clone(),
                 mode: hazard,
                 max_edges: budget.max_graph_edges,
             };
@@ -1069,20 +1133,32 @@ pub fn try_profile_launch_law(
 
 /// Times one representative-TB trace on one SM at the kernel's occupancy.
 fn profile_from_trace(cfg: &GpuConfig, launch: &Launch, trace: &TbTrace) -> LaunchProfile {
-    let n_tbs = launch.num_blocks();
-    let threads = launch.threads_per_block();
-    let shared_bytes = launch.kernel.shared_bytes;
-    let occ = cfg
-        .occupancy(threads, shared_bytes)
+    let duration = sm_duration(cfg, trace, occupancy(cfg, launch));
+    launch_profile(launch, trace, duration)
+}
+
+/// Co-resident copies of the representative TB the SM model times: the
+/// kernel's occupancy, capped by its grid.
+fn occupancy(cfg: &GpuConfig, launch: &Launch) -> u32 {
+    cfg.occupancy(launch.threads_per_block(), launch.kernel.shared_bytes)
         .max(1)
-        .min(n_tbs.max(1));
+        .min(launch.num_blocks().max(1))
+}
+
+/// Per-TB duration of `occ` co-resident copies of `trace` on one SM.
+fn sm_duration(cfg: &GpuConfig, trace: &TbTrace, occ: u32) -> u64 {
     let traces: Vec<&TbTrace> = (0..occ).map(|_| trace).collect();
-    let timing = simulate_sm(cfg, &traces);
+    simulate_sm(cfg, &traces).per_tb_duration()
+}
+
+/// The profile of `launch` whose representative trace is `trace`, timed
+/// at `duration` cycles per TB.
+fn launch_profile(launch: &Launch, trace: &TbTrace, duration: u64) -> LaunchProfile {
     LaunchProfile {
-        n_tbs,
-        threads,
-        shared_bytes,
-        duration: timing.per_tb_duration(),
+        n_tbs: launch.num_blocks(),
+        threads: launch.threads_per_block(),
+        shared_bytes: launch.kernel.shared_bytes,
+        duration,
         txns_per_tb: trace.global_transactions,
     }
 }

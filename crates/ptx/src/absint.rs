@@ -34,11 +34,18 @@ const MAX_ACCESS_SPAN: i128 = 1 << 42;
 const AFFINE_MIN_TBS: u32 = 24;
 
 /// An abstract register value: an interval plus a "derived from a loaded
-/// value" taint bit.
+/// value" taint bit, offset by a coefficient in `%ctaid.x`. For thread
+/// block `x` the value lies in `coef·x + iv`. The coefficient is nonzero
+/// only in the affine law's translation certificate ([`Env::ctaid_sym`]);
+/// every per-TB, group and union-check run keeps it 0, where a value is
+/// just its interval. It fits in the struct's padding, so a value is no
+/// larger than its interval and taint alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbsVal {
-    /// Possible integer values.
+    /// Possible integer values (offsets from `coef·x` when `coef != 0`).
     pub iv: Interval,
+    /// Coefficient in `%ctaid.x`; 0 outside the translation certificate.
+    pub coef: i64,
     /// Whether the value (possibly) derives from a memory load.
     pub taint: bool,
 }
@@ -47,12 +54,14 @@ impl AbsVal {
     /// Unknown, untainted value.
     pub const TOP: AbsVal = AbsVal {
         iv: Interval::TOP,
+        coef: 0,
         taint: false,
     };
 
     /// Unknown value derived from a load.
     pub const TAINTED: AbsVal = AbsVal {
         iv: Interval::TOP,
+        coef: 0,
         taint: true,
     };
 
@@ -60,29 +69,104 @@ impl AbsVal {
     pub fn point(v: i128) -> Self {
         AbsVal {
             iv: Interval::point(v),
+            coef: 0,
             taint: false,
         }
     }
 
-    fn hull(&self, o: &AbsVal) -> AbsVal {
+    /// An interval-only value with the given taint.
+    fn of(iv: Interval, taint: bool) -> Self {
+        AbsVal { iv, coef: 0, taint }
+    }
+
+    /// The value as a plain interval over every block `x` in `span`
+    /// (the identity when `coef` is 0).
+    fn collapse(&self, span: &Interval) -> AbsVal {
+        if self.coef == 0 {
+            return *self;
+        }
+        let iv = self.iv.add(&Interval::point(self.coef as i128).mul(span));
+        AbsVal::of(iv, self.taint)
+    }
+
+    /// Join (hull, or widening) of two values. Unequal coefficients
+    /// collapse both sides over `span` first.
+    fn join(&self, o: &AbsVal, span: &Interval, widen: bool) -> AbsVal {
+        if self.coef == o.coef {
+            self.join_aligned(o, widen)
+        } else {
+            self.collapse(span).join_aligned(&o.collapse(span), widen)
+        }
+    }
+
+    /// [`AbsVal::join`] of two values with equal coefficients.
+    fn join_aligned(&self, o: &AbsVal, widen: bool) -> AbsVal {
         AbsVal {
-            iv: self.iv.hull(&o.iv),
+            iv: if widen {
+                self.iv.widen(&o.iv)
+            } else {
+                self.iv.hull(&o.iv)
+            },
+            coef: self.coef,
             taint: self.taint || o.taint,
         }
     }
 
-    fn widen(&self, o: &AbsVal) -> AbsVal {
-        AbsVal {
-            iv: self.iv.widen(&o.iv),
-            taint: self.taint || o.taint,
+    /// An interval operation on the collapsed operands; the result carries
+    /// no coefficient.
+    fn binop(
+        f: impl Fn(&Interval, &Interval) -> Interval,
+        a: &AbsVal,
+        b: &AbsVal,
+        span: &Interval,
+    ) -> AbsVal {
+        let (a, b) = (a.collapse(span), b.collapse(span));
+        AbsVal::of(f(&a.iv, &b.iv), a.taint || b.taint)
+    }
+
+    /// `a + b`: coefficients add with checked arithmetic, collapsing on
+    /// overflow.
+    fn add(a: &AbsVal, b: &AbsVal, span: &Interval) -> AbsVal {
+        match a.coef.checked_add(b.coef) {
+            Some(coef) => AbsVal {
+                iv: a.iv.add(&b.iv),
+                coef,
+                taint: a.taint || b.taint,
+            },
+            None => AbsVal::binop(Interval::add, a, b, span),
         }
     }
 
-    fn binop(f: impl Fn(&Interval, &Interval) -> Interval, a: &AbsVal, b: &AbsVal) -> AbsVal {
-        AbsVal {
-            iv: f(&a.iv, &b.iv),
-            taint: a.taint || b.taint,
+    /// `a - b`: coefficients subtract with checked arithmetic, collapsing
+    /// on overflow.
+    fn sub(a: &AbsVal, b: &AbsVal, span: &Interval) -> AbsVal {
+        match a.coef.checked_sub(b.coef) {
+            Some(coef) => AbsVal {
+                iv: a.iv.sub(&b.iv),
+                coef,
+                taint: a.taint || b.taint,
+            },
+            None => AbsVal::binop(Interval::sub, a, b, span),
         }
+    }
+
+    /// `a * b`: a coefficient survives multiplication by a constant.
+    fn mul(a: &AbsVal, b: &AbsVal, span: &Interval) -> AbsVal {
+        let scaled = |v: &AbsVal, k: &AbsVal| {
+            let k_val = k.iv.as_point().filter(|_| k.coef == 0)?;
+            let coef = v.coef.checked_mul(i64::try_from(k_val).ok()?)?;
+            Some(AbsVal {
+                iv: v.iv.mul(&k.iv),
+                coef,
+                taint: v.taint || k.taint,
+            })
+        };
+        if a.coef == 0 && b.coef == 0 {
+            return AbsVal::binop(Interval::mul, a, b, span);
+        }
+        scaled(a, b)
+            .or_else(|| scaled(b, a))
+            .unwrap_or_else(|| AbsVal::binop(Interval::mul, a, b, span))
     }
 }
 
@@ -117,9 +201,19 @@ impl AbsState {
     }
 
     /// Joins `other` into `self`; returns whether anything changed.
-    fn join(&mut self, other: &AbsState, widen: bool) -> bool {
+    /// Coefficients that disagree collapse over the span `env.bx`. Only the
+    /// translation certificate carries any, so every other run joins the
+    /// intervals alone.
+    fn join(&mut self, other: &AbsState, widen: bool, env: &Env) -> bool {
+        if env.ctaid_sym {
+            self.join_with(other, |a, b| a.join(b, &env.bx, widen))
+        } else {
+            self.join_with(other, |a, b| a.join_aligned(b, widen))
+        }
+    }
+
+    fn join_with(&mut self, other: &AbsState, comb: impl Fn(&AbsVal, &AbsVal) -> AbsVal) -> bool {
         let mut changed = false;
-        let comb = |a: &AbsVal, b: &AbsVal| if widen { a.widen(b) } else { a.hull(b) };
         for (a, b) in self.r32.iter_mut().zip(&other.r32) {
             let n = comb(a, b);
             if n != *a {
@@ -160,15 +254,13 @@ impl AbsState {
         match r.class {
             RegClass::R32 => self.r32[r.idx as usize],
             RegClass::R64 => self.r64[r.idx as usize],
-            RegClass::F32 => AbsVal {
-                iv: Interval::TOP,
-                taint: self.f32_taint[r.idx as usize],
-            },
+            RegClass::F32 => AbsVal::of(Interval::TOP, self.f32_taint[r.idx as usize]),
             RegClass::Pred => self.pred[r.idx as usize],
         }
     }
 
-    fn set(&mut self, r: Reg, v: AbsVal, weak: bool) {
+    /// Writes `v` to `r`; a `weak` (guarded) write joins with the old value.
+    fn set(&mut self, r: Reg, v: AbsVal, weak: bool, span: &Interval) {
         // Any write invalidates predicate definitions that mention `r`.
         for d in self.pred_defs.iter_mut() {
             if let Some(def) = d {
@@ -195,35 +287,58 @@ impl AbsState {
                 return;
             }
         };
-        *slot = if weak { slot.hull(&v) } else { v };
+        *slot = if weak { slot.join(&v, span, false) } else { v };
     }
 }
 
 /// Launch-time environment for one thread block — or, for the coarse
-/// group-level analysis, for a *range* of thread blocks: `bx`/`by` are
-/// intervals, a point interval for the precise per-TB analysis and a span
-/// covering a whole block group for the degraded analysis rung.
+/// group-level analysis and the affine law's certificates, for a *range*
+/// of thread blocks: `bx`/`by` are intervals, a point interval for the
+/// precise per-TB analysis and a span covering several blocks otherwise.
 #[derive(Debug, Clone, Copy)]
 struct Env<'a> {
     launch: &'a Launch,
     bx: Interval,
     by: Interval,
+    /// Whether `%ctaid.x` enters as the symbol `1·x` (the translation
+    /// certificate) instead of as the interval `bx`. `bx` is then the span
+    /// `x` ranges over, which a collapsing value is hulled across.
+    ctaid_sym: bool,
 }
 
 impl Env<'_> {
-    fn special(&self, s: Special) -> Interval {
+    /// Environment of one thread block, `ctaid` pinned to its coordinates.
+    fn block(launch: &Launch, tb: u32) -> Env<'_> {
+        let (bx, by) = launch.block_coords(tb);
+        Env {
+            launch,
+            bx: Interval::point(bx as i128),
+            by: Interval::point(by as i128),
+            ctaid_sym: false,
+        }
+    }
+
+    fn special(&self, s: Special) -> AbsVal {
         let b = self.launch.block;
         let g = self.launch.grid;
-        match s {
+        let iv = match s {
             Special::TidX => Interval::new(0, b.x as i128 - 1),
             Special::TidY => Interval::new(0, b.y as i128 - 1),
             Special::NtidX => Interval::point(b.x as i128),
             Special::NtidY => Interval::point(b.y as i128),
+            Special::CtaidX if self.ctaid_sym => {
+                return AbsVal {
+                    iv: Interval::point(0),
+                    coef: 1,
+                    taint: false,
+                }
+            }
             Special::CtaidX => self.bx,
             Special::CtaidY => self.by,
             Special::NctaidX => Interval::point(g.x as i128),
             Special::NctaidY => Interval::point(g.y as i128),
-        }
+        };
+        AbsVal::of(iv, false)
     }
 
     fn eval(&self, st: &AbsState, o: &Operand) -> AbsVal {
@@ -231,122 +346,50 @@ impl Env<'_> {
             Operand::Reg(r) => st.get(*r),
             Operand::ImmI(v) => AbsVal::point(*v as i128),
             Operand::ImmF(_) => AbsVal::TOP,
-            Operand::Special(s) => AbsVal {
-                iv: self.special(*s),
-                taint: false,
-            },
+            Operand::Special(s) => self.special(*s),
         }
     }
 }
 
 fn transfer(env: &Env, st: &mut AbsState, inst: &Inst) {
     let weak = inst.guard.is_some();
-    let ev = |st: &AbsState, o: &Operand| env.eval(st, o);
-    match &inst.op {
-        Op::Mov { dst, src } | Op::Cvt { dst, src } => {
-            let v = ev(st, src);
-            st.set(*dst, v, weak);
-        }
+    let span = &env.bx;
+    let ev = |o: &Operand| env.eval(st, o);
+    let float = |taint: bool| AbsVal::of(Interval::TOP, taint);
+    let (dst, v) = match &inst.op {
+        Op::Mov { dst, src } | Op::Cvt { dst, src } => (*dst, ev(src)),
         Op::Int { op, dst, a, b, .. } => {
-            let (x, y) = (ev(st, a), ev(st, b));
-            let iv = match op {
-                IntOp::Add => AbsVal::binop(Interval::add, &x, &y),
-                IntOp::Sub => AbsVal::binop(Interval::sub, &x, &y),
-                IntOp::Mul => AbsVal::binop(Interval::mul, &x, &y),
-                IntOp::Div => AbsVal::binop(Interval::div, &x, &y),
-                IntOp::Rem => AbsVal::binop(Interval::rem, &x, &y),
-                IntOp::Min => AbsVal::binop(Interval::min_op, &x, &y),
-                IntOp::Max => AbsVal::binop(Interval::max_op, &x, &y),
-                IntOp::And => AbsVal::binop(Interval::and, &x, &y),
-                IntOp::Or => AbsVal::binop(Interval::or, &x, &y),
-                IntOp::Xor => AbsVal::binop(Interval::xor, &x, &y),
-                IntOp::Shl => AbsVal::binop(Interval::shl, &x, &y),
-                IntOp::Shr => AbsVal::binop(Interval::shr, &x, &y),
+            let (x, y) = (ev(a), ev(b));
+            let v = match op {
+                IntOp::Add => AbsVal::add(&x, &y, span),
+                IntOp::Sub => AbsVal::sub(&x, &y, span),
+                IntOp::Mul => AbsVal::mul(&x, &y, span),
+                IntOp::Div => AbsVal::binop(Interval::div, &x, &y, span),
+                IntOp::Rem => AbsVal::binop(Interval::rem, &x, &y, span),
+                IntOp::Min => AbsVal::binop(Interval::min_op, &x, &y, span),
+                IntOp::Max => AbsVal::binop(Interval::max_op, &x, &y, span),
+                IntOp::And => AbsVal::binop(Interval::and, &x, &y, span),
+                IntOp::Or => AbsVal::binop(Interval::or, &x, &y, span),
+                IntOp::Xor => AbsVal::binop(Interval::xor, &x, &y, span),
+                IntOp::Shl => AbsVal::binop(Interval::shl, &x, &y, span),
+                IntOp::Shr => AbsVal::binop(Interval::shr, &x, &y, span),
             };
-            st.set(*dst, iv, weak);
+            (*dst, v)
         }
         Op::Mad { dst, a, b, c, .. } | Op::MadWide { dst, a, b, c } => {
-            let v = AbsVal::binop(
-                Interval::add,
-                &AbsVal::binop(Interval::mul, &ev(st, a), &ev(st, b)),
-                &ev(st, c),
-            );
-            st.set(*dst, v, weak);
+            let prod = AbsVal::mul(&ev(a), &ev(b), span);
+            (*dst, AbsVal::add(&prod, &ev(c), span))
         }
-        Op::MulWide { dst, a, b } => {
-            let v = AbsVal::binop(Interval::mul, &ev(st, a), &ev(st, b));
-            st.set(*dst, v, weak);
-        }
-        Op::Float { dst, a, b, .. } => {
-            let t = ev(st, a).taint || ev(st, b).taint;
-            st.set(
-                *dst,
-                AbsVal {
-                    iv: Interval::TOP,
-                    taint: t,
-                },
-                weak,
-            );
-        }
-        Op::Fma { dst, a, b, c } => {
-            let t = ev(st, a).taint || ev(st, b).taint || ev(st, c).taint;
-            st.set(
-                *dst,
-                AbsVal {
-                    iv: Interval::TOP,
-                    taint: t,
-                },
-                weak,
-            );
-        }
-        Op::Sqrt { dst, a } => {
-            let t = ev(st, a).taint;
-            st.set(
-                *dst,
-                AbsVal {
-                    iv: Interval::TOP,
-                    taint: t,
-                },
-                weak,
-            );
-        }
-        Op::Setp { cmp, dst, a, b, .. } => {
-            let t = ev(st, a).taint || ev(st, b).taint;
-            st.set(
-                *dst,
-                AbsVal {
-                    iv: Interval::new(0, 1),
-                    taint: t,
-                },
-                weak,
-            );
-            if !weak && !t {
-                st.pred_defs[dst.idx as usize] = Some(PredDef {
-                    cmp: *cmp,
-                    a: *a,
-                    b: *b,
-                });
-            }
-        }
-        Op::SetpF { dst, a, b, .. } => {
-            let t = ev(st, a).taint || ev(st, b).taint;
-            st.set(
-                *dst,
-                AbsVal {
-                    iv: Interval::new(0, 1),
-                    taint: t,
-                },
-                weak,
-            );
-        }
-        Op::Selp { dst, a, b, .. } => {
-            let v = ev(st, a).hull(&ev(st, b));
-            st.set(*dst, v, weak);
-        }
-        Op::Ld { dst, .. } => {
-            st.set(*dst, AbsVal::TAINTED, weak);
-        }
-        Op::St { .. } => {}
+        Op::MulWide { dst, a, b } => (*dst, AbsVal::mul(&ev(a), &ev(b), span)),
+        Op::Float { dst, a, b, .. } => (*dst, float(ev(a).taint || ev(b).taint)),
+        Op::Fma { dst, a, b, c } => (*dst, float(ev(a).taint || ev(b).taint || ev(c).taint)),
+        Op::Sqrt { dst, a } => (*dst, float(ev(a).taint)),
+        Op::Setp { dst, a, b, .. } | Op::SetpF { dst, a, b, .. } => (
+            *dst,
+            AbsVal::of(Interval::new(0, 1), ev(a).taint || ev(b).taint),
+        ),
+        Op::Selp { dst, a, b, .. } => (*dst, ev(a).join(&ev(b), span, false)),
+        Op::Ld { dst, .. } => (*dst, AbsVal::TAINTED),
         Op::LdParam { dst, param } => {
             let v = match env.launch.args[*param as usize] {
                 ArgValue::U32(v) => AbsVal::point(v as i128),
@@ -354,41 +397,46 @@ fn transfer(env: &Env, st: &mut AbsState, inst: &Inst) {
                 ArgValue::Ptr(v) => AbsVal::point(v as i128),
                 ArgValue::F32(_) => AbsVal::TOP,
             };
-            st.set(*dst, v, weak);
+            (*dst, v)
         }
-        Op::Bra { .. } | Op::Bar | Op::Ret => {}
+        Op::St { .. } | Op::Bra { .. } | Op::Bar | Op::Ret => return,
+    };
+    st.set(dst, v, weak, span);
+    if let Op::Setp { cmp, dst, a, b, .. } = &inst.op {
+        if !weak && !v.taint {
+            st.pred_defs[dst.idx as usize] = Some(PredDef {
+                cmp: *cmp,
+                a: *a,
+                b: *b,
+            });
+        }
     }
 }
 
-/// Refines `st` assuming predicate `pred` evaluates to `holds`.
+/// Refines `st` assuming predicate `pred` evaluates to `holds`. Refined
+/// operands collapse to plain intervals over the span first.
 fn refine_by_pred(env: &Env, st: &mut AbsState, pred: Reg, holds: bool) {
     // The predicate value itself is now known.
-    let pv = AbsVal {
-        iv: Interval::point(holds as i128),
-        taint: st.pred[pred.idx as usize].taint,
-    };
+    let pv = AbsVal::of(
+        Interval::point(holds as i128),
+        st.pred[pred.idx as usize].taint,
+    );
     st.pred[pred.idx as usize] = pv;
     let Some(def) = st.pred_defs[pred.idx as usize] else {
         return;
     };
     let cmp = if holds { def.cmp } else { def.cmp.negated() };
-    let bv = env.eval(st, &def.b);
-    let av = env.eval(st, &def.a);
+    let bv = env.eval(st, &def.b).collapse(&env.bx);
+    let av = env.eval(st, &def.a).collapse(&env.bx);
     if let Operand::Reg(r) = def.a {
         if matches!(r.class, RegClass::R32 | RegClass::R64) {
-            let refined = AbsVal {
-                iv: av.iv.refine(cmp, &bv.iv),
-                taint: av.taint,
-            };
+            let refined = AbsVal::of(av.iv.refine(cmp, &bv.iv), av.taint);
             set_no_invalidate(st, r, refined);
         }
     }
     if let Operand::Reg(r) = def.b {
         if matches!(r.class, RegClass::R32 | RegClass::R64) {
-            let refined = AbsVal {
-                iv: bv.iv.refine(cmp.swapped(), &av.iv),
-                taint: bv.taint,
-            };
+            let refined = AbsVal::of(bv.iv.refine(cmp.swapped(), &av.iv), bv.taint);
             set_no_invalidate(st, r, refined);
         }
     }
@@ -458,9 +506,10 @@ pub struct AbsintStats {
     /// Whether the affine hypothesis was attempted for this launch
     /// (1-D grid, enough blocks, fast path enabled).
     pub affine_attempted: bool,
-    /// Whether the affine hypothesis survived sampling and the span-union
-    /// certificate; `attempted && !accepted` means the launch fell back to
-    /// full per-TB interpretation.
+    /// Whether the affine hypothesis survived sampling and one of the span
+    /// certificates (union check or translation certificate);
+    /// `attempted && !accepted` means the launch fell back to full per-TB
+    /// interpretation.
     pub affine_accepted: bool,
 }
 
@@ -580,13 +629,7 @@ fn interp_tb_memo(
     if let Some(a) = memo.get(&tb) {
         return Ok(a.clone());
     }
-    let (bx, by) = launch.block_coords(tb);
-    let env = Env {
-        launch,
-        bx: Interval::point(bx as i128),
-        by: Interval::point(by as i128),
-    };
-    let acc = analyze_span(&env, cfg, counts, fuel)?;
+    let acc = analyze_tb(&Env::block(launch, tb), cfg, counts, fuel)?;
     memo.insert(tb, acc.clone());
     Ok(acc)
 }
@@ -598,14 +641,24 @@ fn interp_tb_memo(
 /// (boundary blocks commonly deviate — clamped stencil edges); fit
 /// per-range deltas from the anchors; interpret a logarithmic sample of
 /// interior blocks and require bit-exact agreement with the prediction;
-/// finally run one *span* analysis with `ctaid.x = [1, n-2]` and require
-/// its (sound, over-approximate) union to be contained in the predicted
-/// union — a certificate that catches kernels special-casing unsampled
-/// blocks, since the span analysis cannot prune their accesses.
+/// finally certify the interior blocks `[1, n-2]` by one of two span
+/// analyses, which catch kernels special-casing unsampled blocks because
+/// a span analysis cannot prune their accesses:
 ///
-/// The residual gap is per-TB *attribution* within the certified union
-/// (two unsampled blocks swapping their slices would pass); the runtime
-/// soundness guard backstops exactly that class.
+/// * the *union check* runs with `ctaid.x = [1, n-2]` and requires its
+///   (sound, over-approximate) access sets to lie inside the union of the
+///   interior blocks' sets;
+/// * when that fails — a law whose blocks leave gaps between their ranges,
+///   which the interval hull covers — the *translation certificate* runs
+///   the same fixpoint with `ctaid.x` as a symbol, values carrying a
+///   coefficient in it, and requires every interior block `x` to have
+///   each access, placed at `x`, inside its own interpreted or synthesized
+///   sets. That is a per-TB guarantee.
+///
+/// The residual gap applies to union-checked launches only: per-TB
+/// *attribution* within the certified union (two unsampled blocks swapping
+/// their slices would pass); the runtime soundness guard backstops exactly
+/// that class.
 fn try_affine(
     launch: &Launch,
     cfg: &Cfg,
@@ -652,13 +705,14 @@ fn try_affine(
             },
         }
     }
-    // Span-union certificate over the interior blocks.
+    // Union check over the interior blocks.
     let env = Env {
         launch,
         bx: Interval::new(1, n as i128 - 2),
         by: Interval::point(0),
+        ctaid_sym: false,
     };
-    let u_span = match analyze_span(&env, cfg, counts, fuel) {
+    let u_span = match analyze_tb(&env, cfg, counts, fuel) {
         Ok(acc) => acc,
         Err(AnalysisCut::OutOfFuel) => return AffineOutcome::OutOfFuel,
         // Span hulls can lose convergence where per-TB points do not;
@@ -678,10 +732,39 @@ fn try_affine(
             .flat_map(|t| t.writes.ranges().to_vec())
             .collect(),
     );
-    if !u_span.reads.is_subset_of(&union_reads) || !u_span.writes.is_subset_of(&union_writes) {
-        return AffineOutcome::Rejected;
+    if u_span.reads.is_subset_of(&union_reads) && u_span.writes.is_subset_of(&union_writes) {
+        return AffineOutcome::Accepted(per_tb);
     }
-    AffineOutcome::Accepted(per_tb)
+    // Translation certificate: the same span analysis with `%ctaid.x`
+    // symbolic, so each access is known as a function of the block.
+    let env = Env {
+        ctaid_sym: true,
+        ..env
+    };
+    let mut accesses = Vec::new();
+    match analyze_span(&env, cfg, counts, fuel, |a| accesses.push(a)) {
+        Ok(()) => {}
+        Err(AnalysisCut::OutOfFuel) => return AffineOutcome::OutOfFuel,
+        Err(AnalysisCut::NonStatic(_)) => return AffineOutcome::Rejected,
+    }
+    if interior_covers(interior, &accesses) {
+        AffineOutcome::Accepted(per_tb)
+    } else {
+        AffineOutcome::Rejected
+    }
+}
+
+/// Whether every interior block `x` (`interior[x - 1]`) has each access of
+/// the translation certificate, placed at `x`, inside its own sets.
+fn interior_covers(interior: &[TbAccess], accesses: &[SpanAccess]) -> bool {
+    interior.iter().zip(1u32..).all(|(t, x)| {
+        accesses.iter().all(|a| {
+            let shift = a.coef as i128 * x as i128;
+            let (s, e) = (a.lo + shift, a.hi + shift);
+            let set = if a.store { &t.writes } else { &t.reads };
+            s >= 0 && e <= u64::MAX as i128 && set.covers(&[(s as u64, e as u64)])
+        })
+    })
 }
 
 /// Analyzes every thread block of `launch`, producing per-TB read/write
@@ -866,13 +949,7 @@ fn analyze_launch_fueled_par_unchecked(
             per_tb.push(acc.clone());
             continue;
         }
-        let (bx, by) = launch.block_coords(tb);
-        let env = Env {
-            launch,
-            bx: Interval::point(bx as i128),
-            by: Interval::point(by as i128),
-        };
-        match analyze_span(&env, &cfg, counts, fuel) {
+        match analyze_tb(&Env::block(launch, tb), &cfg, counts, fuel) {
             Ok(acc) => per_tb.push(acc),
             Err(AnalysisCut::OutOfFuel) => return None,
             Err(AnalysisCut::NonStatic(_)) => {
@@ -903,8 +980,13 @@ fn analyze_launch_grouped_unchecked(
     while lo < n {
         let hi = (lo + group_size).min(n) - 1; // inclusive
         let (bx, by) = span_coords(launch, lo, hi);
-        let env = Env { launch, bx, by };
-        match analyze_span(&env, &cfg, counts, fuel) {
+        let env = Env {
+            launch,
+            bx,
+            by,
+            ctaid_sym: false,
+        };
+        match analyze_tb(&env, &cfg, counts, fuel) {
             Ok(acc) => {
                 for _ in lo..=hi {
                     per_tb.push(acc.clone());
@@ -949,34 +1031,60 @@ pub fn analyze_block(
     counts: [usize; 4],
     tb: u32,
 ) -> Result<TbAccess, NonStaticReason> {
-    let (bx, by) = launch.block_coords(tb);
-    let env = Env {
-        launch,
-        bx: Interval::point(bx as i128),
-        by: Interval::point(by as i128),
-    };
     let mut fuel = u64::MAX;
-    analyze_span(&env, cfg, counts, &mut fuel).map_err(|cut| match cut {
+    analyze_tb(&Env::block(launch, tb), cfg, counts, &mut fuel).map_err(|cut| match cut {
         AnalysisCut::NonStatic(r) => r,
         // Unreachable with unbounded fuel.
         AnalysisCut::OutOfFuel => NonStaticReason::NoConvergence,
     })
 }
 
-/// Fixpoint analysis of one `ctaid` span (a single TB when the env holds
-/// point intervals, a block group for the coarse rung). Consumes one unit
-/// of `fuel` per worklist pop.
-fn analyze_span(
+/// One global access found by the collection pass: for thread block `x`,
+/// the bytes `[lo + coef·x, hi + coef·x)`. `coef` is 0 outside the
+/// translation certificate, where the range is absolute.
+#[derive(Debug, Clone, Copy)]
+struct SpanAccess {
+    store: bool,
+    coef: i64,
+    lo: i128,
+    hi: i128,
+}
+
+/// [`analyze_span`] collected into per-TB read/write sets.
+fn analyze_tb(
     env: &Env,
     cfg: &Cfg,
     counts: [usize; 4],
     fuel: &mut u64,
 ) -> Result<TbAccess, AnalysisCut> {
+    let mut acc = TbAccess::default();
+    analyze_span(env, cfg, counts, fuel, |a| {
+        let set = if a.store {
+            &mut acc.writes
+        } else {
+            &mut acc.reads
+        };
+        set.insert(a.lo as u64, a.hi as u64);
+    })?;
+    Ok(acc)
+}
+
+/// Fixpoint analysis of one `ctaid` span (a single TB when the env holds
+/// point intervals, a block group for the coarse rung, the interior blocks
+/// for the affine law's certificates), passing every global access to
+/// `visit`. Consumes one unit of `fuel` per worklist pop.
+fn analyze_span(
+    env: &Env,
+    cfg: &Cfg,
+    counts: [usize; 4],
+    fuel: &mut u64,
+    mut visit: impl FnMut(SpanAccess),
+) -> Result<(), AnalysisCut> {
     let launch = env.launch;
     let body = &launch.kernel.body;
     let nb = cfg.blocks.len();
     if nb == 0 {
-        return Ok(TbAccess::default());
+        return Ok(());
     }
     let mut in_states: Vec<Option<AbsState>> = vec![None; nb];
     let mut out_states: Vec<Option<AbsState>> = vec![None; nb];
@@ -1013,7 +1121,7 @@ fn analyze_span(
             let changed = match &mut in_states[e.to] {
                 Some(cur) => {
                     let widen = join_count[e.to] > WIDEN_AFTER;
-                    cur.join(&es, widen)
+                    cur.join(&es, widen, env)
                 }
                 slot @ None => {
                     *slot = Some(es);
@@ -1049,7 +1157,7 @@ fn analyze_span(
                     }
                     match &mut acc {
                         Some(a) => {
-                            a.join(&es, false);
+                            a.join(&es, false, env);
                         }
                         None => acc = Some(es),
                     }
@@ -1067,8 +1175,7 @@ fn analyze_span(
             }
         }
     }
-    // Collection pass: record every global access range.
-    let mut acc = TbAccess::default();
+    // Collection pass: report every global access range.
     for &b in &cfg.rpo {
         let Some(ins) = &in_states[b] else { continue };
         let mut st = ins.clone();
@@ -1096,29 +1203,33 @@ fn analyze_span(
                 if base.taint {
                     return Err(AnalysisCut::NonStatic(NonStaticReason::TaintedAddress));
                 }
-                let range = base.iv.add(&Interval::point(addr.offset as i128));
-                let (lo, hi) = if range.is_empty() {
+                let offset = Interval::point(addr.offset as i128);
+                let range = base.iv.add(&offset);
+                // Lowest address over the whole span (`range` itself when
+                // the coefficient is 0).
+                let lowest = base.collapse(&env.bx).iv.add(&offset).lo();
+                let (coef, lo, hi) = if range.is_empty() {
                     continue; // guard proves the access never executes
                 } else if range.is_unbounded()
-                    || range.lo() < 0
+                    || lowest < 0
                     || range.hi() - range.lo() > MAX_ACCESS_SPAN
                 {
                     // Static but unboundable: cover all of device memory.
-                    (0u64, u64::MAX)
+                    (0, 0, u64::MAX as i128)
                 } else {
-                    (range.lo() as u64, range.hi() as u64 + ty.bytes())
+                    (base.coef, range.lo(), range.hi() + ty.bytes() as i128)
                 };
-                let is_store = matches!(inst.op, Op::St { .. });
-                if is_store {
-                    acc.writes.insert(lo, hi);
-                } else {
-                    acc.reads.insert(lo, hi);
-                }
+                visit(SpanAccess {
+                    store: matches!(inst.op, Op::St { .. }),
+                    coef,
+                    lo,
+                    hi,
+                });
             }
             transfer(env, &mut st, inst);
         }
     }
-    Ok(acc)
+    Ok(())
 }
 
 #[cfg(test)]

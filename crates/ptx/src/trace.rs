@@ -16,7 +16,7 @@ use std::collections::HashMap;
 pub const SEGMENT_BYTES: u64 = 128;
 
 /// One event in a warp's dynamic execution stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEv {
     /// `n` back-to-back non-memory instructions.
     Compute(u32),
@@ -32,7 +32,7 @@ pub enum TraceEv {
 }
 
 /// Dynamic event stream of one warp.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct WarpTrace {
     /// Events in execution order.
     pub events: Vec<TraceEv>,
@@ -53,7 +53,7 @@ impl WarpTrace {
 }
 
 /// Trace of one thread block: per-warp streams plus summary counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TbTrace {
     /// Per-warp event streams.
     pub warps: Vec<WarpTrace>,

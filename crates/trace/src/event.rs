@@ -241,7 +241,7 @@ pub enum TraceEvent {
         seq: u32,
         /// Whether the hypothesis was attempted at all.
         attempted: bool,
-        /// Whether it survived sampling and the span-union certificate.
+        /// Whether it survived sampling and a span certificate.
         accepted: bool,
         /// Thread blocks fully interpreted.
         interpreted: u32,

@@ -5,9 +5,10 @@
 //! tested elsewhere; this test is about never *missing* an access, which
 //! is what correctness of the dependency graphs rests on.)
 
-use bm_ptx::absint::analyze_launch;
+use bm_ptx::absint::{analyze_launch, try_analyze_launch_fueled_par};
 use bm_ptx::interp::{execute_block, ExecObserver, ThreadId};
 use bm_ptx::isa::Op;
+use bm_ptx::par::ParallelConfig;
 use bm_workloads::{suite, Scale};
 
 #[derive(Default)]
@@ -113,4 +114,35 @@ fn per_tb_sets_are_reasonably_tight() {
             }
         }
     }
+}
+
+/// NW's tile diagonals leave a gap between neighbouring blocks' sets that
+/// only the affine law's translation certificate accepts. Every full-scale
+/// launch with 24, 64 or 128 TBs must take the law, interpreting at most
+/// 20 TBs, and still equal the reference analysis, which interprets all.
+#[test]
+fn nw_tile_diagonals_take_the_affine_law() {
+    let bench = suite().into_iter().find(|b| b.name == "NW").unwrap();
+    let app = (bench.build)(Scale::Full);
+    let analyze = |launch, par: &ParallelConfig| {
+        let mut fuel = u64::MAX;
+        try_analyze_launch_fueled_par(launch, &mut fuel, par)
+            .expect("valid launch")
+            .expect("unbounded fuel")
+    };
+    let mut seen = Vec::new();
+    for launch in app.launches() {
+        let tbs = launch.num_blocks();
+        if ![24, 64, 128].contains(&tbs) {
+            continue;
+        }
+        seen.push(tbs);
+        let (reference, _) = analyze(launch, &ParallelConfig::reference());
+        let (fast, stats) = analyze(launch, &ParallelConfig::serial());
+        assert!(stats.affine_accepted, "NW, {tbs} TBs: {stats:?}");
+        assert!(stats.tbs_interpreted <= 20, "NW, {tbs} TBs: {stats:?}");
+        assert!(fast == reference, "NW, {tbs} TBs: sets diverged");
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, [24, 24, 64, 64, 128], "both sweeps' launches");
 }

@@ -9,14 +9,15 @@
 mod common;
 
 use blockmaestro::{
-    jit_analyze_app_par_stats, AnalysisBudget, AnalysisCache, JitKernel, ParallelConfig,
-    TraceMemoStats,
+    jit_analyze_app_par_stats, scratch_memory, AnalysisBudget, AnalysisCache, JitKernel,
+    ParallelConfig, TraceMemoStats,
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
+use bm_ptx::trace::{trace_block, TbTrace};
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure, Rng};
 use common::{build_random_app, KernelSpec};
@@ -320,4 +321,74 @@ fn content_dependent_traces_reject_the_memo() {
     );
     assert_eq!(jit[0].profile.txns_per_tb, jit[2].profile.txns_per_tb);
     assert_eq!(jit[1].profile.txns_per_tb, jit[3].profile.txns_per_tb);
+}
+
+/// Shifted-map launches whose shifts differ, so every launch has its own
+/// trace-memo key and interprets its trace, while word-aligned shifts
+/// (multiples of 32 elements) give identical traces. The SM model must
+/// time each distinct (trace, occupancy) pair once, and the run must still
+/// equal the reference, which times every launch.
+#[test]
+fn repeated_traces_are_timed_once_per_distinct_pair() {
+    let spec = |k: usize, shift: u32, tbs: u32| KernelSpec {
+        src_buf: k % 3,
+        dst_buf: (k + 1) % 3,
+        shift,
+        tbs,
+    };
+    let plan = [
+        (0, 48),
+        (32, 48),
+        (64, 48),
+        (96, 48),
+        (5, 48),
+        (37, 48),
+        (0, 2),
+    ];
+    let specs: Vec<KernelSpec> = plan
+        .iter()
+        .enumerate()
+        .map(|(k, &(shift, tbs))| spec(k, shift, tbs))
+        .collect();
+    let app = build_random_app(3, &specs);
+    let cfg = GpuConfig::small();
+
+    // The distinct (representative trace, occupancy) pairs, traced directly.
+    let mut mem = scratch_memory(&app);
+    let mut pairs: Vec<(TbTrace, u32)> = Vec::new();
+    for launch in app.launches() {
+        let n = launch.num_blocks();
+        let trace = trace_block(launch, n / 2, &mut mem).unwrap();
+        let occ = cfg
+            .occupancy(launch.threads_per_block(), launch.kernel.shared_bytes)
+            .clamp(1, n);
+        if !pairs.contains(&(trace.clone(), occ)) {
+            pairs.push((trace, occ));
+        }
+    }
+
+    let budget = AnalysisBudget::default();
+    let mut ref_cache = AnalysisCache::for_budget(&budget);
+    let (reference, _) = jit_analyze_app_par_stats(
+        &cfg,
+        &app,
+        HazardMode::Raw,
+        &budget,
+        &mut ref_cache,
+        &ParallelConfig::reference(),
+    );
+    let mut cache = AnalysisCache::for_budget(&budget);
+    let (jit, stats) = jit_analyze_app_par_stats(
+        &cfg,
+        &app,
+        HazardMode::Raw,
+        &budget,
+        &mut cache,
+        &ParallelConfig::serial(),
+    );
+    assert_eq!(jit, reference, "every kernel must equal the reference's");
+    assert_eq!(cache.stats(), ref_cache.stats());
+    assert_eq!(stats.traces_interpreted, plan.len() as u64, "{stats:?}");
+    assert!(pairs.len() < plan.len(), "the plan must repeat a trace");
+    assert_eq!(stats.traces_timed, pairs.len() as u64, "{stats:?}");
 }
