@@ -12,6 +12,15 @@
 //! Each configuration also reports the copy-on-write bytes its trace
 //! phase actually duplicates — the real cost of scratch cloning.
 //!
+//! Every phase runs the code the pipeline runs: the trace phase is
+//! [`trace_phase`], the memoized per-run trace phase of a cold analysis,
+//! which traces only launches whose analysis key is new to the run. Each
+//! phase is timed in pairs, a reference iteration next to an affine one
+//! (alternating which goes first), at least [`MIN_PAIRS`] pairs per phase:
+//! a cell's time is its minimum over the pairs, and a speedup is the
+//! median of the per-pair reference/affine ratios, so a host slowdown
+//! lasting seconds lands on both configs of the pairs it spans.
+//!
 //! Results are printed as a table and written as JSON (schema
 //! `bm-bench/perf_analysis/v2`) to `BENCH_analysis.json` at the
 //! repository root so successive commits can be compared. Run with:
@@ -22,22 +31,23 @@
 //!
 //! With `--gate`, exits nonzero if any configuration falls below 0.9x of
 //! the reference on any phase (ignoring sub-200µs phases, which are noise
-//! at `--small` scale). Suspected violations are re-measured in a tight
-//! reference/candidate interleave before they count, so transient machine
-//! load can't fail CI on its own — the no-regression gate.
+//! at `--small` scale). Suspected violations are re-measured in more pairs
+//! before they count, so transient machine load can't fail CI on its own —
+//! the no-regression gate.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use blockmaestro::jit::try_profile_launch_limited;
+use blockmaestro::jit::trace_phase;
 use blockmaestro::{
-    jit_analyze_app_par_stats, run, scratch_memory, try_profile_launch_law, AnalysisBudget,
-    AnalysisCache, ExecMode, JitKernel, ParallelConfig, RunSpec,
+    jit_analyze_app_par_stats, run, scratch_memory, AnalysisBudget, AnalysisCache, ExecMode,
+    JitKernel, ParallelConfig, RunSpec,
 };
 use bm_bench::{geomean, scale_from_args};
 use bm_cmdq::Application;
 use bm_depgraph::{build_graph_bounded_par, HazardMode};
 use bm_ptx::absint::try_analyze_launch_fueled_par;
+use bm_ptx::mem::GlobalMem;
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
 use bm_workloads::{suite, vectoradd, Scale};
@@ -62,6 +72,9 @@ const GATE_FLOOR_NS: f64 = 200_000.0;
 /// Minimum acceptable speedup vs reference for the `--gate` check.
 const GATE_MIN_RATIO: f64 = 0.9;
 
+/// Reference/affine pairs timed per phase, at least.
+const MIN_PAIRS: usize = 10;
+
 /// One timed iteration of a single phase under `par`, in nanoseconds.
 /// `warm` must have been populated by a prior full analysis under the
 /// same config (only the warm phase reads it).
@@ -74,11 +87,15 @@ fn phase_once(
     phase: usize,
     par: &ParallelConfig,
 ) -> u128 {
+    // The trace phase runs on a fresh initial image, built off the clock.
+    let mut scratch = (phase == 1).then(|| scratch_memory(app));
     let t0 = Instant::now();
     match phase {
         0 => absint_pass(app, budget, par),
         1 => {
-            black_box(trace_pass(gpu, app, budget, par));
+            if let Some(scratch) = &mut scratch {
+                black_box(trace_pass(gpu, app, scratch, budget, par));
+            }
         }
         2 => graph_pass(jit, budget, par),
         3 => {
@@ -106,35 +123,47 @@ fn phase_once(
     t0.elapsed().as_nanos()
 }
 
-/// Minimum wall-clock nanoseconds over repeated runs of one phase: one
-/// warmup call, then as many timed calls as fit in `budget_ms` (at least
-/// 3, at most 1000).
-///
-/// OS noise on a shared box is strictly additive (preemption, cache
-/// pollution), so the minimum is a far more stable estimator of the true
-/// cost than the mean — a single 10x scheduler stall would otherwise skew
-/// an entire phase and trip the regression gate spuriously.
+/// One phase timed in reference/affine pairs after a warmup call of each:
+/// at least [`MIN_PAIRS`] pairs, more while `budget_ms` lasts (at most
+/// 1000). Returns each config's minimum nanoseconds — OS noise on a shared
+/// box is strictly additive, so the minimum is the stabler estimate of a
+/// cost — and the median of the per-pair reference/affine ratios.
 #[allow(clippy::too_many_arguments)]
-fn min_phase_ns(
+fn paired_phase(
     gpu: &GpuConfig,
     app: &Application,
     budget: &AnalysisBudget,
     jit: &[JitKernel],
-    warm: &mut AnalysisCache,
+    warm: &mut [AnalysisCache],
     phase: usize,
-    par: &ParallelConfig,
+    cfgs: &[(&str, ParallelConfig)],
     budget_ms: u64,
-) -> f64 {
-    phase_once(gpu, app, budget, jit, warm, phase, par);
+) -> ([f64; 2], f64) {
+    let mut once = |c: usize| phase_once(gpu, app, budget, jit, &mut warm[c], phase, &cfgs[c].1);
+    once(0);
+    once(1);
     let slice = std::time::Duration::from_millis(budget_ms);
     let start = Instant::now();
-    let mut iters: u32 = 0;
-    let mut best = u128::MAX;
-    while iters < 3 || (start.elapsed() < slice && iters < 1000) {
-        best = best.min(phase_once(gpu, app, budget, jit, warm, phase, par));
-        iters += 1;
+    let mut best = [u128::MAX; 2];
+    let mut ratios = Vec::new();
+    while ratios.len() < MIN_PAIRS || (start.elapsed() < slice && ratios.len() < 1000) {
+        // Alternate which config goes first.
+        let first = ratios.len() % 2;
+        let mut t = [0; 2];
+        for c in [first, 1 - first] {
+            t[c] = once(c);
+            best[c] = best[c].min(t[c]);
+        }
+        ratios.push(t[0] as f64 / (t[1] as f64).max(1.0));
     }
-    best as f64
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median = if ratios.len() % 2 == 0 {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    } else {
+        ratios[mid]
+    };
+    ([best[0] as f64, best[1] as f64], median)
 }
 
 /// One absint pass over every launch of `app` (fresh fuel per launch, no
@@ -146,34 +175,22 @@ fn absint_pass(app: &Application, budget: &AnalysisBudget, par: &ParallelConfig)
     }
 }
 
-/// One representative-TB trace per launch, through the path the given
-/// config takes in the JIT pipeline: the reference interprets every lane
-/// on a shared mutable scratch; fast configs run the warp lane law on
-/// private copy-on-write clones of a shared scratch (which law-hostile
-/// launches mutate directly, like the reference). Returns the CoW bytes
-/// the pass duplicated.
+/// The trace phase of one cold analysis run under `par` on `scratch`, a
+/// fresh initial image, as the pipeline runs it ([`trace_phase`]): the
+/// reference interprets every lane of each new launch's representative TB
+/// on the scratch; the affine config goes through the trace memo, the
+/// timing memo and the warp lane law on copy-on-write clones. Returns the
+/// CoW bytes the pass duplicated.
 fn trace_pass(
     gpu: &GpuConfig,
     app: &Application,
+    scratch: &mut GlobalMem,
     budget: &AnalysisBudget,
     par: &ParallelConfig,
 ) -> u64 {
-    let base = scratch_memory(app);
-    let before = base.cow_copied_bytes();
-    if par.fast_paths {
-        let mut scratch = base.clone();
-        for launch in app.launches() {
-            black_box(try_profile_launch_law(gpu, launch, &mut scratch, budget.trace_steps).ok());
-        }
-    } else {
-        let mut scratch = base.clone();
-        for launch in app.launches() {
-            black_box(
-                try_profile_launch_limited(gpu, launch, &mut scratch, budget.trace_steps).ok(),
-            );
-        }
-    }
-    base.cow_copied_bytes() - before
+    let before = scratch.cow_copied_bytes();
+    black_box(trace_phase(gpu, app, scratch, budget, par));
+    scratch.cow_copied_bytes() - before
 }
 
 /// One dependency-graph build per consecutive kernel pair, from
@@ -192,7 +209,9 @@ fn graph_pass(jit: &[JitKernel], budget: &AnalysisBudget, par: &ParallelConfig) 
 
 struct StageTimes {
     /// `phase_ns[phase][config]`, phases in [`PHASES`] order.
-    phase_ns: Vec<Vec<f64>>,
+    phase_ns: Vec<[f64; 2]>,
+    /// Median paired reference/affine ratio per phase.
+    speedup: Vec<f64>,
     /// CoW bytes duplicated by one trace pass, per config.
     scratch_cow_bytes: Vec<u64>,
 }
@@ -227,28 +246,12 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
             c
         })
         .collect();
-    // Interleave configs across measurement rounds so slow machine drift
-    // (thermal throttling, background load ramping up) lands on every
-    // config instead of systematically penalising whichever one happens
-    // to be measured last. Each (phase, config) cell keeps the minimum
-    // over all rounds.
-    let mut phase_ns: Vec<Vec<f64>> = PHASES
-        .iter()
-        .map(|_| vec![f64::INFINITY; cfgs.len()])
-        .collect();
-    const ROUNDS: u64 = 3;
-    let slice_ms = (budget_ms / ROUNDS).max(1);
-    for _ in 0..ROUNDS {
-        for (ci, (_, par)) in cfgs.iter().enumerate() {
-            for (p, cell) in phase_ns.iter_mut().enumerate() {
-                let t = min_phase_ns(gpu, app, &budget, &jit, &mut warm[ci], p, par, slice_ms);
-                cell[ci] = cell[ci].min(t);
-            }
-        }
-    }
+    let (phase_ns, speedup): (Vec<[f64; 2]>, Vec<f64>) = (0..PHASES.len())
+        .map(|p| paired_phase(gpu, app, &budget, &jit, &mut warm, p, &cfgs, budget_ms))
+        .unzip();
     let scratch_cow_bytes: Vec<u64> = cfgs
         .iter()
-        .map(|(_, par)| trace_pass(gpu, app, &budget, par))
+        .map(|(_, par)| trace_pass(gpu, app, &mut scratch_memory(app), &budget, par))
         .collect();
     let t0 = Instant::now();
     let mut spec = RunSpec {
@@ -262,6 +265,7 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
         kernels: jit.len(),
         times: StageTimes {
             phase_ns,
+            speedup,
             scratch_cow_bytes,
         },
         run_ns,
@@ -269,55 +273,29 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
     }
 }
 
-/// Re-measure a flagged (workload, phase, config) pair in a tight
-/// reference/candidate interleave and return the reference/candidate
-/// ratio.
-///
-/// The main measurement spends seconds per workload, so sustained
-/// background load (another process ramping up mid-run) can bias every
-/// sample of whichever config it overlaps, surviving even min-of-N.
-/// Alternating single iterations back to back exposes both configs to
-/// the same machine state, so only a real regression reproduces here.
-fn recheck_ratio(
-    gpu: &GpuConfig,
-    app: &Application,
-    phase: usize,
-    par_cfg: &ParallelConfig,
-) -> f64 {
+/// Re-measure a flagged workload phase in more pairs (at least
+/// [`MIN_PAIRS`], up to 3 s) and return the median reference/affine ratio.
+fn recheck_ratio(gpu: &GpuConfig, app: &Application, phase: usize) -> f64 {
     let budget = AnalysisBudget::default();
-    let par_ref = ParallelConfig::reference();
+    let cfgs = configs();
     let mut cache = AnalysisCache::for_budget(&budget);
-    let (jit, _) =
-        jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut cache, &par_ref);
-    let mut warm_ref = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut warm_ref, &par_ref);
-    let mut warm_cfg = AnalysisCache::for_budget(&budget);
-    jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut warm_cfg, par_cfg);
-    let deadline = Instant::now() + std::time::Duration::from_secs(3);
-    let (mut best_ref, mut best_cfg) = (u128::MAX, u128::MAX);
-    let mut rounds = 0u32;
-    while rounds < 8 || (Instant::now() < deadline && rounds < 64) {
-        best_ref = best_ref.min(phase_once(
-            gpu,
-            app,
-            &budget,
-            &jit,
-            &mut warm_ref,
-            phase,
-            &par_ref,
-        ));
-        best_cfg = best_cfg.min(phase_once(
-            gpu,
-            app,
-            &budget,
-            &jit,
-            &mut warm_cfg,
-            phase,
-            par_cfg,
-        ));
-        rounds += 1;
-    }
-    best_ref as f64 / (best_cfg as f64).max(1.0)
+    let (jit, _) = jit_analyze_app_par_stats(
+        gpu,
+        app,
+        HazardMode::Raw,
+        &budget,
+        &mut cache,
+        &ParallelConfig::reference(),
+    );
+    let mut warm: Vec<AnalysisCache> = cfgs
+        .iter()
+        .map(|(_, par)| {
+            let mut c = AnalysisCache::for_budget(&budget);
+            jit_analyze_app_par_stats(gpu, app, HazardMode::Raw, &budget, &mut c, par);
+            c
+        })
+        .collect();
+    paired_phase(gpu, app, &budget, &jit, &mut warm, phase, &cfgs, 3000).1
 }
 
 fn fmt_ms(ns: f64) -> String {
@@ -328,16 +306,11 @@ fn fmt_ms(ns: f64) -> String {
     }
 }
 
-fn stage_json(names: &[&str], ns: &[f64]) -> String {
-    let mut parts: Vec<String> = names
-        .iter()
-        .zip(ns)
-        .map(|(n, v)| format!("\"{n}_ns\": {v:.1}"))
-        .collect();
-    for (i, n) in names.iter().enumerate().skip(1) {
-        parts.push(format!("\"{}_speedup\": {:.3}", n, ns[0] / ns[i].max(1.0)));
-    }
-    format!("{{ {} }}", parts.join(", "))
+fn stage_json(names: &[&str], ns: &[f64; 2], speedup: f64) -> String {
+    format!(
+        "{{ \"{}_ns\": {:.1}, \"{}_ns\": {:.1}, \"{}_speedup\": {speedup:.3} }}",
+        names[0], ns[0], names[1], ns[1], names[1]
+    )
 }
 
 fn main() {
@@ -386,19 +359,11 @@ fn main() {
         rows.push(row);
     }
 
-    // Geomean speedups vs reference, per phase and config.
-    let speedup_of = |phase: usize, cfg: usize| -> f64 {
-        geomean(
-            &rows
-                .iter()
-                .map(|r| r.times.phase_ns[phase][0] / r.times.phase_ns[phase][cfg].max(1.0))
-                .collect::<Vec<_>>(),
-        )
-    };
+    // Geomean of the median paired speedups vs reference, per phase.
     println!("geomean speedup vs reference:");
     let mut geo: Vec<(String, f64)> = Vec::new();
     for (p, phase) in PHASES.iter().enumerate() {
-        let affine = speedup_of(p, 1);
+        let affine = geomean(&rows.iter().map(|r| r.times.speedup[p]).collect::<Vec<_>>());
         println!("  {phase:<8} affine {affine:.2}x");
         geo.push((format!("{phase}_affine"), affine));
     }
@@ -427,8 +392,11 @@ fn main() {
         .map(|r| {
             let phases: Vec<String> = PHASES
                 .iter()
-                .zip(&r.times.phase_ns)
-                .map(|(phase, ns)| format!("\"{phase}\": {}", stage_json(&names, ns)))
+                .enumerate()
+                .map(|(p, phase)| {
+                    let json = stage_json(&names, &r.times.phase_ns[p], r.times.speedup[p]);
+                    format!("\"{phase}\": {json}")
+                })
                 .collect();
             format!(
                 "    {{ \"name\": \"{}\", \"kernels\": {}, {}, \"scratch_cow_bytes\": [{}], \"run_ns\": {:.1}, \"run_cycles\": {} }}",
@@ -462,40 +430,37 @@ fn main() {
     println!("wrote {path}");
 
     if gate {
-        let cfgs = configs();
         let mut violations = Vec::new();
         for (ri, r) in rows.iter().enumerate() {
             for (p, phase) in PHASES.iter().enumerate() {
-                let reference = r.times.phase_ns[p][0];
-                if reference < GATE_FLOOR_NS {
+                if r.times.phase_ns[p][0] < GATE_FLOOR_NS {
                     continue;
                 }
-                for (c, name) in names.iter().enumerate().skip(1) {
-                    let ratio = reference / r.times.phase_ns[p][c].max(1.0);
-                    if ratio >= GATE_MIN_RATIO {
-                        continue;
-                    }
-                    // Confirm before failing: re-measure this pair in a
-                    // tight interleave so a transient load spike during
-                    // the main sweep can't fail CI on its own.
+                let name = names[1];
+                let ratio = r.times.speedup[p];
+                if ratio >= GATE_MIN_RATIO {
+                    continue;
+                }
+                // Confirm before failing: re-measure this phase in more
+                // pairs so a transient load spike during the main sweep
+                // can't fail CI on its own.
+                eprintln!(
+                    "gate: re-checking {}: {phase} under {name} ({ratio:.2}x in main sweep)",
+                    r.name
+                );
+                let confirmed = recheck_ratio(&gpu, &apps[ri], p);
+                if confirmed < GATE_MIN_RATIO {
+                    violations.push(format!(
+                        "{}: {phase} under {name} is {confirmed:.2}x of reference \
+                         on re-measure ({ratio:.2}x in main sweep)",
+                        r.name,
+                    ));
+                } else {
                     eprintln!(
-                        "gate: re-checking {}: {phase} under {name} ({ratio:.2}x in main sweep)",
+                        "gate: {}: {phase} under {name} resolved on re-measure \
+                         ({confirmed:.2}x)",
                         r.name
                     );
-                    let confirmed = recheck_ratio(&gpu, &apps[ri], p, &cfgs[c].1);
-                    if confirmed < GATE_MIN_RATIO {
-                        violations.push(format!(
-                            "{}: {phase} under {name} is {confirmed:.2}x of reference \
-                             on re-measure ({ratio:.2}x in main sweep)",
-                            r.name,
-                        ));
-                    } else {
-                        eprintln!(
-                            "gate: {}: {phase} under {name} resolved on re-measure \
-                             ({confirmed:.2}x)",
-                            r.name
-                        );
-                    }
                 }
             }
         }

@@ -117,25 +117,11 @@ pub fn check_no_races(
     app: &Application,
     schedule: &[(TbKey, u64, u64)],
 ) -> Result<Vec<Race>, ExecError> {
-    use bm_ptx::access::RangeSet;
-    use bm_ptx::interp::{ExecObserver, ThreadId};
-    use bm_ptx::isa::Op;
+    use bm_ptx::access::{AccessLog, RangeSet};
 
-    #[derive(Default)]
     struct Sets {
         reads: RangeSet,
         writes: RangeSet,
-    }
-    struct Collect<'a>(&'a mut Sets);
-    impl ExecObserver for Collect<'_> {
-        fn on_inst(&mut self, _t: ThreadId, _i: usize, _op: &Op) {}
-        fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
-            if store {
-                self.0.writes.insert(addr, addr + 4);
-            } else {
-                self.0.reads.insert(addr, addr + 4);
-            }
-        }
     }
 
     let launches: Vec<&Launch> = app.launches();
@@ -145,15 +131,24 @@ pub fn check_no_races(
     let mut order: Vec<(TbKey, u64, u64)> = schedule.to_vec();
     order.sort_by_key(|&(_, s, _)| s);
     let mut mem = app.initial_memory();
+    let mut log = AccessLog::new(&app.space);
+    let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
     let mut sets: Vec<(TbKey, u64, u64, Sets)> = Vec::with_capacity(order.len());
     for (key, start, finish) in order {
-        let mut s = Sets::default();
-        programs[key.kernel_seq as usize].execute_block(
+        log.execute_block(
+            &programs[key.kernel_seq as usize],
             key.tb,
             &mut mem,
-            &mut Collect(&mut s),
             MAX_STEPS_PER_THREAD,
         )?;
+        ranges.clear();
+        bounds.clear();
+        log.finish_block(&mut ranges, &mut bounds);
+        let (reads, writes) = ranges.split_at(bounds[0]);
+        let s = Sets {
+            reads: RangeSet::from_unsorted(reads.to_vec()),
+            writes: RangeSet::from_unsorted(writes.to_vec()),
+        };
         sets.push((key, start, finish, s));
     }
     // Sweep by start time; compare each block against the active set.

@@ -36,10 +36,9 @@ use crate::jit::{recompute_skip_gates, JitKernel};
 use crate::snapshot::GuardSnapshot;
 use bm_cmdq::{Application, CmdqError};
 use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
-use bm_ptx::access::{RangeSet, TbAccess};
+use bm_ptx::access::{AccessLog, RangeSet, TbAccess};
 use bm_ptx::error::PtxError;
-use bm_ptx::interp::{ExecObserver, Program, ThreadId, MAX_STEPS_PER_THREAD};
-use bm_ptx::kernel::Launch;
+use bm_ptx::interp::{Program, MAX_STEPS_PER_THREAD};
 use bm_simt::des::TbKey;
 use bm_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, HashSet};
@@ -119,77 +118,6 @@ fn escape(reads: &[(u64, u64)], writes: &[(u64, u64)], declared: &TbAccess) -> O
     first_escapee(writes, &declared.writes).or_else(|| first_escapee(reads, &declared.reads))
 }
 
-/// An empty open run.
-const NO_RUN: (u64, u64, bool) = (0, 0, false);
-
-/// Observer that logs a thread block's global accesses cheaply: one open
-/// byte run per instruction, which absorbs repeated and adjacent addresses.
-/// Any other address closes the run and opens a new one.
-struct RunLog {
-    /// `[start, end)` and store flag of each instruction's open run.
-    open: Vec<(u64, u64, bool)>,
-    /// Closed read runs of the current block, unsorted.
-    reads: Vec<(u64, u64)>,
-    /// Closed write runs of the current block, unsorted.
-    writes: Vec<(u64, u64)>,
-}
-
-/// Moves `run`, when non-empty, to the closed runs of its kind.
-fn close(run: (u64, u64, bool), reads: &mut Vec<(u64, u64)>, writes: &mut Vec<(u64, u64)>) {
-    if run.0 < run.1 {
-        let closed = if run.2 { writes } else { reads };
-        closed.push((run.0, run.1));
-    }
-}
-
-impl ExecObserver for RunLog {
-    fn on_global_access(&mut self, _t: ThreadId, i: usize, addr: u64, store: bool) {
-        let end = addr.saturating_add(4);
-        let run = &mut self.open[i];
-        if run.0 < run.1 && addr <= run.1 && run.0 <= end {
-            run.0 = run.0.min(addr);
-            run.1 = run.1.max(end);
-            return;
-        }
-        close(*run, &mut self.reads, &mut self.writes);
-        *run = (addr, end, store);
-    }
-}
-
-impl RunLog {
-    /// A log for blocks of any of `launches`, with an open run per
-    /// instruction of the longest kernel.
-    fn new(launches: &[&Launch]) -> Self {
-        let insts = launches.iter().map(|l| l.kernel.body.len()).max();
-        RunLog {
-            open: vec![NO_RUN; insts.unwrap_or(0)],
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
-    }
-
-    /// Closes every open run, then appends the block's canonical reads
-    /// and writes to `ranges` and their ends to `bounds`.
-    fn finish_block(&mut self, ranges: &mut Vec<(u64, u64)>, bounds: &mut Vec<usize>) {
-        for run in &mut self.open {
-            close(*run, &mut self.reads, &mut self.writes);
-            *run = NO_RUN;
-        }
-        for runs in [&mut self.reads, &mut self.writes] {
-            runs.sort_unstable();
-            let first = ranges.len();
-            for &(s, e) in runs.iter() {
-                match ranges[first..].last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => ranges.push((s, e)),
-                }
-            }
-            runs.clear();
-            bounds.push(ranges.len());
-        }
-    }
-}
-
 /// What the serialized pass observed, shared by the rounds of one guarded
 /// call (and only those: [`app_fingerprint`] does not hash host data, so
 /// an observation cannot be keyed across inputs).
@@ -244,15 +172,14 @@ fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
     app.validate()?;
     let mut mem = app.initial_memory();
     let launches = app.launches();
-    let mut log = RunLog::new(&launches);
+    let mut log = AccessLog::new(&app.space);
     let mut first_block = vec![0];
     let mut ranges = Vec::new();
     let mut bounds = vec![0];
     for launch in launches {
         let program = Program::new(launch);
         for tb in 0..launch.num_blocks() {
-            program
-                .execute_block(tb, &mut mem, &mut log, MAX_STEPS_PER_THREAD)
+            log.execute_block(&program, tb, &mut mem, MAX_STEPS_PER_THREAD)
                 .map_err(CmdqError::Exec)?;
             log.finish_block(&mut ranges, &mut bounds);
         }
@@ -501,7 +428,7 @@ pub fn verify_soundness(
     expected_fp: u64,
 ) -> Result<SoundnessOutcome, PtxError> {
     let launches = app.launches();
-    let mut log = RunLog::new(&launches);
+    let mut log = AccessLog::new(&app.space);
     let programs: Vec<Program> = launches.into_iter().map(Program::new).collect();
     let mut order: Vec<(usize, TbKey, u64)> = schedule
         .iter()
@@ -518,8 +445,7 @@ pub fn verify_soundness(
             kernel: format!("#{k}"),
             reason: "schedule references unknown kernel".into(),
         })?;
-        program
-            .execute_block(key.tb, &mut mem, &mut log, MAX_STEPS_PER_THREAD)
+        log.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)
             .map_err(PtxError::Exec)?;
         ranges.clear();
         bounds.clear();
@@ -715,8 +641,9 @@ mod tests {
     use crate::snapshot::CheckpointPolicy;
     use crate::{run, try_run_app, RunSpec};
     use bm_cmdq::ApiCall;
-    use bm_ptx::kernel::{ArgValue, Dim3};
-    use bm_ptx::mem::AddressSpace;
+    use bm_ptx::interp::{ExecObserver, ThreadId};
+    use bm_ptx::kernel::{ArgValue, Dim3, Launch};
+    use bm_ptx::mem::{AddressSpace, DEVICE_BASE};
     use bm_ptx::parser::parse_kernel;
     use bm_simt::config::GpuConfig;
     use bm_trace::NullTracer;
@@ -1160,6 +1087,140 @@ mod tests {
             assert_log_exact(&walk_app(2 * n, 2, n));
             // Overlapping rows: each row starts inside the previous one.
             assert_log_exact(&walk_app(3, 1, n));
+        }
+    }
+
+    /// Thread `t` of 4 blocks of 32 reads the word at byte `start + 4t`
+    /// of `A` and writes it 8 KiB further on, for a word shifted `shift`
+    /// bytes off alignment.
+    fn unaligned_app(start: u64, shift: u64) -> Application {
+        let k = Arc::new(
+            parse_kernel(
+                r#".entry shifted(.param .u64 A, .param .u64 at) {
+                     ld.param.u64 %rd1, [A];
+                     ld.param.u64 %rd2, [at];
+                     mov.u32 %r1, %ctaid.x;
+                     mov.u32 %r2, %ntid.x;
+                     mov.u32 %r3, %tid.x;
+                     mad.lo.u32 %r4, %r1, %r2, %r3;
+                     mul.wide.u32 %rd3, %r4, 4;
+                     add.u64 %rd4, %rd1, %rd2;
+                     add.u64 %rd5, %rd4, %rd3;
+                     ld.global.u32 %r5, [%rd5];
+                     st.global.u32 [%rd5+8192], %r5;
+                     ret;
+                   }"#,
+            )
+            .unwrap(),
+        );
+        let mut space = AddressSpace::new();
+        let a = space.alloc(5 * bm_ptx::mem::COW_CHUNK_BYTES as u64);
+        let words = a.size / 4;
+        let mut host_data = HashMap::new();
+        host_data.insert(a.id, (0..words).map(|i| i as f32).collect());
+        Application {
+            name: format!("unaligned start={start} shift={shift}"),
+            space,
+            calls: vec![
+                ApiCall::MemcpyH2D {
+                    alloc: a.id,
+                    bytes: a.size,
+                },
+                ApiCall::KernelLaunch(Launch::new(
+                    k,
+                    Dim3::x(4),
+                    Dim3::x(32),
+                    vec![ArgValue::Ptr(a.base), ArgValue::U64(start + shift)],
+                )),
+            ],
+            host_data,
+        }
+    }
+
+    #[test]
+    fn run_log_is_exact_on_words_straddling_bitmap_words_and_chunks() {
+        let chunk = bm_ptx::mem::COW_CHUNK_BYTES as u64;
+        for shift in 0..4 {
+            // Across the first chunk boundary (a bitmap page too), and
+            // across a 64-byte bitmap word inside a chunk.
+            assert_log_exact(&unaligned_app(chunk - 256, shift));
+            assert_log_exact(&unaligned_app(60, shift));
+        }
+    }
+
+    /// A guarded run of a kernel that reads (or writes) the word at
+    /// `A + off`, where `A` is the first of two 4-byte allocations.
+    fn wild_run(off: u64, store: bool) -> (u64, BmError) {
+        let access = if store {
+            "st.global.f32 [%rd3], %f1;"
+        } else {
+            "ld.global.f32 %f1, [%rd3];"
+        };
+        let k = Arc::new(
+            parse_kernel(&format!(
+                r#".entry wild(.param .u64 A, .param .u64 off) {{
+                     ld.param.u64 %rd1, [A];
+                     ld.param.u64 %rd2, [off];
+                     ld.global.f32 %f1, [%rd1];
+                     add.u64 %rd3, %rd1, %rd2;
+                     {access}
+                     st.global.f32 [%rd1], %f1;
+                     ret;
+                   }}"#
+            ))
+            .unwrap(),
+        );
+        let mut space = AddressSpace::new();
+        let a = space.alloc(4);
+        space.alloc(4);
+        let app = Application {
+            name: "wild".into(),
+            space,
+            calls: vec![ApiCall::KernelLaunch(Launch::new(
+                k,
+                Dim3::x(1),
+                Dim3::x(1),
+                vec![ArgValue::Ptr(a.base), ArgValue::U64(off)],
+            ))],
+            host_data: HashMap::new(),
+        };
+        let err = run(
+            &GpuConfig::small(),
+            &app,
+            &mut RunSpec {
+                guard: true,
+                ..RunSpec::new(ExecMode::ConsumerPriority { window: 3 })
+            },
+            &NullTracer,
+        )
+        .unwrap_err();
+        (a.base.wrapping_add(off), err)
+    }
+
+    #[test]
+    fn unmapped_accesses_fail_a_guarded_run_with_a_typed_error() {
+        // `A` spans 4 bytes at `DEVICE_BASE`, the second allocation 4 bytes
+        // at `DEVICE_BASE + 256`.
+        let cases = [
+            ("gap between allocations", 128),
+            ("straddling the first end", 2),
+            ("one past the last allocation", 260),
+            ("near u64::MAX", (u64::MAX - 5).wrapping_sub(DEVICE_BASE)),
+        ];
+        for (what, off) in cases {
+            for store in [false, true] {
+                let (addr, err) = wild_run(off, store);
+                assert!(
+                    matches!(
+                        err,
+                        BmError::Cmdq(CmdqError::Exec(bm_ptx::interp::ExecError::Unmapped {
+                            tb: 0,
+                            addr: a,
+                        })) if a == addr
+                    ),
+                    "{what}, store {store}: {err}"
+                );
+            }
         }
     }
 }

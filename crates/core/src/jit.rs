@@ -666,7 +666,7 @@ fn compute_analysis<T: Tracer>(
     tracer: &T,
     clock: &mut u64,
     seq: u32,
-    (memo, timings): (&mut TraceMemo, &mut TimingMemo),
+    memos: (&mut TraceMemo, &mut TimingMemo),
 ) -> Result<CachedAnalysis, PtxError> {
     let mut degradation = Degradation::none();
     let access = analyze_access(launch, budget, par, tracer, clock, seq, &mut degradation)?;
@@ -675,30 +675,7 @@ fn compute_analysis<T: Tracer>(
         return Err(PtxError::Cancelled(cause));
     }
     let trace_start = *clock;
-    let attempt: Result<LaunchProfile, PtxError> = if launch.num_blocks() == 0 {
-        Ok(unit_profile(launch))
-    } else if par.fast_paths {
-        let key = key.for_trace();
-        if memo.should_interpret(&key) {
-            let rep = launch.num_blocks() / 2;
-            match trace_block_law(launch, rep, scratch.get(), budget.trace_steps) {
-                Ok((trace, law)) => {
-                    let profile = timings.profile(cfg, launch, &trace);
-                    memo.stats.law.merge(&law);
-                    memo.observe(&key, trace, profile.clone());
-                    Ok(profile)
-                }
-                Err(e) => {
-                    memo.reject(&key);
-                    Err(PtxError::Exec(e))
-                }
-            }
-        } else {
-            Ok(memo.synthesize(&key))
-        }
-    } else {
-        try_profile_launch_limited(cfg, launch, scratch.get(), budget.trace_steps)
-    };
+    let attempt = trace_profile(cfg, launch, key, scratch, budget, par, memos);
     let profile = match attempt {
         Ok(profile) => profile,
         Err(PtxError::Exec(ExecError::StepLimit { .. })) => {
@@ -741,6 +718,89 @@ fn compute_analysis<T: Tracer>(
         profile,
         degradation,
     })
+}
+
+/// The trace phase of one launch: its representative-TB profile, through
+/// the trace and timing memos under the fast paths, traced and timed
+/// directly under `reference()`.
+///
+/// # Errors
+///
+/// [`PtxError::Exec`] when tracing the representative TB fails.
+fn trace_profile(
+    cfg: &GpuConfig,
+    launch: &Launch,
+    key: &CacheKey,
+    scratch: &mut LazyScratch,
+    budget: &AnalysisBudget,
+    par: &ParallelConfig,
+    (memo, timings): (&mut TraceMemo, &mut TimingMemo),
+) -> Result<LaunchProfile, PtxError> {
+    if launch.num_blocks() == 0 {
+        return Ok(unit_profile(launch));
+    }
+    if !par.fast_paths {
+        return try_profile_launch_limited(cfg, launch, scratch.get(), budget.trace_steps);
+    }
+    let key = key.for_trace();
+    if !memo.should_interpret(&key) {
+        return Ok(memo.synthesize(&key));
+    }
+    let rep = launch.num_blocks() / 2;
+    match trace_block_law(launch, rep, scratch.get(), budget.trace_steps) {
+        Ok((trace, law)) => {
+            let profile = timings.profile(cfg, launch, &trace);
+            memo.stats.law.merge(&law);
+            memo.observe(&key, trace, profile.clone());
+            Ok(profile)
+        }
+        Err(e) => {
+            memo.reject(&key);
+            Err(PtxError::Exec(e))
+        }
+    }
+}
+
+/// The trace phase of one cold analysis run of `app` under `par`, on its
+/// own so it can be timed: in launch order on `scratch` (the initial image
+/// of [`scratch_memory`]), every launch whose analysis key is new to the
+/// run gets [`trace_profile`] with one run's memos, as in
+/// [`jit_analyze_app_par_stats`] between its absint and graph phases; a
+/// repeated key is a cache hit there and skips the phase. Returns the
+/// trace-phase counters.
+pub fn trace_phase(
+    cfg: &GpuConfig,
+    app: &Application,
+    scratch: &mut GlobalMem,
+    budget: &AnalysisBudget,
+    par: &ParallelConfig,
+) -> TraceMemoStats {
+    let launches = app.launches();
+    let mut lazy = LazyScratch {
+        app,
+        mem: Some(std::mem::take(scratch)),
+    };
+    let (mut memo, mut timings) = (TraceMemo::new(), TimingMemo::default());
+    let mut seen = std::collections::HashSet::new();
+    for (launch, key) in launches.iter().zip(keys_of(&launches)) {
+        if seen.insert(key.clone()) {
+            // A failed trace falls back to an estimate in the pipeline.
+            let _ = trace_profile(
+                cfg,
+                launch,
+                &key,
+                &mut lazy,
+                budget,
+                par,
+                (&mut memo, &mut timings),
+            );
+        }
+    }
+    *scratch = lazy.mem.unwrap_or_default();
+    TraceMemoStats {
+        traces_timed: timings.timed,
+        ..memo.stats()
+    }
 }
 
 /// Access-set phase of the degradation ladder: precise fueled analysis
@@ -1096,39 +1156,6 @@ pub fn try_profile_launch_limited(
     let rep = n_tbs / 2;
     let trace = trace_block_limited(launch, rep, scratch, max_steps).map_err(PtxError::Exec)?;
     Ok(profile_from_trace(cfg, launch, &trace))
-}
-
-/// [`try_profile_launch_limited`] through the warp lane-law fast path:
-/// the representative TB is traced by interpreting only the law lanes of
-/// each full warp and synthesizing the interior lanes when the per-warp
-/// affine law validates (with an exact full-interpretation fallback per
-/// warp otherwise), on private copy-on-write clones of `scratch` — which
-/// is left untouched for admissible launches. Law-inadmissible launches
-/// (barriers / shared memory) interpret directly on `scratch`, mutating
-/// it exactly like the reference pipeline: cloning a large memory per
-/// launch costs O(resident chunks) even when nothing is written. Returns
-/// the trace itself so callers can feed cross-launch memoization.
-///
-/// # Errors
-///
-/// As [`try_profile_launch_limited`].
-pub fn try_profile_launch_law(
-    cfg: &GpuConfig,
-    launch: &Launch,
-    scratch: &mut GlobalMem,
-    max_steps: u64,
-) -> Result<(LaunchProfile, TbTrace, TraceLawStats), PtxError> {
-    let n_tbs = launch.num_blocks();
-    if n_tbs == 0 {
-        return Ok((
-            unit_profile(launch),
-            TbTrace::default(),
-            TraceLawStats::default(),
-        ));
-    }
-    let rep = n_tbs / 2;
-    let (trace, law) = trace_block_law(launch, rep, scratch, max_steps).map_err(PtxError::Exec)?;
-    Ok((profile_from_trace(cfg, launch, &trace), trace, law))
 }
 
 /// Times one representative-TB trace on one SM at the kernel's occupancy.

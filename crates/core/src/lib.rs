@@ -105,8 +105,7 @@ pub use guard::{
 pub use hw::HwError;
 pub use jit::{
     jit_analyze_app, jit_analyze_app_par_stats, scratch_memory, try_jit_analyze_app,
-    try_jit_analyze_app_par_traced, try_profile_launch_law, JitKernel, LaunchProfile,
-    TraceMemoStats,
+    try_jit_analyze_app_par_traced, JitKernel, LaunchProfile, TraceMemoStats,
 };
 pub use modes::ExecMode;
 pub use run::{run, try_run_app, RunSpec};

@@ -908,6 +908,7 @@ impl<'l> Program<'l> {
 
     /// The in-bounds start of the shared word at `base + off`, where `base`
     /// is a 32-bit register value and `off` the bits of an `i64`.
+    #[inline]
     fn shared_at(&self, shared: &[u8], base: u64, off: u64) -> Result<usize, ExecError> {
         let addr = (base as u32 as i64).wrapping_add(off as i64) as u64;
         match addr.checked_add(4) {
@@ -920,6 +921,7 @@ impl<'l> Program<'l> {
     }
 }
 
+#[inline]
 fn int_op_u32(op: IntOp, x: u32, y: u32) -> u32 {
     match op {
         IntOp::Add => x.wrapping_add(y),
@@ -943,6 +945,7 @@ fn int_op_u32(op: IntOp, x: u32, y: u32) -> u32 {
     }
 }
 
+#[inline]
 fn int_op_s32(op: IntOp, x: i32, y: i32) -> i32 {
     match op {
         IntOp::Add => x.wrapping_add(y),
@@ -972,6 +975,7 @@ fn int_op_s32(op: IntOp, x: i32, y: i32) -> i32 {
     }
 }
 
+#[inline]
 fn int_op_u64(op: IntOp, x: u64, y: u64) -> u64 {
     match op {
         IntOp::Add => x.wrapping_add(y),
@@ -995,6 +999,7 @@ fn int_op_u64(op: IntOp, x: u64, y: u64) -> u64 {
     }
 }
 
+#[inline]
 fn compare<T: PartialOrd>(cmp: CmpOp, x: T, y: T) -> bool {
     match cmp {
         CmpOp::Eq => x == y,

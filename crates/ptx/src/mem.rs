@@ -146,12 +146,22 @@ struct Region {
 
 /// Unique access to one chunk, duplicating it first when it is shared with
 /// another clone (and charging the duplication to the family counter).
+/// Chunks never have weak references, so a strong count of one (a plain
+/// load) makes the one `Arc::get_mut` succeed.
+#[inline]
 fn chunk_mut<'c>(copied: &AtomicU64, chunk: &'c mut Arc<[u8]>) -> &'c mut [u8] {
-    if Arc::get_mut(chunk).is_none() {
-        copied.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        *chunk = Arc::from(&chunk[..]);
+    if Arc::strong_count(chunk) != 1 {
+        unshare(copied, chunk);
     }
-    Arc::get_mut(chunk).expect("chunk just made unique")
+    Arc::get_mut(chunk).expect("a chunk with one strong reference is unique")
+}
+
+/// Replaces `chunk` by a private copy, charging it to the family counter.
+#[cold]
+#[inline(never)]
+fn unshare(copied: &AtomicU64, chunk: &mut Arc<[u8]>) {
+    copied.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+    *chunk = Arc::from(&chunk[..]);
 }
 
 /// The chunk list backing a `size`-byte region: full chunks share one
@@ -199,6 +209,7 @@ impl GlobalMem {
     /// The region holding the `len` bytes at `addr` (the last region
     /// starting at or below `addr`, if they fit in it) and `addr`'s offset
     /// in it.
+    #[inline]
     fn locate(&self, addr: u64, len: u64) -> Option<(usize, usize)> {
         let i = self
             .regions
@@ -216,21 +227,29 @@ impl GlobalMem {
 
     /// Reads a 32-bit little-endian word, or `None` when any of its bytes
     /// falls outside every backing region.
+    #[inline]
     pub fn try_read_u32(&self, addr: u64) -> Option<u32> {
         let (r, off) = self.locate(addr, 4)?;
-        let chunks = &self.regions[r].chunks;
-        let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
-        Some(if co + 4 <= chunks[ci].len() {
-            u32::from_le_bytes(chunks[ci][co..co + 4].try_into().unwrap())
-        } else {
-            // The word straddles a chunk boundary: gather byte-wise.
-            let mut bytes = [0u8; 4];
-            for (i, b) in bytes.iter_mut().enumerate() {
-                let o = off + i;
-                *b = chunks[o / COW_CHUNK_BYTES][o % COW_CHUNK_BYTES];
-            }
-            u32::from_le_bytes(bytes)
+        let chunk = &self.regions[r].chunks[off / COW_CHUNK_BYTES];
+        let co = off % COW_CHUNK_BYTES;
+        Some(match chunk.get(co..co + 4) {
+            Some(bytes) => u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
+            None => self.read_straddling(r, off),
         })
+    }
+
+    /// The word at offset `off` of region `r`, which straddles a chunk
+    /// boundary: gathered byte-wise.
+    #[cold]
+    #[inline(never)]
+    fn read_straddling(&self, r: usize, off: usize) -> u32 {
+        let chunks = &self.regions[r].chunks;
+        let mut bytes = [0u8; 4];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            let o = off + i;
+            *b = chunks[o / COW_CHUNK_BYTES][o % COW_CHUNK_BYTES];
+        }
+        u32::from_le_bytes(bytes)
     }
 
     /// Reads a 32-bit little-endian word.
@@ -248,21 +267,30 @@ impl GlobalMem {
     /// Writes a 32-bit little-endian word; `None` (and no write) when any
     /// of its bytes falls outside every backing region.
     #[must_use]
+    #[inline(always)]
     pub fn try_write_u32(&mut self, addr: u64, value: u32) -> Option<()> {
         let (r, off) = self.locate(addr, 4)?;
-        let chunks = &mut self.regions[r].chunks;
-        let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
-        if co + 4 <= chunks[ci].len() {
-            let c = chunk_mut(&self.copied, &mut chunks[ci]);
-            c[co..co + 4].copy_from_slice(&value.to_le_bytes());
+        let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
+        let co = off % COW_CHUNK_BYTES;
+        if co + 4 <= chunk.len() {
+            chunk_mut(&self.copied, chunk)[co..co + 4].copy_from_slice(&value.to_le_bytes());
         } else {
-            for (i, b) in value.to_le_bytes().into_iter().enumerate() {
-                let o = off + i;
-                let c = chunk_mut(&self.copied, &mut chunks[o / COW_CHUNK_BYTES]);
-                c[o % COW_CHUNK_BYTES] = b;
-            }
+            self.write_straddling(r, off, value);
         }
         Some(())
+    }
+
+    /// Writes the word at offset `off` of region `r`, which straddles a
+    /// chunk boundary, byte-wise.
+    #[cold]
+    #[inline(never)]
+    fn write_straddling(&mut self, r: usize, off: usize, value: u32) {
+        let chunks = &mut self.regions[r].chunks;
+        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+            let o = off + i;
+            let c = chunk_mut(&self.copied, &mut chunks[o / COW_CHUNK_BYTES]);
+            c[o % COW_CHUNK_BYTES] = b;
+        }
     }
 
     /// Writes a 32-bit little-endian word.
