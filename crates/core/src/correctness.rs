@@ -7,7 +7,7 @@
 //! memory image against the serialized reference.
 
 use bm_cmdq::Application;
-use bm_ptx::interp::{ExecError, NullObserver, Program, MAX_STEPS_PER_THREAD};
+use bm_ptx::interp::{ExecError, Lockstep, Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
 use bm_ptx::mem::GlobalMem;
 use bm_simt::des::TbKey;
@@ -73,12 +73,13 @@ pub fn check_schedule(
         .collect();
     order.sort_by_key(|&(i, _, s)| (s, i));
     let mut mem = app.initial_memory();
+    let mut warps = Lockstep::new();
     let mut executed = 0u64;
     for (_, key, _) in order {
         let program = programs
             .get(key.kernel_seq as usize)
             .unwrap_or_else(|| panic!("schedule references unknown kernel {}", key.kernel_seq));
-        program.execute_block(key.tb, &mut mem, &mut NullObserver, MAX_STEPS_PER_THREAD)?;
+        warps.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)?;
         executed += 1;
     }
     let total_tbs: u64 = launches.iter().map(|l| l.num_blocks() as u64).sum();

@@ -7,7 +7,7 @@
 //! [`AccessLog`] records the ranges a block actually touches when it
 //! runs, for checking them against the analysed ones.
 
-use crate::interp::{ExecError, ExecObserver, ExecStats, Program, ThreadId};
+use crate::interp::{ExecError, ExecObserver, ExecStats, Lockstep, Program, Sink, ThreadId};
 use crate::mem::{AddressSpace, GlobalMem};
 use std::fmt;
 
@@ -343,22 +343,52 @@ impl WordBits {
     #[inline(always)]
     fn insert(&mut self, addr: u64) {
         let off = addr.wrapping_sub(self.lo);
-        if off.is_multiple_of(4) && off < self.len {
-            let word = off / 4;
-            if let Some(Some(page)) = self.pages.get_mut((word / PAGE_WORDS) as usize) {
-                let bits = &mut page.bits[(word / 64 % 64) as usize];
-                let was = *bits;
-                *bits = was | 1 << (word % 64);
-                if was != 0 {
-                    return;
-                }
-            }
+        // An aligned word is mapped when it starts below the last whole
+        // word's end.
+        if off.is_multiple_of(4) && off < self.len & !3 {
+            self.or_bits(off / 4, 1 << (off / 4 % 64));
+        } else {
+            self.insert_slow(addr);
         }
-        self.insert_slow(addr);
     }
 
-    /// [`WordBits::insert`] in full: a word not inside `[lo, lo + len)` is
-    /// unmapped, fails its access, and is not logged.
+    /// Logs the 32 aligned words from byte `addr`, a warp's contiguous
+    /// access: one or two bitmap-word ORs.
+    #[inline(always)]
+    fn insert_run(&mut self, addr: u64) {
+        let off = addr.wrapping_sub(self.lo);
+        if !off.is_multiple_of(4) || off >= self.len || self.len - off < 128 {
+            for w in 0..32 {
+                self.insert(addr + 4 * w);
+            }
+            return;
+        }
+        let word = off / 4;
+        let here = (64 - word % 64).min(32);
+        self.or_bits(word, (u64::MAX >> (64 - here)) << (word % 64));
+        if here < 32 {
+            self.or_bits(word + here, u64::MAX >> (32 + here));
+        }
+    }
+
+    /// ORs `mask` into the bitmap word holding aligned word `word`; a new
+    /// page or a bitmap word that was zero takes a cold call.
+    #[inline(always)]
+    fn or_bits(&mut self, word: u64, mask: u64) {
+        if let Some(Some(page)) = self.pages.get_mut((word / PAGE_WORDS) as usize) {
+            let bits = &mut page.bits[(word / 64 % 64) as usize];
+            let was = *bits;
+            *bits = was | mask;
+            if was != 0 {
+                return;
+            }
+        }
+        self.or_bits_slow(word, mask);
+    }
+
+    /// [`WordBits::insert`] off its fast path: an unaligned word, or one
+    /// not inside `[lo, lo + len)`, which is unmapped, fails its access and
+    /// is not logged.
     #[cold]
     #[inline(never)]
     fn insert_slow(&mut self, addr: u64) {
@@ -366,11 +396,14 @@ impl WordBits {
         if off >= self.len || self.len - off < 4 {
             return;
         }
-        if !off.is_multiple_of(4) {
-            self.unaligned.push(addr);
-            return;
-        }
-        let word = off / 4;
+        self.unaligned.push(addr);
+    }
+
+    /// [`WordBits::or_bits`] in full: allocates the page, and marks the
+    /// bitmap word nonzero and the page dirty.
+    #[cold]
+    #[inline(never)]
+    fn or_bits_slow(&mut self, word: u64, mask: u64) {
         let p = (word / PAGE_WORDS) as usize;
         let page = self.pages[p].get_or_insert_with(|| {
             Box::new(Page {
@@ -379,12 +412,17 @@ impl WordBits {
             })
         });
         let w = (word / 64 % 64) as usize;
-        page.bits[w] |= 1 << (word % 64);
+        page.bits[w] |= mask;
         if page.nonzero == 0 {
             self.dirty[p / 64] |= 1 << (p % 64);
             self.dirty_span = (self.dirty_span.0.min(p), self.dirty_span.1.max(p));
         }
         page.nonzero |= 1 << w;
+    }
+
+    /// Whether nothing was logged since the last drain.
+    fn is_empty(&self) -> bool {
+        self.dirty_span.0 == usize::MAX && self.unaligned.is_empty()
     }
 
     /// Appends the logged bytes to `out` as canonical ranges, never merging
@@ -434,13 +472,38 @@ impl WordBits {
     }
 }
 
+/// Read words, then written words.
+struct Bits([WordBits; 2]);
+
+impl ExecObserver for Bits {
+    #[inline(always)]
+    fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
+        self.0[usize::from(store)].insert(addr);
+    }
+}
+
+impl Sink for Bits {
+    #[inline(always)]
+    fn on_warp_access(&mut self, addr: u64, store: bool) {
+        self.0[usize::from(store)].insert_run(addr);
+    }
+
+    fn discard(&mut self) {
+        let mut dropped = Vec::new();
+        for bits in &mut self.0 {
+            bits.drain(&mut dropped);
+        }
+    }
+}
+
 /// An exact log of the bytes each thread block reads and writes, apart,
 /// over an address space's allocations. The soundness guard's serialized
 /// pass and replay log every block through it, and the race detector
 /// builds its access sets from it.
 pub struct AccessLog {
-    /// Read words, then written words.
-    bits: [WordBits; 2],
+    bits: Bits,
+    /// The engine [`AccessLog::execute_block`] runs blocks on.
+    warps: Lockstep,
 }
 
 impl AccessLog {
@@ -450,7 +513,8 @@ impl AccessLog {
         let lo = allocs.first().map_or(0, |a| a.base);
         let hi = allocs.last().map_or(0, |a| a.end());
         AccessLog {
-            bits: [WordBits::new(lo, hi - lo), WordBits::new(lo, hi - lo)],
+            bits: Bits([WordBits::new(lo, hi - lo), WordBits::new(lo, hi - lo)]),
+            warps: Lockstep::default(),
         }
     }
 
@@ -458,16 +522,19 @@ impl AccessLog {
     /// canonical reads, then its canonical writes, pushing the end of each
     /// to `bounds`, and clears the log.
     pub fn finish_block(&mut self, ranges: &mut Vec<(u64, u64)>, bounds: &mut Vec<usize>) {
-        for bits in &mut self.bits {
+        for bits in &mut self.bits.0 {
             bits.drain(ranges);
             bounds.push(ranges.len());
         }
     }
 
-    /// Runs block `tb` of `program` under [`Program::execute_block`],
-    /// logging its global accesses. The interpreter is instantiated for the
-    /// log here, next to the plain pass's: compiled in the calling crate
-    /// instead, the same loop ran about a tenth slower on NW.
+    /// Runs block `tb` of `program` on the warp-lockstep engine (see
+    /// [`Lockstep`]), logging its global accesses: memory, statistics,
+    /// errors and the logged words are those of
+    /// [`Program::execute_block`]. The engine is instantiated for the log
+    /// here, in `bm-ptx`, next to the plain pass's. A log holding an
+    /// unfinished block runs the thread-serial loop, since a fallback
+    /// drops everything logged.
     ///
     /// # Errors
     ///
@@ -479,13 +546,22 @@ impl AccessLog {
         mem: &mut GlobalMem,
         max_steps: u64,
     ) -> Result<ExecStats, ExecError> {
-        program.execute_block(tb, mem, self, max_steps)
+        if !self.bits.0.iter().all(WordBits::is_empty) {
+            return program.execute_block(tb, mem, &mut self.bits, max_steps);
+        }
+        program.lockstep(&mut self.warps, &mut self.bits, tb, mem, max_steps)
+    }
+
+    /// Blocks [`AccessLog::execute_block`] reran thread-serially.
+    pub fn fallback_blocks(&self) -> u64 {
+        self.warps.fallback_blocks()
     }
 
     /// Bitmap pages allocated so far, over both kinds.
     #[cfg(test)]
     fn pages(&self) -> usize {
         self.bits
+            .0
             .iter()
             .map(|b| b.pages.iter().flatten().count())
             .sum()
@@ -494,8 +570,8 @@ impl AccessLog {
 
 impl ExecObserver for AccessLog {
     #[inline(always)]
-    fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
-        self.bits[usize::from(store)].insert(addr);
+    fn on_global_access(&mut self, t: ThreadId, i: usize, addr: u64, store: bool) {
+        self.bits.on_global_access(t, i, addr, store);
     }
 }
 

@@ -11,16 +11,25 @@
 //! of `u64`s: the register files (one section per view an operand can
 //! take: 32-bit, 64-bit, float, predicate), the thread and block indices,
 //! and constant slots holding the launch dimensions, parameters and
-//! immediates already converted to the view that reads them. Blocks run
-//! thread-serially, each thread until it exits or reaches a barrier, in the
-//! same order, with the same observer callbacks, statistics, step limit
-//! and error points as a direct walk over the [`Op`] tree.
+//! immediates already converted to the view that reads them.
+//!
+//! [`Program::execute_block`] runs a block thread-serially, each thread
+//! until it exits or reaches a barrier, in the same order, with the same
+//! observer callbacks, statistics, step limit and error points as a direct
+//! walk over the [`Op`] tree. The plain and logged serialized passes run
+//! the same decode on the warp-lockstep engine ([`Lockstep`]), which gives
+//! the same memory, statistics and errors 32 lanes per dispatch.
 
 use crate::isa::*;
 use crate::kernel::Launch;
 use crate::mem::GlobalMem;
 use std::collections::HashMap;
 use std::fmt;
+
+mod lockstep;
+
+pub use lockstep::Lockstep;
+pub(crate) use lockstep::Sink;
 
 /// Error produced during functional execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,16 +182,18 @@ pub fn try_execute_launch(
     execute_launch(launch, mem).map_err(crate::error::PtxError::Exec)
 }
 
-/// Executes every block of a launch in linear block-id order.
+/// Executes every block of a launch in linear block-id order, on the
+/// warp-lockstep engine ([`Lockstep`]).
 ///
 /// # Errors
 ///
 /// Propagates the first [`ExecError`] from any block.
 pub fn execute_launch(launch: &Launch, mem: &mut GlobalMem) -> Result<ExecStats, ExecError> {
     let program = Program::new(launch);
+    let mut warps = Lockstep::new();
     let mut stats = ExecStats::default();
     for tb in 0..launch.num_blocks() {
-        stats.merge(&program.execute_block(tb, mem, &mut NullObserver, MAX_STEPS_PER_THREAD)?);
+        stats.merge(&warps.execute_block(&program, tb, mem, MAX_STEPS_PER_THREAD)?);
     }
     Ok(stats)
 }
@@ -600,6 +611,9 @@ pub struct Program<'l> {
     /// Whether any thread can stop at a barrier. Without one, every thread
     /// runs to completion in turn, so one row serves them all.
     barrier: bool,
+    /// The registers a thread can read before writing them, which the
+    /// lockstep engine zeroes per warp.
+    zero: Vec<Slot>,
 }
 
 /// Scheduling state of a thread between its runs.
@@ -653,6 +667,7 @@ impl<'l> Program<'l> {
         Program {
             launch,
             barrier: ops.iter().any(|i| matches!(i.op, UOp::Bar)),
+            zero: lockstep::read_before_write(&ops, regs, row.len()),
             ops,
             row,
             regs,
@@ -996,6 +1011,20 @@ fn int_op_u64(op: IntOp, x: u64, y: u64) -> u64 {
         IntOp::Xor => x ^ y,
         IntOp::Shl => x.wrapping_shl(y as u32),
         IntOp::Shr => x.wrapping_shr(y as u32),
+    }
+}
+
+/// A float operator, for the lockstep engine's lane loops; `run_thread`
+/// keeps its own inline `match`, whose loop shape its speed depends on.
+#[inline]
+fn float_op(op: FloatOp, x: f32, y: f32) -> f32 {
+    match op {
+        FloatOp::Add => x + y,
+        FloatOp::Sub => x - y,
+        FloatOp::Mul => x * y,
+        FloatOp::Div => x / y,
+        FloatOp::Min => x.min(y),
+        FloatOp::Max => x.max(y),
     }
 }
 

@@ -1,0 +1,843 @@
+//! Warp-lockstep execution of a [`Program`]'s blocks.
+//!
+//! Warps run in thread-id order, each until every lane has exited or
+//! reached a barrier (a barrier kernel round-robins its warps per interval,
+//! as the thread-serial loop does its threads). Inside a warp, each
+//! micro-op runs once over every lane at the lowest pc among the warp's
+//! runnable lanes (min-pc reconvergence), on a register file holding one
+//! `[u64; 32]` per slot.
+//!
+//! The result is exactly the thread-serial one when, in every *warp run*
+//! (one warp between two barriers), every pair of accesses to one global
+//! or shared word that conflicts (different lanes, at least one writing)
+//! happens lower lane first, which is the order the thread-serial loop
+//! gives them. Pairs of one lane keep program order in both engines, and
+//! everything outside a warp run is ordered alike in both. So each read
+//! returns the value the thread-serial loop reads, each lane takes the
+//! same path, and memory, statistics and the words accessed are equal.
+//!
+//! The engine checks that rule as it goes: per word it keeps the highest
+//! lane that read it and that wrote it during the run. When the rule
+//! breaks, on any [`ExecError`], or when a warp's dispatches could have let
+//! one of its lanes exceed the step budget, the block's global stores are
+//! undone, what the sink logged is dropped, and the block reruns on the
+//! thread-serial loop, whose errors and partial memory are the reference.
+
+use super::*;
+
+/// Lanes per warp.
+const WARP: usize = 32;
+/// Every lane of a full warp.
+const FULL: u32 = u32::MAX;
+/// One register slot of a warp: its value in every lane.
+type Lanes = [u64; WARP];
+/// Groups of at most this many lanes run lane by lane rather than over
+/// the whole warp.
+const SPARSE: u32 = 8;
+
+/// What a lockstep pass reports its accesses to: nothing for the plain
+/// pass, the access log for the logged one. As an [`ExecObserver`] it
+/// also watches the thread-serial rerun of a block that falls back.
+pub(crate) trait Sink: ExecObserver {
+    /// A full warp's access to the 32 aligned words from `addr`.
+    fn on_warp_access(&mut self, _addr: u64, _store: bool) {}
+
+    /// Drops everything observed since the block started.
+    fn discard(&mut self) {}
+}
+
+impl Sink for NullObserver {}
+
+/// The warp-lockstep engine's reusable state: register files, warp
+/// states, shared memory, the lane-order table and the undo log, kept
+/// across blocks so a block allocates nothing once they have grown.
+///
+/// [`Lockstep::execute_block`] is the plain pass; `AccessLog` runs the
+/// logged one on its own engine.
+#[derive(Default)]
+pub struct Lockstep {
+    /// One register file per warp of a barrier kernel, else one reused.
+    files: Vec<Lanes>,
+    warps: Vec<Warp>,
+    shared: Vec<u8>,
+    table: LaneTable,
+    /// Every global word the block stored to, with the value it replaced.
+    undo: Vec<(u64, u32)>,
+    fallbacks: u64,
+}
+
+impl Lockstep {
+    /// A fresh engine.
+    pub fn new() -> Self {
+        Lockstep::default()
+    }
+
+    /// Runs block `tb` of `program` without an observer: memory, statistics
+    /// and errors are those of [`Program::execute_block`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::execute_block`].
+    pub fn execute_block(
+        &mut self,
+        program: &Program,
+        tb: u32,
+        mem: &mut GlobalMem,
+        max_steps: u64,
+    ) -> Result<ExecStats, ExecError> {
+        program.lockstep(self, &mut NullObserver, tb, mem, max_steps)
+    }
+
+    /// Blocks rerun thread-serially so far.
+    pub fn fallback_blocks(&self) -> u64 {
+        self.fallbacks
+    }
+}
+
+/// A block leaves the lockstep engine for the thread-serial loop.
+struct Fallback;
+
+/// Scheduling state of one warp between its runs.
+#[derive(Clone, Copy)]
+struct Warp {
+    /// The next instruction of each lane not in the running group.
+    pc: [u32; WARP],
+    /// Lanes that can run.
+    ready: u32,
+    /// Lanes stopped at a barrier.
+    barrier: u32,
+    /// Instructions dispatched: no lane has fetched more.
+    steps: u64,
+}
+
+/// Per-block state the warps share.
+struct Ctx<'a, S> {
+    tb: u32,
+    mem: &'a mut GlobalMem,
+    sink: &'a mut S,
+    shared: &'a mut [u8],
+    table: &'a mut LaneTable,
+    undo: &'a mut Vec<(u64, u32)>,
+    stats: ExecStats,
+    max_steps: u64,
+}
+
+/// The lanes of `exec` in ascending order.
+fn lanes_of(mut exec: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = exec.trailing_zeros() as usize;
+        exec &= exec.wrapping_sub(1);
+        (l < WARP).then_some(l)
+    })
+}
+
+/// The lowest pc among the lanes of `waiting`, and the lanes at it.
+#[inline]
+fn lowest(pc: &[u32; WARP], waiting: u32) -> (u32, u32) {
+    let masked: [u32; WARP] = std::array::from_fn(|l| {
+        if waiting >> l & 1 != 0 {
+            pc[l]
+        } else {
+            u32::MAX
+        }
+    });
+    let at = masked.into_iter().fold(u32::MAX, u32::min);
+    let group = (0..WARP).fold(0, |m, l| m | u32::from(masked[l] == at) << l);
+    (at, group & waiting)
+}
+
+#[inline]
+fn set_pc(pc: &mut [u32; WARP], lanes: u32, to: usize) {
+    for (l, p) in pc.iter_mut().enumerate() {
+        if lanes >> l & 1 != 0 {
+            *p = to as u32;
+        }
+    }
+}
+
+/// `d ← f(a, b, c)` in the lanes of `exec`. Unless they are few, every
+/// lane is computed and the idle ones are discarded: the operations are
+/// pure and total.
+#[inline(always)]
+fn map(file: &mut [Lanes], i: &MicroInst, exec: u32, f: impl Fn(u64, u64, u64) -> u64) {
+    let [a, b, c, d] = [i.a, i.b, i.c, i.d].map(|s| s as usize);
+    if exec.count_ones() <= SPARSE {
+        for l in lanes_of(exec) {
+            file[d][l] = f(file[a][l], file[b][l], file[c][l]);
+        }
+        return;
+    }
+    let mut out: Lanes = [0; WARP];
+    let (a, b, c) = (&file[a], &file[b], &file[c]);
+    for l in 0..WARP {
+        out[l] = f(a[l], b[l], c[l]);
+    }
+    let d = &mut file[d];
+    if exec == FULL {
+        *d = out;
+    } else {
+        for l in lanes_of(exec) {
+            d[l] = out[l];
+        }
+    }
+}
+
+/// `$body` with `$o` bound to the value of `$op` as a constant, so the
+/// operator's own `match` folds out of the lane loop `$body` runs.
+macro_rules! with_const {
+    ($op:expr, $o:ident: IntOp => $body:expr) => {
+        with_const!($op, $o: IntOp[Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, Shr] => $body)
+    };
+    ($op:expr, $o:ident: FloatOp => $body:expr) => {
+        with_const!($op, $o: FloatOp[Add, Sub, Mul, Div, Min, Max] => $body)
+    };
+    ($op:expr, $o:ident: CmpOp => $body:expr) => {
+        with_const!($op, $o: CmpOp[Eq, Ne, Lt, Le, Gt, Ge] => $body)
+    };
+    ($op:expr, $o:ident: $ty:ident[$($v:ident),*] => $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                const $o: $ty = $ty::$v;
+                $body
+            })*
+        }
+    };
+}
+
+/// Whether the 32 lanes access consecutive aligned words.
+#[inline(always)]
+fn contiguous(addr: &[u64; WARP]) -> bool {
+    addr[0].is_multiple_of(4) && (0..WARP).all(|l| addr[l] == addr[0].wrapping_add(4 * l as u64))
+}
+
+/// Whether every lane of `exec` accesses the address of its lowest lane.
+#[inline(always)]
+fn uniform(addr: &[u64; WARP], exec: u32) -> bool {
+    let at = addr[exec.trailing_zeros() as usize];
+    (0..WARP).all(|l| exec >> l & 1 == 0 || addr[l] == at)
+}
+
+fn le_word(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+}
+
+impl Program<'_> {
+    /// Runs block `tb` on the lockstep engine, reporting to `sink`, or on
+    /// the thread-serial loop when the engine cannot keep its order.
+    pub(crate) fn lockstep<S: Sink>(
+        &self,
+        ls: &mut Lockstep,
+        sink: &mut S,
+        tb: u32,
+        mem: &mut GlobalMem,
+        max_steps: u64,
+    ) -> Result<ExecStats, ExecError> {
+        ls.undo.clear();
+        match self.lockstep_block(ls, sink, tb, mem, max_steps) {
+            Ok(stats) => Ok(stats),
+            Err(Fallback) => {
+                for &(addr, old) in ls.undo.iter().rev() {
+                    mem.try_write_u32(addr, old)
+                        .expect("an undone word was written");
+                }
+                sink.discard();
+                ls.fallbacks += 1;
+                self.execute_block(tb, mem, sink, max_steps)
+            }
+        }
+    }
+
+    fn lockstep_block<S: Sink>(
+        &self,
+        ls: &mut Lockstep,
+        sink: &mut S,
+        tb: u32,
+        mem: &mut GlobalMem,
+        max_steps: u64,
+    ) -> Result<ExecStats, Fallback> {
+        let n = self.launch.threads_per_block();
+        let slots = self.row.len();
+        let warps = n.div_ceil(WARP as u32) as usize;
+        let files = if self.barrier { warps } else { 1 };
+        ls.files.resize(files * slots, [0; WARP]);
+        let (bx, by) = self.launch.block_coords(tb);
+        for file in ls.files.chunks_exact_mut(slots).take(files) {
+            for (lanes, &v) in file.iter_mut().zip(&self.row[..self.regs]) {
+                *lanes = [v; WARP];
+            }
+            for (s, v) in CTAID.iter().zip([bx, by]) {
+                file[*s as usize] = [u64::from(v); WARP];
+                file[*s as usize + 2] = [u64::from((v as f32).to_bits()); WARP];
+            }
+        }
+        ls.warps.clear();
+        ls.warps.extend((0..warps as u32).map(|w| Warp {
+            pc: [0; WARP],
+            ready: u32::MAX >> (32 - (n - 32 * w).min(32)),
+            barrier: 0,
+            steps: 0,
+        }));
+        ls.shared.clear();
+        ls.shared
+            .resize(self.launch.kernel.shared_bytes as usize, 0);
+        ls.table.begin_block(ls.shared.len());
+        let mut ctx = Ctx {
+            tb,
+            mem,
+            sink,
+            shared: &mut ls.shared,
+            table: &mut ls.table,
+            undo: &mut ls.undo,
+            stats: ExecStats::default(),
+            max_steps,
+        };
+        if !self.barrier {
+            let file = &mut ls.files[..slots];
+            for (w, warp) in ls.warps.iter_mut().enumerate() {
+                self.start_warp(file, w);
+                ctx.table.begin_run();
+                self.run_warp(&mut ctx, file, warp, w)?;
+            }
+            return Ok(ctx.stats);
+        }
+        for (w, file) in ls.files.chunks_exact_mut(slots).take(warps).enumerate() {
+            self.start_warp(file, w);
+        }
+        loop {
+            let mut any_ready = false;
+            for (w, (warp, file)) in ls
+                .warps
+                .iter_mut()
+                .zip(ls.files.chunks_exact_mut(slots))
+                .enumerate()
+            {
+                if warp.ready != 0 {
+                    any_ready = true;
+                    ctx.table.begin_run();
+                    self.run_warp(&mut ctx, file, warp, w)?;
+                }
+            }
+            if !any_ready {
+                let mut waiting = false;
+                for warp in &mut ls.warps {
+                    warp.ready = std::mem::take(&mut warp.barrier);
+                    waiting |= warp.ready != 0;
+                }
+                if !waiting {
+                    return Ok(ctx.stats);
+                }
+            }
+        }
+    }
+
+    /// Sets warp `w`'s thread indices in `file` and zeroes the registers a
+    /// thread can read before writing.
+    fn start_warp(&self, file: &mut [Lanes], w: usize) {
+        let bx = self.launch.block.x;
+        let at = |l: usize| {
+            let t = (WARP * w + l) as u32;
+            [t % bx, t / bx]
+        };
+        for (k, s) in TID.iter().enumerate() {
+            let v = |l| at(l)[k % 2];
+            file[*s as usize] = std::array::from_fn(|l| match k {
+                0 | 1 => u64::from(v(l)),
+                _ => u64::from((v(l) as f32).to_bits()),
+            });
+        }
+        for &s in &self.zero {
+            file[s as usize] = [0; WARP];
+        }
+    }
+
+    /// Runs the ready lanes of warp `w` until each has exited or stopped
+    /// at a barrier.
+    fn run_warp<S: Sink>(
+        &self,
+        ctx: &mut Ctx<'_, S>,
+        file: &mut [Lanes],
+        warp: &mut Warp,
+        w: usize,
+    ) -> Result<(), Fallback> {
+        let mut waiting = std::mem::take(&mut warp.ready);
+        // The running group: its lanes, their pc, and the lowest pc of the
+        // lanes waiting apart from it.
+        let (mut group, mut pc, mut next) = (0u32, 0usize, u32::MAX);
+        loop {
+            if group == 0 {
+                if waiting == 0 {
+                    return Ok(());
+                }
+                let at;
+                (at, group) = lowest(&warp.pc, waiting);
+                waiting &= !group;
+                pc = at as usize;
+                next = lowest(&warp.pc, waiting).0;
+            }
+            let Some(i) = self.ops.get(pc) else {
+                group = 0;
+                continue;
+            };
+            warp.steps += 1;
+            if warp.steps > ctx.max_steps {
+                return Err(Fallback);
+            }
+            let g = &file[i.guard as usize];
+            let exec = if i.guard == ONE {
+                group
+            } else if group.count_ones() <= SPARSE {
+                lanes_of(group).fold(0, |m, l| m | u32::from(g[l] != i.skip) << l)
+            } else {
+                group & (0..WARP).fold(0, |m, l| m | u32::from(g[l] != i.skip) << l)
+            };
+            ctx.stats.instructions += u64::from(exec.count_ones());
+            match i.op {
+                UOp::Bra => {
+                    let stay = group & !exec;
+                    if stay == 0 {
+                        pc = i.imm as usize;
+                    } else if exec == 0 {
+                        pc += 1;
+                    } else {
+                        set_pc(&mut warp.pc, exec, i.imm as usize);
+                        set_pc(&mut warp.pc, stay, pc + 1);
+                        waiting |= group;
+                        group = 0;
+                        continue;
+                    }
+                }
+                UOp::Bar => {
+                    set_pc(&mut warp.pc, exec, pc + 1);
+                    warp.barrier |= exec;
+                    group &= !exec;
+                    pc += 1;
+                }
+                UOp::Ret => {
+                    group &= !exec;
+                    pc += 1;
+                }
+                _ => {
+                    if exec != 0 {
+                        self.dispatch(ctx, file, i, exec, w, pc)?;
+                    }
+                    pc += 1;
+                }
+            }
+            if group != 0 && pc as u32 >= next {
+                // Lanes waiting at or below the new pc run first.
+                set_pc(&mut warp.pc, group, pc);
+                waiting |= group;
+                group = 0;
+            }
+        }
+    }
+
+    /// Executes a non-control micro-op in the lanes of `exec`.
+    fn dispatch<S: Sink>(
+        &self,
+        ctx: &mut Ctx<'_, S>,
+        file: &mut [Lanes],
+        i: &MicroInst,
+        exec: u32,
+        w: usize,
+        pc: usize,
+    ) -> Result<(), Fallback> {
+        let f = |v: u64| f32::from_bits(v as u32);
+        let bits = |v: f32| u64::from(v.to_bits());
+        match i.op {
+            UOp::Nop => {}
+            UOp::Copy => map(file, i, exec, |a, _, _| a),
+            UOp::Trunc32 => map(file, i, exec, |a, _, _| u64::from(a as u32)),
+            UOp::F2U => map(file, i, exec, |a, _, _| u64::from(f(a) as u32)),
+            UOp::U2F => map(file, i, exec, |a, _, _| bits(a as f32)),
+            UOp::IntU32(op) => with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| {
+                u64::from(int_op_u32(O, a as u32, b as u32))
+            })),
+            UOp::IntS32(op) => with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| {
+                u64::from(int_op_s32(O, a as u32 as i32, b as u32 as i32) as u32)
+            })),
+            UOp::IntU64(op) => {
+                with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| int_op_u64(O, a, b)))
+            }
+            UOp::Mad32 => map(file, i, exec, |a, b, c| {
+                u64::from((a as u32).wrapping_mul(b as u32).wrapping_add(c as u32))
+            }),
+            UOp::Mad64 => map(file, i, exec, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+            // Idle lanes may hold stale wide values: wrap rather than trap.
+            UOp::MulWide => map(file, i, exec, |a, b, _| a.wrapping_mul(b)),
+            UOp::MadWide => map(file, i, exec, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+            UOp::Float(op) => with_const!(op, O: FloatOp => map(file, i, exec, |a, b, _| {
+                bits(float_op(O, f(a), f(b)))
+            })),
+            UOp::Fma => map(file, i, exec, |a, b, c| bits(f(a).mul_add(f(b), f(c)))),
+            UOp::Sqrt => map(file, i, exec, |a, _, _| bits(f(a).sqrt())),
+            UOp::SetpU(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+                u64::from(compare(O, a, b))
+            })),
+            UOp::SetpS32(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+                u64::from(compare(O, a as u32 as i32, b as u32 as i32))
+            })),
+            UOp::SetpF(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+                u64::from(compare(O, f(a), f(b)))
+            })),
+            UOp::Selp => map(file, i, exec, |a, b, c| if c != 0 { a } else { b }),
+            UOp::LdG => self.load_global(ctx, file, i, exec, w, pc)?,
+            UOp::StG => self.store_global(ctx, file, i, exec, w, pc)?,
+            UOp::LdS => {
+                for l in lanes_of(exec) {
+                    let at = self
+                        .shared_at(ctx.shared, file[i.a as usize][l], i.imm)
+                        .map_err(|_| Fallback)?;
+                    ctx.table.access(true, at as u64, l, l, false)?;
+                    file[i.d as usize][l] = u64::from(le_word(&ctx.shared[at..]));
+                }
+            }
+            UOp::StS => {
+                for l in lanes_of(exec) {
+                    let at = self
+                        .shared_at(ctx.shared, file[i.b as usize][l], i.imm)
+                        .map_err(|_| Fallback)?;
+                    ctx.table.access(true, at as u64, l, l, true)?;
+                    let v = file[i.a as usize][l] as u32;
+                    ctx.shared[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            UOp::Bra | UOp::Bar | UOp::Ret => unreachable!("control flow is scheduled"),
+        }
+        Ok(())
+    }
+
+    fn load_global<S: Sink>(
+        &self,
+        ctx: &mut Ctx<'_, S>,
+        file: &mut [Lanes],
+        i: &MicroInst,
+        exec: u32,
+        w: usize,
+        pc: usize,
+    ) -> Result<(), Fallback> {
+        let addr: [u64; WARP] = std::array::from_fn(|l| file[i.a as usize][l].wrapping_add(i.imm));
+        ctx.stats.global_loads += u64::from(exec.count_ones());
+        let d = &mut file[i.d as usize];
+        if exec == FULL && contiguous(&addr) {
+            if let Some(bytes) = ctx.mem.chunk_bytes(addr[0], 4 * WARP) {
+                ctx.table.warp_access(addr[0], false)?;
+                ctx.sink.on_warp_access(addr[0], false);
+                for (v, b) in d.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *v = u64::from(le_word(b));
+                }
+                return Ok(());
+            }
+        }
+        let id = |l: usize| ThreadId {
+            tb: ctx.tb,
+            tid: (WARP * w + l) as u32,
+        };
+        if uniform(&addr, exec) {
+            let (lo, hi) = (
+                exec.trailing_zeros() as usize,
+                31 - exec.leading_zeros() as usize,
+            );
+            ctx.sink.on_global_access(id(lo), pc, addr[lo], false);
+            let v = ctx.mem.try_read_u32(addr[lo]).ok_or(Fallback)?;
+            ctx.table.access(false, addr[lo], lo, hi, false)?;
+            for l in lanes_of(exec) {
+                d[l] = u64::from(v);
+            }
+            return Ok(());
+        }
+        for l in lanes_of(exec) {
+            ctx.sink.on_global_access(id(l), pc, addr[l], false);
+            let v = ctx.mem.try_read_u32(addr[l]).ok_or(Fallback)?;
+            ctx.table.access(false, addr[l], l, l, false)?;
+            d[l] = u64::from(v);
+        }
+        Ok(())
+    }
+
+    fn store_global<S: Sink>(
+        &self,
+        ctx: &mut Ctx<'_, S>,
+        file: &[Lanes],
+        i: &MicroInst,
+        exec: u32,
+        w: usize,
+        pc: usize,
+    ) -> Result<(), Fallback> {
+        let addr: [u64; WARP] = std::array::from_fn(|l| file[i.b as usize][l].wrapping_add(i.imm));
+        let v = &file[i.a as usize];
+        ctx.stats.global_stores += u64::from(exec.count_ones());
+        if exec == FULL && contiguous(&addr) {
+            if let Some(bytes) = ctx.mem.chunk_bytes_mut(addr[0], 4 * WARP) {
+                ctx.table.warp_access(addr[0], true)?;
+                ctx.sink.on_warp_access(addr[0], true);
+                for (l, b) in bytes.chunks_exact_mut(4).enumerate() {
+                    ctx.undo.push((addr[l], le_word(b)));
+                    b.copy_from_slice(&(v[l] as u32).to_le_bytes());
+                }
+                return Ok(());
+            }
+        }
+        for l in lanes_of(exec) {
+            let id = ThreadId {
+                tb: ctx.tb,
+                tid: (WARP * w + l) as u32,
+            };
+            ctx.sink.on_global_access(id, pc, addr[l], true);
+            let old = ctx.mem.try_swap_u32(addr[l], v[l] as u32).ok_or(Fallback)?;
+            ctx.undo.push((addr[l], old));
+            ctx.table.access(false, addr[l], l, l, true)?;
+        }
+        Ok(())
+    }
+}
+
+/// The highest lane (plus one; 0 for none) that read and that wrote each
+/// word of a 128-byte segment in the current warp run.
+#[derive(Clone, Copy)]
+struct Seg {
+    key: u64,
+    /// The run that last claimed the entry: any other run sees it empty.
+    stamp: u32,
+    read: [u8; WARP],
+    write: [u8; WARP],
+}
+
+const EMPTY: Seg = Seg {
+    key: 0,
+    stamp: 0,
+    read: [0; WARP],
+    write: [0; WARP],
+};
+
+/// The lane-order rule's state. Global segments live in an
+/// open-addressing table keyed by segment number, shared ones in a list
+/// indexed by it. Entries are stamped with their run, so a new run starts
+/// empty without clearing, and the global table only grows to one run's
+/// footprint.
+struct LaneTable {
+    global: Vec<Seg>,
+    shared: Vec<Seg>,
+    stamp: u32,
+    /// Global entries claimed in this run.
+    live: usize,
+    /// The last global segment looked up in this run, and its index.
+    last: (u64, usize),
+}
+
+impl Default for LaneTable {
+    fn default() -> Self {
+        LaneTable {
+            global: vec![EMPTY; 64],
+            shared: Vec::new(),
+            stamp: 0,
+            live: 0,
+            last: (u64::MAX, 0),
+        }
+    }
+}
+
+/// `seg`, cleared first when it belongs to another run.
+#[inline(always)]
+fn claim(seg: &mut Seg, key: u64, stamp: u32) -> &mut Seg {
+    if seg.stamp != stamp {
+        *seg = Seg {
+            key,
+            stamp,
+            ..EMPTY
+        };
+    }
+    seg
+}
+
+impl LaneTable {
+    /// Starts a block with `shared_bytes` of shared memory.
+    fn begin_block(&mut self, shared_bytes: usize) {
+        self.shared.resize(shared_bytes.div_ceil(128), EMPTY);
+    }
+
+    fn begin_run(&mut self) {
+        self.live = 0;
+        self.last = (u64::MAX, 0);
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.global.fill(EMPTY);
+            self.shared.fill(EMPTY);
+            self.stamp = 1;
+        }
+    }
+
+    /// The entry of the segment holding byte `at`, claimed for this run if
+    /// it is not yet.
+    #[inline]
+    fn seg(&mut self, shared: bool, at: u64) -> &mut Seg {
+        let key = at >> 7;
+        if shared {
+            return claim(&mut self.shared[key as usize], key, self.stamp);
+        }
+        if self.last.0 == key {
+            return &mut self.global[self.last.1];
+        }
+        if 4 * (self.live + 1) > 3 * self.global.len() {
+            self.grow();
+        }
+        let mask = self.global.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.global[i].stamp == self.stamp && self.global[i].key != key {
+            i = (i + 1) & mask;
+        }
+        self.live += usize::from(self.global[i].stamp != self.stamp);
+        self.last = (key, i);
+        claim(&mut self.global[i], key, self.stamp)
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let bigger = vec![EMPTY; 2 * self.global.len()];
+        let old = std::mem::replace(&mut self.global, bigger);
+        let stamp = self.stamp;
+        self.live = 0;
+        self.last = (u64::MAX, 0);
+        for seg in old.into_iter().filter(|s| s.stamp == stamp) {
+            *self.seg(false, seg.key << 7) = seg;
+        }
+    }
+
+    /// Records a read (or write) of the 4 bytes at `addr` by lanes
+    /// `lo..=hi`: both words when they straddle two. It conflicts with an
+    /// earlier write (or access) from above `lo`.
+    #[inline]
+    fn access(
+        &mut self,
+        shared: bool,
+        addr: u64,
+        lo: usize,
+        hi: usize,
+        store: bool,
+    ) -> Result<(), Fallback> {
+        let first = addr & !3;
+        self.word(shared, first, lo, hi, store)?;
+        if addr != first {
+            self.word(shared, first + 4, lo, hi, store)?;
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn word(
+        &mut self,
+        shared: bool,
+        at: u64,
+        lo: usize,
+        hi: usize,
+        store: bool,
+    ) -> Result<(), Fallback> {
+        let seg = self.seg(shared, at);
+        let k = (at >> 2) as usize % WARP;
+        let (lo, hi) = (lo as u8 + 1, hi as u8 + 1);
+        if seg.write[k] > lo || store && seg.read[k] > lo {
+            return Err(Fallback);
+        }
+        let rec = if store {
+            &mut seg.write[k]
+        } else {
+            &mut seg.read[k]
+        };
+        *rec = (*rec).max(hi);
+        Ok(())
+    }
+
+    /// Records a full warp's access to the 32 aligned global words from
+    /// `addr`, lane `l` at word `l`.
+    #[inline]
+    fn warp_access(&mut self, addr: u64, store: bool) -> Result<(), Fallback> {
+        if !addr.is_multiple_of(128) {
+            for l in 0..WARP {
+                self.word(false, addr + 4 * l as u64, l, l, store)?;
+            }
+            return Ok(());
+        }
+        let seg = self.seg(false, addr);
+        let lane = |k: usize| k as u8 + 1;
+        let mut late = false;
+        for k in 0..WARP {
+            late |= seg.write[k] > lane(k) || store && seg.read[k] > lane(k);
+        }
+        if late {
+            return Err(Fallback);
+        }
+        let rec = if store { &mut seg.write } else { &mut seg.read };
+        for (k, r) in rec.iter_mut().enumerate() {
+            *r = (*r).max(lane(k));
+        }
+        Ok(())
+    }
+}
+
+/// The register slots some thread can read before writing them: a path
+/// from the entry reaches a read with no unguarded write to the slot
+/// before it. Every other register is written by a thread before it reads
+/// it, so the engine zeroes only these per warp.
+pub(super) fn read_before_write(ops: &[MicroInst], regs: usize, slots: usize) -> Vec<Slot> {
+    let n = ops.len();
+    let words = slots.div_ceil(64);
+    let has = |set: &[u64], s: Slot| set[s as usize / 64] >> (s % 64) & 1 != 0;
+    // Registers written on every path to each instruction; `None` until
+    // a path reaches it.
+    let mut written: Vec<Option<Vec<u64>>> = vec![None; n];
+    let mut work = Vec::new();
+    if n > 0 {
+        written[0] = Some(vec![0; words]);
+        work.push(0);
+    }
+    while let Some(pc) = work.pop() {
+        let i = ops[pc];
+        let mut out = written[pc]
+            .clone()
+            .expect("queued instructions are reached");
+        let writes = !matches!(
+            i.op,
+            UOp::Nop | UOp::StG | UOp::StS | UOp::Bra | UOp::Bar | UOp::Ret
+        );
+        if i.guard == ONE && writes {
+            out[i.d as usize / 64] |= 1 << (i.d % 64);
+        }
+        let succs = match i.op {
+            UOp::Bra if i.guard == ONE => [Some(i.imm as usize), None],
+            UOp::Bra => [Some(i.imm as usize), Some(pc + 1)],
+            UOp::Ret if i.guard == ONE => [None, None],
+            _ => [Some(pc + 1), None],
+        };
+        for s in succs.into_iter().flatten().filter(|&s| s < n) {
+            match &mut written[s] {
+                Some(set) => {
+                    let mut changed = false;
+                    for (w, o) in set.iter_mut().zip(&out) {
+                        changed |= *w & o != *w;
+                        *w &= o;
+                    }
+                    if changed {
+                        work.push(s);
+                    }
+                }
+                none => {
+                    *none = Some(out.clone());
+                    work.push(s);
+                }
+            }
+        }
+    }
+    let mut zero = vec![false; slots];
+    for (i, set) in ops.iter().zip(&written) {
+        let Some(set) = set else { continue };
+        for s in [i.guard, i.a, i.b, i.c] {
+            if s as usize >= regs && !has(set, s) {
+                zero[s as usize] = true;
+            }
+        }
+    }
+    (regs..slots)
+        .filter(|&s| zero[s])
+        .map(|s| s as Slot)
+        .collect()
+}

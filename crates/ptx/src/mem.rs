@@ -293,6 +293,45 @@ impl GlobalMem {
         }
     }
 
+    /// Writes a 32-bit little-endian word and returns the word it replaced;
+    /// `None` (and no write) when any of its bytes is unmapped.
+    #[inline]
+    pub(crate) fn try_swap_u32(&mut self, addr: u64, value: u32) -> Option<u32> {
+        let (r, off) = self.locate(addr, 4)?;
+        let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
+        let co = off % COW_CHUNK_BYTES;
+        if co + 4 <= chunk.len() {
+            let bytes = &mut chunk_mut(&self.copied, chunk)[co..co + 4];
+            let old = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            bytes.copy_from_slice(&value.to_le_bytes());
+            Some(old)
+        } else {
+            let old = self.read_straddling(r, off);
+            self.write_straddling(r, off, value);
+            Some(old)
+        }
+    }
+
+    /// The `len` bytes at `addr`, when they lie inside one chunk.
+    #[inline]
+    pub(crate) fn chunk_bytes(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        let (r, off) = self.locate(addr, len as u64)?;
+        let co = off % COW_CHUNK_BYTES;
+        self.regions[r].chunks[off / COW_CHUNK_BYTES].get(co..co + len)
+    }
+
+    /// [`GlobalMem::chunk_bytes`] for writing, unsharing the chunk first.
+    #[inline]
+    pub(crate) fn chunk_bytes_mut(&mut self, addr: u64, len: usize) -> Option<&mut [u8]> {
+        let (r, off) = self.locate(addr, len as u64)?;
+        let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
+        let co = off % COW_CHUNK_BYTES;
+        if co + len > chunk.len() {
+            return None;
+        }
+        Some(&mut chunk_mut(&self.copied, chunk)[co..co + len])
+    }
+
     /// Writes a 32-bit little-endian word.
     ///
     /// # Panics
