@@ -6,11 +6,8 @@
 //! Table II workload plus a 512-TB VectorAdd, under two configurations:
 //!
 //! * `reference`  — every fast path off (the correctness baseline);
-//! * `affine`     — affine memoization + lane law + trace memo, the
+//! * `affine`     — affine memoization + trace and timing memos, the
 //!   configuration every user path runs.
-//!
-//! Each configuration also reports the copy-on-write bytes its trace
-//! phase actually duplicates — the real cost of scratch cloning.
 //!
 //! Every phase runs the code the pipeline runs: the trace phase is
 //! [`trace_phase`], the memoized per-run trace phase of a cold analysis,
@@ -22,7 +19,7 @@
 //! lasting seconds lands on both configs of the pairs it spans.
 //!
 //! Results are printed as a table and written as JSON (schema
-//! `bm-bench/perf_analysis/v2`) to `BENCH_analysis.json` at the
+//! `bm-bench/perf_analysis/v3`) to `BENCH_analysis.json` at the
 //! repository root so successive commits can be compared. Run with:
 //!
 //! ```text
@@ -47,7 +44,6 @@ use bm_bench::{geomean, scale_from_args};
 use bm_cmdq::Application;
 use bm_depgraph::{build_graph_bounded_par, HazardMode};
 use bm_ptx::absint::try_analyze_launch_fueled_par;
-use bm_ptx::mem::GlobalMem;
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
 use bm_workloads::{suite, vectoradd, Scale};
@@ -94,7 +90,7 @@ fn phase_once(
         0 => absint_pass(app, budget, par),
         1 => {
             if let Some(scratch) = &mut scratch {
-                black_box(trace_pass(gpu, app, scratch, budget, par));
+                black_box(trace_phase(gpu, app, scratch, budget, par));
             }
         }
         2 => graph_pass(jit, budget, par),
@@ -175,24 +171,6 @@ fn absint_pass(app: &Application, budget: &AnalysisBudget, par: &ParallelConfig)
     }
 }
 
-/// The trace phase of one cold analysis run under `par` on `scratch`, a
-/// fresh initial image, as the pipeline runs it ([`trace_phase`]): the
-/// reference interprets every lane of each new launch's representative TB
-/// on the scratch; the affine config goes through the trace memo, the
-/// timing memo and the warp lane law on copy-on-write clones. Returns the
-/// CoW bytes the pass duplicated.
-fn trace_pass(
-    gpu: &GpuConfig,
-    app: &Application,
-    scratch: &mut GlobalMem,
-    budget: &AnalysisBudget,
-    par: &ParallelConfig,
-) -> u64 {
-    let before = scratch.cow_copied_bytes();
-    black_box(trace_phase(gpu, app, scratch, budget, par));
-    scratch.cow_copied_bytes() - before
-}
-
 /// One dependency-graph build per consecutive kernel pair, from
 /// pre-computed access sets — the pure graph-construction phase.
 fn graph_pass(jit: &[JitKernel], budget: &AnalysisBudget, par: &ParallelConfig) {
@@ -212,8 +190,6 @@ struct StageTimes {
     phase_ns: Vec<[f64; 2]>,
     /// Median paired reference/affine ratio per phase.
     speedup: Vec<f64>,
-    /// CoW bytes duplicated by one trace pass, per config.
-    scratch_cow_bytes: Vec<u64>,
 }
 
 struct WorkloadRow {
@@ -249,10 +225,6 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
     let (phase_ns, speedup): (Vec<[f64; 2]>, Vec<f64>) = (0..PHASES.len())
         .map(|p| paired_phase(gpu, app, &budget, &jit, &mut warm, p, &cfgs, budget_ms))
         .unzip();
-    let scratch_cow_bytes: Vec<u64> = cfgs
-        .iter()
-        .map(|(_, par)| trace_pass(gpu, app, &mut scratch_memory(app), &budget, par))
-        .collect();
     let t0 = Instant::now();
     let mut spec = RunSpec {
         kernels: Some(&jit),
@@ -263,11 +235,7 @@ fn measure(gpu: &GpuConfig, app: &Application, budget_ms: u64) -> WorkloadRow {
     WorkloadRow {
         name: app.name.clone(),
         kernels: jit.len(),
-        times: StageTimes {
-            phase_ns,
-            speedup,
-            scratch_cow_bytes,
-        },
+        times: StageTimes { phase_ns, speedup },
         run_ns,
         run_cycles: report.total_cycles,
     }
@@ -344,16 +312,10 @@ fn main() {
             })
             .collect();
         println!(
-            "{:<16} kernels={:<3} {} cow[{}] run={}",
+            "{:<16} kernels={:<3} {} run={}",
             row.name,
             row.kernels,
             phases.join(" "),
-            row.times
-                .scratch_cow_bytes
-                .iter()
-                .map(|b| format!("{}K", b >> 10))
-                .collect::<Vec<_>>()
-                .join(" "),
             fmt_ms(row.run_ns),
         );
         rows.push(row);
@@ -370,7 +332,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"bm-bench/perf_analysis/v2\",\n");
+    json.push_str("  \"schema\": \"bm-bench/perf_analysis/v3\",\n");
     json.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         match scale {
@@ -399,16 +361,10 @@ fn main() {
                 })
                 .collect();
             format!(
-                "    {{ \"name\": \"{}\", \"kernels\": {}, {}, \"scratch_cow_bytes\": [{}], \"run_ns\": {:.1}, \"run_cycles\": {} }}",
+                "    {{ \"name\": \"{}\", \"kernels\": {}, {}, \"run_ns\": {:.1}, \"run_cycles\": {} }}",
                 r.name,
                 r.kernels,
                 phases.join(", "),
-                r.times
-                    .scratch_cow_bytes
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
                 r.run_ns,
                 r.run_cycles,
             )

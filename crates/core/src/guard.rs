@@ -420,6 +420,8 @@ pub fn verify_by_conflict_order(
 ///
 /// # Errors
 ///
+/// [`PtxError::BadLaunch`], before anything runs, when an entry names a
+/// kernel the application does not launch or a block past its grid;
 /// [`PtxError::Exec`] when functional replay itself fails.
 pub fn verify_soundness(
     app: &Application,
@@ -428,6 +430,23 @@ pub fn verify_soundness(
     expected_fp: u64,
 ) -> Result<SoundnessOutcome, PtxError> {
     let launches = app.launches();
+    for (key, _, _) in schedule {
+        let k = key.kernel_seq as usize;
+        let launch = launches.get(k).ok_or(PtxError::BadLaunch {
+            kernel: format!("#{k}"),
+            reason: "schedule references unknown kernel".into(),
+        })?;
+        if key.tb >= launch.num_blocks() {
+            return Err(PtxError::BadLaunch {
+                kernel: launch.kernel.name.clone(),
+                reason: format!(
+                    "schedule references block {} of a {}-block grid",
+                    key.tb,
+                    launch.num_blocks()
+                ),
+            });
+        }
+    }
     let mut log = AccessLog::new(&app.space);
     let programs: Vec<Program> = launches.into_iter().map(Program::new).collect();
     let mut order: Vec<(usize, TbKey, u64)> = schedule
@@ -441,11 +460,7 @@ pub fn verify_soundness(
     let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
     for (_, key, _) in order {
         let k = key.kernel_seq as usize;
-        let program = programs.get(k).ok_or(PtxError::BadLaunch {
-            kernel: format!("#{k}"),
-            reason: "schedule references unknown kernel".into(),
-        })?;
-        log.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)
+        log.execute_block(&programs[k], key.tb, &mut mem, MAX_STEPS_PER_THREAD)
             .map_err(PtxError::Exec)?;
         ranges.clear();
         bounds.clear();

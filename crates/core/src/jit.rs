@@ -13,11 +13,11 @@ use bm_depgraph::{
 use bm_ptx::absint::{try_analyze_launch_fueled_par, try_analyze_launch_grouped};
 use bm_ptx::access::{KernelAccess, TbAccess};
 use bm_ptx::error::PtxError;
-use bm_ptx::interp::{ExecError, MAX_STEPS_PER_THREAD};
+use bm_ptx::interp::ExecError;
 use bm_ptx::kernel::Launch;
 use bm_ptx::mem::GlobalMem;
 use bm_ptx::par::ParallelConfig;
-use bm_ptx::trace::{trace_block_law, trace_block_limited, TbTrace, TraceLawStats};
+use bm_ptx::trace::{trace_block_limited, TbTrace};
 use bm_simt::config::GpuConfig;
 use bm_simt::timing::simulate_sm;
 
@@ -27,7 +27,9 @@ use crate::degrade::{
 };
 use crate::hw::MAX_COUNTER;
 use bm_trace::{AnalysisPhase, NullTracer, TraceEvent, Tracer};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Timing and resource profile of one kernel launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,8 +103,6 @@ pub struct TraceMemoStats {
     /// Interpreted traces timed on the SM model: each distinct
     /// (representative trace, occupancy) pair once per run.
     pub traces_timed: u64,
-    /// Aggregated lane-law counters across every interpreted trace.
-    pub law: TraceLawStats,
 }
 
 /// Cross-launch trace-memoization state for one analysis run.
@@ -139,13 +139,13 @@ struct MemoEntry {
 enum MemoState {
     /// Anchor captured; awaiting two consecutive bit-equal confirmations.
     Candidate {
-        trace: TbTrace,
+        trace: Rc<TbTrace>,
         profile: LaunchProfile,
         confirmed: u32,
     },
     /// Law accepted: synthesize, re-validating at power-of-two occurrences.
     Accepted {
-        trace: TbTrace,
+        trace: Rc<TbTrace>,
         profile: LaunchProfile,
     },
     /// A mismatch or trace failure: interpret this key forever.
@@ -177,24 +177,24 @@ impl TraceMemo {
     }
 
     /// Feeds one interpreted trace (and the profile derived from it) into
-    /// the automaton.
-    fn observe(&mut self, key: &CacheKey, trace: TbTrace, profile: LaunchProfile) {
+    /// the automaton. Traces come interned from [`TimingMemo::profile`],
+    /// so an equal trace is usually the same allocation and compares in
+    /// one pointer test.
+    fn observe(&mut self, key: CacheKey, trace: Rc<TbTrace>, profile: LaunchProfile) {
         self.stats.traces_interpreted += 1;
-        match self.entries.get_mut(key) {
-            None => {
-                self.entries.insert(
-                    key.clone(),
-                    MemoEntry {
-                        occurrences: 1,
-                        state: MemoState::Candidate {
-                            trace,
-                            profile,
-                            confirmed: 0,
-                        },
+        match self.entries.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(MemoEntry {
+                    occurrences: 1,
+                    state: MemoState::Candidate {
+                        trace,
+                        profile,
+                        confirmed: 0,
                     },
-                );
+                });
             }
-            Some(e) => {
+            Entry::Occupied(mut o) => {
+                let e = o.get_mut();
                 e.occurrences += 1;
                 e.state = match std::mem::replace(&mut e.state, MemoState::Rejected) {
                     MemoState::Candidate {
@@ -278,6 +278,9 @@ impl TraceMemo {
     }
 }
 
+/// Occupancy, then a trace's instructions, transactions and accesses.
+type TimingKey = (u32, u64, u64, u64);
+
 /// Timing memo for one analysis run. `simulate_sm` is a pure function of
 /// the config and the traces, so under the fast paths each distinct
 /// (representative trace, occupancy) pair is timed once and every later
@@ -285,33 +288,43 @@ impl TraceMemo {
 /// does not consult it and re-times every launch, as the oracle.
 #[derive(Debug, Default)]
 struct TimingMemo {
-    /// Per distinct trace: the `(occupancy, per-TB duration)` pairs timed.
-    durations: HashMap<TbTrace, Vec<(u32, u64)>>,
+    /// The traces timed, each once, and their per-TB durations, by
+    /// occupancy and the trace's counters: a lookup compares whole traces
+    /// only when those match. (Hashing and cloning every trace instead
+    /// cost a tenth of a small app's lockstep trace phase.)
+    durations: HashMap<TimingKey, Vec<(Rc<TbTrace>, u64)>>,
     /// Pairs timed so far.
     timed: u64,
 }
 
 impl TimingMemo {
-    /// [`profile_from_trace`], timing `trace` only on its pair's first use.
-    fn profile(&mut self, cfg: &GpuConfig, launch: &Launch, trace: &TbTrace) -> LaunchProfile {
+    /// [`profile_from_trace`], timing `trace` only on its pair's first use;
+    /// also returns the stored copy of `trace`.
+    fn profile(
+        &mut self,
+        cfg: &GpuConfig,
+        launch: &Launch,
+        trace: TbTrace,
+    ) -> (LaunchProfile, Rc<TbTrace>) {
         let occ = occupancy(cfg, launch);
-        let known = self
-            .durations
-            .get(trace)
-            .and_then(|ds| ds.iter().find(|&&(o, _)| o == occ));
-        let duration = match known {
-            Some(&(_, d)) => d,
+        let key = (
+            occ,
+            trace.dyn_instrs,
+            trace.global_transactions,
+            trace.global_accesses,
+        );
+        let timed = self.durations.entry(key).or_default();
+        let (trace, duration) = match timed.iter().find(|(t, _)| **t == trace) {
+            Some((t, d)) => (Rc::clone(t), *d),
             None => {
-                let d = sm_duration(cfg, trace, occ);
+                let d = sm_duration(cfg, &trace, occ);
                 self.timed += 1;
-                self.durations
-                    .entry(trace.clone())
-                    .or_default()
-                    .push((occ, d));
-                d
+                let t = Rc::new(trace);
+                timed.push((Rc::clone(&t), d));
+                (t, d)
             }
         };
-        launch_profile(launch, trace, duration)
+        (launch_profile(launch, &trace, duration), trace)
     }
 }
 
@@ -747,11 +760,10 @@ fn trace_profile(
         return Ok(memo.synthesize(&key));
     }
     let rep = launch.num_blocks() / 2;
-    match trace_block_law(launch, rep, scratch.get(), budget.trace_steps) {
-        Ok((trace, law)) => {
-            let profile = timings.profile(cfg, launch, &trace);
-            memo.stats.law.merge(&law);
-            memo.observe(&key, trace, profile.clone());
+    match trace_block_limited(launch, rep, scratch.get(), budget.trace_steps) {
+        Ok(trace) => {
+            let (profile, trace) = timings.profile(cfg, launch, trace);
+            memo.observe(key, trace, profile.clone());
             Ok(profile)
         }
         Err(e) => {
@@ -1112,36 +1124,16 @@ fn find_skip_gates(
     gates
 }
 
-/// Profiles one launch: traces a representative TB and times it on one SM
-/// at the kernel's occupancy. A launch that fails to trace degrades to the
-/// deterministic fallback estimate instead of panicking (ladder semantics:
-/// callers that need the reason use [`try_profile_launch`]).
-pub fn profile_launch(cfg: &GpuConfig, launch: &Launch, scratch: &mut GlobalMem) -> LaunchProfile {
-    try_profile_launch(cfg, launch, scratch).unwrap_or_else(|_| fallback_profile(launch))
-}
-
-/// Fallible counterpart of [`profile_launch`]. Zero-block grids are legal
-/// degenerate launches: they execute nothing and get a unit-duration
-/// profile so downstream arithmetic stays well-defined.
+/// Profiles one launch under a per-thread step budget (the trace rung of
+/// the degradation ladder): traces a representative TB and times it on
+/// one SM at the kernel's occupancy. Zero-block grids are legal degenerate
+/// launches: they execute nothing and get a unit-duration profile so
+/// downstream arithmetic stays well-defined.
 ///
 /// # Errors
 ///
-/// [`PtxError::Exec`] when tracing the representative TB fails.
-pub fn try_profile_launch(
-    cfg: &GpuConfig,
-    launch: &Launch,
-    scratch: &mut GlobalMem,
-) -> Result<LaunchProfile, PtxError> {
-    try_profile_launch_limited(cfg, launch, scratch, MAX_STEPS_PER_THREAD)
-}
-
-/// [`try_profile_launch`] under an explicit per-thread step budget — the
-/// trace rung of the degradation ladder.
-///
-/// # Errors
-///
-/// As [`try_profile_launch`]; exceeding the budget surfaces as
-/// [`PtxError::Exec`] with [`ExecError::StepLimit`].
+/// [`PtxError::Exec`] when tracing the representative TB fails; exceeding
+/// the budget surfaces as [`ExecError::StepLimit`].
 pub fn try_profile_launch_limited(
     cfg: &GpuConfig,
     launch: &Launch,

@@ -16,9 +16,10 @@
 //! [`Program::execute_block`] runs a block thread-serially, each thread
 //! until it exits or reaches a barrier, in the same order, with the same
 //! observer callbacks, statistics, step limit and error points as a direct
-//! walk over the [`Op`] tree. The plain and logged serialized passes run
-//! the same decode on the warp-lockstep engine ([`Lockstep`]), which gives
-//! the same memory, statistics and errors 32 lanes per dispatch.
+//! walk over the [`Op`] tree. The plain and logged serialized passes and
+//! the launch-time trace run the same decode on the warp-lockstep engine
+//! ([`Lockstep`]), which gives the same memory, statistics and errors 32
+//! lanes per dispatch.
 
 use crate::isa::*;
 use crate::kernel::Launch;
@@ -29,7 +30,7 @@ use std::fmt;
 mod lockstep;
 
 pub use lockstep::Lockstep;
-pub(crate) use lockstep::Sink;
+pub(crate) use lockstep::{Sink, WARP};
 
 /// Error produced during functional execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -701,9 +702,9 @@ impl<'l> Program<'l> {
     }
 
     /// [`Program::execute_block`] restricted to an explicit ascending list
-    /// of thread ids — the lane-law trace fast path executes only a block's
-    /// anchor and validation lanes and synthesizes the rest (see
-    /// `crate::trace`).
+    /// of thread ids. No pipeline path runs a subset; the step-limit tests
+    /// run single lanes through it, so a sweep over every budget need not
+    /// repeat the whole block at each one.
     ///
     /// The scheduling discipline is identical to the full block
     /// (round-robin over the listed threads, block-wide barrier release

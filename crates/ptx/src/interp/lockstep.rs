@@ -26,7 +26,7 @@
 use super::*;
 
 /// Lanes per warp.
-const WARP: usize = 32;
+pub(crate) const WARP: usize = 32;
 /// Every lane of a full warp.
 const FULL: u32 = u32::MAX;
 /// One register slot of a warp: its value in every lane.
@@ -35,12 +35,21 @@ type Lanes = [u64; WARP];
 /// the whole warp.
 const SPARSE: u32 = 8;
 
-/// What a lockstep pass reports its accesses to: nothing for the plain
-/// pass, the access log for the logged one. As an [`ExecObserver`] it
-/// also watches the thread-serial rerun of a block that falls back.
+/// What a lockstep pass reports to: nothing for the plain pass, the
+/// access log for the logged one, the trace recorder for a warp trace. As
+/// an [`ExecObserver`] it also watches the thread-serial rerun of a block
+/// that falls back.
 pub(crate) trait Sink: ExecObserver {
     /// A full warp's access to the 32 aligned words from `addr`.
     fn on_warp_access(&mut self, _addr: u64, _store: bool) {}
+
+    /// A dispatch of warp `w` at `pc` in the lanes of `exec`, those whose
+    /// guard passed.
+    fn on_dispatch(&mut self, _w: usize, _pc: usize, _exec: u32) {}
+
+    /// A global load or store of warp `w` at `pc`: the address of each
+    /// lane of `exec`.
+    fn on_global(&mut self, _w: usize, _pc: usize, _exec: u32, _addr: &[u64; WARP]) {}
 
     /// Drops everything observed since the block started.
     fn discard(&mut self) {}
@@ -53,7 +62,7 @@ impl Sink for NullObserver {}
 /// across blocks so a block allocates nothing once they have grown.
 ///
 /// [`Lockstep::execute_block`] is the plain pass; `AccessLog` runs the
-/// logged one on its own engine.
+/// logged one on its own engine, and `trace_block_limited` the trace.
 #[derive(Default)]
 pub struct Lockstep {
     /// One register file per warp of a barrier kernel, else one reused.
@@ -391,6 +400,7 @@ impl Program<'_> {
                 group & (0..WARP).fold(0, |m, l| m | u32::from(g[l] != i.skip) << l)
             };
             ctx.stats.instructions += u64::from(exec.count_ones());
+            ctx.sink.on_dispatch(w, pc, exec);
             match i.op {
                 UOp::Bra => {
                     let stay = group & !exec;
@@ -517,6 +527,7 @@ impl Program<'_> {
         pc: usize,
     ) -> Result<(), Fallback> {
         let addr: [u64; WARP] = std::array::from_fn(|l| file[i.a as usize][l].wrapping_add(i.imm));
+        ctx.sink.on_global(w, pc, exec, &addr);
         ctx.stats.global_loads += u64::from(exec.count_ones());
         let d = &mut file[i.d as usize];
         if exec == FULL && contiguous(&addr) {
@@ -566,6 +577,7 @@ impl Program<'_> {
     ) -> Result<(), Fallback> {
         let addr: [u64; WARP] = std::array::from_fn(|l| file[i.b as usize][l].wrapping_add(i.imm));
         let v = &file[i.a as usize];
+        ctx.sink.on_global(w, pc, exec, &addr);
         ctx.stats.global_stores += u64::from(exec.count_ones());
         if exec == FULL && contiguous(&addr) {
             if let Some(bytes) = ctx.mem.chunk_bytes_mut(addr[0], 4 * WARP) {

@@ -5,7 +5,6 @@
 //! with plain byte intervals and map any address back to its allocation.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a device allocation.
@@ -110,10 +109,7 @@ impl Default for AddressSpace {
 
 /// Copy-on-write granule of a backing region. 4 KiB balances clone cost
 /// (one `Arc` pointer per chunk) against the bytes duplicated by the first
-/// write into a shared chunk: the lane-law trace path hands every warp a
-/// private clone that typically writes a few dozen bytes, so large granules
-/// turn each of those writes into a large memcpy (at 64 KiB, the trace
-/// phase duplicated ~8x more bytes than it read).
+/// write into a shared chunk.
 pub const COW_CHUNK_BYTES: usize = 1 << 12;
 
 /// Byte-addressable functional device memory backing the interpreter.
@@ -124,15 +120,11 @@ pub const COW_CHUNK_BYTES: usize = 1 << 12;
 /// pointer hop from its region's chunk list.
 ///
 /// Chunks are reference-counted and shared between clones, so `clone()` is
-/// a pointer copy per chunk rather than a deep copy of device memory: the
-/// trace lane law runs every warp on a private scratch clone, and only
-/// chunks a clone actually writes are duplicated (copy-on-write).
-/// All clones of one memory share a byte counter of those duplications,
-/// observable via [`GlobalMem::cow_copied_bytes`].
+/// a pointer copy per chunk rather than a deep copy of device memory, and
+/// only chunks a clone actually writes are duplicated (copy-on-write).
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMem {
-    regions: Vec<Region>,   // sorted by base
-    copied: Arc<AtomicU64>, // CoW bytes, shared by all clones
+    regions: Vec<Region>, // sorted by base
 }
 
 /// One backing region.
@@ -145,22 +137,20 @@ struct Region {
 }
 
 /// Unique access to one chunk, duplicating it first when it is shared with
-/// another clone (and charging the duplication to the family counter).
-/// Chunks never have weak references, so a strong count of one (a plain
-/// load) makes the one `Arc::get_mut` succeed.
+/// another clone. Chunks never have weak references, so a strong count of
+/// one (a plain load) makes the one `Arc::get_mut` succeed.
 #[inline]
-fn chunk_mut<'c>(copied: &AtomicU64, chunk: &'c mut Arc<[u8]>) -> &'c mut [u8] {
+fn chunk_mut(chunk: &mut Arc<[u8]>) -> &mut [u8] {
     if Arc::strong_count(chunk) != 1 {
-        unshare(copied, chunk);
+        unshare(chunk);
     }
     Arc::get_mut(chunk).expect("a chunk with one strong reference is unique")
 }
 
-/// Replaces `chunk` by a private copy, charging it to the family counter.
+/// Replaces `chunk` by a private copy.
 #[cold]
 #[inline(never)]
-fn unshare(copied: &AtomicU64, chunk: &mut Arc<[u8]>) {
-    copied.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+fn unshare(chunk: &mut Arc<[u8]>) {
     *chunk = Arc::from(&chunk[..]);
 }
 
@@ -219,12 +209,6 @@ impl GlobalMem {
         (addr.checked_add(len)? <= r.end).then(|| (i, (addr - r.base) as usize))
     }
 
-    /// Bytes duplicated by copy-on-write across all clones sharing this
-    /// memory's lineage — the real cost of handing workers scratch clones.
-    pub fn cow_copied_bytes(&self) -> u64 {
-        self.copied.load(Ordering::Relaxed)
-    }
-
     /// Reads a 32-bit little-endian word, or `None` when any of its bytes
     /// falls outside every backing region.
     #[inline]
@@ -273,7 +257,7 @@ impl GlobalMem {
         let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
         let co = off % COW_CHUNK_BYTES;
         if co + 4 <= chunk.len() {
-            chunk_mut(&self.copied, chunk)[co..co + 4].copy_from_slice(&value.to_le_bytes());
+            chunk_mut(chunk)[co..co + 4].copy_from_slice(&value.to_le_bytes());
         } else {
             self.write_straddling(r, off, value);
         }
@@ -288,7 +272,7 @@ impl GlobalMem {
         let chunks = &mut self.regions[r].chunks;
         for (i, b) in value.to_le_bytes().into_iter().enumerate() {
             let o = off + i;
-            let c = chunk_mut(&self.copied, &mut chunks[o / COW_CHUNK_BYTES]);
+            let c = chunk_mut(&mut chunks[o / COW_CHUNK_BYTES]);
             c[o % COW_CHUNK_BYTES] = b;
         }
     }
@@ -301,7 +285,7 @@ impl GlobalMem {
         let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
         let co = off % COW_CHUNK_BYTES;
         if co + 4 <= chunk.len() {
-            let bytes = &mut chunk_mut(&self.copied, chunk)[co..co + 4];
+            let bytes = &mut chunk_mut(chunk)[co..co + 4];
             let old = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
             bytes.copy_from_slice(&value.to_le_bytes());
             Some(old)
@@ -329,7 +313,7 @@ impl GlobalMem {
         if co + len > chunk.len() {
             return None;
         }
-        Some(&mut chunk_mut(&self.copied, chunk)[co..co + len])
+        Some(&mut chunk_mut(chunk)[co..co + len])
     }
 
     /// Writes a 32-bit little-endian word.
@@ -369,12 +353,12 @@ impl GlobalMem {
         let mut words = data.iter();
         'outer: while let Some(first) = words.next() {
             let (ci, co) = (off / COW_CHUNK_BYTES, off % COW_CHUNK_BYTES);
-            let c = chunk_mut(&self.copied, &mut chunks[ci]);
+            let c = chunk_mut(&mut chunks[ci]);
             if co + 4 > c.len() {
                 // Word straddles the chunk boundary: byte-wise slow path.
                 for (i, b) in first.to_bits().to_le_bytes().into_iter().enumerate() {
                     let o = off + i;
-                    let cc = chunk_mut(&self.copied, &mut chunks[o / COW_CHUNK_BYTES]);
+                    let cc = chunk_mut(&mut chunks[o / COW_CHUNK_BYTES]);
                     cc[o % COW_CHUNK_BYTES] = b;
                 }
                 off += 4;
@@ -523,18 +507,19 @@ mod tests {
         let a = sp.alloc(4 * COW_CHUNK_BYTES as u64);
         let mut m = GlobalMem::for_space(&sp);
         m.copy_from_host_f32(a.base, &vec![1.5f32; COW_CHUNK_BYTES / 4]);
-        let before = m.cow_copied_bytes();
         let mut clone = m.clone();
+        let shared = |m: &GlobalMem, clone: &GlobalMem| -> Vec<bool> {
+            let pair = m.regions[0].chunks.iter().zip(&clone.regions[0].chunks);
+            pair.map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+        };
         // Cloning itself duplicates nothing.
-        assert_eq!(clone.cow_copied_bytes(), before);
+        assert_eq!(shared(&m, &clone), [true; 4]);
         // Writing one word in the clone duplicates exactly one chunk, and
         // the original is unaffected.
         clone.write_f32(a.base, 9.0);
-        assert_eq!(clone.cow_copied_bytes(), before + COW_CHUNK_BYTES as u64);
+        assert_eq!(shared(&m, &clone), [false, true, true, true]);
         assert_eq!(clone.read_f32(a.base), 9.0);
         assert_eq!(m.read_f32(a.base), 1.5);
-        // The counter is shared across the lineage.
-        assert_eq!(m.cow_copied_bytes(), clone.cow_copied_bytes());
     }
 
     #[test]

@@ -19,11 +19,11 @@ use crate::cancel::{CancelCause, CancelToken};
 pub struct ParallelConfig {
     /// Whether the memoized fast paths may answer instead of full
     /// interpretation: the affine per-TB access law in `bm_ptx::absint`,
-    /// the representative-TB warp lane law
-    /// (`bm_ptx::trace::trace_block_law`) and cross-launch trace
-    /// memoization in `bm-core`. Each is validated per launch or per warp,
-    /// and a rejection falls back to full interpretation, so disabling them
-    /// only costs time.
+    /// and in `bm-core` the cross-launch trace memo and the per-run memo
+    /// that times each distinct representative trace once. The affine law
+    /// is validated per launch and the trace memo per key, and a rejection
+    /// falls back to full interpretation, so disabling them only costs
+    /// time.
     pub fast_paths: bool,
     /// Cooperative cancellation observed at analysis phase boundaries.
     /// `None` (the default everywhere outside `bm-serve`) means no check

@@ -114,8 +114,7 @@ pub fn execute_block_limited<O: ExecObserver>(
 }
 
 /// [`execute_block_limited`] restricted to an explicit ascending list of
-/// thread ids — the lane-law trace fast path executes only a block's anchor
-/// and validation lanes and synthesizes the rest (see `crate::trace`).
+/// thread ids, the oracle of `Program::execute_subset`.
 ///
 /// The scheduling discipline is identical to the full executor (round-robin
 /// over the listed threads, block-wide barrier release among them), so for

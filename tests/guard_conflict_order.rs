@@ -422,14 +422,16 @@ fn malformed_schedules_fall_back_to_the_replay() {
         "{replay:?}"
     );
 
-    // A block index past its kernel's grid.
+    // A block index past its kernel's grid: the replay rejects it before
+    // running anything.
     let mut out_of_grid = schedule.clone();
     out_of_grid.retain(|e| e.0 != key(0, 3));
     out_of_grid.push((key(0, 4), 0, 1));
-    assert_eq!(
-        verify_by_conflict_order(&app, &jit, &out_of_grid).unwrap(),
-        None,
-        "block past the grid"
+    let (fast, replay) = both(&app, &jit, &out_of_grid);
+    assert_eq!(fast, None, "block past the grid");
+    assert!(
+        matches!(&replay, Err(PtxError::BadLaunch { reason, .. }) if reason.contains("block 4")),
+        "{replay:?}"
     );
 }
 

@@ -1,16 +1,20 @@
 //! The warp-lockstep engine (`bm_ptx::interp::Lockstep` for the plain
-//! pass, `bm_ptx::access::AccessLog::execute_block` for the logged one)
-//! against the thread-serial reference interpreter kept in
-//! `tests/common/reference_interp.rs`: final memory, `ExecStats`, every
-//! block's canonical read and write ranges, and the error plus partial
-//! memory of failing blocks must all be identical. Suite apps must never
-//! leave the engine; kernels built to break its lane order must, and still
-//! match.
+//! pass, `bm_ptx::access::AccessLog::execute_block` for the logged one,
+//! `bm_ptx::trace::trace_block_limited` for the trace) against the
+//! thread-serial reference interpreter kept in
+//! `tests/common/reference_interp.rs` and the trace recorder kept in
+//! `tests/common/reference_trace.rs`: final memory, `ExecStats`, every
+//! block's canonical read and write ranges, its trace, and the error plus
+//! partial memory of failing blocks must all be identical. Suite apps must
+//! never leave the engine; kernels built to break its lane order must, and
+//! still match.
 
 #[path = "common/random_kernel.rs"]
 mod random_kernel;
 #[path = "common/reference_interp.rs"]
 mod reference;
+#[path = "common/reference_trace.rs"]
+mod reference_trace;
 
 use bm_cmdq::Application;
 use bm_ptx::access::AccessLog;
@@ -18,9 +22,11 @@ use bm_ptx::interp::{ExecError, ExecStats, Lockstep, Program, MAX_STEPS_PER_THRE
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::{AddressSpace, GlobalMem};
 use bm_ptx::parser::parse_kernel;
+use bm_ptx::trace::trace_block_limited;
 use bm_testkit::Rng;
 use bm_workloads::{suite, Scale};
 use random_kernel::{random_kernel, DUMP, WORDS};
+use reference_trace::{Both, TraceObserver};
 use std::sync::Arc;
 
 /// One memory image per engine (reference, plain, logged), the two
@@ -52,8 +58,9 @@ impl Engines {
         (r, ranges, bounds)
     }
 
-    /// Runs block `tb` on all three and asserts equal results, memories
-    /// and (for successful blocks) ranges; returns the result.
+    /// Runs block `tb` on all three, and traces it on a copy of the
+    /// memory, and asserts equal results, memories, traces and (for
+    /// successful blocks) ranges; returns the result.
     fn block(
         &mut self,
         program: &Program,
@@ -61,10 +68,38 @@ impl Engines {
         max_steps: u64,
         what: &str,
     ) -> Result<ExecStats, ExecError> {
+        self.block_traced(program, tb, max_steps, what, true)
+    }
+
+    /// [`Engines::block`], tracing the block only when `trace` is set.
+    fn block_traced(
+        &mut self,
+        program: &Program,
+        tb: u32,
+        max_steps: u64,
+        what: &str,
+        trace: bool,
+    ) -> Result<ExecStats, ExecError> {
         let [want_mem, plain_mem, log_mem] = &mut self.mem;
         let launch = program.launch();
-        let r =
-            reference::execute_block_limited(launch, tb, want_mem, &mut self.want_log, max_steps);
+        let mut trace_mem = trace.then(|| want_mem.clone());
+        let (r, want_trace) = if trace {
+            let mut obs = Both(TraceObserver::default(), &mut self.want_log);
+            let r = reference::execute_block_limited(launch, tb, want_mem, &mut obs, max_steps);
+            let t = r
+                .clone()
+                .map(|s| reference_trace::rebuild(launch, &obs.0, &s));
+            (r, Some(t))
+        } else {
+            let r = reference::execute_block_limited(
+                launch,
+                tb,
+                want_mem,
+                &mut self.want_log,
+                max_steps,
+            );
+            (r, None)
+        };
         let want = Self::finish(&mut self.want_log, r);
         let plain = self.plain.execute_block(program, tb, plain_mem, max_steps);
         let r = self.log.execute_block(program, tb, log_mem, max_steps);
@@ -86,6 +121,11 @@ impl Engines {
             log_mem.fingerprint(),
             "{what}: block {tb} logged memory"
         );
+        if let (Some(mem), Some(want_trace)) = (&mut trace_mem, want_trace) {
+            let got = trace_block_limited(launch, tb, mem, max_steps);
+            assert_eq!(got, want_trace, "{what}: block {tb} trace");
+            assert_eq!(fp, mem.fingerprint(), "{what}: block {tb} trace memory");
+        }
         want.0
     }
 
@@ -95,17 +135,19 @@ impl Engines {
     }
 }
 
-/// Every block of `app` in serialized order on all engines; returns the
-/// merged statistics.
-fn compare_app(app: &Application) -> ExecStats {
+/// Every block of `app` in serialized order on all engines, tracing every
+/// block or (`all_traces` unset) each launch's representative one, the
+/// block the launch-time trace takes; returns the merged statistics.
+fn compare_app(app: &Application, all_traces: bool) -> ExecStats {
     let mut e = Engines::new(&app.space, &app.initial_memory());
     let mut stats = ExecStats::default();
     for (k, launch) in app.launches().into_iter().enumerate() {
         let program = Program::new(launch);
         let what = format!("{} kernel {k}", app.name);
         for tb in 0..launch.num_blocks() {
+            let trace = all_traces || tb == launch.num_blocks() / 2;
             let s = e
-                .block(&program, tb, MAX_STEPS_PER_THREAD, &what)
+                .block_traced(&program, tb, MAX_STEPS_PER_THREAD, &what, trace)
                 .unwrap_or_else(|err| panic!("{what}: {err}"));
             stats.merge(&s);
         }
@@ -117,7 +159,7 @@ fn compare_app(app: &Application) -> ExecStats {
 #[test]
 fn all_small_apps_match_without_falling_back() {
     for b in suite() {
-        let stats = compare_app(&(b.build)(Scale::Small));
+        let stats = compare_app(&(b.build)(Scale::Small), true);
         assert!(stats.instructions > 0, "{}", b.name);
     }
 }
@@ -127,7 +169,7 @@ fn all_small_apps_match_without_falling_back() {
 fn guarded_apps_at_full_scale_match_without_falling_back() {
     for name in ["GAUSSIAN", "HS", "AlexNet", "BICG", "PATH"] {
         let b = suite().into_iter().find(|b| b.name == name).unwrap();
-        compare_app(&(b.build)(Scale::Full));
+        compare_app(&(b.build)(Scale::Full), false);
     }
 }
 
@@ -312,6 +354,104 @@ fn cross_lane_conflicts_fall_back_and_still_match() {
             }
         }
     }
+}
+
+// ---- warp traces --------------------------------------------------------
+
+/// Every block of a `grid` × `block` launch of `src` on all engines,
+/// traced, over two 1024-word buffers `A` (filled) and `B`, whose bases
+/// `args` turns into the launch's arguments.
+fn trace_launch(src: &str, grid: u32, block: Dim3, args: impl Fn(u64, u64) -> Vec<ArgValue>) {
+    let kernel = Arc::new(parse_kernel(src).unwrap_or_else(|e| panic!("{src}: {e}")));
+    let what = kernel.name.clone();
+    let mut space = AddressSpace::new();
+    let (a, b) = (space.alloc(4 * 1024), space.alloc(4 * 1024));
+    let mut mem = GlobalMem::for_space(&space);
+    let init: Vec<f32> = (0..1024).map(|i| i as f32 * 0.5).collect();
+    mem.copy_from_host_f32(a.base, &init);
+    let launch = Launch::new(kernel, Dim3::x(grid), block, args(a.base, b.base));
+    let program = Program::new(&launch);
+    let mut e = Engines::new(&space, &mem);
+    for tb in 0..grid {
+        e.block(&program, tb, MAX_STEPS_PER_THREAD, &what).unwrap();
+    }
+}
+
+/// The trace's former lane-subset fast path ran 7 lanes of a full warp and
+/// extrapolated the rest when their addresses were affine in the lane;
+/// these are the kernels its unit tests checked it on, now inputs of the
+/// lockstep trace: contiguous and strided walks, full and partial warps,
+/// lanes that look affine until lane 8, a barrier with shared memory, and
+/// a guard that masks the tail of a warp.
+#[test]
+fn warp_traces_match_the_oracle() {
+    let copy = ".entry copy(.param .u64 A, .param .u64 B) {
+        ld.param.u64 %rd1, [A];
+        ld.param.u64 %rd2, [B];
+        mov.u32 %r1, %ctaid.x;
+        mov.u32 %r2, %ntid.x;
+        mov.u32 %r3, %tid.x;
+        mad.lo.u32 %r4, %r1, %r2, %r3;
+        mul.wide.u32 %rd3, %r4, 4;
+        add.u64 %rd4, %rd1, %rd3;
+        ld.global.f32 %f1, [%rd4];
+        add.u64 %rd5, %rd2, %rd3;
+        st.global.f32 [%rd5], %f1;
+        ret;
+    }";
+    let two = |a, b| vec![ArgValue::Ptr(a), ArgValue::Ptr(b)];
+    let one = |a, _| vec![ArgValue::Ptr(a)];
+    trace_launch(copy, 4, Dim3::x(64), two);
+    trace_launch(copy, 3, Dim3::x(100), two);
+    let strided = ".entry strided(.param .u64 A) {
+        ld.param.u64 %rd1, [A];
+        mov.u32 %r1, %tid.x;
+        shl.b32 %r2, %r1, 5;
+        mul.wide.u32 %rd2, %r2, 4;
+        add.u64 %rd3, %rd1, %rd2;
+        st.global.f32 [%rd3], 0f00000000;
+        ret;
+    }";
+    trace_launch(strided, 1, Dim3::x(32), one);
+    let wrap = ".entry wrap(.param .u64 A) {
+        ld.param.u64 %rd1, [A];
+        mov.u32 %r1, %tid.x;
+        and.b32 %r2, %r1, 7;
+        mul.wide.u32 %rd2, %r2, 4;
+        add.u64 %rd3, %rd1, %rd2;
+        st.global.f32 [%rd3], 0f40400000;
+        ret;
+    }";
+    trace_launch(wrap, 1, Dim3::x(64), one);
+    let barrier = ".entry b(.param .u64 A) {
+        .shared 256;
+        ld.param.u64 %rd1, [A];
+        mov.u32 %r1, %tid.x;
+        shl.b32 %r2, %r1, 2;
+        st.shared.f32 [%r2], 0f00000000;
+        bar.sync 0;
+        ld.shared.f32 %f1, [%r2];
+        mul.wide.u32 %rd2, %r1, 4;
+        add.u64 %rd3, %rd1, %rd2;
+        st.global.f32 [%rd3], %f1;
+        ret;
+    }";
+    trace_launch(barrier, 1, Dim3::x(64), one);
+    let guarded = ".entry g(.param .u64 A, .param .u32 n) {
+        ld.param.u64 %rd1, [A];
+        ld.param.u32 %r9, [n];
+        mov.u32 %r1, %tid.x;
+        setp.ge.u32 %p1, %r1, %r9;
+        @%p1 bra $DONE;
+        mul.wide.u32 %rd2, %r1, 4;
+        add.u64 %rd3, %rd1, %rd2;
+        st.global.f32 [%rd3], 0f3F800000;
+    $DONE:
+        ret;
+    }";
+    trace_launch(guarded, 1, Dim3::x(64), |a, _| {
+        vec![ArgValue::Ptr(a), ArgValue::U32(40)]
+    });
 }
 
 // ---- errors -------------------------------------------------------------

@@ -137,11 +137,6 @@ fn synthesized_traces_match_interpreted_traces() {
             stats.keys_rejected == 0,
             "affine shift kernel must never reject: {stats:?}"
         );
-        // And the interpreted traces themselves ran through the lane law.
-        prop_ensure!(
-            stats.law.lanes_synthesized > 0 && stats.law.rejected_warps == 0,
-            "lane law must accept the affine shift kernel: {stats:?}"
-        );
         Ok(())
     });
 }
@@ -207,10 +202,6 @@ fn law_rejection_seeds_fall_back_exactly() {
         };
         let cfg = GpuConfig::small();
         let stats = check_configs(&cfg, &app, &format!("tbs {tbs} launches {n_launches}"))?;
-        prop_ensure!(
-            stats.law.rejected_warps > 0 && stats.law.law_warps == 0,
-            "masked kernel must reject the lane law in every warp: {stats:?}"
-        );
         // The rejected-but-deterministic trace still memoizes across
         // launches: four-plus occurrences synthesize at least once.
         prop_ensure!(
