@@ -282,7 +282,7 @@ fn main() -> ExitCode {
                     failed = true;
                 }
                 Err(e) => {
-                    println!("    verify : execution error {e}");
+                    println!("    verify : {e}");
                     failed = true;
                 }
             }
@@ -299,7 +299,7 @@ fn main() -> ExitCode {
                     failed = true;
                 }
                 Err(e) => {
-                    println!("    races  : execution error {e}");
+                    println!("    races  : {e}");
                     failed = true;
                 }
             }

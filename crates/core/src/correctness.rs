@@ -6,8 +6,10 @@
 //! the exact start order the scheduler produced — and compares the full
 //! memory image against the serialized reference.
 
+use crate::guard::check_entries;
 use bm_cmdq::Application;
-use bm_ptx::interp::{ExecError, Lockstep, Program, MAX_STEPS_PER_THREAD};
+use bm_ptx::error::PtxError;
+use bm_ptx::interp::{Lockstep, Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
 use bm_ptx::mem::GlobalMem;
 use bm_simt::des::TbKey;
@@ -46,6 +48,38 @@ impl fmt::Display for Equivalence {
     }
 }
 
+/// Checks that `schedule` lists every (kernel, block) key of `launches`
+/// exactly once, before anything runs.
+///
+/// # Errors
+///
+/// [`PtxError::BadLaunch`] for an unknown kernel, a block past its grid, a
+/// block listed twice or a block left out.
+fn check_permutation(launches: &[&Launch], schedule: &[(TbKey, u64, u64)]) -> Result<(), PtxError> {
+    check_entries(launches, schedule)?;
+    let bad = |l: &Launch, reason: String| PtxError::BadLaunch {
+        kernel: l.kernel.name.clone(),
+        reason,
+    };
+    let mut seen: Vec<Vec<bool>> = launches
+        .iter()
+        .map(|l| vec![false; l.num_blocks() as usize])
+        .collect();
+    for (key, _, _) in schedule {
+        let k = key.kernel_seq as usize;
+        if std::mem::replace(&mut seen[k][key.tb as usize], true) {
+            let reason = format!("schedule lists block {} twice", key.tb);
+            return Err(bad(launches[k], reason));
+        }
+    }
+    for (l, seen) in launches.iter().zip(&seen) {
+        if let Some(tb) = seen.iter().position(|&s| !s) {
+            return Err(bad(l, format!("schedule leaves out block {tb}")));
+        }
+    }
+    Ok(())
+}
+
 /// Replays `schedule` (TB keys with start times) functionally and compares
 /// against serialized execution of `app`.
 ///
@@ -56,12 +90,15 @@ impl fmt::Display for Equivalence {
 ///
 /// # Errors
 ///
-/// Propagates functional-execution errors ([`ExecError`]).
+/// [`PtxError::BadLaunch`], before anything runs, when `schedule` is not a
+/// permutation of `app`'s (kernel, block) keys; [`PtxError::Exec`] when
+/// functional execution fails.
 pub fn check_schedule(
     app: &Application,
     schedule: &[(TbKey, u64, u64)],
-) -> Result<Equivalence, ExecError> {
+) -> Result<Equivalence, PtxError> {
     let launches: Vec<&Launch> = app.launches();
+    check_permutation(&launches, schedule)?;
     let programs: Vec<Program> = launches.iter().map(|l| Program::new(l)).collect();
     // Reference: serialized kernel order.
     let reference = app.run_serialized()?;
@@ -74,19 +111,10 @@ pub fn check_schedule(
     order.sort_by_key(|&(i, _, s)| (s, i));
     let mut mem = app.initial_memory();
     let mut warps = Lockstep::new();
-    let mut executed = 0u64;
     for (_, key, _) in order {
-        let program = programs
-            .get(key.kernel_seq as usize)
-            .unwrap_or_else(|| panic!("schedule references unknown kernel {}", key.kernel_seq));
+        let program = &programs[key.kernel_seq as usize];
         warps.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)?;
-        executed += 1;
     }
-    let total_tbs: u64 = launches.iter().map(|l| l.num_blocks() as u64).sum();
-    assert_eq!(
-        executed, total_tbs,
-        "schedule must cover every thread block exactly once"
-    );
     Ok(compare(&reference, &mem))
 }
 
@@ -113,11 +141,11 @@ pub struct Race {
 ///
 /// # Errors
 ///
-/// Propagates functional-execution errors.
+/// As [`check_schedule`].
 pub fn check_no_races(
     app: &Application,
     schedule: &[(TbKey, u64, u64)],
-) -> Result<Vec<Race>, ExecError> {
+) -> Result<Vec<Race>, PtxError> {
     use bm_ptx::access::{AccessLog, RangeSet};
 
     struct Sets {
@@ -126,6 +154,7 @@ pub fn check_no_races(
     }
 
     let launches: Vec<&Launch> = app.launches();
+    check_permutation(&launches, schedule)?;
     let programs: Vec<Program> = launches.iter().map(|l| Program::new(l)).collect();
     // Collect actual access sets by replaying in start order (any order
     // yields the same *addresses* for data-independent control flow).
@@ -314,10 +343,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "every thread block")]
-    fn incomplete_schedule_panics() {
+    fn incomplete_schedule_is_a_typed_error() {
         let app = chain_app();
         let schedule = vec![(key(0, 0), 0, 10)];
-        let _ = check_schedule(&app, &schedule);
+        let err = check_schedule(&app, &schedule).unwrap_err();
+        assert!(
+            matches!(&err, PtxError::BadLaunch { reason, .. } if reason.contains("leaves out block 1")),
+            "{err}"
+        );
     }
 }

@@ -39,6 +39,7 @@ use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
 use bm_ptx::access::{AccessLog, RangeSet, TbAccess};
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::{Program, MAX_STEPS_PER_THREAD};
+use bm_ptx::kernel::Launch;
 use bm_simt::des::TbKey;
 use bm_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, HashSet};
@@ -430,23 +431,7 @@ pub fn verify_soundness(
     expected_fp: u64,
 ) -> Result<SoundnessOutcome, PtxError> {
     let launches = app.launches();
-    for (key, _, _) in schedule {
-        let k = key.kernel_seq as usize;
-        let launch = launches.get(k).ok_or(PtxError::BadLaunch {
-            kernel: format!("#{k}"),
-            reason: "schedule references unknown kernel".into(),
-        })?;
-        if key.tb >= launch.num_blocks() {
-            return Err(PtxError::BadLaunch {
-                kernel: launch.kernel.name.clone(),
-                reason: format!(
-                    "schedule references block {} of a {}-block grid",
-                    key.tb,
-                    launch.num_blocks()
-                ),
-            });
-        }
-    }
+    check_entries(&launches, schedule)?;
     let mut log = AccessLog::new(&app.space);
     let programs: Vec<Program> = launches.into_iter().map(Program::new).collect();
     let mut order: Vec<(usize, TbKey, u64)> = schedule
@@ -483,6 +468,37 @@ pub fn verify_soundness(
         violations,
         equivalent: mem.fingerprint() == expected_fp,
     })
+}
+
+/// Checks that every entry of `schedule` names one of `launches` and a
+/// block inside its grid, which the interpreter would otherwise run as the
+/// block its coordinates wrap to.
+///
+/// # Errors
+///
+/// [`PtxError::BadLaunch`] for the first entry that does not.
+pub(crate) fn check_entries(
+    launches: &[&Launch],
+    schedule: &[(TbKey, u64, u64)],
+) -> Result<(), PtxError> {
+    for (key, _, _) in schedule {
+        let k = key.kernel_seq as usize;
+        let launch = launches.get(k).ok_or(PtxError::BadLaunch {
+            kernel: format!("#{k}"),
+            reason: "schedule references unknown kernel".into(),
+        })?;
+        if key.tb >= launch.num_blocks() {
+            return Err(PtxError::BadLaunch {
+                kernel: launch.kernel.name.clone(),
+                reason: format!(
+                    "schedule references block {} of a {}-block grid",
+                    key.tb,
+                    launch.num_blocks()
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Quarantines kernel `k`: its access sets are declared untrustworthy

@@ -11,7 +11,10 @@
 //! of `u64`s: the register files (one section per view an operand can
 //! take: 32-bit, 64-bit, float, predicate), the thread and block indices,
 //! and constant slots holding the launch dimensions, parameters and
-//! immediates already converted to the view that reads them.
+//! immediates already converted to the view that reads them. The decode
+//! then specialises the micro-ops to the launch: a register that always
+//! holds one launch constant is read from its constant slot, and a 32-bit
+//! unsigned division by a constant becomes a shift, a mask or a multiply.
 //!
 //! [`Program::execute_block`] runs a block thread-serially, each thread
 //! until it exits or reaches a barrier, in the same order, with the same
@@ -240,6 +243,14 @@ enum UOp {
     IntU32(IntOp),
     IntS32(IntOp),
     IntU64(IntOp),
+    /// `a / d` and `a % d` of 32-bit values by a launch constant `d`, a
+    /// power of two: `a >> imm` and `a & imm`.
+    DivShr,
+    RemAnd,
+    /// The same by any other constant `d > 2`, held in slot `b`, with
+    /// `imm` = ⌈2^64 / d⌉ (see [`div_by`]).
+    DivMul,
+    RemMul,
     /// Low bits of `a * b + c`.
     Mad32,
     Mad64,
@@ -280,6 +291,16 @@ struct MicroInst {
     imm: u64,
     guard: Slot,
     skip: u64,
+}
+
+impl MicroInst {
+    /// Whether the micro-op writes slot `d`.
+    fn writes(&self) -> bool {
+        !matches!(
+            self.op,
+            UOp::Nop | UOp::StG | UOp::StS | UOp::Bra | UOp::Bar | UOp::Ret
+        )
+    }
 }
 
 /// An unguarded micro-op.
@@ -597,6 +618,69 @@ impl<'l> Decoder<'l> {
     }
 }
 
+/// Specialises decoded micro-ops to their launch's constants. A register
+/// slot resolves to constant slot `k` when every write to it is an
+/// unguarded copy of `k` and no thread can read it before writing it (it
+/// is not in `zero`): wherever it is read, it holds `k`'s value, so its
+/// reads take `k` itself. A 32-bit unsigned `div`/`rem` by a constant
+/// `d ≠ 0` then becomes a shift or a mask when `d` is a power of two, and
+/// a multiply by ⌈2^64 / d⌉ otherwise. Every rewrite computes the same
+/// value for every input, and each instruction keeps its one micro-op.
+fn specialise(ops: &mut [MicroInst], row: &[u64], regs: usize, zero: &[Slot]) {
+    let constant = |s: Slot| (s as usize) < regs && !TID.contains(&s) && !CTAID.contains(&s);
+    // Per slot, the constant every write so far copies: `UNSEEN` before
+    // any write, `MIXED` once two writes differ or one copies anything else.
+    const UNSEEN: Slot = Slot::MAX;
+    const MIXED: Slot = Slot::MAX - 1;
+    let mut from = vec![UNSEEN; row.len()];
+    for i in ops.iter().filter(|i| i.writes()) {
+        let k = if i.op == UOp::Copy && i.guard == ONE && constant(i.a) {
+            i.a
+        } else {
+            MIXED
+        };
+        let f = &mut from[i.d as usize];
+        *f = if *f == UNSEEN || *f == k { k } else { MIXED };
+    }
+    for &s in zero {
+        from[s as usize] = MIXED;
+    }
+    let resolve = |s: Slot| match from[s as usize] {
+        k if k < MIXED => k,
+        _ => s,
+    };
+    for i in ops.iter_mut() {
+        (i.a, i.b, i.c) = (resolve(i.a), resolve(i.b), resolve(i.c));
+        let UOp::IntU32(op @ (IntOp::Div | IntOp::Rem)) = i.op else {
+            continue;
+        };
+        let d = row[i.b as usize] as u32;
+        if d == 0 || !constant(i.b) {
+            continue;
+        }
+        (i.op, i.imm) = match (op, d.is_power_of_two()) {
+            (IntOp::Div, true) => (UOp::DivShr, u64::from(d.trailing_zeros())),
+            (_, true) => (UOp::RemAnd, u64::from(d - 1)),
+            (IntOp::Div, false) => (UOp::DivMul, u64::MAX / u64::from(d) + 1),
+            (_, false) => (UOp::RemMul, u64::MAX / u64::from(d) + 1),
+        };
+    }
+}
+
+/// `x / d` for `m` = ⌈2^64 / d⌉ and any `d` in `3..2^32` that is not a
+/// power of two: the high half of `m · x`, exact for every `u32` `x`
+/// ("Faster remainder by direct computation", Lemire, Kaser & Kurz 2019).
+#[inline(always)]
+fn div_by(m: u64, x: u32) -> u32 {
+    ((u128::from(m) * u128::from(x)) >> 64) as u32
+}
+
+/// `x % d` for the same `m` and `d`: the high half of `(m · x mod 2^64) · d`.
+#[inline(always)]
+fn rem_by(m: u64, d: u32, x: u32) -> u32 {
+    ((u128::from(m.wrapping_mul(u64::from(x))) * u128::from(d)) >> 64) as u32
+}
+
 /// A launch decoded for execution: its micro-ops and the register row
 /// every thread starts from. Decoding is linear in the kernel body, so
 /// callers decode once per launch and run any number of blocks (or lane
@@ -604,6 +688,10 @@ impl<'l> Decoder<'l> {
 #[derive(Debug, Clone)]
 pub struct Program<'l> {
     launch: &'l Launch,
+    /// One micro-op per instruction, specialised to the launch: reads of
+    /// a register that always holds one launch constant read the constant
+    /// slot, and a 32-bit `div`/`rem` by a constant is strength-reduced
+    /// (`specialise`).
     ops: Vec<MicroInst>,
     /// Fixed and constant slots; the register sections after them are zero.
     row: Vec<u64>,
@@ -649,6 +737,8 @@ struct Block<'a, O> {
     shared: Vec<u8>,
     stats: ExecStats,
     max_steps: u64,
+    /// The region of the block's last global access.
+    near: usize,
 }
 
 impl<'l> Program<'l> {
@@ -661,14 +751,16 @@ impl<'l> Program<'l> {
             dec.base[s] = next;
             next += dec.size[s];
         }
-        let ops = dec.body();
+        let mut ops = dec.body();
         let regs = dec.consts.len();
         let mut row = dec.consts;
         row.resize(next as usize, 0);
+        let zero = lockstep::read_before_write(&ops, regs, row.len());
+        specialise(&mut ops, &row, regs, &zero);
         Program {
             launch,
             barrier: ops.iter().any(|i| matches!(i.op, UOp::Bar)),
-            zero: lockstep::read_before_write(&ops, regs, row.len()),
+            zero,
             ops,
             row,
             regs,
@@ -748,6 +840,7 @@ impl<'l> Program<'l> {
             shared: vec![0; self.launch.kernel.shared_bytes as usize],
             stats: ExecStats::default(),
             max_steps,
+            near: usize::MAX,
         };
         let start = |row: &mut [u64], t: u32| {
             let (x, y) = (t % self.launch.block.x, t / self.launch.block.x);
@@ -848,6 +941,10 @@ impl<'l> Program<'l> {
                     let v = int_op_s32(op, x32(i.a, row) as i32, x32(i.b, row) as i32);
                     r!(d) = u64::from(v as u32);
                 }
+                UOp::DivShr => r!(d) = u64::from(x32(i.a, row) >> i.imm),
+                UOp::RemAnd => r!(d) = u64::from(x32(i.a, row) & i.imm as u32),
+                UOp::DivMul => r!(d) = u64::from(div_by(i.imm, x32(i.a, row))),
+                UOp::RemMul => r!(d) = u64::from(rem_by(i.imm, x32(i.b, row), x32(i.a, row))),
                 UOp::IntU64(op) => r!(d) = int_op_u64(op, r!(a), r!(b)),
                 UOp::Mad32 => {
                     let v = x32(i.a, row)
@@ -885,7 +982,7 @@ impl<'l> Program<'l> {
                     blk.obs.on_global_access(id, pc, addr, false);
                     let v = blk
                         .mem
-                        .try_read_u32(addr)
+                        .read_u32_near(&mut blk.near, addr)
                         .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
                     r!(d) = u64::from(v);
                 }
@@ -894,7 +991,7 @@ impl<'l> Program<'l> {
                     stats.global_stores += 1;
                     blk.obs.on_global_access(id, pc, addr, true);
                     blk.mem
-                        .try_write_u32(addr, x32(i.a, row))
+                        .swap_u32_near(&mut blk.near, addr, x32(i.a, row))
                         .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
                 }
                 UOp::LdS => {

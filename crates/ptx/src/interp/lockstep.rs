@@ -58,8 +58,9 @@ pub(crate) trait Sink: ExecObserver {
 impl Sink for NullObserver {}
 
 /// The warp-lockstep engine's reusable state: register files, warp
-/// states, shared memory, the lane-order table and the undo log, kept
-/// across blocks so a block allocates nothing once they have grown.
+/// states, shared memory, the lane-order table, the undo log and the
+/// thread indices, kept across blocks so a block allocates nothing once
+/// they have grown, and a launch lays out its thread indices once.
 ///
 /// [`Lockstep::execute_block`] is the plain pass; `AccessLog` runs the
 /// logged one on its own engine, and `trace_block_limited` the trace.
@@ -72,6 +73,10 @@ pub struct Lockstep {
     table: LaneTable,
     /// Every global word the block stored to, with the value it replaced.
     undo: Vec<(u64, u32)>,
+    /// `%tid` in every lane, the four slots of [`TID`] per warp, for the
+    /// blocks of `tids_for`: (threads per row, warps).
+    tids: Vec<Lanes>,
+    tids_for: (u32, usize),
     fallbacks: u64,
 }
 
@@ -101,6 +106,35 @@ impl Lockstep {
     pub fn fallback_blocks(&self) -> u64 {
         self.fallbacks
     }
+
+    /// Lays out `%tid` for `warps` warps of blocks `bx` threads wide,
+    /// unless the table already holds it: once per launch, counting
+    /// threads along rows rather than dividing per lane.
+    fn index_threads(&mut self, bx: u32, warps: usize) {
+        if self.tids_for == (bx, warps) {
+            return;
+        }
+        self.tids_for = (bx, warps);
+        self.tids.clear();
+        let (mut x, mut y) = (0u32, 0u32);
+        let float = |v: u32| u64::from((v as f32).to_bits());
+        for _ in 0..warps {
+            let lanes: [(u32, u32); WARP] = std::array::from_fn(|_| {
+                let at = (x, y);
+                x += 1;
+                if x == bx {
+                    (x, y) = (0, y + 1);
+                }
+                at
+            });
+            self.tids.extend([
+                lanes.map(|(x, _)| u64::from(x)),
+                lanes.map(|(_, y)| u64::from(y)),
+                lanes.map(|(x, _)| float(x)),
+                lanes.map(|(_, y)| float(y)),
+            ]);
+        }
+    }
 }
 
 /// A block leaves the lockstep engine for the thread-serial loop.
@@ -129,6 +163,8 @@ struct Ctx<'a, S> {
     undo: &'a mut Vec<(u64, u32)>,
     stats: ExecStats,
     max_steps: u64,
+    /// The region of the block's last global access.
+    near: usize,
 }
 
 /// The lanes of `exec` in ascending order.
@@ -183,7 +219,11 @@ fn map(file: &mut [Lanes], i: &MicroInst, exec: u32, f: impl Fn(u64, u64, u64) -
     }
     let d = &mut file[d];
     if exec == FULL {
-        *d = out;
+        // Two half copies, each inlined, where one whole-slot copy is an
+        // out-of-line `memcpy` call.
+        let (lo, hi) = d.split_at_mut(WARP / 2);
+        lo.copy_from_slice(&out[..WARP / 2]);
+        hi.copy_from_slice(&out[WARP / 2..]);
     } else {
         for l in lanes_of(exec) {
             d[l] = out[l];
@@ -290,6 +330,7 @@ impl Program<'_> {
         ls.shared
             .resize(self.launch.kernel.shared_bytes as usize, 0);
         ls.table.begin_block(ls.shared.len());
+        ls.index_threads(self.launch.block.x, warps);
         let mut ctx = Ctx {
             tb,
             mem,
@@ -299,18 +340,20 @@ impl Program<'_> {
             undo: &mut ls.undo,
             stats: ExecStats::default(),
             max_steps,
+            near: usize::MAX,
         };
+        let tids = ls.tids.chunks_exact(TID.len());
         if !self.barrier {
             let file = &mut ls.files[..slots];
-            for (w, warp) in ls.warps.iter_mut().enumerate() {
-                self.start_warp(file, w);
+            for ((w, warp), tid) in ls.warps.iter_mut().enumerate().zip(tids) {
+                self.start_warp(file, tid);
                 ctx.table.begin_run();
                 self.run_warp(&mut ctx, file, warp, w)?;
             }
             return Ok(ctx.stats);
         }
-        for (w, file) in ls.files.chunks_exact_mut(slots).take(warps).enumerate() {
-            self.start_warp(file, w);
+        for (file, tid) in ls.files.chunks_exact_mut(slots).zip(tids) {
+            self.start_warp(file, tid);
         }
         loop {
             let mut any_ready = false;
@@ -339,21 +382,10 @@ impl Program<'_> {
         }
     }
 
-    /// Sets warp `w`'s thread indices in `file` and zeroes the registers a
-    /// thread can read before writing.
-    fn start_warp(&self, file: &mut [Lanes], w: usize) {
-        let bx = self.launch.block.x;
-        let at = |l: usize| {
-            let t = (WARP * w + l) as u32;
-            [t % bx, t / bx]
-        };
-        for (k, s) in TID.iter().enumerate() {
-            let v = |l| at(l)[k % 2];
-            file[*s as usize] = std::array::from_fn(|l| match k {
-                0 | 1 => u64::from(v(l)),
-                _ => u64::from((v(l) as f32).to_bits()),
-            });
-        }
+    /// Sets a warp's thread indices `tid` in `file` and zeroes the
+    /// registers a thread can read before writing.
+    fn start_warp(&self, file: &mut [Lanes], tid: &[Lanes]) {
+        file[TID[0] as usize..=TID[3] as usize].copy_from_slice(tid);
         for &s in &self.zero {
             file[s as usize] = [0; WARP];
         }
@@ -466,6 +498,22 @@ impl Program<'_> {
             UOp::IntS32(op) => with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| {
                 u64::from(int_op_s32(O, a as u32 as i32, b as u32 as i32) as u32)
             })),
+            UOp::DivShr => {
+                let k = i.imm;
+                map(file, i, exec, |a, _, _| u64::from(a as u32 >> k))
+            }
+            UOp::RemAnd => {
+                let mask = i.imm as u32;
+                map(file, i, exec, |a, _, _| u64::from(a as u32 & mask))
+            }
+            UOp::DivMul => {
+                let m = i.imm;
+                map(file, i, exec, |a, _, _| u64::from(div_by(m, a as u32)))
+            }
+            UOp::RemMul => {
+                let (m, d) = (i.imm, self.row[i.b as usize] as u32);
+                map(file, i, exec, |a, _, _| u64::from(rem_by(m, d, a as u32)))
+            }
             UOp::IntU64(op) => {
                 with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| int_op_u64(O, a, b)))
             }
@@ -531,7 +579,7 @@ impl Program<'_> {
         ctx.stats.global_loads += u64::from(exec.count_ones());
         let d = &mut file[i.d as usize];
         if exec == FULL && contiguous(&addr) {
-            if let Some(bytes) = ctx.mem.chunk_bytes(addr[0], 4 * WARP) {
+            if let Some(bytes) = ctx.mem.chunk_bytes(&mut ctx.near, addr[0], 4 * WARP) {
                 ctx.table.warp_access(addr[0], false)?;
                 ctx.sink.on_warp_access(addr[0], false);
                 for (v, b) in d.iter_mut().zip(bytes.chunks_exact(4)) {
@@ -550,7 +598,10 @@ impl Program<'_> {
                 31 - exec.leading_zeros() as usize,
             );
             ctx.sink.on_global_access(id(lo), pc, addr[lo], false);
-            let v = ctx.mem.try_read_u32(addr[lo]).ok_or(Fallback)?;
+            let v = ctx
+                .mem
+                .read_u32_near(&mut ctx.near, addr[lo])
+                .ok_or(Fallback)?;
             ctx.table.access(false, addr[lo], lo, hi, false)?;
             for l in lanes_of(exec) {
                 d[l] = u64::from(v);
@@ -559,7 +610,10 @@ impl Program<'_> {
         }
         for l in lanes_of(exec) {
             ctx.sink.on_global_access(id(l), pc, addr[l], false);
-            let v = ctx.mem.try_read_u32(addr[l]).ok_or(Fallback)?;
+            let v = ctx
+                .mem
+                .read_u32_near(&mut ctx.near, addr[l])
+                .ok_or(Fallback)?;
             ctx.table.access(false, addr[l], l, l, false)?;
             d[l] = u64::from(v);
         }
@@ -580,7 +634,7 @@ impl Program<'_> {
         ctx.sink.on_global(w, pc, exec, &addr);
         ctx.stats.global_stores += u64::from(exec.count_ones());
         if exec == FULL && contiguous(&addr) {
-            if let Some(bytes) = ctx.mem.chunk_bytes_mut(addr[0], 4 * WARP) {
+            if let Some(bytes) = ctx.mem.chunk_bytes_mut(&mut ctx.near, addr[0], 4 * WARP) {
                 ctx.table.warp_access(addr[0], true)?;
                 ctx.sink.on_warp_access(addr[0], true);
                 for (l, b) in bytes.chunks_exact_mut(4).enumerate() {
@@ -596,7 +650,10 @@ impl Program<'_> {
                 tid: (WARP * w + l) as u32,
             };
             ctx.sink.on_global_access(id, pc, addr[l], true);
-            let old = ctx.mem.try_swap_u32(addr[l], v[l] as u32).ok_or(Fallback)?;
+            let old = ctx
+                .mem
+                .swap_u32_near(&mut ctx.near, addr[l], v[l] as u32)
+                .ok_or(Fallback)?;
             ctx.undo.push((addr[l], old));
             ctx.table.access(false, addr[l], l, l, true)?;
         }
@@ -807,11 +864,7 @@ pub(super) fn read_before_write(ops: &[MicroInst], regs: usize, slots: usize) ->
         let mut out = written[pc]
             .clone()
             .expect("queued instructions are reached");
-        let writes = !matches!(
-            i.op,
-            UOp::Nop | UOp::StG | UOp::StS | UOp::Bra | UOp::Bar | UOp::Ret
-        );
-        if i.guard == ONE && writes {
+        if i.guard == ONE && i.writes() {
             out[i.d as usize / 64] |= 1 << (i.d % 64);
         }
         let succs = match i.op {

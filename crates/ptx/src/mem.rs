@@ -209,11 +209,35 @@ impl GlobalMem {
         (addr.checked_add(len)? <= r.end).then(|| (i, (addr - r.base) as usize))
     }
 
+    /// [`GlobalMem::locate`], trying region `*near` before the search and
+    /// leaving in it the region found. Region `*near` is the one `locate`
+    /// finds when it holds the bytes and the next region starts above
+    /// `addr`, so the answer is the same for any `*near`.
+    #[inline(always)]
+    fn locate_near(&self, near: &mut usize, addr: u64, len: u64) -> Option<(usize, usize)> {
+        if let Some(r) = self.regions.get(*near) {
+            let next = self.regions.get(*near + 1).map_or(u64::MAX, |n| n.base);
+            if r.base <= addr && addr < next && addr.checked_add(len)? <= r.end {
+                return Some((*near, (addr - r.base) as usize));
+            }
+        }
+        let found = self.locate(addr, len)?;
+        *near = found.0;
+        Some(found)
+    }
+
     /// Reads a 32-bit little-endian word, or `None` when any of its bytes
     /// falls outside every backing region.
     #[inline]
     pub fn try_read_u32(&self, addr: u64) -> Option<u32> {
-        let (r, off) = self.locate(addr, 4)?;
+        let mut anywhere = usize::MAX;
+        self.read_u32_near(&mut anywhere, addr)
+    }
+
+    /// [`GlobalMem::try_read_u32`], trying region `*near` first.
+    #[inline(always)]
+    pub(crate) fn read_u32_near(&self, near: &mut usize, addr: u64) -> Option<u32> {
+        let (r, off) = self.locate_near(near, addr, 4)?;
         let chunk = &self.regions[r].chunks[off / COW_CHUNK_BYTES];
         let co = off % COW_CHUNK_BYTES;
         Some(match chunk.get(co..co + 4) {
@@ -278,10 +302,11 @@ impl GlobalMem {
     }
 
     /// Writes a 32-bit little-endian word and returns the word it replaced;
-    /// `None` (and no write) when any of its bytes is unmapped.
+    /// `None` (and no write) when any of its bytes is unmapped. Tries
+    /// region `*near` first.
     #[inline]
-    pub(crate) fn try_swap_u32(&mut self, addr: u64, value: u32) -> Option<u32> {
-        let (r, off) = self.locate(addr, 4)?;
+    pub(crate) fn swap_u32_near(&mut self, near: &mut usize, addr: u64, value: u32) -> Option<u32> {
+        let (r, off) = self.locate_near(near, addr, 4)?;
         let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
         let co = off % COW_CHUNK_BYTES;
         if co + 4 <= chunk.len() {
@@ -296,18 +321,24 @@ impl GlobalMem {
         }
     }
 
-    /// The `len` bytes at `addr`, when they lie inside one chunk.
+    /// The `len` bytes at `addr`, when they lie inside one chunk. Tries
+    /// region `*near` first.
     #[inline]
-    pub(crate) fn chunk_bytes(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (r, off) = self.locate(addr, len as u64)?;
+    pub(crate) fn chunk_bytes(&self, near: &mut usize, addr: u64, len: usize) -> Option<&[u8]> {
+        let (r, off) = self.locate_near(near, addr, len as u64)?;
         let co = off % COW_CHUNK_BYTES;
         self.regions[r].chunks[off / COW_CHUNK_BYTES].get(co..co + len)
     }
 
     /// [`GlobalMem::chunk_bytes`] for writing, unsharing the chunk first.
     #[inline]
-    pub(crate) fn chunk_bytes_mut(&mut self, addr: u64, len: usize) -> Option<&mut [u8]> {
-        let (r, off) = self.locate(addr, len as u64)?;
+    pub(crate) fn chunk_bytes_mut(
+        &mut self,
+        near: &mut usize,
+        addr: u64,
+        len: usize,
+    ) -> Option<&mut [u8]> {
+        let (r, off) = self.locate_near(near, addr, len as u64)?;
         let chunk = &mut self.regions[r].chunks[off / COW_CHUNK_BYTES];
         let co = off % COW_CHUNK_BYTES;
         if co + len > chunk.len() {

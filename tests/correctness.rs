@@ -4,6 +4,7 @@
 
 use blockmaestro::{check_no_races, check_schedule, run, ExecMode, RunSpec};
 use bm_depgraph::HazardMode;
+use bm_ptx::error::PtxError;
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
@@ -106,5 +107,58 @@ fn schedules_cover_every_thread_block_exactly_once() {
                 bench.name
             );
         }
+    }
+}
+
+#[test]
+fn malformed_schedules_are_typed_errors() {
+    // `bmrun --verify` and `--races` take a schedule from outside; each
+    // malformed one is rejected before anything runs, without a panic.
+    let cfg = GpuConfig::titan_x_pascal();
+    let bench = suite().into_iter().find(|b| b.name == "GAUSSIAN").unwrap();
+    let app = (bench.build)(Scale::Small);
+    let mode = ExecMode::ConsumerPriority { window: 3 };
+    let good = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer)
+        .unwrap()
+        .schedule;
+    assert!(check_schedule(&app, &good).unwrap().is_match());
+    assert!(check_no_races(&app, &good).unwrap().is_empty());
+    let first = good[0].0;
+    let grid = app.launches()[first.kernel_seq as usize].num_blocks();
+
+    let mut unknown = good.clone();
+    unknown[0].0.kernel_seq = app.launches().len() as u32;
+    let mut past_grid = good.clone();
+    past_grid[0].0.tb += 1_000_000;
+    let dropped = good[1..].to_vec();
+    let mut duplicated = good.clone();
+    duplicated.push(good[0]);
+    let cases = [
+        ("unknown kernel", unknown, "unknown kernel".to_string()),
+        (
+            "block past the grid",
+            past_grid,
+            format!("block {} of a {grid}-block grid", first.tb + 1_000_000),
+        ),
+        (
+            "dropped entry",
+            dropped,
+            format!("leaves out block {}", first.tb),
+        ),
+        (
+            "duplicated entry",
+            duplicated,
+            format!("lists block {} twice", first.tb),
+        ),
+    ];
+    for (what, schedule, want) in cases {
+        let typed = |r: Result<(), PtxError>| match r {
+            Err(PtxError::BadLaunch { reason, .. }) => {
+                assert!(reason.contains(&want), "{what}: {reason}")
+            }
+            other => panic!("{what}: {other:?}"),
+        };
+        typed(check_schedule(&app, &schedule).map(drop));
+        typed(check_no_races(&app, &schedule).map(drop));
     }
 }

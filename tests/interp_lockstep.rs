@@ -18,7 +18,7 @@ mod reference_trace;
 
 use bm_cmdq::Application;
 use bm_ptx::access::AccessLog;
-use bm_ptx::interp::{ExecError, ExecStats, Lockstep, Program, MAX_STEPS_PER_THREAD};
+use bm_ptx::interp::{ExecError, ExecStats, Lockstep, NullObserver, Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::{AddressSpace, GlobalMem};
 use bm_ptx::parser::parse_kernel;
@@ -674,6 +674,174 @@ fn step_limits_of_small_app_launches_match() {
         if launch.num_blocks() > 0 {
             let most = sweep(launch, &app.space, 0, &app.initial_memory(), b.name);
             assert!(most.is_some(), "{}", b.name);
+        }
+    }
+}
+
+/// A kernel dividing each thread's word of `A` by the parameter register
+/// `%r20`, set up by `setup`: unsigned and signed, then again after
+/// `rewrite`. Each thread stores the quotients and remainders, its thread
+/// indices (also read through their float view) to its 64 bytes of `OUT`.
+fn division_kernel(setup: &str, rewrite: &str) -> String {
+    format!(
+        ".entry divide(.param .u64 A, .param .u64 OUT, .param .u32 d, .param .u32 e)
+        {{
+          ld.param.u64 %rd1, [A];
+          ld.param.u64 %rd2, [OUT];
+          mov.u32 %r1, %tid.x;
+          mov.u32 %r2, %tid.y;
+          mov.u32 %r3, %ntid.x;
+          mad.lo.u32 %r4, %r2, %r3, %r1;
+          mov.u32 %r9, %ctaid.x;
+          mov.u32 %r10, %ntid.y;
+          mul.lo.u32 %r11, %r3, %r10;
+          mad.lo.u32 %r12, %r9, %r11, %r4;
+          mul.wide.u32 %rd3, %r12, 4;
+          add.u64 %rd4, %rd1, %rd3;
+          ld.global.u32 %r5, [%rd4];
+          {setup}
+          div.u32 %r6, %r5, %r20;
+          rem.u32 %r7, %r5, %r20;
+          div.s32 %r13, %r5, %r20;
+          rem.s32 %r14, %r5, %r20;
+          {rewrite}
+          div.u32 %r15, %r5, %r20;
+          rem.u32 %r16, %r5, %r20;
+          add.f32 %f1, %tid.x, %tid.y;
+          mul.wide.u32 %rd5, %r12, 64;
+          add.u64 %rd6, %rd2, %rd5;
+          st.global.u32 [%rd6], %r6;
+          st.global.u32 [%rd6+4], %r7;
+          st.global.u32 [%rd6+8], %r13;
+          st.global.u32 [%rd6+12], %r14;
+          st.global.u32 [%rd6+16], %r15;
+          st.global.u32 [%rd6+20], %r16;
+          st.global.f32 [%rd6+24], %f1;
+          st.global.u32 [%rd6+28], %r1;
+          st.global.u32 [%rd6+32], %r2;
+          ret;
+        }}"
+    )
+}
+
+#[test]
+fn launch_constant_divisions_match_the_oracle() {
+    // The decode resolves `%r20` to the constant `d` only in the first
+    // case, and strength-reduces the unsigned divisions by it (a shift and
+    // a mask for a power of two, a reciprocal multiply otherwise); the
+    // other cases keep the register. Every case must match the oracle
+    // on all three engines, with thread indices over 2-D blocks and
+    // partial last warps.
+    const D: [u32; 13] = [
+        0,
+        1,
+        2,
+        3,
+        7,
+        255,
+        256,
+        257,
+        641,
+        1 << 16,
+        1 << 31,
+        (1 << 31) + 1,
+        u32::MAX,
+    ];
+    let cases = [
+        ("a launch constant", "ld.param.u32 %r20, [d];", ""),
+        (
+            "rewritten later",
+            "ld.param.u32 %r20, [d];",
+            "add.u32 %r20, %r20, 1;",
+        ),
+        (
+            "written under a guard",
+            "ld.param.u32 %r20, [d];
+             setp.lt.u32 %p1, %r1, 5;
+             @%p1 ld.param.u32 %r20, [e];",
+            "",
+        ),
+        (
+            "two constants",
+            "setp.lt.u32 %p1, %r1, 5;
+             @%p1 bra $E;
+             ld.param.u32 %r20, [d];
+             bra $J;
+           $E:
+             ld.param.u32 %r20, [e];
+           $J:",
+            "",
+        ),
+        (
+            "read before its write on one path",
+            "setp.lt.u32 %p1, %r1, 5;
+             @%p1 bra $J;
+             ld.param.u32 %r20, [d];
+           $J:",
+            "",
+        ),
+    ];
+    let blocks = [Dim3::xy(48, 4), Dim3::xy(1, 64), Dim3::x(33), Dim3::x(100)];
+    let mut rng = Rng::new(0xD1F1DE);
+    for (name, setup, rewrite) in cases {
+        let src = division_kernel(setup, rewrite);
+        let kernel = Arc::new(parse_kernel(&src).unwrap_or_else(|e| panic!("{name}: {e}")));
+        for block in blocks {
+            for d in D {
+                let e = d.wrapping_mul(3) | 1;
+                let threads = 2 * block.count();
+                let mut space = AddressSpace::new();
+                let a = space.alloc(4 * threads);
+                let out = space.alloc(64 * threads);
+                let mut mem = GlobalMem::for_space(&space);
+                let edges = [
+                    0,
+                    1,
+                    d.wrapping_sub(1),
+                    d,
+                    d.wrapping_add(1),
+                    1 << 31,
+                    u32::MAX,
+                ];
+                for g in 0..threads {
+                    let x = edges
+                        .get(g as usize % 32)
+                        .copied()
+                        .unwrap_or_else(|| rng.next_u64() as u32);
+                    mem.write_u32(a.base + 4 * g, x);
+                }
+                let launch = Launch::new(
+                    kernel.clone(),
+                    Dim3::x(2),
+                    block,
+                    vec![
+                        ArgValue::Ptr(a.base),
+                        ArgValue::Ptr(out.base),
+                        ArgValue::U32(d),
+                        ArgValue::U32(e),
+                    ],
+                );
+                let program = Program::new(&launch);
+                let what = format!("{name}, d = {d}, block {}x{}", block.x, block.y);
+                let mut engines = Engines::new(&space, &mem);
+                let mut serial = mem;
+                for tb in 0..2 {
+                    let want = engines.block(&program, tb, MAX_STEPS_PER_THREAD, &what);
+                    let got = program.execute_block(
+                        tb,
+                        &mut serial,
+                        &mut NullObserver,
+                        MAX_STEPS_PER_THREAD,
+                    );
+                    assert_eq!(got, want, "{what}: block {tb} thread-serial result");
+                    assert_eq!(
+                        serial.fingerprint(),
+                        engines.mem[0].fingerprint(),
+                        "{what}: block {tb} thread-serial memory"
+                    );
+                }
+                assert_eq!(engines.fallbacks(), [0, 0], "{what}: fallback blocks");
+            }
         }
     }
 }
