@@ -17,6 +17,7 @@ use crate::snapshot::{app_fingerprint, GuardSnapshot, RunSnapshot, SnapshotError
 use bm_cmdq::Application;
 use bm_depgraph::HazardMode;
 use bm_ptx::cancel::CancelToken;
+use bm_ptx::error::PtxError;
 use bm_ptx::par::ParallelConfig;
 use bm_simt::config::GpuConfig;
 use bm_trace::{NullTracer, TraceEvent, Tracer};
@@ -77,7 +78,13 @@ impl<'s> RunSpec<'s> {
     /// # Errors
     ///
     /// A structurally invalid application, or the analysis's
-    /// [`bm_ptx::PtxError`] (including a fired cancellation).
+    /// [`bm_ptx::PtxError`] (including a fired cancellation). Kernels
+    /// handed in through [`RunSpec::kernels`] are checked against `app`
+    /// and `cfg` first: a kernel count other than the launch count, a
+    /// block count other than its launch's, blocks no SM can hold, fewer
+    /// or more access sets than blocks in a static kernel, or a skip gate
+    /// not naming an earlier kernel is a [`bm_ptx::PtxError::BadLaunch`].
+    /// Wrong access sets and graphs are left to the guard.
     pub fn analyze<T: Tracer>(
         &self,
         cfg: &GpuConfig,
@@ -85,6 +92,7 @@ impl<'s> RunSpec<'s> {
         tracer: &T,
     ) -> Result<Cow<'s, [JitKernel]>, BmError> {
         if let Some(jit) = self.kernels {
+            check_kernels(cfg, app, jit)?;
             return Ok(Cow::Borrowed(jit));
         }
         app.validate()?;
@@ -104,6 +112,56 @@ impl<'s> RunSpec<'s> {
         )?;
         Ok(Cow::Owned(jit))
     }
+}
+
+/// Checks that `jit` can describe `app` on `cfg`, as [`RunSpec::analyze`]
+/// documents; [`PtxError::BadLaunch`] names the first kernel that fails.
+fn check_kernels(cfg: &GpuConfig, app: &Application, jit: &[JitKernel]) -> Result<(), BmError> {
+    let bad = |kernel: &str, reason: String| {
+        Err(BmError::Ptx(PtxError::BadLaunch {
+            kernel: kernel.to_string(),
+            reason,
+        }))
+    };
+    let launches = app.launches();
+    if jit.len() != launches.len() {
+        return bad(
+            &app.name,
+            format!("{} kernels for {} launches", jit.len(), launches.len()),
+        );
+    }
+    for (k, (kernel, launch)) in jit.iter().zip(launches).enumerate() {
+        let p = &kernel.profile;
+        if p.n_tbs != launch.num_blocks() {
+            return bad(
+                &kernel.name,
+                format!("{} blocks for a launch of {}", p.n_tbs, launch.num_blocks()),
+            );
+        }
+        if cfg.occupancy(p.threads, p.shared_bytes) == 0 {
+            return bad(
+                &kernel.name,
+                format!(
+                    "a block of {} threads and {} shared bytes fits no SM",
+                    p.threads, p.shared_bytes
+                ),
+            );
+        }
+        if !kernel.access.non_static && kernel.access.per_tb.len() != launch.num_blocks() as usize {
+            return bad(
+                &kernel.name,
+                format!(
+                    "{} access sets for {} blocks",
+                    kernel.access.per_tb.len(),
+                    launch.num_blocks()
+                ),
+            );
+        }
+        if let Some(&g) = kernel.skip_gates.iter().find(|&&g| g as usize >= k) {
+            return bad(&kernel.name, format!("skip gate {g} in kernel {k}"));
+        }
+    }
+    Ok(())
 }
 
 /// Runs `app` on one device as `spec` says, observed by `tracer`.

@@ -180,13 +180,35 @@ struct PredDef {
     b: Operand,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct AbsState {
     r32: Vec<AbsVal>,
     r64: Vec<AbsVal>,
     f32_taint: Vec<bool>,
     pred: Vec<AbsVal>,
     pred_defs: Vec<Option<PredDef>>,
+}
+
+/// By hand, since a derived `clone_from` would allocate: copying into a
+/// state of the same register counts reuses its buffers.
+impl Clone for AbsState {
+    fn clone(&self) -> Self {
+        AbsState {
+            r32: self.r32.clone(),
+            r64: self.r64.clone(),
+            f32_taint: self.f32_taint.clone(),
+            pred: self.pred.clone(),
+            pred_defs: self.pred_defs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, o: &Self) {
+        self.r32.clone_from(&o.r32);
+        self.r64.clone_from(&o.r64);
+        self.f32_taint.clone_from(&o.f32_taint);
+        self.pred.clone_from(&o.pred);
+        self.pred_defs.clone_from(&o.pred_defs);
+    }
 }
 
 impl AbsState {
@@ -248,6 +270,25 @@ impl AbsState {
             }
         }
         changed
+    }
+
+    /// Back to the entry state of [`AbsState::new`], in place.
+    fn reset(&mut self) {
+        self.r32.fill(AbsVal::TOP);
+        self.r64.fill(AbsVal::TOP);
+        self.f32_taint.fill(false);
+        self.pred.fill(AbsVal::TOP);
+        self.pred_defs.fill(None);
+    }
+
+    /// The value slot of an integer or predicate register.
+    fn slot_mut(&mut self, r: Reg) -> &mut AbsVal {
+        match r.class {
+            RegClass::R32 => &mut self.r32[r.idx as usize],
+            RegClass::R64 => &mut self.r64[r.idx as usize],
+            RegClass::Pred => &mut self.pred[r.idx as usize],
+            RegClass::F32 => unreachable!("refinement writes no float register"),
+        }
     }
 
     fn get(&self, r: Reg) -> AbsVal {
@@ -413,43 +454,79 @@ fn transfer(env: &Env, st: &mut AbsState, inst: &Inst) {
     }
 }
 
-/// Refines `st` assuming predicate `pred` evaluates to `holds`. Refined
-/// operands collapse to plain intervals over the span first.
-fn refine_by_pred(env: &Env, st: &mut AbsState, pred: Reg, holds: bool) {
+/// The slots [`refine_by_pred`] overwrote, with their previous values in
+/// write order: refining in place and restoring afterwards reads a refined
+/// state without copying it.
+struct Undo {
+    len: usize,
+    saved: [(Reg, AbsVal); 3],
+}
+
+impl Undo {
+    fn write(&mut self, st: &mut AbsState, r: Reg, v: AbsVal) {
+        let slot = st.slot_mut(r);
+        self.saved[self.len] = (r, *slot);
+        self.len += 1;
+        *slot = v;
+    }
+
+    /// Puts back every overwritten slot, latest first.
+    fn restore(&self, st: &mut AbsState) {
+        for &(r, v) in self.saved[..self.len].iter().rev() {
+            *st.slot_mut(r) = v;
+        }
+    }
+}
+
+/// Refines `st` in place assuming predicate `pred` evaluates to `holds`,
+/// returning how to undo it. Refined operands collapse to plain intervals
+/// over the span first. Refinement only shrinks the set of possible
+/// values, so it invalidates no predicate definition.
+fn refine_by_pred(env: &Env, st: &mut AbsState, pred: Reg, holds: bool) -> Undo {
+    let mut undo = Undo {
+        len: 0,
+        saved: [(pred, AbsVal::TOP); 3],
+    };
     // The predicate value itself is now known.
     let pv = AbsVal::of(
         Interval::point(holds as i128),
         st.pred[pred.idx as usize].taint,
     );
-    st.pred[pred.idx as usize] = pv;
+    undo.write(st, Reg::pred(pred.idx), pv);
     let Some(def) = st.pred_defs[pred.idx as usize] else {
-        return;
+        return undo;
     };
     let cmp = if holds { def.cmp } else { def.cmp.negated() };
     let bv = env.eval(st, &def.b).collapse(&env.bx);
     let av = env.eval(st, &def.a).collapse(&env.bx);
-    if let Operand::Reg(r) = def.a {
-        if matches!(r.class, RegClass::R32 | RegClass::R64) {
-            let refined = AbsVal::of(av.iv.refine(cmp, &bv.iv), av.taint);
-            set_no_invalidate(st, r, refined);
-        }
+    let int = |o: Operand| match o {
+        Operand::Reg(r) if matches!(r.class, RegClass::R32 | RegClass::R64) => Some(r),
+        _ => None,
+    };
+    if let Some(r) = int(def.a) {
+        undo.write(st, r, AbsVal::of(av.iv.refine(cmp, &bv.iv), av.taint));
     }
-    if let Operand::Reg(r) = def.b {
-        if matches!(r.class, RegClass::R32 | RegClass::R64) {
-            let refined = AbsVal::of(bv.iv.refine(cmp.swapped(), &av.iv), bv.taint);
-            set_no_invalidate(st, r, refined);
-        }
+    if let Some(r) = int(def.b) {
+        undo.write(
+            st,
+            r,
+            AbsVal::of(bv.iv.refine(cmp.swapped(), &av.iv), bv.taint),
+        );
     }
+    undo
 }
 
-/// Writes a refined value without invalidating predicate definitions
-/// (refinement only shrinks the set of possible values).
-fn set_no_invalidate(st: &mut AbsState, r: Reg, v: AbsVal) {
-    match r.class {
-        RegClass::R32 => st.r32[r.idx as usize] = v,
-        RegClass::R64 => st.r64[r.idx as usize] = v,
-        _ => {}
-    }
+/// [`refine_by_pred`] along a CFG edge when the edge is a guarded
+/// branch's (`taken` is its polarity); `None` leaves `st` untouched.
+fn refine_edge(
+    env: &Env,
+    st: &mut AbsState,
+    taken: Option<bool>,
+    guard: Option<Guard>,
+) -> Option<Undo> {
+    let (taken, g) = (taken?, guard?);
+    // Branch taken <=> guard passed <=> pred == !negated.
+    Some(refine_by_pred(env, st, g.pred, taken != g.negated))
 }
 
 /// Why a launch could not be statically analyzed.
@@ -621,7 +698,7 @@ enum AffineOutcome {
 fn interp_tb_memo(
     launch: &Launch,
     cfg: &Cfg,
-    counts: [usize; 4],
+    ws: &mut Workspace,
     tb: u32,
     fuel: &mut u64,
     memo: &mut BTreeMap<u32, TbAccess>,
@@ -629,7 +706,7 @@ fn interp_tb_memo(
     if let Some(a) = memo.get(&tb) {
         return Ok(a.clone());
     }
-    let acc = analyze_tb(&Env::block(launch, tb), cfg, counts, fuel)?;
+    let acc = analyze_tb(&Env::block(launch, tb), cfg, ws, fuel)?;
     memo.insert(tb, acc.clone());
     Ok(acc)
 }
@@ -662,20 +739,21 @@ fn interp_tb_memo(
 fn try_affine(
     launch: &Launch,
     cfg: &Cfg,
-    counts: [usize; 4],
+    ws: &mut Workspace,
     n: u32,
     fuel: &mut u64,
     memo: &mut BTreeMap<u32, TbAccess>,
 ) -> AffineOutcome {
-    let interp = |tb: u32, fuel: &mut u64, memo: &mut BTreeMap<u32, TbAccess>| match interp_tb_memo(
-        launch, cfg, counts, tb, fuel, memo,
-    ) {
-        Ok(acc) => Ok(acc),
-        Err(AnalysisCut::OutOfFuel) => Err(AffineOutcome::OutOfFuel),
-        Err(AnalysisCut::NonStatic(_)) => Err(AffineOutcome::NonStatic),
-    };
+    let interp =
+        |tb: u32, ws: &mut Workspace, fuel: &mut u64, memo: &mut BTreeMap<u32, TbAccess>| {
+            match interp_tb_memo(launch, cfg, ws, tb, fuel, memo) {
+                Ok(acc) => Ok(acc),
+                Err(AnalysisCut::OutOfFuel) => Err(AffineOutcome::OutOfFuel),
+                Err(AnalysisCut::NonStatic(_)) => Err(AffineOutcome::NonStatic),
+            }
+        };
     for tb in [0, 1, 2, 3, n - 2, n - 1] {
-        if let Err(out) = interp(tb, fuel, memo) {
+        if let Err(out) = interp(tb, ws, fuel, memo) {
             return out;
         }
     }
@@ -684,7 +762,7 @@ fn try_affine(
         None => return AffineOutcome::Rejected,
     };
     for tb in affine_check_tbs(n) {
-        let got = match interp(tb, fuel, memo) {
+        let got = match interp(tb, ws, fuel, memo) {
             Ok(acc) => acc,
             Err(out) => return out,
         };
@@ -712,7 +790,7 @@ fn try_affine(
         by: Interval::point(0),
         ctaid_sym: false,
     };
-    let u_span = match analyze_tb(&env, cfg, counts, fuel) {
+    let u_span = match analyze_tb(&env, cfg, ws, fuel) {
         Ok(acc) => acc,
         Err(AnalysisCut::OutOfFuel) => return AffineOutcome::OutOfFuel,
         // Span hulls can lose convergence where per-TB points do not;
@@ -723,13 +801,13 @@ fn try_affine(
     let union_reads = RangeSet::from_unsorted(
         interior
             .iter()
-            .flat_map(|t| t.reads.ranges().to_vec())
+            .flat_map(|t| t.reads.ranges().iter().copied())
             .collect(),
     );
     let union_writes = RangeSet::from_unsorted(
         interior
             .iter()
-            .flat_map(|t| t.writes.ranges().to_vec())
+            .flat_map(|t| t.writes.ranges().iter().copied())
             .collect(),
     );
     if u_span.reads.is_subset_of(&union_reads) && u_span.writes.is_subset_of(&union_writes) {
@@ -742,7 +820,7 @@ fn try_affine(
         ..env
     };
     let mut accesses = Vec::new();
-    match analyze_span(&env, cfg, counts, fuel, |a| accesses.push(a)) {
+    match analyze_span(&env, cfg, ws, fuel, |a| accesses.push(a)) {
         Ok(()) => {}
         Err(AnalysisCut::OutOfFuel) => return AffineOutcome::OutOfFuel,
         Err(AnalysisCut::NonStatic(_)) => return AffineOutcome::Rejected,
@@ -917,7 +995,7 @@ fn analyze_launch_fueled_par_unchecked(
     par: &ParallelConfig,
 ) -> Option<(KernelAccess, AbsintStats)> {
     let cfg = Cfg::build(&launch.kernel);
-    let counts = max_reg_counts(&launch.kernel.body);
+    let mut ws = Workspace::new(&cfg, max_reg_counts(&launch.kernel.body));
     let n = launch.num_blocks();
     let mut stats = AbsintStats::default();
     // Anchors/samples interpreted by a rejected affine attempt are kept so
@@ -926,7 +1004,7 @@ fn analyze_launch_fueled_par_unchecked(
 
     if par.fast_paths && launch.grid.y == 1 && n >= AFFINE_MIN_TBS {
         stats.affine_attempted = true;
-        match try_affine(launch, &cfg, counts, n, fuel, &mut memo) {
+        match try_affine(launch, &cfg, &mut ws, n, fuel, &mut memo) {
             AffineOutcome::Accepted(per_tb) => {
                 stats.affine_accepted = true;
                 stats.tbs_interpreted = memo.len() as u32;
@@ -949,7 +1027,7 @@ fn analyze_launch_fueled_par_unchecked(
             per_tb.push(acc.clone());
             continue;
         }
-        match analyze_tb(&Env::block(launch, tb), &cfg, counts, fuel) {
+        match analyze_tb(&Env::block(launch, tb), &cfg, &mut ws, fuel) {
             Ok(acc) => per_tb.push(acc),
             Err(AnalysisCut::OutOfFuel) => return None,
             Err(AnalysisCut::NonStatic(_)) => {
@@ -968,7 +1046,7 @@ fn analyze_launch_grouped_unchecked(
     fuel: &mut u64,
 ) -> Option<KernelAccess> {
     let cfg = Cfg::build(&launch.kernel);
-    let counts = max_reg_counts(&launch.kernel.body);
+    let mut ws = Workspace::new(&cfg, max_reg_counts(&launch.kernel.body));
     let n = launch.num_blocks();
     if n == 0 {
         return Some(KernelAccess::from_per_tb(Vec::new(), false));
@@ -986,7 +1064,7 @@ fn analyze_launch_grouped_unchecked(
             by,
             ctaid_sym: false,
         };
-        match analyze_tb(&env, &cfg, counts, fuel) {
+        match analyze_tb(&env, &cfg, &mut ws, fuel) {
             Ok(acc) => {
                 for _ in lo..=hi {
                     per_tb.push(acc.clone());
@@ -1032,7 +1110,8 @@ pub fn analyze_block(
     tb: u32,
 ) -> Result<TbAccess, NonStaticReason> {
     let mut fuel = u64::MAX;
-    analyze_tb(&Env::block(launch, tb), cfg, counts, &mut fuel).map_err(|cut| match cut {
+    let mut ws = Workspace::new(cfg, counts);
+    analyze_tb(&Env::block(launch, tb), cfg, &mut ws, &mut fuel).map_err(|cut| match cut {
         AnalysisCut::NonStatic(r) => r,
         // Unreachable with unbounded fuel.
         AnalysisCut::OutOfFuel => NonStaticReason::NoConvergence,
@@ -1054,11 +1133,11 @@ struct SpanAccess {
 fn analyze_tb(
     env: &Env,
     cfg: &Cfg,
-    counts: [usize; 4],
+    ws: &mut Workspace,
     fuel: &mut u64,
 ) -> Result<TbAccess, AnalysisCut> {
     let mut acc = TbAccess::default();
-    analyze_span(env, cfg, counts, fuel, |a| {
+    analyze_span(env, cfg, ws, fuel, |a| {
         let set = if a.store {
             &mut acc.writes
         } else {
@@ -1069,34 +1148,161 @@ fn analyze_tb(
     Ok(acc)
 }
 
+/// The abstract states of one launch's analysis: every CFG block's in- and
+/// out-state and the worklist's bookkeeping. Every span the launch analyses
+/// (each thread block, affine certificate and group) reuses it, so a
+/// fixpoint step copies states into buffers the workspace already owns
+/// instead of allocating.
+struct Workspace {
+    /// In-state of each CFG block, meaningful where `reached`.
+    ins: Vec<AbsState>,
+    /// Out-state of each CFG block, meaningful where `reached`: the
+    /// fixpoint pops every block it reaches before it ends.
+    outs: Vec<AbsState>,
+    reached: Vec<bool>,
+    join_count: Vec<u32>,
+    queued: Vec<bool>,
+    work: Vec<usize>,
+    /// The collection pass's state after a load it skips (see
+    /// [`analyze_span`]).
+    skip: AbsState,
+    /// Narrowing passes: [`NARROW_PASSES`], or one when the CFG has no
+    /// back edge in RPO, since a second pass would repeat the first.
+    narrow_passes: usize,
+}
+
+impl Workspace {
+    fn new(cfg: &Cfg, counts: [usize; 4]) -> Self {
+        let nb = cfg.blocks.len();
+        let state = AbsState::new(counts);
+        Workspace {
+            ins: vec![state.clone(); nb],
+            outs: vec![state.clone(); nb],
+            reached: vec![false; nb],
+            join_count: vec![0; nb],
+            queued: vec![false; nb],
+            work: Vec::with_capacity(nb),
+            skip: state,
+            narrow_passes: if cfg.has_loop() { NARROW_PASSES } else { 1 },
+        }
+    }
+}
+
+/// What the collection pass makes of one instruction.
+enum Collected {
+    /// Not a global access.
+    Other,
+    /// A global access with its byte range.
+    Access(SpanAccess),
+    /// A global access whose address range is empty: the state (refined
+    /// by the access's guard) proves it never executes.
+    Never,
+}
+
+/// The collection pass's view of `inst` in state `st` (left unchanged):
+/// a guarded access's base is read refined by its guard.
+fn collect(env: &Env, st: &mut AbsState, inst: &Inst) -> Result<Collected, AnalysisCut> {
+    let (Op::Ld {
+        space: MemSpace::Global,
+        addr,
+        ty,
+        ..
+    }
+    | Op::St {
+        space: MemSpace::Global,
+        addr,
+        ty,
+        ..
+    }) = &inst.op
+    else {
+        return Ok(Collected::Other);
+    };
+    let base = match inst.guard {
+        Some(g) => {
+            let undo = refine_by_pred(env, st, g.pred, !g.negated);
+            let base = st.get(addr.base);
+            undo.restore(st);
+            base
+        }
+        None => st.get(addr.base),
+    };
+    if base.taint {
+        return Err(AnalysisCut::NonStatic(NonStaticReason::TaintedAddress));
+    }
+    let offset = Interval::point(addr.offset as i128);
+    let range = base.iv.add(&offset);
+    // Lowest address over the whole span (`range` itself when the
+    // coefficient is 0).
+    let lowest = base.collapse(&env.bx).iv.add(&offset).lo();
+    let (coef, lo, hi) = if range.is_empty() {
+        return Ok(Collected::Never);
+    } else if range.is_unbounded() || lowest < 0 || range.hi() - range.lo() > MAX_ACCESS_SPAN {
+        // Static but unboundable: cover all of device memory.
+        (0, 0, u64::MAX as i128)
+    } else {
+        (base.coef, range.lo(), range.hi() + ty.bytes() as i128)
+    };
+    Ok(Collected::Access(SpanAccess {
+        store: matches!(inst.op, Op::St { .. }),
+        coef,
+        lo,
+        hi,
+    }))
+}
+
+/// Collects `insts` from `st`: every access goes to `visit`, and an access
+/// that never executes is skipped, transfer included.
+fn collect_from(
+    env: &Env,
+    st: &mut AbsState,
+    insts: &[Inst],
+    visit: &mut impl FnMut(SpanAccess),
+) -> Result<(), AnalysisCut> {
+    for inst in insts {
+        match collect(env, st, inst)? {
+            Collected::Other => {}
+            Collected::Access(a) => visit(a),
+            Collected::Never => continue,
+        }
+        transfer(env, st, inst);
+    }
+    Ok(())
+}
+
 /// Fixpoint analysis of one `ctaid` span (a single TB when the env holds
 /// point intervals, a block group for the coarse rung, the interior blocks
 /// for the affine law's certificates), passing every global access to
 /// `visit`. Consumes one unit of `fuel` per worklist pop.
+///
+/// The states live in `ws`. A refined edge or guarded access refines the
+/// source state in place and restores it, so no step copies a state
+/// beyond the block it interprets. The last narrowing pass also collects
+/// the accesses: it interprets each block from its final in-state in RPO
+/// order, as a separate collection pass would.
 fn analyze_span(
     env: &Env,
     cfg: &Cfg,
-    counts: [usize; 4],
+    ws: &mut Workspace,
     fuel: &mut u64,
     mut visit: impl FnMut(SpanAccess),
 ) -> Result<(), AnalysisCut> {
-    let launch = env.launch;
-    let body = &launch.kernel.body;
+    let body = &env.launch.kernel.body;
     let nb = cfg.blocks.len();
     if nb == 0 {
         return Ok(());
     }
-    let mut in_states: Vec<Option<AbsState>> = vec![None; nb];
-    let mut out_states: Vec<Option<AbsState>> = vec![None; nb];
-    in_states[0] = Some(AbsState::new(counts));
-    let mut join_count = vec![0u32; nb];
-    let mut queued = vec![false; nb];
-    let mut work: Vec<usize> = vec![0];
-    queued[0] = true;
+    ws.ins[0].reset();
+    ws.reached.fill(false);
+    ws.reached[0] = true;
+    ws.join_count.fill(0);
+    ws.queued.fill(false);
+    ws.queued[0] = true;
+    ws.work.clear();
+    ws.work.push(0);
     let mut pops = 0usize;
     let max_pops = nb * MAX_POPS_FACTOR;
-    while let Some(b) = work.pop() {
-        queued[b] = false;
+    while let Some(b) = ws.work.pop() {
+        ws.queued[b] = false;
         pops += 1;
         if pops > max_pops {
             return Err(AnalysisCut::NonStatic(NonStaticReason::NoConvergence));
@@ -1105,34 +1311,32 @@ fn analyze_span(
             return Err(AnalysisCut::OutOfFuel);
         }
         *fuel -= 1;
-        let mut st = in_states[b].clone().expect("queued block has in-state");
-        for inst in &body[cfg.blocks[b].start..cfg.blocks[b].end] {
-            transfer(env, &mut st, inst);
+        let block = &cfg.blocks[b];
+        let out = &mut ws.outs[b];
+        out.clone_from(&ws.ins[b]);
+        for inst in &body[block.start..block.end] {
+            transfer(env, out, inst);
         }
-        let term = &body[cfg.blocks[b].end - 1];
-        out_states[b] = Some(st.clone());
-        for e in &cfg.blocks[b].succs {
-            let mut es = st.clone();
-            if let (Some(taken), Some(g)) = (e.taken, term.guard) {
-                // Branch taken <=> guard passed <=> pred == !negated.
-                let holds = taken != g.negated;
-                refine_by_pred(env, &mut es, g.pred, holds);
-            }
-            let changed = match &mut in_states[e.to] {
-                Some(cur) => {
-                    let widen = join_count[e.to] > WIDEN_AFTER;
-                    cur.join(&es, widen, env)
-                }
-                slot @ None => {
-                    *slot = Some(es);
-                    true
-                }
+        let guard = body[block.end - 1].guard;
+        for e in &block.succs {
+            let undo = refine_edge(env, &mut ws.outs[b], e.taken, guard);
+            let src = &ws.outs[b];
+            let changed = if ws.reached[e.to] {
+                let widen = ws.join_count[e.to] > WIDEN_AFTER;
+                ws.ins[e.to].join(src, widen, env)
+            } else {
+                ws.ins[e.to].clone_from(src);
+                ws.reached[e.to] = true;
+                true
             };
+            if let Some(undo) = undo {
+                undo.restore(&mut ws.outs[b]);
+            }
             if changed {
-                join_count[e.to] += 1;
-                if !queued[e.to] {
-                    queued[e.to] = true;
-                    work.push(e.to);
+                ws.join_count[e.to] += 1;
+                if !ws.queued[e.to] {
+                    ws.queued[e.to] = true;
+                    ws.work.push(e.to);
                 }
             }
         }
@@ -1140,93 +1344,57 @@ fn analyze_span(
     // Narrowing: recompute in-states from predecessor outs (with edge
     // refinement) a bounded number of times; this claws back precision the
     // widening gave up, e.g. loop-counter upper bounds.
-    for _ in 0..NARROW_PASSES {
+    for pass in 1..=ws.narrow_passes {
+        let last = pass == ws.narrow_passes;
         for &b in &cfg.rpo {
             if b != 0 {
-                let mut acc: Option<AbsState> = None;
+                let mut first = true;
                 for &p in &cfg.blocks[b].preds {
-                    let Some(po) = &out_states[p] else { continue };
-                    let term = &body[cfg.blocks[p].end - 1];
-                    let edge = cfg.blocks[p].succs.iter().find(|e| e.to == b);
-                    let mut es = po.clone();
-                    if let (Some(e), Some(g)) = (edge, term.guard) {
-                        if let Some(t) = e.taken {
-                            let holds = t != g.negated;
-                            refine_by_pred(env, &mut es, g.pred, holds);
-                        }
+                    if !ws.reached[p] {
+                        continue;
                     }
-                    match &mut acc {
-                        Some(a) => {
-                            a.join(&es, false, env);
-                        }
-                        None => acc = Some(es),
+                    let taken = cfg.blocks[p].succs.iter().find(|e| e.to == b);
+                    let guard = body[cfg.blocks[p].end - 1].guard;
+                    let undo =
+                        refine_edge(env, &mut ws.outs[p], taken.and_then(|e| e.taken), guard);
+                    if first {
+                        ws.ins[b].clone_from(&ws.outs[p]);
+                        first = false;
+                    } else {
+                        ws.ins[b].join(&ws.outs[p], false, env);
+                    }
+                    if let Some(undo) = undo {
+                        undo.restore(&mut ws.outs[p]);
                     }
                 }
-                if let Some(a) = acc {
-                    in_states[b] = Some(a);
-                }
             }
-            if let Some(ins) = &in_states[b] {
-                let mut st = ins.clone();
-                for inst in &body[cfg.blocks[b].start..cfg.blocks[b].end] {
-                    transfer(env, &mut st, inst);
-                }
-                out_states[b] = Some(st);
+            if !ws.reached[b] {
+                continue;
             }
-        }
-    }
-    // Collection pass: report every global access range.
-    for &b in &cfg.rpo {
-        let Some(ins) = &in_states[b] else { continue };
-        let mut st = ins.clone();
-        for inst in &body[cfg.blocks[b].start..cfg.blocks[b].end] {
-            if let Op::Ld {
-                space: MemSpace::Global,
-                addr,
-                ty,
-                ..
-            }
-            | Op::St {
-                space: MemSpace::Global,
-                addr,
-                ty,
-                ..
-            } = &inst.op
-            {
-                // If the access is guarded and the guard has a known setp,
-                // refine a copy of the state first for a tighter range.
-                let mut view = st.clone();
-                if let Some(g) = inst.guard {
-                    refine_by_pred(env, &mut view, g.pred, !g.negated);
+            let insts = &body[cfg.blocks[b].start..cfg.blocks[b].end];
+            let out = &mut ws.outs[b];
+            out.clone_from(&ws.ins[b]);
+            for (i, inst) in insts.iter().enumerate() {
+                if last {
+                    match collect(env, out, inst)? {
+                        Collected::Other => {}
+                        Collected::Access(a) => visit(a),
+                        // The collection pass skips a load that never
+                        // executes, and the rest of the block sees its
+                        // destination unwritten; the out-state does not.
+                        Collected::Never if matches!(inst.op, Op::Ld { .. }) => {
+                            ws.skip.clone_from(out);
+                            collect_from(env, &mut ws.skip, &insts[i + 1..], &mut visit)?;
+                            for inst in &insts[i..] {
+                                transfer(env, out, inst);
+                            }
+                            break;
+                        }
+                        Collected::Never => {}
+                    }
                 }
-                let base = view.get(addr.base);
-                if base.taint {
-                    return Err(AnalysisCut::NonStatic(NonStaticReason::TaintedAddress));
-                }
-                let offset = Interval::point(addr.offset as i128);
-                let range = base.iv.add(&offset);
-                // Lowest address over the whole span (`range` itself when
-                // the coefficient is 0).
-                let lowest = base.collapse(&env.bx).iv.add(&offset).lo();
-                let (coef, lo, hi) = if range.is_empty() {
-                    continue; // guard proves the access never executes
-                } else if range.is_unbounded()
-                    || lowest < 0
-                    || range.hi() - range.lo() > MAX_ACCESS_SPAN
-                {
-                    // Static but unboundable: cover all of device memory.
-                    (0, 0, u64::MAX as i128)
-                } else {
-                    (base.coef, range.lo(), range.hi() + ty.bytes() as i128)
-                };
-                visit(SpanAccess {
-                    store: matches!(inst.op, Op::St { .. }),
-                    coef,
-                    lo,
-                    hi,
-                });
+                transfer(env, out, inst);
             }
-            transfer(env, &mut st, inst);
         }
     }
     Ok(())
@@ -1397,6 +1565,64 @@ $OUT:
         let r1 = &acc.per_tb[1].reads;
         assert_eq!(r1.bounds(), Some((a + 8 * 16 * 4, a + 16 * 16 * 4)));
         assert_eq!(acc.per_tb[0].writes.ranges(), &[(o, o + 32)]);
+    }
+
+    #[test]
+    fn second_narrowing_pass_bounds_a_copy_of_the_counter() {
+        // `b` copies the counter before it is incremented. The first
+        // narrowing pass joins the loop head with the widened fixpoint's
+        // back-edge state, where `b` is still unbounded; only the second
+        // bounds it, so a CFG with a loop keeps both passes.
+        let src = r#"
+.entry lag(.param .u64 A)
+{
+  ld.param.u64 %rd1, [A];
+  mov.u32 %r1, 0;
+  mov.u32 %r3, 0;
+$TOP:
+  setp.ge.u32 %p1, %r1, 10;
+  @%p1 bra $OUT;
+  mov.u32 %r3, %r1;
+  add.u32 %r1, %r1, 1;
+  bra $TOP;
+$OUT:
+  mul.wide.u32 %rd2, %r3, 4;
+  add.u64 %rd3, %rd1, %rd2;
+  st.global.u32 [%rd3], %r1;
+  ret;
+}
+"#;
+        let launch = launch_1d(src, 1, 32, vec![ArgValue::Ptr(0x1000)]);
+        let acc = analyze_launch(&launch);
+        assert!(!acc.non_static);
+        assert_eq!(acc.per_tb[0].writes.ranges(), &[(0x1000, 0x1000 + 40)]);
+    }
+
+    #[test]
+    fn access_a_guard_rules_out_is_skipped_with_its_load() {
+        // The guard proves the load never executes, so the collection pass
+        // neither reports it nor lets its result taint the store after it
+        // in the same block: the store stays static (and unbounded).
+        let src = r#"
+.entry skip(.param .u64 A)
+{
+  ld.param.u64 %rd1, [A];
+  mov.u32 %r1, %tid.x;
+  mul.wide.u32 %rd2, %r1, 4;
+  add.u64 %rd3, %rd1, %rd2;
+  setp.gt.u64 %p1, %rd3, 1048576;
+  @%p1 ld.global.u32 %r2, [%rd3];
+  mul.wide.u32 %rd4, %r2, 4;
+  add.u64 %rd5, %rd1, %rd4;
+  st.global.u32 [%rd5], %r1;
+  ret;
+}
+"#;
+        let launch = launch_1d(src, 1, 32, vec![ArgValue::Ptr(0x1000)]);
+        let acc = analyze_launch(&launch);
+        assert!(!acc.non_static);
+        assert!(acc.per_tb[0].reads.is_empty());
+        assert_eq!(acc.per_tb[0].writes.ranges(), &[(0, u64::MAX)]);
     }
 
     #[test]

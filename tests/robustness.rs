@@ -2,15 +2,20 @@
 //! kernel-free applications, and extreme windows must not panic or
 //! deadlock anywhere in the pipeline.
 
-use blockmaestro::{check_schedule, run, try_run_app, BmError, ExecMode, RunSpec};
+use blockmaestro::{
+    check_schedule, jit_analyze_app, run, try_run_app, BmError, ExecMode, JitKernel, RunSpec,
+};
 use bm_cmdq::{ApiCall, Application, CmdqError};
+use bm_depgraph::HazardMode;
 use bm_ptx::absint::analyze_launch;
+use bm_ptx::error::PtxError;
 use bm_ptx::interp::ExecError;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
 use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
+use bm_workloads::{suite, Scale};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -532,5 +537,74 @@ fn cross_class_register_views_run_without_a_panic() {
         let base = app.space.allocs()[0].base;
         let expect = if body.contains("%f7") { 1 } else { 0 };
         assert_eq!(mem.read_u32(base + 4), expect, "{body}");
+    }
+}
+
+/// Kernels handed to `run` through `RunSpec::kernels` that cannot describe
+/// the application are a typed `BadLaunch`, guarded or not, before
+/// anything runs: a wrong kernel or block count, blocks no SM can hold,
+/// emptied access sets of a static kernel, or a skip gate not naming an
+/// earlier kernel. The same kernels unchanged still run.
+#[test]
+fn corrupted_run_spec_kernels_are_typed_errors() {
+    let cfg = GpuConfig::small();
+    let bench = suite().into_iter().find(|b| b.name == "GAUSSIAN").unwrap();
+    let app = (bench.build)(Scale::Small);
+    let mode = ExecMode::ConsumerPriority { window: 3 };
+    let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
+    let run_with = |jit: &[JitKernel], guard: bool| {
+        let mut spec = RunSpec {
+            guard,
+            kernels: Some(jit),
+            ..RunSpec::new(mode)
+        };
+        run(&cfg, &app, &mut spec, &NullTracer)
+    };
+    for guard in [false, true] {
+        run_with(&jit, guard).expect("unchanged kernels run");
+    }
+    let k = jit
+        .iter()
+        .position(|j| !j.access.non_static && j.profile.n_tbs > 0)
+        .expect("a static kernel");
+    type Corrupt = Box<dyn Fn(&mut Vec<JitKernel>)>;
+    let cases: Vec<(&str, Corrupt)> = vec![
+        ("one kernel too many", Box::new(|j| j.push(j[0].clone()))),
+        ("one kernel too few", Box::new(|j| drop(j.pop()))),
+        (
+            "one block too many",
+            Box::new(move |j| j[k].profile.n_tbs += 1),
+        ),
+        ("no blocks", Box::new(move |j| j[k].profile.n_tbs = 0)),
+        (
+            "10^6 threads",
+            Box::new(move |j| j[k].profile.threads = 1_000_000),
+        ),
+        (
+            "2^30 shared bytes",
+            Box::new(move |j| j[k].profile.shared_bytes = 1 << 30),
+        ),
+        (
+            "emptied access sets",
+            Box::new(move |j| j[k].access.per_tb.clear()),
+        ),
+        (
+            "skip gate past the kernels",
+            Box::new(|j| {
+                let n = j.len() as u32;
+                j[1].skip_gates.push(n);
+            }),
+        ),
+        ("skip gate on itself", Box::new(|j| j[1].skip_gates.push(1))),
+    ];
+    for (what, corrupt) in &cases {
+        let mut bad = jit.clone();
+        corrupt(&mut bad);
+        for guard in [false, true] {
+            match run_with(&bad, guard) {
+                Err(BmError::Ptx(PtxError::BadLaunch { .. })) => {}
+                other => panic!("{what}, guard {guard}: {:?}", other.map(|r| r.total_cycles)),
+            }
+        }
     }
 }
