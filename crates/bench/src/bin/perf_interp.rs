@@ -9,15 +9,15 @@
 //!   [`bm_ptx::interp::execute_launch`] and `try_run_serialized` run it);
 //! * `logged_ns` — the guard's logged pass ([`AccessLog::execute_block`]
 //!   and [`AccessLog::finish_block`] per block);
-//! * `serial_ns` — the same logged pass on the thread-serial loop, through
-//!   the generic [`Program::execute_block`]: what a block that falls back
-//!   costs.
+//! * `serial_ns` — the same logged pass one lane at a time, through the
+//!   generic [`Program::execute_block`]: the engine's one-lane run, what a
+//!   block that falls back costs.
 //!
 //! Launch by launch, the three passes run in a rotating order for
 //! [`ROUNDS`] rounds; each launch's minimum per pass is summed per app, so
 //! a slow stretch of the host lands on one launch of every pass rather
 //! than on one whole pass. `fallback_blocks` counts the blocks either
-//! lockstep pass reran thread-serially (in one round). It prints a table
+//! lockstep pass reran one lane at a time (in one round). It prints a table
 //! and writes JSON (schema `bm-bench/perf_interp/v2`) to
 //! `BENCH_interp.json` at the repository root. Run with:
 //!
@@ -45,7 +45,7 @@ struct Row {
     name: &'static str,
     blocks: u64,
     instructions: u64,
-    /// Plain, logged and thread-serial logged pass.
+    /// Plain, logged and one-lane logged pass.
     ns: [f64; 3],
     fallback_blocks: u64,
 }

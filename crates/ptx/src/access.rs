@@ -5,7 +5,9 @@
 //! sets per TB" of the paper's value-range analysis (§III-B2).
 //!
 //! [`AccessLog`] records the ranges a block actually touches when it
-//! runs, for checking them against the analysed ones.
+//! runs on the interpreter's engine, for checking them against the
+//! analysed ones: in warps, or one lane at a time for a block that falls
+//! back or that follows an unfinished one.
 
 use crate::interp::{ExecError, ExecObserver, ExecStats, Lockstep, Program, Sink, ThreadId};
 use crate::mem::{AddressSpace, GlobalMem};
@@ -475,17 +477,15 @@ impl WordBits {
 /// Read words, then written words.
 struct Bits([WordBits; 2]);
 
-impl ExecObserver for Bits {
-    #[inline(always)]
-    fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
-        self.0[usize::from(store)].insert(addr);
-    }
-}
-
 impl Sink for Bits {
     #[inline(always)]
     fn on_warp_access(&mut self, addr: u64, store: bool) {
         self.0[usize::from(store)].insert_run(addr);
+    }
+
+    #[inline(always)]
+    fn on_lane_access(&mut self, _w: usize, _l: usize, _pc: usize, addr: u64, store: bool) {
+        self.0[usize::from(store)].insert(addr);
     }
 
     fn discard(&mut self) {
@@ -533,8 +533,9 @@ impl AccessLog {
     /// errors and the logged words are those of
     /// [`Program::execute_block`]. The engine is instantiated for the log
     /// here, in `bm-ptx`, next to the plain pass's. A log holding an
-    /// unfinished block runs the thread-serial loop, since a fallback
-    /// drops everything logged.
+    /// unfinished block runs the block one lane at a time, since a
+    /// fallback drops everything logged and a one-lane run never falls
+    /// back.
     ///
     /// # Errors
     ///
@@ -547,12 +548,12 @@ impl AccessLog {
         max_steps: u64,
     ) -> Result<ExecStats, ExecError> {
         if !self.bits.0.iter().all(WordBits::is_empty) {
-            return program.execute_block(tb, mem, &mut self.bits, max_steps);
+            return program.serial(&mut self.warps, &mut self.bits, tb, mem, max_steps, None);
         }
         program.lockstep(&mut self.warps, &mut self.bits, tb, mem, max_steps)
     }
 
-    /// Blocks [`AccessLog::execute_block`] reran thread-serially.
+    /// Blocks [`AccessLog::execute_block`] reran one lane at a time.
     pub fn fallback_blocks(&self) -> u64 {
         self.warps.fallback_blocks()
     }
@@ -570,8 +571,8 @@ impl AccessLog {
 
 impl ExecObserver for AccessLog {
     #[inline(always)]
-    fn on_global_access(&mut self, t: ThreadId, i: usize, addr: u64, store: bool) {
-        self.bits.on_global_access(t, i, addr, store);
+    fn on_global_access(&mut self, _t: ThreadId, _i: usize, addr: u64, store: bool) {
+        self.bits.0[usize::from(store)].insert(addr);
     }
 }
 
@@ -701,6 +702,69 @@ mod tests {
         assert_eq!(ka.kernel_writes.ranges(), &[(100, 116)]);
         assert_eq!(ka.num_blocks(), 2);
         assert!(!ka.non_static);
+    }
+
+    #[test]
+    fn an_unfinished_log_runs_the_next_block_one_lane_at_a_time() {
+        use crate::interp::{Program, MAX_STEPS_PER_THREAD};
+        use crate::kernel::{ArgValue, Dim3, Launch};
+        use std::sync::Arc;
+        // Each block works in its own 256 bytes of `A`. In block 0 every
+        // lane stores its own word; in block 1 every lane stores word 0,
+        // which lane 0 then loads. A warp loads it after the higher lanes'
+        // stores, which breaks the lane-order rule.
+        let src = ".entry k(.param .u64 A) {
+            ld.param.u64 %rd1, [A];
+            mov.u32 %r1, %tid.x;
+            mov.u32 %r2, %ctaid.x;
+            mul.wide.u32 %rd2, %r2, 256;
+            add.u64 %rd1, %rd1, %rd2;
+            setp.eq.u32 %p1, %r2, 0;
+            selp.u32 %r3, %r1, 0, %p1;
+            mul.wide.u32 %rd3, %r3, 4;
+            add.u64 %rd4, %rd1, %rd3;
+            st.global.u32 [%rd4], %r1;
+            mul.wide.u32 %rd5, %r1, 4;
+            add.u64 %rd6, %rd1, %rd5;
+            ld.global.u32 %r4, [%rd6];
+            st.global.u32 [%rd6+128], %r4;
+            ret;
+        }";
+        let kernel = Arc::new(crate::parser::parse_kernel(src).unwrap());
+        let mut space = AddressSpace::new();
+        let a = space.alloc(512);
+        let launch = Launch::new(kernel, Dim3::x(2), Dim3::x(32), vec![ArgValue::Ptr(a.base)]);
+        let program = Program::new(&launch);
+        let mem = GlobalMem::for_space(&space);
+        // Each block's thread-serial ranges, finished apart.
+        let (mut want_mem, mut want) = (mem.clone(), [RangeSet::new(), RangeSet::new()]);
+        let mut serial = AccessLog::new(&space);
+        for tb in 0..2 {
+            program
+                .execute_block(tb, &mut want_mem, &mut serial, MAX_STEPS_PER_THREAD)
+                .unwrap();
+            let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
+            serial.finish_block(&mut ranges, &mut bounds);
+            want[0].extend(ranges[..bounds[0]].iter().copied());
+            want[1].extend(ranges[bounds[0]..].iter().copied());
+        }
+        let mut alone = AccessLog::new(&space);
+        alone
+            .execute_block(&program, 1, &mut mem.clone(), MAX_STEPS_PER_THREAD)
+            .unwrap();
+        assert_eq!(alone.fallback_blocks(), 1, "block 1 breaks the lane order");
+        // Both blocks logged before one finish.
+        let (mut log, mut got_mem) = (AccessLog::new(&space), mem.clone());
+        for tb in 0..2 {
+            log.execute_block(&program, tb, &mut got_mem, MAX_STEPS_PER_THREAD)
+                .unwrap();
+        }
+        let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
+        log.finish_block(&mut ranges, &mut bounds);
+        assert_eq!(ranges[..bounds[0]], *want[0].ranges());
+        assert_eq!(ranges[bounds[0]..], *want[1].ranges());
+        assert_eq!(got_mem.fingerprint(), want_mem.fingerprint());
+        assert_eq!(log.fallback_blocks(), 0);
     }
 
     #[test]

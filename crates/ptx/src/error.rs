@@ -139,7 +139,7 @@ mod tests {
     fn error_conversions_compose() {
         let parse: PtxError = parse_kernel("garbage").unwrap_err().into();
         assert!(matches!(parse, PtxError::Parse(_)));
-        let exec: PtxError = ExecError::BarrierDivergence { tb: 3 }.into();
-        assert!(exec.to_string().contains("barrier divergence"));
+        let exec: PtxError = ExecError::OutsideLaunch { tb: 3 }.into();
+        assert!(exec.to_string().contains("outside the launch"));
     }
 }

@@ -16,13 +16,15 @@
 //! holds one launch constant is read from its constant slot, and a 32-bit
 //! unsigned division by a constant becomes a shift, a mask or a multiply.
 //!
-//! [`Program::execute_block`] runs a block thread-serially, each thread
-//! until it exits or reaches a barrier, in the same order, with the same
-//! observer callbacks, statistics, step limit and error points as a direct
-//! walk over the [`Op`] tree. The plain and logged serialized passes and
-//! the launch-time trace run the same decode on the warp-lockstep engine
-//! ([`Lockstep`]), which gives the same memory, statistics and errors 32
-//! lanes per dispatch.
+//! One engine executes the micro-ops ([`Lockstep`], `interp/lockstep.rs`),
+//! in groups of 32 lanes or of one. The plain and logged serialized passes
+//! and the launch-time trace run warps, 32 lanes per dispatch.
+//! [`Program::execute_block`] runs one lane at a time: threads in id
+//! order, each until it exits or reaches a barrier, with the same observer
+//! callbacks, statistics, step limit and error points as a direct walk
+//! over the [`Op`] tree. A warp run gives the same memory, statistics and
+//! errors, and a block it cannot keep in that order reruns one lane at a
+//! time.
 
 use crate::isa::*;
 use crate::kernel::Launch;
@@ -52,8 +54,9 @@ pub enum ExecError {
         /// Declared shared size.
         size: u32,
     },
-    /// Threads did not all reach the same barrier.
-    BarrierDivergence {
+    /// A block past the launch's grid, or a thread list that is not
+    /// strictly ascending below the block's thread count.
+    OutsideLaunch {
         /// Linear block id.
         tb: u32,
     },
@@ -78,8 +81,8 @@ impl fmt::Display for ExecError {
                     "shared-memory access at {addr} out of bounds ({size} bytes)"
                 )
             }
-            ExecError::BarrierDivergence { tb } => {
-                write!(f, "barrier divergence in block {tb}")
+            ExecError::OutsideLaunch { tb } => {
+                write!(f, "block {tb} or a thread it lists is outside the launch")
             }
             ExecError::Unmapped { tb, addr } => {
                 write!(f, "block {tb} accessed unmapped device address {addr:#x}")
@@ -103,11 +106,6 @@ impl ThreadId {
     /// Warp index of this thread (32 threads per warp).
     pub fn warp(&self) -> u32 {
         self.tid / 32
-    }
-
-    /// Lane within the warp.
-    pub fn lane(&self) -> u32 {
-        self.tid % 32
     }
 }
 
@@ -159,8 +157,9 @@ pub const MAX_STEPS_PER_THREAD: u64 = 4_000_000;
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] on runaway loops, shared-memory overflow, barrier
-/// divergence, or a global access to an unmapped device address.
+/// Returns [`ExecError`] on runaway loops, shared-memory overflow, a
+/// global access to an unmapped device address, or a block outside the
+/// launch.
 pub fn execute_block<O: ExecObserver>(
     launch: &Launch,
     tb: u32,
@@ -695,50 +694,14 @@ pub struct Program<'l> {
     ops: Vec<MicroInst>,
     /// Fixed and constant slots; the register sections after them are zero.
     row: Vec<u64>,
-    /// First register slot: everything from here on is reset per thread.
+    /// First register slot: everything from here on is per thread.
     regs: usize,
-    /// Whether any thread can stop at a barrier. Without one, every thread
-    /// runs to completion in turn, so one row serves them all.
+    /// Whether any thread can stop at a barrier. Without one, every warp
+    /// runs to completion in turn, so one register file serves them all.
     barrier: bool,
     /// The registers a thread can read before writing them, which the
     /// lockstep engine zeroes per warp.
     zero: Vec<Slot>,
-}
-
-/// Scheduling state of a thread between its runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Running,
-    AtBarrier,
-    Done,
-}
-
-/// Where a thread stands when it stops running.
-#[derive(Clone, Copy)]
-struct Resume {
-    pc: usize,
-    steps: u64,
-    status: Status,
-}
-
-impl Resume {
-    const START: Resume = Resume {
-        pc: 0,
-        steps: 0,
-        status: Status::Running,
-    };
-}
-
-/// Per-block state shared by the block's threads.
-struct Block<'a, O> {
-    tb: u32,
-    mem: &'a mut GlobalMem,
-    obs: &'a mut O,
-    shared: Vec<u8>,
-    stats: ExecStats,
-    max_steps: u64,
-    /// The region of the block's last global access.
-    near: usize,
 }
 
 impl<'l> Program<'l> {
@@ -772,16 +735,17 @@ impl<'l> Program<'l> {
         self.launch
     }
 
-    /// Executes block `tb`: every thread, round-robin in thread-id order,
-    /// each until it exits or reaches a barrier, which releases once no
-    /// thread can run.
+    /// Executes block `tb` one lane at a time: every thread, round-robin
+    /// in thread-id order, each until it exits or reaches a barrier, which
+    /// releases once no thread can run. `obs` sees each thread's
+    /// instructions and global accesses in that order.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on runaway loops (more than `max_steps`
-    /// instructions fetched by one thread), shared-memory overflow, or a
-    /// global access to an unmapped device address. Memory keeps the
-    /// writes made before the failing instruction.
+    /// instructions fetched by one thread), shared-memory overflow, a
+    /// global access to an unmapped device address, or a block past the
+    /// grid. Memory keeps the writes made before the failing instruction.
     pub fn execute_block<O: ExecObserver>(
         &self,
         tb: u32,
@@ -789,14 +753,13 @@ impl<'l> Program<'l> {
         obs: &mut O,
         max_steps: u64,
     ) -> Result<ExecStats, ExecError> {
-        let n = self.launch.threads_per_block();
-        self.run(tb, mem, obs, max_steps, n as usize, |i| i as u32)
+        self.observed(tb, mem, obs, max_steps, None)
     }
 
-    /// [`Program::execute_block`] restricted to an explicit ascending list
-    /// of thread ids. No pipeline path runs a subset; the step-limit tests
-    /// run single lanes through it, so a sweep over every budget need not
-    /// repeat the whole block at each one.
+    /// [`Program::execute_block`] restricted to an explicit strictly
+    /// ascending list of thread ids. No pipeline path runs a subset; the
+    /// step-limit tests run single lanes through it, so a sweep over every
+    /// budget need not repeat the whole block at each one.
     ///
     /// The scheduling discipline is identical to the full block
     /// (round-robin over the listed threads, block-wide barrier release
@@ -806,7 +769,9 @@ impl<'l> Program<'l> {
     ///
     /// # Errors
     ///
-    /// As [`Program::execute_block`].
+    /// As [`Program::execute_block`], and [`ExecError::OutsideLaunch`] for
+    /// a list that is not strictly ascending below the block's thread
+    /// count.
     pub fn execute_subset<O: ExecObserver>(
         &self,
         tb: u32,
@@ -815,222 +780,23 @@ impl<'l> Program<'l> {
         max_steps: u64,
         tids: &[u32],
     ) -> Result<ExecStats, ExecError> {
-        self.run(tb, mem, obs, max_steps, tids.len(), |i| tids[i])
+        self.observed(tb, mem, obs, max_steps, Some(tids))
     }
 
-    fn run<O: ExecObserver>(
+    fn observed<O: ExecObserver>(
         &self,
         tb: u32,
         mem: &mut GlobalMem,
         obs: &mut O,
         max_steps: u64,
-        n: usize,
-        tid: impl Fn(usize) -> u32,
+        subset: Option<&[u32]>,
     ) -> Result<ExecStats, ExecError> {
-        let (bx, by) = self.launch.block_coords(tb);
-        let mut row = self.row.clone();
-        for (s, v) in CTAID.iter().zip([bx, by]) {
-            row[*s as usize] = u64::from(v);
-            row[*s as usize + 2] = u64::from((v as f32).to_bits());
-        }
-        let mut blk = Block {
-            tb,
-            mem,
+        let mut sink = lockstep::Observed {
             obs,
-            shared: vec![0; self.launch.kernel.shared_bytes as usize],
-            stats: ExecStats::default(),
-            max_steps,
-            near: usize::MAX,
+            tb,
+            body: &self.launch.kernel.body,
         };
-        let start = |row: &mut [u64], t: u32| {
-            let (x, y) = (t % self.launch.block.x, t / self.launch.block.x);
-            for (s, v) in TID.iter().zip([x, y]) {
-                row[*s as usize] = u64::from(v);
-                row[*s as usize + 2] = u64::from((v as f32).to_bits());
-            }
-        };
-        if !self.barrier {
-            for i in 0..n {
-                let t = tid(i);
-                row[self.regs..].fill(0);
-                start(&mut row, t);
-                self.run_thread(&mut blk, &mut row, t, Resume::START)?;
-            }
-            return Ok(blk.stats);
-        }
-        let len = row.len();
-        let mut rows = Vec::with_capacity(n * len);
-        for i in 0..n {
-            rows.extend_from_slice(&row);
-            start(&mut rows[i * len..], tid(i));
-        }
-        let mut threads = vec![Resume::START; n];
-        loop {
-            let mut any_running = false;
-            for (i, th) in threads.iter_mut().enumerate() {
-                if th.status != Status::Running {
-                    continue;
-                }
-                any_running = true;
-                *th = self.run_thread(&mut blk, &mut rows[i * len..(i + 1) * len], tid(i), *th)?;
-            }
-            if !any_running {
-                let mut waiting = false;
-                for th in &mut threads {
-                    if th.status == Status::AtBarrier {
-                        th.status = Status::Running;
-                        waiting = true;
-                    }
-                }
-                if !waiting {
-                    return Ok(blk.stats);
-                }
-            }
-        }
-    }
-
-    /// Runs one thread from `at` until it exits or stops at a barrier.
-    fn run_thread<O: ExecObserver>(
-        &self,
-        blk: &mut Block<'_, O>,
-        row: &mut [u64],
-        tid: u32,
-        at: Resume,
-    ) -> Result<Resume, ExecError> {
-        let body = &self.launch.kernel.body;
-        let id = ThreadId { tb: blk.tb, tid };
-        let Resume {
-            mut pc, mut steps, ..
-        } = at;
-        let mut stats = blk.stats;
-        let status = loop {
-            let Some(&i) = self.ops.get(pc) else {
-                break Status::Done;
-            };
-            steps += 1;
-            if steps > blk.max_steps {
-                return Err(ExecError::StepLimit { tb: blk.tb, tid });
-            }
-            if row[i.guard as usize] == i.skip {
-                pc += 1;
-                continue;
-            }
-            stats.instructions += 1;
-            blk.obs.on_inst(id, pc, &body[pc].op);
-            // The slot `d` is written; `a`, `b` and `c` are read as raw
-            // values (`r!`) or as floats (`f!`).
-            macro_rules! r {
-                ($s:ident) => {
-                    row[i.$s as usize]
-                };
-            }
-            macro_rules! f {
-                ($s:ident) => {
-                    f32::from_bits(row[i.$s as usize] as u32)
-                };
-            }
-            let x32 = |s: Slot, row: &[u64]| row[s as usize] as u32;
-            match i.op {
-                UOp::Nop => {}
-                UOp::Copy => r!(d) = r!(a),
-                UOp::Trunc32 => r!(d) = u64::from(x32(i.a, row)),
-                UOp::F2U => r!(d) = u64::from(f!(a) as u32),
-                UOp::U2F => r!(d) = u64::from((r!(a) as f32).to_bits()),
-                UOp::IntU32(op) => r!(d) = u64::from(int_op_u32(op, x32(i.a, row), x32(i.b, row))),
-                UOp::IntS32(op) => {
-                    let v = int_op_s32(op, x32(i.a, row) as i32, x32(i.b, row) as i32);
-                    r!(d) = u64::from(v as u32);
-                }
-                UOp::DivShr => r!(d) = u64::from(x32(i.a, row) >> i.imm),
-                UOp::RemAnd => r!(d) = u64::from(x32(i.a, row) & i.imm as u32),
-                UOp::DivMul => r!(d) = u64::from(div_by(i.imm, x32(i.a, row))),
-                UOp::RemMul => r!(d) = u64::from(rem_by(i.imm, x32(i.b, row), x32(i.a, row))),
-                UOp::IntU64(op) => r!(d) = int_op_u64(op, r!(a), r!(b)),
-                UOp::Mad32 => {
-                    let v = x32(i.a, row)
-                        .wrapping_mul(x32(i.b, row))
-                        .wrapping_add(x32(i.c, row));
-                    r!(d) = u64::from(v);
-                }
-                UOp::Mad64 => r!(d) = r!(a).wrapping_mul(r!(b)).wrapping_add(r!(c)),
-                UOp::MulWide => r!(d) = r!(a) * r!(b),
-                UOp::MadWide => r!(d) = (r!(a) * r!(b)).wrapping_add(r!(c)),
-                UOp::Float(op) => {
-                    let (x, y) = (f!(a), f!(b));
-                    let v = match op {
-                        FloatOp::Add => x + y,
-                        FloatOp::Sub => x - y,
-                        FloatOp::Mul => x * y,
-                        FloatOp::Div => x / y,
-                        FloatOp::Min => x.min(y),
-                        FloatOp::Max => x.max(y),
-                    };
-                    r!(d) = u64::from(v.to_bits());
-                }
-                UOp::Fma => r!(d) = u64::from(f!(a).mul_add(f!(b), f!(c)).to_bits()),
-                UOp::Sqrt => r!(d) = u64::from(f!(a).sqrt().to_bits()),
-                UOp::SetpU(cmp) => r!(d) = u64::from(compare(cmp, r!(a), r!(b))),
-                UOp::SetpS32(cmp) => {
-                    let (x, y) = (x32(i.a, row) as i32, x32(i.b, row) as i32);
-                    r!(d) = u64::from(compare(cmp, x, y));
-                }
-                UOp::SetpF(cmp) => r!(d) = u64::from(compare(cmp, f!(a), f!(b))),
-                UOp::Selp => r!(d) = if r!(c) != 0 { r!(a) } else { r!(b) },
-                UOp::LdG => {
-                    let addr = r!(a).wrapping_add(i.imm);
-                    stats.global_loads += 1;
-                    blk.obs.on_global_access(id, pc, addr, false);
-                    let v = blk
-                        .mem
-                        .read_u32_near(&mut blk.near, addr)
-                        .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
-                    r!(d) = u64::from(v);
-                }
-                UOp::StG => {
-                    let addr = r!(b).wrapping_add(i.imm);
-                    stats.global_stores += 1;
-                    blk.obs.on_global_access(id, pc, addr, true);
-                    blk.mem
-                        .swap_u32_near(&mut blk.near, addr, x32(i.a, row))
-                        .ok_or(ExecError::Unmapped { tb: blk.tb, addr })?;
-                }
-                UOp::LdS => {
-                    let at = self.shared_at(&blk.shared, r!(a), i.imm)?;
-                    let bytes: [u8; 4] = blk.shared[at..at + 4].try_into().unwrap();
-                    r!(d) = u64::from(u32::from_le_bytes(bytes));
-                }
-                UOp::StS => {
-                    let at = self.shared_at(&blk.shared, r!(b), i.imm)?;
-                    blk.shared[at..at + 4].copy_from_slice(&x32(i.a, row).to_le_bytes());
-                }
-                UOp::Bra => {
-                    pc = i.imm as usize;
-                    continue;
-                }
-                UOp::Bar => {
-                    pc += 1;
-                    break Status::AtBarrier;
-                }
-                UOp::Ret => break Status::Done,
-            }
-            pc += 1;
-        };
-        blk.stats = stats;
-        Ok(Resume { pc, steps, status })
-    }
-
-    /// The in-bounds start of the shared word at `base + off`, where `base`
-    /// is a 32-bit register value and `off` the bits of an `i64`.
-    #[inline]
-    fn shared_at(&self, shared: &[u8], base: u64, off: u64) -> Result<usize, ExecError> {
-        let addr = (base as u32 as i64).wrapping_add(off as i64) as u64;
-        match addr.checked_add(4) {
-            Some(end) if end <= shared.len() as u64 => Ok(addr as usize),
-            _ => Err(ExecError::SharedOutOfBounds {
-                addr,
-                size: self.launch.kernel.shared_bytes,
-            }),
-        }
+        self.serial(&mut Lockstep::new(), &mut sink, tb, mem, max_steps, subset)
     }
 }
 
@@ -1112,8 +878,6 @@ fn int_op_u64(op: IntOp, x: u64, y: u64) -> u64 {
     }
 }
 
-/// A float operator, for the lockstep engine's lane loops; `run_thread`
-/// keeps its own inline `match`, whose loop shape its speed depends on.
 #[inline]
 fn float_op(op: FloatOp, x: f32, y: f32) -> f32 {
     match op {

@@ -1,27 +1,30 @@
-//! Warp-lockstep execution of a [`Program`]'s blocks.
+//! The interpreter's one engine: a [`Program`]'s blocks run in groups of
+//! 32 lanes (a warp) or of one.
 //!
 //! Warps run in thread-id order, each until every lane has exited or
-//! reached a barrier (a barrier kernel round-robins its warps per interval,
-//! as the thread-serial loop does its threads). Inside a warp, each
-//! micro-op runs once over every lane at the lowest pc among the warp's
-//! runnable lanes (min-pc reconvergence), on a register file holding one
-//! `[u64; 32]` per slot.
+//! reached a barrier (a barrier kernel round-robins its warps per
+//! interval), on a register file holding one `[u64; 32]` per slot. A warp
+//! group runs each micro-op once over every lane at the lowest pc among
+//! the warp's runnable lanes (min-pc reconvergence). One-lane groups run
+//! the warp's lanes one after another, each in its own column until it
+//! exits or reaches a barrier: the thread-serial order.
 //!
-//! The result is exactly the thread-serial one when, in every *warp run*
-//! (one warp between two barriers), every pair of accesses to one global
-//! or shared word that conflicts (different lanes, at least one writing)
-//! happens lower lane first, which is the order the thread-serial loop
-//! gives them. Pairs of one lane keep program order in both engines, and
-//! everything outside a warp run is ordered alike in both. So each read
-//! returns the value the thread-serial loop reads, each lane takes the
-//! same path, and memory, statistics and the words accessed are equal.
+//! A warp gives exactly the thread-serial result when, in every *warp
+//! run* (one warp between two barriers), every pair of accesses to one
+//! global or shared word that conflicts (different lanes, at least one
+//! writing) happens lower lane first, as one-lane groups order it. Pairs of
+//! one lane keep program order in both, and everything outside a warp run
+//! is ordered alike in both. So each read returns the same value, each
+//! lane takes the same path, and memory, statistics and the words accessed
+//! are equal. A one-lane group never diverges and makes no cross-lane pair.
 //!
-//! The engine checks that rule as it goes: per word it keeps the highest
+//! A warp run checks that rule as it goes: per word it keeps the highest
 //! lane that read it and that wrote it during the run. When the rule
 //! breaks, on any [`ExecError`], or when a warp's dispatches could have let
 //! one of its lanes exceed the step budget, the block's global stores are
-//! undone, what the sink logged is dropped, and the block reruns on the
-//! thread-serial loop, whose errors and partial memory are the reference.
+//! undone, what the sink logged is dropped, and the block reruns in
+//! one-lane groups into the same sink, which return errors, step limits
+//! and partial memory directly.
 
 use super::*;
 
@@ -35,13 +38,17 @@ type Lanes = [u64; WARP];
 /// the whole warp.
 const SPARSE: u32 = 8;
 
-/// What a lockstep pass reports to: nothing for the plain pass, the
-/// access log for the logged one, the trace recorder for a warp trace. As
-/// an [`ExecObserver`] it also watches the thread-serial rerun of a block
-/// that falls back.
-pub(crate) trait Sink: ExecObserver {
+/// What a run reports to: nothing for the plain pass, the access log for
+/// the logged one, the trace recorder for a warp trace, an
+/// [`ExecObserver`] for a one-lane run ([`Observed`]). A block that falls
+/// back reports its one-lane rerun through the same hooks.
+pub(crate) trait Sink {
     /// A full warp's access to the 32 aligned words from `addr`.
     fn on_warp_access(&mut self, _addr: u64, _store: bool) {}
+
+    /// Lane `l` of warp `w` accesses the word at `addr` at `pc`; a load
+    /// whose lanes share one address reports its lowest lane once.
+    fn on_lane_access(&mut self, _w: usize, _l: usize, _pc: usize, _addr: u64, _store: bool) {}
 
     /// A dispatch of warp `w` at `pc` in the lanes of `exec`, those whose
     /// guard passed.
@@ -57,10 +64,35 @@ pub(crate) trait Sink: ExecObserver {
 
 impl Sink for NullObserver {}
 
-/// The warp-lockstep engine's reusable state: register files, warp
-/// states, shared memory, the lane-order table, the undo log and the
-/// thread indices, kept across blocks so a block allocates nothing once
-/// they have grown, and a launch lays out its thread indices once.
+/// An [`ExecObserver`] watching a one-lane run: each one-lane dispatch is
+/// that thread's instruction, each lane access its global access, both in
+/// thread-serial order.
+pub(super) struct Observed<'a, O> {
+    pub(super) obs: &'a mut O,
+    pub(super) tb: u32,
+    pub(super) body: &'a [Inst],
+}
+
+impl<O: ExecObserver> Sink for Observed<'_, O> {
+    fn on_lane_access(&mut self, w: usize, l: usize, pc: usize, addr: u64, store: bool) {
+        let tid = (WARP * w + l) as u32;
+        self.obs
+            .on_global_access(ThreadId { tb: self.tb, tid }, pc, addr, store);
+    }
+
+    fn on_dispatch(&mut self, w: usize, pc: usize, exec: u32) {
+        if exec != 0 {
+            let tid = (WARP * w + lane(exec)) as u32;
+            self.obs
+                .on_inst(ThreadId { tb: self.tb, tid }, pc, &self.body[pc].op);
+        }
+    }
+}
+
+/// The engine's reusable state: register files, warp states, shared
+/// memory, the lane-order table, the undo log and the thread indices,
+/// kept across blocks so a block allocates nothing once they have grown,
+/// and a launch lays out its thread indices once.
 ///
 /// [`Lockstep::execute_block`] is the plain pass; `AccessLog` runs the
 /// logged one on its own engine, and `trace_block_limited` the trace.
@@ -102,7 +134,7 @@ impl Lockstep {
         program.lockstep(self, &mut NullObserver, tb, mem, max_steps)
     }
 
-    /// Blocks rerun thread-serially so far.
+    /// Blocks rerun one lane at a time so far.
     pub fn fallback_blocks(&self) -> u64 {
         self.fallbacks
     }
@@ -137,11 +169,12 @@ impl Lockstep {
     }
 }
 
-/// A block leaves the lockstep engine for the thread-serial loop.
-struct Fallback;
+/// A run stops: a warp run falls back, or an error is parked in its
+/// [`Ctx`].
+struct Stop;
 
 /// Scheduling state of one warp between its runs.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Warp {
     /// The next instruction of each lane not in the running group.
     pc: [u32; WARP],
@@ -149,8 +182,9 @@ struct Warp {
     ready: u32,
     /// Lanes stopped at a barrier.
     barrier: u32,
-    /// Instructions dispatched: no lane has fetched more.
-    steps: u64,
+    /// Instructions fetched by each lane of one-lane runs. Warp runs count
+    /// their dispatches in lane 0: no lane has fetched more.
+    steps: [u64; WARP],
 }
 
 /// Per-block state the warps share.
@@ -165,6 +199,28 @@ struct Ctx<'a, S> {
     max_steps: u64,
     /// The region of the block's last global access.
     near: usize,
+    /// Why the run stopped, when an instruction failed.
+    error: Option<ExecError>,
+}
+
+impl<S> Ctx<'_, S> {
+    /// Parks `e` for the block's caller.
+    #[cold]
+    fn fail(&mut self, e: ExecError) -> Stop {
+        self.error = Some(e);
+        Stop
+    }
+
+    #[cold]
+    fn unmapped(&mut self, addr: u64) -> Stop {
+        self.fail(ExecError::Unmapped { tb: self.tb, addr })
+    }
+}
+
+/// The lowest lane of `exec`, which is not empty.
+#[inline(always)]
+fn lane(exec: u32) -> usize {
+    exec.trailing_zeros() as usize % WARP
 }
 
 /// The lanes of `exec` in ascending order.
@@ -200,12 +256,22 @@ fn set_pc(pc: &mut [u32; WARP], lanes: u32, to: usize) {
     }
 }
 
-/// `d ← f(a, b, c)` in the lanes of `exec`. Unless they are few, every
-/// lane is computed and the idle ones are discarded: the operations are
-/// pure and total.
+/// `d ← f(a, b, c)` in the lanes of `exec`, groups of `W` lanes. Unless
+/// they are few, every lane is computed and the idle ones are discarded:
+/// the operations are pure and total.
 #[inline(always)]
-fn map(file: &mut [Lanes], i: &MicroInst, exec: u32, f: impl Fn(u64, u64, u64) -> u64) {
+fn map<const W: usize>(
+    file: &mut [Lanes],
+    i: &MicroInst,
+    exec: u32,
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
     let [a, b, c, d] = [i.a, i.b, i.c, i.d].map(|s| s as usize);
+    if W == 1 {
+        let l = lane(exec);
+        file[d][l] = f(file[a][l], file[b][l], file[c][l]);
+        return;
+    }
     if exec.count_ones() <= SPARSE {
         for l in lanes_of(exec) {
             file[d][l] = f(file[a][l], file[b][l], file[c][l]);
@@ -271,8 +337,22 @@ fn le_word(bytes: &[u8]) -> u32 {
 }
 
 impl Program<'_> {
-    /// Runs block `tb` on the lockstep engine, reporting to `sink`, or on
-    /// the thread-serial loop when the engine cannot keep its order.
+    /// Whether block `tb` is in the launch, and `subset`, when given, lists
+    /// strictly ascending thread ids of a block.
+    fn check(&self, tb: u32, subset: Option<&[u32]>) -> Result<(), ExecError> {
+        let n = self.launch.threads_per_block();
+        let threads =
+            |t: &[u32]| t.windows(2).all(|p| p[0] < p[1]) && t.last().is_none_or(|&l| l < n);
+        if tb < self.launch.num_blocks() && subset.is_none_or(threads) {
+            Ok(())
+        } else {
+            Err(ExecError::OutsideLaunch { tb })
+        }
+    }
+
+    /// Runs block `tb` in warps, reporting to `sink`; a block the warps
+    /// cannot keep in thread-serial order is undone and rerun one lane at
+    /// a time.
     pub(crate) fn lockstep<S: Sink>(
         &self,
         ls: &mut Lockstep,
@@ -281,36 +361,72 @@ impl Program<'_> {
         mem: &mut GlobalMem,
         max_steps: u64,
     ) -> Result<ExecStats, ExecError> {
+        self.check(tb, None)?;
         ls.undo.clear();
-        match self.lockstep_block(ls, sink, tb, mem, max_steps) {
-            Ok(stats) => Ok(stats),
-            Err(Fallback) => {
-                for &(addr, old) in ls.undo.iter().rev() {
-                    mem.try_write_u32(addr, old)
-                        .expect("an undone word was written");
-                }
-                sink.discard();
-                ls.fallbacks += 1;
-                self.execute_block(tb, mem, sink, max_steps)
-            }
+        if let Ok(stats) = self.run_block::<S, WARP>(ls, sink, tb, mem, max_steps, None) {
+            return Ok(stats);
         }
+        for &(addr, old) in ls.undo.iter().rev() {
+            mem.try_write_u32(addr, old)
+                .expect("an undone word was written");
+        }
+        sink.discard();
+        ls.fallbacks += 1;
+        self.serial(ls, sink, tb, mem, max_steps, None)
     }
 
-    fn lockstep_block<S: Sink>(
+    /// Runs block `tb`, or only the threads of `subset`, one lane at a
+    /// time, reporting to `sink`.
+    pub(crate) fn serial<S: Sink>(
         &self,
         ls: &mut Lockstep,
         sink: &mut S,
         tb: u32,
         mem: &mut GlobalMem,
         max_steps: u64,
-    ) -> Result<ExecStats, Fallback> {
+        subset: Option<&[u32]>,
+    ) -> Result<ExecStats, ExecError> {
+        self.check(tb, subset)?;
+        self.run_block::<S, 1>(ls, sink, tb, mem, max_steps, subset)
+            .map_err(|e| e.expect("a one-lane run stops only on an error"))
+    }
+
+    /// Runs the threads of `subset` of block `tb` (all of them for `None`)
+    /// in groups of `W` lanes: `WARP` or 1. A run that stops returns its
+    /// parked error, or `None` for a fallback.
+    fn run_block<S: Sink, const W: usize>(
+        &self,
+        ls: &mut Lockstep,
+        sink: &mut S,
+        tb: u32,
+        mem: &mut GlobalMem,
+        max_steps: u64,
+        subset: Option<&[u32]>,
+    ) -> Result<ExecStats, Option<ExecError>> {
         let n = self.launch.threads_per_block();
         let slots = self.row.len();
         let warps = n.div_ceil(WARP as u32) as usize;
+        ls.warps.clear();
+        ls.warps.resize(warps, Warp::default());
+        match subset {
+            None => {
+                for (w, warp) in ls.warps.iter_mut().enumerate() {
+                    warp.ready = FULL >> (WARP - (n as usize - WARP * w).min(WARP));
+                }
+            }
+            Some(threads) => {
+                for &t in threads {
+                    ls.warps[t as usize / WARP].ready |= 1 << (t as usize % WARP);
+                }
+            }
+        }
         let files = if self.barrier { warps } else { 1 };
         ls.files.resize(files * slots, [0; WARP]);
         let (bx, by) = self.launch.block_coords(tb);
-        for file in ls.files.chunks_exact_mut(slots).take(files) {
+        for (w, file) in ls.files.chunks_exact_mut(slots).take(files).enumerate() {
+            if self.barrier && ls.warps[w].ready == 0 {
+                continue;
+            }
             for (lanes, &v) in file.iter_mut().zip(&self.row[..self.regs]) {
                 *lanes = [v; WARP];
             }
@@ -319,17 +435,12 @@ impl Program<'_> {
                 file[*s as usize + 2] = [u64::from((v as f32).to_bits()); WARP];
             }
         }
-        ls.warps.clear();
-        ls.warps.extend((0..warps as u32).map(|w| Warp {
-            pc: [0; WARP],
-            ready: u32::MAX >> (32 - (n - 32 * w).min(32)),
-            barrier: 0,
-            steps: 0,
-        }));
         ls.shared.clear();
         ls.shared
             .resize(self.launch.kernel.shared_bytes as usize, 0);
-        ls.table.begin_block(ls.shared.len());
+        if W != 1 {
+            ls.table.begin_block(ls.shared.len());
+        }
         ls.index_threads(self.launch.block.x, warps);
         let mut ctx = Ctx {
             tb,
@@ -341,42 +452,52 @@ impl Program<'_> {
             stats: ExecStats::default(),
             max_steps,
             near: usize::MAX,
+            error: None,
         };
-        let tids = ls.tids.chunks_exact(TID.len());
-        if !self.barrier {
-            let file = &mut ls.files[..slots];
-            for ((w, warp), tid) in ls.warps.iter_mut().enumerate().zip(tids) {
-                self.start_warp(file, tid);
-                ctx.table.begin_run();
-                self.run_warp(&mut ctx, file, warp, w)?;
-            }
-            return Ok(ctx.stats);
+        match self.run_warps::<S, W>(&mut ctx, &mut ls.files, &mut ls.warps, &ls.tids) {
+            Ok(()) => Ok(ctx.stats),
+            Err(Stop) => Err(ctx.error),
         }
-        for (file, tid) in ls.files.chunks_exact_mut(slots).zip(tids) {
-            self.start_warp(file, tid);
+    }
+
+    /// Runs the ready lanes of every warp, round-robin per barrier interval
+    /// until no lane waits at a barrier. A barrier kernel keeps a register
+    /// file per warp; any other runs each warp once in one reused file.
+    fn run_warps<S: Sink, const W: usize>(
+        &self,
+        ctx: &mut Ctx<'_, S>,
+        files: &mut [Lanes],
+        warps: &mut [Warp],
+        tids: &[Lanes],
+    ) -> Result<(), Stop> {
+        let slots = self.row.len();
+        let at = |w: usize| if self.barrier { slots * w } else { 0 };
+        let tid = |w: usize| &tids[TID.len() * w..][..TID.len()];
+        for (w, warp) in warps.iter().enumerate() {
+            if self.barrier && warp.ready != 0 {
+                self.start_warp(&mut files[at(w)..][..slots], tid(w));
+            }
         }
         loop {
             let mut any_ready = false;
-            for (w, (warp, file)) in ls
-                .warps
-                .iter_mut()
-                .zip(ls.files.chunks_exact_mut(slots))
-                .enumerate()
-            {
+            for (w, warp) in warps.iter_mut().enumerate() {
                 if warp.ready != 0 {
                     any_ready = true;
-                    ctx.table.begin_run();
-                    self.run_warp(&mut ctx, file, warp, w)?;
+                    let file = &mut files[at(w)..][..slots];
+                    if !self.barrier {
+                        self.start_warp(file, tid(w));
+                    }
+                    self.run_warp::<S, W>(ctx, file, warp, w)?;
                 }
             }
             if !any_ready {
                 let mut waiting = false;
-                for warp in &mut ls.warps {
+                for warp in warps.iter_mut() {
                     warp.ready = std::mem::take(&mut warp.barrier);
                     waiting |= warp.ready != 0;
                 }
                 if !waiting {
-                    return Ok(ctx.stats);
+                    return Ok(());
                 }
             }
         }
@@ -391,41 +512,61 @@ impl Program<'_> {
         }
     }
 
-    /// Runs the ready lanes of warp `w` until each has exited or stopped
-    /// at a barrier.
-    fn run_warp<S: Sink>(
+    /// Runs the ready lanes of warp `w` in groups of `W` lanes until each
+    /// has exited or stopped at a barrier.
+    fn run_warp<S: Sink, const W: usize>(
         &self,
         ctx: &mut Ctx<'_, S>,
         file: &mut [Lanes],
         warp: &mut Warp,
         w: usize,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
+        if W != 1 {
+            ctx.table.begin_run();
+        }
         let mut waiting = std::mem::take(&mut warp.ready);
         // The running group: its lanes, their pc, and the lowest pc of the
-        // lanes waiting apart from it.
-        let (mut group, mut pc, mut next) = (0u32, 0usize, u32::MAX);
+        // lanes waiting apart from it; the lane counting its steps.
+        let (mut group, mut pc, mut next, mut k) = (0u32, 0usize, u32::MAX, 0usize);
         loop {
             if group == 0 {
                 if waiting == 0 {
                     return Ok(());
                 }
-                let at;
-                (at, group) = lowest(&warp.pc, waiting);
-                waiting &= !group;
-                pc = at as usize;
-                next = lowest(&warp.pc, waiting).0;
+                if W == 1 {
+                    // One lane runs until it exits or stops at a barrier.
+                    k = lane(waiting);
+                    group = 1 << k;
+                    pc = warp.pc[k] as usize;
+                    waiting &= !group;
+                } else {
+                    let at;
+                    (at, group) = lowest(&warp.pc, waiting);
+                    waiting &= !group;
+                    pc = at as usize;
+                    next = lowest(&warp.pc, waiting).0;
+                }
             }
             let Some(i) = self.ops.get(pc) else {
                 group = 0;
                 continue;
             };
-            warp.steps += 1;
-            if warp.steps > ctx.max_steps {
-                return Err(Fallback);
+            warp.steps[k] += 1;
+            if warp.steps[k] > ctx.max_steps {
+                return Err(if W == 1 {
+                    ctx.fail(ExecError::StepLimit {
+                        tb: ctx.tb,
+                        tid: (WARP * w + k) as u32,
+                    })
+                } else {
+                    Stop
+                });
             }
             let g = &file[i.guard as usize];
             let exec = if i.guard == ONE {
                 group
+            } else if W == 1 {
+                group & u32::from(g[k] != i.skip) << k
             } else if group.count_ones() <= SPARSE {
                 lanes_of(group).fold(0, |m, l| m | u32::from(g[l] != i.skip) << l)
             } else {
@@ -460,7 +601,7 @@ impl Program<'_> {
                 }
                 _ => {
                     if exec != 0 {
-                        self.dispatch(ctx, file, i, exec, w, pc)?;
+                        self.dispatch::<S, W>(ctx, file, i, exec, w, pc)?;
                     }
                     pc += 1;
                 }
@@ -474,8 +615,9 @@ impl Program<'_> {
         }
     }
 
-    /// Executes a non-control micro-op in the lanes of `exec`.
-    fn dispatch<S: Sink>(
+    /// Executes a non-control micro-op in the lanes of `exec`: the one
+    /// `match` over what micro-ops compute.
+    fn dispatch<S: Sink, const W: usize>(
         &self,
         ctx: &mut Ctx<'_, S>,
         file: &mut [Lanes],
@@ -483,79 +625,82 @@ impl Program<'_> {
         exec: u32,
         w: usize,
         pc: usize,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
         let f = |v: u64| f32::from_bits(v as u32);
         let bits = |v: f32| u64::from(v.to_bits());
+        macro_rules! map {
+            ($f:expr) => {
+                map::<W>(file, i, exec, $f)
+            };
+        }
         match i.op {
             UOp::Nop => {}
-            UOp::Copy => map(file, i, exec, |a, _, _| a),
-            UOp::Trunc32 => map(file, i, exec, |a, _, _| u64::from(a as u32)),
-            UOp::F2U => map(file, i, exec, |a, _, _| u64::from(f(a) as u32)),
-            UOp::U2F => map(file, i, exec, |a, _, _| bits(a as f32)),
-            UOp::IntU32(op) => with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| {
+            UOp::Copy => map!(|a, _, _| a),
+            UOp::Trunc32 => map!(|a, _, _| u64::from(a as u32)),
+            UOp::F2U => map!(|a, _, _| u64::from(f(a) as u32)),
+            UOp::U2F => map!(|a, _, _| bits(a as f32)),
+            UOp::IntU32(op) => with_const!(op, O: IntOp => map!(|a, b, _| {
                 u64::from(int_op_u32(O, a as u32, b as u32))
             })),
-            UOp::IntS32(op) => with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| {
+            UOp::IntS32(op) => with_const!(op, O: IntOp => map!(|a, b, _| {
                 u64::from(int_op_s32(O, a as u32 as i32, b as u32 as i32) as u32)
             })),
             UOp::DivShr => {
                 let k = i.imm;
-                map(file, i, exec, |a, _, _| u64::from(a as u32 >> k))
+                map!(|a, _, _| u64::from(a as u32 >> k))
             }
             UOp::RemAnd => {
                 let mask = i.imm as u32;
-                map(file, i, exec, |a, _, _| u64::from(a as u32 & mask))
+                map!(|a, _, _| u64::from(a as u32 & mask))
             }
             UOp::DivMul => {
                 let m = i.imm;
-                map(file, i, exec, |a, _, _| u64::from(div_by(m, a as u32)))
+                map!(|a, _, _| u64::from(div_by(m, a as u32)))
             }
             UOp::RemMul => {
                 let (m, d) = (i.imm, self.row[i.b as usize] as u32);
-                map(file, i, exec, |a, _, _| u64::from(rem_by(m, d, a as u32)))
+                map!(|a, _, _| u64::from(rem_by(m, d, a as u32)))
             }
-            UOp::IntU64(op) => {
-                with_const!(op, O: IntOp => map(file, i, exec, |a, b, _| int_op_u64(O, a, b)))
-            }
-            UOp::Mad32 => map(file, i, exec, |a, b, c| {
+            UOp::IntU64(op) => with_const!(op, O: IntOp => map!(|a, b, _| int_op_u64(O, a, b))),
+            UOp::Mad32 => map!(|a, b, c| {
                 u64::from((a as u32).wrapping_mul(b as u32).wrapping_add(c as u32))
             }),
-            UOp::Mad64 => map(file, i, exec, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+            UOp::Mad64 => map!(|a, b, c| a.wrapping_mul(b).wrapping_add(c)),
             // Idle lanes may hold stale wide values: wrap rather than trap.
-            UOp::MulWide => map(file, i, exec, |a, b, _| a.wrapping_mul(b)),
-            UOp::MadWide => map(file, i, exec, |a, b, c| a.wrapping_mul(b).wrapping_add(c)),
-            UOp::Float(op) => with_const!(op, O: FloatOp => map(file, i, exec, |a, b, _| {
+            UOp::MulWide => map!(|a, b, _| a.wrapping_mul(b)),
+            UOp::MadWide => map!(|a, b, c| a.wrapping_mul(b).wrapping_add(c)),
+            UOp::Float(op) => with_const!(op, O: FloatOp => map!(|a, b, _| {
                 bits(float_op(O, f(a), f(b)))
             })),
-            UOp::Fma => map(file, i, exec, |a, b, c| bits(f(a).mul_add(f(b), f(c)))),
-            UOp::Sqrt => map(file, i, exec, |a, _, _| bits(f(a).sqrt())),
-            UOp::SetpU(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+            UOp::Fma => map!(|a, b, c| bits(f(a).mul_add(f(b), f(c)))),
+            UOp::Sqrt => map!(|a, _, _| bits(f(a).sqrt())),
+            UOp::SetpU(cmp) => with_const!(cmp, O: CmpOp => map!(|a, b, _| {
                 u64::from(compare(O, a, b))
             })),
-            UOp::SetpS32(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+            UOp::SetpS32(cmp) => with_const!(cmp, O: CmpOp => map!(|a, b, _| {
                 u64::from(compare(O, a as u32 as i32, b as u32 as i32))
             })),
-            UOp::SetpF(cmp) => with_const!(cmp, O: CmpOp => map(file, i, exec, |a, b, _| {
+            UOp::SetpF(cmp) => with_const!(cmp, O: CmpOp => map!(|a, b, _| {
                 u64::from(compare(O, f(a), f(b)))
             })),
-            UOp::Selp => map(file, i, exec, |a, b, c| if c != 0 { a } else { b }),
-            UOp::LdG => self.load_global(ctx, file, i, exec, w, pc)?,
-            UOp::StG => self.store_global(ctx, file, i, exec, w, pc)?,
+            UOp::Selp => map!(|a, b, c| if c != 0 { a } else { b }),
+            UOp::LdG => self.load_global::<S, W>(ctx, file, i, exec, w, pc)?,
+            UOp::StG => self.store_global::<S, W>(ctx, file, i, exec, w, pc)?,
             UOp::LdS => {
                 for l in lanes_of(exec) {
-                    let at = self
-                        .shared_at(ctx.shared, file[i.a as usize][l], i.imm)
-                        .map_err(|_| Fallback)?;
-                    ctx.table.access(true, at as u64, l, l, false)?;
+                    let at = self.shared_at(ctx, file[i.a as usize][l], i.imm)?;
+                    if W != 1 {
+                        ctx.table.access(true, at as u64, l, l, false)?;
+                    }
                     file[i.d as usize][l] = u64::from(le_word(&ctx.shared[at..]));
                 }
             }
             UOp::StS => {
                 for l in lanes_of(exec) {
-                    let at = self
-                        .shared_at(ctx.shared, file[i.b as usize][l], i.imm)
-                        .map_err(|_| Fallback)?;
-                    ctx.table.access(true, at as u64, l, l, true)?;
+                    let at = self.shared_at(ctx, file[i.b as usize][l], i.imm)?;
+                    if W != 1 {
+                        ctx.table.access(true, at as u64, l, l, true)?;
+                    }
                     let v = file[i.a as usize][l] as u32;
                     ctx.shared[at..at + 4].copy_from_slice(&v.to_le_bytes());
                 }
@@ -565,7 +710,21 @@ impl Program<'_> {
         Ok(())
     }
 
-    fn load_global<S: Sink>(
+    /// The in-bounds start of the shared word at `base + off`, where `base`
+    /// is a 32-bit register value and `off` the bits of an `i64`.
+    #[inline]
+    fn shared_at<S>(&self, ctx: &mut Ctx<'_, S>, base: u64, off: u64) -> Result<usize, Stop> {
+        let addr = (base as u32 as i64).wrapping_add(off as i64) as u64;
+        match addr.checked_add(4) {
+            Some(end) if end <= ctx.shared.len() as u64 => Ok(addr as usize),
+            _ => Err(ctx.fail(ExecError::SharedOutOfBounds {
+                addr,
+                size: self.launch.kernel.shared_bytes,
+            })),
+        }
+    }
+
+    fn load_global<S: Sink, const W: usize>(
         &self,
         ctx: &mut Ctx<'_, S>,
         file: &mut [Lanes],
@@ -573,12 +732,12 @@ impl Program<'_> {
         exec: u32,
         w: usize,
         pc: usize,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
         let addr: [u64; WARP] = std::array::from_fn(|l| file[i.a as usize][l].wrapping_add(i.imm));
         ctx.sink.on_global(w, pc, exec, &addr);
         ctx.stats.global_loads += u64::from(exec.count_ones());
         let d = &mut file[i.d as usize];
-        if exec == FULL && contiguous(&addr) {
+        if W != 1 && exec == FULL && contiguous(&addr) {
             if let Some(bytes) = ctx.mem.chunk_bytes(&mut ctx.near, addr[0], 4 * WARP) {
                 ctx.table.warp_access(addr[0], false)?;
                 ctx.sink.on_warp_access(addr[0], false);
@@ -588,39 +747,35 @@ impl Program<'_> {
                 return Ok(());
             }
         }
-        let id = |l: usize| ThreadId {
-            tb: ctx.tb,
-            tid: (WARP * w + l) as u32,
-        };
-        if uniform(&addr, exec) {
-            let (lo, hi) = (
-                exec.trailing_zeros() as usize,
-                31 - exec.leading_zeros() as usize,
-            );
-            ctx.sink.on_global_access(id(lo), pc, addr[lo], false);
+        // A one-lane group is uniform.
+        if W == 1 || uniform(&addr, exec) {
+            let (lo, hi) = (lane(exec), 31 - exec.leading_zeros() as usize);
+            ctx.sink.on_lane_access(w, lo, pc, addr[lo], false);
             let v = ctx
                 .mem
                 .read_u32_near(&mut ctx.near, addr[lo])
-                .ok_or(Fallback)?;
-            ctx.table.access(false, addr[lo], lo, hi, false)?;
+                .ok_or_else(|| ctx.unmapped(addr[lo]))?;
+            if W != 1 {
+                ctx.table.access(false, addr[lo], lo, hi, false)?;
+            }
             for l in lanes_of(exec) {
                 d[l] = u64::from(v);
             }
             return Ok(());
         }
         for l in lanes_of(exec) {
-            ctx.sink.on_global_access(id(l), pc, addr[l], false);
+            ctx.sink.on_lane_access(w, l, pc, addr[l], false);
             let v = ctx
                 .mem
                 .read_u32_near(&mut ctx.near, addr[l])
-                .ok_or(Fallback)?;
+                .ok_or_else(|| ctx.unmapped(addr[l]))?;
             ctx.table.access(false, addr[l], l, l, false)?;
             d[l] = u64::from(v);
         }
         Ok(())
     }
 
-    fn store_global<S: Sink>(
+    fn store_global<S: Sink, const W: usize>(
         &self,
         ctx: &mut Ctx<'_, S>,
         file: &[Lanes],
@@ -628,12 +783,12 @@ impl Program<'_> {
         exec: u32,
         w: usize,
         pc: usize,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
         let addr: [u64; WARP] = std::array::from_fn(|l| file[i.b as usize][l].wrapping_add(i.imm));
         let v = &file[i.a as usize];
         ctx.sink.on_global(w, pc, exec, &addr);
         ctx.stats.global_stores += u64::from(exec.count_ones());
-        if exec == FULL && contiguous(&addr) {
+        if W != 1 && exec == FULL && contiguous(&addr) {
             if let Some(bytes) = ctx.mem.chunk_bytes_mut(&mut ctx.near, addr[0], 4 * WARP) {
                 ctx.table.warp_access(addr[0], true)?;
                 ctx.sink.on_warp_access(addr[0], true);
@@ -645,17 +800,16 @@ impl Program<'_> {
             }
         }
         for l in lanes_of(exec) {
-            let id = ThreadId {
-                tb: ctx.tb,
-                tid: (WARP * w + l) as u32,
-            };
-            ctx.sink.on_global_access(id, pc, addr[l], true);
+            ctx.sink.on_lane_access(w, l, pc, addr[l], true);
             let old = ctx
                 .mem
                 .swap_u32_near(&mut ctx.near, addr[l], v[l] as u32)
-                .ok_or(Fallback)?;
-            ctx.undo.push((addr[l], old));
-            ctx.table.access(false, addr[l], l, l, true)?;
+                .ok_or_else(|| ctx.unmapped(addr[l]))?;
+            // A one-lane run is never undone.
+            if W != 1 {
+                ctx.undo.push((addr[l], old));
+                ctx.table.access(false, addr[l], l, l, true)?;
+            }
         }
         Ok(())
     }
@@ -697,7 +851,7 @@ struct LaneTable {
 impl Default for LaneTable {
     fn default() -> Self {
         LaneTable {
-            global: vec![EMPTY; 64],
+            global: Vec::new(),
             shared: Vec::new(),
             stamp: 0,
             live: 0,
@@ -762,7 +916,7 @@ impl LaneTable {
 
     #[cold]
     fn grow(&mut self) {
-        let bigger = vec![EMPTY; 2 * self.global.len()];
+        let bigger = vec![EMPTY; (2 * self.global.len()).max(64)];
         let old = std::mem::replace(&mut self.global, bigger);
         let stamp = self.stamp;
         self.live = 0;
@@ -783,7 +937,7 @@ impl LaneTable {
         lo: usize,
         hi: usize,
         store: bool,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
         let first = addr & !3;
         self.word(shared, first, lo, hi, store)?;
         if addr != first {
@@ -800,12 +954,12 @@ impl LaneTable {
         lo: usize,
         hi: usize,
         store: bool,
-    ) -> Result<(), Fallback> {
+    ) -> Result<(), Stop> {
         let seg = self.seg(shared, at);
         let k = (at >> 2) as usize % WARP;
         let (lo, hi) = (lo as u8 + 1, hi as u8 + 1);
         if seg.write[k] > lo || store && seg.read[k] > lo {
-            return Err(Fallback);
+            return Err(Stop);
         }
         let rec = if store {
             &mut seg.write[k]
@@ -819,7 +973,7 @@ impl LaneTable {
     /// Records a full warp's access to the 32 aligned global words from
     /// `addr`, lane `l` at word `l`.
     #[inline]
-    fn warp_access(&mut self, addr: u64, store: bool) -> Result<(), Fallback> {
+    fn warp_access(&mut self, addr: u64, store: bool) -> Result<(), Stop> {
         if !addr.is_multiple_of(128) {
             for l in 0..WARP {
                 self.word(false, addr + 4 * l as u64, l, l, store)?;
@@ -833,7 +987,7 @@ impl LaneTable {
             late |= seg.write[k] > lane(k) || store && seg.read[k] > lane(k);
         }
         if late {
-            return Err(Fallback);
+            return Err(Stop);
         }
         let rec = if store { &mut seg.write } else { &mut seg.read };
         for (k, r) in rec.iter_mut().enumerate() {

@@ -5,10 +5,10 @@
 //! streams (compute bursts, coalesced global-memory transactions, barriers).
 //! The SM timing model in `bm-simt` replays these streams under GTO warp
 //! scheduling to derive thread-block durations and memory-request counts.
+//! A block is traced from the interpreter engine's dispatches, in warps or,
+//! for a block that falls back, one lane at a time through the same hooks.
 
-use crate::interp::{
-    ExecError, ExecObserver, Lockstep, Program, Sink, ThreadId, MAX_STEPS_PER_THREAD, WARP,
-};
+use crate::interp::{ExecError, Lockstep, Program, Sink, MAX_STEPS_PER_THREAD, WARP};
 use crate::isa::{MemSpace, Op};
 use crate::kernel::Launch;
 use crate::mem::GlobalMem;
@@ -146,17 +146,13 @@ struct WarpLog {
     segs: Vec<Vec<(u32, u64)>>,
 }
 
-/// Records a block's warp traces from the lockstep engine's dispatches,
-/// and, as an [`ExecObserver`], from a thread-serial rerun: each thread's
-/// instruction is then a one-lane dispatch, which keeps every lane's
-/// stream and accesses in its program order, all the rebuild reads.
+/// Records a block's warp traces from the engine's dispatches. A block
+/// that falls back reruns one lane at a time through the same hooks, each
+/// dispatch then of one lane, which keeps every lane's stream and accesses
+/// in its program order, all the rebuild reads.
 struct Recorder {
     kinds: Vec<Kind>,
     warps: Vec<WarpLog>,
-    /// Set once the block falls back to the thread-serial loop. Before,
-    /// the per-thread callbacks are the lockstep engine's per-lane access
-    /// reports, which `on_global` has already recorded.
-    serial: bool,
 }
 
 impl Recorder {
@@ -193,7 +189,6 @@ impl Recorder {
         Recorder {
             kinds,
             warps: vec![log; launch.warps_per_block() as usize],
-            serial: false,
         }
     }
 }
@@ -229,21 +224,6 @@ impl Sink for Recorder {
             log.dispatches.clear();
             log.occ.fill([0; WARP]);
             log.segs.iter_mut().for_each(Vec::clear);
-        }
-        self.serial = true;
-    }
-}
-
-impl ExecObserver for Recorder {
-    fn on_inst(&mut self, t: ThreadId, inst_idx: usize, _op: &Op) {
-        self.on_dispatch(t.warp() as usize, inst_idx, 1 << t.lane());
-    }
-
-    fn on_global_access(&mut self, t: ThreadId, inst_idx: usize, addr: u64, _store: bool) {
-        if self.serial {
-            let mut lanes = [0; WARP];
-            lanes[t.lane() as usize] = addr;
-            self.on_global(t.warp() as usize, inst_idx, 1 << t.lane(), &lanes);
         }
     }
 }

@@ -21,7 +21,10 @@ base=$ab/ptx-base
 
 rm -rf "$base"
 mkdir -p "$base"
-git -C "$root" archive "$rev" crates/ptx/src | tar -x -C "$base" --strip-components=2
+# `-m` stamps the files with the extraction time: with the commit's time,
+# a revision older than the last one built would look up to date to cargo,
+# which would reuse that build.
+git -C "$root" archive "$rev" crates/ptx/src | tar -x -m -C "$base" --strip-components=2
 # A standalone manifest: the extracted crate is in no workspace.
 cat > "$base/Cargo.toml" <<TOML
 [package]

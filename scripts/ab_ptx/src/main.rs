@@ -5,15 +5,17 @@
 //! kernels reach the base crate through the printer and its parser (the
 //! round trip is checked per kernel). Before timing, every launch must give
 //! both versions identical outputs: the `serial()` analysis with its fuel
-//! left, the plain pass's memory, the logged pass's memory and ranges, and
-//! the representative block's trace. Seeded random kernels are generated
+//! left, the plain pass's memory, the logged pass's memory and ranges, the
+//! representative block's trace, and the memory and `ExecStats` of the
+//! generic `Program::execute_block::<NullObserver>` over every block (the
+//! `serial` phase). Seeded random kernels are generated
 //! against each crate from the same seed (a random kernel may carry a
 //! non-predicate guard, which the text form cannot express) and must give
 //! identical analyses under `serial()` and `reference()` at five fuel
 //! budgets and under the grouped rung.
 //!
 //! Timing: launch by launch, each phase (absint, plain pass, logged pass,
-//! trace) runs on both versions in alternating order for `--rounds`
+//! trace, serial) runs on both versions in alternating order for `--rounds`
 //! rounds; each launch's minimum per phase and version is summed per app.
 //! A slow stretch of the host thus lands on both versions alike.
 //!
@@ -46,7 +48,7 @@ pub struct Neutral {
     pub args: Vec<(u8, u64)>,
 }
 
-const PHASES: [&str; 4] = ["absint", "plain", "logged", "trace"];
+const PHASES: [&str; 5] = ["absint", "plain", "logged", "trace", "serial"];
 /// The apps of `e2ebench`'s `guarded` workload.
 const GUARDED: [&str; 5] = ["GAUSSIAN", "HS", "AlexNet", "BICG", "PATH"];
 const FUELS: [u64; 5] = [1 << 20, 3, 17, 100, 1000];
@@ -115,7 +117,7 @@ fn check_random(n: usize) {
 }
 
 /// Nanoseconds per phase, `[base, new]`, summed over an app's launches.
-type Sums = [[f64; 2]; 4];
+type Sums = [[f64; 2]; PHASES.len()];
 
 fn measure(app: &bm_cmdq::Application, rounds: usize) -> Sums {
     let a_new = new::App {
@@ -134,7 +136,7 @@ fn measure(app: &bm_cmdq::Application, rounds: usize) -> Sums {
         app.name
     );
     let (mut pre_new, mut pre_base) = (a_new.mem.clone(), a_base.mem.clone());
-    let mut sums = [[0.0; 2]; 4];
+    let mut sums = [[0.0; 2]; PHASES.len()];
     for k in 0..a_new.launches.len() {
         let what = format!("{} launch {k}", app.name);
         assert_eq!(
@@ -149,7 +151,8 @@ fn measure(app: &bm_cmdq::Application, rounds: usize) -> Sums {
         assert_eq!(o_new.plain, o_base.plain, "{what}: plain pass");
         assert_eq!(o_new.logged, o_base.logged, "{what}: logged pass");
         assert_eq!(o_new.trace, o_base.trace, "{what}: trace");
-        let mut best = [[f64::INFINITY; 2]; 4];
+        assert_eq!(o_new.serial, o_base.serial, "{what}: serial pass");
+        let mut best = [[f64::INFINITY; 2]; PHASES.len()];
         for round in 0..rounds {
             for (phase, best) in best.iter_mut().enumerate() {
                 for side in [round % 2, 1 - round % 2] {
@@ -183,7 +186,7 @@ fn main() {
         print!(" {:>26}", p);
     }
     println!();
-    let mut total = [[0.0; 2]; 4];
+    let mut total = [[0.0; 2]; PHASES.len()];
     let mut guarded_logged = [0.0; 2];
     for b in suite() {
         if args

@@ -5,7 +5,7 @@
 use crate::Neutral;
 use bm_ptx::absint::{try_analyze_launch_fueled_par, try_analyze_launch_grouped};
 use bm_ptx::access::AccessLog;
-use bm_ptx::interp::{Lockstep, Program, MAX_STEPS_PER_THREAD};
+use bm_ptx::interp::{ExecStats, Lockstep, NullObserver, Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::{ArgValue, Dim3, Kernel, Launch};
 use bm_ptx::mem::{AddressSpace, GlobalMem};
 use bm_ptx::par::ParallelConfig;
@@ -173,6 +173,9 @@ pub struct Outputs {
     pub plain: u64,
     pub logged: (u64, Vec<(u64, u64)>),
     pub trace: String,
+    /// The memory and merged `ExecStats` of the generic
+    /// `Program::execute_block`.
+    pub serial: (u64, String),
 }
 
 impl<'a> Timer<'a> {
@@ -184,8 +187,8 @@ impl<'a> Timer<'a> {
         }
     }
 
-    /// Nanoseconds of phase `phase` (0 absint, 1 plain, 2 logged, 3 trace)
-    /// over launch `k` from memory `pre`.
+    /// Nanoseconds of phase `phase` (0 absint, 1 plain, 2 logged, 3 trace,
+    /// 4 serial) over launch `k` from memory `pre`.
     pub fn time(&mut self, app: &App, k: usize, pre: &GlobalMem, phase: usize) -> f64 {
         let launch = &app.launches[k];
         let t0;
@@ -220,13 +223,26 @@ impl<'a> Timer<'a> {
                     self.log.finish_block(&mut ranges, &mut bounds);
                 }
             }
-            _ => {
+            3 => {
                 let mut mem = pre.clone();
                 t0 = Instant::now();
                 let rep = launch.num_blocks() / 2;
                 std::hint::black_box(
                     trace_block_limited(launch, rep, &mut mem, MAX_STEPS_PER_THREAD).ok(),
                 );
+            }
+            _ => {
+                let mut mem = pre.clone();
+                t0 = Instant::now();
+                for tb in 0..launch.num_blocks() {
+                    let r = self.program.execute_block(
+                        tb,
+                        &mut mem,
+                        &mut NullObserver,
+                        MAX_STEPS_PER_THREAD,
+                    );
+                    std::hint::black_box(r.ok());
+                }
             }
         }
         t0.elapsed().as_nanos() as f64
@@ -253,11 +269,21 @@ impl<'a> Timer<'a> {
         }
         let mut scratch = pre.clone();
         let trace = trace_block_limited(launch, blocks / 2, &mut scratch, MAX_STEPS_PER_THREAD);
+        let mut serial = pre.clone();
+        let mut stats = ExecStats::default();
+        for tb in 0..blocks {
+            let s = self
+                .program
+                .execute_block(tb, &mut serial, &mut NullObserver, MAX_STEPS_PER_THREAD)
+                .expect("suite apps execute");
+            stats.merge(&s);
+        }
         let outputs = Outputs {
             analysis: analysis(launch, false, 1 << 20),
             plain: plain.fingerprint(),
             logged: (logged.fingerprint(), ranges),
             trace: format!("{trace:?}"),
+            serial: (serial.fingerprint(), format!("{stats:?}")),
         };
         (outputs, plain)
     }

@@ -608,3 +608,85 @@ fn corrupted_run_spec_kernels_are_typed_errors() {
         }
     }
 }
+
+#[test]
+fn blocks_and_threads_outside_the_launch_are_typed_errors() {
+    use bm_ptx::access::AccessLog;
+    use bm_ptx::interp::{execute_block, Lockstep, NullObserver, Program, MAX_STEPS_PER_THREAD};
+    use bm_ptx::mem::GlobalMem;
+    use bm_ptx::trace::trace_block_limited;
+    const MAX: u64 = MAX_STEPS_PER_THREAD;
+    // A 1-D kernel ignores `%ctaid.y`, so a block past the grid would
+    // rerun block `tb % grid.x` if it ran at all.
+    let kernel = Arc::new(
+        parse_kernel(
+            r#".entry row(.param .u64 A) {
+                 ld.param.u64 %rd1, [A];
+                 mov.u32 %r1, %ctaid.x;
+                 mov.u32 %r2, %ntid.x;
+                 mov.u32 %r3, %tid.x;
+                 mad.lo.u32 %r4, %r1, %r2, %r3;
+                 mul.wide.u32 %rd2, %r4, 4;
+                 add.u64 %rd3, %rd1, %rd2;
+                 st.global.u32 [%rd3], %r4;
+                 ret;
+               }"#,
+        )
+        .unwrap(),
+    );
+    let mut space = AddressSpace::new();
+    let a = space.alloc(4 * 4 * 40);
+    let launch = Launch::new(kernel, Dim3::x(4), Dim3::x(40), vec![ArgValue::Ptr(a.base)]);
+    let program = Program::new(&launch);
+    let mem = GlobalMem::for_space(&space);
+    let clean = mem.fingerprint();
+    let n = launch.num_blocks();
+    for tb in [n, n + 1_000_000] {
+        let want = Err(ExecError::OutsideLaunch { tb });
+        let mut m = mem.clone();
+        assert_eq!(execute_block(&launch, tb, &mut m, &mut NullObserver), want);
+        assert_eq!(
+            program.execute_block(tb, &mut m, &mut NullObserver, MAX),
+            want
+        );
+        assert_eq!(
+            program.execute_subset(tb, &mut m, &mut NullObserver, MAX, &[0, 39]),
+            want
+        );
+        assert_eq!(
+            Lockstep::new().execute_block(&program, tb, &mut m, MAX),
+            want
+        );
+        let mut log = AccessLog::new(&space);
+        assert_eq!(log.execute_block(&program, tb, &mut m, MAX), want);
+        let (mut ranges, mut bounds) = (Vec::new(), Vec::new());
+        log.finish_block(&mut ranges, &mut bounds);
+        assert!(ranges.is_empty(), "block {tb} logged {ranges:?}");
+        assert_eq!(
+            trace_block_limited(&launch, tb, &mut m, MAX).map(|_| ()),
+            want.clone().map(|_| ())
+        );
+        assert_eq!(m.fingerprint(), clean, "block {tb} wrote memory");
+        // A log holding an unfinished block takes the one-lane path.
+        let mut busy = mem.clone();
+        log.execute_block(&program, 0, &mut busy, MAX).unwrap();
+        let written = busy.fingerprint();
+        assert_eq!(log.execute_block(&program, tb, &mut busy, MAX), want);
+        assert_eq!(busy.fingerprint(), written, "block {tb} wrote memory");
+    }
+    // Thread lists must be strictly ascending below the block's 40 threads.
+    for tids in [&[1, 0][..], &[3, 3], &[0, 40], &[39, 1 << 20]] {
+        let mut m = mem.clone();
+        assert_eq!(
+            program.execute_subset(1, &mut m, &mut NullObserver, MAX, tids),
+            Err(ExecError::OutsideLaunch { tb: 1 }),
+            "{tids:?}"
+        );
+        assert_eq!(m.fingerprint(), clean, "{tids:?} wrote memory");
+    }
+    let mut m = mem.clone();
+    assert!(program
+        .execute_subset(n - 1, &mut m, &mut NullObserver, MAX, &[0, 39])
+        .is_ok());
+    assert_ne!(m.fingerprint(), clean);
+}
