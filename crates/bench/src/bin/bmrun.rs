@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bmrun <APP|all> [--mode MODE] [--window N] [--small] [--all-hazards]
-//!       [--devices N] [--link-latency C]
+//!       [--devices N] [--link-latency C] [--guard]
 //!       [--verify] [--races] [--patterns] [--json] [--json-out OUT.json]
 //!       [--trace OUT.json] [--trace-summary]
 //!       [--checkpoint-every N] [--checkpoint-dir D] [--resume PATH] [--kill-at K]
@@ -21,8 +21,14 @@
 //! * `--link-latency C` — interconnect propagation latency in cycles
 //!   (default 600 ≈ 0.5 µs NVLink-class; only meaningful with
 //!   `--devices` > 1).
+//! * `--guard` — run under the soundness guard (`RunSpec::guard`, the
+//!   path of `try_run_app` and `bm-serve`): the schedule is checked
+//!   against a logged serialized pass, which runs beside the analysis,
+//!   and a violation quarantines the implicated kernels and re-runs.
+//!   Prints a `guard` line with the guard's counts. Works with `all` and
+//!   `--devices N`; checkpoint flags imply it.
 //! * `--verify` — functionally replay the schedule and compare against
-//!   serialized execution.
+//!   serialized execution (the serialized pass runs beside the replay).
 //! * `--races` — run the inter-kernel race detector on the schedule.
 //! * `--patterns` — print the per-kernel-pair dependency patterns.
 //! * `--json` — print the full `RunReport` as JSON on stdout (suppresses
@@ -46,7 +52,8 @@
 //!   crash for testing kill-and-resume.
 //!
 //! A resumed run's report is bit-identical to an uninterrupted run.
-//! Checkpoint flags require a single APP (not `all`).
+//! Checkpoint flags require a single APP (not `all`), and checkpointed
+//! runs are guarded.
 //!
 //! Example: `cargo run --release -p bm-bench --bin bmrun -- GAUSSIAN --mode consumer --window 4 --trace out.json`
 
@@ -69,7 +76,7 @@ fn main() -> ExitCode {
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
             "usage: bmrun <APP|all> [--mode MODE] [--window N] [--small] [--all-hazards] \
-             [--devices N] [--link-latency C] \
+             [--devices N] [--link-latency C] [--guard] \
              [--verify] [--races] [--patterns] [--json] [--json-out OUT.json] \
              [--trace OUT.json] [--trace-summary] \
              [--checkpoint-every N] [--checkpoint-dir D] [--resume PATH] [--kill-at K]"
@@ -186,7 +193,7 @@ fn main() -> ExitCode {
         // guard's quarantines from its snapshot.
         let mut spec = RunSpec {
             hazard,
-            guard: checkpointing,
+            guard: checkpointing || flag("--guard"),
             fault: FaultPlan {
                 kill_at_kernel: kill_at,
                 ..FaultPlan::default()
@@ -262,6 +269,13 @@ fn main() -> ExitCode {
                 base.total_cycles,
                 base.total_cycles as f64 / report.total_cycles as f64,
                 report.avg_concurrency,
+            );
+        }
+        if flag("--guard") && !json_out {
+            let g = report.guard;
+            println!(
+                "    guard  : {} violations, {} kernels quarantined, {} recovery rounds",
+                g.violations_detected, g.kernels_quarantined, g.recovery_rounds
             );
         }
         if let (true, Some(events)) = (flag("--trace-summary"), recorded.as_deref()) {

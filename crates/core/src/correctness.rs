@@ -6,7 +6,7 @@
 //! the exact start order the scheduler produced — and compares the full
 //! memory image against the serialized reference.
 
-use crate::guard::check_entries;
+use crate::guard::{beside, check_entries};
 use bm_cmdq::Application;
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::{Lockstep, Program, MAX_STEPS_PER_THREAD};
@@ -86,7 +86,9 @@ fn check_permutation(launches: &[&Launch], schedule: &[(TbKey, u64, u64)]) -> Re
 /// The replay executes thread blocks atomically in ascending start order
 /// (ties broken by schedule position) — a legal linearization of the
 /// simulated overlap. If the dependency tracking let a consumer start
-/// before a producer it reads from finished, the images diverge.
+/// before a producer it reads from finished, the images diverge. The two
+/// passes share nothing, so the serialized one runs on a second thread
+/// beside the replay; a failure of the serialized pass is returned first.
 ///
 /// # Errors
 ///
@@ -100,22 +102,26 @@ pub fn check_schedule(
     let launches: Vec<&Launch> = app.launches();
     check_permutation(&launches, schedule)?;
     let programs: Vec<Program> = launches.iter().map(|l| Program::new(l)).collect();
-    // Reference: serialized kernel order.
-    let reference = app.run_serialized()?;
-    // Replay in start order.
     let mut order: Vec<(usize, TbKey, u64)> = schedule
         .iter()
         .enumerate()
         .map(|(i, &(k, s, _))| (i, k, s))
         .collect();
     order.sort_by_key(|&(i, _, s)| (s, i));
-    let mut mem = app.initial_memory();
-    let mut warps = Lockstep::new();
-    for (_, key, _) in order {
-        let program = &programs[key.kernel_seq as usize];
-        warps.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)?;
-    }
-    Ok(compare(&reference, &mem))
+    // Reference: serialized kernel order, beside the replay in start order.
+    let (reference, replayed) = beside(
+        |_| app.run_serialized(),
+        |_| {
+            let mut mem = app.initial_memory();
+            let mut warps = Lockstep::new();
+            for (_, key, _) in order {
+                let program = &programs[key.kernel_seq as usize];
+                warps.execute_block(program, key.tb, &mut mem, MAX_STEPS_PER_THREAD)?;
+            }
+            Ok::<_, PtxError>(mem)
+        },
+    );
+    Ok(compare(&reference?, &replayed?))
 }
 
 /// A data race between two time-overlapping thread blocks of different

@@ -27,23 +27,29 @@
 //!
 //! A [`crate::run`] with [`crate::RunSpec::guard`] set runs inside
 //! [`guarded_rounds`], and so does a guarded multi-device run in `bm-multi`:
-//! one quarantine loop for 1..N devices.
+//! one quarantine loop for 1..N devices. The logged serialized pass reads
+//! neither the analysis nor a schedule, so it runs on a second thread
+//! beside the analysis and the first round.
 
 use crate::degrade::{DegradationReason, DegradationRung};
 use crate::engine::RunReport;
 use crate::error::{BmError, EngineError};
 use crate::jit::{recompute_skip_gates, JitKernel};
+use crate::run::RunSpec;
 use crate::snapshot::GuardSnapshot;
 use bm_cmdq::{Application, CmdqError};
-use bm_depgraph::{storage, BipartiteGraph, HazardMode, Pattern};
+use bm_depgraph::{storage, BipartiteGraph, Pattern};
 use bm_ptx::access::{AccessLog, RangeSet, TbAccess};
+use bm_ptx::cancel::{CancelCause, CancelToken};
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::{Program, MAX_STEPS_PER_THREAD};
 use bm_ptx::kernel::Launch;
+use bm_ptx::mem::{AddressSpace, GlobalMem};
 use bm_simt::des::TbKey;
 use bm_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Guarded re-runs attempted before giving up.
 pub const MAX_ROUNDS: u32 = 3;
@@ -126,14 +132,21 @@ fn escape(reads: &[(u64, u64)], writes: &[(u64, u64)], declared: &TbAccess) -> O
 /// Blocks are numbered in serialized order, kernel by kernel. Their access
 /// sets live in one flat vector: keeping one small allocation per block
 /// alive through the pass slowed GAUSSIAN's serialized pass by about a
-/// third, through the interpreter's own per-block allocations.
+/// third, through the interpreter's own per-block allocations. A range is
+/// two `u32` byte offsets from the first allocation, half the size of an
+/// address pair; the log is byte-exact (an unaligned word is logged as its
+/// four bytes), so the offsets count bytes, not words.
+///
+/// [`app_fingerprint`]: crate::snapshot::app_fingerprint
 struct Observation {
     /// Fingerprint of the serialized final memory.
     fingerprint: u64,
     /// Number of the first block of each kernel, then the total.
     first_block: Vec<usize>,
+    /// The address `ranges` count from: the first allocation's base.
+    base: u64,
     /// Every block's canonical reads, then its canonical writes.
-    ranges: Vec<(u64, u64)>,
+    ranges: Vec<[u32; 2]>,
     /// Block `b`'s reads are `ranges[bounds[2b]..bounds[2b + 1]]` and its
     /// writes `ranges[bounds[2b + 1]..bounds[2b + 2]]`.
     bounds: Vec<usize>,
@@ -152,37 +165,94 @@ impl Observation {
         self.first_block.last().copied().unwrap_or(0)
     }
 
+    /// `ranges[from..to]` as byte addresses.
+    fn span(&self, from: usize, to: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.ranges[from..to]
+            .iter()
+            .map(|&[s, e]| (self.base + u64::from(s), self.base + u64::from(e)))
+    }
+
     /// Block `b`'s observed reads.
-    fn reads(&self, b: usize) -> &[(u64, u64)] {
-        &self.ranges[self.bounds[2 * b]..self.bounds[2 * b + 1]]
+    fn reads(&self, b: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.span(self.bounds[2 * b], self.bounds[2 * b + 1])
     }
 
     /// Block `b`'s observed writes.
-    fn writes(&self, b: usize) -> &[(u64, u64)] {
-        &self.ranges[self.bounds[2 * b + 1]..self.bounds[2 * b + 2]]
+    fn writes(&self, b: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.span(self.bounds[2 * b + 1], self.bounds[2 * b + 2])
     }
 }
 
-/// The serialized reference pass of [`Application::try_run_serialized`],
-/// logging every thread block's global accesses on the way.
+/// The first allocation's base, which [`Observation`] offsets count from.
 ///
 /// # Errors
 ///
-/// As [`Application::try_run_serialized`].
-fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
+/// [`BmError::Unsupported`] when `space`'s allocations span more bytes than
+/// a `u32` offset reaches.
+fn offset_base(space: &AddressSpace) -> Result<u64, BmError> {
+    let allocs = space.allocs();
+    let lo = allocs.first().map_or(0, |a| a.base);
+    let hi = allocs.last().map_or(0, |a| a.end());
+    if hi - lo > u64::from(u32::MAX) {
+        return Err(BmError::Unsupported(
+            "a guarded run over allocations spanning more than 4 GiB",
+        ));
+    }
+    Ok(lo)
+}
+
+/// What the serialized pass starts from: the application's initial memory
+/// and [`offset_base`].
+///
+/// # Errors
+///
+/// [`Application::validate`]'s error, then [`offset_base`]'s, before any
+/// memory is built.
+fn initial_image(app: &Application) -> Result<(u64, GlobalMem), BmError> {
     app.validate()?;
-    let mut mem = app.initial_memory();
-    let launches = app.launches();
+    let base = offset_base(&app.space)?;
+    Ok((base, app.initial_memory()))
+}
+
+/// The serialized reference pass of [`Application::try_run_serialized`]
+/// from `image` ([`initial_image`]), logging every thread block's global
+/// accesses on the way. `fired` is asked before each block, and the pass
+/// stops when it names a cause.
+///
+/// # Errors
+///
+/// As [`Application::try_run_serialized`] for a valid application, and
+/// [`PtxError::Cancelled`] when `fired` names a cause.
+fn observe_serialized(
+    app: &Application,
+    (base, mut mem): (u64, GlobalMem),
+    fired: impl Fn() -> Option<CancelCause>,
+) -> Result<Observation, BmError> {
     let mut log = AccessLog::new(&app.space);
     let mut first_block = vec![0];
     let mut ranges = Vec::new();
     let mut bounds = vec![0];
-    for launch in launches {
+    // One block's ranges and their ends, as the log appends them.
+    let (mut block, mut ends) = (Vec::new(), Vec::new());
+    let offset = |a: u64| {
+        u32::try_from(a - base).expect("the log holds only bytes of the span offset_base checked")
+    };
+    for launch in app.launches() {
         let program = Program::new(launch);
         for tb in 0..launch.num_blocks() {
+            if let Some(cause) = fired() {
+                return Err(PtxError::Cancelled(cause).into());
+            }
             log.execute_block(&program, tb, &mut mem, MAX_STEPS_PER_THREAD)
                 .map_err(CmdqError::Exec)?;
-            log.finish_block(&mut ranges, &mut bounds);
+            block.clear();
+            ends.clear();
+            log.finish_block(&mut block, &mut ends);
+            let (reads, writes) = block.split_at(ends[0]);
+            for part in [reads, writes] {
+                ranges.extend(part.iter().map(|&(s, e)| [offset(s), offset(e)]));
+                bounds.push(ranges.len());
+            }
         }
         first_block.push(bounds.len() / 2);
     }
@@ -190,8 +260,39 @@ fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
     Ok(Observation {
         fingerprint: mem.fingerprint(),
         first_block,
+        base,
         ranges,
         bounds,
+    })
+}
+
+/// Runs `side` on a second, scoped thread while `main` runs on this one,
+/// and returns both results. Both are handed one stop token: `main` fires
+/// it to ask `side` to end early, and it fires when `main` panics, whose
+/// panic then resumes here once `side` has ended. A panic of `side`
+/// resumes here too. When no thread can be spawned, `side` runs here,
+/// after `main`.
+pub(crate) fn beside<S: Send, M>(
+    side: impl Fn(&CancelToken) -> S + Sync,
+    main: impl FnOnce(&CancelToken) -> M,
+) -> (S, M) {
+    let stop = CancelToken::new();
+    std::thread::scope(|scope| {
+        let spawned = std::thread::Builder::new()
+            .name("bm-beside".into())
+            .spawn_scoped(scope, || side(&stop));
+        let out = panic::catch_unwind(AssertUnwindSafe(|| main(&stop))).unwrap_or_else(|payload| {
+            stop.cancel();
+            // The scope joins `side` before the panic leaves it.
+            panic::resume_unwind(payload)
+        });
+        let side_out = match spawned {
+            Ok(handle) => handle
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            Err(_) => side(&stop),
+        };
+        (side_out, out)
     })
 }
 
@@ -199,6 +300,7 @@ fn observe_serialized(app: &Application) -> Result<Observation, CmdqError> {
 /// `verdicts[kernel][tb]`. A kernel without a verdict per block (non-static,
 /// or fewer declared sets than blocks) gets an empty list.
 fn containment_verdicts(observed: &Observation, jit: &[JitKernel]) -> Vec<Vec<Option<u64>>> {
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
     observed
         .first_block
         .windows(2)
@@ -210,7 +312,13 @@ fn containment_verdicts(observed: &Observation, jit: &[JitKernel]) -> Vec<Vec<Op
             }
             (blocks[0]..blocks[1])
                 .zip(declared)
-                .map(|(b, d)| escape(observed.reads(b), observed.writes(b), d))
+                .map(|(b, d)| {
+                    reads.clear();
+                    reads.extend(observed.reads(b));
+                    writes.clear();
+                    writes.extend(observed.writes(b));
+                    escape(&reads, &writes, d)
+                })
                 .collect()
         })
         .collect()
@@ -344,23 +452,22 @@ fn check_conflict_order(
     let mut highest_ahead = 0;
     let mut recorded = ConflictMap::default();
     for (b, &r) in rank.iter().enumerate() {
-        if r < highest_ahead {
-            // Reads conflict with recorded writers; writes with both.
-            let replayed_later = |ranges: &[(u64, u64)], readers: bool| {
-                ranges
-                    .iter()
-                    .any(|&(s, e)| recorded.max_rank(s, e, readers) > r)
-            };
-            if replayed_later(observed.reads(b), false) || replayed_later(observed.writes(b), true)
-            {
-                return None;
-            }
+        // Reads conflict with recorded writers; writes with both.
+        if r < highest_ahead
+            && (observed
+                .reads(b)
+                .any(|(s, e)| recorded.max_rank(s, e, false) > r)
+                || observed
+                    .writes(b)
+                    .any(|(s, e)| recorded.max_rank(s, e, true) > r))
+        {
+            return None;
         }
         if r > lowest_behind[b + 1] {
-            for &(s, e) in observed.reads(b) {
+            for (s, e) in observed.reads(b) {
                 recorded.record(s, e, r, false);
             }
-            for &(s, e) in observed.writes(b) {
+            for (s, e) in observed.writes(b) {
                 recorded.record(s, e, r, true);
             }
         }
@@ -397,13 +504,14 @@ fn check_conflict_order(
 ///
 /// # Errors
 ///
-/// As [`Application::try_run_serialized`].
+/// As [`Application::try_run_serialized`], and [`BmError::Unsupported`],
+/// before any block runs, when the allocations span more than 4 GiB.
 pub fn verify_by_conflict_order(
     app: &Application,
     jit: &[JitKernel],
     schedule: &[(TbKey, u64, u64)],
-) -> Result<Option<SoundnessOutcome>, CmdqError> {
-    let observed = observe_serialized(app)?;
+) -> Result<Option<SoundnessOutcome>, BmError> {
+    let observed = observe_serialized(app, initial_image(app)?, || None)?;
     let verdicts = containment_verdicts(&observed, jit);
     Ok(check_conflict_order(&observed, &verdicts, jit, schedule))
 }
@@ -522,12 +630,33 @@ fn quarantine_kernel(jit: &mut [JitKernel], k: usize) {
     degrade(jit, k + 1);
 }
 
+/// The guard state of round `round`, whose accounting `guard` starts.
+fn round_state(round: u32, guard: &mut GuardReport, quarantined: &HashSet<usize>) -> GuardSnapshot {
+    guard.recovery_rounds = round;
+    let mut sorted: Vec<u32> = quarantined.iter().map(|&k| k as u32).collect();
+    sorted.sort_unstable();
+    GuardSnapshot {
+        round,
+        report: *guard,
+        quarantined: sorted,
+    }
+}
+
 /// The soundness guard's quarantine loop, behind every guarded run on 1..N
-/// devices. It starts from `start` (a checkpoint's round, guard report and
-/// quarantines, or round 0) and runs the application once per round
-/// through `run_round`, which receives the round's kernels and guard state
-/// (for its snapshots). The first sound schedule is returned; otherwise
-/// the implicated kernels are quarantined and the next round runs.
+/// devices. `analyze` returns the kernels to run and the guard state to
+/// start from (a checkpoint's round, guard report and quarantines, or
+/// round 0); `run_round` runs the application once with a round's kernels
+/// and guard state (for its snapshots). Both get `spec`. The first sound
+/// schedule is returned; otherwise the implicated kernels are quarantined
+/// and the next round runs.
+///
+/// The logged serialized pass runs on a second thread from before
+/// `analyze` until the first round has returned, and stops between blocks
+/// when `spec.cancel` fires or `analyze` fails. The result is the one that
+/// running them in turn gives: an analysis error, then a serialized-pass
+/// error, then the first round's outcome; but when the first round also
+/// saw `spec.cancel` fire, its [`EngineError::Cancelled`] is returned,
+/// which carries the cycle and the kernels retired.
 ///
 /// A round that fails with an engine error other than a kill or a
 /// cancellation is discarded and quarantined like an unsound one; any
@@ -536,49 +665,89 @@ fn quarantine_kernel(jit: &mut [JitKernel], k: usize) {
 /// # Errors
 ///
 /// [`BmError::Unrecoverable`] when [`MAX_ROUNDS`] rounds pass without a
-/// sound schedule; a kill, a cancellation or a non-engine error from
-/// `run_round`; and what [`Application::try_run_serialized`] returns when
-/// the serialized pass fails.
-pub fn guarded_rounds<T: Tracer>(
+/// sound schedule; an error from `analyze`; a kill, a cancellation or a
+/// non-engine error from `run_round`; and what
+/// [`Application::try_run_serialized`] returns when the serialized pass
+/// fails, [`PtxError::Cancelled`] when it is cancelled, or
+/// [`BmError::Unsupported`] when the allocations span more than 4 GiB.
+pub fn guarded_rounds<'s, T: Tracer>(
     app: &Application,
-    mut jit: Vec<JitKernel>,
-    hazard: HazardMode,
-    start: GuardSnapshot,
+    spec: &mut RunSpec<'s>,
     tracer: &T,
-    mut run_round: impl FnMut(&[JitKernel], GuardSnapshot) -> Result<RunReport, BmError>,
+    analyze: impl FnOnce(&mut RunSpec<'s>) -> Result<(Vec<JitKernel>, GuardSnapshot), BmError>,
+    mut run_round: impl FnMut(
+        &mut RunSpec<'s>,
+        &[JitKernel],
+        GuardSnapshot,
+    ) -> Result<RunReport, BmError>,
 ) -> Result<RunReport, BmError> {
-    let mut quarantined: HashSet<usize> = HashSet::new();
-    // A snapshot taken mid-round had these kernels already degraded to
-    // barriers: re-apply the quarantines so the restored engine state
-    // matches the jit configuration it was built from.
-    for &k in &start.quarantined {
-        let k = k as usize;
-        if k < jit.len() && quarantined.insert(k) {
-            quarantine_kernel(&mut jit, k);
+    let hazard = spec.hazard;
+    let cancel = spec.cancel.clone();
+    // The initial memory is built on this thread, so the pass's thread
+    // copies only the chunks it writes: what a second thread allocates
+    // raises its own allocator arena's high-water mark.
+    let image = initial_image(app);
+    let (observed, started) = beside(
+        |stop| {
+            observe_serialized(app, image.clone()?, || {
+                cancel
+                    .as_ref()
+                    .and_then(CancelToken::fired)
+                    .or_else(|| stop.fired())
+            })
+        },
+        |stop| {
+            let (mut jit, start) = analyze(spec).inspect_err(|_| stop.cancel())?;
+            let mut quarantined: HashSet<usize> = HashSet::new();
+            // A snapshot taken mid-round had these kernels already degraded
+            // to barriers: re-apply the quarantines so the restored engine
+            // state matches the jit configuration it was built from.
+            for &k in &start.quarantined {
+                let k = k as usize;
+                if k < jit.len() && quarantined.insert(k) {
+                    quarantine_kernel(&mut jit, k);
+                }
+            }
+            if !quarantined.is_empty() {
+                recompute_skip_gates(&mut jit, hazard);
+            }
+            let mut guard = start.report;
+            let first = (start.round < MAX_ROUNDS).then(|| {
+                let state = round_state(start.round, &mut guard, &quarantined);
+                run_round(spec, &jit, state)
+            });
+            Ok::<_, BmError>((jit, quarantined, start.round, guard, first))
+        },
+    );
+    drop(image);
+    let (mut jit, mut quarantined, first_round, mut guard, mut first) = started?;
+    let observed = match observed {
+        Ok(observed) => observed,
+        Err(e) => {
+            return Err(match first {
+                Some(Err(cancelled @ BmError::Engine(EngineError::Cancelled { .. })))
+                    if matches!(e, BmError::Ptx(PtxError::Cancelled(_))) =>
+                {
+                    cancelled
+                }
+                _ => e,
+            })
         }
-    }
-    if !quarantined.is_empty() {
-        recompute_skip_gates(&mut jit, hazard);
-    }
-    let observed = observe_serialized(app)?;
+    };
     // Quarantine only ever exempts kernels, so verdicts computed now serve
     // every round.
     let verdicts = containment_verdicts(&observed, &jit);
-    let mut guard = start.report;
     let mut last_err: Option<EngineError> = None;
-    for round in start.round..MAX_ROUNDS {
-        guard.recovery_rounds = round;
-        let mut sorted: Vec<u32> = quarantined.iter().map(|&k| k as u32).collect();
-        sorted.sort_unstable();
-        let state = GuardSnapshot {
-            round,
-            report: guard,
-            quarantined: sorted,
+    for round in first_round..MAX_ROUNDS {
+        // The first round ran beside the serialized pass.
+        let result = match first.take() {
+            Some(result) => result,
+            None => run_round(spec, &jit, round_state(round, &mut guard, &quarantined)),
         };
         // Cycle stamp for quarantine instants: how far the discarded run
         // got before the guard rejected it.
         let failed_at: u64;
-        let targets: Vec<usize> = match run_round(&jit, state) {
+        let targets: Vec<usize> = match result {
             Ok(mut report) => {
                 let outcome =
                     match check_conflict_order(&observed, &verdicts, &jit, &report.schedule) {
@@ -672,9 +841,10 @@ mod tests {
     use crate::snapshot::CheckpointPolicy;
     use crate::{run, try_run_app, RunSpec};
     use bm_cmdq::ApiCall;
+    use bm_depgraph::HazardMode;
     use bm_ptx::interp::{ExecObserver, ThreadId};
     use bm_ptx::kernel::{ArgValue, Dim3, Launch};
-    use bm_ptx::mem::{AddressSpace, DEVICE_BASE};
+    use bm_ptx::mem::DEVICE_BASE;
     use bm_ptx::parser::parse_kernel;
     use bm_simt::config::GpuConfig;
     use bm_trace::NullTracer;
@@ -1008,19 +1178,19 @@ mod tests {
 
     /// The serialized pass's log equals the brute-force access sets.
     fn assert_log_exact(app: &Application) {
-        let observed = observe_serialized(app).unwrap();
+        let observed = observe_serialized(app, initial_image(app).unwrap(), || None).unwrap();
         let brute = brute_force_accesses(app);
         assert_eq!(observed.n_blocks(), brute.len(), "{}", app.name);
         for (b, [reads, writes]) in brute.iter().enumerate() {
             assert_eq!(
-                observed.reads(b),
-                &reads[..],
+                observed.reads(b).collect::<Vec<_>>(),
+                *reads,
                 "{} block {b} reads",
                 app.name
             );
             assert_eq!(
-                observed.writes(b),
-                &writes[..],
+                observed.writes(b).collect::<Vec<_>>(),
+                *writes,
                 "{} block {b} writes",
                 app.name
             );
@@ -1179,9 +1349,101 @@ mod tests {
         }
     }
 
-    /// A guarded run of a kernel that reads (or writes) the word at
-    /// `A + off`, where `A` is the first of two 4-byte allocations.
-    fn wild_run(off: u64, store: bool) -> (u64, BmError) {
+    #[test]
+    fn a_fired_token_runs_no_block() {
+        // Block 0 of the wild app reads unmapped memory, so a pass that
+        // ran it would fail with `Unmapped`.
+        let (wild, _) = wild_app(128, false);
+        let err = observe_serialized(&wild, initial_image(&wild).unwrap(), || {
+            Some(CancelCause::DeadlineExceeded)
+        })
+        .err();
+        assert_eq!(
+            err,
+            Some(BmError::Ptx(PtxError::Cancelled(
+                CancelCause::DeadlineExceeded
+            )))
+        );
+        // A token that fires mid-pass stops it between blocks.
+        let app = chain_app(&[(0, 1), (1, 2)], 3, 8);
+        let asked = std::cell::Cell::new(0);
+        let err = observe_serialized(&app, initial_image(&app).unwrap(), || {
+            asked.set(asked.get() + 1);
+            (asked.get() > 5).then_some(CancelCause::Cancelled)
+        })
+        .err();
+        assert_eq!(
+            err,
+            Some(BmError::Ptx(PtxError::Cancelled(CancelCause::Cancelled)))
+        );
+        assert_eq!(asked.get(), 6, "asked once per block, stopped at block 5");
+        // A guarded run sees the token in analysis first; with its kernels
+        // handed in, the engine's error carries the cycle and retired count.
+        let token = CancelToken::new();
+        token.expire();
+        let mode = ExecMode::ConsumerPriority { window: 3 };
+        let cfg = GpuConfig::small();
+        let analyzed = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                guard: true,
+                cancel: Some(token.clone()),
+                ..RunSpec::new(mode)
+            },
+            &NullTracer,
+        );
+        assert_eq!(
+            analyzed.unwrap_err(),
+            BmError::Ptx(PtxError::Cancelled(CancelCause::DeadlineExceeded))
+        );
+        let jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).unwrap();
+        let handed_in = run(
+            &cfg,
+            &app,
+            &mut RunSpec {
+                guard: true,
+                kernels: Some(&jit),
+                cancel: Some(token),
+                ..RunSpec::new(mode)
+            },
+            &NullTracer,
+        );
+        assert!(
+            matches!(
+                handed_in,
+                Err(BmError::Engine(EngineError::Cancelled {
+                    retired: 0,
+                    cause: CancelCause::DeadlineExceeded,
+                    ..
+                }))
+            ),
+            "{handed_in:?}"
+        );
+    }
+
+    #[test]
+    fn offsets_reach_a_span_of_u32_max_bytes_and_no_further() {
+        let mut space = AddressSpace::new();
+        let a = space.alloc(u64::from(u32::MAX));
+        assert_eq!(offset_base(&space), Ok(a.base));
+        let mut space = AddressSpace::new();
+        space.alloc(u64::from(u32::MAX) + 1);
+        assert!(matches!(offset_base(&space), Err(BmError::Unsupported(_))));
+        // The span runs from the first allocation to the last one's end;
+        // the second allocation starts 256 bytes after the first.
+        for (size, fits) in [(u32::MAX - 256, true), (u32::MAX - 255, false)] {
+            let mut space = AddressSpace::new();
+            space.alloc(4);
+            space.alloc(u64::from(size));
+            assert_eq!(offset_base(&space).is_ok(), fits, "{size}");
+        }
+    }
+
+    /// An application whose one kernel reads (or writes) the word at
+    /// `A + off`, where `A` is the first of two 4-byte allocations, and
+    /// `A`'s base.
+    fn wild_app(off: u64, store: bool) -> (Application, u64) {
         let access = if store {
             "st.global.f32 [%rd3], %f1;"
         } else {
@@ -1215,6 +1477,12 @@ mod tests {
             ))],
             host_data: HashMap::new(),
         };
+        (app, a.base)
+    }
+
+    /// A guarded run of [`wild_app`].
+    fn wild_run(off: u64, store: bool) -> (u64, BmError) {
+        let (app, base) = wild_app(off, store);
         let err = run(
             &GpuConfig::small(),
             &app,
@@ -1225,7 +1493,7 @@ mod tests {
             &NullTracer,
         )
         .unwrap_err();
-        (a.base.wrapping_add(off), err)
+        (base.wrapping_add(off), err)
     }
 
     #[test]

@@ -170,7 +170,9 @@ fn check_kernels(cfg: &GpuConfig, app: &Application, jit: &[JitKernel]) -> Resul
 /// checkpoint store, snapshots are saved at kernel-retirement boundaries
 /// and a resumed run is bit-identical to an uninterrupted one; a snapshot
 /// that fails validation is rejected with a
-/// [`TraceEvent::CheckpointReject`] and the run starts fresh.
+/// [`TraceEvent::CheckpointReject`] and the run starts fresh. A guarded
+/// run's serialized pass runs on a second thread beside the analysis and
+/// the first round ([`guarded_rounds`]).
 ///
 /// # Errors
 ///
@@ -184,21 +186,43 @@ pub fn run<T: Tracer>(
     spec: &mut RunSpec<'_>,
     tracer: &T,
 ) -> Result<RunReport, BmError> {
+    if !spec.guard {
+        let (jit, _) = prepare(cfg, app, spec, tracer)?;
+        return drive_round(cfg, app, spec, &jit, GuardSnapshot::default(), tracer);
+    }
+    guarded_rounds(
+        app,
+        spec,
+        tracer,
+        |spec| {
+            let (jit, start) = prepare(cfg, app, spec, tracer)?;
+            Ok((jit.into_owned(), start))
+        },
+        |spec, jit, state| drive_round(cfg, app, spec, jit, state, tracer),
+    )
+}
+
+/// The kernels `spec` runs ([`RunSpec::analyze`]) and the guard state its
+/// run starts from. With a checkpoint store, also fills in the session's
+/// run identity and, when asked to resume, the latest snapshot, whose
+/// guard state is returned.
+///
+/// # Errors
+///
+/// As [`RunSpec::analyze`].
+fn prepare<'s, T: Tracer>(
+    cfg: &GpuConfig,
+    app: &Application,
+    spec: &mut RunSpec<'s>,
+    tracer: &T,
+) -> Result<(Cow<'s, [JitKernel]>, GuardSnapshot), BmError> {
     let jit = spec.analyze(cfg, app, tracer)?;
-    let RunSpec {
-        mode,
-        hazard,
-        guard,
-        fault,
-        checkpoint: session,
-        cancel,
-        ..
-    } = spec;
+    let session = &mut spec.checkpoint;
     if let Some(store) = session.store.as_deref_mut() {
         session.app_fp = app_fingerprint(app);
-        session.hazard = format!("{hazard:?}");
+        session.hazard = format!("{:?}", spec.hazard);
         if session.resume_latest {
-            let mode_str = format!("{mode:?}");
+            let mode_str = format!("{:?}", spec.mode);
             match load_resume(store, session.app_fp, &mode_str, &session.hazard, jit.len()) {
                 Ok(snap) => session.resume = snap,
                 // A corrupt or mismatched snapshot degrades to a fresh
@@ -219,15 +243,31 @@ pub fn run<T: Tracer>(
         .as_ref()
         .map(|snap| snap.guard.clone())
         .unwrap_or_default();
-    let mut round = |jit: &[JitKernel], state| {
-        session.guard = state;
-        let cancel = cancel.as_ref();
-        Ok(drive(cfg, app, jit, *mode, fault, cancel, tracer, session)?)
-    };
-    if !*guard {
-        return round(&jit, GuardSnapshot::default());
-    }
-    guarded_rounds(app, jit.into_owned(), *hazard, start, tracer, round)
+    Ok((jit, start))
+}
+
+/// One run of `jit` on the engine, its snapshots carrying the guard's
+/// `state`.
+fn drive_round<T: Tracer>(
+    cfg: &GpuConfig,
+    app: &Application,
+    spec: &mut RunSpec<'_>,
+    jit: &[JitKernel],
+    state: GuardSnapshot,
+    tracer: &T,
+) -> Result<RunReport, BmError> {
+    spec.checkpoint.guard = state;
+    let cancel = spec.cancel.as_ref();
+    Ok(drive(
+        cfg,
+        app,
+        jit,
+        spec.mode,
+        &spec.fault,
+        cancel,
+        tracer,
+        &mut spec.checkpoint,
+    )?)
 }
 
 /// A guarded run under `mode` with RAW hazard tracking and no injected

@@ -129,18 +129,19 @@ pub fn run<T: Tracer>(
             "checkpoints of a multi-device run (it has no resumable form)",
         ));
     }
-    let jit = spec.analyze(cfg, app, tracer)?;
-    let spec = &*spec;
     if !spec.guard {
+        let jit = spec.analyze(cfg, app, tracer)?;
         return sharded_attempt(cfg, mcfg, app, &jit, spec, tracer);
     }
     guarded_rounds(
         app,
-        jit.into_owned(),
-        spec.hazard,
-        GuardSnapshot::default(),
+        spec,
         tracer,
-        |jit, _| sharded_attempt(cfg, mcfg, app, jit, spec, tracer),
+        |spec| {
+            let jit = spec.analyze(cfg, app, tracer)?;
+            Ok((jit.into_owned(), GuardSnapshot::default()))
+        },
+        |spec, jit, _| sharded_attempt(cfg, mcfg, app, jit, spec, tracer),
     )
 }
 
