@@ -337,27 +337,6 @@ fn key_with_body(launch: &Launch, body_hash: u64) -> CacheKey {
     }
 }
 
-impl CacheKey {
-    /// The trace-memo key: this key with pointer argument *values* replaced
-    /// by their argument position. Launches that differ only in which
-    /// buffers they address then share one trace-memo key, which is what
-    /// lets the representative-TB trace law amortize across a kernel's
-    /// repeated launches. Synthesized traces are still validated
-    /// bit-for-bit before the key is trusted, so collapsing pointer
-    /// identity is safe: a launch whose trace genuinely depends on the
-    /// buffer contents fails validation and pins the key to
-    /// interpretation.
-    pub(crate) fn for_trace(&self) -> CacheKey {
-        let mut key = self.clone();
-        for (i, slot) in key.args.iter_mut().enumerate() {
-            if slot.0 == 3 {
-                slot.1 = i as u64;
-            }
-        }
-        key
-    }
-}
-
 /// Bounded LRU cache over launch-time analysis results.
 ///
 /// Keyed by (kernel body hash, grid/block dims, argument signature);
@@ -577,24 +556,6 @@ mod tests {
         assert!(cache.lookup(&launch(0x1000, 8)).is_none(), "different grid");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 0));
-    }
-
-    #[test]
-    fn trace_key_masks_pointer_values_only() {
-        let trace_key_of = |l: &Launch| key_of(l).for_trace();
-        let a = trace_key_of(&launch(0x1000, 4));
-        let b = trace_key_of(&launch(0x2000, 4));
-        assert_eq!(a, b, "pointer value must not split trace-memo keys");
-        assert_ne!(
-            trace_key_of(&launch(0x1000, 4)),
-            trace_key_of(&launch(0x1000, 8)),
-            "grid dims still distinguish"
-        );
-        assert_ne!(
-            key_of(&launch(0x1000, 4)),
-            key_of(&launch(0x2000, 4)),
-            "analysis keys keep pointer identity"
-        );
     }
 
     #[test]

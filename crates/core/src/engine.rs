@@ -652,6 +652,9 @@ pub(crate) fn drive<T: Tracer>(
                     cause,
                 })
             }
+            Err(DesError::CycleOverflow { cycle }) => {
+                break Some(EngineError::CycleOverflow { cycle })
+            }
         }
     };
     if let Some(e) = failure {
@@ -660,7 +663,7 @@ pub(crate) fn drive<T: Tracer>(
     let stats = engine.finish();
     match source.error.take() {
         Some(e) => Err(e),
-        None => Ok(assemble_report(cfg, jit, mode, &source, stats, epilogue)),
+        None => assemble_report(cfg, jit, mode, &source, stats, epilogue),
     }
 }
 
@@ -1322,8 +1325,14 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
             let issue = now
                 .max(self.host_ready.get(k).copied().unwrap_or(0))
                 .max(self.next_issue_floor);
-            self.next_issue_floor = issue + self.api_cycles;
-            let arrival = issue + self.launch_cycles;
+            let (Some(floor), Some(arrival)) = (
+                issue.checked_add(self.api_cycles),
+                issue.checked_add(self.launch_cycles),
+            ) else {
+                self.record_error(EngineError::CycleOverflow { cycle: now });
+                return;
+            };
+            self.next_issue_floor = floor;
             self.kernels[k].issued = true;
             self.issue_cycles[k] = issue;
             if T::ENABLED {
@@ -1667,7 +1676,14 @@ fn assemble_report<T: Tracer>(
     source: &EngineSource<'_, T>,
     stats: DesStats,
     epilogue: u64,
-) -> RunReport {
+) -> Result<RunReport, EngineError> {
+    let total_cycles =
+        stats
+            .total_cycles
+            .checked_add(epilogue)
+            .ok_or(EngineError::CycleOverflow {
+                cycle: stats.total_cycles,
+            })?;
     // Stalls: schedule start minus data-ready time, normalized by duration.
     let mut stalls = Vec::with_capacity(stats.schedule.len());
     for &(key, start, _finish) in &stats.schedule {
@@ -1690,9 +1706,9 @@ fn assemble_report<T: Tracer>(
         .iter()
         .map(|k| (k.name.clone(), k.storage.pattern))
         .collect();
-    RunReport {
+    Ok(RunReport {
         mode,
-        total_cycles: stats.total_cycles + epilogue,
+        total_cycles,
         kernel_region_cycles: stats.total_cycles,
         avg_concurrency: stats.avg_concurrency(),
         stalls_normalized: stalls,
@@ -1738,7 +1754,7 @@ fn assemble_report<T: Tracer>(
         cache_misses: jit.iter().filter(|k| !k.cache_hit).count() as u64,
         pressure_events: source.pressure_events.clone(),
         multi: None,
-    }
+    })
 }
 
 #[cfg(test)]

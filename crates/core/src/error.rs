@@ -59,6 +59,12 @@ pub enum EngineError {
         /// Why the token fired.
         cause: bm_ptx::cancel::CancelCause,
     },
+    /// Simulated time would pass `u64::MAX` cycles: a kernel's per-TB
+    /// duration, or the report's cycle total, is too long for the clock.
+    CycleOverflow {
+        /// The last simulation cycle reached.
+        cycle: u64,
+    },
 }
 
 impl EngineError {
@@ -70,7 +76,8 @@ impl EngineError {
             EngineError::Hw { cycle, .. }
             | EngineError::Aborted { cycle }
             | EngineError::Killed { cycle, .. }
-            | EngineError::Cancelled { cycle, .. } => *cycle,
+            | EngineError::Cancelled { cycle, .. }
+            | EngineError::CycleOverflow { cycle } => *cycle,
         }
     }
 }
@@ -102,6 +109,12 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "{cause} at cycle {cycle} after {retired} kernels retired"
+                )
+            }
+            EngineError::CycleOverflow { cycle } => {
+                write!(
+                    f,
+                    "simulated time passes u64::MAX cycles after cycle {cycle}"
                 )
             }
         }

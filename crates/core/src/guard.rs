@@ -658,15 +658,15 @@ fn round_state(round: u32, guard: &mut GuardReport, quarantined: &HashSet<usize>
 /// saw `spec.cancel` fire, its [`EngineError::Cancelled`] is returned,
 /// which carries the cycle and the kernels retired.
 ///
-/// A round that fails with an engine error other than a kill or a
-/// cancellation is discarded and quarantined like an unsound one; any
-/// other error ends the loop.
+/// A round that fails with an engine error other than a kill, a
+/// cancellation or a cycle overflow is discarded and quarantined like an
+/// unsound one; any other error ends the loop.
 ///
 /// # Errors
 ///
 /// [`BmError::Unrecoverable`] when [`MAX_ROUNDS`] rounds pass without a
-/// sound schedule; an error from `analyze`; a kill, a cancellation or a
-/// non-engine error from `run_round`; and what
+/// sound schedule; an error from `analyze`; a kill, a cancellation, a
+/// cycle overflow or a non-engine error from `run_round`; and what
 /// [`Application::try_run_serialized`] returns when the serialized pass
 /// fails, [`PtxError::Cancelled`] when it is cancelled, or
 /// [`BmError::Unsupported`] when the allocations span more than 4 GiB.
@@ -780,7 +780,9 @@ pub fn guarded_rounds<'s, T: Tracer>(
             Err(BmError::Engine(e))
                 if !matches!(
                     e,
-                    EngineError::Killed { .. } | EngineError::Cancelled { .. }
+                    EngineError::Killed { .. }
+                        | EngineError::Cancelled { .. }
+                        | EngineError::CycleOverflow { .. }
                 ) =>
             {
                 guard.cycles_lost_to_fallback += e.cycles_wasted();
@@ -805,7 +807,9 @@ pub fn guarded_rounds<'s, T: Tracer>(
             // A kill or cancellation is a simulated crash / external
             // stop, not a soundness failure: never quarantine for it —
             // surface it so the caller can resume from the checkpoint.
-            // Any other error is not the schedule's fault either.
+            // A cycle overflow comes from the kernels' durations, which
+            // quarantine does not change. Any other error is not the
+            // schedule's fault either.
             Err(e) => return Err(e),
         };
         for k in targets {

@@ -11,7 +11,7 @@ use bm_depgraph::{
     build_graph_bounded_par, storage, BipartiteGraph, GraphStorage, HazardMode, Pattern,
 };
 use bm_ptx::absint::{try_analyze_launch_fueled_par, try_analyze_launch_grouped};
-use bm_ptx::access::{KernelAccess, TbAccess};
+use bm_ptx::access::KernelAccess;
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::ExecError;
 use bm_ptx::kernel::Launch;
@@ -27,9 +27,7 @@ use crate::degrade::{
 };
 use crate::hw::MAX_COUNTER;
 use bm_trace::{AnalysisPhase, NullTracer, TraceEvent, Tracer};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::collections::{HashMap, HashSet};
 
 /// Timing and resource profile of one kernel launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,194 +86,20 @@ struct Analyzed {
     cache_hit: bool,
 }
 
-/// Trace-phase counters from one analysis run under the memoized fast
-/// path. Reported separately from [`crate::degrade::CacheStats`], which
-/// must stay bit-identical across analysis configurations.
+/// Trace-phase counters from one analysis run under the fast paths.
+/// Reported separately from [`crate::degrade::CacheStats`], which must stay
+/// bit-identical across analysis configurations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceMemoStats {
-    /// Representative-TB traces functionally interpreted (anchors,
-    /// confirmations, validation samples, and rejected keys).
+    /// Representative-TB traces interpreted: one per launch that misses
+    /// the analysis cache and traces without error.
     pub traces_interpreted: u64,
-    /// Traces synthesized from a validated anchor instead of interpreted.
+    /// Traces served without interpreting them: always 0, since every
+    /// cache miss interprets its trace. Kept because `e2ebench` reports it.
     pub traces_synthesized: u64,
-    /// Trace-memo keys pinned to interpretation by a mismatch or failure.
-    pub keys_rejected: u64,
     /// Interpreted traces timed on the SM model: each distinct
     /// (representative trace, occupancy) pair once per run.
     pub traces_timed: u64,
-}
-
-/// Cross-launch trace-memoization state for one analysis run.
-///
-/// Keyed by [`CacheKey::for_trace`] — the launch signature with pointer argument
-/// *values* collapsed to their positions — so repeated launches of one
-/// kernel over different buffers share an entry. Per key the automaton
-/// interprets the first occurrence (the anchor) and the next two as
-/// confirmations; two consecutive bit-equal traces accept the law, after
-/// which traces are synthesized by cloning the anchor, re-interpreting
-/// and re-comparing at every power-of-two occurrence. Any mismatch or
-/// trace failure pins the key to interpretation for the rest of the run.
-///
-/// Residual gap: a trace that depends on buffer *contents* between
-/// validated occurrences is served from the anchor without being
-/// re-checked. Content can only reach a trace through loaded values
-/// steering control flow, which the confirmation and sampling
-/// interpretations are designed to catch.
-#[derive(Debug, Default)]
-pub struct TraceMemo {
-    entries: HashMap<CacheKey, MemoEntry>,
-    stats: TraceMemoStats,
-}
-
-#[derive(Debug)]
-struct MemoEntry {
-    /// Trace-phase occurrences of this key observed so far (cache hits
-    /// never reach the trace phase and are not counted).
-    occurrences: u64,
-    state: MemoState,
-}
-
-#[derive(Debug)]
-enum MemoState {
-    /// Anchor captured; awaiting two consecutive bit-equal confirmations.
-    Candidate {
-        trace: Rc<TbTrace>,
-        profile: LaunchProfile,
-        confirmed: u32,
-    },
-    /// Law accepted: synthesize, re-validating at power-of-two occurrences.
-    Accepted {
-        trace: Rc<TbTrace>,
-        profile: LaunchProfile,
-    },
-    /// A mismatch or trace failure: interpret this key forever.
-    Rejected,
-}
-
-impl TraceMemo {
-    /// Fresh memo with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> TraceMemoStats {
-        self.stats
-    }
-
-    /// Whether the next occurrence of `key` must actually interpret its
-    /// representative-TB trace (anchor, confirmation, validation sample,
-    /// or rejected key) instead of synthesizing it from the stored anchor.
-    fn should_interpret(&self, key: &CacheKey) -> bool {
-        match self.entries.get(key) {
-            None => true,
-            Some(e) => match &e.state {
-                MemoState::Rejected | MemoState::Candidate { .. } => true,
-                MemoState::Accepted { .. } => e.occurrences.is_power_of_two(),
-            },
-        }
-    }
-
-    /// Feeds one interpreted trace (and the profile derived from it) into
-    /// the automaton. Traces come interned from [`TimingMemo::profile`],
-    /// so an equal trace is usually the same allocation and compares in
-    /// one pointer test.
-    fn observe(&mut self, key: CacheKey, trace: Rc<TbTrace>, profile: LaunchProfile) {
-        self.stats.traces_interpreted += 1;
-        match self.entries.entry(key) {
-            Entry::Vacant(v) => {
-                v.insert(MemoEntry {
-                    occurrences: 1,
-                    state: MemoState::Candidate {
-                        trace,
-                        profile,
-                        confirmed: 0,
-                    },
-                });
-            }
-            Entry::Occupied(mut o) => {
-                let e = o.get_mut();
-                e.occurrences += 1;
-                e.state = match std::mem::replace(&mut e.state, MemoState::Rejected) {
-                    MemoState::Candidate {
-                        trace: anchor,
-                        profile: ap,
-                        confirmed,
-                    } => {
-                        if trace == anchor {
-                            if confirmed + 1 >= 2 {
-                                MemoState::Accepted {
-                                    trace: anchor,
-                                    profile: ap,
-                                }
-                            } else {
-                                MemoState::Candidate {
-                                    trace: anchor,
-                                    profile: ap,
-                                    confirmed: confirmed + 1,
-                                }
-                            }
-                        } else {
-                            self.stats.keys_rejected += 1;
-                            MemoState::Rejected
-                        }
-                    }
-                    MemoState::Accepted {
-                        trace: anchor,
-                        profile: ap,
-                    } => {
-                        if trace == anchor {
-                            MemoState::Accepted {
-                                trace: anchor,
-                                profile: ap,
-                            }
-                        } else {
-                            self.stats.keys_rejected += 1;
-                            MemoState::Rejected
-                        }
-                    }
-                    MemoState::Rejected => MemoState::Rejected,
-                };
-            }
-        }
-    }
-
-    /// Pins `key` to interpretation after a trace failure.
-    fn reject(&mut self, key: &CacheKey) {
-        match self.entries.get_mut(key) {
-            None => {
-                self.stats.keys_rejected += 1;
-                self.entries.insert(
-                    key.clone(),
-                    MemoEntry {
-                        occurrences: 1,
-                        state: MemoState::Rejected,
-                    },
-                );
-            }
-            Some(e) => {
-                e.occurrences += 1;
-                if !matches!(e.state, MemoState::Rejected) {
-                    self.stats.keys_rejected += 1;
-                    e.state = MemoState::Rejected;
-                }
-            }
-        }
-    }
-
-    /// Serves the stored anchor profile for an accepted key.
-    fn synthesize(&mut self, key: &CacheKey) -> LaunchProfile {
-        self.stats.traces_synthesized += 1;
-        let e = self
-            .entries
-            .get_mut(key)
-            .expect("synthesize without anchor");
-        e.occurrences += 1;
-        match &e.state {
-            MemoState::Accepted { profile, .. } => profile.clone(),
-            _ => unreachable!("synthesize on a non-accepted trace-memo key"),
-        }
-    }
 }
 
 /// Occupancy, then a trace's instructions, transactions and accesses.
@@ -292,20 +116,17 @@ struct TimingMemo {
     /// occupancy and the trace's counters: a lookup compares whole traces
     /// only when those match. (Hashing and cloning every trace instead
     /// cost a tenth of a small app's lockstep trace phase.)
-    durations: HashMap<TimingKey, Vec<(Rc<TbTrace>, u64)>>,
+    durations: HashMap<TimingKey, Vec<(TbTrace, u64)>>,
+    /// Traces profiled so far.
+    profiled: u64,
     /// Pairs timed so far.
     timed: u64,
 }
 
 impl TimingMemo {
-    /// [`profile_from_trace`], timing `trace` only on its pair's first use;
-    /// also returns the stored copy of `trace`.
-    fn profile(
-        &mut self,
-        cfg: &GpuConfig,
-        launch: &Launch,
-        trace: TbTrace,
-    ) -> (LaunchProfile, Rc<TbTrace>) {
+    /// [`profile_from_trace`], timing `trace` only on its pair's first use.
+    fn profile(&mut self, cfg: &GpuConfig, launch: &Launch, trace: TbTrace) -> LaunchProfile {
+        self.profiled += 1;
         let occ = occupancy(cfg, launch);
         let key = (
             occ,
@@ -314,17 +135,23 @@ impl TimingMemo {
             trace.global_accesses,
         );
         let timed = self.durations.entry(key).or_default();
-        let (trace, duration) = match timed.iter().find(|(t, _)| **t == trace) {
-            Some((t, d)) => (Rc::clone(t), *d),
-            None => {
-                let d = sm_duration(cfg, &trace, occ);
-                self.timed += 1;
-                let t = Rc::new(trace);
-                timed.push((Rc::clone(&t), d));
-                (t, d)
-            }
-        };
-        (launch_profile(launch, &trace, duration), trace)
+        if let Some(&(_, duration)) = timed.iter().find(|(t, _)| *t == trace) {
+            return launch_profile(launch, &trace, duration);
+        }
+        let duration = sm_duration(cfg, &trace, occ);
+        let profile = launch_profile(launch, &trace, duration);
+        self.timed += 1;
+        timed.push((trace, duration));
+        profile
+    }
+
+    /// The run's trace-phase counters.
+    fn stats(&self) -> TraceMemoStats {
+        TraceMemoStats {
+            traces_interpreted: self.profiled,
+            traces_synthesized: 0,
+            traces_timed: self.timed,
+        }
     }
 }
 
@@ -381,10 +208,10 @@ pub fn jit_analyze_app(cfg: &GpuConfig, app: &Application, hazard: HazardMode) -
 /// [`jit_analyze_app`] under an explicit [`AnalysisBudget`], a caller-
 /// owned [`AnalysisCache`] (so the cache can persist across applications)
 /// and an explicit [`ParallelConfig`]. Also reports the run's
-/// [`TraceMemoStats`] — how much of the trace phase was synthesized from
-/// the representative-TB trace law rather than interpreted. The counters
-/// live outside [`crate::degrade::CacheStats`] so cache accounting stays
-/// bit-identical across configurations.
+/// [`TraceMemoStats`]: the representative-TB traces interpreted and the
+/// distinct ones timed. The counters live outside
+/// [`crate::degrade::CacheStats`] so cache accounting stays bit-identical
+/// across configurations.
 pub fn jit_analyze_app_par_stats(
     cfg: &GpuConfig,
     app: &Application,
@@ -495,7 +322,6 @@ pub(crate) fn analyze_app<T: Tracer>(
     let launches: Vec<&Launch> = app.launches();
     let keys = keys_of(&launches);
     let mut scratch = LazyScratch::new(app);
-    let mut memo = TraceMemo::new();
     let mut timings = TimingMemo::default();
     let mut clock = 0u64;
     let analyzed: Vec<Result<Analyzed, PtxError>> = launches
@@ -514,7 +340,7 @@ pub(crate) fn analyze_app<T: Tracer>(
                 tracer,
                 &mut clock,
                 seq as u32,
-                (&mut memo, &mut timings),
+                &mut timings,
             )
         })
         .collect();
@@ -541,11 +367,7 @@ pub(crate) fn analyze_app<T: Tracer>(
             &mut clock,
         );
     }
-    let stats = TraceMemoStats {
-        traces_timed: timings.timed,
-        ..memo.stats()
-    };
-    Ok((out, stats))
+    Ok((out, timings.stats()))
 }
 
 /// Scratch functional memory for trace collection. Traces only shape
@@ -590,7 +412,7 @@ fn analyze_launch_ladder<T: Tracer>(
     tracer: &T,
     clock: &mut u64,
     seq: u32,
-    memos: (&mut TraceMemo, &mut TimingMemo),
+    timings: &mut TimingMemo,
 ) -> Result<Analyzed, PtxError> {
     if let Some(hit) = cache.lookup_key(key) {
         if T::ENABLED {
@@ -618,7 +440,7 @@ fn analyze_launch_ladder<T: Tracer>(
     }
     let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compute_analysis(
-            cfg, launch, key, scratch, budget, par, tracer, clock, seq, memos,
+            cfg, launch, scratch, budget, par, tracer, clock, seq, timings,
         )
     }));
     let ca = match computed {
@@ -672,14 +494,13 @@ fn worsen_traced<T: Tracer>(
 fn compute_analysis<T: Tracer>(
     cfg: &GpuConfig,
     launch: &Launch,
-    key: &CacheKey,
     scratch: &mut LazyScratch,
     budget: &AnalysisBudget,
     par: &ParallelConfig,
     tracer: &T,
     clock: &mut u64,
     seq: u32,
-    memos: (&mut TraceMemo, &mut TimingMemo),
+    timings: &mut TimingMemo,
 ) -> Result<CachedAnalysis, PtxError> {
     let mut degradation = Degradation::none();
     let access = analyze_access(launch, budget, par, tracer, clock, seq, &mut degradation)?;
@@ -688,7 +509,7 @@ fn compute_analysis<T: Tracer>(
         return Err(PtxError::Cancelled(cause));
     }
     let trace_start = *clock;
-    let attempt = trace_profile(cfg, launch, key, scratch, budget, par, memos);
+    let attempt = trace_profile(cfg, launch, scratch, budget, par, timings);
     let profile = match attempt {
         Ok(profile) => profile,
         Err(PtxError::Exec(ExecError::StepLimit { .. })) => {
@@ -733,9 +554,9 @@ fn compute_analysis<T: Tracer>(
     })
 }
 
-/// The trace phase of one launch: its representative-TB profile, through
-/// the trace and timing memos under the fast paths, traced and timed
-/// directly under `reference()`.
+/// The trace phase of one launch: its representative-TB profile, timed
+/// through the run's timing memo under the fast paths and directly under
+/// `reference()`.
 ///
 /// # Errors
 ///
@@ -743,11 +564,10 @@ fn compute_analysis<T: Tracer>(
 fn trace_profile(
     cfg: &GpuConfig,
     launch: &Launch,
-    key: &CacheKey,
     scratch: &mut LazyScratch,
     budget: &AnalysisBudget,
     par: &ParallelConfig,
-    (memo, timings): (&mut TraceMemo, &mut TimingMemo),
+    timings: &mut TimingMemo,
 ) -> Result<LaunchProfile, PtxError> {
     if launch.num_blocks() == 0 {
         return Ok(unit_profile(launch));
@@ -755,31 +575,19 @@ fn trace_profile(
     if !par.fast_paths {
         return try_profile_launch_limited(cfg, launch, scratch.get(), budget.trace_steps);
     }
-    let key = key.for_trace();
-    if !memo.should_interpret(&key) {
-        return Ok(memo.synthesize(&key));
-    }
     let rep = launch.num_blocks() / 2;
-    match trace_block_limited(launch, rep, scratch.get(), budget.trace_steps) {
-        Ok(trace) => {
-            let (profile, trace) = timings.profile(cfg, launch, trace);
-            memo.observe(key, trace, profile.clone());
-            Ok(profile)
-        }
-        Err(e) => {
-            memo.reject(&key);
-            Err(PtxError::Exec(e))
-        }
-    }
+    let trace = trace_block_limited(launch, rep, scratch.get(), budget.trace_steps)
+        .map_err(PtxError::Exec)?;
+    Ok(timings.profile(cfg, launch, trace))
 }
 
 /// The trace phase of one cold analysis run of `app` under `par`, on its
 /// own so it can be timed: in launch order on `scratch` (the initial image
 /// of [`scratch_memory`]), every launch whose analysis key is new to the
-/// run gets [`trace_profile`] with one run's memos, as in
-/// [`jit_analyze_app_par_stats`] between its absint and graph phases; a
-/// repeated key is a cache hit there and skips the phase. Returns the
-/// trace-phase counters.
+/// run has its representative TB traced and timed with one run's timing
+/// memo, as in [`jit_analyze_app_par_stats`] between its absint and graph
+/// phases; a repeated key is a cache hit there and skips the phase.
+/// Returns the trace-phase counters.
 pub fn trace_phase(
     cfg: &GpuConfig,
     app: &Application,
@@ -792,27 +600,16 @@ pub fn trace_phase(
         app,
         mem: Some(std::mem::take(scratch)),
     };
-    let (mut memo, mut timings) = (TraceMemo::new(), TimingMemo::default());
-    let mut seen = std::collections::HashSet::new();
+    let mut timings = TimingMemo::default();
+    let mut seen = HashSet::new();
     for (launch, key) in launches.iter().zip(keys_of(&launches)) {
-        if seen.insert(key.clone()) {
+        if seen.insert(key) {
             // A failed trace falls back to an estimate in the pipeline.
-            let _ = trace_profile(
-                cfg,
-                launch,
-                &key,
-                &mut lazy,
-                budget,
-                par,
-                (&mut memo, &mut timings),
-            );
+            let _ = trace_profile(cfg, launch, &mut lazy, budget, par, &mut timings);
         }
     }
     *scratch = lazy.mem.unwrap_or_default();
-    TraceMemoStats {
-        traces_timed: timings.timed,
-        ..memo.stats()
-    }
+    timings.stats()
 }
 
 /// Access-set phase of the degradation ladder: precise fueled analysis
@@ -899,7 +696,7 @@ fn analyze_access<T: Tracer>(
                         *clock,
                         seq,
                     );
-                    barrier_access(launch.num_blocks())
+                    KernelAccess::barrier(launch.num_blocks())
                 }
             }
         }
@@ -1043,12 +840,6 @@ fn push_kernel<T: Tracer>(
     });
 }
 
-/// The conservative whole-kernel barrier access: no known ranges,
-/// `non_static` set, so every graph against it is fully connected.
-fn barrier_access(n_tbs: u32) -> KernelAccess {
-    KernelAccess::from_per_tb(vec![TbAccess::default(); n_tbs as usize], true)
-}
-
 /// Deterministic pessimistic profile for kernels whose representative
 /// trace failed or ran over budget. Such kernels sit on the
 /// [`DegradationRung::PrelaunchOff`] rung, so the estimate shapes timing
@@ -1072,7 +863,7 @@ pub const PANIC_KERNEL_SENTINEL: &str = "__bm_panic_in_analysis";
 /// opaque barrier as an invalid launch, attributed to the panic.
 fn panicked_stub(launch: &Launch) -> CachedAnalysis {
     CachedAnalysis {
-        access: barrier_access(launch.num_blocks()),
+        access: KernelAccess::barrier(launch.num_blocks()),
         profile: fallback_profile(launch),
         degradation: Degradation {
             rung: DegradationRung::PrelaunchOff,
@@ -1085,7 +876,7 @@ fn panicked_stub(launch: &Launch) -> CachedAnalysis {
 /// The opaque-barrier stand-in for a structurally invalid launch.
 fn invalid_launch_stub(launch: &Launch) -> Analyzed {
     Analyzed {
-        access: barrier_access(launch.num_blocks()),
+        access: KernelAccess::barrier(launch.num_blocks()),
         profile: fallback_profile(launch),
         degradation: Degradation {
             rung: DegradationRung::PrelaunchOff,

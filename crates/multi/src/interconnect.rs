@@ -32,6 +32,9 @@ pub struct Interconnect {
     corrupt_nth: Option<u64>,
     /// Cycle at which the first dropped/corrupted transfer was detected.
     pub fault_detected: Option<u64>,
+    /// Send cycle of the first message whose arrival would pass
+    /// `u64::MAX` cycles; such a message is never delivered.
+    pub overflow_at: Option<u64>,
     /// Completed (charged) data transfers, including faulted ones.
     pub transfers: u64,
     /// Total bytes moved across devices.
@@ -52,6 +55,7 @@ impl Interconnect {
             drop_nth,
             corrupt_nth,
             fault_detected: None,
+            overflow_at: None,
             transfers: 0,
             transfer_bytes: 0,
             transfer_cycles: 0,
@@ -65,8 +69,9 @@ impl Interconnect {
 
     /// Charges a data transfer of `bytes` from `src` to `dst` sent at
     /// `send_t`, carrying the dependency message for child TB `id`.
-    /// Returns `Some(arrival)` or `None` if this transfer is the fault
-    /// plan's victim (dropped or corrupted in flight).
+    /// Returns `Some(arrival)`, or `None` if this transfer is the fault
+    /// plan's victim (dropped or corrupted in flight) or would arrive past
+    /// `u64::MAX` cycles ([`Interconnect::overflow_at`]).
     pub fn send_data<T: Tracer>(
         &mut self,
         tracer: &T,
@@ -81,8 +86,15 @@ impl Interconnect {
         let slot = (src * self.devices + dst) as usize;
         let start = send_t.max(self.busy[slot]);
         let occupy = bytes.div_ceil(self.bandwidth);
+        let Some(arrival) = start
+            .checked_add(occupy)
+            .and_then(|free| free.checked_add(self.eff_latency))
+        else {
+            self.overflow_at.get_or_insert(send_t);
+            return None;
+        };
+        // At most `arrival`, so in range.
         self.busy[slot] = start + occupy;
-        let arrival = start + occupy + self.eff_latency;
         self.transfers += 1;
         self.transfer_bytes += bytes;
         self.transfer_cycles += arrival - send_t;
@@ -118,9 +130,14 @@ impl Interconnect {
 
     /// Arrival time of a zero-payload control message (completion
     /// broadcasts): propagation latency only, no link occupancy and no
-    /// transfer accounting.
-    pub fn send_control(&self, send_t: u64) -> u64 {
-        send_t + self.eff_latency
+    /// transfer accounting. `None` when it would arrive past `u64::MAX`
+    /// cycles ([`Interconnect::overflow_at`]).
+    pub fn send_control(&mut self, send_t: u64) -> Option<u64> {
+        let arrival = send_t.checked_add(self.eff_latency);
+        if arrival.is_none() {
+            self.overflow_at.get_or_insert(send_t);
+        }
+        arrival
     }
 }
 

@@ -119,9 +119,7 @@ pub(crate) fn run_sharded<T: Tracer>(
     for src in sources.iter_mut().take(n) {
         src.on_time_advance(0);
     }
-    if let Err(cycle) = route_round(&mut sources, &mut ic, mcfg, tracer) {
-        return Err(link_fault(cycle, &part, &ic));
-    }
+    route_round(&mut sources, &mut ic, mcfg, &part, tracer)?;
 
     let lookahead = ic.lookahead();
     let mut round: u64 = 0;
@@ -157,6 +155,14 @@ pub(crate) fn run_sharded<T: Tracer>(
             let cycle = engines.iter().map(|e| e.now()).max().unwrap_or(0);
             return Err(MultiAbort::Engine(EngineError::Aborted { cycle }));
         };
+        // The horizon saturates at u64::MAX, and no device steps to it, so
+        // an event there would never run; a block it released, or a
+        // message it sent, would pass u64::MAX anyway.
+        if t_min == u64::MAX {
+            return Err(MultiAbort::Engine(EngineError::CycleOverflow {
+                cycle: t_min,
+            }));
+        }
         let horizon = t_min.saturating_add(lookahead);
         for d in 0..n {
             if finished[d] {
@@ -187,18 +193,19 @@ pub(crate) fn run_sharded<T: Tracer>(
                             cause,
                         }));
                     }
+                    Err(DesError::CycleOverflow { cycle }) => {
+                        return Err(MultiAbort::Engine(EngineError::CycleOverflow { cycle }));
+                    }
                 }
             }
-            if let Err(cycle) = route_round(&mut sources, &mut ic, mcfg, tracer) {
-                return Err(link_fault(cycle, &part, &ic));
-            }
+            route_round(&mut sources, &mut ic, mcfg, &part, tracer)?;
         }
     }
 
     let stats: Vec<DesStats> = engines.into_iter().map(DesEngine::finish).collect();
-    Ok(assemble_multi_report(
+    assemble_multi_report(
         mcfg, jit, mode, &part, &sources, &ic, stats, epilogue, tracer,
-    ))
+    )
 }
 
 fn link_fault(cycle: u64, part: &Partition, ic: &Interconnect) -> MultiAbort {
@@ -215,13 +222,15 @@ fn link_fault(cycle: u64, part: &Partition, ic: &Interconnect) -> MultiAbort {
 }
 
 /// Drains every outbox through the interconnect, delivering into the
-/// destination inboxes. Returns `Err(cycle)` on a detected link fault.
+/// destination inboxes. Stops at a detected link fault, or at a message
+/// that would arrive past `u64::MAX` cycles.
 fn route_round<T: Tracer>(
     sources: &mut [ShardSource<'_, DeviceTracer<'_, T>>],
     ic: &mut Interconnect,
     mcfg: &MultiGpuConfig,
+    part: &Partition,
     tracer: &T,
-) -> Result<(), u64> {
+) -> Result<(), MultiAbort> {
     let n = sources.len();
     for d in 0..n {
         let outgoing = std::mem::take(&mut sources[d].outbox);
@@ -237,17 +246,21 @@ fn route_round<T: Tracer>(
                     }
                 }
                 Msg::ShardDone { .. } => {
-                    let arrival = ic.send_control(o.sent);
-                    for (dst, src) in sources.iter_mut().enumerate() {
-                        if dst != d {
-                            src.deliver(arrival, o.msg);
+                    if let Some(arrival) = ic.send_control(o.sent) {
+                        for (dst, src) in sources.iter_mut().enumerate() {
+                            if dst != d {
+                                src.deliver(arrival, o.msg);
+                            }
                         }
                     }
                 }
             }
         }
+        if let Some(cycle) = ic.overflow_at {
+            return Err(MultiAbort::Engine(EngineError::CycleOverflow { cycle }));
+        }
         if let Some(cycle) = ic.fault_detected {
-            return Err(cycle);
+            return Err(link_fault(cycle, part, ic));
         }
     }
     Ok(())
@@ -265,8 +278,14 @@ fn assemble_multi_report<T: Tracer>(
     stats: Vec<DesStats>,
     epilogue: u64,
     tracer: &T,
-) -> RunReport {
+) -> Result<RunReport, MultiAbort> {
     let makespan = stats.iter().map(|s| s.total_cycles).max().unwrap_or(0);
+    let total_cycles =
+        makespan
+            .checked_add(epilogue)
+            .ok_or(MultiAbort::Engine(EngineError::CycleOverflow {
+                cycle: makespan,
+            }))?;
     let total_integral: u128 = stats.iter().map(|s| s.concurrency_integral).sum();
     // Merge per-device schedules into one deterministic global order.
     let mut schedule: Vec<_> = stats
@@ -298,9 +317,9 @@ fn assemble_multi_report<T: Tracer>(
         })
         .collect();
     let issue_cycles = sources[0].issue_cycles();
-    RunReport {
+    Ok(RunReport {
         mode,
-        total_cycles: makespan + epilogue,
+        total_cycles,
         kernel_region_cycles: makespan,
         avg_concurrency: if makespan == 0 {
             0.0
@@ -358,5 +377,5 @@ fn assemble_multi_report<T: Tracer>(
             per_device,
             fallback: None,
         }),
-    }
+    })
 }

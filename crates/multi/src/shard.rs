@@ -327,8 +327,14 @@ impl<'a, T: Tracer> ShardSource<'a, T> {
             let issue = now
                 .max(self.host_ready.get(k).copied().unwrap_or(0))
                 .max(self.next_issue_floor);
-            self.next_issue_floor = issue + self.api_cycles;
-            let arrival = issue + self.launch_cycles;
+            let (Some(floor), Some(arrival)) = (
+                issue.checked_add(self.api_cycles),
+                issue.checked_add(self.launch_cycles),
+            ) else {
+                self.record_error(EngineError::CycleOverflow { cycle: now });
+                return;
+            };
+            self.next_issue_floor = floor;
             self.issue_cycles[k] = issue;
             if T::ENABLED && self.emit_kernel_events {
                 self.tracer.emit(TraceEvent::KernelIssue {

@@ -36,10 +36,10 @@ const AFFINE_MIN_TBS: u32 = 24;
 /// An abstract register value: an interval plus a "derived from a loaded
 /// value" taint bit, offset by a coefficient in `%ctaid.x`. For thread
 /// block `x` the value lies in `coef·x + iv`. The coefficient is nonzero
-/// only in the affine law's translation certificate ([`Env::ctaid_sym`]);
-/// every per-TB, group and union-check run keeps it 0, where a value is
-/// just its interval. It fits in the struct's padding, so a value is no
-/// larger than its interval and taint alone.
+/// only in the affine law's translation certificate (a run with `%ctaid.x`
+/// symbolic); every per-TB, group and union-check run keeps it 0, where a
+/// value is just its interval. It fits in the struct's padding, so a value
+/// is no larger than its interval and taint alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbsVal {
     /// Possible integer values (offsets from `coef·x` when `coef != 0`).
@@ -850,7 +850,9 @@ fn interior_covers(interior: &[TbAccess], accesses: &[SpanAccess]) -> bool {
 ///
 /// This is the paper's kernel-launch-time just-in-time analysis: it runs
 /// when the kernel command is processed (masked by pre-launching) and its
-/// output feeds the bipartite dependency-graph builder.
+/// output feeds the bipartite dependency-graph builder. It runs with the
+/// fast paths on and unbounded fuel, so the soundness suite exercises the
+/// affine law through it.
 ///
 /// # Examples
 ///
@@ -871,49 +873,32 @@ fn interior_covers(interior: &[TbAccess], accesses: &[SpanAccess]) -> bool {
 /// assert!(!acc.non_static);
 /// assert_eq!(acc.per_tb[0].writes.ranges(), &[(0x1000, 0x1000 + 128)]);
 /// ```
+///
+/// # Panics
+///
+/// When the launch is structurally invalid ([`PtxError::BadLaunch`] from
+/// [`try_analyze_launch_fueled_par`]). Note the distinction from the
+/// `non_static` verdict: a kernel whose addresses cannot be bounded
+/// statically is a *valid* launch with a conservative analysis result.
 pub fn analyze_launch(launch: &Launch) -> KernelAccess {
-    try_analyze_launch(launch)
-        .unwrap_or_else(|e| panic!("launch-time analysis rejected the launch: {e}"))
+    let mut fuel = u64::MAX;
+    match try_analyze_launch_fueled_par(launch, &mut fuel, &ParallelConfig::serial()) {
+        Ok(Some((access, _))) => access,
+        // Unreachable with unbounded fuel; fall back conservatively.
+        Ok(None) => KernelAccess::barrier(launch.num_blocks()),
+        Err(e) => panic!("launch-time analysis rejected the launch: {e}"),
+    }
 }
 
-/// Fallible variant of [`analyze_launch`]: validates the launch structure
-/// first and returns [`PtxError::BadLaunch`] instead of analyzing a launch
-/// whose argument list cannot bind to the kernel's parameters.
+/// Budgeted launch-time analysis under an explicit [`ParallelConfig`]:
+/// validates the launch structure first, then every worklist pop of the
+/// fixpoint iteration consumes one unit of `fuel`, shared across all
+/// thread blocks of the launch. `Ok(None)` means the budget ran out before
+/// the analysis finished — the caller should degrade to the coarse
+/// group-level analysis ([`try_analyze_launch_grouped`]) or a whole-kernel
+/// barrier rather than blocking the launch path.
 ///
-/// Note the distinction from the `non_static` verdict: a kernel whose
-/// addresses cannot be bounded statically is a *valid* launch with a
-/// conservative analysis result, while a malformed launch is an error.
-///
-/// # Errors
-///
-/// [`PtxError::BadLaunch`] for argument-arity mismatches or zero-thread
-/// blocks.
-pub fn try_analyze_launch(launch: &Launch) -> Result<KernelAccess, PtxError> {
-    crate::error::validate_launch(launch)?;
-    Ok(analyze_launch_unchecked(launch))
-}
-
-/// Budgeted variant of [`try_analyze_launch`]: every worklist pop of the
-/// fixpoint iteration consumes one unit of `fuel`, shared across all thread
-/// blocks of the launch. `Ok(None)` means the budget ran out before the
-/// analysis finished — the caller should degrade to the coarse group-level
-/// analysis ([`try_analyze_launch_grouped`]) or a whole-kernel barrier
-/// rather than blocking the launch path.
-///
-/// # Errors
-///
-/// [`PtxError::BadLaunch`] for structurally invalid launches, exactly as
-/// [`try_analyze_launch`].
-pub fn try_analyze_launch_fueled(
-    launch: &Launch,
-    fuel: &mut u64,
-) -> Result<Option<KernelAccess>, PtxError> {
-    crate::error::validate_launch(launch)?;
-    Ok(analyze_launch_fueled_unchecked(launch, fuel))
-}
-
-/// [`try_analyze_launch_fueled`] under an explicit [`ParallelConfig`]:
-/// when `par.fast_paths` is set, the affine memoization fast path may
+/// When `par.fast_paths` is set, the affine memoization fast path may
 /// synthesize most per-TB sets from a verified model instead of
 /// interpreting every block.
 ///
@@ -925,7 +910,8 @@ pub fn try_analyze_launch_fueled(
 ///
 /// # Errors
 ///
-/// [`PtxError::BadLaunch`] for structurally invalid launches;
+/// [`PtxError::BadLaunch`] for structurally invalid launches (an
+/// argument-arity mismatch or zero-thread blocks);
 /// [`PtxError::Cancelled`] when `par.cancel` has fired before the launch
 /// is analyzed (the check sits at the phase boundary, so a token that
 /// never fires leaves the analysis bit-identical).
@@ -967,28 +953,6 @@ pub fn try_analyze_launch_grouped(
     ))
 }
 
-fn analyze_launch_unchecked(launch: &Launch) -> KernelAccess {
-    let mut fuel = u64::MAX;
-    // Fast paths on: `analyze_launch` is the convenience entry point, so
-    // it gets the memoized pipeline (and the soundness suite exercises the
-    // affine path through it).
-    match analyze_launch_fueled_par_unchecked(launch, &mut fuel, &ParallelConfig::serial()) {
-        Some((acc, _)) => acc,
-        // Unreachable with unbounded fuel; fall back conservatively.
-        None => conservative_access(launch.num_blocks()),
-    }
-}
-
-/// The all-TBs-default, `non_static` verdict: usable by every consumer but
-/// carrying no information — forces whole-kernel barrier semantics.
-fn conservative_access(n_tbs: u32) -> KernelAccess {
-    KernelAccess::from_per_tb(vec![TbAccess::default(); n_tbs as usize], true)
-}
-
-fn analyze_launch_fueled_unchecked(launch: &Launch, fuel: &mut u64) -> Option<KernelAccess> {
-    analyze_launch_fueled_par_unchecked(launch, fuel, &ParallelConfig::serial()).map(|(acc, _)| acc)
-}
-
 fn analyze_launch_fueled_par_unchecked(
     launch: &Launch,
     fuel: &mut u64,
@@ -1013,7 +977,7 @@ fn analyze_launch_fueled_par_unchecked(
             }
             AffineOutcome::NonStatic => {
                 stats.tbs_interpreted = memo.len() as u32;
-                return Some((conservative_access(n), stats));
+                return Some((KernelAccess::barrier(n), stats));
             }
             AffineOutcome::OutOfFuel => return None,
             AffineOutcome::Rejected => {}
@@ -1033,7 +997,7 @@ fn analyze_launch_fueled_par_unchecked(
             Err(AnalysisCut::NonStatic(_)) => {
                 // Conservative: the kernel is fully dependent on its
                 // predecessor; access sets are unusable.
-                return Some((conservative_access(n), stats));
+                return Some((KernelAccess::barrier(n), stats));
             }
         }
     }
@@ -1071,7 +1035,7 @@ fn analyze_launch_grouped_unchecked(
                 }
             }
             Err(AnalysisCut::OutOfFuel) => return None,
-            Err(AnalysisCut::NonStatic(_)) => return Some(conservative_access(n)),
+            Err(AnalysisCut::NonStatic(_)) => return Some(KernelAccess::barrier(n)),
         }
         lo = hi + 1;
     }

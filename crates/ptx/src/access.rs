@@ -288,6 +288,12 @@ impl KernelAccess {
         }
     }
 
+    /// The conservative whole-kernel barrier: `n_tbs` empty per-TB sets
+    /// and `non_static` set, so every graph against it is fully connected.
+    pub fn barrier(n_tbs: u32) -> Self {
+        KernelAccess::from_per_tb(vec![TbAccess::default(); n_tbs as usize], true)
+    }
+
     /// Number of thread blocks analyzed.
     pub fn num_blocks(&self) -> usize {
         self.per_tb.len()

@@ -3,9 +3,9 @@
 //! The individual passes keep their precise error types
 //! ([`crate::parser::ParseError`], [`crate::interp::ExecError`]);
 //! [`PtxError`] is the umbrella that fallible pipeline entry points
-//! ([`crate::absint::try_analyze_launch`],
-//! [`crate::interp::try_execute_launch`]) return so callers can propagate
-//! one error type through a whole toolchain run.
+//! ([`crate::absint::try_analyze_launch_fueled_par`],
+//! [`crate::absint::try_analyze_launch_grouped`]) return so callers can
+//! propagate one error type through a whole toolchain run.
 
 use crate::cancel::CancelCause;
 use crate::interp::ExecError;

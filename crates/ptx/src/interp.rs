@@ -169,22 +169,6 @@ pub fn execute_block<O: ExecObserver>(
     Program::new(launch).execute_block(tb, mem, obs, MAX_STEPS_PER_THREAD)
 }
 
-/// Fallible pipeline entry point: validates the launch structure, then
-/// executes every block, folding both launch and execution failures into
-/// the crate-level [`crate::error::PtxError`].
-///
-/// # Errors
-///
-/// [`crate::error::PtxError::BadLaunch`] for malformed launches,
-/// [`crate::error::PtxError::Exec`] for functional-execution failures.
-pub fn try_execute_launch(
-    launch: &Launch,
-    mem: &mut GlobalMem,
-) -> Result<ExecStats, crate::error::PtxError> {
-    crate::error::validate_launch(launch)?;
-    execute_launch(launch, mem).map_err(crate::error::PtxError::Exec)
-}
-
 /// Executes every block of a launch in linear block-id order, on the
 /// warp-lockstep engine ([`Lockstep`]).
 ///

@@ -46,7 +46,6 @@
 
 pub mod absint;
 pub mod access;
-pub mod builder;
 pub mod cancel;
 pub mod cfg;
 pub mod error;

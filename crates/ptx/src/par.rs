@@ -7,9 +7,9 @@
 //!
 //! `ParallelConfig::serial()` (fast paths on) is the configuration every
 //! user path runs. `ParallelConfig::reference()` (fast paths off) interprets
-//! every thread block and every representative trace; it is the oracle the
-//! fast paths are property-tested against, and the two produce identical
-//! analyses.
+//! every thread block and times every representative trace; it is the
+//! oracle the fast paths are property-tested against, and the two produce
+//! identical analyses.
 
 use crate::cancel::{CancelCause, CancelToken};
 
@@ -19,11 +19,11 @@ use crate::cancel::{CancelCause, CancelToken};
 pub struct ParallelConfig {
     /// Whether the memoized fast paths may answer instead of full
     /// interpretation: the affine per-TB access law in `bm_ptx::absint`,
-    /// and in `bm-core` the cross-launch trace memo and the per-run memo
-    /// that times each distinct representative trace once. The affine law
-    /// is validated per launch and the trace memo per key, and a rejection
-    /// falls back to full interpretation, so disabling them only costs
-    /// time.
+    /// and in `bm-core` the per-run memo that times each distinct
+    /// representative trace once. The affine law is validated per launch
+    /// and a rejection falls back to full interpretation; the timing memo
+    /// reuses a duration only for an equal trace. Disabling them only
+    /// costs time.
     pub fast_paths: bool,
     /// Cooperative cancellation observed at analysis phase boundaries.
     /// `None` (the default everywhere outside `bm-serve`) means no check
@@ -41,9 +41,9 @@ impl ParallelConfig {
         }
     }
 
-    /// Fast paths off: every TB and every representative trace fully
-    /// interpreted. The oracle [`ParallelConfig::serial`] is checked
-    /// against.
+    /// Fast paths off: every TB fully interpreted and every
+    /// representative trace timed. The oracle [`ParallelConfig::serial`]
+    /// is checked against.
     pub fn reference() -> Self {
         ParallelConfig {
             fast_paths: false,

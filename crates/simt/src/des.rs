@@ -130,6 +130,12 @@ pub enum DesError {
         /// Why the token fired.
         cause: bm_ptx::cancel::CancelCause,
     },
+    /// A thread block placed at `cycle` would finish past `u64::MAX`
+    /// cycles: its duration is too long for the clock.
+    CycleOverflow {
+        /// Simulation time at which the block was placed.
+        cycle: u64,
+    },
 }
 
 impl fmt::Display for DesError {
@@ -141,6 +147,12 @@ impl fmt::Display for DesError {
             }
             DesError::Cancelled { cycle, cause } => {
                 write!(f, "DES run {cause} at cycle {cycle}")
+            }
+            DesError::CycleOverflow { cycle } => {
+                write!(
+                    f,
+                    "DES block placed at cycle {cycle} would finish past u64::MAX"
+                )
             }
         }
     }
@@ -430,7 +442,9 @@ impl DesEngine {
     /// # Errors
     ///
     /// Exactly as [`try_run`]: [`DesError::Deadlock`] on a no-progress
-    /// state, [`DesError::SourceAbort`] when the source flags a failure.
+    /// state, [`DesError::SourceAbort`] when the source flags a failure,
+    /// [`DesError::CycleOverflow`] when a placed block would finish past
+    /// `u64::MAX`.
     pub fn step<T: Tracer>(
         &mut self,
         source: &mut dyn TbSource,
@@ -456,8 +470,9 @@ impl DesEngine {
     ///
     /// # Errors
     ///
-    /// [`DesError::SourceAbort`] and [`DesError::Cancelled`] exactly as
-    /// [`step`](DesEngine::step); never [`DesError::Deadlock`].
+    /// [`DesError::SourceAbort`], [`DesError::Cancelled`] and
+    /// [`DesError::CycleOverflow`] exactly as [`step`](DesEngine::step);
+    /// never [`DesError::Deadlock`].
     pub fn step_bounded<T: Tracer>(
         &mut self,
         source: &mut dyn TbSource,
@@ -496,6 +511,10 @@ impl DesEngine {
             let Some(d) = popped else {
                 break;
             };
+            let finish = self
+                .now
+                .checked_add(d.duration.max(1))
+                .ok_or(DesError::CycleOverflow { cycle: self.now })?;
             // Most-free-threads SM for load balance.
             let (si, _) = self
                 .sms
@@ -516,11 +535,8 @@ impl DesEngine {
             self.last_t = self.now;
             self.running += 1;
             source.on_tb_start(d.key, self.now);
-            self.heap
-                .push(Reverse((self.now + d.duration.max(1), self.seq, si, d)));
-            self.stats
-                .schedule
-                .push((d.key, self.now, self.now + d.duration.max(1)));
+            self.heap.push(Reverse((finish, self.seq, si, d)));
+            self.stats.schedule.push((d.key, self.now, finish));
             self.seq += 1;
             self.resident[si] += 1;
             if T::ENABLED {
@@ -607,8 +623,9 @@ impl DesEngine {
 ///
 /// Panics if the source deadlocks: nothing is running, nothing is ready,
 /// no future event exists, yet `is_done()` is false. That always indicates
-/// a policy bug and is surfaced loudly. Use [`try_run`] to receive the
-/// deadlock as a typed error with a diagnostic snapshot instead.
+/// a policy bug and is surfaced loudly. Also panics on every other
+/// [`DesError`]. Use [`try_run`] to receive the deadlock as a typed error
+/// with a diagnostic snapshot instead.
 pub fn run(cfg: &GpuConfig, source: &mut dyn TbSource) -> DesStats {
     match try_run(cfg, source) {
         Ok(stats) => stats,
@@ -618,7 +635,7 @@ pub fn run(cfg: &GpuConfig, source: &mut dyn TbSource) -> DesStats {
                 snap.cycle
             )
         }
-        Err(e @ (DesError::SourceAbort { .. } | DesError::Cancelled { .. })) => panic!("{e}"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -631,7 +648,8 @@ pub fn run(cfg: &GpuConfig, source: &mut dyn TbSource) -> DesStats {
 /// # Errors
 ///
 /// [`DesError::Deadlock`] when no further progress is possible;
-/// [`DesError::SourceAbort`] when the source signals an internal failure.
+/// [`DesError::SourceAbort`] when the source signals an internal failure;
+/// [`DesError::CycleOverflow`] when a block would finish past `u64::MAX`.
 pub fn try_run(cfg: &GpuConfig, source: &mut dyn TbSource) -> Result<DesStats, DesError> {
     try_run_traced(cfg, source, &NullTracer)
 }

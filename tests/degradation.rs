@@ -14,7 +14,7 @@ use blockmaestro::{
 };
 use bm_cmdq::{ApiCall, Application};
 use bm_depgraph::HazardMode;
-use bm_ptx::absint::{try_analyze_launch_fueled, try_analyze_launch_grouped};
+use bm_ptx::absint::{try_analyze_launch_fueled_par, try_analyze_launch_grouped};
 use bm_ptx::access::RangeSet;
 use bm_ptx::kernel::{ArgValue, Dim3, Launch};
 use bm_ptx::mem::AddressSpace;
@@ -57,7 +57,8 @@ fn repeated_app(reps: usize, tbs: u32) -> Application {
 /// forced-rung tests stay correct if the kernel or the analyzer changes).
 fn precise_cost(launch: &Launch) -> u64 {
     let mut fuel = 1u64 << 20;
-    let r = try_analyze_launch_fueled(launch, &mut fuel).expect("valid launch");
+    let r = try_analyze_launch_fueled_par(launch, &mut fuel, &ParallelConfig::serial())
+        .expect("valid launch");
     assert!(r.is_some(), "calibration must not run out of fuel");
     (1 << 20) - fuel
 }
@@ -421,9 +422,10 @@ fn coarse_analysis_over_approximates_precise_per_tb_sets() {
             ],
         );
         let mut fuel = u64::MAX;
-        let precise = try_analyze_launch_fueled(&launch, &mut fuel)
-            .expect("valid")
-            .expect("fuel");
+        let (precise, _) =
+            try_analyze_launch_fueled_par(&launch, &mut fuel, &ParallelConfig::serial())
+                .expect("valid")
+                .expect("fuel");
         let mut fuel = u64::MAX;
         let coarse = try_analyze_launch_grouped(&launch, groups, &mut fuel)
             .expect("valid")

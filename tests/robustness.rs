@@ -3,10 +3,12 @@
 //! deadlock anywhere in the pipeline.
 
 use blockmaestro::{
-    check_schedule, jit_analyze_app, run, try_run_app, BmError, ExecMode, JitKernel, RunSpec,
+    check_schedule, jit_analyze_app, run, try_run_app, BmError, EngineError, ExecMode, JitKernel,
+    RunSpec,
 };
 use bm_cmdq::{ApiCall, Application, CmdqError};
 use bm_depgraph::HazardMode;
+use bm_multi::MultiGpuConfig;
 use bm_ptx::absint::analyze_launch;
 use bm_ptx::error::PtxError;
 use bm_ptx::interp::ExecError;
@@ -604,6 +606,68 @@ fn corrupted_run_spec_kernels_are_typed_errors() {
             match run_with(&bad, guard) {
                 Err(BmError::Ptx(PtxError::BadLaunch { .. })) => {}
                 other => panic!("{what}, guard {guard}: {:?}", other.map(|r| r.total_cycles)),
+            }
+        }
+    }
+    // Durations that put simulated time past u64::MAX cycles, on one device
+    // and sharded over two (NW's blocks exchange messages across devices):
+    // a block's finish, once on one kernel and through a chain of
+    // dependent kernels; and kernel 1 or the last kernel finishing at
+    // u64::MAX, one cycle short of it or one link latency short of it,
+    // which the next kernel issue, a completion message or the report's
+    // epilogue passes.
+    for (name, devices) in [("GAUSSIAN", 1), ("GAUSSIAN", 2), ("NW", 2)] {
+        let bench = suite().into_iter().find(|b| b.name == name).unwrap();
+        let app = (bench.build)(Scale::Small);
+        let jit = jit_analyze_app(&cfg, &app, HazardMode::Raw);
+        let run_on = |jit: &[JitKernel], guard: bool| {
+            let mut spec = RunSpec {
+                guard,
+                kernels: Some(jit),
+                ..RunSpec::new(mode)
+            };
+            let mcfg = MultiGpuConfig::devices(devices);
+            bm_multi::run(&cfg, &mcfg, &app, &mut spec, &NullTracer)
+        };
+        let clean = run_on(&jit, false).expect("unchanged kernels run");
+        let mut overflows: Vec<(String, Corrupt)> = vec![
+            (
+                "u64::MAX cycles per block".into(),
+                Box::new(|j| j[1].profile.duration = u64::MAX),
+            ),
+            (
+                "u64::MAX / 2 cycles per block".into(),
+                Box::new(|j| j.iter_mut().for_each(|k| k.profile.duration = u64::MAX / 2)),
+            ),
+        ];
+        let latency = MultiGpuConfig::default().link_latency_cycles;
+        for k in [1, jit.len() - 1] {
+            let start = clean
+                .schedule
+                .iter()
+                .filter(|(key, ..)| key.kernel_seq as usize == k)
+                .map(|&(_, start, _)| start)
+                .max()
+                .expect("the kernel ran");
+            for by in [0, 1, latency + 1] {
+                let duration = u64::MAX - by - start;
+                overflows.push((
+                    format!("kernel {k} finishing {by} cycles short of u64::MAX"),
+                    Box::new(move |j| j[k].profile.duration = duration),
+                ));
+            }
+        }
+        for (what, corrupt) in &overflows {
+            let mut bad = jit.clone();
+            corrupt(&mut bad);
+            for guard in [false, true] {
+                match run_on(&bad, guard) {
+                    Err(BmError::Engine(EngineError::CycleOverflow { .. })) => {}
+                    other => panic!(
+                        "{name}, {what}, {devices} devices, guard {guard}: {:?}",
+                        other.map(|r| r.total_cycles)
+                    ),
+                }
             }
         }
     }

@@ -1,10 +1,9 @@
-//! Cross-launch trace-memoization determinism: traces synthesized from a
-//! validated representative-TB anchor must be bit-identical to interpreted
-//! traces — same `JitKernel` outputs, same cache stats — across
-//! `ParallelConfig::reference()` (memo off) and `ParallelConfig::serial()`,
-//! including seeds that force the warp lane law to reject and seeds whose
-//! traces genuinely depend on buffer contents (which must pin the memo key
-//! to interpretation).
+//! Trace-phase determinism: under `ParallelConfig::serial()` every launch
+//! that misses the analysis cache interprets its representative-TB trace,
+//! and the per-run timing memo times each distinct (trace, occupancy) pair
+//! once, so the run equals `ParallelConfig::reference()` — same
+//! `JitKernel` outputs, same cache stats — including kernels whose traces
+//! depend on buffer contents.
 
 mod common;
 
@@ -20,13 +19,15 @@ use bm_ptx::parser::parse_kernel;
 use bm_ptx::trace::{trace_block, TbTrace};
 use bm_simt::GpuConfig;
 use bm_testkit::{check_cases, prop_ensure, Rng};
+use bm_workloads::{suite, Scale};
 use common::{build_random_app, KernelSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Runs `app` under the reference config and the fast-path config,
-/// requiring bit-identical `JitKernel` outputs and cache stats; returns
-/// the `serial()` run's memo counters for the caller to assert on.
+/// requiring bit-identical `JitKernel` outputs and cache stats, and one
+/// interpreted trace per cache miss under the fast path; returns the
+/// `serial()` run's trace counters for the caller to assert on.
 fn check_configs(
     cfg: &GpuConfig,
     app: &Application,
@@ -73,6 +74,12 @@ fn check_configs(
         cache.stats() == ref_cache.stats(),
         "cache stats diverged ({label})"
     );
+    prop_ensure!(
+        stats.traces_interpreted == cache.stats().misses,
+        "{} traces interpreted for {} cache misses ({label})",
+        stats.traces_interpreted,
+        cache.stats().misses
+    );
     Ok(stats)
 }
 
@@ -92,8 +99,7 @@ fn kernel_bits(k: &JitKernel) -> (u32, u64, u64, u32, Vec<u32>, String, bool) {
 
 /// Specs sharing one grid and shift over distinct buffer pairs: every
 /// launch has a distinct analysis key (different pointers) but the same
-/// trace-memo key, so the run interprets the first occurrences and
-/// synthesizes the rest.
+/// kernel, grid and scalar arguments.
 fn gen_memo_specs(rng: &mut Rng, n_buffers: usize) -> Vec<KernelSpec> {
     let tbs = rng.range_u32(40, 100);
     let shift = rng.range_u32(0, 70);
@@ -120,22 +126,17 @@ fn gen_memo_specs(rng: &mut Rng, n_buffers: usize) -> Vec<KernelSpec> {
 }
 
 #[test]
-fn synthesized_traces_match_interpreted_traces() {
+fn same_shape_launches_trace_every_cache_miss() {
     check_cases(0x7E40, 32, |rng| {
         let n_buffers = rng.range_usize(3, 6);
         let specs = gen_memo_specs(rng, n_buffers);
         let app = build_random_app(n_buffers, &specs);
         let cfg = GpuConfig::small();
         let stats = check_configs(&cfg, &app, &format!("specs {specs:?}"))?;
-        // Six-plus distinct keys sharing one trace key: the anchor and
-        // both confirmations interpret, occurrence 3 synthesizes.
+        // Every spec names its own buffer pair, so every launch misses.
         prop_ensure!(
-            stats.traces_synthesized > 0,
-            "no trace was synthesized for specs {specs:?}: {stats:?}"
-        );
-        prop_ensure!(
-            stats.keys_rejected == 0,
-            "affine shift kernel must never reject: {stats:?}"
+            stats.traces_interpreted == specs.len() as u64,
+            "specs {specs:?}: {stats:?}"
         );
         Ok(())
     });
@@ -201,22 +202,16 @@ fn law_rejection_seeds_fall_back_exactly() {
             host_data,
         };
         let cfg = GpuConfig::small();
-        let stats = check_configs(&cfg, &app, &format!("tbs {tbs} launches {n_launches}"))?;
-        // The rejected-but-deterministic trace still memoizes across
-        // launches: four-plus occurrences synthesize at least once.
-        prop_ensure!(
-            stats.traces_synthesized > 0,
-            "trace memo must still amortize a law-rejected kernel: {stats:?}"
-        );
+        check_configs(&cfg, &app, &format!("tbs {tbs} launches {n_launches}"))?;
         Ok(())
     });
 }
 
 /// A kernel whose event stream depends on loaded *contents*: a u32 flag
-/// at `F[0]` steers an extra load. Launches pointing `F` at buffers with
-/// different contents share a trace-memo key but produce different
-/// traces — the confirmation pass must catch that and pin the key to
-/// interpretation, keeping every config bit-identical to the reference.
+/// at `F[0]` steers an extra load. Launches of one kernel, grid and
+/// argument layout pointing `F` at buffers with different contents produce
+/// different traces, and every config must stay bit-identical to the
+/// reference.
 fn flag_kernel() -> Arc<bm_ptx::kernel::Kernel> {
     Arc::new(
         parse_kernel(
@@ -248,7 +243,7 @@ fn flag_kernel() -> Arc<bm_ptx::kernel::Kernel> {
 }
 
 #[test]
-fn content_dependent_traces_reject_the_memo() {
+fn content_dependent_traces_match_the_reference() {
     let tbs = 8u32;
     let n = tbs as u64 * 64;
     let mut space = AddressSpace::new();
@@ -264,9 +259,7 @@ fn content_dependent_traces_reject_the_memo() {
         alloc: ones.id,
         bytes: 4 * n,
     }];
-    // Occurrences 0 and 1 already disagree, so the memo rejects during
-    // confirmation; occurrence 3's planned synthesis must be repaired
-    // inline by the parallel replay.
+    // Neighbouring launches disagree: flag off, on, off, on, off.
     let flags = [&zero, &ones, &zero, &ones, &zero];
     for (f, out) in flags.iter().zip(&outs) {
         calls.push(ApiCall::KernelLaunch(Launch::new(
@@ -284,18 +277,9 @@ fn content_dependent_traces_reject_the_memo() {
     };
     let cfg = GpuConfig::small();
     let stats = check_configs(&cfg, &app, "flag kernel").expect("configs must agree");
-    assert_eq!(stats.keys_rejected, 1, "flag mismatch must reject the key");
-    assert_eq!(
-        stats.traces_synthesized, 0,
-        "a rejected key must never serve synthesized traces"
-    );
-    assert_eq!(
-        stats.traces_interpreted, 5,
-        "every occurrence interprets after the rejection"
-    );
+    assert_eq!(stats.traces_interpreted, 5, "every launch interprets");
 
-    // The two flag populations really produce different profiles — the
-    // divergence the memo must not paper over.
+    // The two flag populations really produce different profiles.
     let budget = AnalysisBudget::default();
     let mut cache = AnalysisCache::for_budget(&budget);
     let (jit, _) = jit_analyze_app_par_stats(
@@ -315,7 +299,7 @@ fn content_dependent_traces_reject_the_memo() {
 }
 
 /// Shifted-map launches whose shifts differ, so every launch has its own
-/// trace-memo key and interprets its trace, while word-aligned shifts
+/// analysis key and interprets its trace, while word-aligned shifts
 /// (multiples of 32 elements) give identical traces. The SM model must
 /// time each distinct (trace, occupancy) pair once, and the run must still
 /// equal the reference, which times every launch.
@@ -382,4 +366,40 @@ fn repeated_traces_are_timed_once_per_distinct_pair() {
     assert_eq!(stats.traces_interpreted, plan.len() as u64, "{stats:?}");
     assert!(pairs.len() < plan.len(), "the plan must repeat a trace");
     assert_eq!(stats.traces_timed, pairs.len() as u64, "{stats:?}");
+}
+
+/// Every suite app at `scale` under `serial()`: each launch that misses
+/// the analysis cache interprets its representative-TB trace, and none is
+/// served from another launch's trace.
+fn suite_traces_every_cache_miss(cfg: &GpuConfig, scale: Scale) {
+    let budget = AnalysisBudget::default();
+    for b in suite() {
+        let app = (b.build)(scale);
+        let mut cache = AnalysisCache::for_budget(&budget);
+        let (_, stats) = jit_analyze_app_par_stats(
+            cfg,
+            &app,
+            HazardMode::Raw,
+            &budget,
+            &mut cache,
+            &ParallelConfig::serial(),
+        );
+        assert_eq!(
+            stats.traces_interpreted,
+            cache.stats().misses,
+            "{} ({scale:?}): {stats:?}",
+            b.name
+        );
+    }
+}
+
+#[test]
+fn every_small_app_traces_every_cache_miss() {
+    suite_traces_every_cache_miss(&GpuConfig::small(), Scale::Small);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "Scale::Full: run with --release")]
+fn every_full_app_traces_every_cache_miss() {
+    suite_traces_every_cache_miss(&GpuConfig::titan_x_pascal(), Scale::Full);
 }
