@@ -10,18 +10,16 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::degrade::{Degradation, DegradationReason, DegradationRung, PressureEvent};
+use crate::degrade::{Degradation, DegradationReason, PressureEvent};
 use crate::error::EngineError;
 use crate::faults::FaultPlan;
 use crate::guard::GuardReport;
-use crate::hw::{
-    DepListBuffer, HwError, HwTraffic, ParentCounterBuffer, BUFFER_ENTRIES, MAX_COUNTER,
-};
+use crate::hw::{DepListBuffer, HwTraffic, ParentCounterBuffer, BUFFER_ENTRIES, MAX_COUNTER};
 use crate::jit::JitKernel;
 use crate::modes::ExecMode;
 use crate::snapshot::{
-    CheckpointPolicy, EngineSnapshot, EngineView, GuardSnapshot, KernelImage, KernelView,
-    RunSnapshot, SnapshotError, SnapshotMeta, SnapshotStore, SnapshotWriter, StateView,
+    CheckpointPolicy, EngineSnapshot, EngineView, GuardSnapshot, RunSnapshot, SnapshotError,
+    SnapshotMeta, SnapshotStore, SnapshotWriter, StateView,
 };
 use bm_cmdq::{build_call_dag, reorder_for_prelaunch_traced, ApiCall, Application, Reordering};
 use bm_depgraph::{GraphKind, Pattern};
@@ -29,9 +27,11 @@ use bm_ptx::cancel::CancelToken;
 use bm_simt::config::GpuConfig;
 use bm_simt::des::{DesEngine, DesError, DesStats, StepOutcome, TbDescriptor, TbKey, TbSource};
 use bm_trace::json::Json;
-use bm_trace::{StallReason, TbId, TraceEvent, Tracer};
+use bm_trace::{TraceEvent, Tracer};
+use lifecycle::{KernelState, Lifecycle};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+
+pub mod lifecycle;
 
 /// Results of one application run under one execution mode.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,6 +188,71 @@ impl MultiStats {
 }
 
 impl RunReport {
+    /// The report of running `jit` under `mode` as far as the kernels
+    /// alone determine it — application memory requests, graph storage,
+    /// patterns, kernel count, cache hits — with each degraded kernel's
+    /// record stamped with its issue cycle from `issue_cycles` (and a
+    /// `DegradationStamp` event). Every execution field is zero or empty;
+    /// the caller fills them in with struct update syntax.
+    pub fn of_kernels<T: Tracer>(
+        jit: &[JitKernel],
+        mode: ExecMode,
+        issue_cycles: &[u64],
+        tracer: &T,
+    ) -> RunReport {
+        RunReport {
+            mode,
+            total_cycles: 0,
+            kernel_region_cycles: 0,
+            avg_concurrency: 0.0,
+            stalls_normalized: Vec::new(),
+            baseline_mem_requests: jit
+                .iter()
+                .map(|k| k.profile.n_tbs as u64 * k.profile.txns_per_tb)
+                .sum(),
+            overhead_mem_requests: 0,
+            hw_traffic: HwTraffic::default(),
+            storage_encoded: jit.iter().map(|k| k.storage.encoded_bytes).sum(),
+            storage_plain: jit.iter().map(|k| k.storage.plain_bytes).sum(),
+            patterns: jit
+                .iter()
+                .map(|k| (k.name.clone(), k.storage.pattern))
+                .collect(),
+            schedule: Vec::new(),
+            num_kernels: jit.len(),
+            dlb_high_water: 0,
+            pcb_high_water: 0,
+            guard: GuardReport::default(),
+            degradation: jit
+                .iter()
+                .enumerate()
+                .map(|(seq, k)| {
+                    // Stamp each degraded kernel with the cycle its
+                    // degraded analysis took effect: its issue cycle.
+                    // Analysis runs before simulated time, so the issue is
+                    // the first moment the rung is observable.
+                    let mut d = k.degradation;
+                    if d.is_degraded() {
+                        d.at_cycle = issue_cycles.get(seq).copied().unwrap_or(0);
+                        if T::ENABLED {
+                            tracer.emit(TraceEvent::DegradationStamp {
+                                cycle: d.at_cycle,
+                                seq: seq as u32,
+                                rung: d.rung.to_string(),
+                                reason: d.reason.to_string(),
+                            });
+                        }
+                    }
+                    (k.name.clone(), d)
+                })
+                .collect(),
+            cache_hits: jit.iter().filter(|k| k.cache_hit).count() as u64,
+            cache_misses: jit.iter().filter(|k| !k.cache_hit).count() as u64,
+            pressure_events: Vec::new(),
+            multi: None,
+        }
+    }
+
     /// Memory-request overhead as a fraction of application traffic.
     pub fn mem_overhead_fraction(&self) -> f64 {
         if self.baseline_mem_requests == 0 {
@@ -549,7 +614,7 @@ pub(crate) fn drive<T: Tracer>(
         match engine.step(&mut source, tracer) {
             Ok(StepOutcome::Finished) => break None,
             Ok(StepOutcome::Progressed) => {
-                let retired = source.retired as u32;
+                let retired = source.life.retired();
                 if retired <= prev_retired {
                     continue;
                 }
@@ -638,8 +703,8 @@ pub(crate) fn drive<T: Tracer>(
             Err(DesError::SourceAbort { cycle }) => {
                 break Some(
                     source
-                        .error
-                        .take()
+                        .life
+                        .take_error()
                         .unwrap_or(EngineError::Aborted { cycle }),
                 )
             }
@@ -661,9 +726,9 @@ pub(crate) fn drive<T: Tracer>(
         return Err(e);
     }
     let stats = engine.finish();
-    match source.error.take() {
+    match source.life.take_error() {
         Some(e) => Err(e),
-        None => assemble_report(cfg, jit, mode, &source, stats, epilogue),
+        None => assemble_report(jit, mode, &source, stats, epilogue),
     }
 }
 
@@ -703,7 +768,7 @@ fn save_snapshot<T: Tracer>(
         app_fp: session.app_fp,
         mode: format!("{mode:?}"),
         hazard: session.hazard.clone(),
-        n_kernels: source.jit.len() as u32,
+        n_kernels: source.life.jit().len() as u32,
         retired,
         cycle: now,
     };
@@ -864,90 +929,19 @@ pub fn host_plan_traced<T: Tracer>(
     host_timeline(cfg, app, &order, mode)
 }
 
-#[derive(Debug)]
-struct KernelState {
-    n_tbs: u32,
-    threads: u32,
-    shared_bytes: u32,
-    duration: u64,
-    /// Remaining parent counts per TB (explicit graphs only).
-    counts: Vec<u32>,
-    /// Time each TB's data dependencies were satisfied.
-    data_ready: Vec<Option<u64>>,
-    /// Per-TB completion flags.
-    done: Vec<bool>,
-    /// TBs eligible for scheduling right now.
-    ready: VecDeque<u32>,
-    /// Whether a TB has been pushed to `ready` (or scheduled).
-    pushed: Vec<bool>,
-    /// Kernel seqs (skip gates) that must fully complete first.
-    gates: Vec<u32>,
-    completed: u32,
-    arrival: Option<u64>,
-    issued: bool,
-    complete: bool,
-}
-
-impl KernelImage for KernelState {
-    fn image(&self) -> KernelView<'_> {
-        KernelView {
-            counts: &self.counts,
-            data_ready: &self.data_ready,
-            done: &self.done,
-            ready: self.ready.as_slices(),
-            pushed: &self.pushed,
-            completed: self.completed,
-            arrival: self.arrival,
-            issued: self.issued,
-            complete: self.complete,
-        }
-    }
-}
-
+/// The single-device thread-block source: the kernel lifecycle over every
+/// block, fed by the dependency-list / parent-counter buffer hardware, and
+/// the fault plan's corruptions of that hardware.
 struct EngineSource<'a, T: Tracer> {
-    mode: ExecMode,
-    /// Effective pre-launch window; shrinks under admission backpressure.
-    window: usize,
-    /// The mode's configured window, before any backpressure.
-    base_window: usize,
-    /// Backpressure never shrinks the window below this (clamped to the
-    /// base window so baseline modes are unaffected).
-    min_window: usize,
-    /// Spill transactions tolerated per window-shrink step; 0 disables
-    /// backpressure.
-    spill_threshold: u64,
-    /// One record per window shrink, in cycle order.
-    pressure_events: Vec<PressureEvent>,
-    jit: &'a [JitKernel],
-    kernels: Vec<KernelState>,
-    retired: usize,
-    issued_count: usize,
-    next_issue_floor: u64,
-    host_ready: Vec<u64>,
-    launch_cycles: u64,
-    api_cycles: u64,
-    arrivals: BinaryHeap<Reverse<(u64, usize)>>,
+    life: Lifecycle<'a, T>,
     dlb: DepListBuffer,
     pcb: ParentCounterBuffer,
     /// Injected corruptions (empty plan for normal runs).
     fault: &'a FaultPlan,
-    /// First fault detected mid-run; set once, then the DES aborts.
-    error: Option<EngineError>,
-    /// Alternates consumer-priority placement between run-ahead (newest
-    /// kernel first) and producer progress (oldest first), so run-ahead
-    /// cannot starve the retirement-critical producer when thread-block
-    /// demand exceeds the GPU's resident-TB slots.
-    consumer_toggle: bool,
-    /// Trace sink; [`bm_trace::NullTracer`] for untraced runs.
-    tracer: &'a T,
-    /// Per-kernel issue cycle, always recorded (traced or not) so
-    /// degradation records are stamped identically at report assembly.
-    issue_cycles: Vec<u64>,
 }
 
 impl<'a, T: Tracer> EngineSource<'a, T> {
-    /// Fresh source at cycle 0: skeleton plus the boot sequence (initial
-    /// readiness seeding, first admission, zero-TB retirement) — which
+    /// Fresh source at cycle 0: skeleton plus the lifecycle's boot, which
     /// emits the initial `KernelIssue` events. Restored sources skip the
     /// boot entirely ([`Self::restore`]).
     fn new(
@@ -959,14 +953,7 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         tracer: &'a T,
     ) -> Self {
         let mut src = Self::build(cfg, jit, mode, host_ready, fault, tracer);
-        // Seed initial data-readiness at time 0.
-        for k in 0..src.jit.len() {
-            src.seed_initial_readiness(k);
-        }
-        src.admit_kernels(0);
-        // Retire any zero-TB kernels immediately (defensive; workloads
-        // never produce them).
-        src.cascade_retirement(0);
+        src.life.boot();
         src
     }
 
@@ -980,90 +967,29 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         fault: &'a FaultPlan,
         tracer: &'a T,
     ) -> Self {
-        let fine = mode.fine_grain();
-        let kernels: Vec<KernelState> = jit
-            .iter()
-            .enumerate()
-            .map(|(seq, k)| {
-                let n = k.profile.n_tbs;
-                // Coarse modes treat any dependence as a whole-kernel
-                // barrier; fine-grain modes use the bipartite graph.
-                let mut counts = if fine {
-                    match k.graph.kind() {
-                        GraphKind::Explicit(_) => k.graph.parent_counts(),
-                        _ => Vec::new(),
-                    }
-                } else {
-                    Vec::new()
+        let mut life = Lifecycle::new(cfg, jit, mode, host_ready, tracer, true, |k| {
+            let n = jit[k].profile.n_tbs;
+            (0..n, u32::from(n > 0))
+        });
+        // Injected counter faults perturb the initial seeds, within the
+        // 6-bit range real hardware would store.
+        for (seq, st) in life.kernels.iter_mut().enumerate() {
+            for (tb, c) in st.counts.iter_mut().enumerate() {
+                let key = TbKey {
+                    kernel_seq: seq as u32,
+                    tb: tb as u32,
                 };
-                // Injected counter faults perturb the initial seeds, within
-                // the 6-bit range real hardware would store.
-                for (tb, c) in counts.iter_mut().enumerate() {
-                    let key = TbKey {
-                        kernel_seq: seq as u32,
-                        tb: tb as u32,
-                    };
-                    let delta = fault.counter_delta(key);
-                    if delta != 0 {
-                        *c = (*c as i64 + delta).clamp(0, MAX_COUNTER as i64) as u32;
-                    }
+                let delta = fault.counter_delta(key);
+                if delta != 0 {
+                    *c = (*c as i64 + delta).clamp(0, MAX_COUNTER as i64) as u32;
                 }
-                KernelState {
-                    n_tbs: n,
-                    threads: k.profile.threads,
-                    shared_bytes: k.profile.shared_bytes,
-                    duration: k.profile.duration,
-                    counts,
-                    data_ready: vec![None; n as usize],
-                    done: vec![false; n as usize],
-                    ready: VecDeque::new(),
-                    pushed: vec![false; n as usize],
-                    gates: k.skip_gates.clone(),
-                    completed: 0,
-                    arrival: None,
-                    issued: false,
-                    complete: n == 0,
-                }
-            })
-            .collect();
-        let base_window = mode.window() as usize;
+            }
+        }
         EngineSource {
-            mode,
-            window: base_window,
-            base_window,
-            min_window: (cfg.pressure_min_window as usize).min(base_window).max(1),
-            spill_threshold: cfg.spill_pressure_threshold,
-            pressure_events: Vec::new(),
-            jit,
-            kernels,
-            retired: 0,
-            issued_count: 0,
-            // CUDA-Graphs-style execution pays one launch for the whole
-            // instantiated graph before any kernel runs.
-            next_issue_floor: if matches!(mode, ExecMode::GraphLaunch) {
-                cfg.kernel_launch_cycles
-            } else {
-                0
-            },
-            host_ready,
-            launch_cycles: if mode.has_launch_overhead() {
-                cfg.kernel_launch_cycles
-            } else {
-                0
-            },
-            api_cycles: if mode.has_launch_overhead() {
-                cfg.launch_api_cycles
-            } else {
-                0
-            },
-            arrivals: BinaryHeap::new(),
+            life,
             dlb: DepListBuffer::new(),
             pcb: ParentCounterBuffer::new(fault.pcb_capacity.unwrap_or(BUFFER_ENTRIES)),
             fault,
-            error: None,
-            consumer_toggle: false,
-            tracer,
-            issue_cycles: vec![0; jit.len()],
         }
     }
 
@@ -1072,7 +998,8 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
     /// sorted order (FIFO order preserved verbatim) so equal states produce
     /// equal snapshots.
     fn view(&self) -> EngineView<'_, KernelState> {
-        let mut arrivals: Vec<(u64, u32)> = self
+        let life = &self.life;
+        let mut arrivals: Vec<(u64, u32)> = life
             .arrivals
             .iter()
             .map(|Reverse((t, k))| (*t, *k as u32))
@@ -1081,15 +1008,15 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         let (dlb_entries, dlb_traffic, dlb_high_water) = self.dlb.view();
         let (pcb_counters, pcb_fifo, pcb_capacity, pcb_traffic, pcb_high_water) = self.pcb.view();
         EngineView {
-            window: self.window as u32,
-            retired: self.retired as u32,
-            issued_count: self.issued_count as u32,
-            next_issue_floor: self.next_issue_floor,
-            consumer_toggle: self.consumer_toggle,
-            issue_cycles: &self.issue_cycles,
+            window: life.window as u32,
+            retired: life.retired as u32,
+            issued_count: life.issued_count as u32,
+            next_issue_floor: life.next_issue_floor,
+            consumer_toggle: life.consumer_toggle,
+            issue_cycles: &life.issue_cycles,
             arrivals,
-            kernels: &self.kernels,
-            pressure: &self.pressure_events,
+            kernels: &life.kernels,
+            pressure: &life.pressure_events,
             dlb_entries,
             dlb_traffic,
             dlb_high_water: dlb_high_water as u32,
@@ -1105,6 +1032,7 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
     /// hold the snapshot writer to.
     #[cfg(test)]
     fn snapshot(&self) -> EngineSnapshot {
+        use crate::snapshot::KernelImage;
         let v = self.view();
         let pcb_fifo = v.pcb_fifo.0.iter().chain(v.pcb_fifo.1).copied().collect();
         EngineSnapshot {
@@ -1113,24 +1041,27 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
             issued_count: v.issued_count,
             next_issue_floor: v.next_issue_floor,
             consumer_toggle: v.consumer_toggle,
-            issue_cycles: self.issue_cycles.clone(),
+            issue_cycles: v.issue_cycles.to_vec(),
             arrivals: v.arrivals,
-            kernels: self
+            kernels: v
                 .kernels
                 .iter()
-                .map(|st| crate::snapshot::KernelSnapshot {
-                    counts: st.counts.clone(),
-                    data_ready: st.data_ready.clone(),
-                    done: st.done.clone(),
-                    ready: st.ready.iter().copied().collect(),
-                    pushed: st.pushed.clone(),
-                    completed: st.completed,
-                    arrival: st.arrival,
-                    issued: st.issued,
-                    complete: st.complete,
+                .map(|st| {
+                    let k = st.image();
+                    crate::snapshot::KernelSnapshot {
+                        counts: k.counts.to_vec(),
+                        data_ready: k.data_ready.to_vec(),
+                        done: k.done.to_vec(),
+                        ready: k.ready.0.iter().chain(k.ready.1).copied().collect(),
+                        pushed: k.pushed.to_vec(),
+                        completed: k.completed,
+                        arrival: k.arrival,
+                        issued: k.issued,
+                        complete: k.complete,
+                    }
                 })
                 .collect(),
-            pressure: self.pressure_events.clone(),
+            pressure: v.pressure.to_vec(),
             dlb_entries: v
                 .dlb_entries
                 .into_iter()
@@ -1147,17 +1078,14 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
     }
 
     /// Rebuilds a mid-run source from a snapshot, against freshly
-    /// recomputed analysis products. Immutable configuration (windows,
-    /// thresholds, gates, durations) comes from `cfg`/`jit` as in
-    /// [`Self::build`]; only the mutable state is taken from `snap`. The
-    /// boot sequence is NOT run — the snapshot already contains its
-    /// effects.
+    /// recomputed analysis products: the lifecycle's mutable state
+    /// ([`Lifecycle::restore`]) and the buffer hardware. The boot sequence
+    /// is NOT run — the snapshot already contains its effects.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] when the snapshot's shape disagrees
-    /// with the analyzed application (kernel count, per-kernel TB counts,
-    /// out-of-range indices) — decoded bytes are never trusted blindly.
+    /// with the analyzed application.
     fn restore(
         cfg: &GpuConfig,
         jit: &'a [JitKernel],
@@ -1168,55 +1096,7 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         snap: &EngineSnapshot,
     ) -> Result<Self, SnapshotError> {
         let mut src = Self::build(cfg, jit, mode, host_ready, fault, tracer);
-        let n = jit.len();
-        if snap.kernels.len() != n || snap.issue_cycles.len() != n {
-            return Err(SnapshotError::Malformed("kernel count mismatch"));
-        }
-        if snap.retired as usize > n || snap.issued_count as usize > n {
-            return Err(SnapshotError::Malformed("progress counters out of range"));
-        }
-        if snap.window as usize > src.base_window || snap.window == 0 {
-            return Err(SnapshotError::Malformed("window out of range"));
-        }
-        for (k, ks) in snap.kernels.iter().enumerate() {
-            let n_tbs = src.kernels[k].n_tbs as usize;
-            if ks.data_ready.len() != n_tbs
-                || ks.done.len() != n_tbs
-                || ks.pushed.len() != n_tbs
-                || !(ks.counts.is_empty() || ks.counts.len() == n_tbs)
-                || ks.completed as usize > n_tbs
-                || ks.ready.iter().any(|&tb| tb as usize >= n_tbs)
-            {
-                return Err(SnapshotError::Malformed("kernel state shape mismatch"));
-            }
-        }
-        if snap.arrivals.iter().any(|&(_, k)| k as usize >= n) {
-            return Err(SnapshotError::Malformed("arrival kernel out of range"));
-        }
-        src.window = snap.window as usize;
-        src.retired = snap.retired as usize;
-        src.issued_count = snap.issued_count as usize;
-        src.next_issue_floor = snap.next_issue_floor;
-        src.consumer_toggle = snap.consumer_toggle;
-        src.issue_cycles = snap.issue_cycles.clone();
-        src.arrivals = snap
-            .arrivals
-            .iter()
-            .map(|&(t, k)| Reverse((t, k as usize)))
-            .collect();
-        for (k, ks) in snap.kernels.iter().enumerate() {
-            let st = &mut src.kernels[k];
-            st.counts = ks.counts.clone();
-            st.data_ready = ks.data_ready.clone();
-            st.done = ks.done.clone();
-            st.ready = ks.ready.iter().copied().collect();
-            st.pushed = ks.pushed.clone();
-            st.completed = ks.completed;
-            st.arrival = ks.arrival;
-            st.issued = ks.issued;
-            st.complete = ks.complete;
-        }
-        src.pressure_events = snap.pressure.clone();
+        src.life.restore(snap)?;
         src.dlb = DepListBuffer::restore(
             snap.dlb_entries.clone(),
             snap.dlb_traffic,
@@ -1232,434 +1112,101 @@ impl<'a, T: Tracer> EngineSource<'a, T> {
         Ok(src)
     }
 
-    /// Marks TBs whose dependencies are satisfied from the start.
-    fn seed_initial_readiness(&mut self, k: usize) {
-        let fine = self.mode.fine_grain();
-        let barrier = self.kernel_is_barriered(k);
-        let st = &mut self.kernels[k];
-        if k == 0 || !barrier {
-            // First kernel, or independent of its predecessor: every TB is
-            // data-ready at t=0 (fine-grain explicit handled below).
-            if st.counts.is_empty() {
-                for tb in 0..st.n_tbs as usize {
-                    st.data_ready[tb] = Some(0);
-                }
-                return;
-            }
-        }
-        if fine {
-            // Explicit graph: TBs with zero parents are data-ready now.
-            for tb in 0..st.n_tbs as usize {
-                if st.counts.get(tb).copied().unwrap_or(0) == 0 && !st.counts.is_empty() {
-                    st.data_ready[tb] = Some(0);
-                }
-            }
-        }
-    }
-
-    /// Whether kernel `k` waits on its predecessor as a whole
-    /// (coarse modes with any dependence, or fully-connected graphs).
-    fn kernel_is_barriered(&self, k: usize) -> bool {
-        if k == 0 {
-            return false;
-        }
-        let g = &self.jit[k].graph;
-        match g.kind() {
-            GraphKind::Independent => false,
-            GraphKind::FullyConnected => true,
-            GraphKind::Explicit(_) => !self.mode.fine_grain(),
-        }
-    }
-
-    /// Overload-safe admission: when cumulative scheduler-buffer spill
-    /// traffic (parent-counter writebacks plus dependency-list fetches)
-    /// crosses the configured threshold, the effective pre-launch window
-    /// shrinks by one kernel per crossing — monotonically, never below
-    /// `min_window` — and each shrink is recorded as a [`PressureEvent`].
-    /// Both traffic counters and the threshold are deterministic, so
-    /// identical runs shrink at identical cycles.
-    fn check_pressure(&mut self, now: u64) {
-        if self.spill_threshold == 0 || self.window == self.min_window {
-            return;
-        }
-        let spill = self.pcb.traffic().counter_writebacks + self.dlb.traffic().dep_list_fetches;
-        let crossings = (spill / self.spill_threshold) as usize;
-        let desired = self
-            .base_window
-            .saturating_sub(crossings)
-            .max(self.min_window);
-        if desired < self.window {
-            self.pressure_events.push(PressureEvent {
+    fn trace_buffer_levels(&self, now: u64) {
+        if T::ENABLED {
+            self.life.tracer().emit(TraceEvent::BufferLevels {
                 cycle: now,
-                spill_traffic: spill,
-                window_before: self.window as u32,
-                window_after: desired as u32,
+                dlb: self.dlb.len() as u32,
+                pcb: self.pcb.len() as u32,
             });
-            if T::ENABLED {
-                self.tracer.emit(TraceEvent::Pressure {
-                    cycle: now,
-                    spill,
-                    window_before: self.window as u32,
-                    window_after: desired as u32,
-                });
-            }
-            self.window = desired;
-        }
-    }
-
-    /// Issues kernels into the active window as retirement frees slots.
-    fn admit_kernels(&mut self, now: u64) {
-        self.check_pressure(now);
-        while self.issued_count < self.jit.len() && self.issued_count < self.retired + self.window {
-            let k = self.issued_count;
-            // Pre-launch-off kernels (bottom ladder rung) are admitted only
-            // when next to retire, and block run-ahead past themselves
-            // until they have retired.
-            if k > self.retired
-                && self.jit[self.retired..=k]
-                    .iter()
-                    .any(|j| j.degradation.rung == DegradationRung::PrelaunchOff)
-            {
-                break;
-            }
-            let issue = now
-                .max(self.host_ready.get(k).copied().unwrap_or(0))
-                .max(self.next_issue_floor);
-            let (Some(floor), Some(arrival)) = (
-                issue.checked_add(self.api_cycles),
-                issue.checked_add(self.launch_cycles),
-            ) else {
-                self.record_error(EngineError::CycleOverflow { cycle: now });
-                return;
-            };
-            self.next_issue_floor = floor;
-            self.kernels[k].issued = true;
-            self.issue_cycles[k] = issue;
-            if T::ENABLED {
-                self.tracer.emit(TraceEvent::KernelIssue {
-                    cycle: issue,
-                    seq: k as u32,
-                    name: self.jit[k].name.clone(),
-                    prelaunched: k > self.retired,
-                });
-            }
-            self.arrivals.push(Reverse((arrival, k)));
-            self.issued_count += 1;
-        }
-    }
-
-    fn gates_open(&self, k: usize) -> bool {
-        self.kernels[k]
-            .gates
-            .iter()
-            .all(|&g| self.kernels[g as usize].complete)
-    }
-
-    /// Pushes every eligible TB of kernel `k` into its ready queue.
-    fn flush_ready(&mut self, k: usize) {
-        if self.kernels[k].arrival.is_none() || !self.gates_open(k) {
-            return;
-        }
-        let st = &mut self.kernels[k];
-        for tb in 0..st.n_tbs as usize {
-            if !st.pushed[tb] && st.data_ready[tb].is_some() {
-                st.pushed[tb] = true;
-                st.ready.push_back(tb as u32);
-            }
-        }
-    }
-
-    /// Marks one TB data-ready and enqueues it if eligible.
-    fn mark_data_ready(&mut self, k: usize, tb: u32, now: u64) {
-        let eligible = self.kernels[k].arrival.is_some() && self.gates_open(k);
-        let st = &mut self.kernels[k];
-        if st.data_ready[tb as usize].is_none() {
-            st.data_ready[tb as usize] = Some(now);
-            if T::ENABLED {
-                self.tracer.emit(TraceEvent::TbReady {
-                    cycle: now,
-                    id: TbId {
-                        kernel: k as u32,
-                        tb,
-                    },
-                });
-            }
-        }
-        let st = &mut self.kernels[k];
-        if eligible && !st.pushed[tb as usize] {
-            st.pushed[tb as usize] = true;
-            st.ready.push_back(tb);
-        }
-    }
-
-    /// Called when kernel `k` has completed all TBs.
-    fn on_kernel_complete(&mut self, k: usize, now: u64) {
-        self.kernels[k].complete = true;
-        // Whole-kernel barrier children become data-ready.
-        if k + 1 < self.kernels.len() && self.kernel_is_barriered(k + 1) {
-            for tb in 0..self.kernels[k + 1].n_tbs {
-                self.mark_data_ready(k + 1, tb, now);
-            }
-        }
-        // Skip gates opened by this completion.
-        for j in 0..self.kernels.len() {
-            if self.kernels[j].gates.contains(&(k as u32)) {
-                self.flush_ready(j);
-            }
-        }
-        self.cascade_retirement(now);
-    }
-
-    /// In-order kernel completion: kernel `k` retires only after `k-1`
-    /// retired; retirement frees window slots for pre-launching.
-    fn cascade_retirement(&mut self, now: u64) {
-        while self.retired < self.kernels.len() && self.kernels[self.retired].complete {
-            if T::ENABLED {
-                self.tracer.emit(TraceEvent::KernelRetire {
-                    cycle: now,
-                    seq: self.retired as u32,
-                });
-            }
-            self.retired += 1;
-        }
-        self.admit_kernels(now);
-    }
-
-    fn active_range(&self) -> std::ops::Range<usize> {
-        self.retired..self.issued_count
-    }
-
-    /// Records the first mid-run fault; subsequent faults are ignored and
-    /// the DES aborts at its next scheduling point.
-    fn record_error(&mut self, e: EngineError) {
-        if self.error.is_none() {
-            self.error = Some(e);
         }
     }
 }
 
 impl<T: Tracer> TbSource for EngineSource<'_, T> {
     fn pop_ready(&mut self, _now: u64, fits: &dyn Fn(u32, u32) -> bool) -> Option<TbDescriptor> {
-        let range = self.active_range();
-        let order: Vec<usize> = if self.mode.consumer_priority() {
-            self.consumer_toggle = !self.consumer_toggle;
-            if self.consumer_toggle {
-                range.rev().collect()
-            } else {
-                range.collect()
-            }
-        } else {
-            range.collect()
-        };
-        for k in order {
-            let st = &self.kernels[k];
-            if st.arrival.is_none() || st.ready.is_empty() {
-                continue;
-            }
-            if !fits(st.threads, st.shared_bytes) {
-                continue;
-            }
-            let st = &mut self.kernels[k];
-            let tb = st.ready.pop_front().expect("checked non-empty");
-            return Some(TbDescriptor {
-                key: TbKey {
-                    kernel_seq: k as u32,
-                    tb,
-                },
-                threads: st.threads,
-                shared_bytes: st.shared_bytes,
-                duration: st.duration,
-            });
-        }
-        None
+        self.life.pop_ready(fits)
     }
 
     fn on_tb_start(&mut self, key: TbKey, now: u64) {
-        let k = key.kernel_seq as usize;
-        if T::ENABLED {
-            // A TB that waited between becoming data-ready and being
-            // scheduled stalled either on its kernel's arrival (launch
-            // latency) or on execution resources (no free TB slot).
-            let ready_at = self.kernels[k].data_ready[key.tb as usize].unwrap_or(now);
-            if now > ready_at {
-                let reason = if self.kernels[k].arrival.is_some_and(|a| a > ready_at) {
-                    StallReason::KernelArrival
-                } else {
-                    StallReason::Resources
-                };
-                self.tracer.emit(TraceEvent::TbStall {
-                    cycle: now,
-                    id: TbId {
-                        kernel: key.kernel_seq,
-                        tb: key.tb,
-                    },
-                    ready_at,
-                    reason,
-                });
-            }
-        }
+        self.life.tb_started(key, now);
+        let (jit, fine) = (self.life.jit(), self.life.mode().fine_grain());
         // Buffer this TB's dependency-list entry: the children it must
-        // notify live in the *next* kernel's graph.
-        let (mut children, encoded) = match self.jit.get(k + 1) {
-            Some(next) if self.mode.fine_grain() => match next.graph.kind() {
-                GraphKind::Explicit(_) => (next.graph.children_of(key.tb), next.encoded),
-                // Symbolic graphs derive children; nothing to buffer.
-                _ => (Vec::new(), true),
-            },
-            _ => (Vec::new(), true),
+        // notify live in the *next* kernel's explicit graph. Symbolic
+        // graphs derive children; nothing to buffer.
+        let next = jit
+            .get(key.kernel_seq as usize + 1)
+            .filter(|n| fine && matches!(n.graph.kind(), GraphKind::Explicit(_)));
+        let (mut children, encoded) = match next {
+            Some(next) => (next.graph.children_of(key.tb), next.encoded),
+            None => (Vec::new(), true),
         };
         // Injected dependency-list corruption: lose or fabricate edges.
         // Only explicit graphs have dependency lists to corrupt — barrier
         // (fully-connected) and independent kernels bypass this hardware,
         // which is what makes quarantine a safe fallback.
-        if !self.fault.is_empty()
-            && self.mode.fine_grain()
-            && self
-                .jit
-                .get(k + 1)
-                .is_some_and(|n| matches!(n.graph.kind(), GraphKind::Explicit(_)))
-        {
+        if !self.fault.is_empty() && next.is_some() {
             children.retain(|&c| !self.fault.drops(key, c));
             children.extend(self.fault.phantoms_of(key));
         }
         self.dlb
-            .insert_traced(key, children, encoded, now, self.tracer);
+            .insert_traced(key, children, encoded, now, self.life.tracer());
         // The child TB's own parent-counter entry is released when it is
         // selected for execution (§III-D1).
         self.pcb.release(key);
-        if T::ENABLED {
-            self.tracer.emit(TraceEvent::BufferLevels {
-                cycle: now,
-                dlb: self.dlb.len() as u32,
-                pcb: self.pcb.len() as u32,
-            });
-        }
+        self.trace_buffer_levels(now);
     }
 
     fn on_tb_complete(&mut self, key: TbKey, now: u64) {
-        if self.error.is_some() {
+        if self.life.aborted() {
             return;
         }
-        let k = key.kernel_seq as usize;
         let children = self.dlb.take(key);
-        {
-            let st = &mut self.kernels[k];
-            debug_assert!(!st.done[key.tb as usize], "double completion");
-            st.done[key.tb as usize] = true;
-            st.completed += 1;
-        }
-        // Fine-grain decrement of the children's parent counters.
-        if !children.is_empty() {
-            let ck = k + 1;
-            for c in children {
-                let child_key = TbKey {
-                    kernel_seq: ck as u32,
-                    tb: c,
-                };
-                // A child outside the next kernel's grid (or a kernel with
-                // no explicit counters) means the dependency list itself is
-                // corrupt; the in-memory counter array has no record of it.
-                let stored = match self
-                    .kernels
-                    .get(ck)
-                    .and_then(|st| st.counts.get(c as usize))
-                    .copied()
-                {
-                    Some(s) => s,
-                    None => {
-                        self.record_error(EngineError::Hw {
-                            err: HwError::CounterNotResident { key: child_key },
-                            cycle: now,
-                        });
-                        return;
-                    }
-                };
-                if stored == 0 {
-                    self.record_error(EngineError::Hw {
-                        err: HwError::CounterUnderflow { key: child_key },
-                        cycle: now,
-                    });
-                    return;
-                }
-                let zero = match self.pcb.try_decrement_with_refetch_traced(
-                    child_key,
-                    stored,
-                    now,
-                    self.tracer,
-                ) {
-                    Ok(z) => z,
-                    Err(err) => {
-                        self.record_error(EngineError::Hw { err, cycle: now });
-                        return;
-                    }
-                };
-                self.kernels[ck].counts[c as usize] = stored - 1;
-                if zero {
-                    self.mark_data_ready(ck, c, now);
-                }
+        let shard_done = self.life.tb_finished(key);
+        let tracer = self.life.tracer();
+        // Fine-grain decrement of the children's parent counters, through
+        // the parent-counter buffer. A child outside the next kernel's
+        // grid (or a kernel with no explicit counters) means the
+        // dependency list itself is corrupt.
+        for c in children {
+            let child = TbKey {
+                kernel_seq: key.kernel_seq + 1,
+                tb: c,
+            };
+            let pcb = &mut self.pcb;
+            let hw = |stored| pcb.try_decrement_with_refetch_traced(child, stored, now, tracer);
+            if !self.life.decrement(child, now, hw) {
+                return;
             }
         }
-        if T::ENABLED {
-            self.tracer.emit(TraceEvent::BufferLevels {
-                cycle: now,
-                dlb: self.dlb.len() as u32,
-                pcb: self.pcb.len() as u32,
-            });
-        }
-        if self.kernels[k].completed == self.kernels[k].n_tbs {
-            self.on_kernel_complete(k, now);
+        self.trace_buffer_levels(now);
+        if shard_done {
+            // The pressure window's input: scheduler-buffer spill traffic
+            // so far, parent-counter writebacks plus dependency-list
+            // fetches.
+            let spill = self.pcb.traffic().counter_writebacks + self.dlb.traffic().dep_list_fetches;
+            self.life.shard_done(key.kernel_seq as usize, now, spill);
         }
     }
 
     fn next_event_at(&self, _now: u64) -> Option<u64> {
-        self.arrivals.peek().map(|Reverse((t, _))| *t)
+        self.life.next_arrival()
     }
 
     fn on_time_advance(&mut self, now: u64) {
-        while let Some(Reverse((t, k))) = self.arrivals.peek().copied() {
-            if t > now {
-                break;
-            }
-            self.arrivals.pop();
-            self.kernels[k].arrival = Some(t);
-            if T::ENABLED {
-                self.tracer.emit(TraceEvent::KernelArrive {
-                    cycle: t,
-                    seq: k as u32,
-                });
-            }
-            self.flush_ready(k);
-        }
+        self.life.advance(now);
     }
 
     fn is_done(&self) -> bool {
-        self.retired == self.kernels.len()
+        self.life.is_done()
     }
 
     fn aborted(&self) -> bool {
-        self.error.is_some()
+        self.life.aborted()
     }
 
     fn diagnostics(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for k in self.active_range() {
-            let st = &self.kernels[k];
-            if st.complete {
-                continue;
-            }
-            let pending = st.counts.iter().filter(|&&c| c > 0).count();
-            out.push(format!(
-                "kernel {k} `{}`: {}/{} TBs complete, ready-queue depth {}, \
-                 {} pending parent counters, arrival {:?}, gates {:?}",
-                self.jit[k].name,
-                st.completed,
-                st.n_tbs,
-                st.ready.len(),
-                pending,
-                st.arrival,
-                st.gates,
-            ));
-        }
+        let mut out = self.life.diagnostics();
         out.push(format!(
             "parent-counter buffer: {} high-water, traffic {:?}",
             self.pcb.high_water(),
@@ -1670,7 +1217,6 @@ impl<T: Tracer> TbSource for EngineSource<'_, T> {
 }
 
 fn assemble_report<T: Tracer>(
-    _cfg: &GpuConfig,
     jit: &[JitKernel],
     mode: ExecMode,
     source: &EngineSource<'_, T>,
@@ -1687,73 +1233,31 @@ fn assemble_report<T: Tracer>(
     // Stalls: schedule start minus data-ready time, normalized by duration.
     let mut stalls = Vec::with_capacity(stats.schedule.len());
     for &(key, start, _finish) in &stats.schedule {
-        let k = key.kernel_seq as usize;
-        let ready = source.kernels[k].data_ready[key.tb as usize].unwrap_or(start);
-        let dur = source.kernels[k].duration.max(1) as f64;
+        let ready = source.life.data_ready_of(key).unwrap_or(start);
+        let dur = jit[key.kernel_seq as usize].profile.duration.max(1) as f64;
         stalls.push(start.saturating_sub(ready) as f64 / dur);
     }
-    let baseline_mem: u64 = jit
-        .iter()
-        .map(|k| k.profile.n_tbs as u64 * k.profile.txns_per_tb)
-        .sum();
     let mut traffic = source.dlb.traffic();
     let pcb_t = source.pcb.traffic();
     traffic.counter_fetches += pcb_t.counter_fetches;
     traffic.counter_writebacks += pcb_t.counter_writebacks;
-    let storage_encoded: u64 = jit.iter().map(|k| k.storage.encoded_bytes).sum();
-    let storage_plain: u64 = jit.iter().map(|k| k.storage.plain_bytes).sum();
-    let patterns = jit
-        .iter()
-        .map(|k| (k.name.clone(), k.storage.pattern))
-        .collect();
+    let life = &source.life;
     Ok(RunReport {
-        mode,
         total_cycles,
         kernel_region_cycles: stats.total_cycles,
         avg_concurrency: stats.avg_concurrency(),
         stalls_normalized: stalls,
-        baseline_mem_requests: baseline_mem,
         overhead_mem_requests: if mode.fine_grain() {
             traffic.total()
         } else {
             0
         },
         hw_traffic: traffic,
-        storage_encoded,
-        storage_plain,
-        patterns,
         schedule: stats.schedule,
-        num_kernels: jit.len(),
         dlb_high_water: source.dlb.high_water(),
         pcb_high_water: source.pcb.high_water(),
-        guard: GuardReport::default(),
-        degradation: jit
-            .iter()
-            .enumerate()
-            .map(|(seq, k)| {
-                // Stamp each degraded kernel with the cycle its degraded
-                // analysis took effect: its issue cycle. Analysis runs
-                // before simulated time, so the issue is the first moment
-                // the rung is observable in the execution.
-                let mut d = k.degradation;
-                if d.is_degraded() {
-                    d.at_cycle = source.issue_cycles.get(seq).copied().unwrap_or(0);
-                    if T::ENABLED {
-                        source.tracer.emit(TraceEvent::DegradationStamp {
-                            cycle: d.at_cycle,
-                            seq: seq as u32,
-                            rung: d.rung.to_string(),
-                            reason: d.reason.to_string(),
-                        });
-                    }
-                }
-                (k.name.clone(), d)
-            })
-            .collect(),
-        cache_hits: jit.iter().filter(|k| k.cache_hit).count() as u64,
-        cache_misses: jit.iter().filter(|k| !k.cache_hit).count() as u64,
-        pressure_events: source.pressure_events.clone(),
-        multi: None,
+        pressure_events: life.pressure_events.clone(),
+        ..RunReport::of_kernels(jit, mode, life.issue_cycles(), life.tracer())
     })
 }
 

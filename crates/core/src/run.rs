@@ -81,10 +81,13 @@ impl<'s> RunSpec<'s> {
     /// [`bm_ptx::PtxError`] (including a fired cancellation). Kernels
     /// handed in through [`RunSpec::kernels`] are checked against `app`
     /// and `cfg` first: a kernel count other than the launch count, a
-    /// block count other than its launch's, blocks no SM can hold, fewer
-    /// or more access sets than blocks in a static kernel, or a skip gate
-    /// not naming an earlier kernel is a [`bm_ptx::PtxError::BadLaunch`].
-    /// Wrong access sets and graphs are left to the guard.
+    /// block count other than its launch's, a dependency graph whose
+    /// parents are not the previous kernel's blocks (none for the first
+    /// kernel) or whose children are not the kernel's own, blocks no SM
+    /// can hold, fewer or more access sets than blocks in a static kernel,
+    /// or a skip gate not naming an earlier kernel is a
+    /// [`bm_ptx::PtxError::BadLaunch`]. Wrong access sets, and wrong edges
+    /// in a graph of the right shape, are left to the guard.
     pub fn analyze<T: Tracer>(
         &self,
         cfg: &GpuConfig,
@@ -136,6 +139,19 @@ fn check_kernels(cfg: &GpuConfig, app: &Application, jit: &[JitKernel]) -> Resul
             return bad(
                 &kernel.name,
                 format!("{} blocks for a launch of {}", p.n_tbs, launch.num_blocks()),
+            );
+        }
+        let parents = k.checked_sub(1).map_or(0, |prev| jit[prev].profile.n_tbs);
+        let graph = &kernel.graph;
+        if graph.n_parent() != parents || graph.n_child() != p.n_tbs {
+            return bad(
+                &kernel.name,
+                format!(
+                    "a graph from {} to {} blocks between kernels of {parents} and {} blocks",
+                    graph.n_parent(),
+                    graph.n_child(),
+                    p.n_tbs
+                ),
             );
         }
         if cfg.occupancy(p.threads, p.shared_bytes) == 0 {

@@ -7,10 +7,11 @@
 //! * [`partition`] cuts every kernel's TB range into contiguous
 //!   per-device shards, sliding each boundary locally to minimize the
 //!   explicit dependency edges that cross devices.
-//! * [`shard`] is the per-device [`bm_simt::TbSource`]: the same
-//!   admission / readiness / retirement rules as the single-device
-//!   engine, with cross-device parent→child decrements carried as
-//!   messages.
+//! * each device runs a per-device [`bm_simt::TbSource`] around the
+//!   single-device engine's own kernel lifecycle
+//!   ([`blockmaestro::engine::lifecycle::Lifecycle`]) over its shards,
+//!   with plain parent counters in place of the scheduler-buffer hardware
+//!   and cross-device parent→child decrements carried as messages.
 //! * [`interconnect`] charges those messages with configurable link
 //!   latency and bandwidth, serializing per directed link pair — and
 //!   injects the [`blockmaestro::FaultClass::LinkFault`] plans.
@@ -38,7 +39,7 @@
 pub mod interconnect;
 pub mod partition;
 mod run;
-pub mod shard;
+mod shard;
 pub mod tracer;
 
 use blockmaestro::guard::guarded_rounds;

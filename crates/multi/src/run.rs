@@ -26,8 +26,8 @@
 //! that sequence. The JIT analysis runs before this loop, on one thread.
 
 use blockmaestro::{
-    host_plan_traced, CancelToken, EngineError, ExecMode, FaultPlan, GuardReport, JitKernel,
-    MultiStats, RunReport,
+    host_plan_traced, CancelToken, EngineError, ExecMode, FaultPlan, JitKernel, MultiStats,
+    RunReport,
 };
 use bm_simt::{BoundedOutcome, DesEngine, DesError, DesStats, GpuConfig, TbSource};
 use bm_trace::{TraceEvent, Tracer};
@@ -178,6 +178,7 @@ pub(crate) fn run_sharded<T: Tracer>(
                     }
                     Err(DesError::SourceAbort { cycle }) => {
                         let err = sources[d]
+                            .life
                             .take_error()
                             .unwrap_or(EngineError::Aborted { cycle });
                         return Err(MultiAbort::Engine(err));
@@ -189,7 +190,7 @@ pub(crate) fn run_sharded<T: Tracer>(
                     Err(DesError::Cancelled { cycle, cause }) => {
                         return Err(MultiAbort::Engine(EngineError::Cancelled {
                             cycle,
-                            retired: sources[d].retired(),
+                            retired: sources[d].life.retired(),
                             cause,
                         }));
                     }
@@ -296,14 +297,10 @@ fn assemble_multi_report<T: Tracer>(
     let mut stalls = Vec::with_capacity(schedule.len());
     for &(key, start, _finish) in &schedule {
         let dev = part.device_of(key.kernel_seq as usize, key.tb) as usize;
-        let ready = sources[dev].data_ready_of(key).unwrap_or(start);
+        let ready = sources[dev].life.data_ready_of(key).unwrap_or(start);
         let dur = jit[key.kernel_seq as usize].profile.duration.max(1) as f64;
         stalls.push(start.saturating_sub(ready) as f64 / dur);
     }
-    let baseline_mem: u64 = jit
-        .iter()
-        .map(|k| k.profile.n_tbs as u64 * k.profile.txns_per_tb)
-        .sum();
     let per_device = stats
         .iter()
         .enumerate()
@@ -316,9 +313,10 @@ fn assemble_multi_report<T: Tracer>(
             recv_msgs: sources[d].recv_msgs,
         })
         .collect();
-    let issue_cycles = sources[0].issue_cycles();
+    // The shard sources keep plain counter arrays: no scheduler buffer
+    // hardware is modeled, so no overhead traffic, high-water mark or
+    // window shrink is reported.
     Ok(RunReport {
-        mode,
         total_cycles,
         kernel_region_cycles: makespan,
         avg_concurrency: if makespan == 0 {
@@ -327,44 +325,7 @@ fn assemble_multi_report<T: Tracer>(
             total_integral as f64 / makespan as f64
         },
         stalls_normalized: stalls,
-        baseline_mem_requests: baseline_mem,
-        // The shard sources keep plain counter arrays — no scheduler
-        // buffer hardware is modeled, so no overhead traffic is charged.
-        overhead_mem_requests: 0,
-        hw_traffic: Default::default(),
-        storage_encoded: jit.iter().map(|k| k.storage.encoded_bytes).sum(),
-        storage_plain: jit.iter().map(|k| k.storage.plain_bytes).sum(),
-        patterns: jit
-            .iter()
-            .map(|k| (k.name.clone(), k.storage.pattern))
-            .collect(),
         schedule,
-        num_kernels: jit.len(),
-        dlb_high_water: 0,
-        pcb_high_water: 0,
-        guard: GuardReport::default(),
-        degradation: jit
-            .iter()
-            .enumerate()
-            .map(|(seq, k)| {
-                let mut d = k.degradation;
-                if d.is_degraded() {
-                    d.at_cycle = issue_cycles.get(seq).copied().unwrap_or(0);
-                    if T::ENABLED {
-                        tracer.emit(TraceEvent::DegradationStamp {
-                            cycle: d.at_cycle,
-                            seq: seq as u32,
-                            rung: d.rung.to_string(),
-                            reason: d.reason.to_string(),
-                        });
-                    }
-                }
-                (k.name.clone(), d)
-            })
-            .collect(),
-        cache_hits: jit.iter().filter(|k| k.cache_hit).count() as u64,
-        cache_misses: jit.iter().filter(|k| !k.cache_hit).count() as u64,
-        pressure_events: Vec::new(),
         multi: Some(MultiStats {
             devices: mcfg.devices,
             link_latency_cycles: mcfg.link_latency_cycles,
@@ -377,5 +338,6 @@ fn assemble_multi_report<T: Tracer>(
             per_device,
             fallback: None,
         }),
+        ..RunReport::of_kernels(jit, mode, sources[0].life.issue_cycles(), tracer)
     })
 }

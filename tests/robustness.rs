@@ -7,7 +7,7 @@ use blockmaestro::{
     RunSpec,
 };
 use bm_cmdq::{ApiCall, Application, CmdqError};
-use bm_depgraph::HazardMode;
+use bm_depgraph::{BipartiteGraph, GraphKind, HazardMode};
 use bm_multi::MultiGpuConfig;
 use bm_ptx::absint::analyze_launch;
 use bm_ptx::error::PtxError;
@@ -187,6 +187,20 @@ fn zero_tb_grid_between_real_kernels() {
     for mode in all_modes() {
         let r = run(&cfg, &app, &mut RunSpec::new(mode), &NullTracer).unwrap();
         assert_eq!(r.schedule.len(), 2, "{mode}: only the real TBs execute");
+        let eq = check_schedule(&app, &r.schedule).unwrap();
+        assert!(eq.is_match(), "{mode}: {eq}");
+    }
+    // The last kernel behind a whole-kernel barrier on the empty one, the
+    // graph the guard gives a quarantined kernel's successor: the empty
+    // kernel completes at boot and releases it.
+    let mut barred = jit_analyze_app(&cfg, &app, HazardMode::Raw);
+    barred[2].graph = BipartiteGraph::fully_connected(0, 1);
+    for mode in all_modes() {
+        let mut spec = RunSpec {
+            kernels: Some(&barred),
+            ..RunSpec::new(mode)
+        };
+        let r = run(&cfg, &app, &mut spec, &NullTracer).unwrap_or_else(|e| panic!("{mode}: {e}"));
         let eq = check_schedule(&app, &r.schedule).unwrap();
         assert!(eq.is_match(), "{mode}: {eq}");
     }
@@ -606,6 +620,60 @@ fn corrupted_run_spec_kernels_are_typed_errors() {
             match run_with(&bad, guard) {
                 Err(BmError::Ptx(PtxError::BadLaunch { .. })) => {}
                 other => panic!("{what}, guard {guard}: {:?}", other.map(|r| r.total_cycles)),
+            }
+        }
+    }
+    // A dependency graph that does not fit its neighbouring kernels: NW's
+    // first explicit graph rebuilt with one parent fewer than the previous
+    // kernel's blocks, or with one child fewer than its own, on one device
+    // and sharded over two.
+    let bench = suite().into_iter().find(|b| b.name == "NW").unwrap();
+    let nw = (bench.build)(Scale::Small);
+    let jit = jit_analyze_app(&cfg, &nw, HazardMode::Raw);
+    let k = jit
+        .iter()
+        .position(|j| matches!(j.graph.kind(), GraphKind::Explicit(_)))
+        .expect("an explicit graph");
+    let (n_parent, n_child) = (jit[k].graph.n_parent(), jit[k].graph.n_child());
+    let GraphKind::Explicit(children) = jit[k].graph.kind().clone() else {
+        unreachable!()
+    };
+    let fewer_children = children
+        .iter()
+        .map(|list| list.iter().copied().filter(|&c| c + 1 < n_child).collect())
+        .collect();
+    let shapes = [
+        (
+            "one parent fewer",
+            BipartiteGraph::from_children(
+                n_parent - 1,
+                n_child,
+                children[..n_parent as usize - 1].to_vec(),
+            ),
+        ),
+        (
+            "one child fewer",
+            BipartiteGraph::from_children(n_parent, n_child - 1, fewer_children),
+        ),
+    ];
+    for (what, graph) in shapes {
+        let mut bad = jit.clone();
+        bad[k].graph = graph;
+        for devices in [1, 2] {
+            let mcfg = MultiGpuConfig::devices(devices);
+            for guard in [false, true] {
+                let mut spec = RunSpec {
+                    guard,
+                    kernels: Some(&bad),
+                    ..RunSpec::new(mode)
+                };
+                match bm_multi::run(&cfg, &mcfg, &nw, &mut spec, &NullTracer) {
+                    Err(BmError::Ptx(PtxError::BadLaunch { .. })) => {}
+                    other => panic!(
+                        "{what}, {devices} devices, guard {guard}: {:?}",
+                        other.map(|r| r.total_cycles)
+                    ),
+                }
             }
         }
     }

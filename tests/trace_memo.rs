@@ -142,9 +142,10 @@ fn same_shape_launches_trace_every_cache_miss() {
     });
 }
 
-/// `OUT[gid & 7] = IN[gid] + 1`: lane 8 wraps back to offset 0, so the
-/// per-warp affine law must reject every full warp and fall back to full
-/// interpretation — which still has to match the reference bit for bit.
+/// `OUT[gid & 7] = IN[gid] + 1`: every lane stores to one of 8 shared
+/// words, lane 8 wrapping back to offset 0, so every block writes the same
+/// 8 words while it reads its own slice. Its analysis under every config
+/// must match the reference bit for bit.
 fn masked_kernel() -> Arc<bm_ptx::kernel::Kernel> {
     Arc::new(
         parse_kernel(
@@ -172,7 +173,7 @@ fn masked_kernel() -> Arc<bm_ptx::kernel::Kernel> {
 }
 
 #[test]
-fn law_rejection_seeds_fall_back_exactly() {
+fn wrapped_store_addresses_match_the_reference() {
     check_cases(0x7E41, 16, |rng| {
         let tbs = rng.range_u32(8, 40);
         let n_launches = rng.range_usize(4, 8);
