@@ -1310,16 +1310,23 @@ mod tests {
 
     /// Builds an app launching `step` over the given buffer pairs.
     fn chain_app(pairs: &[(usize, usize)], n_allocs: usize, tbs: u32) -> Application {
-        let n = tbs as u64 * 64;
+        let launches: Vec<_> = pairs.iter().map(|&(x, y)| (x, y, tbs)).collect();
+        sized_chain_app(&launches, n_allocs)
+    }
+
+    /// Builds an app launching `step` over `(x, y, blocks)`: a buffer
+    /// pair and a grid size. A zero-block launch runs no block.
+    fn sized_chain_app(launches: &[(usize, usize, u32)], n_allocs: usize) -> Application {
+        let n = launches.iter().map(|&(.., b)| b).max().unwrap_or(0) as u64 * 64;
         let mut space = AddressSpace::new();
         let allocs: Vec<_> = (0..n_allocs).map(|_| space.alloc(4 * n)).collect();
         let k = map_kernel();
-        let calls = pairs
+        let calls = launches
             .iter()
-            .map(|&(x, y)| {
+            .map(|&(x, y, blocks)| {
                 ApiCall::KernelLaunch(Launch::new(
                     k.clone(),
-                    Dim3::x(tbs),
+                    Dim3::x(blocks),
                     Dim3::x(64),
                     vec![ArgValue::Ptr(allocs[x].base), ArgValue::Ptr(allocs[y].base)],
                 ))
@@ -1672,5 +1679,105 @@ mod tests {
             }
         }
         assert!(saves > 100, "only {saves} snapshots saved");
+    }
+
+    /// Seeded random skip gates handed in through `RunSpec::kernels`,
+    /// added to each kernel's own: unsorted, duplicated and naming
+    /// zero-block kernels. Every mode runs them with a checkpoint every
+    /// kernel and resumes at each boundary; the resumed report equals the
+    /// uninterrupted one. Under test every `gates_open` holds the
+    /// open-gate count to a scan of the gate list, and every save the
+    /// snapshot writer to the clone-based capture.
+    #[test]
+    fn random_skip_gates_checkpoint_and_resume_in_every_mode() {
+        let cfg = GpuConfig::small();
+        let small = |name: &str| {
+            let bench = bm_workloads::suite()
+                .into_iter()
+                .find(|b| b.name == name)
+                .unwrap();
+            (bench.build)(bm_workloads::Scale::Small)
+        };
+        let apps = [
+            sized_chain_app(
+                &[
+                    (0, 1, 8),
+                    (1, 2, 0),
+                    (2, 3, 8),
+                    (3, 4, 8),
+                    (1, 5, 0),
+                    (4, 6, 8),
+                    (6, 7, 4),
+                ],
+                8,
+            ),
+            small("3MM"),
+            small("NW"),
+        ];
+        let mut modes = vec![ExecMode::Baseline, ExecMode::GraphLaunch];
+        modes.extend(ExecMode::figure9_variants());
+        let (mut unsorted, mut duplicated, mut zero_block) = (false, false, false);
+        for app in &apps {
+            for seed in 1..=2u64 {
+                let mut rng = crate::faults::FaultRng::new(seed);
+                let mut jit = jit_analyze_app(&cfg, app, HazardMode::Raw);
+                for k in 1..jit.len() {
+                    for _ in 0..rng.below(5) {
+                        let g = rng.below(k as u64) as u32;
+                        jit[k].skip_gates.push(g);
+                    }
+                    let gates = &jit[k].skip_gates;
+                    unsorted |= gates.windows(2).any(|w| w[0] > w[1]);
+                    duplicated |= (1..gates.len()).any(|i| gates[..i].contains(&gates[i]));
+                    zero_block |= gates.iter().any(|&g| jit[g as usize].profile.n_tbs == 0);
+                }
+                for &mode in &modes {
+                    let label = format!("{} seed {seed} under {mode}", app.name);
+                    let mut store = crate::snapshot::MemStore::default();
+                    let mut spec = crate::RunSpec {
+                        kernels: Some(&jit),
+                        checkpoint: CheckpointSession {
+                            policy: CheckpointPolicy::every_kernels(1),
+                            store: Some(&mut store),
+                            ..CheckpointSession::disabled()
+                        },
+                        ..crate::RunSpec::new(mode)
+                    };
+                    let reference = crate::run(&cfg, app, &mut spec, &bm_trace::NullTracer)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    // Fewer saves than boundaries: a zero-block kernel
+                    // retires in its predecessor's boundary.
+                    let saves = store.snaps.len();
+                    assert!(saves > 0, "{label}: no boundary saved");
+                    for at in 0..saves {
+                        let mut resume_from = crate::snapshot::MemStore {
+                            snaps: store.snaps[..=at].to_vec(),
+                        };
+                        let mut spec = crate::RunSpec {
+                            kernels: Some(&jit),
+                            checkpoint: CheckpointSession {
+                                policy: CheckpointPolicy::every_kernels(1),
+                                store: Some(&mut resume_from),
+                                resume_latest: true,
+                                ..CheckpointSession::disabled()
+                            },
+                            ..crate::RunSpec::new(mode)
+                        };
+                        let resumed = crate::run(&cfg, app, &mut spec, &bm_trace::NullTracer)
+                            .unwrap_or_else(|e| panic!("{label}: resume at save {at}: {e}"));
+                        assert_eq!(
+                            spec.checkpoint.saves as usize,
+                            saves - at - 1,
+                            "{label}: save {at} was not resumed from"
+                        );
+                        assert_eq!(resumed, reference, "{label}: resume at save {at} diverged");
+                    }
+                }
+            }
+        }
+        assert!(
+            unsorted && duplicated && zero_block,
+            "the seeds miss a gate shape"
+        );
     }
 }

@@ -51,8 +51,10 @@ pub(crate) struct KernelState {
     ready: VecDeque<u32>,
     /// Whether a block has been pushed to `ready` (or scheduled).
     pushed: Vec<bool>,
-    /// Kernel seqs (skip gates) that must fully complete first.
-    gates: Vec<u32>,
+    /// Entries of the kernel's skip gates (`JitKernel::skip_gates`, each
+    /// occurrence counted) whose kernel has not completed; the blocks
+    /// may queue only at zero.
+    open_gates: u32,
     completed: u32,
     arrival: Option<u64>,
     issued: bool,
@@ -108,6 +110,11 @@ pub struct Lifecycle<'a, T: Tracer> {
     /// One record per window shrink, in cycle order.
     pub(crate) pressure_events: Vec<PressureEvent>,
     pub(crate) kernels: Vec<KernelState>,
+    /// The skip gates reversed: the kernels naming kernel `g` as a gate
+    /// are `gated[gated_at[g]..gated_at[g + 1]]`, ascending, once per
+    /// occurrence.
+    gated_at: Vec<u32>,
+    gated: Vec<u32>,
     pub(crate) retired: usize,
     pub(crate) issued_count: usize,
     pub(crate) next_issue_floor: u64,
@@ -169,7 +176,7 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
                     done: vec![false; n],
                     ready: VecDeque::new(),
                     pushed: vec![false; n],
-                    gates: kernel.skip_gates.clone(),
+                    open_gates: kernel.skip_gates.len() as u32,
                     completed: 0,
                     arrival: None,
                     issued: false,
@@ -179,6 +186,7 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
                 }
             })
             .collect();
+        let (gated_at, gated) = reverse_gates(jit);
         let base_window = mode.window() as usize;
         let (launch_cycles, api_cycles) = if mode.has_launch_overhead() {
             (cfg.kernel_launch_cycles, cfg.launch_api_cycles)
@@ -196,6 +204,8 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
             spill_threshold: cfg.spill_pressure_threshold,
             pressure_events: Vec::new(),
             kernels,
+            gated_at,
+            gated,
             retired: 0,
             issued_count: 0,
             // CUDA-Graphs-style execution pays one launch for the whole
@@ -231,9 +241,9 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
     }
 
     /// Takes the mutable state from a snapshot, deriving each kernel's
-    /// done reports from its `complete` flag. Immutable configuration
-    /// (windows, thresholds, gates, durations) stays as [`Self::new`] built
-    /// it from `cfg`/`jit`.
+    /// done reports and open gates from the `complete` flags. Immutable
+    /// configuration (windows, thresholds, gates, durations) stays as
+    /// [`Self::new`] built it from `cfg`/`jit`.
     ///
     /// # Errors
     ///
@@ -288,6 +298,14 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
             st.issued = ks.issued;
             st.complete = ks.complete;
             st.shards_done = if ks.complete { st.active_shards } else { 0 };
+        }
+        for (k, kernel) in self.jit.iter().enumerate() {
+            let open = kernel
+                .skip_gates
+                .iter()
+                .filter(|&&g| !self.kernels[g as usize].complete)
+                .count();
+            self.kernels[k].open_gates = open as u32;
         }
         self.pressure_events = snap.pressure.clone();
         Ok(())
@@ -359,6 +377,14 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
     /// The next pending kernel arrival.
     pub fn next_arrival(&self) -> Option<u64> {
         self.arrivals.peek().map(|Reverse((t, _))| *t)
+    }
+
+    /// Whether a block waits in the ready queue of an active kernel
+    /// (only active kernels have queued blocks).
+    pub fn has_ready(&self) -> bool {
+        self.kernels[self.retired..self.issued_count]
+            .iter()
+            .any(|st| !st.ready.is_empty())
     }
 
     /// Whether kernel `k` waits on its predecessor as a whole
@@ -476,11 +502,22 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
         }
     }
 
+    /// Whether every skip gate of kernel `k` has completed.
     fn gates_open(&self, k: usize) -> bool {
-        self.kernels[k]
-            .gates
-            .iter()
-            .all(|&g| self.kernels[g as usize].complete)
+        let open = self.kernels[k].open_gates == 0;
+        #[cfg(test)]
+        {
+            // Unit tests hold every count to the gate-list scan it replaces.
+            let scan = self.jit[k]
+                .skip_gates
+                .iter()
+                .all(|&g| self.kernels[g as usize].complete);
+            assert_eq!(
+                open, scan,
+                "kernel {k}: open-gate count disagrees with its gates"
+            );
+        }
+        open
     }
 
     /// Pushes every eligible owned block of kernel `k` into its ready
@@ -534,14 +571,24 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
             return;
         }
         self.kernels[k].complete = true;
+        let gated = self.gated_at[k] as usize..self.gated_at[k + 1] as usize;
+        for &j in &self.gated[gated.clone()] {
+            self.kernels[j as usize].open_gates -= 1;
+        }
         if k + 1 < self.kernels.len() && self.kernel_is_barriered(k + 1) {
             let next = &self.kernels[k + 1];
             for tb in next.lo..next.hi {
                 self.mark_data_ready(k + 1, tb, now);
             }
         }
-        for j in 0..self.kernels.len() {
-            if self.kernels[j].gates.contains(&(k as u32)) {
+        // Kernels whose last gate was `k` queue their data-ready blocks,
+        // in ascending order; a kernel naming `k` twice is listed twice,
+        // side by side.
+        for i in gated.clone() {
+            let j = self.gated[i] as usize;
+            if self.kernels[j].open_gates == 0
+                && (i == gated.start || self.gated[i - 1] as usize != j)
+            {
                 self.flush_ready(j);
             }
         }
@@ -699,14 +746,19 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
             }
             arrived = true;
             self.arrivals.pop();
-            self.kernels[k].arrival = Some(t);
             if self.narrates() {
                 self.tracer.emit(TraceEvent::KernelArrive {
                     cycle: t,
                     seq: k as u32,
                 });
             }
-            self.flush_ready(k);
+            // A kernel that retired before it arrived has no blocks, and
+            // its state was final when it retired: a snapshot's history
+            // record holds it as of then.
+            if k >= self.retired {
+                self.kernels[k].arrival = Some(t);
+                self.flush_ready(k);
+            }
         }
         arrived
     }
@@ -727,9 +779,31 @@ impl<'a, T: Tracer> Lifecycle<'a, T> {
                     st.ready.len(),
                     st.counts.iter().filter(|&&c| c > 0).count(),
                     st.arrival,
-                    st.gates,
+                    self.jit[k].skip_gates,
                 )
             })
             .collect()
     }
+}
+
+/// The reverse skip-gate index of `jit` as `(gated_at, gated)`, laid out
+/// as [`Lifecycle`] holds it.
+fn reverse_gates(jit: &[JitKernel]) -> (Vec<u32>, Vec<u32>) {
+    let mut gated_at = vec![0u32; jit.len() + 1];
+    for &g in jit.iter().flat_map(|kernel| &kernel.skip_gates) {
+        gated_at[g as usize + 1] += 1;
+    }
+    for g in 0..jit.len() {
+        gated_at[g + 1] += gated_at[g];
+    }
+    let mut next = gated_at.clone();
+    let mut gated = vec![0u32; gated_at[jit.len()] as usize];
+    for (j, kernel) in jit.iter().enumerate() {
+        for &g in &kernel.skip_gates {
+            let slot = &mut next[g as usize];
+            gated[*slot as usize] = j as u32;
+            *slot += 1;
+        }
+    }
+    (gated_at, gated)
 }

@@ -13,6 +13,7 @@ use bm_simt::des::TbKey;
 use bm_trace::{NullTracer, TbId, TraceEvent, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 fn tb_id(key: TbKey) -> TbId {
     TbId {
@@ -20,6 +21,35 @@ fn tb_id(key: TbKey) -> TbId {
         tb: key.tb,
     }
 }
+
+/// The buffers' map hasher: a [`TbKey`]'s two `u32` fields packed into
+/// one word, mixed by a folded 128-bit multiply. Every block start and
+/// completion looks the buffers up, and the keys come from the
+/// simulation itself, so SipHash's flooding resistance buys nothing
+/// there. Lookups only: `view` sorts, so no output depends on the order
+/// this hasher gives the maps.
+#[derive(Default)]
+struct TbKeyHasher(u64);
+
+impl Hasher for TbKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let m = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        (m as u64) ^ ((m >> 64) as u64)
+    }
+}
+
+/// A map keyed by thread block, hashed with [`TbKeyHasher`].
+type TbMap<V> = HashMap<TbKey, V, BuildHasherDefault<TbKeyHasher>>;
 
 /// Number of buffer entries: 28 SMs × 32 resident TBs.
 pub const BUFFER_ENTRIES: usize = 896;
@@ -102,7 +132,7 @@ impl HwTraffic {
 /// critical path) and deallocated when it completes.
 #[derive(Debug, Default)]
 pub struct DepListBuffer {
-    entries: HashMap<TbKey, Vec<u32>>,
+    entries: TbMap<Vec<u32>>,
     /// Pattern-encoded graphs derive child ids instead of storing them; an
     /// encoded insert occupies an entry but fetches nothing.
     traffic: HwTraffic,
@@ -202,7 +232,7 @@ impl DepListBuffer {
     /// canonical byte representation despite the `HashMap` backing store.
     pub fn view(&self) -> (Vec<(TbKey, &[u32])>, HwTraffic, usize) {
         let mut entries: Vec<_> = self.entries.iter().map(|(k, v)| (*k, &v[..])).collect();
-        entries.sort_by_key(|(k, _)| *k);
+        entries.sort_unstable_by_key(|(k, _)| *k);
         (entries, self.traffic, self.high_water)
     }
 
@@ -220,7 +250,7 @@ impl DepListBuffer {
 /// TBs. Backed by global memory; a bounded number of counters is cached.
 #[derive(Debug)]
 pub struct ParentCounterBuffer {
-    counters: HashMap<TbKey, u32>,
+    counters: TbMap<u32>,
     /// Insertion order for deterministic FIFO eviction. May hold stale keys
     /// (released or already-evicted entries); eviction skips those lazily.
     fifo: VecDeque<TbKey>,
@@ -240,7 +270,7 @@ impl ParentCounterBuffer {
     /// to global memory (counted as writeback + refetch traffic).
     pub fn new(capacity: usize) -> Self {
         ParentCounterBuffer {
-            counters: HashMap::new(),
+            counters: TbMap::default(),
             fifo: VecDeque::new(),
             capacity,
             traffic: HwTraffic::default(),
@@ -423,7 +453,7 @@ impl ParentCounterBuffer {
         usize,
     ) {
         let mut counters: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        counters.sort_by_key(|(k, _)| *k);
+        counters.sort_unstable_by_key(|(k, _)| *k);
         (
             counters,
             self.fifo.as_slices(),

@@ -113,13 +113,12 @@ pub(crate) fn run_sharded<T: Tracer>(
         })
         .collect();
     let mut finished = vec![false; n];
-    // The boot may already have produced messages (trivially-complete
-    // kernels broadcasting), and the engine kickoff mirrors the
-    // single-device driver's `on_time_advance(0)`.
-    for src in sources.iter_mut().take(n) {
+    // The engine kickoff, as the single-device driver's
+    // `on_time_advance(0)`: kernels arriving at cycle 0 queue their blocks.
+    // Neither the boot nor the kickoff sends a message.
+    for src in &mut sources {
         src.on_time_advance(0);
     }
-    route_round(&mut sources, &mut ic, mcfg, &part, tracer)?;
 
     let lookahead = ic.lookahead();
     let mut round: u64 = 0;
@@ -132,15 +131,21 @@ pub(crate) fn run_sharded<T: Tracer>(
         // Earliest pending event across unfinished devices. After a round
         // every device has drained to its horizon, so all future activity
         // is anchored in a completion heap, an arrival timer, or a
-        // delivered message — exactly what this minimum covers.
+        // delivered message. Before the first round a device may also
+        // hold blocks the kickoff queued: running nothing, it can place
+        // them at its own clock. (A drained device holds queued blocks
+        // only while it runs others, whose completions come first.)
         let mut t_min: Option<u64> = None;
         for d in 0..n {
             if finished[d] {
                 continue;
             }
+            let (engine, source) = (&engines[d], &sources[d]);
+            let completion = engine.next_completion_at();
             let next = [
-                engines[d].next_completion_at(),
-                sources[d].next_event_at(engines[d].now()),
+                completion,
+                source.next_event_at(engine.now()),
+                (completion.is_none() && source.life.has_ready()).then(|| engine.now()),
             ]
             .into_iter()
             .flatten()

@@ -6,10 +6,16 @@ use blockmaestro::{
     check_schedule, jit_analyze_app, random_plan, BmError, DegradationReason, EngineError,
     ExecMode, FaultClass, FaultPlan, FaultRng, RunReport, RunSpec,
 };
+use bm_cmdq::{ApiCall, Application};
 use bm_multi::{run, MultiGpuConfig};
+use bm_ptx::kernel::{ArgValue, Dim3, Launch};
+use bm_ptx::mem::AddressSpace;
+use bm_ptx::parser::parse_kernel;
 use bm_simt::GpuConfig;
 use bm_trace::NullTracer;
 use bm_workloads::{suite, Scale};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn build(name: &str) -> bm_cmdq::Application {
     let b = suite()
@@ -184,4 +190,69 @@ fn a_checkpoint_store_on_two_devices_is_a_typed_error() {
     let err = run_on(2, &app, &mut spec).unwrap_err();
     assert!(matches!(err, BmError::Unsupported(_)), "got {err}");
     assert!(store.snaps.is_empty());
+}
+
+/// Launches of `A[tid] = 1` over `blocks[k]` blocks of 32 threads each,
+/// with no host copy before them: under `ideal-baseline` the first kernel
+/// arrives at cycle 0.
+fn cycle_zero_app(blocks: &[u32]) -> Application {
+    let kernel = Arc::new(
+        parse_kernel(
+            r#".entry one(.param .u64 A) {
+                 ld.param.u64 %rd1, [A];
+                 mov.u32 %r1, %tid.x;
+                 mul.wide.u32 %rd2, %r1, 4;
+                 add.u64 %rd3, %rd1, %rd2;
+                 st.global.f32 [%rd3], 0f3F800000;
+                 ret;
+               }"#,
+        )
+        .unwrap(),
+    );
+    let mut space = AddressSpace::new();
+    let a = space.alloc(4 * 32);
+    let calls = blocks
+        .iter()
+        .map(|&n| {
+            ApiCall::KernelLaunch(Launch::new(
+                kernel.clone(),
+                Dim3::x(n),
+                Dim3::x(32),
+                vec![ArgValue::Ptr(a.base)],
+            ))
+        })
+        .collect();
+    Application {
+        name: "cycle-zero".into(),
+        space,
+        calls,
+        host_data: HashMap::new(),
+    }
+}
+
+#[test]
+fn first_kernels_arriving_at_cycle_zero_run_on_every_device_count() {
+    for blocks in [&[1][..], &[1, 1], &[1, 0, 1], &[2, 2]] {
+        let app = cycle_zero_app(blocks);
+        for devices in [2, 3] {
+            for mode in [
+                ExecMode::IdealBaseline,
+                ExecMode::Baseline,
+                ExecMode::GraphLaunch,
+                ExecMode::PreLaunch { window: 3 },
+                ExecMode::ProducerPriority { window: 3 },
+                ExecMode::ConsumerPriority { window: 3 },
+            ] {
+                let label = format!("{blocks:?} blocks on {devices} devices under {mode}");
+                let report = run_on(devices, &app, &mut RunSpec::new(mode))
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let multi = report.multi.as_ref().expect("multi stats present");
+                assert_eq!(multi.devices, devices, "{label}");
+                assert!(multi.fallback.is_none(), "{label}");
+                let eq = check_schedule(&app, &report.schedule)
+                    .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                assert!(eq.is_match(), "{label}: {eq}");
+            }
+        }
+    }
 }

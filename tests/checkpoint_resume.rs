@@ -499,3 +499,33 @@ fn save_failures_reach_the_caller() {
         );
     }
 }
+
+/// Small-scale GAUSSIAN (30 kernels, 301 skip gates) and NW (15 kernels,
+/// 63 gates), killed at every retirement boundary and resumed. Kernel `i`
+/// of `chain_app` reads only what kernel `i − 1` wrote, so it has no skip
+/// gates; these snapshots hold kernels whose gates are still closed, and
+/// a resume rebuilds that gate state from the `complete` flags.
+#[test]
+fn apps_with_skip_gates_resume_exactly() {
+    let cfg = GpuConfig::small();
+    for (name, n_kernels, n_gates) in [("GAUSSIAN", 30, 301), ("NW", 15, 63)] {
+        let bench = bm_workloads::suite()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("suite app");
+        let app = (bench.build)(bm_workloads::Scale::Small);
+        let jit = try_jit_analyze_app(&cfg, &app, HazardMode::Raw).expect("analysis");
+        assert_eq!(jit.len(), n_kernels, "{name}");
+        let gates: usize = jit.iter().map(|k| k.skip_gates.len()).sum();
+        assert_eq!(gates, n_gates, "{name}");
+        for mode in [
+            ExecMode::ConsumerPriority { window: 3 },
+            ExecMode::PreLaunch { window: 2 },
+        ] {
+            let mut ref_store = MemStore::default();
+            let reference = engine_run(&cfg, &app, &jit, mode, None, &mut ref_store, None)
+                .expect("uninterrupted run");
+            assert_resume_equivalence(&cfg, &app, &jit, mode, n_kernels, &reference, name);
+        }
+    }
+}
